@@ -237,7 +237,7 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
              \"duplicate_nnz\": {}, \"singleton_nnz\": {}, \"weight2_nnz\": {}, \
              \"pure_leading_nnz\": {}, \"subset_nnz\": {}, \
              \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
-             \"expansion_rows_pruned\": {}, \"components_parallel\": {}}}",
+             \"components_parallel\": {}}}",
             r.rows,
             r.cols,
             r.fill,
@@ -266,7 +266,6 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
             p.subset_nnz,
             p.peak_interned_rows,
             p.peak_interned_words,
-            p.expansion_rows_pruned,
             p.components_parallel
         );
         out.push_str(if i + 1 < sparse.len() { ",\n" } else { "\n" });

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use bosphorus::{
     expansion_monomials, is_retainable_fact, Bosphorus, BosphorusConfig, CancelToken,
-    LinearizationBuilder, PresolveStats, StreamingSparseBuilder, SUBSET_CANDIDATE_LIMIT,
+    LinearizationBuilder, PresolveStats,
 };
 use bosphorus_anf::naive::{NaiveMonomial, NaivePolynomial};
 use bosphorus_anf::{Polynomial, PolynomialSystem, TermScratch, Var};
@@ -100,24 +100,17 @@ struct XlRoundResult {
     naive_total_ns: u128,
     fast_total_ns: u128,
     /// Whole-round time of the sparse-presolve configuration (expansion
-    /// streamed into the sparse row store, presolve, residual dense cores,
-    /// stitching and readback) — the facts are asserted byte-identical to
-    /// the dense rounds before any number is reported.
+    /// into the sparse row store, presolve, residual dense cores, stitching
+    /// and readback) — the facts are asserted byte-identical to the dense
+    /// rounds before any number is reported.
     presolve_round_ns: u128,
     /// Phase split and rule counters of the best presolve round.
     presolve: PresolveStats,
-    /// Whole-round time of the **streaming** presolve configuration: the
-    /// rule cascades fire at row arrival, so cancelling rows are pruned
-    /// before being stored and the peak interned row count stays below the
-    /// batch path's full expansion. Facts asserted byte-identical.
-    streaming_round_ns: u128,
-    /// Stats of the best streaming round (serial residual elimination).
-    streaming: PresolveStats,
-    /// The same streaming round with the residual components dispatched
-    /// over 4 persistent workers (`components_parallel` records how many).
-    streaming_par_ns: u128,
-    /// Stats of the best component-parallel streaming round.
-    streaming_par: PresolveStats,
+    /// The same presolve round with the residual components dispatched over
+    /// 4 persistent workers (`components_parallel` records how many).
+    presolve_par_ns: u128,
+    /// Stats of the best component-parallel presolve round.
+    presolve_par: PresolveStats,
 }
 
 impl XlRoundResult {
@@ -135,62 +128,6 @@ impl XlRoundResult {
     fn presolve_gauss_speedup(&self) -> f64 {
         let sparse_ns = (self.presolve.presolve_ns + self.presolve.dense_ns).max(1);
         self.gauss_ns as f64 / sparse_ns as f64
-    }
-}
-
-/// One incremental-vs-scratch A/B measurement of the SAT pass: the same
-/// preprocessing run with `sat_incremental` off (a fresh solver and a full
-/// re-encode every pipeline iteration) and on (one warm solver fed the
-/// database delta). The learnt facts are asserted byte-identical before any
-/// number is reported — the warm solver is a perf lever, not a semantic one.
-struct IncrementalAbResult {
-    name: String,
-    scratch_ns: u128,
-    incremental_ns: u128,
-    scratch_conflicts: u64,
-    incremental_conflicts: u64,
-    /// Total facts learnt (identical in both configurations).
-    facts: usize,
-    iterations: usize,
-}
-
-impl IncrementalAbResult {
-    fn speedup(&self) -> f64 {
-        self.scratch_ns as f64 / self.incremental_ns.max(1) as f64
-    }
-}
-
-fn measure_sat_incremental_ab(name: &str, system: &PolynomialSystem) -> IncrementalAbResult {
-    let mut runs = Vec::new();
-    for sat_incremental in [false, true] {
-        let config = BosphorusConfig {
-            sat_incremental,
-            ..BosphorusConfig::default()
-        };
-        let mut engine = Bosphorus::new(system.clone(), config);
-        let start = Instant::now();
-        let _ = engine.preprocess();
-        let ns = start.elapsed().as_nanos();
-        let stats = engine.stats();
-        runs.push((
-            ns,
-            stats.sat_conflicts,
-            stats.iterations,
-            engine.learnt_facts().to_vec(),
-        ));
-    }
-    assert_eq!(
-        runs[0].3, runs[1].3,
-        "{name}: learnt facts diverge between scratch and incremental SAT"
-    );
-    IncrementalAbResult {
-        name: name.to_string(),
-        scratch_ns: runs[0].0,
-        incremental_ns: runs[1].0,
-        scratch_conflicts: runs[0].1,
-        incremental_conflicts: runs[1].1,
-        facts: runs[0].3.len(),
-        iterations: runs[0].2.max(runs[1].2),
     }
 }
 
@@ -218,7 +155,7 @@ fn occurring_vars(system: &PolynomialSystem) -> Vec<Var> {
 }
 
 /// One exhaustive (budget-free, unshuffled) XL round on the production term
-/// layer: expand by all degree-≤1 multipliers straight into the streaming
+/// layer: expand by all degree-≤1 multipliers straight into the
 /// linearisation builder, eliminate, keep the retainable rows.
 ///
 /// The multiplier list is passed in pre-built: it is identical for both
@@ -330,13 +267,14 @@ fn naive_xl_round(polys: &[NaivePolynomial], multipliers: &[NaiveMonomial]) -> R
 }
 
 /// The same exhaustive round through the sparse-presolve path: expansion
-/// streamed into the sparse row store (no dense arena), structural presolve,
-/// residual dense cores, stitched readback — the configuration the engine
-/// runs by default. Returns the whole-round wall clock alongside the facts
-/// and the internally-measured phase split.
+/// into the sparse row store (no dense arena), structural presolve, residual
+/// dense cores eliminated with `threads` workers, stitched readback — the
+/// configuration the engine runs by default. Returns the whole-round wall
+/// clock alongside the facts and the internally-measured phase split.
 fn presolve_xl_round(
     system: &PolynomialSystem,
     multipliers: &[bosphorus_anf::Monomial],
+    threads: usize,
 ) -> (u128, Vec<Polynomial>, usize, PresolveStats) {
     let start = Instant::now();
     let mut builder = LinearizationBuilder::new();
@@ -351,36 +289,7 @@ fn presolve_xl_round(
     }
     let sparse = builder.finish_sparse();
     let (facts, rank, _gauss, presolve) =
-        sparse.eliminate_retainable_cancellable(1, &CancelToken::never());
-    (start.elapsed().as_nanos(), facts, rank, presolve)
-}
-
-/// The same exhaustive round through the **streaming** presolve: every
-/// product row runs the rule cascades at arrival (rows that cancel are never
-/// stored), and the residual components are eliminated with `threads`
-/// workers. Facts are asserted byte-identical to the dense rounds by the
-/// caller before any number is reported.
-fn streaming_xl_round(
-    system: &PolynomialSystem,
-    multipliers: &[bosphorus_anf::Monomial],
-    threads: usize,
-) -> (u128, Vec<Polynomial>, usize, PresolveStats) {
-    let start = Instant::now();
-    let mut builder = StreamingSparseBuilder::new();
-    for poly in system.iter() {
-        builder.push(poly);
-    }
-    let mut scratch = TermScratch::new();
-    for base in system.iter() {
-        for m in multipliers {
-            builder.push_product(base, m, &mut scratch);
-        }
-    }
-    let (facts, rank, _gauss, presolve) = builder.finish_retainable_cancellable(
-        threads,
-        &CancelToken::never(),
-        SUBSET_CANDIDATE_LIMIT,
-    );
+        sparse.eliminate_retainable_cancellable(threads, &CancelToken::never());
     (start.elapsed().as_nanos(), facts, rank, presolve)
 }
 
@@ -461,46 +370,26 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
         fast.facts, naive.facts,
         "{name}: learnt facts diverge between term layers"
     );
-    // The sparse-presolve configuration, best of reps by whole-round time,
-    // with the learnt facts asserted byte-identical to the dense rounds.
+    // The sparse-presolve configuration, serial and component-parallel, best
+    // of reps by whole-round time, with the learnt facts asserted
+    // byte-identical to the dense rounds.
     let mut presolve_round_ns = u128::MAX;
     let mut presolve_split: Option<PresolveStats> = None;
-    for _ in 0..reps {
-        let (round_ns, facts, rank, split) = presolve_xl_round(system, &multipliers);
-        assert_eq!(rank, fast.rank, "{name}: presolve path rank diverges");
-        assert_eq!(
-            facts, fast.facts,
-            "{name}: presolve path learnt facts diverge"
-        );
-        if round_ns < presolve_round_ns {
-            presolve_round_ns = round_ns;
-            presolve_split = Some(split);
-        }
-    }
-    let presolve = presolve_split.expect("reps >= 1");
-    // The streaming configuration, serial and component-parallel, with the
-    // learnt facts asserted byte-identical to every other path.
-    let mut streaming_round_ns = u128::MAX;
-    let mut streaming_split: Option<PresolveStats> = None;
-    let mut streaming_par_ns = u128::MAX;
-    let mut streaming_par_split: Option<PresolveStats> = None;
+    let mut presolve_par_ns = u128::MAX;
+    let mut presolve_par_split: Option<PresolveStats> = None;
     for (threads, best_ns, best_split) in [
-        (1usize, &mut streaming_round_ns, &mut streaming_split),
-        (4, &mut streaming_par_ns, &mut streaming_par_split),
+        (1usize, &mut presolve_round_ns, &mut presolve_split),
+        (4, &mut presolve_par_ns, &mut presolve_par_split),
     ] {
         for _ in 0..reps {
-            let (round_ns, facts, rank, split) = streaming_xl_round(system, &multipliers, threads);
+            let (round_ns, facts, rank, split) = presolve_xl_round(system, &multipliers, threads);
             assert_eq!(
                 rank, fast.rank,
-                "{name}: streaming rank diverges at {threads} threads"
+                "{name}: presolve rank diverges at {threads} threads"
             );
             assert_eq!(
                 facts, fast.facts,
-                "{name}: streaming learnt facts diverge at {threads} threads"
-            );
-            assert!(
-                split.peak_interned_rows <= presolve.peak_interned_rows,
-                "{name}: streaming peak rows exceed the batch peak"
+                "{name}: presolve learnt facts diverge at {threads} threads"
             );
             if round_ns < *best_ns {
                 *best_ns = round_ns;
@@ -508,8 +397,8 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
             }
         }
     }
-    let streaming = streaming_split.expect("reps >= 1");
-    let streaming_par = streaming_par_split.expect("reps >= 1");
+    let presolve = presolve_split.expect("reps >= 1");
+    let presolve_par = presolve_par_split.expect("reps >= 1");
     XlRoundResult {
         name: name.to_string(),
         rows: fast.rows,
@@ -525,10 +414,8 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
         fast_total_ns: fast.total_ns(),
         presolve_round_ns,
         presolve,
-        streaming_round_ns,
-        streaming,
-        streaming_par_ns,
-        streaming_par,
+        presolve_par_ns,
+        presolve_par,
     }
 }
 
@@ -570,7 +457,6 @@ fn measure_preprocess(name: &str, system: &PolynomialSystem) -> PreprocessResult
 fn to_json(
     preprocess: &[PreprocessResult],
     rounds: &[XlRoundResult],
-    incremental: &[IncrementalAbResult],
     mode: &str,
     seed: u64,
 ) -> String {
@@ -671,7 +557,8 @@ fn to_json(
              \"empty_rows\": {}, \"duplicate_rows\": {}, \"singleton_rows\": {}, \
              \"weight2_rows\": {}, \"pure_leading_rows\": {}, \
              \"subset_cancellations\": {}, \
-             \"peak_interned_rows\": {}, \"peak_interned_words\": {}}}, ",
+             \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
+             \"par4_round_total_ns\": {}, \"components_parallel\": {}}}}}",
             r.presolve_round_ns,
             p.presolve_ns,
             p.dense_ns,
@@ -688,61 +575,11 @@ fn to_json(
             p.pure_leading_rows,
             p.subset_cancellations,
             p.peak_interned_rows,
-            p.peak_interned_words
-        );
-        // The streaming configuration of the same round: rows pruned at
-        // arrival, peak interned memory below the batch path's full
-        // expansion, and the component-parallel residual elimination
-        // (facts asserted byte-identical to every other path in-bench).
-        let s = &r.streaming;
-        let sp = &r.streaming_par;
-        let _ = write!(
-            out,
-            "\"streaming\": {{\"round_total_ns\": {}, \"presolve_ns\": {}, \
-             \"dense_core_gauss_ns\": {}, \
-             \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
-             \"expansion_rows_pruned\": {}, \
-             \"peak_rows_vs_batch\": {:.3}, \
-             \"par4_round_total_ns\": {}, \"components_parallel\": {}, \
-             \"facts_identical\": true}}}}",
-            r.streaming_round_ns,
-            s.presolve_ns,
-            s.dense_ns,
-            s.peak_interned_rows,
-            s.peak_interned_words,
-            s.expansion_rows_pruned,
-            s.peak_interned_rows as f64 / p.peak_interned_rows.max(1) as f64,
-            r.streaming_par_ns,
-            sp.components_parallel
+            p.peak_interned_words,
+            r.presolve_par_ns,
+            r.presolve_par.components_parallel
         );
         out.push_str(if i + 1 < rounds.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    // Incremental-vs-scratch SAT pass A/B: same preprocess, warm solver off
-    // and on; `facts_identical` is asserted (the process aborts otherwise),
-    // so a recorded `true` is a checked claim, not a hope.
-    out.push_str("  \"sat_incremental\": [\n");
-    for (i, r) in incremental.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"scratch_preprocess_ns\": {}, \
-             \"incremental_preprocess_ns\": {}, \"speedup\": {:.2}, \
-             \"scratch_sat_conflicts\": {}, \"incremental_sat_conflicts\": {}, \
-             \"facts\": {}, \"iterations\": {}, \"facts_identical\": true}}",
-            r.name,
-            r.scratch_ns,
-            r.incremental_ns,
-            r.speedup(),
-            r.scratch_conflicts,
-            r.incremental_conflicts,
-            r.facts,
-            r.iterations
-        );
-        out.push_str(if i + 1 < incremental.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
     }
     out.push_str("  ],\n");
     // The recorded headline: production vs seed *term layer* on one
@@ -762,29 +599,24 @@ fn to_json(
     } else {
         format!(
             "{:.2}",
-            simon.streaming_round_ns as f64 / simon.streaming_par_ns.max(1) as f64
+            simon.presolve_round_ns as f64 / simon.presolve_par_ns.max(1) as f64
         )
     };
     let _ = writeln!(
         out,
         "  \"headline\": {{\"xl_round_speedup_simon\": {:.2}, \
          \"presolve_gauss_speedup_simon\": {:.2}, \
-         \"streaming_peak_rows_simon\": {}, \
-         \"batch_peak_rows_simon\": {}, \
-         \"expansion_rows_pruned_simon\": {}, \
+         \"peak_rows_simon\": {}, \
          \"component_parallel_round_speedup_simon\": {par_speedup}, \
          \"headline_instance\": \"{}\", \
          \"headline_metric\": \"term-layer (expand + linearise + readback) \
          best-of-reps; shared GJE kernel excluded. presolve_gauss_speedup \
          compares dense-only gauss_ns against presolve_ns + dense-core \
-         gauss_ns on the same round, identical learnt facts. streaming peaks \
-         compare max interned rows held at once (streaming prunes cancelling \
-         rows at arrival; batch stores the full expansion first)\"}}",
+         gauss_ns on the same round, identical learnt facts. peak_rows is \
+         the max interned rows held at once (the full expansion)\"}}",
         simon.term_speedup(),
         simon.presolve_gauss_speedup(),
-        simon.streaming.peak_interned_rows,
         simon.presolve.peak_interned_rows,
-        simon.streaming.expansion_rows_pruned,
         simon.name
     );
     out.push('}');
@@ -837,10 +669,6 @@ fn main() {
         measure_xl_round("table1", &table1, reps),
         measure_xl_round("simon-2-3", &simon_small.system, reps),
     ];
-    let mut incremental = vec![
-        measure_sat_incremental_ab("worked_example", &worked),
-        measure_sat_incremental_ab("simon-2-3", &simon_small.system),
-    ];
     if !smoke {
         let simon_large = simon::generate(
             simon::SimonParams {
@@ -856,18 +684,6 @@ fn main() {
         rounds.push(measure_xl_round("sr-aes-small-1", &sr_aes.system, reps));
         // The headline round is the *largest* Simon instance measured.
         rounds.swap(1, 2);
-        // The recorded incremental-SAT A/B row: Simon-[2,8] preprocessing,
-        // the multi-iteration instance where a warm solver actually has
-        // rounds to span (generated last so the smaller instances stay
-        // byte-identical at a given seed).
-        let simon_2_8 = simon::generate(
-            simon::SimonParams {
-                num_plaintexts: 2,
-                rounds: 8,
-            },
-            &mut rng,
-        );
-        incremental.push(measure_sat_incremental_ab("simon-2-8", &simon_2_8.system));
     }
 
     println!("pipeline preprocessing ({mode}):");
@@ -929,37 +745,16 @@ fn main() {
             100.0 * p.rows_eliminated as f64 / p.input_rows.max(1) as f64,
             100.0 * p.cols_eliminated as f64 / p.input_cols.max(1) as f64
         );
-        let s = &r.streaming;
         println!(
-            "      streaming {:>9.3} ms  peak rows {} / {} batch ({:.1}%)  \
-             pruned-at-arrival {}  par4 {:>9.3} ms (comps {})",
-            r.streaming_round_ns as f64 / 1e6,
-            s.peak_interned_rows,
+            "      presolve round {:>9.3} ms  peak rows {}  par4 {:>9.3} ms (comps {})",
+            r.presolve_round_ns as f64 / 1e6,
             p.peak_interned_rows,
-            100.0 * s.peak_interned_rows as f64 / p.peak_interned_rows.max(1) as f64,
-            s.expansion_rows_pruned,
-            r.streaming_par_ns as f64 / 1e6,
-            r.streaming_par.components_parallel
+            r.presolve_par_ns as f64 / 1e6,
+            r.presolve_par.components_parallel
         );
     }
 
-    println!("SAT pass, scratch vs incremental preprocessing ({mode}):");
-    println!("  (learnt facts asserted byte-identical before reporting)");
-    for r in &incremental {
-        println!(
-            "  {:<16} {:>10.3} -> {:>10.3} ms ({:>5.2}x)  conflicts {:>6} -> {:>6}  facts {:>4}  iters {:>2}",
-            r.name,
-            r.scratch_ns as f64 / 1e6,
-            r.incremental_ns as f64 / 1e6,
-            r.speedup(),
-            r.scratch_conflicts,
-            r.incremental_conflicts,
-            r.facts,
-            r.iterations
-        );
-    }
-
-    let json = to_json(&preprocess, &rounds, &incremental, mode, seed);
+    let json = to_json(&preprocess, &rounds, mode, seed);
     std::fs::write(&out_path, format!("{json}\n")).expect("write benchmark JSON");
     println!("wrote {out_path}");
 }

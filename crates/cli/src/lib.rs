@@ -73,22 +73,6 @@ pipeline:
                         XL/ElimLin matrices straight to the dense GF(2)
                         kernel (the learnt facts are identical either way;
                         this is an A/B and escape hatch, not a mode)
-  --presolve-batch      run the presolve rule cascades in one batch after the
-                        full linearisation is collected, instead of the
-                        default streaming mode that fires them at row arrival
-                        and prunes cancelling rows before they are stored
-                        (facts identical either way; A/B escape hatch)
-  --presolve-subset-limit N
-                        occurrence-count cap of the presolve's bounded
-                        subset-cancellation rule; 0 disables the rule. The
-                        presolve stays exact at every setting (default 16)
-  --no-sat-incremental  rebuild the SAT pass's solver from scratch every
-                        pipeline iteration instead of keeping one warm
-                        solver (learnt clauses, activities, saved phases)
-                        and feeding it the database delta. The learnt facts
-                        are identical either way; this is an A/B and escape
-                        hatch, not a mode (--sat-incremental restores the
-                        default)
   --solver NAME         solver configuration for the final --solve call:
                         minimal | aggressive | xorgauss (the in-loop SAT
                         pass always uses the paper's aggressive setting)
@@ -212,19 +196,6 @@ pub struct CliOptions {
     /// Disable the sparse structural presolve in front of the dense GF(2)
     /// kernel (see [`BosphorusConfig::presolve`]).
     pub no_presolve: bool,
-    /// Run the presolve rule cascades in one batch after collection instead
-    /// of streaming them at row arrival (see
-    /// [`BosphorusConfig::presolve_streaming`]); `--presolve-batch` sets
-    /// this for A/B comparison.
-    pub presolve_batch: bool,
-    /// Override of the presolve's bounded subset-cancellation occurrence
-    /// cap (see [`BosphorusConfig::presolve_subset_limit`]); 0 disables the
-    /// rule.
-    pub presolve_subset_limit: Option<u32>,
-    /// Whether the SAT pass keeps one warm incremental solver across
-    /// pipeline iterations (see [`BosphorusConfig::sat_incremental`]);
-    /// `--no-sat-incremental` turns it off for A/B comparison.
-    pub sat_incremental: bool,
     /// Solver configuration for the final `--solve` call. The in-loop SAT
     /// pass is pinned to the paper's aggressive configuration (as in the
     /// original engine); `xorgauss` additionally turns on XOR-constraint
@@ -264,9 +235,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
         seed: None,
         threads: None,
         no_presolve: false,
-        presolve_batch: false,
-        presolve_subset_limit: None,
-        sat_incremental: true,
         solver: SolverChoice::Aggressive,
         timeout: None,
     };
@@ -329,15 +297,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                 );
             }
             "--no-presolve" => options.no_presolve = true,
-            "--presolve-batch" => options.presolve_batch = true,
-            "--presolve-subset-limit" => {
-                let raw = value_of("--presolve-subset-limit")?;
-                options.presolve_subset_limit = Some(raw.parse().map_err(|_| {
-                    format!("--presolve-subset-limit: {raw:?} is not a count (0 disables the rule)")
-                })?);
-            }
-            "--sat-incremental" => options.sat_incremental = true,
-            "--no-sat-incremental" => options.sat_incremental = false,
             "--solver" => options.solver = value_of("--solver")?.parse()?,
             "--timeout" => {
                 let raw = value_of("--timeout")?;
@@ -388,13 +347,6 @@ pub fn build_config(options: &CliOptions) -> BosphorusConfig {
     if options.no_presolve {
         config.presolve = false;
     }
-    if options.presolve_batch {
-        config.presolve_streaming = false;
-    }
-    if let Some(limit) = options.presolve_subset_limit {
-        config.presolve_subset_limit = limit;
-    }
-    config.sat_incremental = options.sat_incremental;
     if options.solver == SolverChoice::XorGauss {
         config.emit_xor_constraints = true;
     }
@@ -639,16 +591,15 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             p.presolve_ns,
             p.dense_ns
         );
-        // Per-rule nnz attribution, streaming peaks and component
-        // parallelism — the fields grid runs used to need the
-        // presolve_probe dev binary for.
+        // Per-rule nnz attribution, peak row storage and component
+        // parallelism.
         let _ = write!(
             out,
             "\"duplicate_nnz\": {}, \"singleton_nnz\": {}, \"weight2_nnz\": {}, \
              \"pure_leading_nnz\": {}, \"subset_nnz\": {}, \
              \"cascade_ns\": {}, \"dedup_ns\": {}, \"subset_ns\": {}, \
              \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
-             \"expansion_rows_pruned\": {}, \"components_parallel\": {}}}}}",
+             \"components_parallel\": {}}}}}",
             p.duplicate_nnz,
             p.singleton_nnz,
             p.weight2_nnz,
@@ -659,7 +610,6 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             p.subset_ns,
             p.peak_interned_rows,
             p.peak_interned_words,
-            p.expansion_rows_pruned,
             p.components_parallel
         );
     }
@@ -754,10 +704,6 @@ mod tests {
             "--threads",
             "4",
             "--no-presolve",
-            "--presolve-batch",
-            "--presolve-subset-limit",
-            "9",
-            "--no-sat-incremental",
             "--solver",
             "xorgauss",
         ]);
@@ -775,9 +721,6 @@ mod tests {
         assert_eq!(options.seed, Some(42));
         assert_eq!(options.threads, Some(4));
         assert!(options.no_presolve);
-        assert!(options.presolve_batch);
-        assert_eq!(options.presolve_subset_limit, Some(9));
-        assert!(!options.sat_incremental);
         assert_eq!(options.solver, SolverChoice::XorGauss);
     }
 
@@ -803,15 +746,6 @@ mod tests {
         assert!(parse(&["--anf", "a", "--threads", "0"])
             .unwrap_err()
             .contains("not a count"));
-        assert!(parse(&["--anf", "a", "--presolve-subset-limit", "many"])
-            .unwrap_err()
-            .contains("not a count"));
-        assert!(parse(&["--anf", "a", "--presolve-subset-limit", "-1"])
-            .unwrap_err()
-            .contains("not a count"));
-        assert!(parse(&["--anf", "a", "--presolve-subset-limit"])
-            .unwrap_err()
-            .contains("requires a value"));
     }
 
     #[test]
@@ -860,34 +794,6 @@ mod tests {
         let off = options(&["--anf", "a", "--no-presolve"]);
         assert!(off.no_presolve);
         assert!(!build_config(&off).presolve);
-    }
-
-    #[test]
-    fn presolve_tuning_knobs_reach_the_config() {
-        let defaults = build_config(&options(&["--anf", "a"]));
-        assert!(defaults.presolve_streaming, "streaming is the default");
-        assert_eq!(
-            defaults.presolve_subset_limit,
-            bosphorus::SUBSET_CANDIDATE_LIMIT
-        );
-        let batch = build_config(&options(&["--anf", "a", "--presolve-batch"]));
-        assert!(batch.presolve, "batch mode keeps the presolve on");
-        assert!(!batch.presolve_streaming);
-        let tuned = build_config(&options(&["--anf", "a", "--presolve-subset-limit", "0"]));
-        assert_eq!(tuned.presolve_subset_limit, 0, "0 disables the subset rule");
-    }
-
-    #[test]
-    fn sat_incremental_defaults_on_and_flag_turns_it_off() {
-        let on = options(&["--anf", "a"]);
-        assert!(on.sat_incremental);
-        assert!(build_config(&on).sat_incremental);
-        let off = options(&["--anf", "a", "--no-sat-incremental"]);
-        assert!(!off.sat_incremental);
-        assert!(!build_config(&off).sat_incremental);
-        // The positive flag wins when it comes last (and vice versa).
-        let back_on = options(&["--anf", "a", "--no-sat-incremental", "--sat-incremental"]);
-        assert!(back_on.sat_incremental);
     }
 
     #[test]
@@ -963,7 +869,6 @@ mod tests {
         pass.presolve.subset_ns = 200;
         pass.presolve.peak_interned_rows = 80;
         pass.presolve.peak_interned_words = 480;
-        pass.presolve.expansion_rows_pruned = 20;
         pass.presolve.components_parallel = 2;
         let stats = EngineStats {
             passes: vec![pass],
@@ -979,8 +884,7 @@ mod tests {
         assert!(json.contains("\"dense_core_rows\": 60"));
         assert!(json.contains("\"dense_core_cols\": 50"));
         assert!(json.contains("\"presolve_ns\": 1234"));
-        // The per-rule attribution and streaming fields promoted from the
-        // presolve_probe dev binary.
+        // Per-rule attribution, peaks and component parallelism.
         assert!(json.contains("\"duplicate_nnz\": 45"));
         assert!(json.contains("\"singleton_nnz\": 26"));
         assert!(json.contains("\"weight2_nnz\": 14"));
@@ -991,7 +895,6 @@ mod tests {
         assert!(json.contains("\"subset_ns\": 200"));
         assert!(json.contains("\"peak_interned_rows\": 80"));
         assert!(json.contains("\"peak_interned_words\": 480"));
-        assert!(json.contains("\"expansion_rows_pruned\": 20"));
         assert!(json.contains("\"components_parallel\": 2"));
     }
 

@@ -63,34 +63,6 @@ impl CnfConversion {
     }
 }
 
-/// The CNF-variable → ANF-monomial view used to translate solver facts back
-/// into ANF, implemented by both the one-shot [`CnfConversion`] and the
-/// persistent [`IncrementalCnf`](crate::IncrementalCnf) so fact harvesting
-/// works uniformly over either.
-pub trait FactTranslator {
-    /// The ANF monomial behind a CNF variable, if it has one. Variables
-    /// introduced purely for XOR cutting have no ANF meaning and return
-    /// `None`.
-    fn monomial(&self, var: CnfVar) -> Option<&Monomial>;
-
-    /// Translates a CNF literal into the ANF fact it asserts (see
-    /// [`CnfConversion::literal_fact`]).
-    fn literal_fact(&self, lit: Lit) -> Option<Polynomial> {
-        let monomial = self.monomial(lit.var())?.clone();
-        let mut fact = Polynomial::from_monomial(monomial);
-        if lit.is_positive() {
-            fact += &Polynomial::one();
-        }
-        Some(fact)
-    }
-}
-
-impl FactTranslator for CnfConversion {
-    fn monomial(&self, var: CnfVar) -> Option<&Monomial> {
-        CnfConversion::monomial(self, var)
-    }
-}
-
 /// Converts a (propagated) polynomial system to CNF.
 ///
 /// `propagator` supplies the determined variables and equivalence literals
@@ -112,27 +84,24 @@ pub fn anf_to_cnf(
     converter.finish()
 }
 
-/// The encoding engine behind both [`anf_to_cnf`] (one shot, finished into a
-/// [`CnfConversion`]) and the persistent
-/// [`IncrementalCnf`](crate::IncrementalCnf) (kept alive across pipeline
-/// iterations, appending only the delta each round). Owning the
-/// configuration snapshot is what allows the persistent use.
-pub(crate) struct Converter {
-    pub(crate) cnf: CnfFormula,
-    config: BosphorusConfig,
+/// The encoding engine behind [`anf_to_cnf`], finished into a
+/// [`CnfConversion`].
+struct Converter<'a> {
+    cnf: CnfFormula,
+    config: &'a BosphorusConfig,
     /// Monomial → dense id (each distinct monomial stored once); the hot
     /// lookup of the conversion. The public `BTreeMap`s of
     /// [`CnfConversion`] are materialised once in [`Converter::finish`].
-    pub(crate) interner: MonomialInterner,
+    interner: MonomialInterner,
     /// Interner id → the CNF variable standing for that monomial.
-    pub(crate) var_of_id: Vec<CnfVar>,
-    pub(crate) xors: Vec<XorConstraint>,
+    var_of_id: Vec<CnfVar>,
+    xors: Vec<XorConstraint>,
     karnaugh_clauses: usize,
     tseitin_clauses: usize,
 }
 
-impl Converter {
-    pub(crate) fn new(num_anf_vars: usize, config: &BosphorusConfig) -> Self {
+impl<'a> Converter<'a> {
+    fn new(num_anf_vars: usize, config: &'a BosphorusConfig) -> Self {
         let mut interner = MonomialInterner::with_capacity(num_anf_vars * 2);
         let mut var_of_id = Vec::with_capacity(num_anf_vars);
         // ANF variable x_i is CNF variable i; record the identity mapping so
@@ -144,7 +113,7 @@ impl Converter {
         }
         Converter {
             cnf: CnfFormula::new(num_anf_vars),
-            config: config.clone(),
+            config,
             interner,
             var_of_id,
             xors: Vec::new(),
@@ -156,7 +125,7 @@ impl Converter {
     /// Encodes one variable's propagation knowledge: determined variables
     /// become unit clauses, equivalences two binary clauses — (x ∨ y)(¬x ∨ ¬y)
     /// for x = ¬y, (x ∨ ¬y)(¬x ∨ y) for x = y.
-    pub(crate) fn encode_knowledge(&mut self, var: Var, knowledge: VarKnowledge) {
+    fn encode_knowledge(&mut self, var: Var, knowledge: VarKnowledge) {
         match knowledge {
             VarKnowledge::Free => {}
             VarKnowledge::Value(value) => {
@@ -197,7 +166,7 @@ impl Converter {
         aux
     }
 
-    pub(crate) fn convert_polynomial(&mut self, poly: &Polynomial) {
+    fn convert_polynomial(&mut self, poly: &Polynomial) {
         if poly.is_zero() {
             return;
         }

@@ -92,52 +92,10 @@ pub struct BosphorusConfig {
     /// subset rules over interned sparse rows) before materialising the
     /// residual dense core for the blocked M4RM kernel. The presolve is
     /// exact — learnt facts are byte-identical with it on or off — so this
-    /// only changes wall-clock; it exists as an escape hatch (the CLI's
-    /// `--no-presolve`) and for A/B measurement. Default `true`.
+    /// only changes wall-clock; the dense-only path exists as an escape
+    /// hatch (the CLI's `--no-presolve`) and as the test oracle the presolve
+    /// is checked against. Default `true`.
     pub presolve: bool,
-    /// Whether the presolve runs in **streaming** mode: the rule cascades
-    /// fire incrementally as each interned row arrives from the
-    /// linearisation, so rows that cancel at arrival are never stored and
-    /// peak interned memory stays below the full expansion. Streaming and
-    /// batch presolve commit byte-identical facts (see the equivalence tests
-    /// in `linearize.rs`); this toggle exists as an escape hatch (the CLI's
-    /// `--presolve-batch`) and for A/B measurement. Ignored when
-    /// [`presolve`](Self::presolve) is off. Default `true`.
-    pub presolve_streaming: bool,
-    /// Occurrence-count cap of the presolve's bounded subset-cancellation
-    /// rule (the CLI's `--presolve-subset-limit`): a row is used as a
-    /// cancellation source only when its rarest column occurs in at most
-    /// this many rows, bounding the scan cost per candidate. `0` disables
-    /// the rule entirely. The presolve stays exact at every setting — the
-    /// limit only trades presolve time against residual dense-core size.
-    /// Default [`bosphorus_gf2::SUBSET_CANDIDATE_LIMIT`].
-    pub presolve_subset_limit: u32,
-    /// Whether the SAT pass keeps one warm solver alive across pipeline
-    /// iterations — retaining learnt clauses, variable activities and saved
-    /// phases — and only encodes the database delta each round, instead of
-    /// rebuilding solver and CNF from scratch. The persistent formula is a
-    /// monotone stream of consequences of the original system, so learnt
-    /// facts are identical with it on or off; it exists as an escape hatch
-    /// (the CLI's `--no-sat-incremental`) and for A/B measurement.
-    /// Default `true`.
-    pub sat_incremental: bool,
-}
-
-/// How an XL/ElimLin elimination routes its linearised rows, derived from
-/// [`BosphorusConfig::presolve`] and [`BosphorusConfig::presolve_streaming`]
-/// by [`BosphorusConfig::presolve_mode`]. All three modes commit
-/// byte-identical facts; they differ only in wall-clock and peak memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PresolveMode {
-    /// No structural presolve: the full linearisation is materialised dense
-    /// and goes straight to the blocked elimination kernel.
-    Off,
-    /// Collect every interned sparse row first, then run the rule cascades
-    /// in one batch before densifying the residual core.
-    Batch,
-    /// Run the rule cascades incrementally as each row arrives from the
-    /// linearisation, pruning cancelling rows before they are stored.
-    Streaming,
 }
 
 impl Default for BosphorusConfig {
@@ -161,9 +119,6 @@ impl Default for BosphorusConfig {
             rng_seed: 0xB05F0405,
             threads: 1,
             presolve: true,
-            presolve_streaming: true,
-            presolve_subset_limit: bosphorus_gf2::SUBSET_CANDIDATE_LIMIT,
-            sat_incremental: true,
         }
     }
 }
@@ -195,18 +150,6 @@ impl BosphorusConfig {
         BosphorusConfig {
             subsample_m: 63,
             ..BosphorusConfig::default()
-        }
-    }
-
-    /// The elimination routing implied by the two presolve toggles:
-    /// [`PresolveMode::Off`] when [`presolve`](Self::presolve) is off,
-    /// otherwise [`PresolveMode::Streaming`] or [`PresolveMode::Batch`]
-    /// according to [`presolve_streaming`](Self::presolve_streaming).
-    pub fn presolve_mode(&self) -> PresolveMode {
-        match (self.presolve, self.presolve_streaming) {
-            (false, _) => PresolveMode::Off,
-            (true, false) => PresolveMode::Batch,
-            (true, true) => PresolveMode::Streaming,
         }
     }
 }
@@ -248,41 +191,6 @@ mod tests {
         assert!(BosphorusConfig::default().presolve);
         assert!(BosphorusConfig::paper_defaults().presolve);
         assert!(BosphorusConfig::exhaustive().presolve);
-    }
-
-    #[test]
-    fn streaming_presolve_defaults_on_with_the_stock_subset_limit() {
-        let d = BosphorusConfig::default();
-        assert!(d.presolve_streaming);
-        assert_eq!(
-            d.presolve_subset_limit,
-            bosphorus_gf2::SUBSET_CANDIDATE_LIMIT
-        );
-        assert!(BosphorusConfig::paper_defaults().presolve_streaming);
-        assert!(BosphorusConfig::exhaustive().presolve_streaming);
-    }
-
-    #[test]
-    fn presolve_mode_follows_the_two_toggles() {
-        let mut c = BosphorusConfig::default();
-        assert_eq!(c.presolve_mode(), PresolveMode::Streaming);
-        c.presolve_streaming = false;
-        assert_eq!(c.presolve_mode(), PresolveMode::Batch);
-        c.presolve = false;
-        assert_eq!(c.presolve_mode(), PresolveMode::Off, "off wins over batch");
-        c.presolve_streaming = true;
-        assert_eq!(
-            c.presolve_mode(),
-            PresolveMode::Off,
-            "off wins over streaming"
-        );
-    }
-
-    #[test]
-    fn sat_incremental_defaults_on_everywhere() {
-        assert!(BosphorusConfig::default().sat_incremental);
-        assert!(BosphorusConfig::paper_defaults().sat_incremental);
-        assert!(BosphorusConfig::exhaustive().sat_incremental);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use bosphorus_interrupt::CancelToken;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::linearize::{Linearization, SparseLinearization, StreamingSparseBuilder};
-use crate::{BosphorusConfig, PresolveMode};
+use crate::linearize::{Linearization, SparseLinearization};
+use crate::BosphorusConfig;
 
 /// Outcome of one ElimLin round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,13 +85,7 @@ pub fn elimlin_learn_cancellable<R: Rng>(
         }
     }
     let subsampled = working.len() < system.len();
-    let mut outcome = elimlin_run(
-        working,
-        config.threads,
-        config.presolve_mode(),
-        config.presolve_subset_limit,
-        token,
-    );
+    let mut outcome = elimlin_run(working, config.threads, config.presolve, token);
     outcome.subsampled = subsampled;
     outcome
 }
@@ -113,24 +107,16 @@ pub fn elimlin_on_cancellable(
     threads: usize,
     token: &CancelToken,
 ) -> ElimLinOutcome {
-    elimlin_run(
-        working,
-        threads,
-        PresolveMode::Streaming,
-        bosphorus_gf2::SUBSET_CANDIDATE_LIMIT,
-        token,
-    )
+    elimlin_run(working, threads, true, token)
 }
 
 /// The ElimLin fixed-point loop behind every public entry point, with each
-/// round's elimination routed through the streaming presolve, the batch
-/// presolve, or the dense kernel directly according to `mode` (all three
-/// commit identical facts).
+/// round's elimination routed through the sparse presolve or straight to the
+/// dense kernel according to `presolve` (both commit identical facts).
 fn elimlin_run(
     mut working: Vec<Polynomial>,
     threads: usize,
-    mode: PresolveMode,
-    subset_limit: u32,
+    presolve: bool,
     token: &CancelToken,
 ) -> ElimLinOutcome {
     // One scratch buffer serves every substitution of every round.
@@ -157,24 +143,14 @@ fn elimlin_run(
             outcome.facts.push(Polynomial::one());
             return outcome;
         }
-        // Step (1): Gauss–Jordan elimination on the linearisation — with the
-        // rule cascades firing at row arrival (streaming), after collection
-        // (batch), or not at all (dense-only).
-        let (reduced, round_stats, round_presolve) = match mode {
-            PresolveMode::Streaming => {
-                let mut builder = StreamingSparseBuilder::new();
-                for poly in &working {
-                    builder.push(poly);
-                }
-                builder.finish_all_cancellable(threads, token, subset_limit)
-            }
-            PresolveMode::Batch => SparseLinearization::build(working.iter())
-                .eliminate_cancellable_with(threads, token, subset_limit),
-            PresolveMode::Off => {
-                let mut lin = Linearization::build(working.iter());
-                let (reduced, stats) = lin.eliminate_cancellable(threads, token);
-                (reduced, stats, PresolveStats::default())
-            }
+        // Step (1): Gauss–Jordan elimination on the linearisation, with or
+        // without the sparse presolve ahead of the dense kernel.
+        let (reduced, round_stats, round_presolve) = if presolve {
+            SparseLinearization::build(working.iter()).eliminate_cancellable(threads, token)
+        } else {
+            let mut lin = Linearization::build(working.iter());
+            let (reduced, stats) = lin.eliminate_cancellable(threads, token);
+            (reduced, stats, PresolveStats::default())
         };
         let round_interrupted = round_stats.interrupted;
         outcome.gauss.merge(round_stats);
@@ -374,22 +350,14 @@ mod tests {
              x1 + x2;",
         );
         let token = CancelToken::never();
-        let limit = bosphorus_gf2::SUBSET_CANDIDATE_LIMIT;
-        let streaming = elimlin_run(source.clone(), 1, PresolveMode::Streaming, limit, &token);
-        let batch = elimlin_run(source.clone(), 1, PresolveMode::Batch, limit, &token);
-        let without = elimlin_run(source, 1, PresolveMode::Off, limit, &token);
-        for (label, with) in [("streaming", &streaming), ("batch", &batch)] {
-            assert_eq!(with.facts, without.facts, "{label} facts diverge");
-            assert_eq!(with.rounds, without.rounds, "{label} rounds diverge");
-            assert_eq!(with.eliminated_vars, without.eliminated_vars);
-            assert_eq!(with.gauss.rank, without.gauss.rank);
-            assert!(with.presolve.input_rows > 0, "{label} presolve ran");
-        }
+        let with = elimlin_run(source.clone(), 1, true, &token);
+        let without = elimlin_run(source, 1, false, &token);
+        assert_eq!(with.facts, without.facts, "facts diverge");
+        assert_eq!(with.rounds, without.rounds, "rounds diverge");
+        assert_eq!(with.eliminated_vars, without.eliminated_vars);
+        assert_eq!(with.gauss.rank, without.gauss.rank);
+        assert!(with.presolve.input_rows > 0, "presolve ran");
         assert_eq!(without.presolve, PresolveStats::default());
-        assert!(
-            streaming.presolve.peak_interned_rows <= batch.presolve.peak_interned_rows,
-            "streaming never holds more rows than batch"
-        );
     }
 
     #[test]

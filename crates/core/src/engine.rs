@@ -306,7 +306,7 @@ impl Bosphorus {
                         // when the SAT solver finds one; the solution is not
                         // used to simplify the ANF because it may not be
                         // unique.
-                        let full = self.reconstruct_assignment(&partial);
+                        let full = self.checked_solution(&partial);
                         self.solution = Some(full.clone());
                         self.stats.decided_during_preprocessing = true;
                         return PreprocessStatus::Solved(full);
@@ -334,9 +334,12 @@ impl Bosphorus {
         }
         if self.db.is_empty() && !self.db.has_contradiction() {
             // Everything is determined: read the solution off the propagator.
-            let assignment =
-                self.reconstruct_assignment(&Assignment::all_false(self.original_num_vars));
-            if self.original.is_satisfied_by(&assignment) {
+            let model = self.complete_assignment(
+                &Assignment::all_false(self.original.num_vars()),
+                self.original.num_vars(),
+            );
+            if self.satisfies_input(&model) {
+                let assignment = self.restrict_to_original_vars(model);
                 self.solution = Some(assignment.clone());
                 self.stats.decided_during_preprocessing = true;
                 return PreprocessStatus::Solved(assignment);
@@ -379,9 +382,9 @@ impl Bosphorus {
             SolveResult::Sat => {
                 let model = solver.model().expect("SAT implies a model");
                 let partial = Assignment::from_bits(
-                    (0..self.original_num_vars).map(|v| model.get(v).copied().unwrap_or(false)),
+                    (0..self.original.num_vars()).map(|v| model.get(v).copied().unwrap_or(false)),
                 );
-                let full = self.reconstruct_assignment(&partial);
+                let full = self.checked_solution(&partial);
                 self.solution = Some(full.clone());
                 SolveStatus::Sat(full)
             }
@@ -403,6 +406,13 @@ impl Bosphorus {
     /// assignment of every original variable, filling in values that
     /// propagation determined and following equivalence chains.
     pub fn reconstruct_assignment(&self, partial: &Assignment) -> Assignment {
+        self.complete_assignment(partial, self.original_num_vars)
+    }
+
+    /// [`Bosphorus::reconstruct_assignment`] over the first `num_vars`
+    /// variables; `self.original.num_vars()` also covers the clause-cutting
+    /// variables a CNF input's ANF form adds.
+    fn complete_assignment(&self, partial: &Assignment, num_vars: usize) -> Assignment {
         let propagator = self.db.propagator();
         let value_of = |v: Var| -> bool {
             if let Some(value) = propagator.value(v) {
@@ -420,7 +430,39 @@ impl Bosphorus {
                 false
             }
         };
-        Assignment::from_bits((0..self.original_num_vars as Var).map(value_of))
+        Assignment::from_bits((0..num_vars as Var).map(value_of))
+    }
+
+    /// Whether `model`, over every variable of the original ANF, satisfies
+    /// the input: the original ANF and, for [`Bosphorus::from_cnf`], the
+    /// original CNF as well.
+    fn satisfies_input(&self, model: &Assignment) -> bool {
+        self.original.is_satisfied_by(model)
+            && self.original_cnf.as_ref().map_or(true, |cnf| {
+                cnf.evaluate(&model.as_bits()[..self.original_num_vars]) == Ok(true)
+            })
+    }
+
+    /// The assignment of the original problem's variables within `model`.
+    fn restrict_to_original_vars(&self, model: Assignment) -> Assignment {
+        Assignment::from_bits(model.as_bits()[..self.original_num_vars].iter().copied())
+    }
+
+    /// Completes a SAT model of the processed problem (`partial`, over the
+    /// ANF variables) and checks it against the input before it is handed
+    /// out. A model that fails the check is an internal error: every pass
+    /// and conversion is meant to preserve solutions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the completed model does not satisfy the original input.
+    fn checked_solution(&self, partial: &Assignment) -> Assignment {
+        let model = self.complete_assignment(partial, self.original.num_vars());
+        assert!(
+            self.satisfies_input(&model),
+            "internal error: the SAT model does not satisfy the original input"
+        );
+        self.restrict_to_original_vars(model)
     }
 
     /// Adds facts to the master copy (if not already present) and to the
@@ -842,5 +884,33 @@ mod tests {
             .filter(|entry| entry.pass == "exploding")
             .count();
         assert_eq!(poisoned_runs, 1, "a poisoned pass never runs again");
+    }
+
+    #[test]
+    fn the_input_check_rejects_corrupted_models() {
+        // ANF input: the Section II-E solution passes, one flipped bit fails.
+        let engine = Bosphorus::new(section_2e(), BosphorusConfig::default());
+        let mut model = Assignment::from_bits([false, true, true, true, true, false]);
+        assert!(engine.satisfies_input(&model));
+        model.set(5, true);
+        assert!(!engine.satisfies_input(&model));
+
+        // CNF input: (x0 ∨ x1) ∧ ¬x0.
+        let cnf = CnfFormula::parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n").expect("parses");
+        let mut engine = Bosphorus::from_cnf(&cnf, BosphorusConfig::default());
+        let model = Assignment::from_bits([false, true]);
+        assert!(engine.satisfies_input(&model));
+        assert!(!engine.satisfies_input(&Assignment::from_bits([true, true])));
+        // The original CNF is checked too, not just its ANF form.
+        engine.original_cnf = Some(CnfFormula::parse_dimacs("p cnf 2 1\n-2 0\n").expect("parses"));
+        assert!(!engine.satisfies_input(&model));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not satisfy the original input")]
+    fn a_corrupted_sat_model_is_an_internal_error() {
+        let engine = Bosphorus::new(section_2e(), BosphorusConfig::default());
+        let corrupted = Assignment::from_bits([false, true, true, true, true, true]);
+        let _ = engine.checked_solution(&corrupted);
     }
 }

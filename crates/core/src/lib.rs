@@ -54,7 +54,6 @@ mod cnf_to_anf;
 mod config;
 mod elimlin;
 mod engine;
-mod incremental;
 mod linearize;
 mod minimize;
 mod pipeline;
@@ -62,7 +61,7 @@ mod satstep;
 mod stats;
 mod xl;
 
-pub use anf_to_cnf::{anf_to_cnf, tseitin_clause_count, CnfConversion, FactTranslator};
+pub use anf_to_cnf::{anf_to_cnf, tseitin_clause_count, CnfConversion};
 // The propagator moved into `bosphorus-anf` (it is part of the shared
 // problem representation, see `AnfDatabase`); re-exported here so existing
 // `bosphorus::AnfPropagator` paths keep working.
@@ -73,15 +72,12 @@ pub use bosphorus_gf2::{GaussStats, PresolveStats, SUBSET_CANDIDATE_LIMIT};
 // entry point for deadlines and SIGINT-driven interruption.
 pub use bosphorus_interrupt::{CancelToken, Checkpoint};
 pub use cnf_to_anf::{clause_to_polynomial, cnf_to_anf, AnfConversion};
-pub use config::{BosphorusConfig, PresolveMode};
+pub use config::BosphorusConfig;
 pub use elimlin::{
     elimlin_learn, elimlin_learn_cancellable, elimlin_on, elimlin_on_cancellable, ElimLinOutcome,
 };
 pub use engine::{Bosphorus, PreprocessStatus, SolveStatus};
-pub use incremental::{IncrementalCnf, IncrementalSatState};
-pub use linearize::{
-    Linearization, LinearizationBuilder, SparseLinearization, StreamingSparseBuilder,
-};
+pub use linearize::{Linearization, LinearizationBuilder, SparseLinearization};
 pub use minimize::karnaugh_clauses;
 pub use pipeline::{
     ElimLinPass, GroebnerPass, LearningPass, PassBudget, PassKind, PassOutcome, PassStatus,

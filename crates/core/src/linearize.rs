@@ -19,10 +19,7 @@
 //! `crates/gf2/src/blocked.rs` and `crates/bench/DESIGN.md`).
 
 use bosphorus_anf::{Monomial, MonomialInterner, Polynomial, TermScratch};
-use bosphorus_gf2::{
-    BitMatrix, GaussStats, PresolveStats, RowRef, SparseMatrix, StreamingPresolver,
-    SUBSET_CANDIDATE_LIMIT,
-};
+use bosphorus_gf2::{BitMatrix, GaussStats, PresolveStats, RowRef, SparseMatrix};
 use bosphorus_interrupt::CancelToken;
 
 /// Incremental construction of a [`Linearization`].
@@ -440,24 +437,12 @@ impl SparseLinearization {
         threads: usize,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
-        self.eliminate_cancellable_with(threads, token, SUBSET_CANDIDATE_LIMIT)
-    }
-
-    /// Like [`SparseLinearization::eliminate_cancellable`] with an explicit
-    /// subset-cancellation candidate cap (`0` disables that rule; the facts
-    /// are identical at every setting).
-    pub fn eliminate_cancellable_with(
-        self,
-        threads: usize,
-        token: &CancelToken,
-        subset_limit: u32,
-    ) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
         let SparseLinearization {
             interner,
             order,
             matrix,
         } = self;
-        let rref = matrix.rref_cancellable_with(threads, token, subset_limit);
+        let rref = matrix.rref_cancellable(threads, token);
         if rref.gauss.interrupted {
             return (Vec::new(), rref.gauss, rref.presolve);
         }
@@ -479,24 +464,12 @@ impl SparseLinearization {
         threads: usize,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, usize, GaussStats, PresolveStats) {
-        self.eliminate_retainable_cancellable_with(threads, token, SUBSET_CANDIDATE_LIMIT)
-    }
-
-    /// Like [`SparseLinearization::eliminate_retainable_cancellable`] with
-    /// an explicit subset-cancellation candidate cap (`0` disables that
-    /// rule; the facts are identical at every setting).
-    pub fn eliminate_retainable_cancellable_with(
-        self,
-        threads: usize,
-        token: &CancelToken,
-        subset_limit: u32,
-    ) -> (Vec<Polynomial>, usize, GaussStats, PresolveStats) {
         let SparseLinearization {
             interner,
             order,
             matrix,
         } = self;
-        let rref = matrix.rref_cancellable_with(threads, token, subset_limit);
+        let rref = matrix.rref_cancellable(threads, token);
         if rref.gauss.interrupted {
             return (Vec::new(), 0, rref.gauss, rref.presolve);
         }
@@ -509,8 +482,7 @@ impl SparseLinearization {
 /// Filters stitched sparse RREF rows (ascending column ids) down to the
 /// retainable facts — linear polynomials (`row[0]` at or past the first
 /// degree-≤ 1 column) and `monomial ⊕ 1` rows — and materialises them as
-/// polynomials. Shared by the batch and streaming sparse paths so both apply
-/// the byte-identical predicate of the dense read-back.
+/// polynomials, with the byte-identical predicate of the dense read-back.
 fn sparse_retainable_facts(
     interner: &MonomialInterner,
     order: &[u32],
@@ -527,151 +499,6 @@ fn sparse_retainable_facts(
         })
         .map(|row| sparse_row_to_polynomial(interner, order, row))
         .collect()
-}
-
-/// The streaming twin of [`LinearizationBuilder`] + `finish_sparse`: rows
-/// feed a [`StreamingPresolver`] *as they are pushed*, keyed by interner ids
-/// with the graded-lex order supplied as a comparator, so the R1–R5 cascades
-/// fire mid-expansion and rows eliminated early are never stored. The XL
-/// expansion-budget bookkeeping must not change between modes, so
-/// [`StreamingSparseBuilder::num_rows`] counts every pushed row — including
-/// the ones the presolver pruned at arrival — exactly like the batch
-/// builder; the same row multiset therefore reaches the (unique) RREF and
-/// the learnt facts are byte-identical to both batch paths.
-///
-/// Every product's terms are still interned (the column universe must match
-/// the batch paths); what streaming saves is the *row storage*, reported via
-/// [`PresolveStats::peak_interned_rows`] / `peak_interned_words`, with rows
-/// consumed at arrival counted in [`PresolveStats::expansion_rows_pruned`].
-#[derive(Default)]
-pub struct StreamingSparseBuilder {
-    interner: MonomialInterner,
-    presolver: StreamingPresolver,
-    ids: Vec<u32>,
-}
-
-impl StreamingSparseBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        StreamingSparseBuilder {
-            interner: MonomialInterner::new(),
-            presolver: StreamingPresolver::new(),
-            ids: Vec::new(),
-        }
-    }
-
-    /// Rows pushed so far, counting rows the presolver consumed at arrival
-    /// (the batch builder's `num_rows` for the same input).
-    pub fn num_rows(&self) -> usize {
-        self.presolver.rows_pushed()
-    }
-
-    /// Number of distinct monomials seen so far (the eventual column count).
-    pub fn num_columns(&self) -> usize {
-        self.interner.len()
-    }
-
-    /// Rows currently held live by the streaming presolve.
-    pub fn rows_live(&self) -> usize {
-        self.presolver.rows_live()
-    }
-
-    /// Feeds the interned ids staged in `self.ids` to the presolver.
-    fn feed(&mut self) {
-        let ids = std::mem::take(&mut self.ids);
-        let interner = &self.interner;
-        self.presolver
-            .push_row(ids, &|a, b| interner.monomial(a).cmp(interner.monomial(b)));
-    }
-
-    /// Appends one polynomial as a row (a zero polynomial streams as an
-    /// all-zero row, matching [`LinearizationBuilder::push`]).
-    pub fn push(&mut self, poly: &Polynomial) {
-        for m in poly.monomials() {
-            let id = self.interner.intern(m);
-            self.ids.push(id);
-        }
-        self.feed();
-    }
-
-    /// Computes `base · m` into `scratch` and streams it as a row. Returns
-    /// the number of terms; a zero product streams **no** row and returns 0
-    /// — identical contract (and budget arithmetic) to
-    /// [`LinearizationBuilder::push_product`].
-    pub fn push_product(
-        &mut self,
-        base: &Polynomial,
-        m: &Monomial,
-        scratch: &mut TermScratch,
-    ) -> usize {
-        let terms = base.mul_monomial_scratch(m, scratch);
-        if terms.is_empty() {
-            return 0;
-        }
-        let n = terms.len();
-        for t in terms {
-            let id = self.interner.intern(t);
-            self.ids.push(id);
-        }
-        self.feed();
-        n
-    }
-
-    /// Orders the columns (descending graded lex, shared with every other
-    /// path), finishes the streaming presolve through the batch fixpoint +
-    /// component pipeline, and returns only the *retainable* facts plus the
-    /// non-zero row count — the streaming twin of
-    /// [`SparseLinearization::eliminate_retainable_cancellable_with`].
-    pub fn finish_retainable_cancellable(
-        self,
-        threads: usize,
-        token: &CancelToken,
-        subset_limit: u32,
-    ) -> (Vec<Polynomial>, usize, GaussStats, PresolveStats) {
-        let StreamingSparseBuilder {
-            interner,
-            presolver,
-            ..
-        } = self;
-        let ncols = interner.len();
-        let (order, col_of_id) = interner.column_order_desc();
-        let rref = presolver.finish_rref(&col_of_id, ncols, threads, subset_limit, token);
-        if rref.gauss.interrupted {
-            return (Vec::new(), 0, rref.gauss, rref.presolve);
-        }
-        let non_zero_rows = rref.rows.len();
-        let facts = sparse_retainable_facts(&interner, &order, &rref.rows);
-        (facts, non_zero_rows, rref.gauss, rref.presolve)
-    }
-
-    /// Like [`StreamingSparseBuilder::finish_retainable_cancellable`] but
-    /// returns *all* non-zero RREF rows as polynomials — the streaming twin
-    /// of [`SparseLinearization::eliminate_cancellable_with`] (ElimLin's
-    /// read-back).
-    pub fn finish_all_cancellable(
-        self,
-        threads: usize,
-        token: &CancelToken,
-        subset_limit: u32,
-    ) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
-        let StreamingSparseBuilder {
-            interner,
-            presolver,
-            ..
-        } = self;
-        let ncols = interner.len();
-        let (order, col_of_id) = interner.column_order_desc();
-        let rref = presolver.finish_rref(&col_of_id, ncols, threads, subset_limit, token);
-        if rref.gauss.interrupted {
-            return (Vec::new(), rref.gauss, rref.presolve);
-        }
-        let reduced = rref
-            .rows
-            .iter()
-            .map(|row| sparse_row_to_polynomial(&interner, &order, row))
-            .collect();
-        (reduced, rref.gauss, rref.presolve)
-    }
 }
 
 /// Converts a stitched sparse RREF row (ascending column ids) back to a
@@ -787,7 +614,7 @@ mod tests {
         use bosphorus_anf::Monomial;
         // Expand the Table I system with the degree-1 multipliers both ways:
         // eagerly (materialised products through Linearization::build) and
-        // through the streaming builder. The linearisations must agree
+        // through `LinearizationBuilder`. The linearisations must agree
         // column for column and row for row.
         let base = polys("x1*x2 + x1 + 1; x2*x3 + x3;");
         let multipliers = [

@@ -35,7 +35,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::elimlin::elimlin_learn_cancellable;
-use crate::incremental::IncrementalSatState;
 use crate::satstep::{sat_step_cancellable, SatStepStatus};
 use crate::xl::xl_learn_cancellable;
 use crate::BosphorusConfig;
@@ -442,20 +441,14 @@ impl LearningPass for ElimLinPass {
     }
 }
 
-/// The conflict-bounded SAT step as a pass (Section II-D).
-///
-/// With [`BosphorusConfig::sat_incremental`] (the default) the pass keeps
-/// one warm solver alive across pipeline iterations — learnt clauses,
-/// variable activities and saved phases survive — and encodes only the
-/// database delta each round (see [`IncrementalSatState`]). With it off,
-/// every round converts the database and builds a solver from scratch.
+/// The conflict-bounded SAT step as a pass (Section II-D). Every round
+/// converts the database to CNF and builds a solver from scratch.
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,
     solver_config: SolverConfig,
     last_seen: Option<Revision>,
     last_budget: Option<u64>,
-    incremental: Option<IncrementalSatState>,
 }
 
 impl SatPass {
@@ -473,7 +466,6 @@ impl SatPass {
             solver_config,
             last_seen: None,
             last_budget: None,
-            incremental: None,
         }
     }
 }
@@ -493,38 +485,14 @@ impl LearningPass for SatPass {
         }
         self.last_seen = Some(db.revision());
         self.last_budget = Some(conflicts);
-        let sat = if self.config.sat_incremental {
-            // (Re)build the warm state if none exists yet or the variable
-            // space diverged (a fresh database was swapped in).
-            if self
-                .incremental
-                .as_ref()
-                .map(IncrementalSatState::num_anf_vars)
-                != Some(db.num_vars())
-            {
-                self.incremental = Some(IncrementalSatState::new(
-                    db.num_vars(),
-                    &self.config,
-                    &self.solver_config,
-                ));
-            }
-            let state = self.incremental.as_mut().expect("state was just installed");
-            state.step(
-                db.system(),
-                db.propagator(),
-                conflicts,
-                budget.cancel_token(),
-            )
-        } else {
-            sat_step_cancellable(
-                db.system(),
-                db.propagator(),
-                &self.config,
-                &self.solver_config,
-                conflicts,
-                budget.cancel_token(),
-            )
-        };
+        let sat = sat_step_cancellable(
+            db.system(),
+            db.propagator(),
+            &self.config,
+            &self.solver_config,
+            conflicts,
+            budget.cancel_token(),
+        );
         let mut outcome = PassOutcome::ran();
         outcome.sat_conflicts = sat.conflicts;
         outcome.sat_learnt = sat.learnt_clauses;

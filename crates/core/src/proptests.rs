@@ -8,7 +8,7 @@ use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 
 use crate::{
     anf_to_cnf, cnf_to_anf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus,
-    BosphorusConfig, CancelToken, PreprocessStatus, SolveStatus,
+    BosphorusConfig, CancelToken, PassKind, PreprocessStatus, SolveStatus,
 };
 
 const MAX_VARS: u32 = 5;
@@ -162,23 +162,17 @@ proptest! {
         }
     }
 
-    /// Streaming presolve, batch presolve, and the dense-only path commit
-    /// byte-identical XL facts at every thread count, and a streaming round
-    /// never holds more interned rows at once than the batch round's input
-    /// (the peak-memory monotonicity guarantee). ElimLin's fixed-point loop
-    /// is checked the same way through its public entry point.
+    /// The batch presolve and the dense-only path commit byte-identical XL
+    /// facts at every thread count.
     #[test]
     fn presolve_modes_commit_identical_facts(system in arb_system(), seed in any::<u64>()) {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut reference = None;
-        let mut batch_peak = 0usize;
-        let mut streaming_peak = usize::MAX;
-        for (presolve, streaming) in [(true, true), (true, false), (false, false)] {
+        for presolve in [true, false] {
             for threads in [1usize, 2, 3, 8] {
                 let config = BosphorusConfig {
                     presolve,
-                    presolve_streaming: streaming,
                     threads,
                     ..BosphorusConfig::exhaustive()
                 };
@@ -189,24 +183,14 @@ proptest! {
                     Some((facts, rank)) => {
                         prop_assert_eq!(
                             facts, &outcome.facts,
-                            "facts diverge (presolve={}, streaming={}, threads={})",
-                            presolve, streaming, threads
+                            "facts diverge (presolve={}, threads={})",
+                            presolve, threads
                         );
                         prop_assert_eq!(*rank, outcome.rank);
                     }
                 }
-                if presolve && streaming {
-                    streaming_peak = streaming_peak.min(outcome.presolve.peak_interned_rows);
-                } else if presolve {
-                    batch_peak = batch_peak.max(outcome.presolve.peak_interned_rows);
-                }
             }
         }
-        prop_assert!(
-            streaming_peak <= batch_peak.max(1),
-            "streaming peak {} exceeds batch peak {}",
-            streaming_peak, batch_peak
-        );
     }
 
     /// Preprocessing a CNF never changes its satisfiability (the
@@ -230,86 +214,89 @@ proptest! {
     /// the uninterrupted run's — only fully-committed work survives — and
     /// (b) the database equisatisfiable with the input, i.e. the processed
     /// system plus the propagated knowledge has a solution exactly when the
-    /// original system does. Checked for both the scratch and the
-    /// incremental (warm-solver) SAT pass.
+    /// original system does.
     #[test]
     fn cancellation_is_transactional(system in arb_system(), trip in 1u64..400) {
-        for sat_incremental in [false, true] {
-            let config = BosphorusConfig { sat_incremental, ..BosphorusConfig::default() };
-            // Uninterrupted reference run: same seed, so identical pass
-            // decisions up to the point where the interrupted run stops.
-            let mut reference = Bosphorus::new(system.clone(), config.clone());
-            let _ = reference.preprocess();
+        // Uninterrupted reference run: same seed, so identical pass
+        // decisions up to the point where the interrupted run stops.
+        let mut reference = Bosphorus::new(system.clone(), BosphorusConfig::default());
+        let _ = reference.preprocess();
 
-            let mut engine = Bosphorus::new(system.clone(), config);
-            engine.set_cancel_token(CancelToken::new().cancel_after_checks(trip));
-            let status = engine.preprocess();
+        let mut engine = Bosphorus::new(system.clone(), BosphorusConfig::default());
+        engine.set_cancel_token(CancelToken::new().cancel_after_checks(trip));
+        let status = engine.preprocess();
 
-            prop_assert!(
-                reference.learnt_facts().starts_with(engine.learnt_facts()),
-                "interrupted facts are not a prefix of the reference run's \
-                 ({} vs {} facts, trip at {} checks, incremental={})",
-                engine.learnt_facts().len(),
-                reference.learnt_facts().len(),
-                trip,
-                sat_incremental
-            );
+        prop_assert!(
+            reference.learnt_facts().starts_with(engine.learnt_facts()),
+            "interrupted facts are not a prefix of the reference run's \
+             ({} vs {} facts, trip at {} checks)",
+            engine.learnt_facts().len(),
+            reference.learnt_facts().len(),
+            trip
+        );
 
-            let n = system.num_vars();
-            let knowledge_holds = |engine: &Bosphorus, a: &Assignment| {
-                use crate::VarKnowledge;
-                (0..n as u32).all(|v| match engine.propagator().knowledge(v) {
-                    VarKnowledge::Free => true,
-                    VarKnowledge::Value(b) => a.get(v) == b,
-                    VarKnowledge::Equivalent { other, negated } => {
-                        a.get(v) == (a.get(other) ^ negated)
-                    }
-                })
-            };
-            let restored_sat = match status {
-                PreprocessStatus::Solved(_) => true,
-                PreprocessStatus::Unsat => false,
-                PreprocessStatus::Simplified | PreprocessStatus::Interrupted => (0u64..(1 << n))
-                    .any(|bits| {
-                        let a = Assignment::from_bits((0..n).map(|i| (bits >> i) & 1 == 1));
-                        engine.processed_system().is_satisfied_by(&a)
-                            && knowledge_holds(&engine, &a)
-                    }),
-            };
-            prop_assert_eq!(
-                brute_force_sat(&system),
-                restored_sat,
-                "interrupted database lost equisatisfiability (status {:?}, incremental={})",
-                status,
-                sat_incremental
-            );
-        }
+        let n = system.num_vars();
+        let knowledge_holds = |engine: &Bosphorus, a: &Assignment| {
+            use crate::VarKnowledge;
+            (0..n as u32).all(|v| match engine.propagator().knowledge(v) {
+                VarKnowledge::Free => true,
+                VarKnowledge::Value(b) => a.get(v) == b,
+                VarKnowledge::Equivalent { other, negated } => {
+                    a.get(v) == (a.get(other) ^ negated)
+                }
+            })
+        };
+        let restored_sat = match status {
+            PreprocessStatus::Solved(_) => true,
+            PreprocessStatus::Unsat => false,
+            PreprocessStatus::Simplified | PreprocessStatus::Interrupted => (0u64..(1 << n))
+                .any(|bits| {
+                    let a = Assignment::from_bits((0..n).map(|i| (bits >> i) & 1 == 1));
+                    engine.processed_system().is_satisfied_by(&a)
+                        && knowledge_holds(&engine, &a)
+                }),
+        };
+        prop_assert_eq!(
+            brute_force_sat(&system),
+            restored_sat,
+            "interrupted database lost equisatisfiability (status {:?})",
+            status
+        );
     }
 
-    /// The incremental SAT pass is invisible to the engine: preprocessing
-    /// with the warm solver on or off produces the same verdict, genuine
-    /// models, and identical learnt facts.
+    /// The SAT pass is invisible to the verdict: with it in the pass order
+    /// or dropped from it, the engine returns the same verdict and genuine
+    /// models. Each round encodes the current system from scratch, so a
+    /// repeat run commits exactly the same learnt facts.
     #[test]
     fn incremental_sat_pass_is_invisible(system in arb_system()) {
         let expected = brute_force_sat(&system);
-        let mut fact_sets = Vec::new();
-        for sat_incremental in [false, true] {
-            let config = BosphorusConfig { sat_incremental, ..BosphorusConfig::default() };
-            let mut engine = Bosphorus::new(system.clone(), config);
+        let with_sat = BosphorusConfig::default();
+        let without_sat = BosphorusConfig {
+            pass_order: vec![PassKind::Xl, PassKind::ElimLin],
+            ..BosphorusConfig::default()
+        };
+        for config in [&with_sat, &without_sat] {
+            let mut engine = Bosphorus::new(system.clone(), config.clone());
             match engine.solve(&SolverConfig::aggressive()) {
                 SolveStatus::Sat(a) => {
-                    prop_assert!(expected, "SAT verdict on an UNSAT system (incremental={})", sat_incremental);
+                    prop_assert!(expected, "SAT verdict on an UNSAT system (passes {:?})", config.pass_order);
                     prop_assert!(system.is_satisfied_by(&a));
                 }
-                SolveStatus::Unsat => prop_assert!(!expected, "UNSAT verdict on a SAT system (incremental={})", sat_incremental),
+                SolveStatus::Unsat => prop_assert!(!expected, "UNSAT verdict on a SAT system (passes {:?})", config.pass_order),
                 SolveStatus::Interrupted => prop_assert!(false, "no cancel token was set"),
             }
+        }
+        let mut fact_sets = Vec::new();
+        for _ in 0..2 {
+            let mut engine = Bosphorus::new(system.clone(), with_sat.clone());
+            let _ = engine.preprocess();
             fact_sets.push(engine.learnt_facts().to_vec());
         }
         prop_assert_eq!(
             &fact_sets[0],
             &fact_sets[1],
-            "learnt facts diverge between scratch and incremental runs"
+            "learnt facts diverge between two identical runs"
         );
     }
 }

@@ -14,7 +14,7 @@ use bosphorus_cnf::Lit;
 use bosphorus_interrupt::CancelToken;
 use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 
-use crate::anf_to_cnf::{anf_to_cnf, CnfConversion, FactTranslator};
+use crate::anf_to_cnf::{anf_to_cnf, CnfConversion};
 use crate::BosphorusConfig;
 use bosphorus_anf::AnfPropagator;
 
@@ -128,36 +128,10 @@ pub fn sat_step_on_conversion_cancellable(
             solver.add_xor(xor.clone());
         }
     }
-    solve_and_harvest(
-        &mut solver,
-        conversion,
-        num_anf_vars,
-        budget,
-        token,
-        conversion.cnf.num_clauses(),
-        conversion.cnf.num_vars(),
-    )
-}
-
-/// The shared tail of a SAT round: solve under `budget` conflicts with
-/// cooperative cancellation, then harvest facts through `translator`. Used
-/// by the scratch path above (fresh solver each round) and by
-/// [`IncrementalSatState`](crate::IncrementalSatState) (warm solver); the
-/// reported counters are per-round deltas either way.
-pub(crate) fn solve_and_harvest(
-    solver: &mut Solver,
-    translator: &impl FactTranslator,
-    num_anf_vars: usize,
-    budget: u64,
-    token: &CancelToken,
-    cnf_clauses: usize,
-    cnf_vars: usize,
-) -> SatStepOutcome {
-    let before = *solver.stats();
     solver.set_conflict_budget(Some(budget));
     solver.set_cancel_token(token.clone());
     let result = solver.solve();
-    let after = *solver.stats();
+    let stats = *solver.stats();
 
     let mut facts: Vec<Polynomial> = Vec::new();
     let status = match result {
@@ -170,30 +144,29 @@ pub(crate) fn solve_and_harvest(
             let assignment = Assignment::from_bits(
                 (0..num_anf_vars).map(|v| model.get(v).copied().unwrap_or(false)),
             );
-            harvest_facts(&mut facts, solver, translator);
+            harvest_facts(&mut facts, &solver, conversion);
             SatStepStatus::Satisfiable(assignment)
         }
         // The solver reports Unknown for both budget exhaustion and
         // cancellation; the token distinguishes them.
         SolveResult::Unknown if token.is_cancelled() => SatStepStatus::Interrupted,
         SolveResult::Unknown => {
-            harvest_facts(&mut facts, solver, translator);
+            harvest_facts(&mut facts, &solver, conversion);
             SatStepStatus::Undecided
         }
     };
     SatStepOutcome {
         status,
         facts,
-        conflicts: after.conflicts - before.conflicts,
+        conflicts: stats.conflicts,
         // `learnt_clauses` alone is a gauge (reductions decrement it);
-        // adding the removed counter back makes the round delta monotone.
-        learnt_clauses: (after.learnt_clauses + after.removed_clauses)
-            - (before.learnt_clauses + before.removed_clauses),
-        removed_clauses: after.removed_clauses - before.removed_clauses,
-        minimized_literals: after.minimized_literals - before.minimized_literals,
-        restarts: after.restarts - before.restarts,
-        cnf_clauses,
-        cnf_vars,
+        // adding the removed counter back makes the count monotone.
+        learnt_clauses: stats.learnt_clauses + stats.removed_clauses,
+        removed_clauses: stats.removed_clauses,
+        minimized_literals: stats.minimized_literals,
+        restarts: stats.restarts,
+        cnf_clauses: conversion.cnf.num_clauses(),
+        cnf_vars: conversion.cnf.num_vars(),
     }
 }
 
@@ -202,16 +175,15 @@ pub(crate) fn solve_and_harvest(
 /// pairs of binary learnt clauses become (linear or monomial) equations.
 ///
 /// The harvest is returned in graded-lex order of the fact polynomials, not
-/// in trail or clause-database order: those depend on the solver's search
-/// history, and the incremental≡scratch guarantee
-/// ([`BosphorusConfig::sat_incremental`](crate::BosphorusConfig)) requires
-/// the committed fact stream to be independent of how the round's solver
-/// reached its conclusions.
-fn harvest_facts(facts: &mut Vec<Polynomial>, solver: &Solver, translator: &impl FactTranslator) {
+/// in trail or clause-database order. The sort keeps the committed fact
+/// stream byte-identical to earlier releases (pinned by the golden test in
+/// `tests/pipeline.rs`), and it makes the stream independent of the order in
+/// which the solver happened to reach its conclusions.
+fn harvest_facts(facts: &mut Vec<Polynomial>, solver: &Solver, conversion: &CnfConversion) {
     // Unit facts from decision-level-zero assignments (this subsumes the
     // learnt unit clauses).
     for lit in solver.top_level_assignments() {
-        if let Some(fact) = translator.literal_fact(lit) {
+        if let Some(fact) = conversion.literal_fact(lit) {
             if !facts.contains(&fact) {
                 facts.push(fact);
             }
@@ -237,7 +209,7 @@ fn harvest_facts(facts: &mut Vec<Polynomial>, solver: &Solver, translator: &impl
         if !binaries.contains(&complement) || a.var() == b.var() {
             continue;
         }
-        let (Some(ma), Some(mb)) = (translator.monomial(a.var()), translator.monomial(b.var()))
+        let (Some(ma), Some(mb)) = (conversion.monomial(a.var()), conversion.monomial(b.var()))
         else {
             continue;
         };

@@ -17,7 +17,7 @@ use bosphorus_interrupt::CancelToken;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::linearize::{LinearizationBuilder, StreamingSparseBuilder};
+use crate::linearize::LinearizationBuilder;
 use crate::BosphorusConfig;
 
 /// How many expansion products are appended between cancellation polls.
@@ -25,61 +25,6 @@ use crate::BosphorusConfig;
 /// hundred of them amortise the poll to nothing while still bounding the
 /// response latency to well under a millisecond.
 const XL_CHECK_INTERVAL: u64 = 256;
-
-/// The two row sinks an XL expansion can feed, chosen once per round from
-/// [`BosphorusConfig::presolve_streaming`]. Both intern product rows
-/// in-place; the streaming variant additionally runs the presolve rule
-/// cascades at arrival so cancelling rows are pruned before being stored.
-/// `num_rows` counts every *pushed* row on both variants — pruned rows
-/// included — so the expansion budget arithmetic (and therefore the exact
-/// truncation point and learnt facts) is identical across modes.
-enum XlBuilder {
-    Batch(Box<LinearizationBuilder>),
-    Streaming(Box<StreamingSparseBuilder>),
-}
-
-impl XlBuilder {
-    fn new(streaming: bool) -> Self {
-        if streaming {
-            XlBuilder::Streaming(Box::default())
-        } else {
-            XlBuilder::Batch(Box::default())
-        }
-    }
-
-    fn push(&mut self, poly: &Polynomial) {
-        match self {
-            XlBuilder::Batch(b) => b.push(poly),
-            XlBuilder::Streaming(s) => s.push(poly),
-        }
-    }
-
-    fn push_product(
-        &mut self,
-        base: &Polynomial,
-        m: &Monomial,
-        scratch: &mut TermScratch,
-    ) -> usize {
-        match self {
-            XlBuilder::Batch(b) => b.push_product(base, m, scratch),
-            XlBuilder::Streaming(s) => s.push_product(base, m, scratch),
-        }
-    }
-
-    fn num_rows(&self) -> usize {
-        match self {
-            XlBuilder::Batch(b) => b.num_rows(),
-            XlBuilder::Streaming(s) => s.num_rows(),
-        }
-    }
-
-    fn num_columns(&self) -> usize {
-        match self {
-            XlBuilder::Batch(b) => b.num_columns(),
-            XlBuilder::Streaming(s) => s.num_columns(),
-        }
-    }
-}
 
 /// Outcome of one XL round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,12 +162,8 @@ pub fn xl_learn_cancellable<R: Rng>(
     // Expand straight into the linearisation: every product's terms are
     // computed into one reusable scratch buffer and interned directly as a
     // matrix row, so the expansion allocates no intermediate copy of the
-    // (much larger) expanded system. In streaming-presolve mode the rows
-    // additionally run through the rule cascades as they arrive, so rows
-    // that cancel at arrival are pruned before ever being stored — the
-    // builder still counts them (`num_rows`), keeping the size budget
-    // arithmetic identical across modes.
-    let mut builder = XlBuilder::new(config.presolve && config.presolve_streaming);
+    // (much larger) expanded system.
+    let mut builder = LinearizationBuilder::new();
     for poly in &subsample {
         builder.push(poly);
     }
@@ -272,28 +213,17 @@ pub fn xl_learn_cancellable<R: Rng>(
     // Read back only the retainable rows: the non-retainable bulk of the
     // RREF is detected at the bit level and never built as polynomials.
     // With presolve on, the structural rules run on the interned sparse rows
-    // (incrementally at arrival in streaming mode, in one batch otherwise)
-    // and only the residual dense core reaches the blocked kernel; all
-    // paths commit byte-identical facts (see `crates/gf2/src/sparse.rs`
-    // and the equivalence tests in `linearize.rs`).
-    let (facts, rank, gauss, presolve) = match builder {
-        XlBuilder::Streaming(streaming) => streaming.finish_retainable_cancellable(
-            config.threads,
-            token,
-            config.presolve_subset_limit,
-        ),
-        XlBuilder::Batch(batch) if config.presolve => {
-            batch.finish_sparse().eliminate_retainable_cancellable_with(
-                config.threads,
-                token,
-                config.presolve_subset_limit,
-            )
-        }
-        XlBuilder::Batch(batch) => {
-            let mut lin = batch.finish();
-            let (facts, rank, gauss) = lin.eliminate_retainable_cancellable(config.threads, token);
-            (facts, rank, gauss, PresolveStats::default())
-        }
+    // and only the residual dense core reaches the blocked kernel; both
+    // paths commit byte-identical facts (see `crates/gf2/src/sparse.rs` and
+    // the equivalence tests in `linearize.rs`).
+    let (facts, rank, gauss, presolve) = if config.presolve {
+        builder
+            .finish_sparse()
+            .eliminate_retainable_cancellable(config.threads, token)
+    } else {
+        let mut lin = builder.finish();
+        let (facts, rank, gauss) = lin.eliminate_retainable_cancellable(config.threads, token);
+        (facts, rank, gauss, PresolveStats::default())
     };
     if gauss.interrupted {
         // The elimination stopped between sweeps (or mid-presolve); its

@@ -62,9 +62,7 @@ pub use gje::{select_kernel, GaussStats, KernelChoice, SolveOutcome};
 pub use m4rm::{m4rm_block_size, M4RM_MAX_BLOCK};
 pub use matrix::{BitMatrix, RowRef};
 pub use parallel::{run_indexed, try_run_indexed, WorkerPanic};
-pub use sparse::{
-    PresolveStats, SparseMatrix, SparseRref, StreamingPresolver, SUBSET_CANDIDATE_LIMIT,
-};
+pub use sparse::{PresolveStats, SparseMatrix, SparseRref, SUBSET_CANDIDATE_LIMIT};
 pub use vector::BitVec;
 
 #[cfg(test)]

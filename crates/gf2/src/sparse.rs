@@ -47,16 +47,6 @@
 //! are all zero there), which is what makes the reverse-order
 //! back-substitution a single pass.
 //!
-//! # Streaming mode
-//!
-//! [`StreamingPresolver`] runs the same cascades *online*, as the producer
-//! (the linearization builder) emits rows one at a time, so rows eliminated
-//! early never occupy memory — the high-water mark it reports in
-//! [`PresolveStats::peak_interned_rows`] is what actually had to be stored.
-//! Its `finish_rref` maps the survivors into final column order and reuses
-//! the batch fixpoint + component + dense + stitch pipeline, so streaming,
-//! batch, and the dense path all produce byte-identical RREFs.
-//!
 //! # Component parallelism
 //!
 //! The residual components are independent column-compacted matrices, so
@@ -74,17 +64,16 @@
 //!
 //! [`select_kernel`]: crate::select_kernel
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use bosphorus_interrupt::{CancelToken, Checkpoint};
 
 use crate::{BitMatrix, GaussStats};
 
-/// Default cap on how many rows sharing a row's rarest column the bounded
+/// Cap on how many rows sharing a row's rarest column the bounded
 /// subset-cancellation rule will test for containment. Columns more popular
 /// than this are poor discriminators and scanning them would make the rule
-/// quadratic on dense blocks. Overridable per run (`0` disables the rule).
+/// quadratic on dense blocks.
 pub const SUBSET_CANDIDATE_LIMIT: u32 = 16;
 
 /// Cancellation poll interval of the presolve loops: fine enough that a
@@ -124,8 +113,7 @@ pub struct PresolveStats {
     /// Total (compacted) columns across all dense cores.
     pub dense_cols: usize,
     /// Wall-clock nanoseconds of the sparse phase: rule fixpoint, component
-    /// split, core compaction, read-back and stitching (plus, in streaming
-    /// mode, the per-arrival cascade work).
+    /// split, core compaction, read-back and stitching.
     pub presolve_ns: u64,
     /// Wall-clock nanoseconds spent inside the dense core eliminations.
     /// Summed per component, so with component parallelism this can exceed
@@ -143,25 +131,19 @@ pub struct PresolveStats {
     pub pure_leading_nnz: usize,
     /// Entries removed from superset rows by subset cancellation.
     pub subset_nnz: usize,
-    /// High-water mark of rows held live at once. Batch presolve stores
-    /// every input row before any rule fires, so here it equals
-    /// `input_rows`; the streaming presolver eliminates rows at arrival and
-    /// reports the true (smaller) peak. Merges take the max.
+    /// High-water mark of rows held live at once. The presolve stores every
+    /// input row before any rule fires, so this equals `input_rows`. Merges
+    /// take the max.
     pub peak_interned_rows: usize,
     /// High-water mark of stored row entries (32-bit column ids) at the
     /// same moments as [`PresolveStats::peak_interned_rows`]. Merges take
     /// the max.
     pub peak_interned_words: usize,
-    /// Rows the streaming presolver dropped at arrival — absorbed to empty
-    /// by already-learned structural facts, or duplicating an
-    /// already-streamed row — and therefore never stored (0 in batch mode).
-    pub expansion_rows_pruned: usize,
     /// Residual components whose dense eliminations ran under a multi-slot
     /// parallel schedule (0 when the component loop had one thread or one
     /// component).
     pub components_parallel: usize,
-    /// Wall-clock nanoseconds inside the R1/R3/R4/R5 cascade queues,
-    /// including per-arrival processing in streaming mode.
+    /// Wall-clock nanoseconds inside the R1/R3/R4/R5 cascade queues.
     pub cascade_ns: u64,
     /// Wall-clock nanoseconds inside batch duplicate-drop passes (R2).
     pub dedup_ns: u64,
@@ -197,7 +179,6 @@ impl PresolveStats {
         self.subset_nnz += other.subset_nnz;
         self.peak_interned_rows = self.peak_interned_rows.max(other.peak_interned_rows);
         self.peak_interned_words = self.peak_interned_words.max(other.peak_interned_words);
-        self.expansion_rows_pruned += other.expansion_rows_pruned;
         self.components_parallel += other.components_parallel;
         self.cascade_ns += other.cascade_ns;
         self.dedup_ns += other.dedup_ns;
@@ -214,7 +195,7 @@ impl PresolveStats {
 /// A sparse GF(2) matrix: rows of strictly ascending column ids.
 ///
 /// This is the presolve's working representation of the linearised system —
-/// the streaming CSR store of `LinearizationBuilder` (one term-id arena plus
+/// the CSR store of `LinearizationBuilder` (one term-id arena plus
 /// row offsets) converts into it without densifying.
 ///
 /// # Examples
@@ -335,21 +316,7 @@ impl SparseMatrix {
     /// cancellation the result carries [`GaussStats::interrupted`] and *no*
     /// rows — partial output is never exposed.
     pub fn rref_cancellable(self, threads: usize, token: &CancelToken) -> SparseRref {
-        self.rref_cancellable_with(threads, token, SUBSET_CANDIDATE_LIMIT)
-    }
-
-    /// Like [`SparseMatrix::rref_cancellable`] with an explicit cap on the
-    /// bounded subset-cancellation rule's candidate scan (`0` disables the
-    /// rule entirely). The cap only trades presolve effort against dense
-    /// core size — the resulting RREF is identical at every setting.
-    pub fn rref_cancellable_with(
-        self,
-        threads: usize,
-        token: &CancelToken,
-        subset_limit: u32,
-    ) -> SparseRref {
-        let ncols = self.ncols;
-        presolve_rref_seeded(Presolver::new(self, subset_limit), ncols, threads, token)
+        presolve_rref(self, threads, token)
     }
 }
 
@@ -414,12 +381,10 @@ struct Presolver {
     small: Vec<u32>,
     /// Columns whose live count dropped to 1 and await R5.
     pure_cols: Vec<u32>,
-    /// Candidate cap of the bounded subset rule (`0` disables it).
-    subset_limit: u32,
 }
 
 impl Presolver {
-    fn new(m: SparseMatrix, subset_limit: u32) -> Self {
+    fn new(m: SparseMatrix) -> Self {
         let ncols = m.ncols;
         let nnz: usize = m.rows.iter().map(Vec::len).sum();
         let mut col_count = vec![0u32; ncols];
@@ -455,7 +420,6 @@ impl Presolver {
             xors: 0,
             small,
             pure_cols,
-            subset_limit,
         }
     }
 
@@ -663,9 +627,6 @@ impl Presolver {
     /// `A ⊆ B`, `B ^= A`. Returns `(changed, interrupted)`.
     fn subset_pass(&mut self, check: &mut Checkpoint) -> (bool, bool) {
         let mut changed = false;
-        if self.subset_limit == 0 {
-            return (changed, false);
-        }
         for r in 0..self.rows.len() {
             if check.check() {
                 return (changed, true);
@@ -681,7 +642,7 @@ impl Presolver {
                 .map(|c| (c, self.col_count[*c as usize]))
                 .min_by_key(|&(_, n)| n)
                 .expect("row is non-empty");
-            if rarest_count > self.subset_limit {
+            if rarest_count > SUBSET_CANDIDATE_LIMIT {
                 continue;
             }
             for j in self.rows_containing(rarest) {
@@ -829,16 +790,11 @@ fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> Sparse
 }
 
 /// The full presolve → dense cores → stitch pipeline behind
-/// [`SparseMatrix::rref_cancellable`] and
-/// [`StreamingPresolver::finish_rref`]. The presolver may arrive pre-seeded
-/// with set-asides and counters from a streaming front-end.
-fn presolve_rref_seeded(
-    mut presolver: Presolver,
-    ncols: usize,
-    threads: usize,
-    token: &CancelToken,
-) -> SparseRref {
+/// [`SparseMatrix::rref_cancellable`].
+fn presolve_rref(m: SparseMatrix, threads: usize, token: &CancelToken) -> SparseRref {
     let started = std::time::Instant::now();
+    let ncols = m.ncols;
+    let mut presolver = Presolver::new(m);
     let mut check = token.checkpoint_every(PRESOLVE_CHECK_INTERVAL);
     if check.check_now() || presolver.run(&mut check) {
         return interrupted_result(presolver, 0);
@@ -1033,499 +989,6 @@ fn presolve_rref_seeded(
         rows: rows_out,
         gauss,
         presolve: presolver.stats,
-    }
-}
-
-/// `dst ^= src` over sorted id lists (symmetric difference, merge-style).
-fn xor_sorted_into(dst: &mut Vec<u32>, src: &[u32]) {
-    let mut out = Vec::with_capacity(dst.len() + src.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < dst.len() && j < src.len() {
-        match dst[i].cmp(&src[j]) {
-            Ordering::Less => {
-                out.push(dst[i]);
-                i += 1;
-            }
-            Ordering::Greater => {
-                out.push(src[j]);
-                j += 1;
-            }
-            Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&dst[i..]);
-    out.extend_from_slice(&src[j..]);
-    *dst = out;
-}
-
-/// A set-aside recorded by the streaming front-end: `row` is its full
-/// support (pivot included) sorted by id, kept whole because arriving rows
-/// are forward-substituted against it.
-struct StreamSetAside {
-    pivot: u32,
-    row: Vec<u32>,
-}
-
-/// Online variant of the rule engine: rows are pushed one at a time *while
-/// the producer is still generating them*, keyed by an arbitrary id space
-/// (typically the caller's term-interner ids, handed out before the final
-/// column order exists) with the column order supplied as a comparator —
-/// a row's *leading* id is its maximum under `cmp`. The R1–R4 rules and the
-/// R5 pure-leading cascade fire at arrival, so rows eliminated early never
-/// occupy memory; [`StreamingPresolver::finish_rref`] maps the survivors
-/// into final column ids and reuses the batch fixpoint, component, dense
-/// and stitch pipeline, making the result byte-identical to batch
-/// presolve (and to the dense path) by RREF uniqueness.
-///
-/// # Exactness under streaming
-///
-/// The batch argument relies on a set-aside's pivot staying pure *forever*,
-/// which a row arriving later could violate. So every arriving row is first
-/// **forward-substituted**: while it contains any set-aside pivot, the
-/// lowest-indexed such set-aside's full row is XORed in. A set-aside's tail
-/// never holds pivots of earlier set-asides (it was a live row when they
-/// were created and live rows never contain set-aside pivots), so the
-/// minimal index present strictly increases and the loop terminates. After
-/// substitution the invariant — no stored row and no admitted row contains
-/// a set-aside pivot — holds again, which is exactly the batch purity
-/// condition; each substitution is an elementary row operation on the final
-/// matrix, so the RREF is unchanged.
-///
-/// Rows that die at arrival (absorbed to empty by learned facts, or
-/// duplicating an already-streamed row) are counted in
-/// [`PresolveStats::expansion_rows_pruned`]: the producer's expansion keeps
-/// generating them, but they are pruned before ever being stored.
-pub struct StreamingPresolver {
-    rows: Vec<Option<Vec<u32>>>,
-    col_count: Vec<u32>,
-    col_rows: Vec<Vec<u32>>,
-    set_asides: Vec<StreamSetAside>,
-    /// Pivot id → index into `set_asides`, for forward substitution.
-    sa_of: HashMap<u32, u32>,
-    /// Content hash → stored row indices; entries go stale when cascades
-    /// mutate stored rows and are re-validated by comparison on use (a
-    /// missed duplicate is caught by the batch dedup pass at finish).
-    seen: HashMap<u64, Vec<u32>>,
-    /// Stored rows that shrank to weight ≤ 2 and await R1/R3/R4.
-    small: Vec<u32>,
-    /// Ids whose live count dropped to 1 and await R5.
-    pure_ids: Vec<u32>,
-    live_rows: usize,
-    live_words: usize,
-    peak_rows: usize,
-    peak_words: usize,
-    pushed_rows: usize,
-    pruned_rows: usize,
-    xors: usize,
-    /// Only the per-rule counter fields are used here; shape fields are
-    /// filled in at finish.
-    stats: PresolveStats,
-    stream_ns: u64,
-}
-
-impl Default for StreamingPresolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamingPresolver {
-    /// An empty streaming presolver; the id space grows as rows arrive.
-    pub fn new() -> Self {
-        StreamingPresolver {
-            rows: Vec::new(),
-            col_count: Vec::new(),
-            col_rows: Vec::new(),
-            set_asides: Vec::new(),
-            sa_of: HashMap::new(),
-            seen: HashMap::new(),
-            small: Vec::new(),
-            pure_ids: Vec::new(),
-            live_rows: 0,
-            live_words: 0,
-            peak_rows: 0,
-            peak_words: 0,
-            pushed_rows: 0,
-            pruned_rows: 0,
-            xors: 0,
-            stats: PresolveStats::default(),
-            stream_ns: 0,
-        }
-    }
-
-    /// Rows pushed so far, including every row that was pruned at arrival —
-    /// this is what the batch path would have materialised.
-    pub fn rows_pushed(&self) -> usize {
-        self.pushed_rows
-    }
-
-    /// Rows currently held live.
-    pub fn rows_live(&self) -> usize {
-        self.live_rows
-    }
-
-    /// High-water mark of live rows — stored rows plus set-asides, which
-    /// keep their tails in memory until stitch-back
-    /// (≤ [`StreamingPresolver::rows_pushed`]).
-    pub fn peak_rows(&self) -> usize {
-        self.peak_rows
-    }
-
-    /// High-water mark of held row entries (32-bit ids), across stored
-    /// rows and set-asides.
-    pub fn peak_words(&self) -> usize {
-        self.peak_words
-    }
-
-    /// Rows dropped at arrival without ever being stored.
-    pub fn rows_pruned(&self) -> usize {
-        self.pruned_rows
-    }
-
-    fn ensure_id(&mut self, id: u32) {
-        let need = id as usize + 1;
-        if self.col_count.len() < need {
-            self.col_count.resize(need, 0);
-            self.col_rows.resize(need, Vec::new());
-        }
-    }
-
-    /// Decrements an id's live count, queueing it for R5 at count 1.
-    fn dec_id(&mut self, c: u32) {
-        let count = &mut self.col_count[c as usize];
-        *count -= 1;
-        if *count == 1 {
-            self.pure_ids.push(c);
-        }
-    }
-
-    /// Removes stored row `r`, releasing its id counts.
-    fn kill_stream_row(&mut self, r: usize) -> Vec<u32> {
-        let row = self.rows[r].take().expect("killing a live row");
-        self.live_rows -= 1;
-        self.live_words -= row.len();
-        for &c in &row {
-            self.dec_id(c);
-        }
-        row
-    }
-
-    /// Live stored rows currently containing id `c` (deduplicated, as in
-    /// the batch engine).
-    fn rows_containing(&self, c: u32) -> Vec<usize> {
-        let mut rows: Vec<usize> = self.col_rows[c as usize]
-            .iter()
-            .map(|&r| r as usize)
-            .filter(|&r| {
-                self.rows[r]
-                    .as_ref()
-                    .is_some_and(|row| row.binary_search(&c).is_ok())
-            })
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
-    }
-
-    /// The row's leading id: its maximum under `cmp` (the id whose final
-    /// column sorts first).
-    fn leading(row: &[u32], cmp: &dyn Fn(u32, u32) -> Ordering) -> u32 {
-        let mut best = row[0];
-        for &c in &row[1..] {
-            if cmp(c, best) == Ordering::Greater {
-                best = c;
-            }
-        }
-        best
-    }
-
-    fn push_set_aside(&mut self, pivot: u32, row: Vec<u32>) {
-        // Set-asides keep their full tails in memory until stitch-back, so
-        // they count against the live high-water mark. Rows that were
-        // stored before becoming set-asides were just released by
-        // `kill_stream_row`, making this transition net zero.
-        self.live_rows += 1;
-        self.live_words += row.len();
-        self.peak_rows = self.peak_rows.max(self.live_rows);
-        self.peak_words = self.peak_words.max(self.live_words);
-        let idx = self.set_asides.len() as u32;
-        self.sa_of.insert(pivot, idx);
-        self.set_asides.push(StreamSetAside { pivot, row });
-    }
-
-    /// Streams one row in, given as ids in any order (duplicate pairs
-    /// cancel, XOR semantics). Returns `true` if the row was stored, `false`
-    /// if it was consumed at arrival (set aside, pruned, or dropped).
-    pub fn push_row(&mut self, mut cols: Vec<u32>, cmp: &dyn Fn(u32, u32) -> Ordering) -> bool {
-        let t0 = std::time::Instant::now();
-        self.pushed_rows += 1;
-        normalize_row(&mut cols);
-        let arrived_empty = cols.is_empty();
-        // Forward substitution against existing set-asides (see type docs).
-        loop {
-            let mut min_idx: Option<u32> = None;
-            for c in &cols {
-                if let Some(&i) = self.sa_of.get(c) {
-                    min_idx = Some(min_idx.map_or(i, |m| m.min(i)));
-                }
-            }
-            let Some(i) = min_idx else { break };
-            xor_sorted_into(&mut cols, &self.set_asides[i as usize].row);
-            self.xors += 1;
-        }
-        let stored = self.admit(cols, arrived_empty, cmp);
-        self.drain(cmp);
-        self.stream_ns += t0.elapsed().as_nanos() as u64;
-        stored
-    }
-
-    /// Classifies a forward-substituted arrival and applies the matching
-    /// arrival rule.
-    fn admit(
-        &mut self,
-        cols: Vec<u32>,
-        arrived_empty: bool,
-        cmp: &dyn Fn(u32, u32) -> Ordering,
-    ) -> bool {
-        if cols.is_empty() {
-            self.stats.empty_rows += 1;
-            if !arrived_empty {
-                self.pruned_rows += 1; // absorbed by learned facts
-            }
-            return false;
-        }
-        let hash = hash_row(&cols);
-        if let Some(bucket) = self.seen.get(&hash) {
-            if bucket
-                .iter()
-                .any(|&p| self.rows[p as usize].as_deref() == Some(cols.as_slice()))
-            {
-                self.stats.duplicate_rows += 1;
-                self.stats.duplicate_nnz += cols.len();
-                self.xors += 1;
-                self.pruned_rows += 1;
-                return false;
-            }
-        }
-        match cols.len() {
-            1 => {
-                self.ensure_id(cols[0]);
-                self.set_aside_singleton(cols[0]);
-                false
-            }
-            2 => {
-                self.ensure_id(cols[0].max(cols[1]));
-                self.set_aside_pair(cols, cmp);
-                false
-            }
-            _ => {
-                let r = self.rows.len() as u32;
-                for &c in &cols {
-                    self.ensure_id(c);
-                    self.col_count[c as usize] += 1;
-                    self.col_rows[c as usize].push(r);
-                    if self.col_count[c as usize] == 1 {
-                        self.pure_ids.push(c);
-                    }
-                }
-                self.live_rows += 1;
-                self.live_words += cols.len();
-                self.peak_rows = self.peak_rows.max(self.live_rows);
-                self.peak_words = self.peak_words.max(self.live_words);
-                self.seen.entry(hash).or_default().push(r);
-                self.rows.push(Some(cols));
-                true
-            }
-        }
-    }
-
-    /// R3 at arrival or from the cascade: pivot `c`, cascade the deletion
-    /// through every stored row containing it.
-    fn set_aside_singleton(&mut self, c: u32) {
-        self.push_set_aside(c, vec![c]);
-        self.stats.singleton_rows += 1;
-        self.stats.singleton_nnz += 1;
-        for j in self.rows_containing(c) {
-            let row = self.rows[j].as_mut().expect("live by construction");
-            let pos = row.binary_search(&c).expect("contains c");
-            row.remove(pos);
-            self.live_words -= 1;
-            let small_now = row.len() <= 2;
-            self.dec_id(c);
-            self.xors += 1;
-            self.stats.singleton_nnz += 1;
-            if small_now {
-                self.small.push(j as u32);
-            }
-        }
-    }
-
-    /// R4 at arrival or from the cascade: the pair's leading id (under
-    /// `cmp`) pivots; substitute it in every stored row containing it.
-    fn set_aside_pair(&mut self, cols: Vec<u32>, cmp: &dyn Fn(u32, u32) -> Ordering) {
-        debug_assert_eq!(cols.len(), 2);
-        let (a, b) = if cmp(cols[0], cols[1]) == Ordering::Greater {
-            (cols[0], cols[1])
-        } else {
-            (cols[1], cols[0])
-        };
-        self.push_set_aside(a, cols);
-        self.stats.weight2_rows += 1;
-        self.stats.weight2_nnz += 2;
-        for j in self.rows_containing(a) {
-            let row = self.rows[j].as_mut().expect("live by construction");
-            let pos = row.binary_search(&a).expect("row contains the pivot");
-            row.remove(pos);
-            match row.binary_search(&b) {
-                Ok(p) => {
-                    row.remove(p);
-                    self.live_words -= 2;
-                    let small_now = row.len() <= 2;
-                    self.dec_id(a);
-                    self.dec_id(b);
-                    self.stats.weight2_nnz += 2;
-                    if small_now {
-                        self.small.push(j as u32);
-                    }
-                }
-                Err(p) => {
-                    row.insert(p, b);
-                    let small_now = row.len() <= 2;
-                    self.dec_id(a);
-                    self.col_count[b as usize] += 1;
-                    self.col_rows[b as usize].push(j as u32);
-                    self.stats.weight2_nnz += 1;
-                    if small_now {
-                        self.small.push(j as u32);
-                    }
-                }
-            }
-            self.xors += 1;
-        }
-    }
-
-    /// Drains the small-row and pure-id queues to a joint fixed point.
-    fn drain(&mut self, cmp: &dyn Fn(u32, u32) -> Ordering) {
-        loop {
-            if let Some(r) = self.small.pop() {
-                self.reduce_small(r as usize, cmp);
-                continue;
-            }
-            if let Some(c) = self.pure_ids.pop() {
-                self.extract_pure(c, cmp);
-                continue;
-            }
-            return;
-        }
-    }
-
-    /// R1/R3/R4 on a stored row that shrank to weight ≤ 2.
-    fn reduce_small(&mut self, r: usize, cmp: &dyn Fn(u32, u32) -> Ordering) {
-        let Some(row) = self.rows[r].as_ref() else {
-            return;
-        };
-        match row.len() {
-            0 => {
-                self.kill_stream_row(r);
-                self.stats.empty_rows += 1;
-            }
-            1 => {
-                let c = self.kill_stream_row(r)[0];
-                self.set_aside_singleton(c);
-            }
-            2 => {
-                let row = self.kill_stream_row(r);
-                self.set_aside_pair(row, cmp);
-            }
-            _ => {}
-        }
-    }
-
-    /// R5 on id `c` if it is (still) pure and leading in its single row.
-    fn extract_pure(&mut self, c: u32, cmp: &dyn Fn(u32, u32) -> Ordering) {
-        if self.col_count[c as usize] != 1 {
-            return;
-        }
-        let rows = self.rows_containing(c);
-        let [r] = rows[..] else {
-            return;
-        };
-        let row = self.rows[r].as_ref().expect("validated live");
-        if row.len() <= 2 || Self::leading(row, cmp) != c {
-            // Same restriction as the batch engine: non-leading pure ids
-            // must stay, weight ≤ 2 rows belong to the small-row rules.
-            return;
-        }
-        let row = self.kill_stream_row(r);
-        self.stats.pure_leading_rows += 1;
-        self.stats.pure_leading_nnz += row.len();
-        self.push_set_aside(c, row);
-    }
-
-    /// Consumes the presolver: maps surviving rows and set-asides from id
-    /// space into final column ids via `col_of_id` (full width `ncols`) and
-    /// runs the shared batch fixpoint + component + dense + stitch
-    /// pipeline. Streamed set-asides keep their removal order ahead of any
-    /// the batch fixpoint adds, so the reverse-order back-substitution sees
-    /// one consistent removal sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id streamed into the presolver has no mapping in
-    /// `col_of_id` or maps to a column `>= ncols`.
-    pub fn finish_rref(
-        self,
-        col_of_id: &[u32],
-        ncols: usize,
-        threads: usize,
-        subset_limit: u32,
-        token: &CancelToken,
-    ) -> SparseRref {
-        let mut matrix = SparseMatrix::new(ncols);
-        for row in self.rows.iter().flatten() {
-            matrix.push_row(row.iter().map(|&c| col_of_id[c as usize]).collect());
-        }
-        let mut presolver = Presolver::new(matrix, subset_limit);
-        presolver.set_asides = self
-            .set_asides
-            .iter()
-            .map(|sa| {
-                let pivot = col_of_id[sa.pivot as usize];
-                let mut tail: Vec<u32> = sa
-                    .row
-                    .iter()
-                    .filter(|&&c| c != sa.pivot)
-                    .map(|&c| col_of_id[c as usize])
-                    .collect();
-                tail.sort_unstable();
-                debug_assert!(
-                    tail.first().map_or(true, |&t| t > pivot),
-                    "the pivot is the leading column of its row"
-                );
-                SetAside { pivot, tail }
-            })
-            .collect();
-        let s = &mut presolver.stats;
-        s.input_rows = self.pushed_rows;
-        s.empty_rows += self.stats.empty_rows;
-        s.duplicate_rows += self.stats.duplicate_rows;
-        s.singleton_rows += self.stats.singleton_rows;
-        s.weight2_rows += self.stats.weight2_rows;
-        s.pure_leading_rows += self.stats.pure_leading_rows;
-        s.duplicate_nnz += self.stats.duplicate_nnz;
-        s.singleton_nnz += self.stats.singleton_nnz;
-        s.weight2_nnz += self.stats.weight2_nnz;
-        s.pure_leading_nnz += self.stats.pure_leading_nnz;
-        s.expansion_rows_pruned = self.pruned_rows;
-        s.peak_interned_rows = self.peak_rows;
-        s.peak_interned_words = self.peak_words;
-        s.cascade_ns += self.stream_ns;
-        s.presolve_ns += self.stream_ns;
-        presolver.xors += self.xors;
-        presolve_rref_seeded(presolver, ncols, threads, token)
     }
 }
 
@@ -1781,145 +1244,6 @@ mod tests {
         assert_eq!(r.presolve.cols_eliminated, ncols - r.presolve.dense_cols);
     }
 
-    /// Id order for streaming tests where ids *are* final column ids: the
-    /// leading id (max under the comparator) must be the numerically
-    /// smallest column.
-    fn column_id_order(a: u32, b: u32) -> std::cmp::Ordering {
-        b.cmp(&a)
-    }
-
-    fn stream_rows(m: &SparseMatrix) -> StreamingPresolver {
-        let mut sp = StreamingPresolver::new();
-        for row in m.rows() {
-            sp.push_row(row.clone(), &column_id_order);
-        }
-        sp
-    }
-
-    fn identity_map(ncols: usize) -> Vec<u32> {
-        (0..ncols as u32).collect()
-    }
-
-    fn assert_streaming_matches_batch(m: SparseMatrix, threads: usize) -> (SparseRref, SparseRref) {
-        let batch = m.clone().rref(1);
-        let sp = stream_rows(&m);
-        let got = sp.finish_rref(
-            &identity_map(m.ncols()),
-            m.ncols(),
-            threads,
-            SUBSET_CANDIDATE_LIMIT,
-            &CancelToken::never(),
-        );
-        assert_eq!(got.rows, batch.rows, "streaming RREF must equal batch");
-        assert_eq!(got.rank, batch.rank);
-        assert_eq!(got.presolve.input_rows, batch.presolve.input_rows);
-        assert!(
-            got.presolve.peak_interned_rows <= batch.presolve.peak_interned_rows,
-            "streaming peak {} must not exceed batch peak {}",
-            got.presolve.peak_interned_rows,
-            batch.presolve.peak_interned_rows
-        );
-        (got, batch)
-    }
-
-    #[test]
-    fn streaming_matches_batch_on_random_shapes() {
-        for (rows, cols, fill, seed) in [
-            (40usize, 40usize, 3usize, 1u64),
-            (60, 33, 4, 2),
-            (33, 80, 3, 3),
-            (100, 64, 2, 4), // word-boundary width
-            (50, 65, 3, 5),
-            (80, 129, 4, 6),
-            (120, 30, 3, 7), // tall, rank-deficient
-            (90, 70, 1, 8),
-            (90, 70, 5, 9),
-        ] {
-            let m = splitmix_sparse(rows, cols, fill, seed);
-            assert_matches_dense(m.clone());
-            assert_streaming_matches_batch(m, 1);
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch_threaded() {
-        let m = splitmix_sparse(300, 200, 4, 11);
-        for threads in [2usize, 3, 8] {
-            assert_streaming_matches_batch(m.clone(), threads);
-        }
-    }
-
-    #[test]
-    fn streaming_prunes_duplicates_and_absorbed_rows_at_arrival() {
-        let mut m = SparseMatrix::new(10);
-        m.push_row(vec![4]); // singleton learned first
-        m.push_row(vec![0, 3, 5]);
-        m.push_row(vec![0, 3, 5]); // duplicate: pruned at arrival
-        m.push_row(vec![4, 7]); // absorbed to {7} by the singleton
-        m.push_row(vec![4]); // absorbed to empty: pruned
-        let (got, batch) = assert_streaming_matches_batch(m, 1);
-        assert!(got.presolve.expansion_rows_pruned >= 2);
-        assert_eq!(
-            batch.presolve.expansion_rows_pruned, 0,
-            "batch never prunes"
-        );
-        assert!(got.presolve.peak_interned_rows < got.presolve.input_rows);
-    }
-
-    #[test]
-    fn streaming_forward_substitution_keeps_pivots_pure() {
-        // Row {0,4,6} is set aside via R5 at arrival (column 0 pure and
-        // leading). The later arrivals containing 0 must be substituted, not
-        // stored, or the set-aside's exactness argument breaks. The batch
-        // comparison is the oracle.
-        let m = SparseMatrix::from_rows(
-            8,
-            vec![
-                vec![0, 4, 6],
-                vec![0, 5, 6, 7],
-                vec![0, 4, 5],
-                vec![5, 6, 7],
-            ],
-        );
-        assert_streaming_matches_batch(m, 1);
-    }
-
-    #[test]
-    fn streaming_tracks_peak_memory_high_water_mark() {
-        // {0,1,2} arrives with column 0 pure and leading, so R5 sets it
-        // aside immediately; every later row forward-substitutes into a
-        // small row and is consumed at arrival. Set-asides keep their
-        // tails and count as live, so both sides peak at four rows here
-        // (nothing is pruned), but streaming holds 8 words against the
-        // batch's 12: forward substitution shrinks rows before they are
-        // ever held.
-        let m = SparseMatrix::from_rows(
-            4,
-            vec![vec![0, 1, 2], vec![0, 1, 3], vec![0, 2, 3], vec![1, 2, 3]],
-        );
-        let (got, batch) = assert_streaming_matches_batch(m, 1);
-        assert_eq!(batch.presolve.peak_interned_rows, 4);
-        assert_eq!(batch.presolve.peak_interned_words, 12);
-        assert_eq!(got.presolve.peak_interned_rows, 4);
-        assert_eq!(got.presolve.peak_interned_words, 8);
-    }
-
-    #[test]
-    fn streaming_peak_drops_below_batch_when_rows_prune() {
-        // The duplicate and the absorbed rows never become live, so the
-        // streaming row peak sits strictly below the batch peak (which
-        // materialises every input row before a rule fires).
-        let mut m = SparseMatrix::new(10);
-        m.push_row(vec![4]);
-        m.push_row(vec![0, 3, 5]);
-        m.push_row(vec![0, 3, 5]); // duplicate: pruned at arrival
-        m.push_row(vec![4, 7]); // absorbed to {7} by the singleton
-        m.push_row(vec![4]); // absorbed to empty: pruned
-        let (got, batch) = assert_streaming_matches_batch(m, 1);
-        assert!(got.presolve.peak_interned_rows < batch.presolve.peak_interned_rows);
-        assert!(got.presolve.peak_interned_words < batch.presolve.peak_interned_words);
-    }
-
     #[test]
     fn components_eliminate_in_parallel_deterministically() {
         // Four disconnected dense-ish blocks: with threads > 1 the component
@@ -1944,37 +1268,6 @@ mod tests {
             assert_eq!(par.gauss.row_xors, serial.gauss.row_xors);
             assert_eq!(par.presolve.components_parallel, 4);
         }
-    }
-
-    #[test]
-    fn subset_limit_zero_disables_the_rule_without_changing_the_rref() {
-        let m = SparseMatrix::from_rows(
-            10,
-            vec![
-                vec![1, 4, 7],
-                vec![1, 2, 4, 6, 7, 9],
-                vec![1, 4, 7, 8],
-                vec![2, 6, 9],
-                vec![0, 3, 5, 8, 9],
-            ],
-        );
-        let with = m.clone().rref(1);
-        assert!(with.presolve.subset_cancellations >= 1);
-        let without = m.clone().rref_cancellable_with(1, &CancelToken::never(), 0);
-        assert_eq!(without.presolve.subset_cancellations, 0);
-        assert_eq!(without.rows, with.rows);
-        assert_eq!(without.rank, with.rank);
-    }
-
-    #[test]
-    fn streaming_cancellation_is_transactional() {
-        let token = CancelToken::new();
-        token.cancel();
-        let m = splitmix_sparse(30, 30, 3, 9);
-        let sp = stream_rows(&m);
-        let r = sp.finish_rref(&identity_map(30), 30, 4, SUBSET_CANDIDATE_LIMIT, &token);
-        assert!(r.gauss.interrupted);
-        assert!(r.rows.is_empty(), "partial output is never exposed");
     }
 
     #[test]
@@ -2006,7 +1299,6 @@ mod tests {
             components: 1,
             peak_interned_rows: 80,
             peak_interned_words: 200,
-            expansion_rows_pruned: 3,
             components_parallel: 1,
             ..PresolveStats::default()
         };
@@ -2016,7 +1308,6 @@ mod tests {
             components: 2,
             peak_interned_rows: 50,
             peak_interned_words: 300,
-            expansion_rows_pruned: 4,
             components_parallel: 2,
             ..PresolveStats::default()
         });
@@ -2025,7 +1316,6 @@ mod tests {
         assert_eq!(a.components, 3);
         assert_eq!(a.peak_interned_rows, 80, "peaks merge by max");
         assert_eq!(a.peak_interned_words, 300, "peaks merge by max");
-        assert_eq!(a.expansion_rows_pruned, 7);
         assert_eq!(a.components_parallel, 3);
     }
 }

@@ -162,72 +162,6 @@ proptest! {
         prop_assert_eq!(second == SolveResult::Sat, expected_sat);
     }
 
-    /// Assumption solving agrees with brute force on the strengthened
-    /// formula (assumptions added as unit clauses), and a failure core is a
-    /// subset of the assumptions that is itself unsatisfiable with the
-    /// formula.
-    #[test]
-    fn assumption_solving_agrees_with_brute_force(
-        cnf in arb_formula(),
-        assumptions in proptest::collection::vec((0..MAX_VARS, any::<bool>()), 0..4),
-    ) {
-        let assumptions: Vec<Lit> = {
-            // Drop contradictory duplicates so the brute-force reference is
-            // well-defined; the dedicated core checks below keep covering
-            // the contradictory case.
-            let mut seen_vars = std::collections::BTreeSet::new();
-            assumptions
-                .into_iter()
-                .map(|(v, neg)| Lit::new(v, neg))
-                .filter(|l| seen_vars.insert(l.var()))
-                .collect()
-        };
-        let mut strengthened = cnf.clone();
-        for &l in &assumptions {
-            strengthened.add_clause([l]);
-        }
-        let expected_sat = brute_force(&strengthened, &[]).is_some();
-        let formula_sat = brute_force(&cnf, &[]).is_some();
-        for config in configs() {
-            let name = config.name;
-            let mut solver = Solver::from_formula(config, &cnf);
-            match solver.solve_with_assumptions(&assumptions) {
-                SolveResult::Sat => {
-                    prop_assert!(expected_sat, "{name}: SAT but assumptions are inconsistent");
-                    let model = solver.model().expect("model");
-                    prop_assert_eq!(cnf.evaluate(model), Ok(true));
-                    for &l in &assumptions {
-                        prop_assert!(l.evaluate(model[l.var() as usize]),
-                            "{} ignored assumption {}", name, l);
-                    }
-                }
-                SolveResult::Unsat => {
-                    prop_assert!(!expected_sat, "{name}: UNSAT under satisfiable assumptions");
-                    let core = solver.failed_assumptions().to_vec();
-                    if formula_sat {
-                        prop_assert!(!core.is_empty(),
-                            "{}: assumption failure must produce a core", name);
-                    }
-                    for &l in &core {
-                        prop_assert!(assumptions.contains(&l),
-                            "{}: core literal {} is not an assumption", name, l);
-                    }
-                    // The core alone refutes the formula.
-                    let mut with_core = cnf.clone();
-                    for &l in &core {
-                        with_core.add_clause([l]);
-                    }
-                    prop_assert!(brute_force(&with_core, &[]).is_none(),
-                        "{}: core {:?} is not contradictory", name, core);
-                    // The solver stays usable and still knows the formula's
-                    // own status.
-                    prop_assert_eq!(solver.solve() == SolveResult::Sat, formula_sat);
-                }
-                SolveResult::Unknown => prop_assert!(false, "{name} gave up without a budget"),
-            }
-        }
-    }
-
     /// Forcing the clause-database reduction schedule to fire constantly
     /// (tiny allowance, no growth headroom lost) never changes any verdict
     /// or produces a bad model, with CCMin verification on throughout.

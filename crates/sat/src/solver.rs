@@ -119,11 +119,9 @@ pub struct Solver {
     model: Option<Vec<bool>>,
     learnt_unit_lits: Vec<Lit>,
 
-    assumptions: Vec<Lit>,
-    failed_assumptions: Vec<Lit>,
     /// Learnt-clause allowance for the geometric reduction schedule; kept
-    /// across `solve` calls so incremental re-solving does not reset the
-    /// schedule and churn the database. `0.0` means "not yet initialised".
+    /// across `solve` calls so re-solving does not reset the schedule and
+    /// churn the database. `0.0` means "not yet initialised".
     max_learnts: f64,
 
     stats: SolverStats,
@@ -157,8 +155,6 @@ impl Solver {
             cancel_token: CancelToken::never(),
             model: None,
             learnt_unit_lits: Vec::new(),
-            assumptions: Vec::new(),
-            failed_assumptions: Vec::new(),
             max_learnts: 0.0,
             stats: SolverStats::default(),
         }
@@ -342,34 +338,13 @@ impl Solver {
     }
 
     /// Runs the CDCL search until a result is reached or the conflict budget
-    /// is exhausted.
+    /// is exhausted. Learnt clauses, activities and saved phases survive
+    /// into the next call.
     pub fn solve(&mut self) -> SolveResult {
-        self.solve_with_assumptions(&[])
-    }
-
-    /// Runs the CDCL search under the given assumption literals, which are
-    /// planted as pseudo-decisions at levels `1..=assumptions.len()` before
-    /// any free decision is made.
-    ///
-    /// When the formula is satisfiable under the assumptions the result is
-    /// [`SolveResult::Sat`] and [`Solver::model`] holds a model extending
-    /// them. When it is unsatisfiable *because of* the assumptions, the
-    /// result is [`SolveResult::Unsat`], [`Solver::failed_assumptions`]
-    /// returns a subset of the assumptions that is already contradictory
-    /// with the formula, and the solver stays usable (the formula itself is
-    /// not marked unsatisfiable). Learnt clauses, activities and saved
-    /// phases all survive into the next call — this is the incremental
-    /// interface the pipeline's SAT pass rides.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.failed_assumptions.clear();
         if !self.ok {
             return SolveResult::Unsat;
         }
         self.model = None;
-        self.assumptions = assumptions.to_vec();
-        if let Some(max) = assumptions.iter().map(|l| l.var()).max() {
-            self.new_vars(max as usize + 1);
-        }
         let budget_start = self.stats.conflicts;
         // Cancellation rides the same exit as the conflict budget: both
         // back out to level 0 and report Unknown, leaving the solver
@@ -389,10 +364,10 @@ impl Solver {
         }
         let mut conflicts_since_restart: u64 = 0;
         let mut restart_limit = self.restart_limit();
-        // The learnt-clause allowance persists across solve calls (an
-        // incremental caller would otherwise reset the geometric schedule
-        // every round); it only ratchets up when clause additions raise the
-        // initial target above the stored value.
+        // The learnt-clause allowance persists across solve calls (a
+        // repeated call would otherwise reset the geometric schedule); it
+        // only ratchets up when clause additions raise the initial target
+        // above the stored value.
         if self.config.reduce_db {
             let initial = (self.num_original_clauses as f64 * self.config.learnt_ratio).max(100.0);
             if self.max_learnts < initial {
@@ -450,36 +425,6 @@ impl Solver {
                     self.reduce_db();
                     self.max_learnts *= self.config.reduce_db_growth;
                 }
-                // Plant any assumption not yet on the trail as the next
-                // pseudo-decision. An already-true assumption gets a dummy
-                // level (so failed-core analysis can index levels by
-                // assumption position); a false one means the assumptions
-                // themselves are contradictory with the formula.
-                let mut next_assumption = None;
-                while (self.decision_level() as usize) < self.assumptions.len() {
-                    let p = self.assumptions[self.decision_level() as usize];
-                    match self.value_lit(p) {
-                        LBool::True => self.trail_lim.push(self.trail.len()),
-                        LBool::False => {
-                            self.analyze_final(p);
-                            self.cancel_until(0);
-                            return SolveResult::Unsat;
-                        }
-                        LBool::Undef => {
-                            next_assumption = Some(p);
-                            break;
-                        }
-                    }
-                }
-                if let Some(p) = next_assumption {
-                    if checkpoint.check() {
-                        self.cancel_until(0);
-                        return SolveResult::Unknown;
-                    }
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(p, Reason::Decision);
-                    continue;
-                }
                 match self.pick_branch_var() {
                     None => {
                         // Every variable is assigned: we have a model.
@@ -505,16 +450,6 @@ impl Solver {
                 }
             }
         }
-    }
-
-    /// The failed-assumption core of the most recent
-    /// [`Solver::solve_with_assumptions`] call that returned
-    /// [`SolveResult::Unsat`] because of its assumptions: a subset of those
-    /// assumptions that is already unsatisfiable together with the formula.
-    /// Empty when the formula itself is unsatisfiable (or the last call did
-    /// not fail on an assumption).
-    pub fn failed_assumptions(&self) -> &[Lit] {
-        &self.failed_assumptions
     }
 
     // ----- internal helpers -------------------------------------------------
@@ -988,45 +923,6 @@ impl Solver {
         }
     }
 
-    /// Final-conflict analysis: assumption `p` evaluated false while being
-    /// planted, so `¬p` was derived from the formula and the assumptions
-    /// already on the trail. Walks the implication graph backwards from
-    /// `¬p`, collecting exactly the assumption pseudo-decisions it rests on
-    /// — the failed-assumption core `{p, ...}`, unsatisfiable together with
-    /// the formula.
-    fn analyze_final(&mut self, p: Lit) {
-        self.failed_assumptions.clear();
-        self.failed_assumptions.push(p);
-        if self.decision_level() == 0 {
-            return;
-        }
-        self.seen[p.var() as usize] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let q = self.trail[i];
-            let v = q.var() as usize;
-            if !self.seen[v] {
-                continue;
-            }
-            match self.reason[v] {
-                Reason::Decision => {
-                    // Every pseudo-decision on the trail during assumption
-                    // planting is an assumption literal.
-                    debug_assert!(self.level[v] > 0);
-                    self.failed_assumptions.push(q);
-                }
-                _ => {
-                    for &l in self.reason_lits(q).iter().skip(1) {
-                        if self.level[l.var() as usize] > 0 {
-                            self.seen[l.var() as usize] = true;
-                        }
-                    }
-                }
-            }
-            self.seen[v] = false;
-        }
-        self.seen[p.var() as usize] = false;
-    }
-
     fn bump_var(&mut self, var: CnfVar) {
         self.activity[var as usize] += self.var_inc;
         if self.activity[var as usize] > 1e100 {
@@ -1479,100 +1375,6 @@ mod tests {
             }
         }
         s
-    }
-
-    #[test]
-    fn assumptions_restrict_the_model() {
-        for config in all_configs() {
-            let mut s = Solver::new(config);
-            s.new_vars(3);
-            s.add_clause([Lit::positive(0), Lit::positive(1), Lit::positive(2)]);
-            assert_eq!(
-                s.solve_with_assumptions(&[Lit::negative(0), Lit::negative(1)]),
-                SolveResult::Sat
-            );
-            let model = s.model().expect("model");
-            assert!(!model[0] && !model[1] && model[2]);
-            // The assumptions do not stick: a plain solve afterwards is free.
-            assert_eq!(s.solve(), SolveResult::Sat);
-        }
-    }
-
-    #[test]
-    fn contradictory_assumptions_yield_a_failed_core() {
-        let mut s = Solver::new(SolverConfig::aggressive());
-        s.new_vars(4);
-        // x0 -> x1, x1 -> x2; assuming x0 and ¬x2 is contradictory, x3 is
-        // an innocent bystander that must stay out of the core.
-        s.add_clause([Lit::negative(0), Lit::positive(1)]);
-        s.add_clause([Lit::negative(1), Lit::positive(2)]);
-        let assumptions = [Lit::positive(3), Lit::positive(0), Lit::negative(2)];
-        assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Unsat);
-        let core = s.failed_assumptions().to_vec();
-        assert!(!core.is_empty());
-        for &l in &core {
-            assert!(assumptions.contains(&l), "{l:?} is not an assumption");
-        }
-        assert!(
-            !core.contains(&Lit::positive(3)),
-            "the bystander stays out of the core: {core:?}"
-        );
-        // The core is itself unsatisfiable with the formula.
-        assert_eq!(s.solve_with_assumptions(&core), SolveResult::Unsat);
-        // The solver is still usable and the formula is still satisfiable.
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn directly_conflicting_assumptions_fail() {
-        let mut s = Solver::new(SolverConfig::minimal());
-        s.new_vars(2);
-        s.add_clause([Lit::positive(0), Lit::positive(1)]);
-        assert_eq!(
-            s.solve_with_assumptions(&[Lit::positive(0), Lit::negative(0)]),
-            SolveResult::Unsat
-        );
-        let core = s.failed_assumptions();
-        assert!(core.contains(&Lit::negative(0)));
-        assert_eq!(s.solve(), SolveResult::Sat, "the formula itself is fine");
-    }
-
-    #[test]
-    fn assumption_false_at_top_level_gives_singleton_core() {
-        let mut s = Solver::new(SolverConfig::minimal());
-        s.new_vars(1);
-        s.add_clause([Lit::negative(0)]);
-        assert_eq!(
-            s.solve_with_assumptions(&[Lit::positive(0)]),
-            SolveResult::Unsat
-        );
-        assert_eq!(s.failed_assumptions(), &[Lit::positive(0)]);
-        assert!(s.solve() == SolveResult::Sat);
-    }
-
-    #[test]
-    fn incremental_assumption_loop_reuses_learnt_clauses() {
-        // Solve the same satisfiable instance under rotating assumptions;
-        // learnt clauses and stats accumulate monotonically across calls.
-        let mut s = Solver::new(SolverConfig::aggressive());
-        s.new_vars(9);
-        for i in 0..3u32 {
-            s.add_clause([
-                Lit::positive(3 * i),
-                Lit::positive(3 * i + 1),
-                Lit::positive(3 * i + 2),
-            ]);
-            s.add_clause([Lit::negative(3 * i), Lit::negative(3 * i + 1)]);
-        }
-        let mut last_conflicts = 0;
-        for round in 0..3u32 {
-            let assumption = Lit::positive(3 * round);
-            assert_eq!(s.solve_with_assumptions(&[assumption]), SolveResult::Sat);
-            let model = s.model().expect("model");
-            assert!(assumption.evaluate(model[assumption.var() as usize]));
-            assert!(s.stats().conflicts >= last_conflicts);
-            last_conflicts = s.stats().conflicts;
-        }
     }
 
     #[test]

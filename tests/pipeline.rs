@@ -170,3 +170,68 @@ fn reconstructed_assignments_cover_eliminated_variables() {
     }
     let _ = Assignment::all_false(0);
 }
+
+/// FNV-1a over a byte string: a stable hash, unlike the standard library's
+/// `DefaultHasher`, whose algorithm may change between Rust releases.
+fn fnv1a(text: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in text.bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+fn committed_instance(file: &str) -> bosphorus_repro::anf::PolynomialSystem {
+    let path = format!("{}/examples/instances/{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    bosphorus_repro::anf::PolynomialSystem::parse(&text)
+        .unwrap_or_else(|e| panic!("parse {path}: {e}"))
+}
+
+#[test]
+fn learnt_fact_stream_matches_the_recorded_golden_values() {
+    // The learnt-fact count and the FNV-1a hash of the facts' `Display`
+    // text (one fact per line, in commit order), recorded when the engine
+    // still had a streaming presolve and a warm incremental SAT pass. Every
+    // configuration then produced this stream, so any change to it is a
+    // behaviour change, not a refactoring. Simon-[2,8] is trimmed to four
+    // iterations at a 300-conflict budget so the debug build stays quick.
+    let simon = BosphorusConfig {
+        max_iterations: 4,
+        sat_conflict_budget: 300,
+        sat_budget_max: 300,
+        ..BosphorusConfig::default()
+    };
+    for (file, config, count, hash) in [
+        (
+            "worked_example.anf",
+            BosphorusConfig::default(),
+            6,
+            0xb718_6c12_7095_1a6c,
+        ),
+        (
+            "table1.anf",
+            BosphorusConfig::default(),
+            3,
+            0x0c26_d39e_b9f9_7e9f,
+        ),
+        (
+            "unsat.anf",
+            BosphorusConfig::default(),
+            0,
+            0xcbf2_9ce4_8422_2325,
+        ),
+        ("simon_2_8.anf", simon, 210, 0xb488_1b36_ad2b_c703),
+    ] {
+        let mut engine = Bosphorus::new(committed_instance(file), config);
+        let _ = engine.preprocess();
+        let text: String = engine
+            .learnt_facts()
+            .iter()
+            .map(|fact| format!("{fact}\n"))
+            .collect();
+        assert_eq!(engine.learnt_facts().len(), count, "{file}: fact count");
+        assert_eq!(fnv1a(&text), hash, "{file}: fact stream hash");
+    }
+}

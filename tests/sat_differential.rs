@@ -125,8 +125,8 @@ fn check_differential(cnf: &CnfFormula, xors: &[XorConstraint], config: SolverCo
     }
     // Entailment: every learnt unit and clause must hold in *every* model of
     // the original instance — a learnt clause that rules out a model is a
-    // soundness bug (an over-minimized conflict clause, a bad DB reduction,
-    // a broken assumption rewind, ...).
+    // soundness bug (an over-minimized conflict clause, a bad DB
+    // reduction, ...).
     for &bits in &models {
         let value = |v: u32| (bits >> v) & 1 == 1;
         for lit in solver.learnt_units() {

@@ -1,30 +1,27 @@
-//! Incremental ≡ scratch equivalence of the pipeline's SAT pass, plus the
-//! assumption-based incremental solving API.
+//! The pipeline's SAT pass preprocesses identically under every setting
+//! that must not change its result.
 //!
-//! The warm-solver SAT pass (`BosphorusConfig::sat_incremental`, the
-//! default) must be *invisible*: the same verdicts, the same models, and a
-//! byte-identical learnt-fact stream as the scratch configuration that
-//! rebuilds the solver every pipeline iteration. These tests pin that
-//! contract on the committed example instances and a generated small-scale
-//! AES system, and exercise the failed-assumption core of
-//! `solve_with_assumptions` directly.
+//! Each iteration of the Bosphorus loop adds facts incrementally to the
+//! knowledge base, but every SAT pass encodes the current system from
+//! scratch and runs a fresh conflict-bounded solver. The outcome therefore
+//! depends on the system and the configuration alone: fresh engines at one
+//! and at four worker threads, with the batch presolve on or off, must give
+//! the same status, the same learnt facts in the same order, the same
+//! per-pass fact counts and the same iteration count. These tests pin that
+//! on the committed example instances; the fact streams themselves are
+//! pinned by the golden test in `tests/pipeline.rs`.
 
 use bosphorus_repro::anf::PolynomialSystem;
-use bosphorus_repro::ciphers::aes;
-use bosphorus_repro::cnf::Lit;
-use bosphorus_repro::core::{Bosphorus, BosphorusConfig, PreprocessStatus, SolveStatus};
-use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use bosphorus_repro::core::{Bosphorus, BosphorusConfig};
 
-/// Preprocesses `system` with the incremental SAT pass off and on and
-/// asserts the outcomes are indistinguishable: status, learnt facts (order
-/// included), per-pass fact counts, and iteration count.
+/// Preprocesses `system` under each thread count and presolve setting and
+/// asserts the outcomes are indistinguishable.
 fn assert_preprocess_equivalent(name: &str, system: &PolynomialSystem, config: &BosphorusConfig) {
     let mut outcomes = Vec::new();
-    for sat_incremental in [false, true] {
+    for (threads, presolve) in [(1, true), (4, true), (1, false), (4, false)] {
         let config = BosphorusConfig {
-            sat_incremental,
+            threads,
+            presolve,
             ..config.clone()
         };
         let mut engine = Bosphorus::new(system.clone(), config);
@@ -36,6 +33,7 @@ fn assert_preprocess_equivalent(name: &str, system: &PolynomialSystem, config: &
             .map(|p| (p.name.clone(), p.facts))
             .collect();
         outcomes.push((
+            (threads, presolve),
             status,
             engine.learnt_facts().to_vec(),
             pass_facts,
@@ -43,18 +41,27 @@ fn assert_preprocess_equivalent(name: &str, system: &PolynomialSystem, config: &
             stats.facts_from_sat,
         ));
     }
-    let (scratch, incremental) = (&outcomes[0], &outcomes[1]);
-    assert_eq!(scratch.0, incremental.0, "{name}: status diverges");
-    assert_eq!(
-        scratch.1, incremental.1,
-        "{name}: learnt facts diverge between scratch and incremental SAT"
-    );
-    assert_eq!(
-        scratch.2, incremental.2,
-        "{name}: per-pass fact counts diverge"
-    );
-    assert_eq!(scratch.3, incremental.3, "{name}: iteration counts diverge");
-    assert_eq!(scratch.4, incremental.4, "{name}: SAT fact totals diverge");
+    let reference = &outcomes[0];
+    for other in &outcomes[1..] {
+        let setting = other.0;
+        assert_eq!(reference.1, other.1, "{name} {setting:?}: status diverges");
+        assert_eq!(
+            reference.2, other.2,
+            "{name} {setting:?}: learnt facts diverge"
+        );
+        assert_eq!(
+            reference.3, other.3,
+            "{name} {setting:?}: per-pass fact counts diverge"
+        );
+        assert_eq!(
+            reference.4, other.4,
+            "{name} {setting:?}: iteration counts diverge"
+        );
+        assert_eq!(
+            reference.5, other.5,
+            "{name} {setting:?}: SAT fact totals diverge"
+        );
+    }
 }
 
 fn committed_instance(file: &str) -> PolynomialSystem {
@@ -83,9 +90,9 @@ fn unsat_instance_preprocesses_identically() {
 
 #[test]
 fn simon_2_8_preprocesses_identically() {
-    // The multi-iteration instance where the warm solver actually spans
+    // The multi-iteration instance, where the SAT pass runs in several
     // rounds. Iterations and budget are trimmed so the debug-mode test run
-    // stays quick; the full-length A/B is recorded in BENCH_pipeline.json.
+    // stays quick.
     let system = committed_instance("simon_2_8.anf");
     let config = BosphorusConfig {
         max_iterations: 4,
@@ -94,105 +101,4 @@ fn simon_2_8_preprocesses_identically() {
         ..BosphorusConfig::default()
     };
     assert_preprocess_equivalent("simon_2_8", &system, &config);
-}
-
-#[test]
-fn sr_aes_preprocesses_identically() {
-    let mut rng = StdRng::seed_from_u64(2019);
-    let instance = aes::generate(aes::AesParams::small(1), &mut rng);
-    assert_preprocess_equivalent(
-        "sr-aes-small-1",
-        &instance.system,
-        &BosphorusConfig::default(),
-    );
-}
-
-#[test]
-fn solve_returns_identical_models_either_way() {
-    let system = committed_instance("worked_example.anf");
-    let mut models = Vec::new();
-    for sat_incremental in [false, true] {
-        let config = BosphorusConfig {
-            sat_incremental,
-            ..BosphorusConfig::default()
-        };
-        let mut engine = Bosphorus::new(system.clone(), config);
-        match engine.solve(&SolverConfig::aggressive()) {
-            SolveStatus::Sat(assignment) => {
-                assert!(system.is_satisfied_by(&assignment));
-                models.push(assignment);
-            }
-            other => panic!("worked example is satisfiable, got {other:?}"),
-        }
-    }
-    assert_eq!(
-        models[0], models[1],
-        "models diverge between scratch and incremental SAT"
-    );
-}
-
-#[test]
-fn interrupted_incremental_preprocess_resumes_cleanly() {
-    use bosphorus_repro::core::CancelToken;
-    let system = committed_instance("simon_2_8.anf");
-    let config = BosphorusConfig {
-        max_iterations: 3,
-        sat_conflict_budget: 200,
-        sat_budget_max: 200,
-        ..BosphorusConfig::default()
-    };
-    // Reference: the uninterrupted run.
-    let mut reference = Bosphorus::new(system.clone(), config.clone());
-    let _ = reference.preprocess();
-    // Interrupted run: trip the token mid-flight, then confirm only whole
-    // units of work were committed (a prefix of the reference's facts).
-    let mut engine = Bosphorus::new(system.clone(), config);
-    engine.set_cancel_token(CancelToken::new().cancel_after_checks(40));
-    let status = engine.preprocess();
-    assert_eq!(status, PreprocessStatus::Interrupted);
-    assert!(
-        reference.learnt_facts().starts_with(engine.learnt_facts()),
-        "interrupted incremental run committed partial work"
-    );
-}
-
-#[test]
-fn contradictory_assumptions_return_an_unsat_core() {
-    // x0 ∨ x1, ¬x0 ∨ x2, ¬x1 ∨ x2: satisfiable, but not under the
-    // assumptions ¬x2 (forces ¬x0 ∧ ¬x1) — the failed core must itself be
-    // unsatisfiable together with the formula.
-    let mut solver = Solver::new(SolverConfig::aggressive());
-    solver.new_vars(3);
-    solver.add_clause([Lit::positive(0), Lit::positive(1)]);
-    solver.add_clause([Lit::negative(0), Lit::positive(2)]);
-    solver.add_clause([Lit::negative(1), Lit::positive(2)]);
-    assert_eq!(solver.solve(), SolveResult::Sat);
-
-    let assumptions = [Lit::negative(2), Lit::positive(0)];
-    assert_eq!(
-        solver.solve_with_assumptions(&assumptions),
-        SolveResult::Unsat
-    );
-    let core = solver.failed_assumptions().to_vec();
-    assert!(!core.is_empty(), "an unsat assumption call names a core");
-    assert!(
-        core.iter().all(|lit| assumptions.contains(lit)),
-        "the core is a subset of the assumptions"
-    );
-
-    // Adding the core as unit clauses to a fresh copy of the formula must
-    // make it unsatisfiable: the core really is a reason for the failure.
-    let mut fresh = Solver::new(SolverConfig::aggressive());
-    fresh.new_vars(3);
-    fresh.add_clause([Lit::positive(0), Lit::positive(1)]);
-    fresh.add_clause([Lit::negative(0), Lit::positive(2)]);
-    fresh.add_clause([Lit::negative(1), Lit::positive(2)]);
-    for lit in &core {
-        fresh.add_clause([*lit]);
-    }
-    assert_eq!(fresh.solve(), SolveResult::Unsat);
-
-    // The incremental solver survives the failed call: the next
-    // assumption-free solve still reports SAT.
-    assert_eq!(solver.solve(), SolveResult::Sat);
 }
