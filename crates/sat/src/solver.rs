@@ -1,4 +1,11 @@
 //! The CDCL search engine.
+//!
+//! Clauses live back to back in one flat `u32` arena: a two-word header
+//! (literal count, index into the cold [`ClauseMeta`] side table) followed
+//! by the literal codes. A [`ClauseRef`] is the header's offset, so a
+//! watcher is eight bytes and visiting a clause during propagation touches
+//! one contiguous run of words. Every database reduction compacts the
+//! arena, so deleted clauses never linger.
 
 use bosphorus_cnf::{Clause, CnfFormula, CnfVar, Lit};
 use bosphorus_interrupt::CancelToken;
@@ -7,22 +14,12 @@ use crate::varorder::VarOrderHeap;
 use crate::xor::xor_gauss_eliminate;
 use crate::{RestartStrategy, SolverConfig, SolverStats, XorConstraint};
 
-/// Truth value of a variable during search.
+/// Truth value of a literal during search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LBool {
     True,
     False,
     Undef,
-}
-
-impl LBool {
-    fn from_bool(b: bool) -> Self {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
 }
 
 /// How many conflicts/decisions elapse between cancel-token polls inside
@@ -44,17 +41,26 @@ pub enum SolveResult {
     Unknown,
 }
 
-type ClauseRef = usize;
+/// Offset of a clause's header in the clause arena.
+type ClauseRef = u32;
 
-#[derive(Debug, Clone)]
-struct ClauseData {
-    lits: Vec<Lit>,
+/// Arena words ahead of a clause's literals: its length and its index in
+/// the [`ClauseMeta`] table.
+const HEADER: usize = 2;
+
+/// The per-clause fields propagation never reads, kept out of the arena.
+/// The table is in arena order: the `i`-th clause in the arena owns entry
+/// `i`.
+#[derive(Debug, Clone, Copy)]
+struct ClauseMeta {
     learnt: bool,
     activity: f64,
     /// Literal block distance at learning time (0 for original clauses):
     /// the number of distinct decision levels among the clause's literals.
     /// Low-LBD ("glue") clauses are protected from database reduction.
     lbd: u32,
+    /// Marked by a reduction; the clause is freed by the garbage
+    /// collection that immediately follows.
     deleted: bool,
 }
 
@@ -64,6 +70,8 @@ struct Watcher {
     blocker: Lit,
 }
 
+/// Why a variable is assigned — and, returned from propagation, which
+/// constraint is in conflict (never `Decision` there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reason {
     Decision,
@@ -92,11 +100,14 @@ pub struct Solver {
     config: SolverConfig,
     ok: bool,
 
-    clauses: Vec<ClauseData>,
+    /// Every clause, back to back: `[len, meta index, literal codes...]`.
+    arena: Vec<u32>,
+    meta: Vec<ClauseMeta>,
     num_original_clauses: usize,
     watches: Vec<Vec<Watcher>>,
 
-    assigns: Vec<LBool>,
+    /// Value of every literal, indexed by [`Lit::code`].
+    values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Reason>,
     trail: Vec<Lit>,
@@ -109,6 +120,17 @@ pub struct Solver {
     order: VarOrderHeap,
     phase: Vec<bool>,
     seen: Vec<bool>,
+
+    /// Conflict-analysis buffers, reused from one conflict to the next:
+    /// the learnt clause, the variables to unmark in `seen`, and the
+    /// redundancy walk's stack.
+    learnt_buf: Vec<Lit>,
+    to_clear: Vec<Lit>,
+    redundancy_stack: Vec<Lit>,
+    /// LBD counting: a level is counted once per clause by stamping it with
+    /// the clause's `lbd_epoch`.
+    level_stamp: Vec<u64>,
+    lbd_epoch: u64,
 
     xors: Vec<XorConstraint>,
     xor_occ: Vec<Vec<usize>>,
@@ -133,10 +155,11 @@ impl Solver {
         Solver {
             config,
             ok: true,
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            meta: Vec::new(),
             num_original_clauses: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -148,6 +171,11 @@ impl Solver {
             order: VarOrderHeap::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt_buf: Vec::new(),
+            to_clear: Vec::new(),
+            redundancy_stack: Vec::new(),
+            level_stamp: vec![0],
+            lbd_epoch: 0,
             xors: Vec::new(),
             xor_occ: Vec::new(),
             conflicts_since_gauss: 0,
@@ -177,18 +205,19 @@ impl Solver {
 
     /// Number of variables known to the solver.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Adds a single fresh variable and returns its index.
     pub fn new_var(&mut self) -> CnfVar {
-        let v = self.assigns.len() as CnfVar;
-        self.assigns.push(LBool::Undef);
+        let v = self.num_vars() as CnfVar;
+        self.values.extend([LBool::Undef, LBool::Undef]);
         self.level.push(0);
         self.reason.push(Reason::Decision);
         self.activity.push(0.0);
         self.phase.push(self.config.default_phase);
         self.seen.push(false);
+        self.level_stamp.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.xor_occ.push(Vec::new());
@@ -243,7 +272,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(lits, false);
+                self.attach_clause(&lits, false);
                 true
             }
         }
@@ -321,19 +350,17 @@ impl Solver {
 
     /// Binary learnt clauses currently in the database.
     pub fn learnt_binaries(&self) -> Vec<[Lit; 2]> {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted && c.lits.len() == 2)
-            .map(|c| [c.lits[0], c.lits[1]])
+        self.clause_refs()
+            .filter(|&c| self.clause_meta(c).learnt && self.clause_len(c) == 2)
+            .map(|c| [self.clause_lit(c, 0), self.clause_lit(c, 1)])
             .collect()
     }
 
     /// All learnt clauses currently in the database.
     pub fn learnt_clauses(&self) -> Vec<Clause> {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
-            .map(|c| Clause::from_lits(c.lits.iter().copied()))
+        self.clause_refs()
+            .filter(|&c| self.clause_meta(c).learnt)
+            .map(|c| Clause::from_lits((0..self.clause_len(c)).map(|k| self.clause_lit(c, k))))
             .collect()
     }
 
@@ -386,9 +413,9 @@ impl Solver {
                     self.ok = false;
                     return SolveResult::Unsat;
                 }
-                let (learnt, backtrack_level, lbd) = self.analyze(&conflict);
+                let (backtrack_level, lbd) = self.analyze(conflict);
                 self.cancel_until(backtrack_level);
-                self.record_learnt(learnt, lbd);
+                self.record_learnt(lbd);
                 self.decay_activities();
                 if let Some(budget) = self.conflict_budget {
                     if self.stats.conflicts - budget_start >= budget {
@@ -428,7 +455,11 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         // Every variable is assigned: we have a model.
-                        self.model = Some(self.assigns.iter().map(|&a| a == LBool::True).collect());
+                        self.model = Some(
+                            (0..self.num_vars() as CnfVar)
+                                .map(|v| self.value_var(v) == LBool::True)
+                                .collect(),
+                        );
                         self.cancel_until(0);
                         return SolveResult::Sat;
                     }
@@ -459,32 +490,48 @@ impl Solver {
     }
 
     fn value_var(&self, var: CnfVar) -> LBool {
-        self.assigns[var as usize]
+        self.values[Lit::positive(var).code()]
     }
 
     fn value_lit(&self, lit: Lit) -> LBool {
-        match self.assigns[lit.var() as usize] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if lit.is_positive() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-            LBool::False => {
-                if lit.is_positive() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-        }
+        self.values[lit.code()]
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    // ----- clause arena -----------------------------------------------------
+
+    fn clause_len(&self, cref: ClauseRef) -> usize {
+        self.arena[cref as usize] as usize
+    }
+
+    fn clause_lit(&self, cref: ClauseRef, k: usize) -> Lit {
+        Lit::from_code(self.arena[cref as usize + HEADER + k] as usize)
+    }
+
+    fn meta_index(&self, cref: ClauseRef) -> usize {
+        self.arena[cref as usize + 1] as usize
+    }
+
+    fn clause_meta(&self, cref: ClauseRef) -> &ClauseMeta {
+        &self.meta[self.meta_index(cref)]
+    }
+
+    fn clause_meta_mut(&mut self, cref: ClauseRef) -> &mut ClauseMeta {
+        let index = self.meta_index(cref);
+        &mut self.meta[index]
+    }
+
+    /// Every clause in the arena, in arena (= creation) order.
+    fn clause_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
+        let next = |cref: ClauseRef| cref as usize + HEADER + self.clause_len(cref);
+        std::iter::successors((!self.arena.is_empty()).then_some(0), move |&cref| {
+            (next(cref) < self.arena.len()).then(|| next(cref) as ClauseRef)
+        })
+    }
+
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len();
+        let cref =
+            ClauseRef::try_from(self.arena.len()).expect("the clause arena outgrew u32 offsets");
         self.watches[lits[0].code()].push(Watcher {
             cref,
             blocker: lits[1],
@@ -498,8 +545,10 @@ impl Solver {
         } else {
             self.num_original_clauses += 1;
         }
-        self.clauses.push(ClauseData {
-            lits,
+        self.arena.push(lits.len() as u32);
+        self.arena.push(self.meta.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.code() as u32));
+        self.meta.push(ClauseMeta {
             learnt,
             activity: 0.0,
             lbd: 0,
@@ -511,7 +560,8 @@ impl Solver {
     fn enqueue(&mut self, lit: Lit, reason: Reason) {
         debug_assert_eq!(self.value_lit(lit), LBool::Undef);
         let var = lit.var() as usize;
-        self.assigns[var] = LBool::from_bool(lit.is_positive());
+        self.values[lit.code()] = LBool::True;
+        self.values[(!lit).code()] = LBool::False;
         self.level[var] = self.decision_level();
         self.reason[var] = reason;
         if self.config.phase_saving {
@@ -530,7 +580,8 @@ impl Solver {
             let lit = self.trail.pop().expect("trail is non-empty");
             let var = lit.var() as usize;
             self.phase[var] = lit.is_positive();
-            self.assigns[var] = LBool::Undef;
+            self.values[lit.code()] = LBool::Undef;
+            self.values[(!lit).code()] = LBool::Undef;
             self.reason[var] = Reason::Decision;
             self.order.insert(lit.var(), &self.activity);
         }
@@ -548,93 +599,94 @@ impl Solver {
     }
 
     /// Unit propagation over clauses and XOR constraints. Returns the
-    /// literals of a conflicting constraint (all false) when a conflict is
-    /// found.
-    fn propagate(&mut self) -> Option<Vec<Lit>> {
+    /// conflicting constraint (all of its literals false) when a conflict
+    /// is found.
+    fn propagate(&mut self) -> Option<Reason> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            if let Some(conflict) = self.propagate_clauses(p) {
+            if let Some(cref) = self.propagate_clauses(p) {
                 self.qhead = self.trail.len();
-                return Some(conflict);
+                return Some(Reason::Clause(cref));
             }
             if self.config.xor_reasoning && !self.xors.is_empty() {
-                if let Some(conflict) = self.propagate_xors(p) {
+                if let Some(xi) = self.propagate_xors(p) {
                     self.qhead = self.trail.len();
-                    return Some(conflict);
+                    return Some(Reason::Xor(xi));
                 }
             }
         }
         None
     }
 
-    fn propagate_clauses(&mut self, p: Lit) -> Option<Vec<Lit>> {
+    /// Visits the watchers of `!p`, compacting its watch list in place.
+    /// The list is moved out for the visit so `enqueue` and pushes onto
+    /// other lists can borrow `self`; moving a `Vec` does not allocate. No
+    /// watcher is added to `!p`'s own list meanwhile, because a replacement
+    /// watch is never a false literal.
+    fn propagate_clauses(&mut self, p: Lit) -> Option<ClauseRef> {
         let false_lit = !p;
-        let watchers = std::mem::take(&mut self.watches[false_lit.code()]);
-        let mut kept: Vec<Watcher> = Vec::with_capacity(watchers.len());
-        let mut conflict: Option<Vec<Lit>> = None;
-        let mut idx = 0;
-        while idx < watchers.len() {
-            let w = watchers[idx];
-            idx += 1;
-            if self.clauses[w.cref].deleted {
+        let false_code = false_lit.code() as u32;
+        let mut watchers = std::mem::take(&mut self.watches[false_lit.code()]);
+        let mut conflict = None;
+        let (mut i, mut j) = (0, 0);
+        while i < watchers.len() {
+            let w = watchers[i];
+            i += 1;
+            if self.values[w.blocker.code()] == LBool::True {
+                watchers[j] = w;
+                j += 1;
                 continue;
             }
-            if self.value_lit(w.blocker) == LBool::True {
-                kept.push(w);
-                continue;
-            }
+            let start = w.cref as usize + HEADER;
+            let end = start + self.arena[w.cref as usize] as usize;
+            let lits = &mut self.arena[start..end];
             // Ensure the falsified literal is at position 1.
-            if self.clauses[w.cref].lits[0] == false_lit {
-                self.clauses[w.cref].lits.swap(0, 1);
+            if lits[0] == false_code {
+                lits.swap(0, 1);
             }
-            debug_assert_eq!(self.clauses[w.cref].lits[1], false_lit);
-            let first = self.clauses[w.cref].lits[0];
-            if self.value_lit(first) == LBool::True {
-                kept.push(Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                });
+            debug_assert_eq!(lits[1], false_code);
+            let first = Lit::from_code(lits[0] as usize);
+            let kept = Watcher {
+                cref: w.cref,
+                blocker: first,
+            };
+            if self.values[first.code()] == LBool::True {
+                watchers[j] = kept;
+                j += 1;
                 continue;
             }
             // Look for a replacement watch among the remaining literals.
-            let mut found_new_watch = false;
-            for k in 2..self.clauses[w.cref].lits.len() {
-                let candidate = self.clauses[w.cref].lits[k];
-                if self.value_lit(candidate) != LBool::False {
-                    self.clauses[w.cref].lits.swap(1, k);
-                    self.watches[candidate.code()].push(Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    });
-                    found_new_watch = true;
-                    break;
-                }
+            let mut k = 2;
+            while k < lits.len() && self.values[lits[k] as usize] == LBool::False {
+                k += 1;
             }
-            if found_new_watch {
+            if k < lits.len() {
+                lits.swap(1, k);
+                self.watches[lits[1] as usize].push(kept);
                 continue;
             }
             // The clause is unit or conflicting under the current assignment.
-            kept.push(Watcher {
-                cref: w.cref,
-                blocker: first,
-            });
-            if self.value_lit(first) == LBool::False {
-                conflict = Some(self.clauses[w.cref].lits.clone());
+            watchers[j] = kept;
+            j += 1;
+            if self.values[first.code()] == LBool::False {
+                conflict = Some(w.cref);
                 // Keep the remaining, unprocessed watchers.
-                kept.extend_from_slice(&watchers[idx..]);
+                watchers.copy_within(i.., j);
+                j += watchers.len() - i;
                 break;
             }
             self.enqueue(first, Reason::Clause(w.cref));
         }
-        self.watches[false_lit.code()] = kept;
+        watchers.truncate(j);
+        self.watches[false_lit.code()] = watchers;
         conflict
     }
 
-    fn propagate_xors(&mut self, p: Lit) -> Option<Vec<Lit>> {
+    fn propagate_xors(&mut self, p: Lit) -> Option<usize> {
         let var = p.var() as usize;
-        let touched = self.xor_occ[var].clone();
-        for xi in touched {
+        for k in 0..self.xor_occ[var].len() {
+            let xi = self.xor_occ[var][k];
             match self.xor_status(xi) {
                 XorStatus::Open => {}
                 XorStatus::Unit { var: v, parity } => {
@@ -649,7 +701,7 @@ impl Solver {
                 }
                 XorStatus::Assigned { parity } => {
                     if parity != self.xors[xi].rhs() {
-                        return Some(self.xor_falsified_lits(xi));
+                        return Some(xi);
                     }
                 }
             }
@@ -682,51 +734,50 @@ impl Solver {
         }
     }
 
-    /// The currently-false literals describing why XOR `xi` is violated or
-    /// why it propagated (excluding the propagated literal itself).
-    fn xor_falsified_lits(&self, xi: usize) -> Vec<Lit> {
-        self.xors[xi]
-            .vars()
-            .iter()
-            .filter(|&&v| self.value_var(v) != LBool::Undef)
-            .map(|&v| Lit::new(v, self.value_var(v) == LBool::True))
-            .collect()
+    /// Number of literals of a propagating or conflicting constraint.
+    fn constraint_len(&self, constraint: Reason) -> usize {
+        match constraint {
+            Reason::Decision => 0,
+            Reason::Clause(cref) => self.clause_len(cref),
+            Reason::Xor(xi) => self.xors[xi].len(),
+        }
     }
 
-    /// The literals of the constraint that forced `lit` (used as the reason
-    /// clause during conflict analysis).
-    fn reason_lits(&self, lit: Lit) -> Vec<Lit> {
-        match self.reason[lit.var() as usize] {
-            Reason::Decision => Vec::new(),
-            Reason::Clause(cref) => self.clauses[cref].lits.clone(),
+    /// The `k`-th literal of a propagating or conflicting constraint. An
+    /// XOR yields, for each of its variables, the literal false under the
+    /// current assignment: with every variable assigned, that is the
+    /// clause the XOR acts as, and the implied variable's entry is the
+    /// negation of the implied literal.
+    fn constraint_lit(&self, constraint: Reason, k: usize) -> Lit {
+        match constraint {
+            Reason::Decision => unreachable!("a decision has no antecedents"),
+            Reason::Clause(cref) => self.clause_lit(cref, k),
             Reason::Xor(xi) => {
-                let mut lits = vec![lit];
-                lits.extend(
-                    self.xors[xi]
-                        .vars()
-                        .iter()
-                        .filter(|&&v| v != lit.var())
-                        .map(|&v| Lit::new(v, self.value_var(v) == LBool::True)),
-                );
-                lits
+                let v = self.xors[xi].vars()[k];
+                Lit::new(v, self.value_var(v) == LBool::True)
             }
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first), the decision level to backtrack to, and the clause's
-    /// literal block distance.
-    fn analyze(&mut self, conflict: &[Lit]) -> (Vec<Lit>, u32, u32) {
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `learnt_buf` (asserting literal first) and returns the decision
+    /// level to backtrack to and the clause's literal block distance.
+    fn analyze(&mut self, conflict: Reason) -> (u32, u32) {
         let current_level = self.decision_level();
-        let mut learnt: Vec<Lit> = vec![Lit::positive(0)]; // placeholder for the asserting literal
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit::positive(0)); // placeholder for the asserting literal
         let mut path_count: u32 = 0;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut clause_lits: Vec<Lit> = conflict.to_vec();
+        let mut constraint = conflict;
 
         loop {
-            for &q in &clause_lits {
-                if Some(q) == p {
+            // The reason of `p` contains `p` itself (a clause leads with
+            // it, an XOR lists its variable); skip it.
+            for k in 0..self.constraint_len(constraint) {
+                let q = self.constraint_lit(constraint, k);
+                if p.is_some_and(|p| p.var() == q.var()) {
                     continue;
                 }
                 let v = q.var() as usize;
@@ -754,7 +805,7 @@ impl Solver {
             if path_count == 0 {
                 break;
             }
-            clause_lits = self.reason_lits(pl);
+            constraint = self.reason[pl.var() as usize];
         }
         learnt[0] = !p.expect("analysis terminates with an asserting literal");
 
@@ -765,7 +816,9 @@ impl Solver {
         // `seen` is still set for every learnt literal here, which is
         // exactly the marking `lit_is_redundant` consults; the walk marks
         // additional interior vars and records them in `to_clear`.
-        let mut to_clear: Vec<Lit> = learnt.clone();
+        let mut to_clear = std::mem::take(&mut self.to_clear);
+        to_clear.clear();
+        to_clear.extend_from_slice(&learnt);
         if self.config.ccmin && learnt.len() > 1 {
             // Levels represented in the clause, folded into a 32-bit
             // signature: a literal whose reason leaves this signature can
@@ -791,6 +844,7 @@ impl Solver {
         for &l in &to_clear {
             self.seen[l.var() as usize] = false;
         }
+        self.to_clear = to_clear;
 
         if self.config.verify_minimization {
             assert!(
@@ -815,7 +869,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var() as usize]
         };
-        (learnt, backtrack_level, lbd)
+        self.learnt_buf = learnt;
+        (backtrack_level, lbd)
     }
 
     /// One bit per decision level modulo 32 — a cheap level-set signature
@@ -838,18 +893,22 @@ impl Solver {
         to_clear: &mut Vec<Lit>,
     ) -> bool {
         let rollback_from = to_clear.len();
-        let mut stack = vec![lit];
+        let mut stack = std::mem::take(&mut self.redundancy_stack);
+        stack.clear();
+        stack.push(lit);
         let mut expansions = 0usize;
-        while let Some(q) = stack.pop() {
+        let mut redundant = true;
+        'walk: while let Some(q) = stack.pop() {
             expansions += 1;
             // `q` is false under the current assignment; `!q` is the
-            // propagated trail literal whose reason we expand. Its implied
-            // literal leads the reason clause and is skipped.
-            let reason = self.reason_lits(!q);
-            debug_assert_eq!(reason.first(), Some(&!q));
-            for &l in reason.iter().skip(1) {
+            // propagated trail literal whose reason we expand, and that
+            // reason's entry for `q`'s variable is skipped.
+            let reason = self.reason[q.var() as usize];
+            debug_assert!(!matches!(reason, Reason::Clause(c) if self.clause_lit(c, 0) != !q));
+            for k in 0..self.constraint_len(reason) {
+                let l = self.constraint_lit(reason, k);
                 let v = l.var() as usize;
-                if self.seen[v] || self.level[v] == 0 {
+                if v == q.var() as usize || self.seen[v] || self.level[v] == 0 {
                     continue;
                 }
                 if matches!(self.reason[v], Reason::Decision)
@@ -863,27 +922,32 @@ impl Solver {
                         self.seen[m.var() as usize] = false;
                     }
                     to_clear.truncate(rollback_from);
-                    return false;
+                    redundant = false;
+                    break 'walk;
                 }
                 self.seen[v] = true;
                 to_clear.push(l);
                 stack.push(l);
             }
         }
-        true
+        self.redundancy_stack = stack;
+        redundant
     }
 
     /// Literal block distance: the number of distinct non-zero decision
-    /// levels among the clause's literals.
-    fn clause_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.level[l.var() as usize])
-            .filter(|&lv| lv > 0)
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// levels among the clause's literals, counted by stamping each level
+    /// with a fresh epoch.
+    fn clause_lbd(&mut self, lits: &[Lit]) -> u32 {
+        self.lbd_epoch += 1;
+        let mut distinct = 0;
+        for l in lits {
+            let level = self.level[l.var() as usize] as usize;
+            if level > 0 && self.level_stamp[level] != self.lbd_epoch {
+                self.level_stamp[level] = self.lbd_epoch;
+                distinct += 1;
+            }
+        }
+        distinct
     }
 
     /// The CCMin self-check: a learnt clause is sound iff asserting the
@@ -906,7 +970,9 @@ impl Solver {
         probe.propagate().is_some()
     }
 
-    fn record_learnt(&mut self, learnt: Vec<Lit>, lbd: u32) {
+    /// Records the clause `analyze` left in `learnt_buf`.
+    fn record_learnt(&mut self, lbd: u32) {
+        let learnt = std::mem::take(&mut self.learnt_buf);
         debug_assert!(!learnt.is_empty());
         if learnt.len() == 1 {
             debug_assert_eq!(self.decision_level(), 0);
@@ -915,12 +981,12 @@ impl Solver {
                 self.enqueue(learnt[0], Reason::Decision);
             }
         } else {
-            let asserting = learnt[0];
-            let cref = self.attach_clause(learnt, true);
-            self.clauses[cref].lbd = lbd;
+            let cref = self.attach_clause(&learnt, true);
+            self.clause_meta_mut(cref).lbd = lbd;
             self.bump_clause(cref);
-            self.enqueue(asserting, Reason::Clause(cref));
+            self.enqueue(learnt[0], Reason::Clause(cref));
         }
+        self.learnt_buf = learnt;
     }
 
     fn bump_var(&mut self, var: CnfVar) {
@@ -935,10 +1001,12 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        self.clauses[cref].activity += self.cla_inc;
-        if self.clauses[cref].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
+        let cla_inc = self.cla_inc;
+        let meta = self.clause_meta_mut(cref);
+        meta.activity += cla_inc;
+        if meta.activity > 1e20 {
+            for m in &mut self.meta {
+                m.activity *= 1e-20;
             }
             self.cla_inc *= 1e-20;
         }
@@ -960,10 +1028,9 @@ impl Solver {
         }
     }
 
-    /// Removes roughly the coldest half of the learnt clauses: candidates
-    /// are ranked worst-first by (highest LBD, lowest activity); binary
-    /// clauses, low-LBD "glue" clauses and clauses that are the reason for a
-    /// current assignment are never deleted.
+    /// Removes roughly the coldest half of the learnt clauses (see
+    /// [`Solver::mark_cold_learnts`]), frees them from the arena and
+    /// rebuilds the watch lists.
     ///
     /// A cancelled token makes this a no-op: the reduction rebuilds the
     /// watch lists wholesale, and skipping it entirely is the transactional
@@ -973,14 +1040,31 @@ impl Solver {
         if self.cancel_token.is_cancelled() {
             return;
         }
-        let mut learnt_refs: Vec<ClauseRef> = (0..self.clauses.len())
-            .filter(|&i| self.clauses[i].learnt && !self.clauses[i].deleted)
+        let removed = self.mark_cold_learnts();
+        self.stats.db_reductions += 1;
+        self.stats.removed_clauses += removed as u64;
+        self.stats.learnt_clauses -= removed as u64;
+        self.collect_garbage();
+        self.rebuild_watches();
+        #[cfg(test)]
+        self.check_invariants();
+    }
+
+    /// Marks roughly the coldest half of the learnt clauses deleted and
+    /// returns how many it marked: candidates are ranked worst-first by
+    /// (highest LBD, lowest activity); binary clauses, low-LBD "glue"
+    /// clauses and clauses that are the reason for a current assignment are
+    /// never deleted.
+    fn mark_cold_learnts(&mut self) -> usize {
+        let mut learnt_refs: Vec<ClauseRef> = self
+            .clause_refs()
+            .filter(|&c| self.clause_meta(c).learnt)
             .collect();
         learnt_refs.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            let (ma, mb) = (self.clause_meta(a), self.clause_meta(b));
+            mb.lbd.cmp(&ma.lbd).then(
+                ma.activity
+                    .partial_cmp(&mb.activity)
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
@@ -990,40 +1074,128 @@ impl Solver {
             if removed >= target {
                 break;
             }
-            let clause = &self.clauses[cref];
-            if clause.lits.len() <= 2
-                || clause.lbd <= self.config.lbd_glue
+            if self.clause_len(cref) <= 2
+                || self.clause_meta(cref).lbd <= self.config.lbd_glue
                 || self.clause_is_locked(cref)
             {
                 continue;
             }
-            self.clauses[cref].deleted = true;
+            self.clause_meta_mut(cref).deleted = true;
             removed += 1;
         }
-        self.stats.db_reductions += 1;
-        self.stats.removed_clauses += removed as u64;
-        self.stats.learnt_clauses -= removed as u64;
-        self.rebuild_watches();
+        removed
     }
 
     fn clause_is_locked(&self, cref: ClauseRef) -> bool {
-        let first = self.clauses[cref].lits[0];
+        let first = self.clause_lit(cref, 0);
         self.value_lit(first) == LBool::True
             && self.reason[first.var() as usize] == Reason::Clause(cref)
+    }
+
+    /// Frees the clauses marked deleted: slides every live clause down over
+    /// the gaps, in its original relative order, compacts the meta table
+    /// alongside, and points each clause reason on the trail at its
+    /// clause's new offset. Locked clauses are never deleted, so every
+    /// reason survives. The watch lists are stale afterwards.
+    fn collect_garbage(&mut self) {
+        // New offset of each live clause, by meta index.
+        let mut relocated = vec![0 as ClauseRef; self.meta.len()];
+        let mut write = 0usize;
+        for cref in self.clause_refs() {
+            if !self.clause_meta(cref).deleted {
+                relocated[self.meta_index(cref)] = write as ClauseRef;
+                write += HEADER + self.clause_len(cref);
+            }
+        }
+        for &lit in &self.trail {
+            let var = lit.var() as usize;
+            if let Reason::Clause(cref) = self.reason[var] {
+                self.reason[var] = Reason::Clause(relocated[self.meta_index(cref)]);
+            }
+        }
+        let (mut read, mut write, mut kept) = (0usize, 0usize, 0usize);
+        while read < self.arena.len() {
+            let size = HEADER + self.arena[read] as usize;
+            let meta = self.meta[self.arena[read + 1] as usize];
+            if !meta.deleted {
+                self.arena.copy_within(read..read + size, write);
+                self.arena[write + 1] = kept as u32;
+                self.meta[kept] = meta;
+                write += size;
+                kept += 1;
+            }
+            read += size;
+        }
+        self.arena.truncate(write);
+        self.meta.truncate(kept);
     }
 
     fn rebuild_watches(&mut self) {
         for w in &mut self.watches {
             w.clear();
         }
-        for cref in 0..self.clauses.len() {
-            if self.clauses[cref].deleted {
-                continue;
-            }
-            let l0 = self.clauses[cref].lits[0];
-            let l1 = self.clauses[cref].lits[1];
+        let mut cref = 0;
+        while cref < self.arena.len() as ClauseRef {
+            let (l0, l1) = (self.clause_lit(cref, 0), self.clause_lit(cref, 1));
             self.watches[l0.code()].push(Watcher { cref, blocker: l1 });
             self.watches[l1.code()].push(Watcher { cref, blocker: l0 });
+            cref += (HEADER + self.clause_len(cref)) as ClauseRef;
+        }
+    }
+
+    /// Checks the clause store against the watches and the trail: every
+    /// clause in the arena is live and watched by exactly its first two
+    /// literals, no watcher points anywhere else, the meta table is in
+    /// arena order, and every clause reason on the trail is a live clause
+    /// led by the literal it implied.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        use std::collections::HashMap;
+        let mut watched: HashMap<ClauseRef, Vec<usize>> = HashMap::new();
+        for (code, list) in self.watches.iter().enumerate() {
+            for w in list {
+                watched.entry(w.cref).or_default().push(code);
+            }
+        }
+        let mut live = std::collections::HashSet::new();
+        let mut words = 0;
+        for (i, cref) in self.clause_refs().enumerate() {
+            assert_eq!(self.meta_index(cref), i, "meta table out of arena order");
+            assert!(
+                !self.clause_meta(cref).deleted,
+                "clause {cref} was freed but is still in the arena"
+            );
+            assert!(self.clause_len(cref) >= 2);
+            let mut expected = [
+                self.clause_lit(cref, 0).code(),
+                self.clause_lit(cref, 1).code(),
+            ];
+            expected.sort_unstable();
+            let mut got = watched.remove(&cref).unwrap_or_default();
+            got.sort_unstable();
+            assert_eq!(
+                got, expected,
+                "clause {cref} is watched by its first two literals"
+            );
+            live.insert(cref);
+            words += HEADER + self.clause_len(cref);
+        }
+        assert_eq!(live.len(), self.meta.len(), "one meta entry per clause");
+        assert_eq!(
+            words,
+            self.arena.len(),
+            "the arena holds only whole clauses"
+        );
+        assert!(watched.is_empty(), "watchers of freed clauses: {watched:?}");
+        for &lit in &self.trail {
+            if let Reason::Clause(cref) = self.reason[lit.var() as usize] {
+                assert!(live.contains(&cref), "{lit:?} has a freed reason clause");
+                assert_eq!(
+                    self.clause_lit(cref, 0),
+                    lit,
+                    "a reason clause leads with its implied literal"
+                );
+            }
         }
     }
 
@@ -1427,13 +1599,35 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats().db_reductions > 0, "the schedule fired");
         assert!(s.stats().removed_clauses > 0);
-        for c in s.clauses.iter().filter(|c| c.learnt && !c.deleted) {
-            assert!(c.lbd > 0, "learnt clauses carry their learning-time LBD");
+        for c in s.clause_refs().filter(|&c| s.clause_meta(c).learnt) {
+            assert!(
+                s.clause_meta(c).lbd > 0,
+                "learnt clauses carry their learning-time LBD"
+            );
         }
-        // Glue clauses are never deleted, whatever their activity.
-        for c in s.clauses.iter().filter(|c| c.learnt && c.deleted) {
-            assert!(c.lbd > s.config().lbd_glue && c.lits.len() > 2);
+        // Glue clauses are never deleted, whatever their activity: grow a
+        // database without reductions, then run one reduction step by step.
+        let mut config = SolverConfig::aggressive();
+        config.reduce_db = false;
+        let mut s = pigeonhole(7, 6, config);
+        s.set_conflict_budget(Some(300));
+        assert_eq!(s.solve(), SolveResult::Unknown);
+        let removed = s.mark_cold_learnts();
+        assert!(removed > 0);
+        let marked: Vec<ClauseRef> = s
+            .clause_refs()
+            .filter(|&c| s.clause_meta(c).deleted)
+            .collect();
+        assert_eq!(marked.len(), removed);
+        for &c in &marked {
+            let meta = s.clause_meta(c);
+            assert!(meta.learnt && meta.lbd > s.config().lbd_glue && s.clause_len(c) > 2);
         }
+        let clauses_before = s.clause_refs().count();
+        s.collect_garbage();
+        s.rebuild_watches();
+        s.check_invariants();
+        assert_eq!(s.clause_refs().count(), clauses_before - removed);
     }
 
     #[test]
@@ -1445,17 +1639,59 @@ mod tests {
         // Simulate a learnt database mid-flight, then a cancelled token:
         // reduce_db must leave every clause in place.
         s.attach_clause(
-            vec![Lit::positive(0), Lit::positive(2), Lit::positive(3)],
+            &[Lit::positive(0), Lit::positive(2), Lit::positive(3)],
             true,
         );
         let token = CancelToken::new();
         token.cancel();
         s.set_cancel_token(token);
-        let before: usize = s.clauses.iter().filter(|c| !c.deleted).count();
+        let before = s.clause_refs().count();
         s.reduce_db();
-        let after: usize = s.clauses.iter().filter(|c| !c.deleted).count();
+        let after = s.clause_refs().count();
         assert_eq!(before, after, "a cancelled reduction deletes nothing");
         assert_eq!(s.stats().db_reductions, 0);
+    }
+
+    /// Every `reduce_db` in a test build ends with `check_invariants`, so
+    /// these runs check the watches, the trail's reasons and the garbage
+    /// collection after each of their reductions.
+    #[test]
+    fn reductions_keep_the_clause_store_consistent_on_pigeonhole() {
+        let mut s = pigeonhole(8, 7, SolverConfig::aggressive());
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert!(s.stats().db_reductions >= 3, "{}", s.stats().db_reductions);
+    }
+
+    #[test]
+    fn reductions_keep_the_clause_store_consistent_on_random_3sat() {
+        // A seeded 150-variable random 3-SAT instance just below the threshold
+        // (ratio 4.2), from a splitmix64 stream.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let n = 150u64;
+        let clauses: Vec<Vec<Lit>> = (0..630)
+            .map(|_| {
+                (0..3)
+                    .map(|_| Lit::new((next() % n) as u32, next() & 1 == 1))
+                    .collect()
+            })
+            .collect();
+        let mut s = Solver::new(SolverConfig::aggressive());
+        for c in &clauses {
+            s.add_clause(c.iter().copied());
+        }
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let model = s.model().expect("model");
+        for c in &clauses {
+            assert!(c.iter().any(|l| l.evaluate(model[l.var() as usize])));
+        }
+        assert!(s.stats().db_reductions >= 3, "{}", s.stats().db_reductions);
     }
 
     #[test]

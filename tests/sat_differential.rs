@@ -4,17 +4,28 @@
 //! by the modernized solver and by exhaustive enumeration; the verdicts must
 //! match, every reported model must satisfy the instance, and every learnt
 //! clause must be entailed by it (checked against *all* satisfying
-//! assignments). The clause-database reduction is exercised both forced on
-//! and forced off, and the CCMin self-check (`verify_minimization`) is
-//! enabled throughout, so a minimization bug fails the run instead of
-//! silently weakening learnt clauses.
+//! assignments). The CCMin self-check (`verify_minimization`) is enabled
+//! throughout, so a minimization bug fails the run instead of silently
+//! weakening learnt clauses.
 //!
-//! The proptest shim seeds deterministically per test name, so CI runs the
-//! same cases every time.
+//! The first two arms are mostly far below the satisfiability threshold,
+//! and none of their runs needs more than one conflict; the random 3-SAT
+//! arm sits at the threshold (about 4.26 clauses per variable), where the
+//! solver has to search. The clause-DB reduction schedule is switched on
+//! and off, but at this size it never fires: its allowance never drops
+//! below 100 learnt clauses. Reduction and the arena garbage collection
+//! are covered by the solver's unit tests, which check the clause store
+//! after every reduction.
+//!
+//! The proptest shim seeds deterministically per test name, and the 3-SAT
+//! arm uses a fixed seed, so CI runs the same cases every time.
 
+use bosphorus_repro::ciphers::satcomp;
 use bosphorus_repro::cnf::{Clause, CnfFormula, Lit};
-use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig, XorConstraint};
+use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig, SolverStats, XorConstraint};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const MAX_VARS: u32 = 16;
 
@@ -74,8 +85,13 @@ fn brute_force_models(cnf: &CnfFormula, xors: &[XorConstraint]) -> Vec<u64> {
 }
 
 /// Solves, then checks verdict, model, and learnt-clause entailment against
-/// the brute-force model set.
-fn check_differential(cnf: &CnfFormula, xors: &[XorConstraint], config: SolverConfig) {
+/// the brute-force model set. Returns the (checked) verdict and the
+/// solver's statistics.
+fn check_differential(
+    cnf: &CnfFormula,
+    xors: &[XorConstraint],
+    config: SolverConfig,
+) -> (SolveResult, SolverStats) {
     let models = brute_force_models(cnf, xors);
     let mut solver = Solver::from_formula(config.clone(), cnf);
     let mut ok = true;
@@ -144,6 +160,7 @@ fn check_differential(cnf: &CnfFormula, xors: &[XorConstraint], config: SolverCo
             );
         }
     }
+    (result, *solver.stats())
 }
 
 /// The aggressive preset with the CCMin self-check armed and the clause-DB
@@ -179,4 +196,29 @@ proptest! {
         config.verify_minimization = true;
         check_differential(&cnf, &xors, config);
     }
+}
+
+/// Random 3-SAT at the satisfiability threshold, `n` in `10..=16` and
+/// `m = round(4.26 n)` clauses of three distinct variables: 200 instances,
+/// each solved with the CCMin self-check armed. Unlike the arms above,
+/// these instances make the solver search (about five conflicts each on
+/// average), which the conflict total asserts, and both verdicts occur.
+#[test]
+fn threshold_3sat_solver_agrees_with_brute_force() {
+    let mut rng = StdRng::seed_from_u64(426);
+    let mut conflicts = 0;
+    let mut unsat = 0;
+    for _ in 0..200 {
+        let vars = rng.gen_range(10..=16usize);
+        let clauses = (4.26 * vars as f64).round() as usize;
+        let cnf = satcomp::generate(satcomp::CnfFamily::Random3Sat { vars, clauses }, &mut rng);
+        let (result, stats) = check_differential(&cnf, &[], checked_config(true));
+        conflicts += stats.conflicts;
+        unsat += usize::from(result == SolveResult::Unsat);
+    }
+    assert!(conflicts >= 500, "the arm searches: {conflicts} conflicts");
+    assert!(
+        (20..=180).contains(&unsat),
+        "both verdicts occur: {unsat} of 200 unsatisfiable"
+    );
 }
