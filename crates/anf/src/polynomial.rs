@@ -1,5 +1,6 @@
 //! Boolean polynomials: XOR sums of monomials, read as equations `p = 0`.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul};
 
@@ -9,9 +10,9 @@ use crate::{Monomial, Var};
 ///
 /// The merge-based operations ([`Polynomial::mul_monomial_with`],
 /// [`Polynomial::substitute_poly_with`], …) accumulate raw monomial products
-/// in a buffer, sort and cancel them in place, and emit a tightly-sized
-/// result. Threading one `TermScratch` through a hot loop (an XL expansion
-/// round, an ElimLin substitution sweep, ANF propagation) reuses that buffer
+/// in a buffer, sort and cancel them in place, and build the result from
+/// it. Threading one `TermScratch` through a hot loop (an XL expansion
+/// round, ElimLin's substitutions, ANF propagation) reuses that buffer
 /// across calls instead of growing a fresh vector per polynomial.
 #[derive(Debug, Default, Clone)]
 pub struct TermScratch {
@@ -51,6 +52,37 @@ fn sort_and_cancel(buf: &mut Vec<Monomial>) {
         i = j;
     }
     buf.truncate(out);
+}
+
+/// Merges the sorted, duplicate-free monomials of `a` (`a_len` of them)
+/// and `b`, cancelling the monomials they share (XOR semantics).
+fn merge_cancel<'a>(
+    a: impl Iterator<Item = &'a Monomial>,
+    a_len: usize,
+    b: &[Monomial],
+) -> Vec<Monomial> {
+    let mut out = Vec::with_capacity(a_len + b.len());
+    let mut j = 0;
+    for m in a {
+        loop {
+            match b.get(j).map(|n| n.cmp(m)) {
+                Some(Ordering::Less) => {
+                    out.push(b[j].clone());
+                    j += 1;
+                }
+                Some(Ordering::Equal) => {
+                    j += 1;
+                    break;
+                }
+                _ => {
+                    out.push(m.clone());
+                    break;
+                }
+            }
+        }
+    }
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// A Boolean polynomial in Algebraic Normal Form: a GF(2) sum (XOR) of
@@ -218,34 +250,16 @@ impl Polynomial {
 
     /// The set of variables occurring in the polynomial, in increasing order.
     ///
-    /// The monomials' variable lists are already sorted, so they are merged
-    /// directly (ping-ponging between two buffers) instead of being poured
-    /// through an ordered set.
+    /// Every monomial's variables go into one buffer, which is sorted and
+    /// deduplicated once: a merge per monomial would copy the partial set
+    /// once per monomial, which dominates on long polynomials.
     pub fn variables(&self) -> Vec<Var> {
-        let mut result: Vec<Var> = Vec::new();
-        let mut scratch: Vec<Var> = Vec::new();
+        let mut result = Vec::with_capacity(self.monomials.iter().map(|m| m.vars().len()).sum());
         for m in &self.monomials {
-            let vars = m.vars();
-            if vars.is_empty() {
-                continue;
-            }
-            if result.is_empty() {
-                result.extend_from_slice(vars);
-                continue;
-            }
-            scratch.clear();
-            scratch.reserve(result.len() + vars.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < result.len() && j < vars.len() {
-                let (x, y) = (result[i], vars[j]);
-                scratch.push(x.min(y));
-                i += usize::from(x <= y);
-                j += usize::from(y <= x);
-            }
-            scratch.extend_from_slice(&result[i..]);
-            scratch.extend_from_slice(&vars[j..]);
-            std::mem::swap(&mut result, &mut scratch);
+            result.extend_from_slice(m.vars());
         }
+        result.sort_unstable();
+        result.dedup();
         result
     }
 
@@ -309,29 +323,7 @@ impl Polynomial {
             self.monomials = other.monomials.clone();
             return;
         }
-        // Merge two sorted monomial lists with cancellation.
-        let mut out = Vec::with_capacity(self.monomials.len() + other.monomials.len());
-        let (a, b) = (&self.monomials, &other.monomials);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        self.monomials = out;
+        self.monomials = merge_cancel(self.monomials.iter(), self.len(), &other.monomials);
     }
 
     /// Fills `scratch` with the sorted, cancelled terms of `self · m` and
@@ -428,12 +420,11 @@ impl Polynomial {
     /// Every monomial `v·m'` becomes `replacement · m'`. This is the
     /// operation ElimLin uses to eliminate a variable using a linear
     /// equation, and ANF propagation uses it (with a literal) to apply
-    /// equivalences. All products are accumulated and cancelled in a single
-    /// sort pass.
+    /// equivalences. Only the new products are sorted and cancelled; they
+    /// are then merged into the monomials free of `v`, which are already in
+    /// order.
     pub fn substitute_poly(&self, v: Var, replacement: &Polynomial) -> Polynomial {
-        let mut buf = Vec::with_capacity(self.monomials.len());
-        self.substitute_poly_into(v, replacement, &mut buf);
-        Polynomial { monomials: buf }
+        self.substitute_poly_with(v, replacement, &mut TermScratch::new())
     }
 
     /// Like [`Polynomial::substitute_poly`], reusing `scratch` as the
@@ -446,22 +437,19 @@ impl Polynomial {
         scratch: &mut TermScratch,
     ) -> Polynomial {
         scratch.buf.clear();
-        self.substitute_poly_into(v, replacement, &mut scratch.buf);
-        scratch.emit()
-    }
-
-    fn substitute_poly_into(&self, v: Var, replacement: &Polynomial, buf: &mut Vec<Monomial>) {
-        for m in &self.monomials {
-            if m.contains(v) {
-                let rest = m.without(v);
-                for r in &replacement.monomials {
-                    buf.push(r.mul(&rest));
-                }
-            } else {
-                buf.push(m.clone());
+        let mut touched = 0;
+        for m in self.monomials.iter().filter(|m| m.contains(v)) {
+            touched += 1;
+            let rest = m.without(v);
+            for r in &replacement.monomials {
+                scratch.buf.push(r.mul(&rest));
             }
         }
-        sort_and_cancel(buf);
+        sort_and_cancel(&mut scratch.buf);
+        let kept = self.monomials.iter().filter(|m| !m.contains(v));
+        Polynomial {
+            monomials: merge_cancel(kept, self.len() - touched, &scratch.buf),
+        }
     }
 
     /// Substitutes variable `v` by the literal `other` (negated when

@@ -12,8 +12,8 @@
 //! dumps routed to `-`, `--stats-json`) go to stdout; progress and summary
 //! lines go to stderr. Exit codes follow the SAT-competition convention when
 //! `--solve` is given (10 = SAT, 20 = UNSAT), otherwise 0 on success; usage,
-//! I/O and parse errors exit 1; a run interrupted by `--timeout` or SIGINT
-//! that still produced a consistent partial result exits
+//! I/O and parse errors exit 1; a run interrupted by `--timeout`, SIGINT or
+//! SIGTERM that still produced a consistent partial result exits
 //! [`EXIT_INTERRUPTED`] (30).
 
 #![forbid(unsafe_code)]
@@ -31,9 +31,9 @@ use bosphorus_cnf::CnfFormula;
 use bosphorus_interrupt::sigint;
 use bosphorus_sat::SolverConfig;
 
-/// Exit code of a run that was interrupted (deadline or SIGINT) but wound
-/// down transactionally: any requested dumps were still written and describe
-/// a consistent, equisatisfiable partial simplification.
+/// Exit code of a run that was interrupted (deadline, SIGINT or SIGTERM) but
+/// wound down transactionally: any requested dumps were still written and
+/// describe a consistent, equisatisfiable partial simplification.
 pub const EXIT_INTERRUPTED: i32 = 30;
 
 /// The usage text printed for `--help` and after argument errors.
@@ -82,8 +82,9 @@ misc:
                         when it expires every pass winds down at its next
                         checkpoint and the run exits 30 with whatever was
                         learnt so far (dumps stay valid). SIGINT (Ctrl-C)
-                        triggers the same graceful wind-down; a second
-                        SIGINT kills the process immediately.
+                        or SIGTERM triggers the same graceful wind-down;
+                        a second delivery of the same signal kills the
+                        process immediately.
   --help, -h            this text
 
 exit codes:
@@ -91,7 +92,8 @@ exit codes:
    1  usage, parse or I/O error
   10  satisfiable (--solve)
   20  unsatisfiable (--solve)
-  30  interrupted by --timeout or SIGINT; partial result is consistent
+  30  interrupted by --timeout, SIGINT or SIGTERM; partial result is
+      consistent
 ";
 
 /// Where the problem comes from.
@@ -391,9 +393,9 @@ pub fn run(options: &CliOptions) -> Result<i32, String> {
     };
 
     // One token serves both interruption sources: `--timeout` arms a
-    // wall-clock deadline, and SIGINT (registered process-wide, polled by
-    // every checkpoint) trips the same flag, so each pass winds down
-    // transactionally whichever fires first.
+    // wall-clock deadline, and SIGINT or SIGTERM (registered process-wide,
+    // polled by every checkpoint) trips the same flag, so each pass winds
+    // down transactionally whichever fires first.
     sigint::install();
     let token = match options.timeout {
         Some(secs) => CancelToken::with_timeout(Duration::from_secs_f64(secs)),

@@ -333,6 +333,55 @@ fn generous_timeout_changes_nothing_about_a_fast_run() {
     assert!(text.contains("\"poisoned_passes\": []"), "stdout: {text}");
 }
 
+#[cfg(unix)]
+#[test]
+fn sigint_and_sigterm_wind_the_run_down_with_exit_30() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    for signal in ["INT", "TERM"] {
+        // `--timeout 120` only guards the test against a signal that is
+        // never observed; the wind-down must come long before it.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_bosphorus"))
+            .args(["--anf", &instance("simon_2_8.anf"), "--config", "paper"])
+            .args(["--stats-json", "--timeout", "120"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // The handler is installed right after the input is read; wait for
+        // that line, then give the process a moment to get there.
+        let mut stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
+        let mut line = String::new();
+        stderr.read_line(&mut line).expect("stderr is readable");
+        assert!(line.starts_with("c read"), "first stderr line: {line}");
+        std::thread::sleep(Duration::from_millis(500));
+        let sent = Instant::now();
+        let kill = Command::new("kill")
+            .args(["-s", signal, &child.id().to_string()])
+            .status()
+            .expect("kill runs");
+        assert!(kill.success(), "kill -s {signal}");
+        let output = child.wait_with_output().expect("child exits");
+        assert_eq!(
+            output.status.code(),
+            Some(30),
+            "exit code after SIG{signal}"
+        );
+        assert!(
+            sent.elapsed() < Duration::from_secs(60),
+            "SIG{signal} took {:?} to wind the run down",
+            sent.elapsed()
+        );
+        let text = stdout(&output);
+        assert!(
+            text.contains("\"status\": \"interrupted\""),
+            "stdout: {text}"
+        );
+        assert!(text.contains("\"interrupted\": true"), "stdout: {text}");
+    }
+}
+
 #[test]
 fn help_prints_usage_and_exits_zero() {
     // `--help` is a supported flag, not an unknown-argument error: usage on

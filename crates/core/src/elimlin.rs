@@ -85,7 +85,13 @@ pub fn elimlin_learn_cancellable<R: Rng>(
         }
     }
     let subsampled = working.len() < system.len();
-    let mut outcome = elimlin_run(working, config.threads, config.presolve, token);
+    let mut outcome = elimlin_run(
+        working,
+        config.threads,
+        config.presolve,
+        token,
+        substitute_linear,
+    );
     outcome.subsampled = subsampled;
     outcome
 }
@@ -107,17 +113,26 @@ pub fn elimlin_on_cancellable(
     threads: usize,
     token: &CancelToken,
 ) -> ElimLinOutcome {
-    elimlin_run(working, threads, true, token)
+    elimlin_run(working, threads, true, token, substitute_linear)
 }
+
+/// Step (3) of an ElimLin round: eliminates one variable per equation of
+/// `linear` from `nonlinear` by substitution, adding one to `eliminated`
+/// per equation used. Returns `true` if `token` tripped before every
+/// equation was used.
+type Substitute =
+    fn(&[Polynomial], &mut [Polynomial], &mut TermScratch, &CancelToken, &mut usize) -> bool;
 
 /// The ElimLin fixed-point loop behind every public entry point, with each
 /// round's elimination routed through the sparse presolve or straight to the
-/// dense kernel according to `presolve` (both commit identical facts).
+/// dense kernel according to `presolve` (both commit identical facts), and
+/// its step (3) done by `substitute`.
 fn elimlin_run(
     mut working: Vec<Polynomial>,
     threads: usize,
     presolve: bool,
     token: &CancelToken,
+    substitute: Substitute,
 ) -> ElimLinOutcome {
     // One scratch buffer serves every substitution of every round.
     let mut scratch = TermScratch::new();
@@ -177,43 +192,198 @@ fn elimlin_run(
                 outcome.facts.push(fact.clone());
             }
         }
-        // Step (3): for each linear equation pick the variable occurring in
-        // the fewest remaining equations and eliminate it by substitution.
-        for equation in &linear {
-            if token.is_cancelled() {
-                // This round's linear facts are already recorded (its GJE
-                // completed); only the remaining substitutions are dropped.
-                outcome.interrupted = true;
-                return outcome;
-            }
-            let Some((vars, constant)) = equation.as_linear() else {
-                continue;
-            };
-            if vars.is_empty() {
-                continue;
-            }
-            let occurrences = |v: Var| nonlinear.iter().filter(|p| p.contains_var(v)).count();
-            let &victim = vars
-                .iter()
-                .min_by_key(|&&v| occurrences(v))
-                .expect("vars is non-empty");
-            // replacement = sum of the other variables (+ constant).
-            let mut replacement = Polynomial::constant(constant);
-            for &v in vars.iter().filter(|&&v| v != victim) {
-                replacement += &Polynomial::variable(v);
-            }
-            for poly in &mut nonlinear {
-                if poly.contains_var(victim) {
-                    *poly = poly.substitute_poly_with(victim, &replacement, &mut scratch);
-                }
-            }
-            outcome.eliminated_vars += 1;
+        // Step (3): eliminate one variable per linear equation.
+        if substitute(
+            &linear,
+            &mut nonlinear,
+            &mut scratch,
+            token,
+            &mut outcome.eliminated_vars,
+        ) {
+            // This round's linear facts are already recorded (its GJE
+            // completed); only the remaining substitutions are dropped.
+            outcome.interrupted = true;
+            return outcome;
         }
         working = nonlinear;
         if working.is_empty() {
             return outcome;
         }
     }
+}
+
+/// The replacement of `victim` taken from the linear equation over `vars`
+/// (+ `constant`): the sum of the other variables (+ the constant).
+fn replacement_for(victim: Var, vars: &[Var], constant: bool) -> Polynomial {
+    let mut replacement = Polynomial::constant(constant);
+    for &v in vars.iter().filter(|&&v| v != victim) {
+        replacement += &Polynomial::variable(v);
+    }
+    replacement
+}
+
+/// Step (3) over an occurrence index: for each linear equation, eliminates
+/// the variable occurring in the fewest polynomials of `nonlinear` (the
+/// first such variable of the equation on a tie) from exactly the
+/// polynomials that contain it. See [`Substitute`] for the contract.
+fn substitute_linear(
+    linear: &[Polynomial],
+    nonlinear: &mut [Polynomial],
+    scratch: &mut TermScratch,
+    token: &CancelToken,
+    eliminated: &mut usize,
+) -> bool {
+    let mut index = OccurrenceIndex::build(linear, nonlinear);
+    for equation in linear {
+        if token.is_cancelled() {
+            return true;
+        }
+        let Some((vars, constant)) = equation.as_linear() else {
+            continue;
+        };
+        let Some(&victim) = vars.iter().min_by_key(|&&v| index.count[v as usize]) else {
+            continue;
+        };
+        let replacement = replacement_for(victim, &vars, constant);
+        for i in index.take_holders(victim) {
+            let poly = &mut nonlinear[i as usize];
+            *poly = poly.substitute_poly_with(victim, &replacement, scratch);
+            index.update(i, poly);
+        }
+        *eliminated += 1;
+    }
+    false
+}
+
+/// Which polynomials of a round's `nonlinear` set contain each variable.
+///
+/// The counts are exact at every point of step (3), so the victim chosen
+/// from them is the one a rescan of the polynomials would choose. The index
+/// lives for one round.
+struct OccurrenceIndex {
+    /// Each polynomial's sorted variable set, as of its last rewrite.
+    vars: Vec<Vec<Var>>,
+    /// `count[v]`: how many polynomials contain `v`.
+    count: Vec<u32>,
+    /// `holders[v]`: every polynomial that contains `v`, in no particular
+    /// order. Entries are appended on a rewrite and never removed, so the
+    /// list may also name polynomials that no longer contain `v`, and name
+    /// a polynomial twice; [`OccurrenceIndex::take_holders`] filters them.
+    holders: Vec<Vec<u32>>,
+}
+
+impl OccurrenceIndex {
+    /// Indexes `nonlinear`, sized for every variable that occurs in it or in
+    /// `linear` (a substitution only brings in variables of an equation).
+    fn build(linear: &[Polynomial], nonlinear: &[Polynomial]) -> Self {
+        let num_vars = linear
+            .iter()
+            .chain(nonlinear)
+            .filter_map(Polynomial::max_var)
+            .max()
+            .map_or(0, |v| v as usize + 1);
+        let mut index = OccurrenceIndex {
+            vars: Vec::with_capacity(nonlinear.len()),
+            count: vec![0; num_vars],
+            holders: vec![Vec::new(); num_vars],
+        };
+        for (i, poly) in nonlinear.iter().enumerate() {
+            let i = u32::try_from(i).expect("a round holds fewer than 2^32 polynomials");
+            let vars = poly.variables();
+            for &v in &vars {
+                index.count[v as usize] += 1;
+                index.holders[v as usize].push(i);
+            }
+            index.vars.push(vars);
+        }
+        index
+    }
+
+    /// Removes and returns the polynomials that contain `v`, in index order.
+    fn take_holders(&mut self, v: Var) -> Vec<u32> {
+        let mut holders = std::mem::take(&mut self.holders[v as usize]);
+        holders.sort_unstable();
+        holders.dedup();
+        holders.retain(|&i| self.vars[i as usize].binary_search(&v).is_ok());
+        holders
+    }
+
+    /// Records that polynomial `i` has been rewritten to `poly`.
+    fn update(&mut self, i: u32, poly: &Polynomial) {
+        let after = poly.variables();
+        let OccurrenceIndex {
+            vars,
+            count,
+            holders,
+        } = self;
+        let before = std::mem::replace(&mut vars[i as usize], after);
+        let after = &vars[i as usize];
+        let (mut a, mut b) = (0usize, 0usize);
+        while a < before.len() && b < after.len() {
+            let (x, y) = (before[a], after[b]);
+            if x < y {
+                count[x as usize] -= 1;
+            } else if y < x {
+                count[y as usize] += 1;
+                holders[y as usize].push(i);
+            }
+            a += usize::from(x <= y);
+            b += usize::from(y <= x);
+        }
+        for &v in &before[a..] {
+            count[v as usize] -= 1;
+        }
+        for &v in &after[b..] {
+            count[v as usize] += 1;
+            holders[v as usize].push(i);
+        }
+    }
+}
+
+/// The scan-based step (3) the index replaced, kept as a test oracle: it
+/// recounts each candidate's occurrences over every polynomial and sweeps
+/// every polynomial for the victim.
+#[cfg(test)]
+fn substitute_linear_by_scan(
+    linear: &[Polynomial],
+    nonlinear: &mut [Polynomial],
+    scratch: &mut TermScratch,
+    token: &CancelToken,
+    eliminated: &mut usize,
+) -> bool {
+    for equation in linear {
+        if token.is_cancelled() {
+            return true;
+        }
+        let Some((vars, constant)) = equation.as_linear() else {
+            continue;
+        };
+        let occurrences = |v: Var| nonlinear.iter().filter(|p| p.contains_var(v)).count();
+        let Some(&victim) = vars.iter().min_by_key(|&&v| occurrences(v)) else {
+            continue;
+        };
+        let replacement = replacement_for(victim, &vars, constant);
+        for poly in nonlinear.iter_mut() {
+            if poly.contains_var(victim) {
+                *poly = poly.substitute_poly_with(victim, &replacement, scratch);
+            }
+        }
+        *eliminated += 1;
+    }
+    false
+}
+
+/// [`elimlin_on`] with the scan-based step (3), as a reference for the
+/// indexed one.
+#[cfg(test)]
+pub(crate) fn elimlin_by_scan(working: Vec<Polynomial>) -> ElimLinOutcome {
+    elimlin_run(
+        working,
+        1,
+        true,
+        &CancelToken::never(),
+        substitute_linear_by_scan,
+    )
 }
 
 #[cfg(test)]
@@ -350,14 +520,111 @@ mod tests {
              x1 + x2;",
         );
         let token = CancelToken::never();
-        let with = elimlin_run(source.clone(), 1, true, &token);
-        let without = elimlin_run(source, 1, false, &token);
+        let with = elimlin_run(source.clone(), 1, true, &token, substitute_linear);
+        let without = elimlin_run(source, 1, false, &token, substitute_linear);
         assert_eq!(with.facts, without.facts, "facts diverge");
         assert_eq!(with.rounds, without.rounds, "rounds diverge");
         assert_eq!(with.eliminated_vars, without.eliminated_vars);
         assert_eq!(with.gauss.rank, without.gauss.rank);
         assert!(with.presolve.input_rows > 0, "presolve ran");
         assert_eq!(without.presolve, PresolveStats::default());
+    }
+
+    /// Runs step (3) both ways on copies of `nonlinear` and returns the
+    /// indexed result after checking it against the scan.
+    fn step_three_both_ways(linear: &[Polynomial], nonlinear: &[Polynomial]) -> Vec<Polynomial> {
+        let token = CancelToken::never();
+        let mut scratch = TermScratch::new();
+        let run = |substitute: Substitute, scratch: &mut TermScratch| {
+            let mut polys = nonlinear.to_vec();
+            let mut eliminated = 0;
+            assert!(!substitute(
+                linear,
+                &mut polys,
+                scratch,
+                &token,
+                &mut eliminated
+            ));
+            (polys, eliminated)
+        };
+        let indexed = run(substitute_linear, &mut scratch);
+        let scan = run(substitute_linear_by_scan, &mut scratch);
+        assert_eq!(indexed, scan, "linear {linear:?}, nonlinear {nonlinear:?}");
+        indexed.0
+    }
+
+    #[test]
+    fn step_three_breaks_a_tie_on_the_first_variable() {
+        // x0 and x1 both occur once, so x0 (listed first) is eliminated.
+        let result = step_three_both_ways(&polys("x0 + x1;"), &polys("x0*x2 + x3; x1*x2 + x4;"));
+        assert_eq!(result, polys("x1*x2 + x3; x1*x2 + x4;"));
+    }
+
+    #[test]
+    fn step_three_recounts_after_a_cancellation() {
+        // x0 and x1 tie at three occurrences, so x0 = x1 + 1 goes first. It
+        // cancels x1 out of every polynomial (the first to 0, the second to
+        // the linear x5), so the second victim is x1, although x2 occurred
+        // less often when the round began.
+        let result = step_three_both_ways(
+            &polys("x0 + x1 + 1; x1 + x2;"),
+            &polys(
+                "x0*x3 + x1*x3 + x3;
+                 x0*x4 + x1*x4 + x4 + x5;
+                 x0*x1*x2 + x2*x3;
+                 x2*x4 + x6;",
+            ),
+        );
+        let mut expected = polys("x5; x2*x3; x2*x4 + x6;");
+        expected.insert(0, Polynomial::zero());
+        assert_eq!(result, expected);
+    }
+
+    #[test]
+    fn step_three_matches_the_scan_on_random_rounds() {
+        // Random equations over few variables, so victims are often tied,
+        // reintroduced by a later equation's replacement, or cancelled out
+        // of a polynomial entirely; the replay counts how often the cases
+        // occur and the run checks that each one did.
+        let mut rng = StdRng::seed_from_u64(3);
+        let (mut ties, mut to_zero, mut to_linear) = (0, 0, 0);
+        for _ in 0..400 {
+            let n = rng.gen_range(2..=8u32);
+            let mut var = || Polynomial::variable(rng.gen_range(0..n));
+            let mut linear = Vec::new();
+            let mut nonlinear = Vec::new();
+            for _ in 0..3 {
+                let equation = var() + var() + var();
+                let multiplier = var() * var();
+                nonlinear.push(&equation * &multiplier);
+                nonlinear.push(&equation * &multiplier + var());
+                nonlinear.push(var() * var() * var() + var() * var() + var());
+                linear.push(equation);
+            }
+            let result = step_three_both_ways(&linear, &nonlinear);
+            // Replay one equation at a time to see which cases occurred.
+            let mut current = nonlinear;
+            for equation in &linear {
+                let occurrences = |v: Var| current.iter().filter(|p| p.contains_var(v)).count();
+                let counts: Vec<usize> =
+                    equation.variables().into_iter().map(occurrences).collect();
+                let fewest = counts.iter().min();
+                ties += usize::from(counts.iter().filter(|&c| Some(c) == fewest).count() > 1);
+                let next = step_three_both_ways(std::slice::from_ref(equation), &current);
+                for (after, before) in next.iter().zip(&current) {
+                    if after != before {
+                        to_zero += usize::from(after.is_zero());
+                        to_linear += usize::from(!after.is_zero() && after.is_linear());
+                    }
+                }
+                current = next;
+            }
+            assert_eq!(current, result, "one equation at a time agrees");
+        }
+        assert!(
+            ties >= 50 && to_zero >= 100 && to_linear >= 100,
+            "ties {ties}, to zero {to_zero}, to linear {to_linear}"
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub enum PreprocessStatus {
     /// The fixed point was reached without deciding the instance; the
     /// simplified ANF/CNF should be handed to a SAT solver.
     Simplified,
-    /// The cancellation token tripped (deadline, SIGINT or an explicit
-    /// cancel) before the fixed point. The database is consistent — only
+    /// The cancellation token tripped (deadline, SIGINT/SIGTERM or an
+    /// explicit cancel) before the fixed point. The database is consistent — only
     /// fully-committed facts were applied — so the simplified ANF/CNF can
     /// still be dumped and is equisatisfiable with the input; it is simply
     /// less processed than an uninterrupted run would have left it.
@@ -122,9 +122,9 @@ impl Bosphorus {
     }
 
     /// Attaches a cancellation token: every pass and the final SAT call poll
-    /// it cooperatively, so tripping it (deadline, SIGINT, or an explicit
-    /// [`CancelToken::cancel`]) makes the engine stop at the next checkpoint
-    /// with a consistent partial result
+    /// it cooperatively, so tripping it (deadline, SIGINT/SIGTERM, or an
+    /// explicit [`CancelToken::cancel`]) makes the engine stop at the next
+    /// checkpoint with a consistent partial result
     /// ([`PreprocessStatus::Interrupted`] / [`SolveStatus::Interrupted`]).
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = token;

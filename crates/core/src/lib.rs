@@ -69,7 +69,8 @@ pub use bosphorus_anf::{AnfPropagator, PropagationOutcome, VarKnowledge};
 pub use bosphorus_gf2::{GaussStats, PresolveStats, SUBSET_CANDIDATE_LIMIT};
 // The cancellation token lives in its own bottom-level crate so every layer
 // (gf2, sat, groebner) can poll it; re-exported here as the engine-facing
-// entry point for deadlines and SIGINT-driven interruption.
+// entry point for deadlines and signal-driven (SIGINT/SIGTERM)
+// interruption.
 pub use bosphorus_interrupt::{CancelToken, Checkpoint};
 pub use cnf_to_anf::{clause_to_polynomial, cnf_to_anf, AnfConversion};
 pub use config::BosphorusConfig;

@@ -213,8 +213,8 @@ pub enum PassStatus {
     Solved(Assignment),
     /// The pass proved the system unsatisfiable.
     Unsat,
-    /// The pass observed cancellation (deadline, SIGINT or an explicit
-    /// [`CancelToken::cancel`]) and wound down early. Interruption is
+    /// The pass observed cancellation (deadline, SIGINT/SIGTERM or an
+    /// explicit [`CancelToken::cancel`]) and wound down early. Interruption is
     /// *transactional*: [`PassOutcome::facts`] contains only fully-committed
     /// work — facts that the uninterrupted run would also have learnt — so
     /// the driver can commit them and stop with a consistent database.

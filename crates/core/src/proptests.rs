@@ -5,7 +5,10 @@ use proptest::prelude::*;
 use bosphorus_anf::{Assignment, Monomial, Polynomial, PolynomialSystem};
 use bosphorus_cnf::{Clause, CnfFormula, Lit};
 use bosphorus_sat::{SolveResult, Solver, SolverConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
+use crate::elimlin::elimlin_by_scan;
 use crate::{
     anf_to_cnf, cnf_to_anf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus,
     BosphorusConfig, CancelToken, PassKind, PreprocessStatus, SolveStatus,
@@ -52,6 +55,97 @@ fn brute_force_sat(system: &PolynomialSystem) -> bool {
         let a = Assignment::from_bits((0..n).map(|i| (bits >> i) & 1 == 1));
         system.is_satisfied_by(&a)
     })
+}
+
+/// A random system over at most 12 variables and of degree at most 3,
+/// shaped to stress ElimLin's victim choice. Besides random polynomials it
+/// holds linear equations, polynomials that give two variables of an
+/// equation the same occurrence count, and multiples of an equation that a
+/// substitution cancels to zero or to a linear polynomial. Three systems in
+/// four get a planted solution; the rest get random constant terms.
+fn elimlin_stress_system(rng: &mut StdRng) -> Vec<Polynomial> {
+    let n = rng.gen_range(3..=12u32);
+    let mut var = || Polynomial::variable(rng.gen_range(0..n));
+    let mut polys = Vec::new();
+    let mut equations = Vec::new();
+    for _ in 0..3 {
+        let equation = var() + var() + var();
+        polys.push(var() * var() * var() + var() * var() + var());
+        polys.push(&equation * &(var() * var()));
+        polys.push(&equation * &var() + var() + var());
+        equations.push(equation);
+    }
+    for equation in &equations {
+        // The product of two variables of the equation, which puts both in
+        // one more polynomial.
+        let pair = equation.variables().into_iter().take(2);
+        polys.push(pair.fold(var(), |acc, v| acc * Polynomial::variable(v)) + var());
+    }
+    polys.extend(equations);
+    // Constant terms: fitted to a planted solution, or random.
+    let planted = rng.gen_range(0..4) > 0;
+    let solution: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+    for poly in &mut polys {
+        let toggle = if planted {
+            poly.evaluate(|v| solution[v as usize])
+        } else {
+            rng.gen()
+        };
+        if toggle {
+            *poly += Polynomial::one();
+        }
+    }
+    polys.retain(|p| !p.is_zero());
+    polys
+}
+
+/// The indexed step (3) of ElimLin makes the same choices as the scan it
+/// replaced: same facts in the same order, same rounds, eliminations and
+/// GJE ranks. Every fact vanishes on every solution of the system.
+#[test]
+fn indexed_elimlin_matches_the_scan_reference() {
+    let mut rng = StdRng::seed_from_u64(0xe1);
+    let (mut eliminated, mut satisfiable, mut contradictions) = (0, 0, 0);
+    for case in 0..300 {
+        let polys = elimlin_stress_system(&mut rng);
+        let indexed = elimlin_on(polys.clone(), 1);
+        let reference = elimlin_by_scan(polys.clone());
+        let summary = |o: &crate::ElimLinOutcome| {
+            (
+                o.facts.clone(),
+                o.rounds,
+                o.eliminated_vars,
+                o.contradiction,
+                o.gauss.rank,
+            )
+        };
+        assert_eq!(
+            summary(&indexed),
+            summary(&reference),
+            "case {case}: {polys:?}"
+        );
+        eliminated += indexed.eliminated_vars;
+        contradictions += usize::from(indexed.contradiction);
+        let n = polys
+            .iter()
+            .filter_map(Polynomial::max_var)
+            .max()
+            .map_or(0, |v| v + 1);
+        let solutions = (0u32..(1 << n))
+            .map(|bits| move |v: u32| (bits >> v) & 1 == 1)
+            .filter(|value| polys.iter().all(|p| !p.evaluate(value)));
+        let mut solved = false;
+        for value in solutions {
+            solved = true;
+            for fact in &indexed.facts {
+                assert!(!fact.evaluate(value), "case {case}: fact {fact} violated");
+            }
+        }
+        satisfiable += usize::from(solved);
+    }
+    assert!(eliminated >= 1000, "only {eliminated} eliminations");
+    assert!(satisfiable >= 150, "only {satisfiable} satisfiable systems");
+    assert!(contradictions >= 20, "only {contradictions} contradictions");
 }
 
 proptest! {
@@ -146,8 +240,6 @@ proptest! {
     /// from.
     #[test]
     fn xl_and_elimlin_facts_are_consequences(system in arb_system(), seed in any::<u64>()) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(seed);
         let xl = xl_learn(&system, &BosphorusConfig::exhaustive(), &mut rng);
         let el = elimlin_on(system.polynomials().to_vec(), 1);
@@ -166,8 +258,6 @@ proptest! {
     /// facts at every thread count.
     #[test]
     fn presolve_modes_commit_identical_facts(system in arb_system(), seed in any::<u64>()) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut reference = None;
         for presolve in [true, false] {
             for threads in [1usize, 2, 3, 8] {

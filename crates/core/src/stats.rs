@@ -107,8 +107,8 @@ pub struct EngineStats {
     pub gauss_row_xors: u64,
     /// `true` if preprocessing alone decided the instance.
     pub decided_during_preprocessing: bool,
-    /// `true` when the run observed cancellation (deadline, SIGINT or an
-    /// explicit cancel) and stopped early with a consistent partial result.
+    /// `true` when the run observed cancellation (deadline, SIGINT/SIGTERM
+    /// or an explicit cancel) and stopped early with a consistent partial result.
     pub interrupted: bool,
     /// Names of passes whose `run` panicked; each was isolated by the
     /// driver's `catch_unwind` and skipped for the rest of the run.

@@ -10,8 +10,8 @@
 //!   and costs nothing to poll.
 //! * [`Checkpoint`] — a per-loop amortiser so hot loops only consult the
 //!   token (and hence the clock) every ~2^16 iterations.
-//! * [`sigint`] — optional process-level SIGINT latching that fronts the
-//!   same token, used by the CLI.
+//! * [`sigint`] — optional process-level SIGINT and SIGTERM latching that
+//!   fronts the same token, used by the CLI.
 //!
 //! The crate sits at the bottom of the workspace dependency graph (no
 //! dependencies) so `gf2`, `sat`, `groebner`, and `core` can all share
@@ -43,12 +43,12 @@ pub const DEFAULT_CHECK_INTERVAL: u64 = 1 << 16;
 #[derive(Debug)]
 struct Inner {
     /// Set once cancellation is requested (explicitly, by deadline, or by
-    /// a latched SIGINT); never cleared.
+    /// a latched SIGINT or SIGTERM); never cleared.
     cancelled: AtomicBool,
     /// Wall-clock deadline, if any. Once observed as passed, the result
     /// is memoised into `cancelled` so later polls skip the clock read.
     deadline: Option<Instant>,
-    /// Whether polls should also consult the process SIGINT latch.
+    /// Whether polls should also consult the process SIGINT/SIGTERM latch.
     honor_sigint: bool,
     /// Test hook: when non-zero, each `is_cancelled` call decrements the
     /// countdown and trips the token when it reaches zero. Gives property
@@ -94,8 +94,8 @@ impl CancelToken {
         Self::build(Some(deadline), false)
     }
 
-    /// Makes polls on this token also observe the process SIGINT latch
-    /// (see [`sigint`]). Returns a never-token unchanged.
+    /// Makes polls on this token also observe the process SIGINT and
+    /// SIGTERM latch (see [`sigint`]). Returns a never-token unchanged.
     #[must_use]
     pub fn honoring_sigint(self) -> Self {
         match self.inner {
@@ -143,8 +143,8 @@ impl CancelToken {
     }
 
     /// Polls the token. This is the full check — flag, countdown hook,
-    /// SIGINT latch, then deadline (memoised into the flag once passed).
-    /// Hot loops should poll through a [`Checkpoint`] instead.
+    /// SIGINT/SIGTERM latch, then deadline (memoised into the flag once
+    /// passed). Hot loops should poll through a [`Checkpoint`] instead.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         let Some(inner) = &self.inner else {
@@ -302,32 +302,35 @@ impl Checkpoint {
 }
 
 pub mod sigint {
-    //! Process-level SIGINT latching.
+    //! Process-level SIGINT and SIGTERM latching.
     //!
-    //! [`install`] registers a minimal async-signal-safe handler that only
-    //! bumps an atomic counter; tokens built with
-    //! [`honoring_sigint`](super::CancelToken::honoring_sigint) observe it
-    //! on their next poll. A second SIGINT restores the default
-    //! disposition and re-raises, so an unresponsive process can still be
-    //! killed from the keyboard.
+    //! [`install`] registers a minimal async-signal-safe handler for both
+    //! signals that only bumps an atomic counter per signal; tokens built
+    //! with [`honoring_sigint`](super::CancelToken::honoring_sigint)
+    //! observe either on their next poll. So Ctrl-C and `timeout(1)` both
+    //! wind a run down the same way. A second delivery of the same signal
+    //! restores its default disposition and re-raises it, so an
+    //! unresponsive process can still be killed.
     //!
     //! On non-unix targets [`install`] is a no-op and [`pending`] only
     //! reflects [`set_pending_for_test`].
 
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    static HITS: AtomicU32 = AtomicU32::new(0);
+    /// Deliveries of SIGINT and of SIGTERM since [`install`].
+    static HITS: [AtomicU32; 2] = [AtomicU32::new(0), AtomicU32::new(0)];
 
-    /// Whether a SIGINT has been received since [`install`] (or a test
-    /// latched one via [`set_pending_for_test`]).
+    /// Whether a SIGINT or SIGTERM has been received since [`install`] (or
+    /// a test latched one via [`set_pending_for_test`]).
     #[must_use]
     pub fn pending() -> bool {
-        HITS.load(Ordering::Relaxed) > 0
+        HITS.iter().any(|hits| hits.load(Ordering::Relaxed) > 0)
     }
 
     /// Test hook: latches (or clears) the pending flag without a signal.
     pub fn set_pending_for_test(pending: bool) {
-        HITS.store(u32::from(pending), Ordering::Relaxed);
+        HITS[0].store(u32::from(pending), Ordering::Relaxed);
+        HITS[1].store(0, Ordering::Relaxed);
     }
 
     #[cfg(unix)]
@@ -336,12 +339,13 @@ pub mod sigint {
         //! The one unsafe corner of the crate: C-standard `signal(2)`
         //! registration, self-declared to keep the workspace free of a
         //! `libc` dependency. `signal` and `raise` are C89; `SIGINT` is 2
-        //! on every unix this workspace targets.
+        //! and `SIGTERM` is 15 on every unix this workspace targets.
 
         use super::HITS;
         use std::sync::atomic::Ordering;
 
-        const SIGINT: i32 = 2;
+        /// The latched signals, in the order of [`HITS`].
+        const SIGNALS: [i32; 2] = [2, 15];
         const SIG_DFL: usize = 0;
 
         extern "C" {
@@ -349,27 +353,38 @@ pub mod sigint {
             fn raise(signum: i32) -> i32;
         }
 
-        extern "C" fn on_sigint(_signum: i32) {
+        extern "C" fn on_signal(signum: i32) {
             // Async-signal-safe: one atomic increment, nothing else.
-            let hits = HITS.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = SIGNALS.iter().position(|&s| s == signum) else {
+                return;
+            };
+            let hits = HITS[slot].fetch_add(1, Ordering::Relaxed);
             if hits >= 1 {
-                // Second ^C: give the user an actual kill. Restoring the
-                // default disposition and re-raising terminates promptly.
+                // Second delivery: give the user an actual kill. Restoring
+                // the default disposition and re-raising terminates
+                // promptly.
+                // SAFETY: `signal` and `raise` are async-signal-safe, and
+                // `signum` is a signal this handler was installed for.
                 unsafe {
-                    signal(SIGINT, SIG_DFL);
-                    raise(SIGINT);
+                    signal(signum, SIG_DFL);
+                    raise(signum);
                 }
             }
         }
 
         pub(super) fn install_handler() {
-            unsafe {
-                signal(SIGINT, on_sigint as extern "C" fn(i32) as usize);
+            for signum in SIGNALS {
+                // SAFETY: `on_signal` has the `void (*)(int)` handler ABI
+                // and only touches atomics, so it is a valid disposition.
+                unsafe {
+                    signal(signum, on_signal as extern "C" fn(i32) as usize);
+                }
             }
         }
     }
 
-    /// Installs the SIGINT handler. Safe to call more than once.
+    /// Installs the SIGINT and SIGTERM handler. Safe to call more than
+    /// once.
     pub fn install() {
         #[cfg(unix)]
         platform::install_handler();
