@@ -31,7 +31,7 @@ fn bench_example(c: &mut Criterion) {
         "Section II-E — XL facts: {:?}",
         xl.facts.iter().map(ToString::to_string).collect::<Vec<_>>()
     );
-    let elimlin = elimlin_on(system.polynomials().to_vec(), 1);
+    let elimlin = elimlin_on(system.polynomials().to_vec());
     println!(
         "Section II-E — ElimLin facts: {:?}",
         elimlin
@@ -60,7 +60,7 @@ fn bench_example(c: &mut Criterion) {
         })
     });
     c.bench_function("sec2e_elimlin_step", |b| {
-        b.iter(|| black_box(elimlin_on(black_box(system.polynomials().to_vec()), 1)))
+        b.iter(|| black_box(elimlin_on(black_box(system.polynomials().to_vec()))))
     });
     c.bench_function("sec2e_full_engine", |b| {
         b.iter(|| {

@@ -1,6 +1,6 @@
 //! Benchmarks the GF(2) elimination kernels against each other: schoolbook
-//! ("plain"), single-table M4RM with the automatic block-size heuristic (the
-//! PR-2 kernel), and the cache-blocked multi-table kernel (the default for
+//! ("plain", the reference) and the cache-blocked multi-table M4RM kernel
+//! with the automatic block-size heuristic ("blocked", the default for
 //! everything but tiny matrices).
 //!
 //! Sizes straddle 64-bit word boundaries on purpose and extend to 2048×2048,
@@ -24,11 +24,9 @@ fn bench_kernels(c: &mut Criterion) {
         let m = random_dense_matrix(&mut rng, n, n);
         let k = m4rm_block_size(n, n);
 
-        // The three kernels must agree before being compared.
+        // The two kernels must agree before being compared.
         let plain_rank = m.clone().gauss_jordan_plain_with_stats().rank;
-        let m4rm_rank = m.clone().gauss_jordan_m4rm_with_stats(k).rank;
-        let blocked_rank = m.clone().gauss_jordan_blocked_m4rm_with_stats(k, 1).rank;
-        assert_eq!(plain_rank, m4rm_rank, "M4RM disagrees at {n}x{n}");
+        let blocked_rank = m.clone().gauss_jordan_blocked_m4rm_with_stats(k).rank;
         assert_eq!(plain_rank, blocked_rank, "blocked disagrees at {n}x{n}");
 
         group.bench_function(format!("plain/{n}x{n}"), |b| {
@@ -37,22 +35,10 @@ fn bench_kernels(c: &mut Criterion) {
                 black_box(a.gauss_jordan_plain_with_stats().rank)
             })
         });
-        group.bench_function(format!("m4rm/{n}x{n}"), |b| {
-            b.iter(|| {
-                let mut a = black_box(&m).clone();
-                black_box(a.gauss_jordan_m4rm_with_stats(k).rank)
-            })
-        });
         group.bench_function(format!("blocked/{n}x{n}"), |b| {
             b.iter(|| {
                 let mut a = black_box(&m).clone();
-                black_box(a.gauss_jordan_blocked_m4rm_with_stats(k, 1).rank)
-            })
-        });
-        group.bench_function(format!("auto/{n}x{n}"), |b| {
-            b.iter(|| {
-                let mut a = black_box(&m).clone();
-                black_box(a.gauss_jordan_with_stats(1).rank)
+                black_box(a.gauss_jordan_blocked_m4rm_with_stats(k).rank)
             })
         });
     }
@@ -69,7 +55,7 @@ fn bench_kernels(c: &mut Criterion) {
 
         // The two paths must agree before being compared.
         let dense_rank = sm.to_dense().rank();
-        let presolve_rank = sm.clone().rref(1).rank;
+        let presolve_rank = sm.clone().rref().rank;
         assert_eq!(
             dense_rank, presolve_rank,
             "presolve disagrees at {rows}x{cols} fill {fill}"
@@ -78,11 +64,11 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_function(format!("dense_only/{rows}x{cols}f{fill}"), |b| {
             b.iter(|| {
                 let mut a = black_box(&sm).to_dense();
-                black_box(a.gauss_jordan_with_stats(1).rank)
+                black_box(a.gauss_jordan_with_stats().rank)
             })
         });
         group.bench_function(format!("presolve/{rows}x{cols}f{fill}"), |b| {
-            b.iter(|| black_box(black_box(&sm).clone().rref(1).rank))
+            b.iter(|| black_box(black_box(&sm).clone().rref().rank))
         });
     }
     group.finish();

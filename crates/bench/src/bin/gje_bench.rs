@@ -1,17 +1,12 @@
 //! Records the GF(2) elimination-kernel baseline: schoolbook ("plain", the
-//! seed kernel) vs single-table M4RM (the PR-2 kernel) vs the in-place
-//! three-table blocked kernel, across matrix sizes from the 64-bit word
-//! boundaries up to paper scale (4096×4096 and an XL-shaped 2048×16384 wide
-//! case). Shapes of 2048 rows/columns and up additionally time the blocked
-//! kernel at 2, 4, and 8 row-band update threads (the result is bit-identical
-//! to serial, so only wall clock varies).
+//! seed kernel) vs the in-place three-table blocked M4RM kernel, across
+//! matrix sizes from the 64-bit word boundaries up to paper scale
+//! (4096×4096 and an XL-shaped 2048×16384 wide case), plus the sparse
+//! structural presolve against densify-then-eliminate on XL-shaped inputs.
 //!
 //! Emits a machine-readable `BENCH_gje.json` next to the human-readable
 //! table — the repo's recorded perf baseline for the XL/ElimLin hot path.
-//! `host_cpus` records the parallelism available where the numbers were
-//! taken: thread-scaling rows from a single-core host are expected to be
-//! flat, and the recorded `speedup_4096_par4_vs_serial` headline is only
-//! meaningful alongside it.
+//! `host_cpus` records the machine the numbers were taken on.
 //!
 //! ```text
 //! cargo run --release -p bosphorus-bench --bin gje_bench -- [--quick] [--out PATH] [--seed N]
@@ -37,28 +32,12 @@ struct SizeResult {
     auto_kernel: &'static str,
     reps: usize,
     plain_ns: u128,
-    m4rm_ns: u128,
     blocked_ns: u128,
-    /// Blocked-kernel wall clock at >1 row-band threads, as
-    /// `(threads, best_ns)` pairs; empty for shapes below the parallel
-    /// measurement cutoff.
-    par_ns: Vec<(usize, u128)>,
 }
 
 impl SizeResult {
-    fn speedup_m4rm_vs_plain(&self) -> f64 {
-        self.plain_ns as f64 / self.m4rm_ns.max(1) as f64
-    }
-
-    fn speedup_blocked_vs_m4rm(&self) -> f64 {
-        self.m4rm_ns as f64 / self.blocked_ns.max(1) as f64
-    }
-
-    fn speedup_par_vs_serial(&self, threads: usize) -> Option<f64> {
-        self.par_ns
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, ns)| self.blocked_ns as f64 / ns.max(1) as f64)
+    fn speedup_blocked_vs_plain(&self) -> f64 {
+        self.plain_ns as f64 / self.blocked_ns.max(1) as f64
     }
 }
 
@@ -107,14 +86,14 @@ fn measure_sparse(m: &SparseMatrix, reps: usize) -> SparseResult {
     for _ in 0..reps {
         let start = Instant::now();
         let mut a = m.to_dense();
-        dense_rank = a.gauss_jordan_with_stats(1).rank;
+        dense_rank = a.gauss_jordan_with_stats().rank;
         dense_only_ns = dense_only_ns.min(start.elapsed().as_nanos());
     }
     let mut presolve_total_ns = u128::MAX;
     let mut best: Option<PresolveStats> = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let r = m.clone().rref(1);
+        let r = m.clone().rref();
         let elapsed = start.elapsed().as_nanos();
         assert_eq!(r.rank, dense_rank, "presolve path rank disagrees");
         if elapsed < presolve_total_ns {
@@ -134,37 +113,17 @@ fn measure_sparse(m: &SparseMatrix, reps: usize) -> SparseResult {
     }
 }
 
-/// Row-band thread counts timed on the large shapes (1 is `blocked_ns`).
-const PAR_THREADS: &[usize] = &[2, 4, 8];
-
-/// Shapes this large get per-thread-count rows in the output.
-const PAR_MIN_DIM: usize = 2048;
-
 fn measure(m: &BitMatrix, reps: usize) -> SizeResult {
     let (rows, cols) = (m.nrows(), m.ncols());
     let k = m4rm_block_size(rows, cols);
-    let auto_kernel = match select_kernel(rows, cols, 1) {
+    let auto_kernel = match select_kernel(rows, cols) {
         KernelChoice::Plain => "plain",
-        KernelChoice::M4rm(_) => "m4rm",
         KernelChoice::BlockedM4rm { .. } => "blocked",
     };
     let (plain_ns, plain_rank) = time_best(m, reps, |a| a.gauss_jordan_plain_with_stats().rank);
-    let (m4rm_ns, m4rm_rank) = time_best(m, reps, |a| a.gauss_jordan_m4rm_with_stats(k).rank);
-    let (blocked_ns, blocked_rank) = time_best(m, reps, |a| {
-        a.gauss_jordan_blocked_m4rm_with_stats(k, 1).rank
-    });
-    assert_eq!(plain_rank, m4rm_rank, "M4RM kernel disagrees");
+    let (blocked_ns, blocked_rank) =
+        time_best(m, reps, |a| a.gauss_jordan_blocked_m4rm_with_stats(k).rank);
     assert_eq!(plain_rank, blocked_rank, "blocked kernel disagrees");
-    let mut par_ns = Vec::new();
-    if rows.max(cols) >= PAR_MIN_DIM {
-        for &threads in PAR_THREADS {
-            let (ns, rank) = time_best(m, reps, |a| {
-                a.gauss_jordan_blocked_m4rm_with_stats(k, threads).rank
-            });
-            assert_eq!(plain_rank, rank, "parallel blocked kernel disagrees");
-            par_ns.push((threads, ns));
-        }
-    }
     SizeResult {
         rows,
         cols,
@@ -173,21 +132,17 @@ fn measure(m: &BitMatrix, reps: usize) -> SizeResult {
         auto_kernel,
         reps,
         plain_ns,
-        m4rm_ns,
         blocked_ns,
-        par_ns,
     }
 }
 
 fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u64) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let single_cpu_host = host_cpus == 1;
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"gje_kernels\",");
     let _ = writeln!(out, "  \"mode\": \"{mode}\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(out, "  \"single_cpu_host\": {single_cpu_host},");
     let _ = writeln!(out, "  \"time_metric\": \"best_of_reps_ns\",");
     out.push_str("  \"sizes\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -195,9 +150,8 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
             out,
             "    {{\"rows\": {}, \"cols\": {}, \"rank\": {}, \"k\": {}, \
              \"auto_kernel\": \"{}\", \"reps\": {}, \
-             \"plain_ns\": {}, \"m4rm_ns\": {}, \"blocked_ns\": {}, \
-             \"speedup_m4rm_vs_plain\": {:.2}, \"speedup_blocked_vs_m4rm\": {:.2}, \
-             \"par_ns\": {{",
+             \"plain_ns\": {}, \"blocked_ns\": {}, \
+             \"speedup_blocked_vs_plain\": {:.2}}}",
             r.rows,
             r.cols,
             r.rank,
@@ -205,16 +159,9 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
             r.auto_kernel,
             r.reps,
             r.plain_ns,
-            r.m4rm_ns,
             r.blocked_ns,
-            r.speedup_m4rm_vs_plain(),
-            r.speedup_blocked_vs_m4rm()
+            r.speedup_blocked_vs_plain()
         );
-        for (j, &(threads, ns)) in r.par_ns.iter().enumerate() {
-            let sep = if j + 1 < r.par_ns.len() { ", " } else { "" };
-            let _ = write!(out, "\"{threads}\": {ns}{sep}");
-        }
-        out.push_str("}}");
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
@@ -236,8 +183,7 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
              \"weight2_rows\": {}, \"pure_leading_rows\": {}, \"subset_cancellations\": {}, \
              \"duplicate_nnz\": {}, \"singleton_nnz\": {}, \"weight2_nnz\": {}, \
              \"pure_leading_nnz\": {}, \"subset_nnz\": {}, \
-             \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
-             \"components_parallel\": {}}}",
+             \"peak_interned_rows\": {}, \"peak_interned_words\": {}}}",
             r.rows,
             r.cols,
             r.fill,
@@ -265,25 +211,20 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
             p.pure_leading_nnz,
             p.subset_nnz,
             p.peak_interned_rows,
-            p.peak_interned_words,
-            p.components_parallel
+            p.peak_interned_words
         );
         out.push_str(if i + 1 < sparse.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    let headline = |rows: usize, cols: usize, f: &dyn Fn(&SizeResult) -> Option<f64>| {
+    let headline = |rows: usize, cols: usize| {
         results
             .iter()
             .find(|r| r.rows == rows && r.cols == cols)
-            .and_then(f)
+            .map(SizeResult::speedup_blocked_vs_plain)
     };
-    // The recorded headline numbers: the PR-2 M4RM gain over the seed kernel
-    // at 1024x1024 (kept for continuity; CI greps it), the blocked kernel's
-    // gain over M4RM at 4096x4096, and the 4-thread band-parallel gain over
-    // the serial blocked kernel at 4096x4096. On a single-CPU host the
-    // parallel headline only measures channel overhead, so it is recorded
-    // as null and `single_cpu_host` is set instead of publishing a
-    // meaningless ~1.0x.
+    // The recorded headline numbers: the blocked kernel's gain over the
+    // seed kernel at 1024x1024 (measured in quick mode too) and at
+    // 4096x4096 (full mode only; null otherwise).
     let emit = |out: &mut String, key: &str, value: Option<f64>, comma: bool| {
         let sep = if comma { "," } else { "" };
         match value {
@@ -297,24 +238,14 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
     };
     emit(
         &mut out,
-        "speedup_1024_m4rm_vs_plain",
-        headline(1024, 1024, &|r| Some(r.speedup_m4rm_vs_plain())),
+        "speedup_1024_blocked_vs_plain",
+        headline(1024, 1024),
         true,
     );
     emit(
         &mut out,
-        "speedup_4096_blocked_vs_m4rm",
-        headline(4096, 4096, &|r| Some(r.speedup_blocked_vs_m4rm())),
-        true,
-    );
-    emit(
-        &mut out,
-        "speedup_4096_par4_vs_serial",
-        if single_cpu_host {
-            None
-        } else {
-            headline(4096, 4096, &|r| r.speedup_par_vs_serial(4))
-        },
+        "speedup_4096_blocked_vs_plain",
+        headline(4096, 4096),
         true,
     );
     // The presolve headline: best sparse-path gain over densify-then-
@@ -352,7 +283,7 @@ fn main() {
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
-    // (rows, cols) grid. 1024x1024 stays in quick mode (the recorded M4RM
+    // (rows, cols) grid. 1024x1024 stays in quick mode (the recorded
     // headline the CI smoke check relies on); 2048x2048 joins it so the
     // blocked kernel's auto-selected regime is exercised on every CI run.
     // Full mode adds paper scale: 4096x4096 and the XL-shaped 2048x16384.
@@ -379,8 +310,8 @@ fn main() {
     let mut results = Vec::new();
     println!("GF(2) Gauss-Jordan kernels, dense random matrices (best of N reps):");
     println!(
-        "{:>12} {:>6} {:>2} {:>8} {:>4} {:>14} {:>14} {:>14} {:>8} {:>8}",
-        "size", "rank", "k", "auto", "reps", "plain", "m4rm", "blocked", "m4/pl", "bl/m4"
+        "{:>12} {:>6} {:>2} {:>8} {:>4} {:>14} {:>14} {:>8}",
+        "size", "rank", "k", "auto", "reps", "plain", "blocked", "bl/pl"
     );
     for &(rows, cols) in sizes {
         // Big matrices pay most of their wall clock in the first rep; the
@@ -395,26 +326,16 @@ fn main() {
         let m = random_dense_matrix(&mut rng, rows, cols);
         let r = measure(&m, reps);
         println!(
-            "{:>12} {:>6} {:>2} {:>8} {:>4} {:>12}ns {:>12}ns {:>12}ns {:>7.2}x {:>7.2}x",
+            "{:>12} {:>6} {:>2} {:>8} {:>4} {:>12}ns {:>12}ns {:>7.2}x",
             format!("{rows}x{cols}"),
             r.rank,
             r.k,
             r.auto_kernel,
             r.reps,
             r.plain_ns,
-            r.m4rm_ns,
             r.blocked_ns,
-            r.speedup_m4rm_vs_plain(),
-            r.speedup_blocked_vs_m4rm()
+            r.speedup_blocked_vs_plain()
         );
-        for &(threads, ns) in &r.par_ns {
-            println!(
-                "{:>12} {:>48}ns {:>7.2}x vs serial",
-                format!("  .. {threads} threads"),
-                ns,
-                r.blocked_ns as f64 / ns.max(1) as f64
-            );
-        }
         results.push(r);
     }
 
@@ -454,24 +375,8 @@ fn main() {
     println!("\nwrote {out_path}");
     if let Some(r) = results.iter().find(|r| r.rows == 4096 && r.cols == 4096) {
         println!(
-            "4096x4096 blocked speedup over single-table M4RM: {:.2}x \
-             ({:.2}x over the seed kernel)",
-            r.speedup_blocked_vs_m4rm(),
-            r.plain_ns as f64 / r.blocked_ns.max(1) as f64
+            "4096x4096 blocked speedup over the seed kernel: {:.2}x",
+            r.speedup_blocked_vs_plain()
         );
-        if let Some(s) = r.speedup_par_vs_serial(4) {
-            let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if host_cpus > 1 {
-                println!(
-                    "4096x4096 4-thread speedup over serial blocked: {s:.2}x \
-                     (host has {host_cpus} CPU(s))"
-                );
-            } else {
-                println!(
-                    "4096x4096 4-thread run measured only channel overhead \
-                     (single-CPU host); parallel headline recorded as null"
-                );
-            }
-        }
     }
 }

@@ -87,15 +87,8 @@ struct XlRoundResult {
     naive_term_ns: u128,
     /// Term-layer time of the production round.
     fast_term_ns: u128,
-    /// Shared elimination-kernel time (taken from the production run, at one
-    /// thread — kept serial so the number stays comparable across recorded
-    /// baselines).
+    /// Shared elimination-kernel time (taken from the production run).
     gauss_ns: u128,
-    /// The same elimination phase at >1 row-band threads, as
-    /// `(threads, best_ns)` pairs. The result is bit-identical to the serial
-    /// run; on a single-core host these are expected to sit at or slightly
-    /// above `gauss_ns`.
-    gauss_par_ns: Vec<(usize, u128)>,
     /// Whole-round times, kernel included, for context.
     naive_total_ns: u128,
     fast_total_ns: u128,
@@ -106,11 +99,6 @@ struct XlRoundResult {
     presolve_round_ns: u128,
     /// Phase split and rule counters of the best presolve round.
     presolve: PresolveStats,
-    /// The same presolve round with the residual components dispatched over
-    /// 4 persistent workers (`components_parallel` records how many).
-    presolve_par_ns: u128,
-    /// Stats of the best component-parallel presolve round.
-    presolve_par: PresolveStats,
 }
 
 impl XlRoundResult {
@@ -178,7 +166,7 @@ fn fast_xl_round(system: &PolynomialSystem, multipliers: &[bosphorus_anf::Monomi
     let mut term_ns = term_start.elapsed().as_nanos();
 
     let gauss_start = Instant::now();
-    lin.matrix_mut().gauss_jordan_with_stats(1);
+    lin.matrix_mut().gauss_jordan_with_stats();
     let gauss_ns = gauss_start.elapsed().as_nanos();
 
     // Retainable-only readback, exactly as `xl_learn` performs it: the
@@ -238,7 +226,7 @@ fn naive_xl_round(polys: &[NaivePolynomial], multipliers: &[NaiveMonomial]) -> R
     let mut term_ns = term_start.elapsed().as_nanos();
 
     let gauss_start = Instant::now();
-    matrix.gauss_jordan_with_stats(1);
+    matrix.gauss_jordan_with_stats();
     let gauss_ns = gauss_start.elapsed().as_nanos();
 
     let readback_start = Instant::now();
@@ -268,13 +256,12 @@ fn naive_xl_round(polys: &[NaivePolynomial], multipliers: &[NaiveMonomial]) -> R
 
 /// The same exhaustive round through the sparse-presolve path: expansion
 /// into the sparse row store (no dense arena), structural presolve, residual
-/// dense cores eliminated with `threads` workers, stitched readback — the
-/// configuration the engine runs by default. Returns the whole-round wall
-/// clock alongside the facts and the internally-measured phase split.
+/// dense cores, stitched readback — the configuration the engine runs by
+/// default. Returns the whole-round wall clock alongside the facts and the
+/// internally-measured phase split.
 fn presolve_xl_round(
     system: &PolynomialSystem,
     multipliers: &[bosphorus_anf::Monomial],
-    threads: usize,
 ) -> (u128, Vec<Polynomial>, usize, PresolveStats) {
     let start = Instant::now();
     let mut builder = LinearizationBuilder::new();
@@ -289,7 +276,7 @@ fn presolve_xl_round(
     }
     let sparse = builder.finish_sparse();
     let (facts, rank, _gauss, presolve) =
-        sparse.eliminate_retainable_cancellable(threads, &CancelToken::never());
+        sparse.eliminate_retainable_cancellable(&CancelToken::never());
     (start.elapsed().as_nanos(), facts, rank, presolve)
 }
 
@@ -308,50 +295,6 @@ fn best_run(reps: usize, mut f: impl FnMut() -> RoundRun) -> RoundRun {
     best.expect("reps >= 1")
 }
 
-/// Row-band thread counts the GJE phase is additionally timed at
-/// (1 is the recorded `gauss_ns`).
-const GJE_THREADS: &[usize] = &[2, 4, 8];
-
-/// Times just the Gauss–Jordan phase of the production round at each entry
-/// of [`GJE_THREADS`], on clones of the already-built linearisation matrix
-/// (best of `reps`). The per-thread results are asserted rank-identical to
-/// the serial elimination before being reported.
-fn measure_gauss_threads(
-    system: &PolynomialSystem,
-    multipliers: &[bosphorus_anf::Monomial],
-    reps: usize,
-) -> Vec<(usize, u128)> {
-    let mut builder = LinearizationBuilder::new();
-    for poly in system.iter() {
-        builder.push(poly);
-    }
-    let mut scratch = TermScratch::new();
-    for base in system.iter() {
-        for m in multipliers {
-            builder.push_product(base, m, &mut scratch);
-        }
-    }
-    let lin = builder.finish();
-    let serial_rank = {
-        let mut m = lin.matrix().clone();
-        m.gauss_jordan_with_stats(1).rank
-    };
-    GJE_THREADS
-        .iter()
-        .map(|&threads| {
-            let mut best = u128::MAX;
-            for _ in 0..reps {
-                let mut m = lin.matrix().clone();
-                let start = Instant::now();
-                let stats = m.gauss_jordan_with_stats(threads);
-                best = best.min(start.elapsed().as_nanos());
-                assert_eq!(stats.rank, serial_rank, "parallel GJE rank diverges");
-            }
-            (threads, best)
-        })
-        .collect()
-}
-
 fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRoundResult {
     // Shared inputs, pre-built in each configuration's own representation.
     let multipliers = expansion_monomials(&occurring_vars(system), 1);
@@ -360,7 +303,6 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
         multipliers.iter().map(NaiveMonomial::from).collect();
     let naive = best_run(reps, || naive_xl_round(&naive_polys, &naive_multipliers));
     let fast = best_run(reps, || fast_xl_round(system, &multipliers));
-    let gauss_par_ns = measure_gauss_threads(system, &multipliers, reps);
     assert_eq!(
         (fast.rows, fast.cols, fast.rank),
         (naive.rows, naive.cols, naive.rank),
@@ -370,35 +312,20 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
         fast.facts, naive.facts,
         "{name}: learnt facts diverge between term layers"
     );
-    // The sparse-presolve configuration, serial and component-parallel, best
-    // of reps by whole-round time, with the learnt facts asserted
-    // byte-identical to the dense rounds.
+    // The sparse-presolve configuration, best of reps by whole-round time,
+    // with the learnt facts asserted byte-identical to the dense rounds.
     let mut presolve_round_ns = u128::MAX;
     let mut presolve_split: Option<PresolveStats> = None;
-    let mut presolve_par_ns = u128::MAX;
-    let mut presolve_par_split: Option<PresolveStats> = None;
-    for (threads, best_ns, best_split) in [
-        (1usize, &mut presolve_round_ns, &mut presolve_split),
-        (4, &mut presolve_par_ns, &mut presolve_par_split),
-    ] {
-        for _ in 0..reps {
-            let (round_ns, facts, rank, split) = presolve_xl_round(system, &multipliers, threads);
-            assert_eq!(
-                rank, fast.rank,
-                "{name}: presolve rank diverges at {threads} threads"
-            );
-            assert_eq!(
-                facts, fast.facts,
-                "{name}: presolve learnt facts diverge at {threads} threads"
-            );
-            if round_ns < *best_ns {
-                *best_ns = round_ns;
-                *best_split = Some(split);
-            }
+    for _ in 0..reps {
+        let (round_ns, facts, rank, split) = presolve_xl_round(system, &multipliers);
+        assert_eq!(rank, fast.rank, "{name}: presolve rank diverges");
+        assert_eq!(facts, fast.facts, "{name}: presolve learnt facts diverge");
+        if round_ns < presolve_round_ns {
+            presolve_round_ns = round_ns;
+            presolve_split = Some(split);
         }
     }
     let presolve = presolve_split.expect("reps >= 1");
-    let presolve_par = presolve_par_split.expect("reps >= 1");
     XlRoundResult {
         name: name.to_string(),
         rows: fast.rows,
@@ -409,13 +336,10 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
         naive_term_ns: naive.term_ns,
         fast_term_ns: fast.term_ns,
         gauss_ns: fast.gauss_ns,
-        gauss_par_ns,
         naive_total_ns: naive.total_ns(),
         fast_total_ns: fast.total_ns(),
         presolve_round_ns,
         presolve,
-        presolve_par_ns,
-        presolve_par,
     }
 }
 
@@ -461,13 +385,11 @@ fn to_json(
     seed: u64,
 ) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let single_cpu_host = host_cpus == 1;
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"pipeline\",");
     let _ = writeln!(out, "  \"mode\": \"{mode}\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(out, "  \"single_cpu_host\": {single_cpu_host},");
     let _ = writeln!(out, "  \"time_metric\": \"best_of_reps_ns\",");
     out.push_str("  \"instances\": [\n");
     for (i, r) in preprocess.iter().enumerate() {
@@ -517,7 +439,7 @@ fn to_json(
             "    {{\"name\": \"{}\", \"rows\": {}, \"cols\": {}, \"rank\": {}, \
              \"facts\": {}, \"reps\": {}, \
              \"naive_term_ns\": {}, \"fast_term_ns\": {}, \"term_speedup\": {:.2}, \
-             \"gauss_ns\": {}, \"gauss_par_ns\": {{",
+             \"gauss_ns\": {}, ",
             r.name,
             r.rows,
             r.cols,
@@ -529,17 +451,9 @@ fn to_json(
             r.term_speedup(),
             r.gauss_ns
         );
-        for (j, &(threads, ns)) in r.gauss_par_ns.iter().enumerate() {
-            let sep = if j + 1 < r.gauss_par_ns.len() {
-                ", "
-            } else {
-                ""
-            };
-            let _ = write!(out, "\"{threads}\": {ns}{sep}");
-        }
         let _ = write!(
             out,
-            "}}, \"naive_total_ns\": {}, \"fast_total_ns\": {}, \"total_speedup\": {:.2}, ",
+            "\"naive_total_ns\": {}, \"fast_total_ns\": {}, \"total_speedup\": {:.2}, ",
             r.naive_total_ns,
             r.fast_total_ns,
             r.total_speedup()
@@ -557,8 +471,7 @@ fn to_json(
              \"empty_rows\": {}, \"duplicate_rows\": {}, \"singleton_rows\": {}, \
              \"weight2_rows\": {}, \"pure_leading_rows\": {}, \
              \"subset_cancellations\": {}, \
-             \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
-             \"par4_round_total_ns\": {}, \"components_parallel\": {}}}}}",
+             \"peak_interned_rows\": {}, \"peak_interned_words\": {}}}}}",
             r.presolve_round_ns,
             p.presolve_ns,
             p.dense_ns,
@@ -575,9 +488,7 @@ fn to_json(
             p.pure_leading_rows,
             p.subset_cancellations,
             p.peak_interned_rows,
-            p.peak_interned_words,
-            r.presolve_par_ns,
-            r.presolve_par.components_parallel
+            p.peak_interned_words
         );
         out.push_str(if i + 1 < rounds.len() { ",\n" } else { "\n" });
     }
@@ -591,23 +502,11 @@ fn to_json(
         .iter()
         .find(|r| r.name.starts_with("simon"))
         .expect("a Simon round is always measured");
-    // The component-parallel headline is only meaningful on a multi-CPU
-    // host; a single-CPU run would measure channel overhead, so it is
-    // recorded as null next to the `single_cpu_host` marker instead.
-    let par_speedup = if single_cpu_host {
-        "null".to_string()
-    } else {
-        format!(
-            "{:.2}",
-            simon.presolve_round_ns as f64 / simon.presolve_par_ns.max(1) as f64
-        )
-    };
     let _ = writeln!(
         out,
         "  \"headline\": {{\"xl_round_speedup_simon\": {:.2}, \
          \"presolve_gauss_speedup_simon\": {:.2}, \
          \"peak_rows_simon\": {}, \
-         \"component_parallel_round_speedup_simon\": {par_speedup}, \
          \"headline_instance\": \"{}\", \
          \"headline_metric\": \"term-layer (expand + linearise + readback) \
          best-of-reps; shared GJE kernel excluded. presolve_gauss_speedup \
@@ -725,13 +624,6 @@ fn main() {
             r.gauss_ns as f64 / 1e6,
             r.total_speedup()
         );
-        for &(threads, ns) in &r.gauss_par_ns {
-            println!(
-                "      gje @ {threads} threads {:>9.3} ms ({:.2}x vs serial)",
-                ns as f64 / 1e6,
-                r.gauss_ns as f64 / ns.max(1) as f64
-            );
-        }
         let p = &r.presolve;
         println!(
             "      presolve {:>9.3} ms + dense cores {:>9.3} ms ({:.2}x vs dense gje) \
@@ -746,11 +638,9 @@ fn main() {
             100.0 * p.cols_eliminated as f64 / p.input_cols.max(1) as f64
         );
         println!(
-            "      presolve round {:>9.3} ms  peak rows {}  par4 {:>9.3} ms (comps {})",
+            "      presolve round {:>9.3} ms  peak rows {}",
             r.presolve_round_ns as f64 / 1e6,
-            p.peak_interned_rows,
-            r.presolve_par_ns as f64 / 1e6,
-            r.presolve_par.components_parallel
+            p.peak_interned_rows
         );
     }
 

@@ -66,9 +66,6 @@ pipeline:
   --max-iterations N    cap the number of pipeline iterations
   --sat-budget N        initial SAT conflict budget C
   --seed N              subsampling RNG seed
-  --threads N           row-band update threads for the GF(2) elimination
-                        inside the XL/ElimLin passes (default 1; the learnt
-                        facts are bit-identical at every thread count)
   --no-presolve         skip the sparse structural presolve and hand the
                         XL/ElimLin matrices straight to the dense GF(2)
                         kernel (the learnt facts are identical either way;
@@ -192,9 +189,6 @@ pub struct CliOptions {
     pub sat_budget: Option<u64>,
     /// Override of the RNG seed.
     pub seed: Option<u64>,
-    /// Override of the GF(2) elimination thread count (see
-    /// [`BosphorusConfig::threads`]).
-    pub threads: Option<usize>,
     /// Disable the sparse structural presolve in front of the dense GF(2)
     /// kernel (see [`BosphorusConfig::presolve`]).
     pub no_presolve: bool,
@@ -235,7 +229,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
         max_iterations: None,
         sat_budget: None,
         seed: None,
-        threads: None,
         no_presolve: false,
         solver: SolverChoice::Aggressive,
         timeout: None,
@@ -289,15 +282,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                         .map_err(|_| format!("--seed: {raw:?} is not a 64-bit seed"))?,
                 );
             }
-            "--threads" => {
-                let raw = value_of("--threads")?;
-                options.threads = Some(
-                    raw.parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| format!("--threads: {raw:?} is not a count"))?,
-                );
-            }
             "--no-presolve" => options.no_presolve = true,
             "--solver" => options.solver = value_of("--solver")?.parse()?,
             "--timeout" => {
@@ -342,9 +326,6 @@ pub fn build_config(options: &CliOptions) -> BosphorusConfig {
     }
     if let Some(seed) = options.seed {
         config.rng_seed = seed;
-    }
-    if let Some(threads) = options.threads {
-        config.threads = threads;
     }
     if options.no_presolve {
         config.presolve = false;
@@ -544,8 +525,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
         let _ = write!(
             out,
             "\n    {{\"name\": \"{}\", \"runs\": {}, \"skips\": {}, \"facts\": {}, \
-             \"gauss_rank\": {}, \"gauss_row_xors\": {}, \"gauss_threads\": {}, \
-             \"gauss_bands\": {}, \"gauss_tables_per_sweep\": {}, \
+             \"gauss_rank\": {}, \"gauss_row_xors\": {}, \
              \"sat_conflicts\": {}, \"sat_learnt\": {}, \"sat_removed\": {}, \
              \"sat_minimized_lits\": {}, \"sat_restarts\": {}, \
              \"time_ms\": {:.3}, ",
@@ -555,9 +535,6 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             pass.facts,
             pass.gauss.rank,
             pass.gauss.row_xors,
-            pass.gauss.threads,
-            pass.gauss.bands,
-            pass.gauss.tables_per_sweep,
             pass.sat_conflicts,
             pass.sat_learnt,
             pass.sat_removed,
@@ -593,15 +570,13 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             p.presolve_ns,
             p.dense_ns
         );
-        // Per-rule nnz attribution, peak row storage and component
-        // parallelism.
+        // Per-rule nnz attribution and peak row storage.
         let _ = write!(
             out,
             "\"duplicate_nnz\": {}, \"singleton_nnz\": {}, \"weight2_nnz\": {}, \
              \"pure_leading_nnz\": {}, \"subset_nnz\": {}, \
              \"cascade_ns\": {}, \"dedup_ns\": {}, \"subset_ns\": {}, \
-             \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
-             \"components_parallel\": {}}}}}",
+             \"peak_interned_rows\": {}, \"peak_interned_words\": {}}}}}",
             p.duplicate_nnz,
             p.singleton_nnz,
             p.weight2_nnz,
@@ -611,8 +586,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             p.dedup_ns,
             p.subset_ns,
             p.peak_interned_rows,
-            p.peak_interned_words,
-            p.components_parallel
+            p.peak_interned_words
         );
     }
     if stats.passes.is_empty() {
@@ -703,8 +677,6 @@ mod tests {
             "123",
             "--seed",
             "42",
-            "--threads",
-            "4",
             "--no-presolve",
             "--solver",
             "xorgauss",
@@ -721,7 +693,6 @@ mod tests {
         assert_eq!(options.max_iterations, Some(5));
         assert_eq!(options.sat_budget, Some(123));
         assert_eq!(options.seed, Some(42));
-        assert_eq!(options.threads, Some(4));
         assert!(options.no_presolve);
         assert_eq!(options.solver, SolverChoice::XorGauss);
     }
@@ -740,12 +711,6 @@ mod tests {
             .unwrap_err()
             .contains("unknown argument"));
         assert!(parse(&["--anf", "a", "--max-iterations", "many"])
-            .unwrap_err()
-            .contains("not a count"));
-        assert!(parse(&["--anf", "a", "--threads", "many"])
-            .unwrap_err()
-            .contains("not a count"));
-        assert!(parse(&["--anf", "a", "--threads", "0"])
             .unwrap_err()
             .contains("not a count"));
     }
@@ -767,8 +732,6 @@ mod tests {
             "999999",
             "--seed",
             "7",
-            "--threads",
-            "8",
         ]);
         let config = build_config(&options);
         assert_eq!(config.pass_order, vec![PassKind::Groebner, PassKind::Sat]);
@@ -778,14 +741,14 @@ mod tests {
             "the cap never undercuts the initial budget"
         );
         assert_eq!(config.rng_seed, 7);
-        assert_eq!(config.threads, 8);
     }
 
     #[test]
-    fn threads_defaults_to_serial() {
-        let options = options(&["--anf", "a"]);
-        assert_eq!(options.threads, None);
-        assert_eq!(build_config(&options).threads, 1);
+    fn threads_flag_is_rejected_as_unknown() {
+        // The GF(2) elimination is serial, so there is no thread-count flag.
+        assert!(parse(&["--anf", "a", "--threads", "4"])
+            .unwrap_err()
+            .contains("unknown argument \"--threads\""));
     }
 
     #[test]
@@ -871,7 +834,6 @@ mod tests {
         pass.presolve.subset_ns = 200;
         pass.presolve.peak_interned_rows = 80;
         pass.presolve.peak_interned_words = 480;
-        pass.presolve.components_parallel = 2;
         let stats = EngineStats {
             passes: vec![pass],
             ..EngineStats::default()
@@ -886,7 +848,7 @@ mod tests {
         assert!(json.contains("\"dense_core_rows\": 60"));
         assert!(json.contains("\"dense_core_cols\": 50"));
         assert!(json.contains("\"presolve_ns\": 1234"));
-        // Per-rule attribution, peaks and component parallelism.
+        // Per-rule attribution and peaks.
         assert!(json.contains("\"duplicate_nnz\": 45"));
         assert!(json.contains("\"singleton_nnz\": 26"));
         assert!(json.contains("\"weight2_nnz\": 14"));
@@ -897,7 +859,6 @@ mod tests {
         assert!(json.contains("\"subset_ns\": 200"));
         assert!(json.contains("\"peak_interned_rows\": 80"));
         assert!(json.contains("\"peak_interned_words\": 480"));
-        assert!(json.contains("\"components_parallel\": 2"));
     }
 
     #[test]

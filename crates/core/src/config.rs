@@ -81,12 +81,6 @@ pub struct BosphorusConfig {
     /// Seed for the subsampling random number generator, fixed for
     /// reproducibility of experiments.
     pub rng_seed: u64,
-    /// Row-band update threads for the GF(2) elimination kernel used by the
-    /// XL and ElimLin passes (the CLI's `--threads`). The elimination result
-    /// is bit-identical at every thread count — small matrices are clamped
-    /// back to serial by `bosphorus_gf2::select_kernel` — so this only
-    /// changes wall-clock, never learnt facts. Default 1 (serial).
-    pub threads: usize,
     /// Whether the XL and ElimLin eliminations run the sparse structural
     /// presolve (singleton, duplicate, weight-2, pure-leading-column and
     /// subset rules over interned sparse rows) before materialising the
@@ -117,7 +111,6 @@ impl Default for BosphorusConfig {
             groebner_max_degree: 4,
             emit_xor_constraints: false,
             rng_seed: 0xB05F0405,
-            threads: 1,
             presolve: true,
         }
     }

@@ -85,35 +85,23 @@ pub fn elimlin_learn_cancellable<R: Rng>(
         }
     }
     let subsampled = working.len() < system.len();
-    let mut outcome = elimlin_run(
-        working,
-        config.threads,
-        config.presolve,
-        token,
-        substitute_linear,
-    );
+    let mut outcome = elimlin_run(working, config.presolve, token, substitute_linear);
     outcome.subsampled = subsampled;
     outcome
 }
 
-/// Runs ElimLin on exactly the given polynomials (no subsampling).
-/// `threads` is the row-band parallelism of each round's GF(2) elimination
-/// (1 = serial; the learnt facts are identical at every thread count). The
+/// Runs ElimLin on exactly the given polynomials (no subsampling). The
 /// sparse presolve is on, as in the default engine configuration; it is
 /// exact, so this is a wall-clock choice only.
-pub fn elimlin_on(working: Vec<Polynomial>, threads: usize) -> ElimLinOutcome {
-    elimlin_on_cancellable(working, threads, &CancelToken::never())
+pub fn elimlin_on(working: Vec<Polynomial>) -> ElimLinOutcome {
+    elimlin_on_cancellable(working, &CancelToken::never())
 }
 
 /// Like [`elimlin_on`], but cooperatively cancellable (see
 /// [`elimlin_learn_cancellable`] for the checkpoint placement and the
 /// completed-rounds fact guarantee).
-pub fn elimlin_on_cancellable(
-    working: Vec<Polynomial>,
-    threads: usize,
-    token: &CancelToken,
-) -> ElimLinOutcome {
-    elimlin_run(working, threads, true, token, substitute_linear)
+pub fn elimlin_on_cancellable(working: Vec<Polynomial>, token: &CancelToken) -> ElimLinOutcome {
+    elimlin_run(working, true, token, substitute_linear)
 }
 
 /// Step (3) of an ElimLin round: eliminates one variable per equation of
@@ -129,7 +117,6 @@ type Substitute =
 /// its step (3) done by `substitute`.
 fn elimlin_run(
     mut working: Vec<Polynomial>,
-    threads: usize,
     presolve: bool,
     token: &CancelToken,
     substitute: Substitute,
@@ -161,10 +148,10 @@ fn elimlin_run(
         // Step (1): Gauss–Jordan elimination on the linearisation, with or
         // without the sparse presolve ahead of the dense kernel.
         let (reduced, round_stats, round_presolve) = if presolve {
-            SparseLinearization::build(working.iter()).eliminate_cancellable(threads, token)
+            SparseLinearization::build(working.iter()).eliminate_cancellable(token)
         } else {
             let mut lin = Linearization::build(working.iter());
-            let (reduced, stats) = lin.eliminate_cancellable(threads, token);
+            let (reduced, stats) = lin.eliminate_cancellable(token);
             (reduced, stats, PresolveStats::default())
         };
         let round_interrupted = round_stats.interrupted;
@@ -379,7 +366,6 @@ fn substitute_linear_by_scan(
 pub(crate) fn elimlin_by_scan(working: Vec<Polynomial>) -> ElimLinOutcome {
     elimlin_run(
         working,
-        1,
         true,
         &CancelToken::never(),
         substitute_linear_by_scan,
@@ -402,7 +388,7 @@ mod tests {
     fn section_2c_worked_example() {
         // {x1+x2+x3, x1x2 + x2x3 + 1}: substituting x1 = x2 + x3 gives
         // x2 + 1, so ElimLin learns both x1+x2+x3 and x2+1.
-        let outcome = elimlin_on(polys("x1 + x2 + x3; x1*x2 + x2*x3 + 1;"), 1);
+        let outcome = elimlin_on(polys("x1 + x2 + x3; x1*x2 + x2*x3 + 1;"));
         assert!(!outcome.contradiction);
         assert!(outcome
             .facts
@@ -423,9 +409,8 @@ mod tests {
         // already contributed. Its initial GJE then reports those four
         // linear equations, and after substituting them it learns a unit
         // fact (the paper derives x1 + 1).
-        let outcome = elimlin_on(
-            polys(
-                "x1*x2 + x3 + x4 + 1;
+        let outcome = elimlin_on(polys(
+            "x1*x2 + x3 + x4 + 1;
              x1*x2*x3 + x1 + x3 + 1;
              x1*x3 + x3*x4*x5 + x3;
              x2*x3 + x3*x5 + 1;
@@ -434,9 +419,7 @@ mod tests {
              x1 + x4;
              x3 + 1;
              x1 + x2;",
-            ),
-            1,
-        );
+        ));
         assert!(!outcome.contradiction);
         // The four linear equations from the initial GJE...
         for expected in ["x1 + x5 + 1", "x1 + x4", "x3 + 1", "x1 + x2"] {
@@ -468,7 +451,7 @@ mod tests {
 
     #[test]
     fn contradiction_is_detected() {
-        let outcome = elimlin_on(polys("x0 + x1; x0 + x1 + 1;"), 1);
+        let outcome = elimlin_on(polys("x0 + x1; x0 + x1 + 1;"));
         assert!(outcome.contradiction);
         assert!(outcome.facts.contains(&Polynomial::one()));
     }
@@ -476,7 +459,7 @@ mod tests {
     #[test]
     fn facts_are_consequences() {
         let source = polys("x0*x1 + x2; x0 + x1 + 1; x1*x2 + x0 + 1;");
-        let outcome = elimlin_on(source.clone(), 1);
+        let outcome = elimlin_on(source.clone());
         let n = 3usize;
         for bits in 0u64..(1 << n) {
             let assign: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
@@ -493,7 +476,7 @@ mod tests {
 
     #[test]
     fn purely_nonlinear_system_terminates_quickly() {
-        let outcome = elimlin_on(polys("x0*x1 + x1*x2; x0*x2 + x1*x2;"), 1);
+        let outcome = elimlin_on(polys("x0*x1 + x1*x2; x0*x2 + x1*x2;"));
         assert!(!outcome.contradiction);
         assert!(outcome.rounds >= 1);
         assert_eq!(outcome.eliminated_vars, 0);
@@ -501,7 +484,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_noop() {
-        let outcome = elimlin_on(Vec::new(), 1);
+        let outcome = elimlin_on(Vec::new());
         assert!(outcome.facts.is_empty());
         assert!(!outcome.contradiction);
     }
@@ -520,8 +503,8 @@ mod tests {
              x1 + x2;",
         );
         let token = CancelToken::never();
-        let with = elimlin_run(source.clone(), 1, true, &token, substitute_linear);
-        let without = elimlin_run(source, 1, false, &token, substitute_linear);
+        let with = elimlin_run(source.clone(), true, &token, substitute_linear);
+        let without = elimlin_run(source, false, &token, substitute_linear);
         assert_eq!(with.facts, without.facts, "facts diverge");
         assert_eq!(with.rounds, without.rounds, "rounds diverge");
         assert_eq!(with.eliminated_vars, without.eliminated_vars);

@@ -271,29 +271,22 @@ impl Linearization {
     /// Runs Gauss–Jordan elimination in place and returns the non-zero rows
     /// as polynomials (the reduced system), in matrix row order.
     pub fn eliminate(&mut self) -> Vec<Polynomial> {
-        self.eliminate_with_stats(1).0
+        self.eliminate_with_stats().0
     }
 
     /// Like [`Linearization::eliminate`], but also reports the elimination
     /// kernel's operation counts ([`GaussStats`]) so callers on the XL /
     /// ElimLin hot path can surface how much work each round performed.
-    /// `threads` is the row-band update parallelism handed to
-    /// `gauss_jordan_with_stats` (1 = serial; the result is bit-identical
-    /// at every thread count).
-    pub fn eliminate_with_stats(&mut self, threads: usize) -> (Vec<Polynomial>, GaussStats) {
-        self.eliminate_cancellable(threads, &CancelToken::never())
+    pub fn eliminate_with_stats(&mut self) -> (Vec<Polynomial>, GaussStats) {
+        self.eliminate_cancellable(&CancelToken::never())
     }
 
     /// Like [`Linearization::eliminate_with_stats`], but the GF(2) kernel
     /// polls `token` between sweeps. When the elimination is interrupted
     /// (`stats.interrupted`), **no rows are read back**: the matrix is only
     /// partially reduced and the caller is expected to discard the round.
-    pub fn eliminate_cancellable(
-        &mut self,
-        threads: usize,
-        token: &CancelToken,
-    ) -> (Vec<Polynomial>, GaussStats) {
-        let stats = self.matrix.gauss_jordan_cancellable(threads, token);
+    pub fn eliminate_cancellable(&mut self, token: &CancelToken) -> (Vec<Polynomial>, GaussStats) {
+        let stats = self.matrix.gauss_jordan_cancellable(token);
         if stats.interrupted {
             return (Vec::new(), stats);
         }
@@ -324,11 +317,8 @@ impl Linearization {
     /// run on the bit rows directly, so the (typically dominant) share of
     /// non-retainable RREF rows is never materialised as polynomials — the
     /// XL fast path.
-    pub fn eliminate_retainable_with_stats(
-        &mut self,
-        threads: usize,
-    ) -> (Vec<Polynomial>, usize, GaussStats) {
-        self.eliminate_retainable_cancellable(threads, &CancelToken::never())
+    pub fn eliminate_retainable_with_stats(&mut self) -> (Vec<Polynomial>, usize, GaussStats) {
+        self.eliminate_retainable_cancellable(&CancelToken::never())
     }
 
     /// Like [`Linearization::eliminate_retainable_with_stats`], but the
@@ -337,10 +327,9 @@ impl Linearization {
     /// count is 0 — the partially reduced matrix is not the RREF.
     pub fn eliminate_retainable_cancellable(
         &mut self,
-        threads: usize,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, usize, GaussStats) {
-        let stats = self.matrix.gauss_jordan_cancellable(threads, token);
+        let stats = self.matrix.gauss_jordan_cancellable(token);
         if stats.interrupted {
             return (Vec::new(), 0, stats);
         }
@@ -434,7 +423,6 @@ impl SparseLinearization {
     /// read back.
     pub fn eliminate_cancellable(
         self,
-        threads: usize,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
         let SparseLinearization {
@@ -442,7 +430,7 @@ impl SparseLinearization {
             order,
             matrix,
         } = self;
-        let rref = matrix.rref_cancellable(threads, token);
+        let rref = matrix.rref_cancellable(token);
         if rref.gauss.interrupted {
             return (Vec::new(), rref.gauss, rref.presolve);
         }
@@ -461,7 +449,6 @@ impl SparseLinearization {
     /// rows are never materialised as polynomials.
     pub fn eliminate_retainable_cancellable(
         self,
-        threads: usize,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, usize, GaussStats, PresolveStats) {
         let SparseLinearization {
@@ -469,7 +456,7 @@ impl SparseLinearization {
             order,
             matrix,
         } = self;
-        let rref = matrix.rref_cancellable(threads, token);
+        let rref = matrix.rref_cancellable(token);
         if rref.gauss.interrupted {
             return (Vec::new(), 0, rref.gauss, rref.presolve);
         }
@@ -572,7 +559,7 @@ mod tests {
              x1*x2*x3 + x1*x3;",
         );
         let mut lin = Linearization::build(ps.iter());
-        let (reduced, stats) = lin.eliminate_with_stats(1);
+        let (reduced, stats) = lin.eliminate_with_stats();
         assert_eq!(stats.rank, 6, "Table I(b) rank");
         assert_eq!(reduced.len(), stats.rank);
         assert!(stats.row_xors > 0, "elimination work must be counted");
@@ -698,10 +685,10 @@ mod tests {
         ] {
             let ps = polys(text);
             let mut dense = Linearization::build(ps.iter());
-            let (dense_facts, dense_stats) = dense.eliminate_with_stats(1);
+            let (dense_facts, dense_stats) = dense.eliminate_with_stats();
             let sparse = SparseLinearization::build(ps.iter());
             let (sparse_facts, gauss, presolve) =
-                sparse.eliminate_cancellable(1, &CancelToken::never());
+                sparse.eliminate_cancellable(&CancelToken::never());
             assert_eq!(sparse_facts, dense_facts, "facts must be identical");
             assert_eq!(gauss.rank, dense_stats.rank);
             assert_eq!(presolve.input_rows, ps.len());
@@ -719,10 +706,10 @@ mod tests {
              x1*x2*x3 + x1*x3;",
         );
         let mut dense = Linearization::build(ps.iter());
-        let (dense_facts, dense_nonzero, dense_stats) = dense.eliminate_retainable_with_stats(1);
+        let (dense_facts, dense_nonzero, dense_stats) = dense.eliminate_retainable_with_stats();
         let sparse = SparseLinearization::build(ps.iter());
         let (sparse_facts, sparse_nonzero, gauss, presolve) =
-            sparse.eliminate_retainable_cancellable(1, &CancelToken::never());
+            sparse.eliminate_retainable_cancellable(&CancelToken::never());
         assert_eq!(sparse_facts, dense_facts);
         assert_eq!(sparse_nonzero, dense_nonzero);
         assert_eq!(gauss.rank, dense_stats.rank);
@@ -736,7 +723,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let sparse = SparseLinearization::build(ps.iter());
-        let (facts, nonzero, gauss, _) = sparse.eliminate_retainable_cancellable(1, &token);
+        let (facts, nonzero, gauss, _) = sparse.eliminate_retainable_cancellable(&token);
         assert!(gauss.interrupted);
         assert!(facts.is_empty());
         assert_eq!(nonzero, 0);

@@ -108,7 +108,7 @@ fn indexed_elimlin_matches_the_scan_reference() {
     let (mut eliminated, mut satisfiable, mut contradictions) = (0, 0, 0);
     for case in 0..300 {
         let polys = elimlin_stress_system(&mut rng);
-        let indexed = elimlin_on(polys.clone(), 1);
+        let indexed = elimlin_on(polys.clone());
         let reference = elimlin_by_scan(polys.clone());
         let summary = |o: &crate::ElimLinOutcome| {
             (
@@ -242,7 +242,7 @@ proptest! {
     fn xl_and_elimlin_facts_are_consequences(system in arb_system(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let xl = xl_learn(&system, &BosphorusConfig::exhaustive(), &mut rng);
-        let el = elimlin_on(system.polynomials().to_vec(), 1);
+        let el = elimlin_on(system.polynomials().to_vec());
         let n = system.num_vars();
         for bits in 0u64..(1 << n) {
             let a = Assignment::from_bits((0..n).map(|i| (bits >> i) & 1 == 1));
@@ -255,29 +255,26 @@ proptest! {
     }
 
     /// The batch presolve and the dense-only path commit byte-identical XL
-    /// facts at every thread count.
+    /// facts.
     #[test]
     fn presolve_modes_commit_identical_facts(system in arb_system(), seed in any::<u64>()) {
         let mut reference = None;
         for presolve in [true, false] {
-            for threads in [1usize, 2, 3, 8] {
-                let config = BosphorusConfig {
-                    presolve,
-                    threads,
-                    ..BosphorusConfig::exhaustive()
-                };
-                let mut rng = StdRng::seed_from_u64(seed);
-                let outcome = xl_learn(&system, &config, &mut rng);
-                match &reference {
-                    None => reference = Some((outcome.facts.clone(), outcome.rank)),
-                    Some((facts, rank)) => {
-                        prop_assert_eq!(
-                            facts, &outcome.facts,
-                            "facts diverge (presolve={}, threads={})",
-                            presolve, threads
-                        );
-                        prop_assert_eq!(*rank, outcome.rank);
-                    }
+            let config = BosphorusConfig {
+                presolve,
+                ..BosphorusConfig::exhaustive()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let outcome = xl_learn(&system, &config, &mut rng);
+            match &reference {
+                None => reference = Some((outcome.facts.clone(), outcome.rank)),
+                Some((facts, rank)) => {
+                    prop_assert_eq!(
+                        facts, &outcome.facts,
+                        "facts diverge (presolve={})",
+                        presolve
+                    );
+                    prop_assert_eq!(*rank, outcome.rank);
                 }
             }
         }

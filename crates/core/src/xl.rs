@@ -219,10 +219,10 @@ pub fn xl_learn_cancellable<R: Rng>(
     let (facts, rank, gauss, presolve) = if config.presolve {
         builder
             .finish_sparse()
-            .eliminate_retainable_cancellable(config.threads, token)
+            .eliminate_retainable_cancellable(token)
     } else {
         let mut lin = builder.finish();
-        let (facts, rank, gauss) = lin.eliminate_retainable_cancellable(config.threads, token);
+        let (facts, rank, gauss) = lin.eliminate_retainable_cancellable(token);
         (facts, rank, gauss, PresolveStats::default())
     };
     if gauss.interrupted {

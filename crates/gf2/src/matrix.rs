@@ -12,9 +12,9 @@ use crate::BitVec;
 /// `words[r * stride .. (r + 1) * stride]`. Rows are never separate
 /// allocations: the elimination kernels work in place on the arena through
 /// word-level row views ([`BitMatrix::row_words`],
-/// [`BitMatrix::row_words_mut`], [`BitMatrix::row_pair_mut`]) without
-/// flattening or read-back copies, and row bands of the arena can be handed
-/// to worker threads as disjoint `&mut [u64]` slices.
+/// [`BitMatrix::row_words_mut`], [`BitMatrix::row_pair_mut`]) and, for the
+/// blocked kernel's row-update pass, one streaming walk over the whole
+/// arena, without flattening or read-back copies.
 ///
 /// The matrix supports the elementary row operations needed by Gauss–Jordan
 /// elimination (row swap, row XOR) as word-parallel operations, which is what

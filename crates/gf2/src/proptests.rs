@@ -114,27 +114,15 @@ proptest! {
     fn blocked_gje_agrees_with_plain(m in arb_matrix(12, 20), block in 1usize..10) {
         let (plain, rank) = m.rref();
         let mut blocked = m.clone();
-        let blocked_rank = blocked.gauss_jordan_blocked(block);
+        let blocked_rank = blocked.gauss_jordan_blocked_m4rm_with_stats(block).rank;
         prop_assert_eq!(blocked_rank, rank);
         prop_assert_eq!(blocked, plain);
     }
 
-    /// The M4RM kernel produces bit-identical RREF, the same rank, and a
-    /// matching `GaussStats.rank` compared to the plain schoolbook kernel,
-    /// for every block width.
-    #[test]
-    fn m4rm_agrees_with_plain(m in arb_matrix(24, 40), block in 1usize..=8) {
-        let mut plain = m.clone();
-        let plain_stats = plain.gauss_jordan_plain_with_stats();
-        let mut fast = m.clone();
-        let fast_stats = fast.gauss_jordan_m4rm_with_stats(block);
-        prop_assert_eq!(fast_stats.rank, plain_stats.rank);
-        prop_assert_eq!(fast, plain);
-    }
-
-    /// M4RM agreement at widths straddling the 64-bit word boundaries
-    /// (63/64/65/127/129 columns) and on tall / wide / rank-deficient
-    /// shapes built by duplicating and zeroing rows.
+    /// Blocked M4RM agreement with the schoolbook kernel at widths
+    /// straddling the 64-bit word boundaries (63/64/65/127/129 columns) and
+    /// on tall / wide / rank-deficient shapes built by duplicating and
+    /// zeroing rows.
     #[test]
     fn m4rm_agrees_at_word_boundary_widths(
         width_idx in 0usize..5,
@@ -157,18 +145,18 @@ proptest! {
         let mut plain = m.clone();
         let plain_stats = plain.gauss_jordan_plain_with_stats();
         let mut fast = m.clone();
-        let fast_stats = fast.gauss_jordan_m4rm_with_stats(8);
+        let fast_stats = fast.gauss_jordan_blocked_m4rm_with_stats(8);
         prop_assert_eq!(fast_stats.rank, plain_stats.rank);
         prop_assert_eq!(fast.rank(), plain_stats.rank);
         prop_assert_eq!(fast, plain);
     }
 
     /// The cache-blocked multi-table kernel produces RREF bit-identical to
-    /// the single-table M4RM kernel (the PR-2 default) on random matrices,
-    /// including rank-deficient ones (duplicated rows) and wide/tall shapes,
-    /// for every per-table block width.
+    /// the schoolbook kernel on random matrices, including rank-deficient
+    /// ones (duplicated rows) and wide/tall shapes, for every per-table
+    /// block width.
     #[test]
-    fn blocked_kernel_agrees_with_m4rm(
+    fn blocked_kernel_agrees_with_plain(
         m in arb_matrix(36, 56),
         block in 1usize..=8,
         dup in any::<bool>(),
@@ -183,9 +171,9 @@ proptest! {
             }
         }
         let mut reference = m.clone();
-        let reference_stats = reference.gauss_jordan_m4rm_with_stats(8);
+        let reference_stats = reference.gauss_jordan_plain_with_stats();
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(block, 1);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(block);
         prop_assert_eq!(blocked_stats.rank, reference_stats.rank);
         prop_assert_eq!(blocked, reference);
     }
@@ -204,80 +192,25 @@ proptest! {
         let cols = WIDTHS[width_idx];
         let m = crate::testutil::splitmix_matrix(rows, cols, seed);
         let mut reference = m.clone();
-        let reference_stats = reference.gauss_jordan_m4rm_with_stats(8);
+        let reference_stats = reference.gauss_jordan_plain_with_stats();
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(8, 1);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(8);
         prop_assert_eq!(blocked_stats.rank, reference_stats.rank);
         prop_assert_eq!(blocked, reference);
     }
 
-    /// Band-parallel row updates are **bit-identical** to the serial path —
-    /// same RREF, same rank, same deterministic operation counts — at every
-    /// tested thread count, on random square / wide / tall and
-    /// rank-deficient (duplicated-row) shapes.
-    #[test]
-    fn parallel_rref_is_bit_identical_to_serial(
-        m in arb_matrix(36, 56),
-        threads_idx in 0usize..4,
-        dup in any::<bool>(),
-    ) {
-        const THREADS: [usize; 4] = [1, 2, 3, 8];
-        let mut m = m;
-        if dup && m.nrows() >= 2 {
-            let first = m.row(0).to_bitvec();
-            let last = m.nrows() - 1;
-            for c in 0..m.ncols() {
-                m.set(last, c, first.get(c));
-            }
-        }
-        let mut serial = m.clone();
-        let serial_stats = serial.gauss_jordan_blocked_m4rm_with_stats(8, 1);
-        let threads = THREADS[threads_idx];
-        let mut par = m.clone();
-        let par_stats = par.gauss_jordan_blocked_m4rm_with_stats(8, threads);
-        prop_assert_eq!(par, serial, "RREF diverged at threads={}", threads);
-        prop_assert_eq!(par_stats.rank, serial_stats.rank);
-        prop_assert_eq!(par_stats.row_xors, serial_stats.row_xors);
-        prop_assert_eq!(par_stats.row_swaps, serial_stats.row_swaps);
-    }
-
-    /// The same serial/parallel agreement at widths straddling the 64-bit
-    /// word boundaries, where the windowed three-index read crosses words.
-    #[test]
-    fn parallel_rref_agrees_at_word_boundary_widths(
-        width_idx in 0usize..5,
-        rows in 2usize..40,
-        seed in any::<u64>(),
-        threads_idx in 0usize..4,
-    ) {
-        const WIDTHS: [usize; 5] = [63, 64, 65, 127, 129];
-        const THREADS: [usize; 4] = [1, 2, 3, 8];
-        let m = crate::testutil::splitmix_matrix(rows, WIDTHS[width_idx], seed);
-        let mut serial = m.clone();
-        let serial_stats = serial.gauss_jordan_blocked_m4rm_with_stats(8, 1);
-        let mut par = m.clone();
-        let par_stats = par.gauss_jordan_blocked_m4rm_with_stats(8, THREADS[threads_idx]);
-        prop_assert_eq!(par, serial);
-        prop_assert_eq!(par_stats.rank, serial_stats.rank);
-        prop_assert_eq!(par_stats.row_xors, serial_stats.row_xors);
-        prop_assert_eq!(par_stats.row_swaps, serial_stats.row_swaps);
-    }
-
     /// The sparse presolve path produces **byte-identical** non-zero RREF
     /// rows, and the same rank, as the dense-only kernel — on random sparse
-    /// matrices at widths straddling the 64-bit word boundaries, at every
-    /// tested thread count. This is the exactness contract every learnt
-    /// fact downstream rests on.
+    /// matrices at widths straddling the 64-bit word boundaries. This is the
+    /// exactness contract every learnt fact downstream rests on.
     #[test]
     fn presolve_rref_equals_dense_rref(
         rows in 1usize..48,
         width_idx in 0usize..6,
         fill in 1usize..5,
         seed in any::<u64>(),
-        threads_idx in 0usize..4,
     ) {
         const WIDTHS: [usize; 6] = [30, 63, 64, 65, 127, 129];
-        const THREADS: [usize; 4] = [1, 2, 3, 8];
         let cols = WIDTHS[width_idx];
         // `fill` draws per row from a SplitMix64 stream; duplicate draws
         // cancel XOR-style inside `push_row`, so real row weights vary.
@@ -295,7 +228,7 @@ proptest! {
         }
         let dense = m.to_dense();
         let expected = dense_nonzero_rows(&dense);
-        let got = m.rref(THREADS[threads_idx]);
+        let got = m.rref();
         prop_assert!(!got.gauss.interrupted);
         prop_assert_eq!(&got.rows, &expected);
         prop_assert_eq!(got.rank, expected.len());
@@ -348,7 +281,7 @@ proptest! {
             }
         }
         let expected = dense_nonzero_rows(&dense);
-        let got = sparse_from_dense(&dense).rref(1);
+        let got = sparse_from_dense(&dense).rref();
         prop_assert_eq!(&got.rows, &expected);
         prop_assert_eq!(got.rank, expected.len());
         if weights_ok && cols_ok && orders_ok {

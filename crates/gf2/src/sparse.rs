@@ -24,7 +24,8 @@
 //!
 //! What survives is split into connected components (union–find over
 //! columns); each component becomes a small column-compacted [`BitMatrix`]
-//! eliminated by the existing auto-selected dense kernel, and the component
+//! eliminated by the existing auto-selected dense kernel, one after another
+//! in component order, and the component
 //! RREFs plus the set-aside rows are stitched back — set-asides
 //! back-substituted in reverse removal order — into the full RREF.
 //!
@@ -47,22 +48,13 @@
 //! are all zero there), which is what makes the reverse-order
 //! back-substitution a single pass.
 //!
-//! # Component parallelism
-//!
-//! The residual components are independent column-compacted matrices, so
-//! their dense eliminations are dispatched over [`crate::parallel`] —
-//! largest component first, results stitched back in original component
-//! order, cancellation polled per component — while [`select_kernel`]
-//! (via `gauss_jordan_cancellable`) still decides per component whether the
-//! dense kernel itself band-parallelises with the threads left over.
+//! # Cancellation
 //!
 //! Cancellation is transactional: the presolve loops poll an amortised
-//! [`Checkpoint`] and the component eliminations poll the token once per
-//! sweep; on a trip the result reports
-//! [`GaussStats::interrupted`] with no rows, so callers discard it exactly
-//! like a partially reduced dense matrix.
-//!
-//! [`select_kernel`]: crate::select_kernel
+//! [`Checkpoint`], the component loop polls the token before each
+//! component and the dense kernel once per sweep; on a trip the result
+//! reports [`GaussStats::interrupted`] with no rows, so callers discard it
+//! exactly like a partially reduced dense matrix.
 
 use std::collections::HashMap;
 
@@ -115,9 +107,8 @@ pub struct PresolveStats {
     /// Wall-clock nanoseconds of the sparse phase: rule fixpoint, component
     /// split, core compaction, read-back and stitching.
     pub presolve_ns: u64,
-    /// Wall-clock nanoseconds spent inside the dense core eliminations.
-    /// Summed per component, so with component parallelism this can exceed
-    /// the wall-clock span of the dense phase.
+    /// Wall-clock nanoseconds spent inside the dense core eliminations,
+    /// summed over the components.
     pub dense_ns: u64,
     /// Entries (column ids) dropped with duplicate rows (R2).
     pub duplicate_nnz: usize,
@@ -139,10 +130,6 @@ pub struct PresolveStats {
     /// same moments as [`PresolveStats::peak_interned_rows`]. Merges take
     /// the max.
     pub peak_interned_words: usize,
-    /// Residual components whose dense eliminations ran under a multi-slot
-    /// parallel schedule (0 when the component loop had one thread or one
-    /// component).
-    pub components_parallel: usize,
     /// Wall-clock nanoseconds inside the R1/R3/R4/R5 cascade queues.
     pub cascade_ns: u64,
     /// Wall-clock nanoseconds inside batch duplicate-drop passes (R2).
@@ -179,7 +166,6 @@ impl PresolveStats {
         self.subset_nnz += other.subset_nnz;
         self.peak_interned_rows = self.peak_interned_rows.max(other.peak_interned_rows);
         self.peak_interned_words = self.peak_interned_words.max(other.peak_interned_words);
-        self.components_parallel += other.components_parallel;
         self.cascade_ns += other.cascade_ns;
         self.dedup_ns += other.dedup_ns;
         self.subset_ns += other.subset_ns;
@@ -206,7 +192,7 @@ impl PresolveStats {
 /// let mut m = SparseMatrix::new(4);
 /// m.push_row(vec![0, 3]);
 /// m.push_row(vec![3]);
-/// let r = m.rref(1);
+/// let r = m.rref();
 /// assert_eq!(r.rank, 2);
 /// assert_eq!(r.rows, vec![vec![0], vec![3]]);
 /// ```
@@ -304,19 +290,17 @@ impl SparseMatrix {
     }
 
     /// Presolves and eliminates, returning the full RREF (see
-    /// [`SparseRref`]). `threads` is the row-band parallelism handed to each
-    /// dense core elimination; the result is identical at every thread
-    /// count.
-    pub fn rref(self, threads: usize) -> SparseRref {
-        self.rref_cancellable(threads, &CancelToken::never())
+    /// [`SparseRref`]).
+    pub fn rref(self) -> SparseRref {
+        self.rref_cancellable(&CancelToken::never())
     }
 
     /// Like [`SparseMatrix::rref`], polling `token` throughout the presolve
     /// loops and once per sweep inside the dense core eliminations. On
     /// cancellation the result carries [`GaussStats::interrupted`] and *no*
     /// rows — partial output is never exposed.
-    pub fn rref_cancellable(self, threads: usize, token: &CancelToken) -> SparseRref {
-        presolve_rref(self, threads, token)
+    pub fn rref_cancellable(self, token: &CancelToken) -> SparseRref {
+        presolve_rref(self, token)
     }
 }
 
@@ -780,8 +764,6 @@ fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> Sparse
         gauss: GaussStats {
             rank,
             row_xors: presolver.xors,
-            threads: 1,
-            bands: 1,
             interrupted: true,
             ..GaussStats::default()
         },
@@ -791,7 +773,7 @@ fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> Sparse
 
 /// The full presolve → dense cores → stitch pipeline behind
 /// [`SparseMatrix::rref_cancellable`].
-fn presolve_rref(m: SparseMatrix, threads: usize, token: &CancelToken) -> SparseRref {
+fn presolve_rref(m: SparseMatrix, token: &CancelToken) -> SparseRref {
     let started = std::time::Instant::now();
     let ncols = m.ncols;
     let mut presolver = Presolver::new(m);
@@ -840,104 +822,46 @@ fn presolve_rref(m: SparseMatrix, threads: usize, token: &CancelToken) -> Sparse
         })
         .collect();
 
-    // Components are independent, so their dense eliminations run as
-    // parallel tasks: largest component first (the critical path), results
-    // stitched back in original component order so the output is identical
-    // to the sequential loop at every thread count. Each task polls the
-    // token on entry and once per sweep inside the kernel.
-    let ncomps = comp_rows.len();
-    let mut schedule: Vec<usize> = (0..ncomps).collect();
-    schedule.sort_by_key(|&i| {
-        (
-            std::cmp::Reverse(comp_rows[i].len() * comp_cols[i].len()),
-            i,
-        )
-    });
-    let comp_jobs = if ncomps > 1 {
-        threads.min(ncomps).max(1)
-    } else {
-        1
-    };
-    let inner_threads = (threads / comp_jobs).max(1);
-
-    struct CompOutcome {
-        stats: GaussStats,
-        rows: Vec<Vec<u32>>,
-        dense_elapsed: std::time::Duration,
-    }
-    let live_rows = &presolver.rows;
-    let mut outcomes: Vec<Option<CompOutcome>> =
-        crate::parallel::run_indexed(ncomps, comp_jobs, |slot| {
-            let i = schedule[slot];
-            if token.is_cancelled() {
-                return None;
-            }
-            let rows = &comp_rows[i];
-            let cols = &comp_cols[i];
-            // Tiny cores would only pay the band-pool setup cost; keep them
-            // on the component's own thread.
-            let comp_threads = if rows.len() < crate::blocked::PAR_MIN_BAND_ROWS {
-                1
-            } else {
-                inner_threads
-            };
-            let mut dense = BitMatrix::zero(rows.len(), cols.len());
-            for (local_r, &r) in rows.iter().enumerate() {
-                for c in live_rows[r].as_ref().expect("grouped rows are live") {
-                    let local_c = cols.binary_search(c).expect("col is in the component");
-                    dense.set(local_r, local_c, true);
-                }
-            }
-            let dense_started = std::time::Instant::now();
-            let stats = dense.gauss_jordan_cancellable(comp_threads, token);
-            let dense_elapsed = dense_started.elapsed();
-            let mut out_rows = Vec::new();
-            if !stats.interrupted {
-                for row in dense.iter() {
-                    let cols_of_row: Vec<u32> = row.iter_ones().map(|c| cols[c]).collect();
-                    if cols_of_row.is_empty() {
-                        break; // RREF sorts zero rows last
-                    }
-                    out_rows.push(cols_of_row);
-                }
-            }
-            Some(CompOutcome {
-                stats,
-                rows: out_rows,
-                dense_elapsed,
-            })
-        });
-    let mut slot_of = vec![0usize; ncomps];
-    for (slot, &i) in schedule.iter().enumerate() {
-        slot_of[i] = slot;
-    }
-
+    // Each component becomes a column-compacted dense matrix, eliminated in
+    // component order; the token is polled before each component and once
+    // per sweep inside the kernel.
     let mut gauss = GaussStats::default();
     let mut rows_out: Vec<Vec<u32>> = Vec::new();
     let mut dense_elapsed = std::time::Duration::ZERO;
-    let mut dense_rows_total = 0usize;
-    let mut dense_cols_total = 0usize;
-    let mut any_interrupted = false;
-    for i in 0..ncomps {
-        dense_rows_total += comp_rows[i].len();
-        dense_cols_total += comp_cols[i].len();
-        match outcomes[slot_of[i]].take() {
-            Some(mut out) => {
-                dense_elapsed += out.dense_elapsed;
-                any_interrupted |= out.stats.interrupted;
-                gauss.merge(out.stats);
-                rows_out.append(&mut out.rows);
+    presolver.stats.components = comp_rows.len();
+    for (rows, cols) in comp_rows.iter().zip(&comp_cols) {
+        if token.is_cancelled() {
+            gauss.interrupted = true;
+            break;
+        }
+        let mut dense = BitMatrix::zero(rows.len(), cols.len());
+        for (local_r, &r) in rows.iter().enumerate() {
+            for c in presolver.rows[r].as_ref().expect("grouped rows are live") {
+                let local_c = cols.binary_search(c).expect("col is in the component");
+                dense.set(local_r, local_c, true);
             }
-            None => any_interrupted = true, // task saw the token already set
+        }
+        let dense_started = std::time::Instant::now();
+        let stats = dense.gauss_jordan_cancellable(token);
+        dense_elapsed += dense_started.elapsed();
+        gauss.merge(stats);
+        if stats.interrupted {
+            break;
+        }
+        for row in dense.iter() {
+            let cols_of_row: Vec<u32> = row.iter_ones().map(|c| cols[c]).collect();
+            if cols_of_row.is_empty() {
+                break; // RREF sorts zero rows last
+            }
+            rows_out.push(cols_of_row);
         }
     }
-    if any_interrupted {
-        presolver.stats.components = ncomps;
+    if gauss.interrupted {
         presolver.xors += gauss.row_xors;
         return interrupted_result(presolver, gauss.rank);
     }
-    presolver.stats.components = ncomps;
-    presolver.stats.components_parallel = if comp_jobs > 1 { ncomps } else { 0 };
+    let dense_rows_total: usize = comp_rows.iter().map(Vec::len).sum();
+    let dense_cols_total: usize = comp_cols.iter().map(Vec::len).sum();
     presolver.stats.dense_rows = dense_rows_total;
     presolver.stats.dense_cols = dense_cols_total;
     presolver.stats.rows_eliminated = presolver.stats.input_rows - dense_rows_total;
@@ -978,8 +902,6 @@ fn presolve_rref(m: SparseMatrix, threads: usize, token: &CancelToken) -> Sparse
 
     gauss.rank += presolver.set_asides.len();
     gauss.row_xors += presolver.xors + backsub_xors;
-    gauss.threads = gauss.threads.max(comp_jobs).max(1);
-    gauss.bands = gauss.bands.max(1);
     debug_assert_eq!(gauss.rank, rows_out.len());
     presolver.stats.dense_ns += dense_elapsed.as_nanos() as u64;
     presolver.stats.presolve_ns +=
@@ -1036,7 +958,7 @@ mod tests {
     fn assert_matches_dense(m: SparseMatrix) -> SparseRref {
         let dense = m.to_dense();
         let expected = dense_nonzero_rows(&dense);
-        let got = m.rref(1);
+        let got = m.rref();
         assert!(!got.gauss.interrupted);
         assert_eq!(got.rows, expected, "stitched RREF must equal dense RREF");
         assert_eq!(got.rank, expected.len());
@@ -1046,13 +968,13 @@ mod tests {
 
     #[test]
     fn empty_matrix_and_empty_rows() {
-        let r = SparseMatrix::new(0).rref(1);
+        let r = SparseMatrix::new(0).rref();
         assert_eq!(r.rank, 0);
         assert!(r.rows.is_empty());
         let mut m = SparseMatrix::new(5);
         m.push_row(vec![]);
         m.push_row(vec![2, 2]); // cancels to empty
-        let r = m.rref(1);
+        let r = m.rref();
         assert_eq!(r.rank, 0);
         assert_eq!(r.presolve.empty_rows, 2);
         assert_eq!(r.presolve.rows_eliminated, 2);
@@ -1178,6 +1100,7 @@ mod tests {
             (50, 65, 3, 5),
             (80, 129, 4, 6),
             (120, 30, 3, 7), // tall, rank-deficient
+            (300, 200, 4, 11),
         ] {
             let m = splitmix_sparse(rows, cols, fill, seed);
             assert_matches_dense(m);
@@ -1185,25 +1108,11 @@ mod tests {
     }
 
     #[test]
-    fn random_sparse_shapes_match_dense_threaded() {
-        let m = splitmix_sparse(300, 200, 4, 11);
-        let serial = m.clone().rref(1);
-        for threads in [2usize, 3, 8] {
-            let par = m.clone().rref(threads);
-            assert_eq!(par.rows, serial.rows, "threads {threads}");
-            assert_eq!(par.gauss.rank, serial.gauss.rank);
-            assert_eq!(par.gauss.row_xors, serial.gauss.row_xors);
-            assert_eq!(par.gauss.row_swaps, serial.gauss.row_swaps);
-        }
-        assert_matches_dense(m);
-    }
-
-    #[test]
     fn pre_cancelled_token_reports_interrupted_with_no_rows() {
         let token = CancelToken::new();
         token.cancel();
         let m = splitmix_sparse(30, 30, 3, 9);
-        let r = m.rref_cancellable(1, &token);
+        let r = m.rref_cancellable(&token);
         assert!(r.gauss.interrupted);
         assert!(r.rows.is_empty(), "partial output is never exposed");
     }
@@ -1212,7 +1121,7 @@ mod tests {
     fn mid_run_cancellation_is_transactional() {
         let token = CancelToken::new().cancel_after_checks(2);
         let m = splitmix_sparse(200, 150, 4, 10);
-        let r = m.rref_cancellable(1, &token);
+        let r = m.rref_cancellable(&token);
         assert!(r.gauss.interrupted);
         assert!(r.rows.is_empty());
     }
@@ -1233,7 +1142,7 @@ mod tests {
     fn stats_shape_fields_are_consistent() {
         let m = splitmix_sparse(64, 48, 3, 12);
         let (nrows, ncols) = (m.nrows(), m.ncols());
-        let r = m.rref(1);
+        let r = m.rref();
         assert_eq!(r.presolve.input_rows, nrows);
         assert_eq!(r.presolve.input_cols, ncols);
         assert_eq!(
@@ -1242,32 +1151,6 @@ mod tests {
             "rows either reach a dense core or were eliminated"
         );
         assert_eq!(r.presolve.cols_eliminated, ncols - r.presolve.dense_cols);
-    }
-
-    #[test]
-    fn components_eliminate_in_parallel_deterministically() {
-        // Four disconnected dense-ish blocks: with threads > 1 the component
-        // loop dispatches them in parallel; rows must match the serial run
-        // exactly and the stat must record the parallel schedule.
-        let mut rows = Vec::new();
-        for block in 0..4u32 {
-            let base = block * 4;
-            rows.push(vec![base, base + 1, base + 2]);
-            rows.push(vec![base, base + 1, base + 3]);
-            rows.push(vec![base, base + 2, base + 3]);
-            rows.push(vec![base + 1, base + 2, base + 3]);
-        }
-        let m = SparseMatrix::from_rows(16, rows);
-        let serial = m.clone().rref(1);
-        assert_eq!(serial.presolve.components, 4);
-        assert_eq!(serial.presolve.components_parallel, 0);
-        for threads in [2usize, 3, 8] {
-            let par = m.clone().rref(threads);
-            assert_eq!(par.rows, serial.rows, "threads {threads}");
-            assert_eq!(par.gauss.rank, serial.gauss.rank);
-            assert_eq!(par.gauss.row_xors, serial.gauss.row_xors);
-            assert_eq!(par.presolve.components_parallel, 4);
-        }
     }
 
     #[test]
@@ -1299,7 +1182,6 @@ mod tests {
             components: 1,
             peak_interned_rows: 80,
             peak_interned_words: 200,
-            components_parallel: 1,
             ..PresolveStats::default()
         };
         a.merge(PresolveStats {
@@ -1308,7 +1190,6 @@ mod tests {
             components: 2,
             peak_interned_rows: 50,
             peak_interned_words: 300,
-            components_parallel: 2,
             ..PresolveStats::default()
         });
         assert_eq!(a.input_rows, 15);
@@ -1316,6 +1197,5 @@ mod tests {
         assert_eq!(a.components, 3);
         assert_eq!(a.peak_interned_rows, 80, "peaks merge by max");
         assert_eq!(a.peak_interned_words, 300, "peaks merge by max");
-        assert_eq!(a.components_parallel, 3);
     }
 }

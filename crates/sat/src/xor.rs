@@ -164,7 +164,7 @@ pub fn xor_gauss_eliminate(constraints: &[XorConstraint]) -> XorGaussOutcome {
             matrix.set(i, rhs_col, true);
         }
     }
-    let stats = matrix.gauss_jordan_with_stats(1);
+    let stats = matrix.gauss_jordan_with_stats();
     let mut rows = Vec::with_capacity(stats.rank);
     let mut contradiction = false;
     for row in matrix.iter().take(stats.rank) {

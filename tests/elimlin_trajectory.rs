@@ -31,7 +31,7 @@ fn assert_trajectory(
     facts: usize,
     hash: u64,
 ) {
-    let outcome = elimlin_on(system.polynomials().to_vec(), 1);
+    let outcome = elimlin_on(system.polynomials().to_vec());
     assert!(!outcome.contradiction, "{name}: the system is satisfiable");
     assert_eq!(
         (

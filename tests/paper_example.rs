@@ -42,7 +42,6 @@ fn section_2c_elimlin_worked_example() {
         PolynomialSystem::parse("x1 + x2 + x3; x1*x2 + x2*x3 + 1;")
             .expect("parses")
             .into_polynomials(),
-        1,
     );
     assert!(outcome.facts.contains(&"x2 + 1".parse().expect("parses")));
 }

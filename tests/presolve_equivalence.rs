@@ -1,26 +1,24 @@
-//! The pipeline's SAT pass preprocesses identically under every setting
-//! that must not change its result.
+//! The pipeline preprocesses identically with the sparse presolve on or off.
 //!
-//! Each iteration of the Bosphorus loop adds facts incrementally to the
-//! knowledge base, but every SAT pass encodes the current system from
-//! scratch and runs a fresh conflict-bounded solver. The outcome therefore
-//! depends on the system and the configuration alone: fresh engines at one
-//! and at four worker threads, with the batch presolve on or off, must give
-//! the same status, the same learnt facts in the same order, the same
-//! per-pass fact counts and the same iteration count. These tests pin that
-//! on the committed example instances; the fact streams themselves are
-//! pinned by the golden test in `tests/pipeline.rs`.
+//! The presolve is exact: it hands the dense kernel a smaller matrix with
+//! the same RREF, so XL and ElimLin learn the same facts either way. Every
+//! SAT pass encodes the current system from scratch and runs a fresh
+//! conflict-bounded solver, so the whole outcome depends on the system
+//! alone: fresh engines with the presolve on and off must give the same
+//! status, the same learnt facts in the same order, the same per-pass fact
+//! counts and the same iteration count. These tests pin that on the
+//! committed example instances; the fact streams themselves are pinned by
+//! the golden test in `tests/pipeline.rs`.
 
 use bosphorus_repro::anf::PolynomialSystem;
 use bosphorus_repro::core::{Bosphorus, BosphorusConfig};
 
-/// Preprocesses `system` under each thread count and presolve setting and
-/// asserts the outcomes are indistinguishable.
+/// Preprocesses `system` with the presolve on and off and asserts the
+/// outcomes are indistinguishable.
 fn assert_preprocess_equivalent(name: &str, system: &PolynomialSystem, config: &BosphorusConfig) {
     let mut outcomes = Vec::new();
-    for (threads, presolve) in [(1, true), (4, true), (1, false), (4, false)] {
+    for presolve in [true, false] {
         let config = BosphorusConfig {
-            threads,
             presolve,
             ..config.clone()
         };
@@ -33,7 +31,7 @@ fn assert_preprocess_equivalent(name: &str, system: &PolynomialSystem, config: &
             .map(|p| (p.name.clone(), p.facts))
             .collect();
         outcomes.push((
-            (threads, presolve),
+            presolve,
             status,
             engine.learnt_facts().to_vec(),
             pass_facts,
@@ -43,23 +41,23 @@ fn assert_preprocess_equivalent(name: &str, system: &PolynomialSystem, config: &
     }
     let reference = &outcomes[0];
     for other in &outcomes[1..] {
-        let setting = other.0;
-        assert_eq!(reference.1, other.1, "{name} {setting:?}: status diverges");
+        let setting = format!("presolve={}", other.0);
+        assert_eq!(reference.1, other.1, "{name} {setting}: status diverges");
         assert_eq!(
             reference.2, other.2,
-            "{name} {setting:?}: learnt facts diverge"
+            "{name} {setting}: learnt facts diverge"
         );
         assert_eq!(
             reference.3, other.3,
-            "{name} {setting:?}: per-pass fact counts diverge"
+            "{name} {setting}: per-pass fact counts diverge"
         );
         assert_eq!(
             reference.4, other.4,
-            "{name} {setting:?}: iteration counts diverge"
+            "{name} {setting}: iteration counts diverge"
         );
         assert_eq!(
             reference.5, other.5,
-            "{name} {setting:?}: SAT fact totals diverge"
+            "{name} {setting}: SAT fact totals diverge"
         );
     }
 }
