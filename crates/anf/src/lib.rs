@@ -18,8 +18,9 @@
 //! * [`MonomialInterner`] and [`TermScratch`] — the supporting cast of the
 //!   allocation-conscious term layer: a fast-hash monomial→dense-id map used
 //!   by linearisation, and a reusable working buffer for the merge-based
-//!   polynomial arithmetic. The [`naive`] module keeps the original (seed)
-//!   term layer as an executable specification for tests and benchmarks.
+//!   polynomial arithmetic. The original (seed) term layer survives only
+//!   under `cfg(test)`, as the reference the property tests compare the
+//!   production types against.
 //!
 //! # Examples
 //!
@@ -50,7 +51,8 @@ mod database;
 mod eval;
 mod intern;
 mod monomial;
-pub mod naive;
+#[cfg(test)]
+mod naive;
 mod parser;
 mod polynomial;
 mod propagate;

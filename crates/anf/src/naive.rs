@@ -1,20 +1,12 @@
 //! The *reference* term layer: the seed implementation of monomials and
 //! polynomials, kept verbatim as an executable specification.
 //!
-//! The production [`Monomial`]/[`Polynomial`]
-//! types use an inline small-buffer representation and merge-based
-//! arithmetic; this module preserves the original heap-`Vec` monomials,
-//! insert-per-term polynomial construction and merge-per-partial-product
-//! multiplication. Two consumers depend on it:
-//!
-//! * the property tests in `crates/anf`, which assert that every production
-//!   operation is observationally identical to this model;
-//! * the `pipeline_bench` binary in `crates/bench`, which measures the
-//!   production XL round against a round built on this layer (the recorded
-//!   before/after numbers in `BENCH_pipeline.json`).
-//!
-//! It is deliberately *not* optimised — do not use it outside tests and
-//! benchmarks.
+//! The production [`Monomial`]/[`Polynomial`] types use an inline
+//! small-buffer representation and merge-based arithmetic; this module
+//! preserves the original heap-`Vec` monomials, insert-per-term polynomial
+//! construction and merge-per-partial-product multiplication. It is compiled
+//! only for tests: the property tests in `crates/anf` assert that every
+//! production operation is observationally identical to this model.
 
 use std::cmp::Ordering;
 
@@ -154,16 +146,6 @@ impl NaivePolynomial {
     /// The number of terms.
     pub fn len(&self) -> usize {
         self.monomials.len()
-    }
-
-    /// Returns `true` if there are no monomials.
-    pub fn is_empty(&self) -> bool {
-        self.monomials.is_empty()
-    }
-
-    /// The monomials in increasing graded-lexicographic order.
-    pub fn monomials(&self) -> &[NaiveMonomial] {
-        &self.monomials
     }
 
     /// XORs a single monomial in (insert if absent, cancel if present).

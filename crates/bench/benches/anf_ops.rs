@@ -2,9 +2,9 @@
 //! XL expansion sweep, and linearisation build — the three operations the
 //! inline-monomial / merge-arithmetic / interner redesign targets.
 //!
-//! Run with `cargo bench -p bosphorus-bench --bench anf_ops`. For the
-//! recorded end-to-end numbers see `BENCH_pipeline.json` (produced by the
-//! `pipeline_bench` binary).
+//! Run with `cargo bench -p bosphorus-bench --bench anf_ops`. The
+//! end-to-end cost of these operations in real jobs is perfbench's
+//! `core.xl_s` and `core.elimlin_s` (`perfbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -92,7 +92,7 @@ pub fn solve_anf_instance(
         Approach::Direct => {
             let propagator = AnfPropagator::new(system.num_vars());
             let conversion = anf_to_cnf(system, &propagator, &settings.bosphorus);
-            let result = run_solver(&conversion.cnf, &conversion.xors, solver_config, settings);
+            let result = run_solver(conversion.solver(solver_config), settings);
             InstanceOutcome {
                 result,
                 total_time: start.elapsed(),
@@ -111,7 +111,7 @@ pub fn solve_anf_instance(
                 PreprocessStatus::Interrupted => None,
                 PreprocessStatus::Simplified => {
                     let conversion = engine.to_cnf();
-                    run_solver(&conversion.cnf, &conversion.xors, solver_config, settings)
+                    run_solver(conversion.solver(solver_config), settings)
                 }
             };
             InstanceOutcome {
@@ -134,7 +134,7 @@ pub fn solve_cnf_instance(
     let start = Instant::now();
     match approach {
         Approach::Direct => {
-            let result = run_solver(cnf, &[], solver_config, settings);
+            let result = run_solver(Solver::from_formula(solver_config.clone(), cnf), settings);
             InstanceOutcome {
                 result,
                 total_time: start.elapsed(),
@@ -151,7 +151,7 @@ pub fn solve_cnf_instance(
                 PreprocessStatus::Interrupted => None,
                 PreprocessStatus::Simplified => {
                     let conversion = engine.to_cnf();
-                    run_solver(&conversion.cnf, &conversion.xors, solver_config, settings)
+                    run_solver(conversion.solver(solver_config), settings)
                 }
             };
             InstanceOutcome {
@@ -163,18 +163,7 @@ pub fn solve_cnf_instance(
     }
 }
 
-fn run_solver(
-    cnf: &CnfFormula,
-    xors: &[bosphorus_sat::XorConstraint],
-    solver_config: &SolverConfig,
-    settings: &RunSettings,
-) -> Option<bool> {
-    let mut solver = Solver::from_formula(solver_config.clone(), cnf);
-    if solver_config.xor_reasoning {
-        for xor in xors {
-            solver.add_xor(xor.clone());
-        }
-    }
+fn run_solver(mut solver: Solver, settings: &RunSettings) -> Option<bool> {
     solver.set_conflict_budget(Some(settings.final_conflict_cap));
     match solver.solve() {
         SolveResult::Sat => Some(true),

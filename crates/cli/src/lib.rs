@@ -194,8 +194,8 @@ pub struct CliOptions {
     pub no_presolve: bool,
     /// Solver configuration for the final `--solve` call. The in-loop SAT
     /// pass is pinned to the paper's aggressive configuration (as in the
-    /// original engine); `xorgauss` additionally turns on XOR-constraint
-    /// emission so the final solver can use its Gauss engine.
+    /// original engine); under `xorgauss` the final solver also receives the
+    /// conversion's native XOR constraints for its Gauss engine.
     pub solver: SolverChoice,
     /// Wall-clock deadline in seconds (`--timeout`); `None` = no deadline.
     pub timeout: Option<f64>,
@@ -329,9 +329,6 @@ pub fn build_config(options: &CliOptions) -> BosphorusConfig {
     }
     if options.no_presolve {
         config.presolve = false;
-    }
-    if options.solver == SolverChoice::XorGauss {
-        config.emit_xor_constraints = true;
     }
     config
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use bosphorus_anf::{Monomial, MonomialInterner, Polynomial, PolynomialSystem, Var};
 use bosphorus_cnf::{CnfFormula, CnfVar, Lit};
-use bosphorus_sat::XorConstraint;
+use bosphorus_sat::{Solver, SolverConfig, XorConstraint};
 
 use crate::minimize::karnaugh_clauses;
 use crate::BosphorusConfig;
@@ -35,7 +35,8 @@ pub struct CnfConversion {
     /// materialised during the conversion.
     pub var_of_monomial: BTreeMap<Monomial, CnfVar>,
     /// Native XOR constraints mirroring the encoded polynomials, for
-    /// XOR-aware solvers (emitted only when the configuration asks for them).
+    /// XOR-aware solvers. Always recorded; [`CnfConversion::solver`] hands
+    /// them over only when the solver configuration enables XOR reasoning.
     pub xors: Vec<XorConstraint>,
     /// Number of clauses produced through the Karnaugh-map path.
     pub karnaugh_clauses: usize,
@@ -44,6 +45,19 @@ pub struct CnfConversion {
 }
 
 impl CnfConversion {
+    /// A solver loaded with the formula, plus the native XOR constraints
+    /// when `solver_config` enables XOR reasoning. This is the one place
+    /// that decides which XORs a solver receives.
+    pub fn solver(&self, solver_config: &SolverConfig) -> Solver {
+        let mut solver = Solver::from_formula(solver_config.clone(), &self.cnf);
+        if solver_config.xor_reasoning {
+            for xor in &self.xors {
+                solver.add_xor(xor.clone());
+            }
+        }
+        solver
+    }
+
     /// The ANF monomial behind a CNF variable, if it has one.
     pub fn monomial(&self, var: CnfVar) -> Option<&Monomial> {
         self.monomial_of_var.get(&var)
@@ -180,13 +194,11 @@ impl<'a> Converter<'a> {
             for c in clauses {
                 self.cnf.push_clause(c);
             }
-            if self.config.emit_xor_constraints && poly.is_linear() {
-                if let Some((vars, constant)) = poly.as_linear() {
-                    self.xors.push(XorConstraint::new(
-                        vars.iter().map(|&v| v as CnfVar),
-                        constant,
-                    ));
-                }
+            if let Some((vars, constant)) = poly.as_linear() {
+                self.xors.push(XorConstraint::new(
+                    vars.iter().map(|&v| v as CnfVar),
+                    constant,
+                ));
             }
             return;
         }
@@ -232,10 +244,8 @@ impl<'a> Converter<'a> {
             }
             return;
         }
-        if self.config.emit_xor_constraints {
-            self.xors
-                .push(XorConstraint::new(vars.iter().copied(), rhs));
-        }
+        self.xors
+            .push(XorConstraint::new(vars.iter().copied(), rhs));
         let n = vars.len();
         for pattern in 0u32..(1 << n) {
             // Forbid every assignment whose parity differs from rhs.
@@ -288,7 +298,7 @@ pub fn tseitin_clause_count(poly: &Polynomial, config: &BosphorusConfig) -> usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bosphorus_sat::{SolveResult, Solver, SolverConfig};
+    use bosphorus_sat::SolveResult;
 
     fn config() -> BosphorusConfig {
         BosphorusConfig::default()
@@ -438,14 +448,21 @@ mod tests {
 
     #[test]
     fn xor_constraints_emitted_when_requested() {
-        let system =
-            PolynomialSystem::parse("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;")
-                .expect("parses");
-        let propagator = AnfPropagator::new(system.num_vars());
-        let mut cfg = config();
-        cfg.emit_xor_constraints = true;
-        let conversion = anf_to_cnf(&system, &propagator, &cfg);
+        // The default conversion records the XOR pieces of a long linear
+        // equation; a solver receives them exactly when its configuration
+        // asks for XOR reasoning.
+        let (system, conversion) = convert("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;");
         assert!(!conversion.xors.is_empty());
+        for (solver_config, delivered) in [
+            (SolverConfig::xor_gauss(), true),
+            (SolverConfig::aggressive(), false),
+        ] {
+            let mut solver = conversion.solver(&solver_config);
+            assert_eq!(solver.solve(), SolveResult::Sat);
+            assert_eq!(solver.stats().xor_gauss_rounds > 0, delivered);
+            let model = solver.model().expect("model");
+            assert!(system.iter().all(|p| !p.evaluate(|v| model[v as usize])));
+        }
     }
 
     #[test]

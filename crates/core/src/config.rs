@@ -74,10 +74,6 @@ pub struct BosphorusConfig {
     /// Degree bound of the optional Gröbner pass; S-polynomials above this
     /// degree are skipped, keeping the pass cheap enough to sit in the loop.
     pub groebner_max_degree: usize,
-    /// Whether native XOR constraints are handed to the SAT solver in
-    /// addition to the CNF clauses (exercised by the CryptoMiniSat-like
-    /// configuration).
-    pub emit_xor_constraints: bool,
     /// Seed for the subsampling random number generator, fixed for
     /// reproducibility of experiments.
     pub rng_seed: u64,
@@ -109,7 +105,6 @@ impl Default for BosphorusConfig {
             groebner_max_reductions: 5_000,
             groebner_max_basis_size: 500,
             groebner_max_degree: 4,
-            emit_xor_constraints: false,
             rng_seed: 0xB05F0405,
             presolve: true,
         }

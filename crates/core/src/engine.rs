@@ -8,7 +8,7 @@ use std::time::Instant;
 use bosphorus_anf::{AnfDatabase, AnfPropagator, Assignment, Polynomial, PolynomialSystem, Var};
 use bosphorus_cnf::CnfFormula;
 use bosphorus_interrupt::CancelToken;
-use bosphorus_sat::{SolveResult, Solver, SolverConfig};
+use bosphorus_sat::{SolveResult, SolverConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -371,12 +371,7 @@ impl Bosphorus {
             PreprocessStatus::Simplified => {}
         }
         let conversion = self.to_cnf();
-        let mut solver = Solver::from_formula(solver_config.clone(), &conversion.cnf);
-        if solver_config.xor_reasoning {
-            for xor in &conversion.xors {
-                solver.add_xor(xor.clone());
-            }
-        }
+        let mut solver = conversion.solver(solver_config);
         solver.set_cancel_token(self.cancel.clone());
         match solver.solve() {
             SolveResult::Sat => {
@@ -501,6 +496,7 @@ mod tests {
     use super::*;
     use crate::pipeline::PassKind;
     use crate::PassOutcome;
+    use bosphorus_sat::Solver;
 
     fn section_2e() -> PolynomialSystem {
         PolynomialSystem::parse(

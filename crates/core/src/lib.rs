@@ -84,10 +84,7 @@ pub use pipeline::{
     ElimLinPass, GroebnerPass, LearningPass, PassBudget, PassKind, PassOutcome, PassStatus,
     Pipeline, PropagatePass, SatPass, XlPass,
 };
-pub use satstep::{
-    sat_step, sat_step_cancellable, sat_step_on_conversion, sat_step_on_conversion_cancellable,
-    SatStepOutcome, SatStepStatus,
-};
+pub use satstep::{sat_step, sat_step_cancellable, SatStepOutcome, SatStepStatus};
 pub use stats::{EngineStats, PassStats, TimelineEntry};
 pub use xl::{expansion_monomials, is_retainable_fact, xl_learn, xl_learn_cancellable, XlOutcome};
 

@@ -338,12 +338,9 @@ impl Linearization {
     }
 
     /// Scans the current matrix rows for retainable facts — the read-back
-    /// half of [`Linearization::eliminate_retainable_with_stats`], exposed
-    /// separately so harnesses can time the elimination kernel and the
-    /// read-back independently without re-implementing the retainability
-    /// predicate. Returns the facts in row order together with the number
-    /// of non-zero rows.
-    pub fn retainable_rows(&self) -> (Vec<Polynomial>, usize) {
+    /// half of [`Linearization::eliminate_retainable_with_stats`]. Returns
+    /// the facts in row order together with the number of non-zero rows.
+    fn retainable_rows(&self) -> (Vec<Polynomial>, usize) {
         let ncols = self.num_columns();
         // First column whose monomial has degree <= 1 (degrees are
         // non-increasing across the descending graded-lex order).
@@ -598,47 +595,52 @@ mod tests {
 
     #[test]
     fn builder_products_match_the_eager_construction() {
-        use bosphorus_anf::Monomial;
-        // Expand the Table I system with the degree-1 multipliers both ways:
-        // eagerly (materialised products through Linearization::build) and
-        // through `LinearizationBuilder`. The linearisations must agree
-        // column for column and row for row.
-        let base = polys("x1*x2 + x1 + 1; x2*x3 + x3;");
-        let multipliers = [
-            Monomial::variable(1),
-            Monomial::variable(2),
-            Monomial::variable(3),
-        ];
-        let mut eager: Vec<Polynomial> = base.clone();
-        for p in &base {
-            for m in &multipliers {
-                let product = p.mul_monomial(m);
-                if !product.is_zero() {
-                    eager.push(product);
+        // Expand the Table I system and the Section II-E worked example with
+        // the degree-1 multipliers both ways: eagerly (materialised products
+        // through Linearization::build) and through `LinearizationBuilder`.
+        // The linearisations must agree column for column and row for row.
+        for text in [
+            "x1*x2 + x1 + 1; x2*x3 + x3;",
+            "x1*x2 + x3 + x4 + 1; x1*x2*x3 + x1 + x3 + 1; x1*x3 + x3*x4*x5 + x3;
+             x2*x3 + x3*x5 + 1; x2*x3 + x5 + 1;",
+        ] {
+            let base = polys(text);
+            let mut vars: Vec<bosphorus_anf::Var> =
+                base.iter().flat_map(Polynomial::variables).collect();
+            vars.sort_unstable();
+            vars.dedup();
+            let multipliers = crate::expansion_monomials(&vars, 1);
+            let mut eager: Vec<Polynomial> = base.clone();
+            for p in &base {
+                for m in &multipliers {
+                    let product = p.mul_monomial(m);
+                    if !product.is_zero() {
+                        eager.push(product);
+                    }
                 }
             }
-        }
-        let eager_lin = Linearization::build(eager.iter());
+            let eager_lin = Linearization::build(eager.iter());
 
-        let mut builder = LinearizationBuilder::new();
-        for p in &base {
-            builder.push(p);
-        }
-        let mut scratch = bosphorus_anf::TermScratch::new();
-        for p in &base {
-            for m in &multipliers {
-                builder.push_product(p, m, &mut scratch);
+            let mut builder = LinearizationBuilder::new();
+            for p in &base {
+                builder.push(p);
             }
-        }
-        assert_eq!(builder.num_rows(), eager.len());
-        let lin = builder.finish();
-        assert_eq!(lin.num_rows(), eager_lin.num_rows());
-        assert_eq!(lin.num_columns(), eager_lin.num_columns());
-        for c in 0..lin.num_columns() {
-            assert_eq!(lin.column_monomial(c), eager_lin.column_monomial(c));
-        }
-        for r in 0..lin.num_rows() {
-            assert_eq!(lin.matrix().row(r), eager_lin.matrix().row(r));
+            let mut scratch = bosphorus_anf::TermScratch::new();
+            for p in &base {
+                for m in &multipliers {
+                    builder.push_product(p, m, &mut scratch);
+                }
+            }
+            assert_eq!(builder.num_rows(), eager.len(), "{text}");
+            let lin = builder.finish();
+            assert_eq!(lin.num_rows(), eager_lin.num_rows(), "{text}");
+            assert_eq!(lin.num_columns(), eager_lin.num_columns(), "{text}");
+            for c in 0..lin.num_columns() {
+                assert_eq!(lin.column_monomial(c), eager_lin.column_monomial(c));
+            }
+            for r in 0..lin.num_rows() {
+                assert_eq!(lin.matrix().row(r), eager_lin.matrix().row(r));
+            }
         }
     }
 

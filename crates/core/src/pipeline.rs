@@ -446,24 +446,16 @@ impl LearningPass for ElimLinPass {
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,
-    solver_config: SolverConfig,
     last_seen: Option<Revision>,
     last_budget: Option<u64>,
 }
 
 impl SatPass {
     /// Creates the pass. The paper runs the in-loop SAT calls with an
-    /// aggressive restart/activity configuration; [`SatPass::with_solver`]
-    /// overrides it.
+    /// aggressive restart/activity configuration.
     pub fn new(config: BosphorusConfig) -> Self {
-        SatPass::with_solver(config, SolverConfig::aggressive())
-    }
-
-    /// Creates the pass with an explicit solver configuration.
-    pub fn with_solver(config: BosphorusConfig, solver_config: SolverConfig) -> Self {
         SatPass {
             config,
-            solver_config,
             last_seen: None,
             last_budget: None,
         }
@@ -489,7 +481,7 @@ impl LearningPass for SatPass {
             db.system(),
             db.propagator(),
             &self.config,
-            &self.solver_config,
+            &SolverConfig::aggressive(),
             conflicts,
             budget.cancel_token(),
         );

@@ -97,37 +97,16 @@ pub fn sat_step_cancellable(
     sat_step_on_conversion_cancellable(&conversion, system.num_vars(), solver_config, budget, token)
 }
 
-/// Like [`sat_step`], but reuses an existing conversion.
-pub fn sat_step_on_conversion(
-    conversion: &CnfConversion,
-    num_anf_vars: usize,
-    solver_config: &SolverConfig,
-    budget: u64,
-) -> SatStepOutcome {
-    sat_step_on_conversion_cancellable(
-        conversion,
-        num_anf_vars,
-        solver_config,
-        budget,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`sat_step_on_conversion`], with cooperative cancellation (see
-/// [`sat_step_cancellable`]).
-pub fn sat_step_on_conversion_cancellable(
+/// Runs the budgeted solve of [`sat_step_cancellable`] on an existing
+/// conversion.
+fn sat_step_on_conversion_cancellable(
     conversion: &CnfConversion,
     num_anf_vars: usize,
     solver_config: &SolverConfig,
     budget: u64,
     token: &CancelToken,
 ) -> SatStepOutcome {
-    let mut solver = Solver::from_formula(solver_config.clone(), &conversion.cnf);
-    if solver_config.xor_reasoning {
-        for xor in &conversion.xors {
-            solver.add_xor(xor.clone());
-        }
-    }
+    let mut solver = conversion.solver(solver_config);
     solver.set_conflict_budget(Some(budget));
     solver.set_cancel_token(token.clone());
     let result = solver.solve();
@@ -317,14 +296,10 @@ mod tests {
             PolynomialSystem::parse("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;")
                 .expect("parses");
         let propagator = AnfPropagator::new(system.num_vars());
-        let config = BosphorusConfig {
-            emit_xor_constraints: true,
-            ..BosphorusConfig::default()
-        };
         let outcome = sat_step(
             &system,
             &propagator,
-            &config,
+            &BosphorusConfig::default(),
             &SolverConfig::xor_gauss(),
             10_000,
         );

@@ -1,10 +1,13 @@
 //! Integration tests for the ANF↔CNF conversions on realistic (cipher)
 //! polynomials rather than toy systems.
 
-use bosphorus_repro::anf::{Assignment, PolynomialSystem};
+use bosphorus_repro::anf::{Assignment, Polynomial, PolynomialSystem, TermScratch, Var};
 use bosphorus_repro::ciphers::{satcomp, simon};
 use bosphorus_repro::cnf::CnfFormula;
-use bosphorus_repro::core::{anf_to_cnf, cnf_to_anf, AnfPropagator, BosphorusConfig};
+use bosphorus_repro::core::{
+    anf_to_cnf, cnf_to_anf, expansion_monomials, AnfPropagator, BosphorusConfig, CancelToken,
+    Linearization, LinearizationBuilder, SparseLinearization,
+};
 use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,11 +32,10 @@ fn simon_instance_cnf_models_restrict_to_anf_models() {
         &AnfPropagator::new(instance.system.num_vars()),
         &config,
     );
-    let mut solver = Solver::from_formula(SolverConfig::xor_gauss(), &conversion.cnf);
-    for xor in &conversion.xors {
-        solver.add_xor(xor.clone());
-    }
+    assert!(!conversion.xors.is_empty());
+    let mut solver = conversion.solver(&SolverConfig::xor_gauss());
     assert_eq!(solver.solve(), SolveResult::Sat);
+    assert!(solver.stats().xor_gauss_rounds > 0);
     let model = solver.model().expect("model");
     let restricted = Assignment::from_bits(
         (0..instance.system.num_vars()).map(|v| model.get(v).copied().unwrap_or(false)),
@@ -126,4 +128,69 @@ fn conversion_paths_match_polynomial_shape() {
     let wide_conv = anf_to_cnf(&wide, &AnfPropagator::new(wide.num_vars()), &config);
     assert!(wide_conv.tseitin_clauses > 0);
     assert!(wide_conv.cnf.num_vars() > wide.num_vars());
+}
+
+/// One exhaustive degree-1 XL round on a Simon-[2,3] instance, built two
+/// ways: streamed through `LinearizationBuilder` (the engine's path) and from
+/// materialised products (`Linearization::build`). The two linearisations are
+/// identical column for column and row for row, and after elimination they
+/// have the same rank and the same retainable facts. The eliminations run on
+/// the presolve path: the dense kernel on this 14k × 13k matrix is seconds in
+/// a debug build, and presolve ≡ dense is pinned by its own tests.
+#[test]
+fn simon_xl_round_builder_matches_the_eager_construction() {
+    let mut rng = StdRng::seed_from_u64(2019);
+    let instance = simon::generate(
+        simon::SimonParams {
+            num_plaintexts: 2,
+            rounds: 3,
+        },
+        &mut rng,
+    );
+    let system = &instance.system;
+    let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let multipliers = expansion_monomials(&vars, 1);
+
+    let mut eager: Vec<Polynomial> = system.iter().cloned().collect();
+    let mut builder = LinearizationBuilder::new();
+    for poly in system.iter() {
+        builder.push(poly);
+    }
+    let mut scratch = TermScratch::new();
+    for base in system.iter() {
+        for m in &multipliers {
+            let product = base.mul_monomial(m);
+            if !product.is_zero() {
+                eager.push(product);
+            }
+            builder.push_product(base, m, &mut scratch);
+        }
+    }
+    let lin = builder.clone().finish();
+    let eager_lin = Linearization::build(eager.iter());
+    assert_eq!(
+        (lin.num_rows(), lin.num_columns()),
+        (eager_lin.num_rows(), eager_lin.num_columns())
+    );
+    for c in 0..lin.num_columns() {
+        assert_eq!(lin.column_monomial(c), eager_lin.column_monomial(c));
+    }
+    for r in 0..lin.num_rows() {
+        assert_eq!(lin.matrix().row(r), eager_lin.matrix().row(r), "row {r}");
+    }
+
+    let never = CancelToken::never();
+    let (facts, rank, _, _) = builder
+        .finish_sparse()
+        .eliminate_retainable_cancellable(&never);
+    let (eager_facts, eager_rank, _, _) =
+        SparseLinearization::build(eager.iter()).eliminate_retainable_cancellable(&never);
+    assert_eq!(rank, eager_rank);
+    assert_eq!(facts, eager_facts);
+    assert!(!facts.is_empty(), "the round learns facts");
+    for fact in &facts {
+        assert!(!fact.evaluate(|v| instance.witness.get(v)), "{fact}");
+    }
 }
