@@ -45,6 +45,11 @@ pub type Revision = u64;
 /// assert_eq!(db.propagator().value(0), Some(true));
 /// assert!(db.has_changed_since(after_push));
 ///
+/// // A fact the database already implies is not new.
+/// let propagated = db.revision();
+/// assert!(!db.push_unique("x0 + 1".parse()?));
+/// assert!(!db.has_changed_since(propagated));
+///
 /// // A database nobody touched reports no change.
 /// let quiet = db.revision();
 /// assert!(!db.has_changed_since(quiet));
@@ -134,10 +139,18 @@ impl AnfDatabase {
         self.system.num_vars()
     }
 
-    /// Appends a learnt fact unless an equal polynomial is already present.
+    /// Appends a learnt fact unless the database already implies it.
     /// Returns `true` (and bumps the revision) when it was inserted.
+    ///
+    /// This is the one place that decides whether a fact is new. The fact is
+    /// first reduced by the propagation knowledge: one that reduces to zero
+    /// restates a determined value or equivalence and is rejected. Otherwise
+    /// the *reduced* row is appended unless an equal row is already present,
+    /// which also rejects a fact that reduces to an existing row — exactly
+    /// what [`AnfDatabase::propagate`] would have reduced it to anyway.
     pub fn push_unique(&mut self, poly: Polynomial) -> bool {
-        if self.system.push_unique(poly) {
+        let reduced = self.propagator.apply_to_polynomial(&poly);
+        if self.system.push_unique(reduced) {
             self.revision += 1;
             self.modified.push(self.revision);
             self.propagator.ensure_num_vars(self.system.num_vars());
@@ -188,55 +201,39 @@ impl AnfDatabase {
             return full(self);
         }
         let dirty = self.dirty_since(last);
-        if dirty.is_empty() {
-            // Fixpoint invariant: nothing was appended since the previous
-            // propagation, and only propagation itself changes knowledge, so
-            // a sweep would reduce every row to itself.
-            return PropagationOutcome {
-                contradiction: false,
-                new_assignments: 0,
-                new_equivalences: 0,
-                system_changed: false,
-            };
-        }
-        let clean_len = self.system.len() - dirty.len();
-        // Appended facts form a trailing suffix (propagation stamps the
-        // whole system with one revision; `push_unique` appends at later
-        // ones). Anything else — including an all-dirty system — takes the
-        // full path.
-        if clean_len == 0 || dirty.first() != Some(&clean_len) {
-            return full(self);
-        }
-        // Trial: propagate only the appended suffix against a clone of the
-        // knowledge. If that yields no new knowledge, the clean prefix
-        // (already at its fixed point under unchanged knowledge) cannot be
-        // affected, and the reduced suffix merges straight back.
-        let mut suffix = PolynomialSystem::with_num_vars(self.system.num_vars());
-        suffix.extend(self.system.iter().skip(clean_len).cloned());
-        let mut probe = self.propagator.clone();
-        let sub = probe.propagate(&mut suffix);
-        if sub.contradiction || sub.new_assignments > 0 || sub.new_equivalences > 0 {
-            // The new rows carry knowledge that reaches the prefix: redo
-            // everything from the untouched state so counters and ordering
-            // match a from-scratch sweep exactly.
-            return full(self);
-        }
-        let mut merged = PolynomialSystem::with_num_vars(self.system.num_vars());
-        merged.extend(self.system.iter().take(clean_len).cloned());
-        let mut changed = sub.system_changed;
-        for poly in suffix {
-            if !merged.push_unique(poly) {
-                // The reduced row duplicates a prefix row — the full sweep's
-                // `normalize` would have dropped it too.
-                changed = true;
+        // An empty dirty set is the fixpoint invariant: nothing was appended
+        // since the previous propagation, and only propagation itself changes
+        // knowledge, so a sweep would reduce every row to itself.
+        if !dirty.is_empty() {
+            let clean_len = self.system.len() - dirty.len();
+            // Appended facts form a trailing suffix (propagation stamps the
+            // whole system with one revision; `push_unique` appends at later
+            // ones). Anything else — including an all-dirty system — takes
+            // the full path.
+            if clean_len == 0 || dirty.first() != Some(&clean_len) {
+                return full(self);
             }
+            // Trial: propagate only the appended suffix against a clone of
+            // the knowledge. If that yields no new knowledge, the clean
+            // prefix (already at its fixed point under unchanged knowledge)
+            // cannot be affected, and the suffix — reduced by that same
+            // knowledge when it was pushed — is at its fixed point too.
+            let mut suffix = PolynomialSystem::with_num_vars(self.system.num_vars());
+            suffix.extend(self.system.iter().skip(clean_len).cloned());
+            let sub = self.propagator.clone().propagate(&mut suffix);
+            if sub.contradiction || sub.new_assignments > 0 || sub.new_equivalences > 0 {
+                // The new rows carry knowledge that reaches the prefix: redo
+                // everything from the untouched state so counters and
+                // ordering match a from-scratch sweep exactly.
+                return full(self);
+            }
+            debug_assert!(!sub.system_changed, "pushed rows are stored reduced");
         }
-        self.system = merged;
         PropagationOutcome {
             contradiction: false,
             new_assignments: 0,
             new_equivalences: 0,
-            system_changed: changed,
+            system_changed: false,
         }
     }
 
@@ -334,16 +331,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_propagation_dedups_a_reduced_suffix_row() {
+    fn push_unique_rejects_a_fact_the_propagator_implies() {
         let mut db = db("x5 + 1; x0*x1 + x2*x3;");
         db.propagate();
-        // Under x5 = 1 this reduces to the already-present x0*x1 + x2*x3;
-        // the suffix path must drop it exactly like a full sweep would.
-        assert!(db.push_unique("x0*x1*x5 + x2*x3*x5".parse().expect("parses")));
-        let outcome = db.propagate();
-        assert!(outcome.system_changed);
-        assert_eq!(outcome.new_assignments, 0);
-        assert_eq!(db.len(), 1, "the duplicate merged away");
+        let rev = db.revision();
+        // x5 = 1 was propagated out of the rows; restating it is no news.
+        assert!(!db.push_unique("x5 + 1".parse().expect("parses")));
+        assert_eq!(db.revision(), rev, "a rejected fact is revision-silent");
+        assert!(db.dirty_since(rev).is_empty());
+        assert_eq!(db.len(), 1);
+    }
+
+    #[test]
+    fn push_unique_rejects_a_fact_that_reduces_to_an_existing_row() {
+        let mut db = db("x5 + 1; x0*x1 + x2*x3;");
+        db.propagate();
+        let rev = db.revision();
+        // Under x5 = 1 this reduces to the already-present x0*x1 + x2*x3.
+        assert!(!db.push_unique("x0*x1*x5 + x2*x3*x5".parse().expect("parses")));
+        assert_eq!(db.revision(), rev);
+        // A fact that reduces to something new is stored reduced.
+        assert!(db.push_unique("x0*x5 + x2".parse().expect("parses")));
+        assert_eq!(
+            db.system().polynomials()[1],
+            "x0 + x2".parse().expect("parses")
+        );
     }
 
     #[test]

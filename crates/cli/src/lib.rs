@@ -522,7 +522,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
         let _ = write!(
             out,
             "\n    {{\"name\": \"{}\", \"runs\": {}, \"skips\": {}, \"facts\": {}, \
-             \"gauss_rank\": {}, \"gauss_row_xors\": {}, \
+             \"known_facts\": {}, \"gauss_rank\": {}, \"gauss_row_xors\": {}, \
              \"sat_conflicts\": {}, \"sat_learnt\": {}, \"sat_removed\": {}, \
              \"sat_minimized_lits\": {}, \"sat_restarts\": {}, \
              \"time_ms\": {:.3}, ",
@@ -530,6 +530,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             pass.runs,
             pass.skips,
             pass.facts,
+            pass.known_facts,
             pass.gauss.rank,
             pass.gauss.row_xors,
             pass.sat_conflicts,
@@ -856,6 +857,22 @@ mod tests {
         assert!(json.contains("\"subset_ns\": 200"));
         assert!(json.contains("\"peak_interned_rows\": 80"));
         assert!(json.contains("\"peak_interned_words\": 480"));
+    }
+
+    #[test]
+    fn stats_json_serialises_known_facts_per_pass() {
+        let pass = bosphorus::PassStats {
+            name: "sat".to_string(),
+            runs: 1,
+            known_facts: 34,
+            ..bosphorus::PassStats::default()
+        };
+        let stats = EngineStats {
+            passes: vec![pass],
+            ..EngineStats::default()
+        };
+        let json = stats_json(&stats, "simplified");
+        assert!(json.contains("\"facts\": 0, \"known_facts\": 34"));
     }
 
     #[test]

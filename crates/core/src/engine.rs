@@ -279,8 +279,9 @@ impl Bosphorus {
                 // the timeline entry once for every status — the recorded
                 // revision is the post-commit one.
                 let added = if matches!(status, PassStatus::Ran | PassStatus::Interrupted) {
-                    let added = self.add_facts(outcome.facts);
+                    let (added, known) = self.add_facts(outcome.facts);
                     self.stats.record_facts(name, added);
+                    self.stats.record_known_facts(name, known);
                     added
                 } else {
                     0
@@ -460,10 +461,11 @@ impl Bosphorus {
         self.restrict_to_original_vars(model)
     }
 
-    /// Adds facts to the master copy (if not already present) and to the
-    /// learnt-fact log. Returns how many were new.
-    fn add_facts(&mut self, facts: Vec<Polynomial>) -> usize {
-        let mut added = 0;
+    /// Adds retainable facts to the master copy, and logs the ones it did
+    /// not already hold or imply in the learnt-fact log (as returned, not
+    /// reduced). Returns how many were new and how many were already known.
+    fn add_facts(&mut self, facts: Vec<Polynomial>) -> (usize, usize) {
+        let (mut added, mut known) = (0, 0);
         for fact in facts {
             if !is_retainable_fact(&fact) && !fact.is_one() {
                 continue;
@@ -471,9 +473,11 @@ impl Bosphorus {
             if self.db.push_unique(fact.clone()) {
                 self.learnt_facts.push(fact);
                 added += 1;
+            } else {
+                known += 1;
             }
         }
-        added
+        (added, known)
     }
 
     /// Runs ANF propagation on the master copy; returns `true` when a

@@ -93,20 +93,15 @@ pub fn sat_step_cancellable(
     budget: u64,
     token: &CancelToken,
 ) -> SatStepOutcome {
-    let conversion = anf_to_cnf(system, propagator, config);
-    sat_step_on_conversion_cancellable(&conversion, system.num_vars(), solver_config, budget, token)
-}
-
-/// Runs the budgeted solve of [`sat_step_cancellable`] on an existing
-/// conversion.
-fn sat_step_on_conversion_cancellable(
-    conversion: &CnfConversion,
-    num_anf_vars: usize,
-    solver_config: &SolverConfig,
-    budget: u64,
-    token: &CancelToken,
-) -> SatStepOutcome {
+    let mut conversion = anf_to_cnf(system, propagator, config);
+    let num_anf_vars = system.num_vars();
     let mut solver = conversion.solver(solver_config);
+    let (cnf_clauses, cnf_vars) = (conversion.cnf.num_clauses(), conversion.cnf.num_vars());
+    // The solver holds its own copy of the clauses and XORs; harvesting needs
+    // only the monomial maps, so the formula is not kept alive next to the
+    // solver's (growing) clause database during the search.
+    drop(std::mem::take(&mut conversion.cnf));
+    drop(std::mem::take(&mut conversion.xors));
     solver.set_conflict_budget(Some(budget));
     solver.set_cancel_token(token.clone());
     let result = solver.solve();
@@ -123,14 +118,14 @@ fn sat_step_on_conversion_cancellable(
             let assignment = Assignment::from_bits(
                 (0..num_anf_vars).map(|v| model.get(v).copied().unwrap_or(false)),
             );
-            harvest_facts(&mut facts, &solver, conversion);
+            harvest_facts(&mut facts, &solver, &conversion);
             SatStepStatus::Satisfiable(assignment)
         }
         // The solver reports Unknown for both budget exhaustion and
         // cancellation; the token distinguishes them.
         SolveResult::Unknown if token.is_cancelled() => SatStepStatus::Interrupted,
         SolveResult::Unknown => {
-            harvest_facts(&mut facts, &solver, conversion);
+            harvest_facts(&mut facts, &solver, &conversion);
             SatStepStatus::Undecided
         }
     };
@@ -144,8 +139,8 @@ fn sat_step_on_conversion_cancellable(
         removed_clauses: stats.removed_clauses,
         minimized_literals: stats.minimized_literals,
         restarts: stats.restarts,
-        cnf_clauses: conversion.cnf.num_clauses(),
-        cnf_vars: conversion.cnf.num_vars(),
+        cnf_clauses,
+        cnf_vars,
     }
 }
 

@@ -24,8 +24,8 @@ pub struct TimelineEntry {
     /// Database revision observed right after the pass's facts were
     /// committed (or at the skip decision).
     pub revision: Revision,
-    /// Facts this execution contributed (after the retainability filter and
-    /// deduplication).
+    /// Facts this execution contributed (after the retainability filter,
+    /// and only those the database did not already hold or imply).
     pub facts: usize,
     /// `true` when the pass skipped because nothing it reads changed.
     pub skipped: bool,
@@ -49,9 +49,14 @@ pub struct PassStats {
     pub runs: usize,
     /// Number of times the pass skipped because nothing it reads changed.
     pub skips: usize,
-    /// Facts contributed by the pass (after the retainability filter and
-    /// deduplication against the master copy).
+    /// Facts contributed by the pass: those that pass the retainability
+    /// filter and that the master copy did not already hold or imply (see
+    /// [`AnfDatabase::push_unique`](bosphorus_anf::AnfDatabase::push_unique)).
     pub facts: usize,
+    /// Retainable facts the pass returned that the master copy already held
+    /// or implied — re-derivations of known rows, values or equivalences,
+    /// which are not committed.
+    pub known_facts: usize,
     /// Cumulative GF(2) elimination work performed by the pass.
     pub gauss: GaussStats,
     /// Cumulative sparse-presolve reductions performed ahead of the pass's
@@ -173,6 +178,12 @@ impl EngineStats {
             "groebner" => self.facts_from_groebner += added,
             _ => {}
         }
+    }
+
+    /// Records `known` returned facts of the pass `name` that the master
+    /// copy already held or implied.
+    pub(crate) fn record_known_facts(&mut self, name: &str, known: usize) {
+        self.entry_mut(name).known_facts += known;
     }
 
     /// Appends one pass execution to the chronological timeline.
@@ -306,6 +317,16 @@ mod tests {
         assert_eq!(stats.sat_conflicts, 3);
         assert_eq!(stats.facts_from_xl, 4);
         assert_eq!(ran.status, PassStatus::Ran);
+    }
+
+    #[test]
+    fn known_facts_are_counted_per_pass_but_not_as_facts() {
+        let mut stats = EngineStats::default();
+        stats.record_facts("sat", 0);
+        stats.record_known_facts("sat", 3);
+        let sat = stats.pass("sat").expect("entry");
+        assert_eq!((sat.facts, sat.known_facts), (0, 3));
+        assert_eq!(stats.total_facts(), 0);
     }
 
     #[test]
