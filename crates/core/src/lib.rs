@@ -16,7 +16,8 @@
 //!    by substitution of linear equations (Section II-C).
 //! 4. **Conflict-bounded SAT** ([`sat_step`]) — convert to CNF, run a CDCL
 //!    solver with a conflict budget, harvest unit and binary learnt clauses
-//!    (Section II-D).
+//!    (Section II-D). A [`SatSearch`] left undecided can be continued with a
+//!    larger budget while the database is unchanged.
 //!
 //! The techniques are [`LearningPass`] objects registered in a [`Pipeline`]
 //! over the incremental [`AnfDatabase`](bosphorus_anf::AnfDatabase); the
@@ -84,7 +85,7 @@ pub use pipeline::{
     ElimLinPass, GroebnerPass, LearningPass, PassBudget, PassKind, PassOutcome, PassStatus,
     Pipeline, PropagatePass, SatPass, XlPass,
 };
-pub use satstep::{sat_step, sat_step_cancellable, SatStepOutcome, SatStepStatus};
+pub use satstep::{sat_step, sat_step_cancellable, SatSearch, SatStepOutcome, SatStepStatus};
 pub use stats::{EngineStats, PassStats, TimelineEntry};
 pub use xl::{expansion_monomials, is_retainable_fact, xl_learn, xl_learn_cancellable, XlOutcome};
 

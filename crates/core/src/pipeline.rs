@@ -35,7 +35,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::elimlin::elimlin_learn_cancellable;
-use crate::satstep::{sat_step_cancellable, SatStepStatus};
+use crate::satstep::{SatSearch, SatStepStatus};
 use crate::xl::xl_learn_cancellable;
 use crate::BosphorusConfig;
 
@@ -244,6 +244,9 @@ pub struct PassOutcome {
     pub sat_minimized_lits: u64,
     /// SAT restarts performed by this run.
     pub sat_restarts: u64,
+    /// `true` when this run continued the SAT search of an earlier run on
+    /// the same database revision instead of starting a new one.
+    pub sat_resumed: bool,
     /// Value assignments recorded by this run (propagation pass only).
     pub new_assignments: usize,
     /// Equivalences recorded by this run (propagation pass only).
@@ -264,6 +267,7 @@ impl PassOutcome {
             sat_removed: 0,
             sat_minimized_lits: 0,
             sat_restarts: 0,
+            sat_resumed: false,
             new_assignments: 0,
             new_equivalences: 0,
         }
@@ -441,13 +445,23 @@ impl LearningPass for ElimLinPass {
     }
 }
 
-/// The conflict-bounded SAT step as a pass (Section II-D). Every round
-/// converts the database to CNF and builds a solver from scratch.
+/// The conflict-bounded SAT step as a pass (Section II-D).
+///
+/// A round on a new database revision converts the database to CNF and
+/// starts a new search. A round that ends undecided keeps its search: when
+/// the next round sees the same revision with a larger budget, it continues
+/// that search up to the new budget instead of spending the old budget's
+/// conflicts again. The result is the one a new search with the full
+/// budget would reach, because the solver's budget pauses its search and
+/// the solver is deterministic. No clause is ever added to a kept search.
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,
     last_seen: Option<Revision>,
     last_budget: Option<u64>,
+    /// The undecided search of the last round, over the CNF of revision
+    /// `last_seen`.
+    search: Option<SatSearch>,
 }
 
 impl SatPass {
@@ -458,6 +472,7 @@ impl SatPass {
             config,
             last_seen: None,
             last_budget: None,
+            search: None,
         }
     }
 }
@@ -475,17 +490,35 @@ impl LearningPass for SatPass {
         if self.last_seen == Some(db.revision()) && self.last_budget == Some(conflicts) {
             return PassOutcome::skipped();
         }
+        // A kept search continues only on the CNF it was built from, and
+        // only forward: one that has already spent the budget cannot stop
+        // at it. Otherwise it is dropped before the new one is built, so
+        // the two never coexist.
+        let resumable = self.last_seen == Some(db.revision())
+            && self
+                .search
+                .as_ref()
+                .is_some_and(|search| search.conflicts() < conflicts);
+        if !resumable {
+            self.search = None;
+        }
         self.last_seen = Some(db.revision());
         self.last_budget = Some(conflicts);
-        let sat = sat_step_cancellable(
-            db.system(),
-            db.propagator(),
-            &self.config,
-            &SolverConfig::aggressive(),
-            conflicts,
-            budget.cancel_token(),
-        );
         let mut outcome = PassOutcome::ran();
+        outcome.sat_resumed = resumable;
+        // A new search has spent no conflicts, so it runs the full budget.
+        let search = self.search.get_or_insert_with(|| {
+            SatSearch::new(
+                db.system(),
+                db.propagator(),
+                &self.config,
+                &SolverConfig::aggressive(),
+            )
+        });
+        let sat = search.run(conflicts - search.conflicts(), budget.cancel_token());
+        if sat.status != SatStepStatus::Undecided {
+            self.search = None;
+        }
         outcome.sat_conflicts = sat.conflicts;
         outcome.sat_learnt = sat.learnt_clauses;
         outcome.sat_removed = sat.removed_clauses;
@@ -703,7 +736,7 @@ impl fmt::Debug for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bosphorus_anf::PolynomialSystem;
+    use bosphorus_anf::{PolynomialSystem, Var};
     use rand::RngCore;
 
     fn db(text: &str) -> AnfDatabase {
@@ -819,6 +852,103 @@ mod tests {
         budget.escalate_sat();
         let rerun = pass.run(&mut database, &budget);
         assert_ne!(rerun.status, PassStatus::Skipped);
+    }
+
+    /// Seven pigeons in six holes: unsatisfiable, and far too hard for the
+    /// SAT pass to decide in a few hundred conflicts.
+    fn pigeonhole_db() -> AnfDatabase {
+        let (pigeons, holes) = (7, 6);
+        let var = |i: Var, j: Var| Polynomial::variable(i * holes + j);
+        let mut system = Vec::new();
+        for i in 0..pigeons {
+            // Pigeon `i` sits in some hole: the product of the negations
+            // vanishes.
+            let mut nowhere = Polynomial::one();
+            for j in 0..holes {
+                nowhere = nowhere * (var(i, j) + Polynomial::one());
+            }
+            system.push(nowhere);
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
+                    system.push(var(i1, j) * var(i2, j));
+                }
+            }
+        }
+        AnfDatabase::new(PolynomialSystem::from_polynomials(system))
+    }
+
+    fn small_sat_budget() -> BosphorusConfig {
+        BosphorusConfig {
+            sat_conflict_budget: 100,
+            sat_budget_increment: 100,
+            sat_budget_max: 1_000,
+            ..exhaustive()
+        }
+    }
+
+    #[test]
+    fn sat_pass_continues_its_search_on_an_unchanged_revision() {
+        let config = small_sat_budget();
+        let mut database = pigeonhole_db();
+        let budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config.clone());
+        let first = pass.run(&mut database, &budget);
+        assert_eq!((first.status, first.sat_resumed), (PassStatus::Ran, false));
+        assert_eq!(first.sat_conflicts, 100);
+        budget.escalate_sat();
+        let second = pass.run(&mut database, &budget);
+        assert_eq!((second.status, second.sat_resumed), (PassStatus::Ran, true));
+        assert_eq!(
+            second.sat_conflicts, 100,
+            "only the new conflicts are spent"
+        );
+
+        // A new search with the full budget harvests the same facts.
+        let mut fresh_pass = SatPass::new(config.clone());
+        let fresh_budget = PassBudget::new(&config);
+        fresh_budget.escalate_sat();
+        let fresh = fresh_pass.run(&mut database, &fresh_budget);
+        assert_eq!((fresh.sat_conflicts, fresh.sat_resumed), (200, false));
+        assert_eq!(second.facts, fresh.facts);
+    }
+
+    #[test]
+    fn sat_pass_starts_a_new_search_on_a_new_revision() {
+        let config = small_sat_budget();
+        let mut database = pigeonhole_db();
+        let budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config);
+        pass.run(&mut database, &budget);
+        assert!(database.push_unique(Polynomial::variable(0) * Polynomial::variable(7)));
+        budget.escalate_sat();
+        let rerun = pass.run(&mut database, &budget);
+        assert!(!rerun.sat_resumed);
+        assert_eq!(rerun.sat_conflicts, 200, "the full budget, from scratch");
+    }
+
+    #[test]
+    fn an_interrupted_sat_run_drops_its_search() {
+        let config = small_sat_budget();
+        let mut database = pigeonhole_db();
+        let budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config.clone());
+        pass.run(&mut database, &budget);
+        assert!(pass.search.is_some(), "an undecided search is kept");
+
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = PassBudget::new(&config).with_cancel_token(token);
+        cancelled.escalate_sat();
+        let interrupted = pass.run(&mut database, &cancelled);
+        assert_eq!(interrupted.status, PassStatus::Interrupted);
+        assert!(pass.search.is_none(), "cancellation ends the search");
+
+        budget.escalate_sat();
+        let rerun = pass.run(&mut database, &budget);
+        assert!(!rerun.sat_resumed);
+        assert_eq!(rerun.sat_conflicts, 200);
     }
 
     #[test]

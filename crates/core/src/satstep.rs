@@ -5,14 +5,15 @@
 //! the contradiction `1 = 0`), SAT (a satisfying assignment is stored), or
 //! undecided within the budget. In the last two cases, unit and binary learnt
 //! clauses over variables with an ANF meaning are harvested and turned into
-//! ANF facts.
+//! ANF facts. An undecided [`SatSearch`] is paused, not ended, so a later
+//! round on the same CNF can continue it instead of starting over.
 
 use std::collections::BTreeSet;
 
 use bosphorus_anf::{Assignment, Polynomial, PolynomialSystem};
 use bosphorus_cnf::Lit;
 use bosphorus_interrupt::CancelToken;
-use bosphorus_sat::{SolveResult, Solver, SolverConfig};
+use bosphorus_sat::{SolveResult, Solver, SolverConfig, SolverStats};
 
 use crate::anf_to_cnf::{anf_to_cnf, CnfConversion};
 use crate::BosphorusConfig;
@@ -26,7 +27,8 @@ pub enum SatStepStatus {
     /// A satisfying assignment of the converted CNF was found; the values of
     /// the original ANF variables are reported.
     Satisfiable(Assignment),
-    /// The conflict budget ran out before a decision.
+    /// The conflict budget ran out before a decision. The search is paused,
+    /// not ended: [`SatSearch::run`] can continue it.
     Undecided,
     /// The cancellation token tripped before a decision. Unlike
     /// [`SatStepStatus::Undecided`] no facts are harvested: the round's unit
@@ -35,6 +37,10 @@ pub enum SatStepStatus {
 }
 
 /// Result of one conflict-bounded SAT round.
+///
+/// The work counts (`conflicts`, `learnt_clauses`, ...) cover the one
+/// [`SatSearch::run`] call that produced the outcome: on a continued search
+/// they are the work of this call, not of the search so far.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatStepOutcome {
     /// Termination status.
@@ -93,54 +99,107 @@ pub fn sat_step_cancellable(
     budget: u64,
     token: &CancelToken,
 ) -> SatStepOutcome {
-    let mut conversion = anf_to_cnf(system, propagator, config);
-    let num_anf_vars = system.num_vars();
-    let mut solver = conversion.solver(solver_config);
-    let (cnf_clauses, cnf_vars) = (conversion.cnf.num_clauses(), conversion.cnf.num_vars());
-    // The solver holds its own copy of the clauses and XORs; harvesting needs
-    // only the monomial maps, so the formula is not kept alive next to the
-    // solver's (growing) clause database during the search.
-    drop(std::mem::take(&mut conversion.cnf));
-    drop(std::mem::take(&mut conversion.xors));
-    solver.set_conflict_budget(Some(budget));
-    solver.set_cancel_token(token.clone());
-    let result = solver.solve();
-    let stats = *solver.stats();
+    SatSearch::new(system, propagator, config, solver_config).run(budget, token)
+}
 
-    let mut facts: Vec<Polynomial> = Vec::new();
-    let status = match result {
-        SolveResult::Unsat => {
-            facts.push(Polynomial::one());
-            SatStepStatus::Unsatisfiable
+/// One conflict-bounded search over the CNF of a system: the solver, and
+/// the map from CNF variables to ANF monomials that translates what it
+/// learns back into ANF facts.
+///
+/// The solver's conflict budget pauses its search rather than ending it,
+/// so [`SatSearch::run`] can be called again on an
+/// [`Undecided`](SatStepStatus::Undecided) search to spend more conflicts:
+/// runs of `a` and then `b` conflicts reach the state of one run of
+/// `a + b`, and harvest the same facts.
+#[derive(Debug)]
+pub struct SatSearch {
+    conversion: CnfConversion,
+    solver: Solver,
+    num_anf_vars: usize,
+    cnf_clauses: usize,
+    cnf_vars: usize,
+}
+
+impl SatSearch {
+    /// Converts `system` (with `propagator`'s knowledge) to CNF and loads it
+    /// into a solver; no conflict is spent yet.
+    pub fn new(
+        system: &PolynomialSystem,
+        propagator: &AnfPropagator,
+        config: &BosphorusConfig,
+        solver_config: &SolverConfig,
+    ) -> Self {
+        let mut conversion = anf_to_cnf(system, propagator, config);
+        let solver = conversion.solver(solver_config);
+        let (cnf_clauses, cnf_vars) = (conversion.cnf.num_clauses(), conversion.cnf.num_vars());
+        // The solver holds its own copy of the clauses and XORs; harvesting
+        // needs only the map from CNF variables to monomials, so the rest
+        // of the conversion is not kept alive next to the solver's
+        // (growing) clause database.
+        drop(std::mem::take(&mut conversion.cnf));
+        drop(std::mem::take(&mut conversion.xors));
+        drop(std::mem::take(&mut conversion.var_of_monomial));
+        SatSearch {
+            conversion,
+            solver,
+            num_anf_vars: system.num_vars(),
+            cnf_clauses,
+            cnf_vars,
         }
-        SolveResult::Sat => {
-            let model = solver.model().expect("SAT implies a model");
-            let assignment = Assignment::from_bits(
-                (0..num_anf_vars).map(|v| model.get(v).copied().unwrap_or(false)),
-            );
-            harvest_facts(&mut facts, &solver, &conversion);
-            SatStepStatus::Satisfiable(assignment)
-        }
-        // The solver reports Unknown for both budget exhaustion and
-        // cancellation; the token distinguishes them.
-        SolveResult::Unknown if token.is_cancelled() => SatStepStatus::Interrupted,
-        SolveResult::Unknown => {
-            harvest_facts(&mut facts, &solver, &conversion);
-            SatStepStatus::Undecided
-        }
-    };
-    SatStepOutcome {
-        status,
-        facts,
-        conflicts: stats.conflicts,
+    }
+
+    /// Conflicts the search has spent over all its runs.
+    pub fn conflicts(&self) -> u64 {
+        self.solver.stats().conflicts
+    }
+
+    /// Runs the search for at most `budget` more conflicts, polling `token`
+    /// alongside, and harvests facts from everything the search has learnt
+    /// so far.
+    pub fn run(&mut self, budget: u64, token: &CancelToken) -> SatStepOutcome {
+        let solver = &mut self.solver;
+        let before = *solver.stats();
+        solver.set_conflict_budget(Some(budget));
+        solver.set_cancel_token(token.clone());
+        let result = solver.solve();
+        let stats = *solver.stats();
+
+        let mut facts: Vec<Polynomial> = Vec::new();
+        let status = match result {
+            SolveResult::Unsat => {
+                facts.push(Polynomial::one());
+                SatStepStatus::Unsatisfiable
+            }
+            SolveResult::Sat => {
+                let model = solver.model().expect("SAT implies a model");
+                let assignment = Assignment::from_bits(
+                    (0..self.num_anf_vars).map(|v| model.get(v).copied().unwrap_or(false)),
+                );
+                harvest_facts(&mut facts, solver, &self.conversion);
+                SatStepStatus::Satisfiable(assignment)
+            }
+            // The solver reports Unknown for both budget exhaustion and
+            // cancellation; the token distinguishes them.
+            SolveResult::Unknown if token.is_cancelled() => SatStepStatus::Interrupted,
+            SolveResult::Unknown => {
+                harvest_facts(&mut facts, solver, &self.conversion);
+                SatStepStatus::Undecided
+            }
+        };
         // `learnt_clauses` alone is a gauge (reductions decrement it);
         // adding the removed counter back makes the count monotone.
-        learnt_clauses: stats.learnt_clauses + stats.removed_clauses,
-        removed_clauses: stats.removed_clauses,
-        minimized_literals: stats.minimized_literals,
-        restarts: stats.restarts,
-        cnf_clauses,
-        cnf_vars,
+        let learnt = |s: &SolverStats| s.learnt_clauses + s.removed_clauses;
+        SatStepOutcome {
+            status,
+            facts,
+            conflicts: stats.conflicts - before.conflicts,
+            learnt_clauses: learnt(&stats) - learnt(&before),
+            removed_clauses: stats.removed_clauses - before.removed_clauses,
+            minimized_literals: stats.minimized_literals - before.minimized_literals,
+            restarts: stats.restarts - before.restarts,
+            cnf_clauses: self.cnf_clauses,
+            cnf_vars: self.cnf_vars,
+        }
     }
 }
 

@@ -19,7 +19,13 @@
 //! * **Conflict budgets** ([`Solver::set_conflict_budget`]) — the
 //!   conflict-bounded SAT step of the fact-learning loop needs the solver to
 //!   stop after a fixed number of conflicts and report
-//!   [`SolveResult::Unknown`].
+//!   [`SolveResult::Unknown`]. A budget pauses; cancellation backs out. A
+//!   call that spends its budget keeps the search where it stopped, so the
+//!   next [`Solver::solve`] continues it: budget `a` then budget `b` is
+//!   exactly the search of one call with budget `a + b`. A cancelled
+//!   [`CancelToken`](bosphorus_interrupt::CancelToken) backs out to
+//!   decision level zero and ends the search, and adding a clause, an XOR
+//!   or a variable abandons a paused search the same way.
 //! * **Learnt-clause extraction** ([`Solver::learnt_units`],
 //!   [`Solver::learnt_binaries`], [`Solver::learnt_clauses`]) — Bosphorus
 //!   harvests unit and binary learnt clauses and turns them into ANF facts.

@@ -138,6 +138,15 @@ pub struct Solver {
 
     conflict_budget: Option<u64>,
     cancel_token: CancelToken,
+    /// Set when a `solve` call ran out of conflict budget: the search is
+    /// paused where it stopped, possibly above decision level zero, and
+    /// the next `solve` carries on from `propagate()`. Adding a clause, an
+    /// XOR or a variable abandons it (see `abandon_paused_search`).
+    paused: bool,
+    /// The restart clock: conflicts since the last restart, and the count
+    /// that triggers the next one. A pause keeps it running.
+    conflicts_since_restart: u64,
+    restart_limit: u64,
     model: Option<Vec<bool>>,
     learnt_unit_lits: Vec<Lit>,
 
@@ -181,6 +190,9 @@ impl Solver {
             conflicts_since_gauss: 0,
             conflict_budget: None,
             cancel_token: CancelToken::never(),
+            paused: false,
+            conflicts_since_restart: 0,
+            restart_limit: 0,
             model: None,
             learnt_unit_lits: Vec::new(),
             max_learnts: 0.0,
@@ -208,8 +220,10 @@ impl Solver {
         self.level.len()
     }
 
-    /// Adds a single fresh variable and returns its index.
+    /// Adds a single fresh variable and returns its index. A paused search
+    /// is abandoned first.
     pub fn new_var(&mut self) -> CnfVar {
+        self.abandon_paused_search();
         let v = self.num_vars() as CnfVar;
         self.values.extend([LBool::Undef, LBool::Undef]);
         self.level.push(0);
@@ -236,14 +250,11 @@ impl Solver {
     /// unsatisfiable state after adding it (e.g. the clause is empty or
     /// contradicts top-level assignments).
     ///
-    /// Clauses may only be added at decision level zero (i.e. before or
-    /// between `solve` calls).
+    /// A search paused by its conflict budget is abandoned first: the
+    /// solver backs out to decision level zero, and the next
+    /// [`Solver::solve`] starts a new search.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
-        assert_eq!(
-            self.decision_level(),
-            0,
-            "clauses can only be added at decision level zero"
-        );
+        self.abandon_paused_search();
         if !self.ok {
             return false;
         }
@@ -281,8 +292,10 @@ impl Solver {
     /// Adds a native XOR constraint (only meaningful for configurations with
     /// [`SolverConfig::xor_reasoning`] enabled, but always recorded).
     ///
-    /// Returns `false` if the constraint is immediately contradictory.
+    /// Returns `false` if the constraint is immediately contradictory. A
+    /// paused search is abandoned first, as in [`Solver::add_clause`].
     pub fn add_xor(&mut self, xor: XorConstraint) -> bool {
+        self.abandon_paused_search();
         if !self.ok {
             return false;
         }
@@ -304,8 +317,14 @@ impl Solver {
         true
     }
 
-    /// Limits the next [`Solver::solve`] call to at most `budget` conflicts;
+    /// Limits each following [`Solver::solve`] call to `budget` conflicts;
     /// `None` removes the limit.
+    ///
+    /// A budget pauses the search; it does not end it. A call that spends
+    /// its budget returns [`SolveResult::Unknown`] and leaves the trail,
+    /// the learnt clauses and the restart clock where they are, so the
+    /// next `solve` carries on: budget `a` followed by budget `b` is
+    /// exactly the search of one call with budget `a + b`.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.conflict_budget = budget;
     }
@@ -313,9 +332,9 @@ impl Solver {
     /// Makes [`Solver::solve`] poll `token` alongside the conflict budget
     /// (checked every [`SOLVER_CHECK_INTERVAL`] conflicts/decisions). A
     /// cancelled token makes `solve` back out to decision level zero and
-    /// return [`SolveResult::Unknown`] — indistinguishable from budget
-    /// exhaustion inside the solver; callers that need to tell the two
-    /// apart consult the token they passed in.
+    /// return [`SolveResult::Unknown`], abandoning a paused search too.
+    /// Unlike a spent budget, cancellation ends the search; callers that
+    /// need to tell the two apart consult the token they passed in.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel_token = token;
     }
@@ -365,49 +384,59 @@ impl Solver {
     }
 
     /// Runs the CDCL search until a result is reached or the conflict budget
-    /// is exhausted. Learnt clauses, activities and saved phases survive
-    /// into the next call.
+    /// is spent. Learnt clauses, activities and saved phases survive into
+    /// the next call.
+    ///
+    /// A budget pauses; cancellation backs out. A call that spends its
+    /// budget keeps the search where it stopped, and the next call carries
+    /// on from there (see [`Solver::set_conflict_budget`]). A cancelled
+    /// token, including one already cancelled when the call starts, backs
+    /// out to decision level zero and ends a paused search.
     pub fn solve(&mut self) -> SolveResult {
         if !self.ok {
             return SolveResult::Unsat;
         }
         self.model = None;
         let budget_start = self.stats.conflicts;
-        // Cancellation rides the same exit as the conflict budget: both
-        // back out to level 0 and report Unknown, leaving the solver
-        // reusable. The checkpoint amortises the token poll so the
-        // per-conflict/per-decision cost is a decrement and branch.
+        // The checkpoint amortises the token poll so the per-conflict and
+        // per-decision cost is a decrement and branch.
         let mut checkpoint = self.cancel_token.checkpoint_every(SOLVER_CHECK_INTERVAL);
         if checkpoint.check_now() {
+            self.abandon_paused_search();
             return SolveResult::Unknown;
         }
-        if self.propagate().is_some() {
-            self.ok = false;
-            return SolveResult::Unsat;
-        }
-        if self.config.xor_reasoning && !self.xor_gauss_top_level() {
-            self.ok = false;
-            return SolveResult::Unsat;
-        }
-        let mut conflicts_since_restart: u64 = 0;
-        let mut restart_limit = self.restart_limit();
-        // The learnt-clause allowance persists across solve calls (a
-        // repeated call would otherwise reset the geometric schedule); it
-        // only ratchets up when clause additions raise the initial target
-        // above the stored value.
-        if self.config.reduce_db {
-            let initial = (self.num_original_clauses as f64 * self.config.learnt_ratio).max(100.0);
-            if self.max_learnts < initial {
-                self.max_learnts = initial;
+        // A paused search skips the level-0 prologue and re-enters the loop
+        // at `propagate()`, where the call that paused it left off.
+        if !std::mem::take(&mut self.paused) {
+            if self.propagate().is_some() {
+                self.ok = false;
+                return SolveResult::Unsat;
             }
-        } else {
-            self.max_learnts = f64::INFINITY;
+            if self.config.xor_reasoning && !self.xor_gauss_top_level() {
+                self.ok = false;
+                return SolveResult::Unsat;
+            }
+            self.conflicts_since_restart = 0;
+            self.restart_limit = self.next_restart_limit();
+            // The learnt-clause allowance persists across solve calls (a
+            // repeated call would otherwise reset the geometric schedule);
+            // it only ratchets up when clause additions raise the initial
+            // target above the stored value.
+            if self.config.reduce_db {
+                let initial =
+                    (self.num_original_clauses as f64 * self.config.learnt_ratio).max(100.0);
+                if self.max_learnts < initial {
+                    self.max_learnts = initial;
+                }
+            } else {
+                self.max_learnts = f64::INFINITY;
+            }
         }
 
         loop {
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
-                conflicts_since_restart += 1;
+                self.conflicts_since_restart += 1;
                 self.conflicts_since_gauss += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
@@ -419,7 +448,7 @@ impl Solver {
                 self.decay_activities();
                 if let Some(budget) = self.conflict_budget {
                     if self.stats.conflicts - budget_start >= budget {
-                        self.cancel_until(0);
+                        self.paused = true;
                         return SolveResult::Unknown;
                     }
                 }
@@ -429,12 +458,12 @@ impl Solver {
                 }
             } else {
                 // No conflict.
-                if conflicts_since_restart >= restart_limit
+                if self.conflicts_since_restart >= self.restart_limit
                     && self.config.restart != RestartStrategy::Never
                 {
                     self.stats.restarts += 1;
-                    conflicts_since_restart = 0;
-                    restart_limit = self.restart_limit();
+                    self.conflicts_since_restart = 0;
+                    self.restart_limit = self.next_restart_limit();
                     self.cancel_until(0);
                     continue;
                 }
@@ -465,6 +494,10 @@ impl Solver {
                     }
                     Some(var) => {
                         if checkpoint.check() {
+                            // Backing out re-inserts only the variables on
+                            // the trail; the popped one goes back by hand,
+                            // or no later search would ever decide it.
+                            self.order.insert(var, &self.activity);
                             self.cancel_until(0);
                             return SolveResult::Unknown;
                         }
@@ -484,6 +517,15 @@ impl Solver {
     }
 
     // ----- internal helpers -------------------------------------------------
+
+    /// Ends a search paused by its conflict budget: backs out to decision
+    /// level zero, so the next `solve` starts a new search. A no-op when no
+    /// search is paused.
+    fn abandon_paused_search(&mut self) {
+        if std::mem::take(&mut self.paused) {
+            self.cancel_until(0);
+        }
+    }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
@@ -1017,7 +1059,7 @@ impl Solver {
         self.cla_inc /= self.config.clause_decay;
     }
 
-    fn restart_limit(&self) -> u64 {
+    fn next_restart_limit(&self) -> u64 {
         match self.config.restart {
             RestartStrategy::Never => u64::MAX,
             RestartStrategy::Geometric => {
@@ -1442,6 +1484,80 @@ mod tests {
         // Removing the budget lets the solver finish.
         s.set_conflict_budget(None);
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn a_spent_budget_pauses_the_search_and_a_new_clause_abandons_it() {
+        let mut s = pigeonhole(7, 6, SolverConfig::minimal());
+        s.set_conflict_budget(Some(5));
+        assert_eq!(s.solve(), SolveResult::Unknown);
+        assert!(s.paused, "the budget pauses the search");
+        assert!(s.decision_level() > 0, "the paused search keeps its trail");
+        // Adding a clause backs out to level zero first, as the budget exit
+        // did before searches could pause.
+        assert!(s.add_clause([Lit::positive(0), Lit::positive(1)]));
+        assert!(!s.paused);
+        assert_eq!(s.decision_level(), 0);
+        s.set_conflict_budget(None);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn a_cancelled_token_abandons_a_paused_search() {
+        use bosphorus_interrupt::CancelToken;
+        let mut s = pigeonhole(7, 6, SolverConfig::aggressive());
+        s.set_conflict_budget(Some(50));
+        assert_eq!(s.solve(), SolveResult::Unknown);
+        assert!(s.paused);
+        let token = CancelToken::new();
+        token.cancel();
+        s.set_cancel_token(token);
+        let conflicts = s.stats().conflicts;
+        assert_eq!(s.solve(), SolveResult::Unknown);
+        assert!(!s.paused, "cancellation ends the paused search");
+        assert_eq!(s.decision_level(), 0);
+        assert_eq!(s.stats().conflicts, conflicts, "no search ran");
+        s.set_cancel_token(CancelToken::never());
+        s.set_conflict_budget(None);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn a_cancelled_decision_keeps_its_variable() {
+        use bosphorus_interrupt::CancelToken;
+        // Positive 3-clauses over more variables than one checkpoint window
+        // of decisions, from a splitmix64 stream. Each solve below trips its
+        // token on the first in-loop poll, which comes right after a
+        // decision variable was popped from the heap. A variable lost there
+        // would never be decided again and would read `false` in the model.
+        let mut state = 0xdec1_5104_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let n = 6_000u64;
+        let clauses: Vec<Vec<Lit>> = (0..n)
+            .map(|_| (0..3).map(|_| Lit::positive((next() % n) as u32)).collect())
+            .collect();
+        let mut s = Solver::new(SolverConfig::minimal());
+        for c in &clauses {
+            s.add_clause(c.iter().copied());
+        }
+        for _ in 0..3_000 {
+            s.set_cancel_token(CancelToken::new().cancel_after_checks(2));
+            assert_eq!(s.solve(), SolveResult::Unknown);
+        }
+        s.set_cancel_token(CancelToken::never());
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let model = s.model().expect("model");
+        let violated = clauses
+            .iter()
+            .filter(|c| !c.iter().any(|l| l.evaluate(model[l.var() as usize])))
+            .count();
+        assert_eq!(violated, 0, "the model violates {violated} clauses");
     }
 
     #[test]

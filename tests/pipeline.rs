@@ -262,3 +262,30 @@ fn simon_facts_are_distinct_and_the_loop_reaches_its_fixed_point() {
     assert!(sat.known_facts > 0, "the SAT pass re-derives known values");
     assert_eq!(sat.facts, 0, "{stats}");
 }
+
+#[test]
+fn sat_pass_continues_its_search_while_the_database_is_unchanged() {
+    // Under the default config the SAT pass runs at 2,000, 4,000 and 6,000
+    // conflicts on Simon-[2,8]. The database changes between the first two
+    // rounds, so the second starts a new search; the third sees the same
+    // revision and continues the second's search for 2,000 more conflicts
+    // instead of spending all 6,000 again.
+    let mut engine = Bosphorus::new(
+        committed_instance("simon_2_8.anf"),
+        BosphorusConfig::default(),
+    );
+    let _ = engine.preprocess();
+    let sat = engine.stats().pass("sat").expect("the SAT pass ran");
+    assert_eq!((sat.runs, sat.sat_resumes), (3, 1), "{}", engine.stats());
+    assert_eq!(sat.sat_conflicts, 2_000 + 4_000 + 2_000);
+    // The continued search learns what a new one would: the fact stream is
+    // the golden Simon-[2,8] stream of the trimmed config, which the default
+    // config also produced when every round searched from scratch.
+    let text: String = engine
+        .learnt_facts()
+        .iter()
+        .map(|fact| format!("{fact}\n"))
+        .collect();
+    assert_eq!(engine.learnt_facts().len(), 74);
+    assert_eq!(fnv1a(&text), 0x39fe_85e1_33cb_b52b);
+}

@@ -5,15 +5,18 @@
 //! flat arena. The counters cover decisions, conflicts, propagations,
 //! restarts, the learnt database and minimization, so any change to them
 //! means the search itself changed, not just how fast it runs.
+//!
+//! A conflict budget pauses the search instead of ending it, so a budget
+//! split over two calls must reach exactly the state of one call.
 
 use bosphorus_repro::ciphers::satcomp;
 use bosphorus_repro::cnf::CnfFormula;
-use bosphorus_repro::core::{anf_to_cnf, AnfPropagator, BosphorusConfig};
+use bosphorus_repro::core::{anf_to_cnf, AnfPropagator, BosphorusConfig, CnfConversion};
 use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig, SolverStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn simon_2_8_cnf() -> CnfFormula {
+fn simon_2_8_conversion() -> CnfConversion {
     let path = format!(
         "{}/examples/instances/simon_2_8.anf",
         env!("CARGO_MANIFEST_DIR")
@@ -26,12 +29,22 @@ fn simon_2_8_cnf() -> CnfFormula {
         &AnfPropagator::new(system.num_vars()),
         &BosphorusConfig::default(),
     )
-    .cnf
+}
+
+fn seed_13_random_3sat() -> CnfFormula {
+    let mut rng = StdRng::seed_from_u64(13);
+    satcomp::generate(
+        satcomp::CnfFamily::Random3Sat {
+            vars: 150,
+            clauses: 639,
+        },
+        &mut rng,
+    )
 }
 
 #[test]
 fn simon_2_8_search_at_a_20000_conflict_budget_is_pinned() {
-    let cnf = simon_2_8_cnf();
+    let cnf = simon_2_8_conversion().cnf;
     let mut solver = Solver::from_formula(SolverConfig::aggressive(), &cnf);
     solver.set_conflict_budget(Some(20_000));
     assert_eq!(solver.solve(), SolveResult::Unknown);
@@ -53,14 +66,7 @@ fn simon_2_8_search_at_a_20000_conflict_budget_is_pinned() {
 
 #[test]
 fn satcomp_random_3sat_search_is_pinned() {
-    let mut rng = StdRng::seed_from_u64(13);
-    let cnf = satcomp::generate(
-        satcomp::CnfFamily::Random3Sat {
-            vars: 150,
-            clauses: 639,
-        },
-        &mut rng,
-    );
+    let cnf = seed_13_random_3sat();
     let mut solver = Solver::from_formula(SolverConfig::aggressive(), &cnf);
     assert_eq!(solver.solve(), SolveResult::Unsat);
     assert_eq!(
@@ -77,4 +83,52 @@ fn satcomp_random_3sat_search_is_pinned() {
             ..SolverStats::default()
         }
     );
+}
+
+#[test]
+fn a_split_conflict_budget_continues_the_search_exactly() {
+    let simon = simon_2_8_conversion();
+    let random = seed_13_random_3sat();
+    for config in [
+        SolverConfig::minimal(),
+        SolverConfig::aggressive(),
+        SolverConfig::xor_gauss(),
+    ] {
+        // Simon's solver gets its native XORs under `xor_gauss`, so the
+        // continued search also carries XOR propagation and the top-level
+        // Gauss-Jordan schedule across the pause.
+        let fresh = |instance: &str| match instance {
+            "simon_2_8" => simon.solver(&config),
+            _ => Solver::from_formula(config.clone(), &random),
+        };
+        for instance in ["simon_2_8", "random_3sat_seed_13"] {
+            for (a, b) in [(4_000, 2_000), (1, 2_999), (700, 700)] {
+                let label = format!("{} on {instance}, {a} + {b}", config.name);
+                let mut whole = fresh(instance);
+                whole.set_conflict_budget(Some(a + b));
+                let whole_result = whole.solve();
+
+                let mut split = fresh(instance);
+                split.set_conflict_budget(Some(a));
+                let mut split_result = split.solve();
+                if split_result == SolveResult::Unknown {
+                    split.set_conflict_budget(Some(b));
+                    split_result = split.solve();
+                }
+
+                assert_eq!(split_result, whole_result, "{label}: result");
+                assert_eq!(split.stats(), whole.stats(), "{label}: stats");
+                assert!(
+                    split.learnt_clauses() == whole.learnt_clauses(),
+                    "{label}: learnt clauses"
+                );
+                assert_eq!(
+                    split.top_level_assignments(),
+                    whole.top_level_assignments(),
+                    "{label}: top-level trail"
+                );
+                assert_eq!(split.model(), whole.model(), "{label}: model");
+            }
+        }
+    }
 }
