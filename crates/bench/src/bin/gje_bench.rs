@@ -1,8 +1,11 @@
 //! Records the GF(2) elimination-kernel baseline: schoolbook ("plain", the
 //! seed kernel) vs the in-place three-table blocked M4RM kernel, across
 //! matrix sizes from the 64-bit word boundaries up to paper scale
-//! (4096×4096 and an XL-shaped 2048×16384 wide case), plus the sparse
-//! structural presolve against densify-then-eliminate on XL-shaped inputs.
+//! (4096×4096 and an XL-shaped 2048×16384 wide case), the sparse
+//! structural presolve against densify-then-eliminate on XL-shaped inputs,
+//! and the dense cores real XL rounds hand the kernel (`xl_cores`: seeded
+//! `SR-[1,2,2,4]` rounds at the default configuration, whose pivot columns
+//! are scattered between free columns).
 //!
 //! Emits a machine-readable `BENCH_gje.json` next to the human-readable
 //! table — the repo's recorded perf baseline for the XL/ElimLin hot path.
@@ -15,9 +18,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use bosphorus::{xl_learn, BosphorusConfig};
 use bosphorus_bench::{random_dense_matrix, random_sparse_matrix};
+use bosphorus_ciphers::aes;
 use bosphorus_gf2::{
-    m4rm_block_size, select_kernel, BitMatrix, KernelChoice, PresolveStats, SparseMatrix,
+    m4rm_block_size, select_kernel, BitMatrix, GaussStats, KernelChoice, PresolveStats,
+    SparseMatrix,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,6 +119,63 @@ fn measure_sparse(m: &SparseMatrix, reps: usize) -> SparseResult {
     }
 }
 
+/// The `xl_cores` section: `rounds` seeded `SR-[1,2,2,4]` XL rounds at the
+/// default configuration, each run `reps` times on the same subsample. The
+/// times are each round's best of reps, summed over the rounds; the counts
+/// are the rounds' totals (every rep does the same work).
+struct XlCoresResult {
+    rounds: usize,
+    reps: usize,
+    dense_ns: u128,
+    presolve_ns: u128,
+    expanded_rows: usize,
+    expanded_cols: usize,
+    core_rows: usize,
+    core_cols: usize,
+    gauss: GaussStats,
+}
+
+fn measure_xl_cores(rounds: usize, reps: usize, seed: u64) -> XlCoresResult {
+    let config = BosphorusConfig::default();
+    let mut instances = StdRng::seed_from_u64(seed);
+    let mut result = XlCoresResult {
+        rounds,
+        reps,
+        dense_ns: 0,
+        presolve_ns: 0,
+        expanded_rows: 0,
+        expanded_cols: 0,
+        core_rows: 0,
+        core_cols: 0,
+        gauss: GaussStats::default(),
+    };
+    for round in 0..rounds {
+        let system = aes::generate(aes::AesParams::small(1), &mut instances).system;
+        let (mut dense_ns, mut presolve_ns) = (u64::MAX, u64::MAX);
+        let mut first: Option<GaussStats> = None;
+        for _ in 0..reps {
+            let mut subsample = StdRng::seed_from_u64(seed ^ round as u64);
+            let outcome = xl_learn(&system, &config, &mut subsample);
+            let p = outcome.presolve;
+            dense_ns = dense_ns.min(p.dense_ns);
+            presolve_ns = presolve_ns.min(p.presolve_ns);
+            if let Some(work) = first {
+                assert_eq!(work, outcome.gauss, "an XL round repeats its work exactly");
+                continue;
+            }
+            first = Some(outcome.gauss);
+            result.expanded_rows += outcome.expanded_rows;
+            result.expanded_cols += outcome.expanded_columns;
+            result.core_rows += p.dense_rows;
+            result.core_cols += p.dense_cols;
+            result.gauss.merge(outcome.gauss);
+        }
+        result.dense_ns += u128::from(dense_ns);
+        result.presolve_ns += u128::from(presolve_ns);
+    }
+    result
+}
+
 fn measure(m: &BitMatrix, reps: usize) -> SizeResult {
     let (rows, cols) = (m.nrows(), m.ncols());
     let k = m4rm_block_size(rows, cols);
@@ -136,7 +199,13 @@ fn measure(m: &BitMatrix, reps: usize) -> SizeResult {
     }
 }
 
-fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u64) -> String {
+fn to_json(
+    results: &[SizeResult],
+    sparse: &[SparseResult],
+    xl: &XlCoresResult,
+    mode: &str,
+    seed: u64,
+) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"gje_kernels\",");
@@ -216,6 +285,27 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
         out.push_str(if i + 1 < sparse.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"xl_cores\": {{\"family\": \"SR-[1,2,2,4]\", \"rounds\": {}, \"reps\": {}, \
+         \"dense_ns\": {}, \"presolve_ns\": {}, \
+         \"expanded_rows\": {}, \"expanded_cols\": {}, \
+         \"core_rows\": {}, \"core_cols\": {}, \"rank\": {}, \"row_xors\": {}, \
+         \"row_swaps\": {}, \"sweeps\": {}, \"scattered_sweeps\": {}}},",
+        xl.rounds,
+        xl.reps,
+        xl.dense_ns,
+        xl.presolve_ns,
+        xl.expanded_rows,
+        xl.expanded_cols,
+        xl.core_rows,
+        xl.core_cols,
+        xl.gauss.rank,
+        xl.gauss.row_xors,
+        xl.gauss.row_swaps,
+        xl.gauss.sweeps,
+        xl.gauss.scattered_sweeps
+    );
     let headline = |rows: usize, cols: usize| {
         results
             .iter()
@@ -370,7 +460,28 @@ fn main() {
         sparse_results.push(r);
     }
 
-    let json = to_json(&results, &sparse_results, mode, seed);
+    // Real XL rounds: the dense cores the presolve hands the kernel, with
+    // free columns interleaved between the pivots.
+    let xl = measure_xl_cores(if quick { 5 } else { 30 }, if quick { 2 } else { 7 }, seed);
+    println!(
+        "\nXL cores, {} SR-[1,2,2,4] rounds (best of {} each, summed):",
+        xl.rounds, xl.reps
+    );
+    println!(
+        "  expanded {}x{}, cores {}x{}, dense {}ns, presolve {}ns, \
+         row_xors {}, sweeps {} ({} scattered)",
+        xl.expanded_rows,
+        xl.expanded_cols,
+        xl.core_rows,
+        xl.core_cols,
+        xl.dense_ns,
+        xl.presolve_ns,
+        xl.gauss.row_xors,
+        xl.gauss.sweeps,
+        xl.gauss.scattered_sweeps
+    );
+
+    let json = to_json(&results, &sparse_results, &xl, mode, seed);
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("\nwrote {out_path}");
     if let Some(r) = results.iter().find(|r| r.rows == 4096 && r.cols == 4096) {

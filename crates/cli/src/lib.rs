@@ -523,6 +523,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             out,
             "\n    {{\"name\": \"{}\", \"runs\": {}, \"skips\": {}, \"facts\": {}, \
              \"known_facts\": {}, \"gauss_rank\": {}, \"gauss_row_xors\": {}, \
+             \"gauss_sweeps\": {}, \"gauss_scattered_sweeps\": {}, \
              \"sat_conflicts\": {}, \"sat_learnt\": {}, \"sat_removed\": {}, \
              \"sat_minimized_lits\": {}, \"sat_restarts\": {}, \"sat_resumes\": {}, \
              \"time_ms\": {:.3}, ",
@@ -533,6 +534,8 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             pass.known_facts,
             pass.gauss.rank,
             pass.gauss.row_xors,
+            pass.gauss.sweeps,
+            pass.gauss.scattered_sweeps,
             pass.sat_conflicts,
             pass.sat_learnt,
             pass.sat_removed,

@@ -183,6 +183,11 @@ fn stats_json_carries_the_presolve_phase_split() {
     assert!(json.contains("\"dense_core_rows\": "), "json: {json}");
     assert!(json.contains("\"components\": "), "json: {json}");
     assert!(json.contains("\"presolve_ns\": "), "json: {json}");
+    assert!(json.contains("\"gauss_sweeps\": "), "json: {json}");
+    assert!(
+        json.contains("\"gauss_scattered_sweeps\": "),
+        "json: {json}"
+    );
     let xl_entry = &json[json.find("\"name\": \"xl\"").expect("xl entry")..];
     let input_rows = xl_entry
         .split("\"input_rows\": ")
@@ -191,6 +196,34 @@ fn stats_json_carries_the_presolve_phase_split() {
         .and_then(|s| s.parse::<usize>().ok())
         .expect("input_rows field");
     assert!(input_rows > 0, "XL fed rows into the presolve: {json}");
+}
+
+#[test]
+fn summary_line_times_every_pass() {
+    // The one-line `c ...` summary on stderr gives each pass as
+    // `name(runs=…, skips=…, facts=…, ms=…)`.
+    let output = bosphorus(&[
+        "--anf",
+        &instance("worked_example.anf"),
+        "--passes",
+        "xl,elimlin,sat",
+    ]);
+    assert_eq!(output.status.code(), Some(0));
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("c ") && l.contains("iterations="))
+        .expect("summary line");
+    let passes: Vec<&str> = summary.split("(runs=").skip(1).collect();
+    assert!(!passes.is_empty(), "summary: {summary}");
+    for pass in passes {
+        let fields = &pass[..pass.find(')').expect("closing parenthesis")];
+        let ms = fields
+            .split(", ms=")
+            .nth(1)
+            .and_then(|v| v.parse::<f64>().ok());
+        assert!(ms.is_some_and(|v| v >= 0.0), "summary: {summary}");
+    }
 }
 
 #[test]

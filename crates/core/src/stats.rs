@@ -254,8 +254,12 @@ impl fmt::Display for EngineStats {
         for pass in &self.passes {
             write!(
                 f,
-                " {}(runs={}, skips={}, facts={})",
-                pass.name, pass.runs, pass.skips, pass.facts
+                " {}(runs={}, skips={}, facts={}, ms={:.3})",
+                pass.name,
+                pass.runs,
+                pass.skips,
+                pass.facts,
+                pass.time.as_secs_f64() * 1e3
             )?;
         }
         Ok(())
@@ -321,6 +325,12 @@ mod tests {
         assert_eq!(xl.sat_restarts, 2);
         assert_eq!(xl.sat_resumes, 1);
         assert!(stats.to_string().contains("sat_resumes=1"), "{stats}");
+        assert!(
+            stats
+                .to_string()
+                .contains(" xl(runs=1, skips=1, facts=4, ms=3.000)"),
+            "{stats}"
+        );
         assert_eq!(xl.time, Duration::from_millis(3));
         assert_eq!(stats.gauss_row_xors, 7);
         assert_eq!(stats.sat_conflicts, 3);

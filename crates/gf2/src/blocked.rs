@@ -21,7 +21,11 @@
 //!    most two row words (24 bits always fit), and each row is cleared with
 //!    one fused `row ^= A[ia] ^ B[ib] ^ C[ic]` pass ([`xor3_words`]). The
 //!    trailing matrix is read and written once per `3k` columns instead of
-//!    once per `k`.
+//!    once per `k`. When the pivot columns are contiguous the window *is*
+//!    the packed index; when free columns sit between them (the usual
+//!    shape of XL's dense cores) three per-sweep byte tables compress the
+//!    window's pivot bits into the index ([`PivotGather`], a software
+//!    `pext`).
 //! 3. **Column-tiled updates.** For very wide matrices the three tables
 //!    (`3 · 2^k · stride · 8` bytes) fall out of L2 and every table lookup
 //!    becomes a cache miss. Beyond [`blocked_tile_words`] words per row the
@@ -35,7 +39,10 @@
 //! pivot row is identity on the pivot columns so far, so one windowed read
 //! yields the exact dirty set). No row is written during the scan, and only
 //! the row actually chosen as a pivot is cleaned — the rest are cleared
-//! wholesale by the sweep's fused table XOR.
+//! wholesale by the sweep's fused table XOR. The rows' raw windows are read
+//! once per sweep into a compact cache, whose OR skips the columns absent
+//! from every remaining row without a scan; a present column's scan tests
+//! one parity per cached window.
 //!
 //! The inner loops are the slice-trimmed word XORs of `vector.rs` — plain
 //! `u64` code the compiler autovectorises, no architecture intrinsics, per
@@ -55,7 +62,7 @@ use std::ops::Range;
 
 use bosphorus_interrupt::CancelToken;
 
-use crate::vector::{xor2_words, xor3_words, xor_words};
+use crate::vector::{xor2_words, xor3_words, xor_into_words, xor_words};
 use crate::{BitMatrix, GaussStats};
 
 /// Conservative per-core L2 cache estimate, in bytes.
@@ -172,6 +179,8 @@ impl BitMatrix {
         let words = self.words_per_row();
         let tile = blocked_tile_words(k);
         let mut tables = Tables::new(k, words);
+        let mut gather = PivotGather::new();
+        let mut windows: Vec<u32> = Vec::with_capacity(nrows);
         let mut pivot_row = 0usize;
         let mut col_start = 0usize;
         while pivot_row < nrows && col_start < ncols {
@@ -189,8 +198,15 @@ impl BitMatrix {
                 w0: col_start / 64,
                 shift: col_start % 64,
             };
-            let pivot_cols =
-                establish_block_pivots(self, block_start, col_start, col_end, window, &mut stats);
+            let pivot_cols = establish_block_pivots(
+                self,
+                block_start,
+                col_start,
+                col_end,
+                window,
+                &mut windows,
+                &mut stats,
+            );
             let p = pivot_cols.len();
             let block_end = block_start + p;
             if p > 0 {
@@ -213,15 +229,20 @@ impl BitMatrix {
                     w0,
                     &mut stats,
                 );
-                // On dense systems the sweep's pivot columns are almost always
-                // the contiguous range starting at col_start; all three table
-                // indices then come out of a single window read of at most two
-                // row words (3k <= 24 bits) instead of one scattered bit probe
-                // per pivot column.
+                // On dense random systems the sweep's pivot columns are almost
+                // always the contiguous range starting at col_start, and the
+                // window read *is* the table index. XL's dense cores leave
+                // free columns between the pivots; their window bits are
+                // compressed into the index through per-sweep byte tables.
                 let contiguous = pivot_cols
                     .iter()
                     .enumerate()
                     .all(|(j, &c)| c == col_start + j);
+                if !contiguous {
+                    gather.rebuild(pivot_cols.iter().map(|&c| c - col_start));
+                }
+                stats.sweeps += 1;
+                stats.scattered_sweeps += usize::from(!contiguous);
                 let sweep = Sweep {
                     tables: &tables,
                     window,
@@ -229,8 +250,7 @@ impl BitMatrix {
                     pa,
                     pb,
                     pc,
-                    contiguous,
-                    cols: &pivot_cols,
+                    gather: (!contiguous).then_some(&gather),
                     pivot_rows: block_start..block_end,
                 };
                 stats.row_xors += sweep.update(self.words_raw_mut(), words);
@@ -284,6 +304,45 @@ impl Window {
     }
 }
 
+/// A software `pext` over a sweep window: compresses a row's window bits at
+/// the sweep's pivot offsets into the dense `p`-bit table index (pivot `j`
+/// to bit `j`) with one 256-entry table per window byte. The window spans at
+/// most `3k <= 24` bits, so three lookups cover it.
+struct PivotGather {
+    bytes: [[u32; 256]; 3],
+}
+
+impl PivotGather {
+    fn new() -> Self {
+        PivotGather {
+            bytes: [[0; 256]; 3],
+        }
+    }
+
+    /// Rebuilds the byte tables for pivots at the ascending window offsets
+    /// `offsets`.
+    fn rebuild(&mut self, offsets: impl Iterator<Item = usize>) {
+        let mut bit_index = [[0u32; 8]; 3];
+        for (j, off) in offsets.enumerate() {
+            bit_index[off / 8][off % 8] = 1 << j;
+        }
+        for (table, bits) in self.bytes.iter_mut().zip(&bit_index) {
+            // Entry v extends the entry of v without its lowest set bit.
+            for v in 1..256usize {
+                table[v] = table[v & (v - 1)] | bits[v.trailing_zeros() as usize];
+            }
+        }
+    }
+
+    /// The table index of a row whose window reads `window`.
+    #[inline]
+    fn index(&self, window: usize) -> usize {
+        (self.bytes[0][window & 0xff]
+            | self.bytes[1][(window >> 8) & 0xff]
+            | self.bytes[2][(window >> 16) & 0xff]) as usize
+    }
+}
+
 /// One sweep's row-update pass: the three tables plus the sweep geometry.
 struct Sweep<'a> {
     tables: &'a Tables,
@@ -292,10 +351,10 @@ struct Sweep<'a> {
     pa: usize,
     pb: usize,
     pc: usize,
-    contiguous: bool,
-    /// The sweep's pivot columns (`pa + pb + pc` of them), for the
-    /// scattered-column fallback index read.
-    cols: &'a [usize],
+    /// The byte tables of a scattered sweep; `None` when the pivot columns
+    /// are the window's first `pa + pb + pc` columns and the window read is
+    /// already the index.
+    gather: Option<&'a PivotGather>,
     /// The sweep's pivot rows; they are already identity on the pivot
     /// columns and must not be updated.
     pivot_rows: Range<usize>,
@@ -307,6 +366,20 @@ impl Sweep<'_> {
     /// indices, then apply the fused table XOR, column tile by column tile.
     /// Returns the row-XOR count.
     fn update(&self, arena: &mut [u64], words: usize) -> usize {
+        match self.gather {
+            None => self.update_rows(arena, words, |window| window),
+            Some(gather) => self.update_rows(arena, words, |window| gather.index(window)),
+        }
+    }
+
+    /// [`Sweep::update`] with `index` turning a row's window read into its
+    /// packed `pa + pb + pc`-bit table index.
+    fn update_rows(
+        &self,
+        arena: &mut [u64],
+        words: usize,
+        index: impl Fn(usize) -> usize,
+    ) -> usize {
         let w0 = self.window.w0;
         let stride = words - w0;
         let first_tile = stride.min(self.tile);
@@ -314,8 +387,7 @@ impl Sweep<'_> {
         let mask_a = (1usize << self.pa) - 1;
         let mask_b = (1usize << self.pb) - 1;
         let mask_c = (1usize << self.pc) - 1;
-        let (cols_a, rest) = self.cols.split_at(self.pa);
-        let (cols_b, cols_c) = rest.split_at(self.pb);
+        let shift_c = self.pa + self.pb;
         let tiled = stride > first_tile;
         let mut indices: Vec<(u8, u8, u8)> = if tiled {
             vec![(0, 0, 0); arena.len() / words]
@@ -330,20 +402,12 @@ impl Sweep<'_> {
             if self.pivot_rows.contains(&r) {
                 continue;
             }
-            let (ia, ib, ic) = if self.contiguous {
-                let window = self.window.read(row);
-                (
-                    window & mask_a,
-                    (window >> self.pa) & mask_b,
-                    (window >> (self.pa + self.pb)) & mask_c,
-                )
-            } else {
-                (
-                    block_index(row, cols_a),
-                    block_index(row, cols_b),
-                    block_index(row, cols_c),
-                )
-            };
+            let index = index(self.window.read(row));
+            let (ia, ib, ic) = (
+                index & mask_a,
+                (index >> self.pa) & mask_b,
+                (index >> shift_c) & mask_c,
+            );
             if tiled {
                 indices[r] = (ia as u8, ib as u8, ic as u8);
             }
@@ -443,22 +507,30 @@ fn leading_column(m: &BitMatrix, row_start: usize, col_floor: usize) -> Option<u
     best.filter(|&c| c < m.ncols())
 }
 
-/// A row's window *as if* it had been cleared on the pivot columns found so
-/// far (`pivot_mask`, offsets within the window), computed without touching
-/// the row. Each pivot row is identity on all pivot columns, so the dirty
-/// set read off one window is exact and XORing in the corresponding pivot
-/// windows reproduces the cleanup's effect on the window bits.
+/// The parity (0 or 1) of the set bits of `x`, in shifts and XORs that
+/// vectorise without a population-count instruction.
 #[inline]
-fn post_window(row: &[u64], window: Window, pivot_mask: usize, pivot_windows: &[usize]) -> usize {
-    let mut post = window.read(row);
-    let mut dirty = post & pivot_mask;
-    while dirty != 0 {
-        let off = dirty.trailing_zeros() as usize;
-        let j = (pivot_mask & ((1usize << off) - 1)).count_ones() as usize;
-        post ^= pivot_windows[j];
-        dirty &= dirty - 1;
+fn parity(mut x: u32) -> u32 {
+    x ^= x >> 16;
+    x ^= x >> 8;
+    x ^= x >> 4;
+    x ^= x >> 2;
+    x ^= x >> 1;
+    x & 1
+}
+
+/// The position of the first of `windows` with odd parity under `probe`.
+/// Tests a chunk at a time, so the common all-even chunk costs a few
+/// vector instructions.
+fn first_odd_parity(windows: &[u32], probe: u32) -> Option<usize> {
+    const CHUNK: usize = 16;
+    for (ci, chunk) in windows.chunks(CHUNK).enumerate() {
+        if chunk.iter().fold(0, |any, &w| any | parity(w & probe)) != 0 {
+            let i = chunk.iter().position(|&w| parity(w & probe) == 1);
+            return i.map(|i| ci * CHUNK + i);
+        }
     }
-    post
+    None
 }
 
 /// XORs row `src` into row `dst` from word `w0` on (everything left of the
@@ -472,19 +544,30 @@ fn xor_row_from(m: &mut BitMatrix, src: usize, dst: usize, w0: usize) {
 /// pivot rows to positions `block_start..`, reducing them to identity on the
 /// sweep's pivot columns, and returning the pivot columns found.
 ///
-/// The candidate scan is read-only window math (see [`post_window`]): no row
-/// is written while searching, and only the chosen pivot row is physically
-/// cleaned on the earlier pivot columns. Every *other* row keeps its pivot-
-/// column bits until the sweep's fused table XOR clears them wholesale —
-/// the Gray-code entry indexed by those bits is exactly the pivot-row
-/// combination a per-row cleanup would apply, so deferring it removes the
-/// scan's full-width row XORs without changing any result.
+/// The candidate scan is read-only window math: no row is written while
+/// searching, and only the chosen pivot row is physically cleaned on the
+/// earlier pivot columns. Every *other* row keeps its pivot-column bits
+/// until the sweep's fused table XOR clears them wholesale — the Gray-code
+/// entry indexed by those bits is exactly the pivot-row combination a
+/// per-row cleanup would apply, so deferring it removes the scan's
+/// full-width row XORs without changing any result.
+///
+/// A row's post-cleanup bit at column `c` is its raw bit XOR the parity of
+/// its dirty bits (window bits at the pivot columns so far) whose pivot row
+/// has a one at `c`: each pivot row is identity on the pivot columns, so the
+/// dirty set read off the raw window is exact. The scan therefore tests one
+/// cached raw window per row against one mask per column. The raw windows
+/// of the rows below the block are read into `windows` once per sweep, in
+/// row order and only as far as the scans reach; since only the chosen row
+/// is written and then leaves the scanned range, the cache stays exact with
+/// one entry moved per row swap.
 fn establish_block_pivots(
     m: &mut BitMatrix,
     block_start: usize,
     col_start: usize,
     col_end: usize,
     window: Window,
+    windows: &mut Vec<u32>,
     stats: &mut GaussStats,
 ) -> Vec<usize> {
     let nrows = m.nrows();
@@ -497,21 +580,56 @@ fn establish_block_pivots(
     // once.
     let mut pivot_mask: usize = 0;
     let mut pivot_windows: Vec<usize> = Vec::with_capacity(col_end - col_start);
-    for c in col_start..col_end {
+    let width_mask = (1usize << (col_end - col_start)) - 1;
+    let read = |m: &BitMatrix, r: usize| (window.read(m.row_words(r)) & width_mask) as u32;
+    // Only columns present in some row at or below the block can hold a
+    // pivot: every row's post-cleanup window is a combination of these rows'
+    // windows, so a column absent from all of them is skipped unscanned.
+    windows.clear();
+    let mut present = 0usize;
+    for r in block_start..nrows {
+        let w = read(m, r);
+        windows.push(w);
+        present |= w as usize;
+        if present == width_mask {
+            break;
+        }
+    }
+    while present != 0 {
+        let c_off = present.trailing_zeros() as usize;
+        present &= present - 1;
+        let c = col_start + c_off;
         let dest = block_start + pivot_cols.len();
         if dest >= nrows {
             break;
         }
-        let c_off = c - col_start;
-        let found = (dest..nrows).find(|&r| {
-            (post_window(m.row_words(r), window, pivot_mask, &pivot_windows) >> c_off) & 1 == 1
-        });
+        // A row's post-cleanup bit c is the parity of its raw window under
+        // `probe`: bit c itself plus the dirty bits whose pivot row has a
+        // one at c.
+        let probe = pivot_cols
+            .iter()
+            .zip(&pivot_windows)
+            .filter(|&(_, &pw)| (pw >> c_off) & 1 == 1)
+            .fold(1u32 << c_off, |acc, (&pc, _)| acc | 1 << (pc - col_start));
+        let cached = dest - block_start;
+        let mut found =
+            first_odd_parity(&windows[cached..], probe).map(|i| block_start + cached + i);
+        for r in block_start + windows.len()..nrows {
+            if found.is_some() {
+                break;
+            }
+            let w = read(m, r);
+            windows.push(w);
+            if parity(w & probe) == 1 {
+                found = Some(r);
+            }
+        }
         let Some(found) = found else {
             continue;
         };
         // Physically clean the chosen row on the earlier pivot columns (the
         // scan left it untouched).
-        let mut dirty = window.read(m.row_words(found)) & pivot_mask;
+        let mut dirty = windows[found - block_start] as usize & pivot_mask;
         while dirty != 0 {
             let off = dirty.trailing_zeros() as usize;
             let j = (pivot_mask & ((1usize << off) - 1)).count_ones() as usize;
@@ -522,6 +640,7 @@ fn establish_block_pivots(
         debug_assert!(m.get(found, c), "scan math matches the cleanup");
         if found != dest {
             m.swap_rows(found, dest);
+            windows[found - block_start] = windows[dest - block_start];
             stats.row_swaps += 1;
         }
         // Back-eliminate column c from the earlier pivot rows of this
@@ -548,10 +667,10 @@ fn establish_block_pivots(
 
 /// Builds the `2^p` Gray-code lookup table over rows
 /// `first_pivot_row..first_pivot_row + p`, each entry covering the row words
-/// from `w0` on. Each entry is derived from its predecessor with a single
-/// word-parallel XOR, so the whole table costs `2^p − 1` row XORs. With
-/// `p == 0` the table is untouched (all lookups hit the never-written zero
-/// entry 0).
+/// from `w0` on. Each entry is written as its predecessor XOR one pivot row
+/// in a single word-parallel pass, so the whole table costs `2^p − 1` row
+/// XORs. With `p == 0` the table is untouched (all lookups hit the
+/// never-written zero entry 0).
 fn build_gray_table(
     table: &mut [u64],
     m: &BitMatrix,
@@ -565,22 +684,17 @@ fn build_gray_table(
     for i in 1..(1usize << p) {
         let gray = i ^ (i >> 1);
         let bit = i.trailing_zeros() as usize;
-        table.copy_within(prev * stride..(prev + 1) * stride, gray * stride);
-        let pivot_words = &m.row_words(first_pivot_row + bit)[w0..];
-        xor_words(&mut table[gray * stride..(gray + 1) * stride], pivot_words);
+        let (src, dst) = if prev < gray {
+            let (lo, hi) = table.split_at_mut(gray * stride);
+            (&lo[prev * stride..(prev + 1) * stride], &mut hi[..stride])
+        } else {
+            let (lo, hi) = table.split_at_mut(prev * stride);
+            (&hi[..stride], &mut lo[gray * stride..(gray + 1) * stride])
+        };
+        xor_into_words(dst, src, &m.row_words(first_pivot_row + bit)[w0..]);
         stats.row_xors += 1;
         prev = gray;
     }
-}
-
-/// Reads a row's bits at the sweep's pivot columns as a table index.
-#[inline]
-fn block_index(row: &[u64], pivot_cols: &[usize]) -> usize {
-    let mut idx = 0usize;
-    for (j, &c) in pivot_cols.iter().enumerate() {
-        idx |= (((row[c / 64] >> (c % 64)) & 1) as usize) << j;
-    }
-    idx
 }
 
 #[cfg(test)]
@@ -620,6 +734,21 @@ mod tests {
             deficient.set_row(r + 60, &BitVec::zero(120));
         }
         deficient
+    }
+
+    /// A random `rows × cols` matrix in which every third column (2, 5, 8,
+    /// ...) is the XOR of the two before it, so it is never a pivot column:
+    /// most sweeps of the blocked kernel see scattered pivot columns, the
+    /// shape of XL's dense cores.
+    fn every_third_column_dependent(rows: usize, cols: usize, seed: u64) -> BitMatrix {
+        let mut m = splitmix_matrix(rows, cols, seed);
+        for r in 0..rows {
+            for c in (2..cols).step_by(3) {
+                let sum = m.get(r, c - 2) ^ m.get(r, c - 1);
+                m.set(r, c, sum);
+            }
+        }
+        m
     }
 
     /// FNV-1a over the little-endian bytes of every row word.
@@ -675,6 +804,11 @@ mod tests {
             kernel_work(&rank_deficient_90x120(), auto),
             (30, 624, 16, 0x0214_6b17_c1ed_6dac)
         );
+        // Every third column is never a pivot, so most sweeps are scattered.
+        assert_eq!(
+            kernel_work(&every_third_column_dependent(200, 300, 31), auto),
+            (200, 9385, 115, 0xe01f_40c8_bf91_be44)
+        );
         // At k = 8 the 320-word rows exceed the tile width, so the update
         // runs tile by tile.
         assert!(20_480 / 64 > blocked_tile_words(8));
@@ -717,6 +851,26 @@ mod tests {
             for &rows in &[33usize, 96] {
                 let m = splitmix_matrix(rows, cols, (rows * 31 + cols) as u64);
                 assert_matches_plain(&m, 8);
+            }
+        }
+    }
+
+    #[test]
+    fn scattered_pivot_columns_match_plain() {
+        for (rows, cols) in [(40usize, 60usize), (200, 300), (700, 1050)] {
+            let m = every_third_column_dependent(rows, cols, (rows + cols) as u64);
+            assert_eq!(m.clone().gauss_jordan_plain_with_stats().sweeps, 0);
+            for k in [1usize, 3, 5, 7, 8] {
+                assert_matches_plain(&m, k);
+                // At k = 1 a sweep spans three columns and finds its pivots
+                // in the first two, a contiguous run; wider sweeps skip the
+                // dependent columns between their pivots.
+                let stats = m.clone().gauss_jordan_blocked_m4rm_with_stats(k);
+                assert!(stats.scattered_sweeps <= stats.sweeps);
+                assert!(
+                    k == 1 || stats.scattered_sweeps > 0,
+                    "{rows}x{cols}, k={k}: {stats:?}"
+                );
             }
         }
     }

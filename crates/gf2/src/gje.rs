@@ -75,6 +75,13 @@ pub struct GaussStats {
     pub row_xors: usize,
     /// Number of row swaps performed.
     pub row_swaps: usize,
+    /// Elimination sweeps of the blocked M4RM kernel that established at
+    /// least one pivot (0 for the schoolbook kernel).
+    pub sweeps: usize,
+    /// Those of the [`sweeps`](GaussStats::sweeps) whose pivot columns were
+    /// not one contiguous run, so their table indices were gathered from
+    /// scattered window bits.
+    pub scattered_sweeps: usize,
     /// Whether the elimination observed cancellation and stopped early.
     /// When set, the matrix is only partially reduced (not RREF) and
     /// `rank` counts the pivots established so far; callers must discard
@@ -91,6 +98,8 @@ impl GaussStats {
         self.rank += other.rank;
         self.row_xors += other.row_xors;
         self.row_swaps += other.row_swaps;
+        self.sweeps += other.sweeps;
+        self.scattered_sweeps += other.scattered_sweeps;
         self.interrupted |= other.interrupted;
     }
 }
@@ -511,12 +520,16 @@ mod tests {
             rank: 3,
             row_xors: 10,
             row_swaps: 1,
+            sweeps: 4,
+            scattered_sweeps: 3,
             interrupted: false,
         });
         total.merge(GaussStats {
             rank: 2,
             row_xors: 4,
             row_swaps: 0,
+            sweeps: 2,
+            scattered_sweeps: 0,
             interrupted: true,
         });
         assert_eq!(
@@ -525,6 +538,8 @@ mod tests {
                 rank: 5,
                 row_xors: 14,
                 row_swaps: 1,
+                sweeps: 6,
+                scattered_sweeps: 3,
                 interrupted: true,
             }
         );

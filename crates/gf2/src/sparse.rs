@@ -829,15 +829,22 @@ fn presolve_rref(m: SparseMatrix, token: &CancelToken) -> SparseRref {
     let mut rows_out: Vec<Vec<u32>> = Vec::new();
     let mut dense_elapsed = std::time::Duration::ZERO;
     presolver.stats.components = comp_rows.len();
+    // Global column → column of the current component's core. Components
+    // own disjoint columns, so each one overwrites just its own entries.
+    let mut local_col: Vec<u32> = vec![0; ncols];
     for (rows, cols) in comp_rows.iter().zip(&comp_cols) {
         if token.is_cancelled() {
             gauss.interrupted = true;
             break;
         }
+        for (local_c, &c) in cols.iter().enumerate() {
+            local_col[c as usize] = local_c as u32;
+        }
         let mut dense = BitMatrix::zero(rows.len(), cols.len());
         for (local_r, &r) in rows.iter().enumerate() {
-            for c in presolver.rows[r].as_ref().expect("grouped rows are live") {
-                let local_c = cols.binary_search(c).expect("col is in the component");
+            for &c in presolver.rows[r].as_ref().expect("grouped rows are live") {
+                let local_c = local_col[c as usize] as usize;
+                debug_assert_eq!(cols[local_c], c, "col is in the component");
                 dense.set(local_r, local_c, true);
             }
         }
@@ -1074,6 +1081,25 @@ mod tests {
         let r = assert_matches_dense(m);
         assert_eq!(r.presolve.components, 2);
         assert_eq!(r.presolve.dense_rows, 8);
+    }
+
+    #[test]
+    fn interleaved_components_map_their_columns() {
+        // Three dense random 24x36 blocks whose columns interleave:
+        // component j owns the columns c with c % 3 == j. Each core is
+        // column-compacted through the shared local-column map, and its
+        // rows come back on the right global columns.
+        let mut rows: Vec<Vec<u32>> = Vec::new();
+        for j in 0..3u32 {
+            let block = splitmix_matrix(24, 36, 100 + u64::from(j));
+            for row in block.iter() {
+                rows.push(row.iter_ones().map(|c| 3 * c as u32 + j).collect());
+            }
+        }
+        let r = assert_matches_dense(SparseMatrix::from_rows(108, rows));
+        assert_eq!(r.presolve.components, 3);
+        assert_eq!(r.presolve.dense_rows, 72);
+        assert_eq!(r.presolve.dense_cols, 108);
     }
 
     #[test]

@@ -22,6 +22,20 @@ pub(crate) fn xor_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// Writes `a ^ b` into `dst` word by word (`dst[i] = a[i] ^ b[i]`) over the
+/// common prefix of the three slices: a copy and an XOR in one pass, for
+/// the Gray-code tables, whose every entry is its predecessor XOR one pivot
+/// row. Same codegen strategy as [`xor_words`].
+pub(crate) fn xor_into_words(dst: &mut [u64], a: &[u64], b: &[u64]) {
+    let n = dst.len().min(a.len()).min(b.len());
+    let dst = &mut dst[..n];
+    let a = &a[..n];
+    let b = &b[..n];
+    for i in 0..n {
+        dst[i] = a[i] ^ b[i];
+    }
+}
+
 /// XORs two sources into `dst` in one pass (`dst[i] ^= a[i] ^ b[i]`) over the
 /// common prefix of the three slices.
 ///
@@ -616,6 +630,9 @@ mod tests {
             xor3_words(&mut three_src, &b, &c, &d);
             let expected3: Vec<u64> = expected2.iter().zip(&d).map(|(x, y)| x ^ y).collect();
             assert_eq!(three_src, expected3, "xor3_words len {len}");
+            let mut into = d.clone();
+            xor_into_words(&mut into, &a, &b);
+            assert_eq!(into, expected, "xor_into_words len {len}");
         }
     }
 
