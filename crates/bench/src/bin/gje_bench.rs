@@ -249,9 +249,9 @@ fn to_json(
              \"dense_core_rows\": {}, \"dense_core_cols\": {}, \"components\": {}, \
              \"rows_eliminated\": {}, \"cols_eliminated\": {}, \
              \"empty_rows\": {}, \"duplicate_rows\": {}, \"singleton_rows\": {}, \
-             \"weight2_rows\": {}, \"pure_leading_rows\": {}, \"subset_cancellations\": {}, \
+             \"weight2_rows\": {}, \"pure_leading_rows\": {}, \
              \"duplicate_nnz\": {}, \"singleton_nnz\": {}, \"weight2_nnz\": {}, \
-             \"pure_leading_nnz\": {}, \"subset_nnz\": {}, \
+             \"pure_leading_nnz\": {}, \
              \"peak_interned_rows\": {}, \"peak_interned_words\": {}}}",
             r.rows,
             r.cols,
@@ -273,12 +273,10 @@ fn to_json(
             p.singleton_rows,
             p.weight2_rows,
             p.pure_leading_rows,
-            p.subset_cancellations,
             p.duplicate_nnz,
             p.singleton_nnz,
             p.weight2_nnz,
             p.pure_leading_nnz,
-            p.subset_nnz,
             p.peak_interned_rows,
             p.peak_interned_words
         );

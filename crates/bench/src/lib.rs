@@ -57,7 +57,7 @@ pub fn random_sparse_matrix(
 ) -> SparseMatrix {
     let mut m = SparseMatrix::new(cols);
     for _ in 0..rows {
-        m.push_row((0..fill).map(|_| rng.gen_range(0..cols) as u32).collect());
+        m.push_row((0..fill).map(|_| rng.gen_range(0..cols) as u32));
     }
     m
 }

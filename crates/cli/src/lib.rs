@@ -555,7 +555,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
              \"components\": {}, \"dense_core_rows\": {}, \"dense_core_cols\": {}, \
              \"empty_rows\": {}, \"duplicate_rows\": {}, \"singleton_rows\": {}, \
              \"weight2_rows\": {}, \"pure_leading_rows\": {}, \
-             \"subset_cancellations\": {}, \"presolve_ns\": {}, \"dense_ns\": {}, ",
+             \"presolve_ns\": {}, \"dense_ns\": {}, ",
             p.input_rows,
             p.input_cols,
             p.rows_eliminated,
@@ -568,7 +568,6 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             p.singleton_rows,
             p.weight2_rows,
             p.pure_leading_rows,
-            p.subset_cancellations,
             p.presolve_ns,
             p.dense_ns
         );
@@ -576,17 +575,15 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
         let _ = write!(
             out,
             "\"duplicate_nnz\": {}, \"singleton_nnz\": {}, \"weight2_nnz\": {}, \
-             \"pure_leading_nnz\": {}, \"subset_nnz\": {}, \
-             \"cascade_ns\": {}, \"dedup_ns\": {}, \"subset_ns\": {}, \
+             \"pure_leading_nnz\": {}, \
+             \"cascade_ns\": {}, \"dedup_ns\": {}, \
              \"peak_interned_rows\": {}, \"peak_interned_words\": {}}}}}",
             p.duplicate_nnz,
             p.singleton_nnz,
             p.weight2_nnz,
             p.pure_leading_nnz,
-            p.subset_nnz,
             p.cascade_ns,
             p.dedup_ns,
-            p.subset_ns,
             p.peak_interned_rows,
             p.peak_interned_words
         );
@@ -830,10 +827,8 @@ mod tests {
         pass.presolve.singleton_nnz = 26;
         pass.presolve.weight2_nnz = 14;
         pass.presolve.pure_leading_nnz = 9;
-        pass.presolve.subset_nnz = 7;
         pass.presolve.cascade_ns = 400;
         pass.presolve.dedup_ns = 300;
-        pass.presolve.subset_ns = 200;
         pass.presolve.peak_interned_rows = 80;
         pass.presolve.peak_interned_words = 480;
         let stats = EngineStats {
@@ -855,10 +850,8 @@ mod tests {
         assert!(json.contains("\"singleton_nnz\": 26"));
         assert!(json.contains("\"weight2_nnz\": 14"));
         assert!(json.contains("\"pure_leading_nnz\": 9"));
-        assert!(json.contains("\"subset_nnz\": 7"));
         assert!(json.contains("\"cascade_ns\": 400"));
         assert!(json.contains("\"dedup_ns\": 300"));
-        assert!(json.contains("\"subset_ns\": 200"));
         assert!(json.contains("\"peak_interned_rows\": 80"));
         assert!(json.contains("\"peak_interned_words\": 480"));
     }

@@ -14,7 +14,7 @@ use bosphorus_anf::{Monomial, MonomialInterner, Polynomial, PolynomialSystem, Va
 use bosphorus_cnf::{CnfFormula, CnfVar, Lit};
 use bosphorus_sat::{Solver, SolverConfig, XorConstraint};
 
-use crate::minimize::karnaugh_clauses;
+use crate::minimize::KarnaughCache;
 use crate::BosphorusConfig;
 use bosphorus_anf::{AnfPropagator, VarKnowledge};
 
@@ -110,6 +110,8 @@ struct Converter<'a> {
     /// Interner id → the CNF variable standing for that monomial.
     var_of_id: Vec<CnfVar>,
     xors: Vec<XorConstraint>,
+    /// Karnaugh covers chosen so far, by truth table.
+    covers: KarnaughCache,
     karnaugh_clauses: usize,
     tseitin_clauses: usize,
 }
@@ -131,6 +133,7 @@ impl<'a> Converter<'a> {
             interner,
             var_of_id,
             xors: Vec::new(),
+            covers: KarnaughCache::default(),
             karnaugh_clauses: 0,
             tseitin_clauses: 0,
         }
@@ -189,7 +192,7 @@ impl<'a> Converter<'a> {
             return;
         }
         // Karnaugh path: small support, no auxiliary variables.
-        if let Some(clauses) = karnaugh_clauses(poly, self.config.karnaugh_vars) {
+        if let Some(clauses) = self.covers.clauses(poly, self.config.karnaugh_vars) {
             self.karnaugh_clauses += clauses.len();
             for c in clauses {
                 self.cnf.push_clause(c);
@@ -348,6 +351,72 @@ mod tests {
                 anf_ok, cnf_ok,
                 "ANF/CNF disagree on assignment {bits:b} of {system:?}"
             );
+        }
+    }
+
+    /// Converts `system` like [`anf_to_cnf`] but with a fresh cover memo
+    /// for every polynomial — the reference the memoised conversion must
+    /// reproduce.
+    fn convert_without_memo(system: &PolynomialSystem, config: &BosphorusConfig) -> CnfConversion {
+        let mut converter = Converter::new(system.num_vars(), config);
+        for poly in system.iter() {
+            converter.covers = KarnaughCache::default();
+            converter.convert_polynomial(poly);
+        }
+        converter.finish()
+    }
+
+    #[test]
+    fn memoised_covers_convert_clause_for_clause() {
+        use bosphorus_ciphers::{aes, bitcoin, simon};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut rng = StdRng::seed_from_u64(2019);
+        let simon_params = simon::SimonParams {
+            num_plaintexts: 2,
+            rounds: 4,
+        };
+        let bitcoin_params = bitcoin::BitcoinParams {
+            difficulty: 8,
+            rounds: 16,
+        };
+        for (name, system) in [
+            (
+                "Simon-[2,4]",
+                simon::generate(simon_params, &mut rng).system,
+            ),
+            (
+                "SR-[1,2,2,4]",
+                aes::generate(aes::AesParams::small(1), &mut rng).system,
+            ),
+            (
+                "Bitcoin-[8,16]",
+                bitcoin::generate(bitcoin_params, &mut rng).system,
+            ),
+        ] {
+            let config = config();
+            let propagator = AnfPropagator::new(system.num_vars());
+            let memo = anf_to_cnf(&system, &propagator, &config);
+            let mut converter = Converter::new(system.num_vars(), &config);
+            for poly in system.iter() {
+                converter.convert_polynomial(poly);
+            }
+            let karnaugh_polys = system
+                .iter()
+                .filter(|p| p.variables().len() <= config.karnaugh_vars)
+                .count();
+            assert!(
+                converter.covers.tables() < karnaugh_polys,
+                "{name}: the memo is hit ({} tables, {karnaugh_polys} polynomials)",
+                converter.covers.tables()
+            );
+            let fresh = convert_without_memo(&system, &config);
+            assert!(memo.karnaugh_clauses > 0, "{name}");
+            assert_eq!(memo.cnf, fresh.cnf, "{name}: clauses differ");
+            assert_eq!(memo.xors, fresh.xors, "{name}: XORs differ");
+            assert_eq!(memo.karnaugh_clauses, fresh.karnaugh_clauses, "{name}");
+            assert_eq!(memo.tseitin_clauses, fresh.tseitin_clauses, "{name}");
         }
     }
 

@@ -78,8 +78,8 @@ pub struct BosphorusConfig {
     /// reproducibility of experiments.
     pub rng_seed: u64,
     /// Whether the XL and ElimLin eliminations run the sparse structural
-    /// presolve (singleton, duplicate, weight-2, pure-leading-column and
-    /// subset rules over interned sparse rows) before materialising the
+    /// presolve (singleton, duplicate, weight-2 and pure-leading-column
+    /// rules over the linearisation's sparse rows) before materialising the
     /// residual dense core for the blocked M4RM kernel. The presolve is
     /// exact — learnt facts are byte-identical with it on or off — so this
     /// only changes wall-clock; the dense-only path exists as an escape

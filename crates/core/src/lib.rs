@@ -67,7 +67,7 @@ pub use anf_to_cnf::{anf_to_cnf, tseitin_clause_count, CnfConversion};
 // problem representation, see `AnfDatabase`); re-exported here so existing
 // `bosphorus::AnfPropagator` paths keep working.
 pub use bosphorus_anf::{AnfPropagator, PropagationOutcome, VarKnowledge};
-pub use bosphorus_gf2::{GaussStats, PresolveStats, SUBSET_CANDIDATE_LIMIT};
+pub use bosphorus_gf2::{GaussStats, PresolveStats};
 // The cancellation token lives in its own bottom-level crate so every layer
 // (gf2, sat, groebner) can poll it; re-exported here as the engine-facing
 // entry point for deadlines and signal-driven (SIGINT/SIGTERM)

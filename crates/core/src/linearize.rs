@@ -18,8 +18,12 @@
 //! cache-blocked multi-table M4RM kernel is built for (see
 //! `crates/gf2/src/blocked.rs` and `crates/bench/DESIGN.md`).
 
+use std::time::{Duration, Instant};
+
 use bosphorus_anf::{Monomial, MonomialInterner, Polynomial, TermScratch};
-use bosphorus_gf2::{BitMatrix, GaussStats, PresolveStats, RowRef, SparseMatrix};
+use bosphorus_gf2::{
+    BitMatrix, GaussStats, PresolveStats, RowRef, RowShape, SparseMatrix, SparseRref,
+};
 use bosphorus_interrupt::CancelToken;
 
 /// Incremental construction of a [`Linearization`].
@@ -149,30 +153,31 @@ impl LinearizationBuilder {
     }
 
     /// Orders the columns like [`LinearizationBuilder::finish`] but keeps
-    /// the rows *sparse*: the builder's CSR term store maps straight to
-    /// column ids without ever materialising the dense bit arena. This is
-    /// the entry to the structural presolve
+    /// the rows *sparse*: the builder's CSR term store is handed over as
+    /// is — each term id rewritten to its column in place, each row sorted
+    /// in place — without ever materialising the dense bit arena or a
+    /// per-row copy. This is the entry to the structural presolve
     /// ([`bosphorus_gf2::SparseMatrix`]); the column assignment is shared
     /// with the dense path, so the two eliminate to byte-identical facts.
+    /// The hand-off's wall-clock is charged to the elimination's
+    /// [`PresolveStats::presolve_ns`].
     pub fn finish_sparse(self) -> SparseLinearization {
+        let started = Instant::now();
         let LinearizationBuilder {
             interner,
-            terms,
+            mut terms,
             row_offsets,
         } = self;
         let (order, col_of_id) = interner.column_order_desc();
-        let mut matrix = SparseMatrix::new(interner.len());
-        for w in row_offsets.windows(2) {
-            let cols: Vec<u32> = terms[w[0]..w[1]]
-                .iter()
-                .map(|&id| col_of_id[id as usize])
-                .collect();
-            matrix.push_row(cols);
+        for t in &mut terms {
+            *t = col_of_id[*t as usize];
         }
+        let matrix = SparseMatrix::from_csr(interner.len(), terms, row_offsets);
         SparseLinearization {
             interner,
             order,
             matrix,
+            handoff: started.elapsed(),
         }
     }
 }
@@ -386,6 +391,8 @@ pub struct SparseLinearization {
     order: Vec<u32>,
     /// The linearised coefficient matrix, one sparse row per polynomial.
     matrix: SparseMatrix,
+    /// Wall-clock of [`LinearizationBuilder::finish_sparse`].
+    handoff: Duration,
 }
 
 impl SparseLinearization {
@@ -422,67 +429,60 @@ impl SparseLinearization {
         self,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
-        let SparseLinearization {
-            interner,
-            order,
-            matrix,
-        } = self;
-        let rref = matrix.rref_cancellable(token);
-        if rref.gauss.interrupted {
-            return (Vec::new(), rref.gauss, rref.presolve);
-        }
-        let reduced = rref
-            .rows
-            .iter()
-            .map(|row| sparse_row_to_polynomial(&interner, &order, row))
-            .collect();
+        let (reduced, rref) = self.eliminate_keeping(token, |_| true);
         (reduced, rref.gauss, rref.presolve)
     }
 
     /// Presolves, eliminates and returns only the *retainable* rows (linear
     /// polynomials and `monomial ⊕ 1` facts) together with the non-zero row
     /// count — the sparse twin of
-    /// [`Linearization::eliminate_retainable_cancellable`]. Non-retainable
-    /// rows are never materialised as polynomials.
+    /// [`Linearization::eliminate_retainable_cancellable`], with the
+    /// byte-identical predicate of the dense read-back. Non-retainable
+    /// rows are never materialised as polynomials, nor read back out of
+    /// the dense cores unless the presolve's back-substitution needs them.
     pub fn eliminate_retainable_cancellable(
         self,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, usize, GaussStats, PresolveStats) {
+        // The degree-≤ 1 monomials are a column suffix (descending graded
+        // lex), the constant its last column.
+        let (interner, order) = (&self.interner, &self.order);
+        let ncols = order.len();
+        let linear_boundary =
+            order.partition_point(|&id| interner.monomial(id).degree() > 1) as u32;
+        let has_constant_column = ncols > 0 && interner.monomial(order[ncols - 1]).is_one();
+        let constant_col = ncols.wrapping_sub(1) as u32;
+        let (facts, rref) = self.eliminate_keeping(token, |row| {
+            row.lead >= linear_boundary // every monomial is degree <= 1
+                || (has_constant_column && row.weight == 2 && row.last == constant_col)
+        });
+        let non_zero_rows = if rref.gauss.interrupted { 0 } else { rref.rank };
+        (facts, non_zero_rows, rref.gauss, rref.presolve)
+    }
+
+    /// Eliminates, returning the RREF rows `keep` accepts as polynomials;
+    /// charges the hand-off and the read-back to
+    /// [`PresolveStats::presolve_ns`].
+    fn eliminate_keeping(
+        self,
+        token: &CancelToken,
+        keep: impl Fn(RowShape) -> bool,
+    ) -> (Vec<Polynomial>, SparseRref) {
         let SparseLinearization {
             interner,
             order,
             matrix,
+            handoff,
         } = self;
-        let rref = matrix.rref_cancellable(token);
-        if rref.gauss.interrupted {
-            return (Vec::new(), 0, rref.gauss, rref.presolve);
-        }
-        let non_zero_rows = rref.rows.len();
-        let facts = sparse_retainable_facts(&interner, &order, &rref.rows);
-        (facts, non_zero_rows, rref.gauss, rref.presolve)
+        let mut rref = matrix.rref_keeping(token, keep);
+        let read_back = Instant::now();
+        let polys = rref
+            .rows()
+            .map(|row| sparse_row_to_polynomial(&interner, &order, row))
+            .collect();
+        rref.presolve.presolve_ns += (handoff + read_back.elapsed()).as_nanos() as u64;
+        (polys, rref)
     }
-}
-
-/// Filters stitched sparse RREF rows (ascending column ids) down to the
-/// retainable facts — linear polynomials (`row[0]` at or past the first
-/// degree-≤ 1 column) and `monomial ⊕ 1` rows — and materialises them as
-/// polynomials, with the byte-identical predicate of the dense read-back.
-fn sparse_retainable_facts(
-    interner: &MonomialInterner,
-    order: &[u32],
-    rows: &[Vec<u32>],
-) -> Vec<Polynomial> {
-    let ncols = order.len();
-    let linear_boundary = order.partition_point(|&id| interner.monomial(id).degree() > 1) as u32;
-    let has_constant_column = ncols > 0 && interner.monomial(order[ncols - 1]).is_one();
-    let constant_col = ncols.wrapping_sub(1) as u32;
-    rows.iter()
-        .filter(|row| {
-            row[0] >= linear_boundary // every monomial is degree <= 1
-                || (has_constant_column && row.len() == 2 && row[1] == constant_col)
-        })
-        .map(|row| sparse_row_to_polynomial(interner, order, row))
-        .collect()
 }
 
 /// Converts a stitched sparse RREF row (ascending column ids) back to a

@@ -7,7 +7,7 @@
 //! implicants first, greedy afterwards). Each chosen implicant — a forbidden
 //! combination of the polynomial's variables — becomes one CNF clause.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use bosphorus_anf::{Polynomial, Var};
 use bosphorus_cnf::{Clause, Lit};
@@ -135,11 +135,80 @@ fn select_cover(minterms: &[u32], primes: &[Implicant]) -> Vec<Implicant> {
 /// # Ok::<(), bosphorus_anf::ParsePolynomialError>(())
 /// ```
 pub fn karnaugh_clauses(poly: &Polynomial, max_vars: usize) -> Option<Vec<Clause>> {
+    Some(match on_set(poly, max_vars)? {
+        OnSet::Decided(clauses) => clauses,
+        OnSet::Table { vars, minterms } => {
+            clauses_from_cover(&vars, &minimal_cover(&minterms, vars.len()))
+        }
+    })
+}
+
+/// Supports of at most this many variables have their covers memoised: the
+/// truth table then fits the fixed-size key of [`KarnaughCache`].
+const CACHED_MAX_VARS: usize = 8;
+
+/// Memoised Karnaugh covers for one CNF conversion.
+///
+/// The cover [`karnaugh_clauses`] chooses depends only on the truth table
+/// of the polynomial over its sorted support — the support size and the
+/// ON-set — so it is computed once per distinct table and mapped onto each
+/// polynomial's own variables. A conversion sees few distinct tables (the
+/// S-box and round equations of a cipher repeat over fresh variables), so
+/// Quine–McCluskey runs a handful of times instead of once per polynomial.
+/// The clauses are exactly those of [`karnaugh_clauses`].
+#[derive(Debug, Default)]
+pub(crate) struct KarnaughCache {
+    /// `(support size, ON-set bitmap)` → the chosen implicants.
+    covers: HashMap<(u8, [u64; 4]), Vec<Implicant>>,
+}
+
+impl KarnaughCache {
+    /// [`karnaugh_clauses`] through the memo.
+    pub(crate) fn clauses(&mut self, poly: &Polynomial, max_vars: usize) -> Option<Vec<Clause>> {
+        Some(match on_set(poly, max_vars)? {
+            OnSet::Decided(clauses) => clauses,
+            OnSet::Table { vars, minterms } => {
+                let k = vars.len();
+                if k > CACHED_MAX_VARS {
+                    return Some(clauses_from_cover(&vars, &minimal_cover(&minterms, k)));
+                }
+                let mut table = [0u64; 4];
+                for &m in &minterms {
+                    table[m as usize / 64] |= 1 << (m % 64);
+                }
+                let cover = self
+                    .covers
+                    .entry((k as u8, table))
+                    .or_insert_with(|| minimal_cover(&minterms, k));
+                clauses_from_cover(&vars, cover)
+            }
+        })
+    }
+
+    /// Distinct truth tables memoised so far.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> usize {
+        self.covers.len()
+    }
+}
+
+/// What the constraint `p = 0` needs from the minimiser.
+enum OnSet {
+    /// Answered without a cover: no clauses, or the empty clause.
+    Decided(Vec<Clause>),
+    /// The sorted support and the assignments over it (bit `i` = `vars[i]`)
+    /// where `p = 1`: neither empty nor everything.
+    Table { vars: Vec<Var>, minterms: Vec<u32> },
+}
+
+/// The ON-set of `poly` over its support, or `None` when the support is
+/// wider than `max_vars` (or 32).
+fn on_set(poly: &Polynomial, max_vars: usize) -> Option<OnSet> {
     if poly.is_zero() {
-        return Some(Vec::new());
+        return Some(OnSet::Decided(Vec::new()));
     }
     if poly.is_one() {
-        return Some(vec![Clause::empty()]);
+        return Some(OnSet::Decided(vec![Clause::empty()]));
     }
     let vars: Vec<Var> = poly.variables();
     if vars.len() > max_vars.min(32) {
@@ -171,24 +240,36 @@ pub fn karnaugh_clauses(poly: &Polynomial, max_vars: usize) -> Option<Vec<Clause
     if minterms.is_empty() {
         // p is identically zero on its support (cannot happen for a reduced
         // ANF, but handle it defensively).
-        return Some(Vec::new());
+        return Some(OnSet::Decided(Vec::new()));
     }
     if minterms.len() == 1 << k {
-        return Some(vec![Clause::empty()]);
+        return Some(OnSet::Decided(vec![Clause::empty()]));
     }
-    let primes = prime_implicants(&minterms, k);
-    let cover = select_cover(&minterms, &primes);
-    let clauses = cover
+    Some(OnSet::Table { vars, minterms })
+}
+
+/// Quine–McCluskey: the prime implicants of the ON-set, then a small cover.
+fn minimal_cover(minterms: &[u32], k: usize) -> Vec<Implicant> {
+    let primes = prime_implicants(minterms, k);
+    select_cover(minterms, &primes)
+}
+
+/// One clause per implicant, over the support `vars`.
+fn clauses_from_cover(vars: &[Var], cover: &[Implicant]) -> Vec<Clause> {
+    cover
         .iter()
         .map(|imp| {
-            Clause::from_lits((0..k).filter(|&i| imp.cares >> i & 1 == 1).map(|i| {
-                // Forbid the implicant: the literal must be false exactly on
-                // the covered assignments.
-                Lit::new(vars[i], imp.values >> i & 1 == 1)
-            }))
+            Clause::from_lits(
+                (0..vars.len())
+                    .filter(|&i| imp.cares >> i & 1 == 1)
+                    .map(|i| {
+                        // Forbid the implicant: the literal must be false exactly on
+                        // the covered assignments.
+                        Lit::new(vars[i], imp.values >> i & 1 == 1)
+                    }),
+            )
         })
-        .collect();
-    Some(clauses)
+        .collect()
 }
 
 #[cfg(test)]

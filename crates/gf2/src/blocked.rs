@@ -169,6 +169,18 @@ impl BitMatrix {
         block: usize,
         token: &CancelToken,
     ) -> GaussStats {
+        self.gauss_jordan_blocked_m4rm_in(block, token, &mut KernelScratch::default())
+    }
+
+    /// [`BitMatrix::gauss_jordan_blocked_m4rm_cancellable`] with its buffers
+    /// taken from `scratch`, so a caller eliminating many matrices allocates
+    /// them once.
+    pub(crate) fn gauss_jordan_blocked_m4rm_in(
+        &mut self,
+        block: usize,
+        token: &CancelToken,
+        scratch: &mut KernelScratch,
+    ) -> GaussStats {
         let k = block.clamp(1, M4RM_MAX_BLOCK);
         let mut stats = GaussStats::default();
         let nrows = self.nrows();
@@ -178,9 +190,13 @@ impl BitMatrix {
         }
         let words = self.words_per_row();
         let tile = blocked_tile_words(k);
-        let mut tables = Tables::new(k, words);
+        let KernelScratch {
+            tables,
+            scan,
+            indices,
+        } = scratch;
+        tables.reset(k, words);
         let mut gather = PivotGather::new();
-        let mut windows: Vec<u32> = Vec::with_capacity(nrows);
         let mut pivot_row = 0usize;
         let mut col_start = 0usize;
         while pivot_row < nrows && col_start < ncols {
@@ -198,15 +214,16 @@ impl BitMatrix {
                 w0: col_start / 64,
                 shift: col_start % 64,
             };
-            let pivot_cols = establish_block_pivots(
+            establish_block_pivots(
                 self,
                 block_start,
                 col_start,
                 col_end,
                 window,
-                &mut windows,
+                scan,
                 &mut stats,
             );
+            let pivot_cols = &scan.cols;
             let p = pivot_cols.len();
             let block_end = block_start + p;
             if p > 0 {
@@ -244,7 +261,7 @@ impl BitMatrix {
                 stats.sweeps += 1;
                 stats.scattered_sweeps += usize::from(!contiguous);
                 let sweep = Sweep {
-                    tables: &tables,
+                    tables,
                     window,
                     tile,
                     pa,
@@ -253,7 +270,7 @@ impl BitMatrix {
                     gather: (!contiguous).then_some(&gather),
                     pivot_rows: block_start..block_end,
                 };
-                stats.row_xors += sweep.update(self.words_raw_mut(), words);
+                stats.row_xors += sweep.update(self.words_raw_mut(), words, indices);
             }
             pivot_row = block_end;
             col_start = col_end;
@@ -263,9 +280,32 @@ impl BitMatrix {
     }
 }
 
+/// The buffers of the blocked kernel: the Gray-code tables and the
+/// per-sweep scratch, reused across the sweeps of a call and, through
+/// [`BitMatrix::gauss_jordan_blocked_m4rm_in`], across calls.
+#[derive(Default)]
+pub(crate) struct KernelScratch {
+    tables: Tables,
+    scan: PivotScan,
+    /// The rows' table indices of a tiled update.
+    indices: Vec<(u8, u8, u8)>,
+}
+
+/// The buffers of one sweep's pivot search ([`establish_block_pivots`]).
+#[derive(Default)]
+struct PivotScan {
+    /// Cached raw windows of the rows the scan has read.
+    windows: Vec<u32>,
+    /// The sweep's pivot columns, ascending.
+    cols: Vec<usize>,
+    /// The current windows of the sweep's pivot rows.
+    col_windows: Vec<usize>,
+}
+
 /// The three Gray-code tables of a sweep. Entry 0 of each is the zero row
 /// and is never written; entries `1..2^p` are rebuilt per sweep, in buffers
 /// reused across sweeps.
+#[derive(Default)]
 struct Tables {
     a: Vec<u64>,
     b: Vec<u64>,
@@ -273,12 +313,13 @@ struct Tables {
 }
 
 impl Tables {
-    fn new(k: usize, words: usize) -> Self {
+    /// Sizes the tables for block width `k` over rows of `words` words,
+    /// all zero.
+    fn reset(&mut self, k: usize, words: usize) {
         let size = (1usize << k) * words;
-        Tables {
-            a: vec![0u64; size],
-            b: vec![0u64; size],
-            c: vec![0u64; size],
+        for table in [&mut self.a, &mut self.b, &mut self.c] {
+            table.clear();
+            table.resize(size, 0);
         }
     }
 }
@@ -365,10 +406,11 @@ impl Sweep<'_> {
     /// `words` words) outside the pivot block: per row, read the three table
     /// indices, then apply the fused table XOR, column tile by column tile.
     /// Returns the row-XOR count.
-    fn update(&self, arena: &mut [u64], words: usize) -> usize {
+    /// `indices` is scratch for the rows' table indices of a tiled update.
+    fn update(&self, arena: &mut [u64], words: usize, indices: &mut Vec<(u8, u8, u8)>) -> usize {
         match self.gather {
-            None => self.update_rows(arena, words, |window| window),
-            Some(gather) => self.update_rows(arena, words, |window| gather.index(window)),
+            None => self.update_rows(arena, words, indices, |window| window),
+            Some(gather) => self.update_rows(arena, words, indices, |window| gather.index(window)),
         }
     }
 
@@ -378,6 +420,7 @@ impl Sweep<'_> {
         &self,
         arena: &mut [u64],
         words: usize,
+        indices: &mut Vec<(u8, u8, u8)>,
         index: impl Fn(usize) -> usize,
     ) -> usize {
         let w0 = self.window.w0;
@@ -389,11 +432,10 @@ impl Sweep<'_> {
         let mask_c = (1usize << self.pc) - 1;
         let shift_c = self.pa + self.pb;
         let tiled = stride > first_tile;
-        let mut indices: Vec<(u8, u8, u8)> = if tiled {
-            vec![(0, 0, 0); arena.len() / words]
-        } else {
-            Vec::new()
-        };
+        if tiled {
+            indices.clear();
+            indices.resize(arena.len() / words, (0, 0, 0));
+        }
         let mut xors = 0usize;
         // First (or only) column tile: compute all three table indices while
         // the row's leading words are hot, buffer them if more tiles follow,
@@ -430,7 +472,7 @@ impl Sweep<'_> {
         let mut tw = first_tile;
         while tw < stride {
             let tw_end = (tw + self.tile).min(stride);
-            for (row, &(ia, ib, ic)) in arena.chunks_exact_mut(words).zip(&indices) {
+            for (row, &(ia, ib, ic)) in arena.chunks_exact_mut(words).zip(indices.iter()) {
                 let (ia, ib, ic) = (ia as usize, ib as usize, ic as usize);
                 if ia == 0 && ib == 0 && ic == 0 {
                     continue;
@@ -542,7 +584,8 @@ fn xor_row_from(m: &mut BitMatrix, src: usize, dst: usize, w0: usize) {
 
 /// Establishes pivots for the sweep columns `col_start..col_end`, moving
 /// pivot rows to positions `block_start..`, reducing them to identity on the
-/// sweep's pivot columns, and returning the pivot columns found.
+/// sweep's pivot columns, and leaving the pivot columns found in
+/// `scan.cols`.
 ///
 /// The candidate scan is read-only window math: no row is written while
 /// searching, and only the chosen pivot row is physically cleaned on the
@@ -557,7 +600,7 @@ fn xor_row_from(m: &mut BitMatrix, src: usize, dst: usize, w0: usize) {
 /// has a one at `c`: each pivot row is identity on the pivot columns, so the
 /// dirty set read off the raw window is exact. The scan therefore tests one
 /// cached raw window per row against one mask per column. The raw windows
-/// of the rows below the block are read into `windows` once per sweep, in
+/// of the rows below the block are read into `scan.windows` once per sweep, in
 /// row order and only as far as the scans reach; since only the chosen row
 /// is written and then leaves the scanned range, the cache stays exact with
 /// one entry moved per row swap.
@@ -567,19 +610,24 @@ fn establish_block_pivots(
     col_start: usize,
     col_end: usize,
     window: Window,
-    windows: &mut Vec<u32>,
+    scan: &mut PivotScan,
     stats: &mut GaussStats,
-) -> Vec<usize> {
+) {
+    let PivotScan {
+        windows,
+        cols: pivot_cols,
+        col_windows: pivot_windows,
+    } = scan;
     let nrows = m.nrows();
     let w0 = window.w0;
-    let mut pivot_cols: Vec<usize> = Vec::with_capacity(col_end - col_start);
+    pivot_cols.clear();
     // Offsets (relative to col_start) of the pivot columns found so far, as
     // a bit mask over the sweep window, and the current pivot-row windows.
     // The window spans `col_end - col_start <= 3k <= 24` bits, so one read
     // of at most two row words yields every pivot-column bit of a row at
     // once.
     let mut pivot_mask: usize = 0;
-    let mut pivot_windows: Vec<usize> = Vec::with_capacity(col_end - col_start);
+    pivot_windows.clear();
     let width_mask = (1usize << (col_end - col_start)) - 1;
     let read = |m: &BitMatrix, r: usize| (window.read(m.row_words(r)) & width_mask) as u32;
     // Only columns present in some row at or below the block can hold a
@@ -608,7 +656,7 @@ fn establish_block_pivots(
         // one at c.
         let probe = pivot_cols
             .iter()
-            .zip(&pivot_windows)
+            .zip(pivot_windows.iter())
             .filter(|&(_, &pw)| (pw >> c_off) & 1 == 1)
             .fold(1u32 << c_off, |acc, (&pc, _)| acc | 1 << (pc - col_start));
         let cached = dest - block_start;
@@ -662,7 +710,6 @@ fn establish_block_pivots(
             pivot_windows.push(window.read(m.row_words(block_start + j)));
         }
     }
-    pivot_cols
 }
 
 /// Builds the `2^p` Gray-code lookup table over rows

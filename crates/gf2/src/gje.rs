@@ -10,7 +10,7 @@
 
 use bosphorus_interrupt::CancelToken;
 
-use crate::blocked::{m4rm_block_size, M4RM_MIN_DIM};
+use crate::blocked::{m4rm_block_size, KernelScratch, M4RM_MIN_DIM};
 use crate::{BitMatrix, BitVec};
 
 /// The elimination kernel [`select_kernel`] picked for a matrix shape.
@@ -167,10 +167,21 @@ impl BitMatrix {
     /// partially reduced, so callers must treat it as scratch and discard
     /// any facts they would otherwise read from the RREF.
     pub fn gauss_jordan_cancellable(&mut self, token: &CancelToken) -> GaussStats {
+        self.gauss_jordan_in(token, &mut KernelScratch::default())
+    }
+
+    /// [`BitMatrix::gauss_jordan_cancellable`] with the blocked kernel's
+    /// buffers taken from `scratch` (the sparse presolve eliminates many
+    /// cores per call through one).
+    pub(crate) fn gauss_jordan_in(
+        &mut self,
+        token: &CancelToken,
+        scratch: &mut KernelScratch,
+    ) -> GaussStats {
         match select_kernel(self.nrows(), self.ncols()) {
             KernelChoice::Plain => self.gauss_jordan_plain_cancellable(token),
             KernelChoice::BlockedM4rm { block } => {
-                self.gauss_jordan_blocked_m4rm_cancellable(block, token)
+                self.gauss_jordan_blocked_m4rm_in(block, token, scratch)
             }
         }
     }

@@ -55,7 +55,7 @@ mod vector;
 pub use blocked::{blocked_tile_words, m4rm_block_size, GF2_L2_CACHE_BYTES, M4RM_MAX_BLOCK};
 pub use gje::{select_kernel, GaussStats, KernelChoice, SolveOutcome};
 pub use matrix::{BitMatrix, RowRef};
-pub use sparse::{PresolveStats, SparseMatrix, SparseRref, SUBSET_CANDIDATE_LIMIT};
+pub use sparse::{PresolveStats, RowShape, SparseMatrix, SparseRref};
 pub use vector::BitVec;
 
 #[cfg(test)]

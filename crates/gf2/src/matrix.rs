@@ -623,6 +623,13 @@ impl BitMatrix {
             })
             .collect()
     }
+
+    /// Consumes the matrix and returns its row-major word arena — the
+    /// inverse of [`BitMatrix::from_row_words`], so a caller eliminating
+    /// many matrices can recycle one buffer.
+    pub(crate) fn into_row_words(self) -> Vec<u64> {
+        self.words
+    }
 }
 
 /// Transposes a 64×64 bit tile in place: bit `c` of `tile[r]` moves to bit

@@ -18,9 +18,6 @@
 //!   appears in no other row is set aside with zero forward work — on XL
 //!   matrices the top product monomials are mostly unique, so this rule
 //!   cascades deeply.
-//! * **bounded subset cancellation**: if `support(A) ⊆ support(B)` then
-//!   `B ^= A` shrinks `B` without fill; candidates are found through `A`'s
-//!   rarest column and capped so the rule stays linear-ish.
 //!
 //! What survives is split into connected components (union–find over
 //! columns); each component becomes a small column-compacted [`BitMatrix`]
@@ -29,11 +26,28 @@
 //! RREFs plus the set-aside rows are stitched back — set-asides
 //! back-substituted in reverse removal order — into the full RREF.
 //!
+//! # Storage
+//!
+//! Everything lives in flat arrays whose number does not grow with the
+//! matrix. The rows are one CSR arena (a [`SparseMatrix`] built from a
+//! linearisation takes the builder's term arena over): no rule ever grows a
+//! row — R1–R5 only delete a column or rename one — so each row shrinks in
+//! place inside its original slot. A set-aside row keeps its slot, frozen
+//! at removal, as its pivot and tail. Column occurrences are one
+//! counting-sorted CSC of the input plus one append list for the columns R4
+//! renames into a row; both may hold stale entries, which are re-validated
+//! against the live rows when read through one reused buffer. The component
+//! split, the cores and the stitched RREF rows are ranges of flat arrays
+//! too, and [`SparseRref`] hands the rows out as slices. A caller that
+//! wants only some rows says which by their [`RowShape`]
+//! ([`SparseMatrix::rref_keeping`]); a dense-core row it rejects is read
+//! back only if a set-aside row's back-substitution needs it.
+//!
 //! # Exactness
 //!
 //! The RREF of a matrix is unique, so any sequence of elementary row
 //! operations followed by a canonical stitching yields *the* RREF. Rules
-//! R2/R4/subset are plain row XORs; R1 only drops zero rows (which the
+//! R2/R4 are plain row XORs; R1 only drops zero rows (which the
 //! callers filter anyway). The set-aside rules (R3/R4/R5) all pivot on a
 //! row's **leading** column at a moment where that column occurs in no other
 //! remaining row: if column `c` is non-zero only in row `r` and
@@ -56,22 +70,20 @@
 //! reports [`GaussStats::interrupted`] with no rows, so callers discard it
 //! exactly like a partially reduced dense matrix.
 
-use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use bosphorus_interrupt::{CancelToken, Checkpoint};
 
+use crate::blocked::KernelScratch;
 use crate::{BitMatrix, GaussStats};
-
-/// Cap on how many rows sharing a row's rarest column the bounded
-/// subset-cancellation rule will test for containment. Columns more popular
-/// than this are poor discriminators and scanning them would make the rule
-/// quadratic on dense blocks.
-pub const SUBSET_CANDIDATE_LIMIT: u32 = 16;
 
 /// Cancellation poll interval of the presolve loops: fine enough that a
 /// deadline lands within milliseconds, coarse enough that the atomic load
 /// never shows up in a profile.
 const PRESOLVE_CHECK_INTERVAL: u64 = 1 << 12;
+
+/// Marks a removed row's length and an absent index in the flat maps.
+const NONE: u32 = u32::MAX;
 
 /// Counters describing what one presolve run eliminated, reported alongside
 /// the dense-kernel [`GaussStats`] so callers can see how much of the matrix
@@ -92,8 +104,6 @@ pub struct PresolveStats {
     pub weight2_rows: usize,
     /// Pure-leading-column rows set aside (R5).
     pub pure_leading_rows: usize,
-    /// Subset cancellations applied (`B ^= A` for `A ⊆ B`).
-    pub subset_cancellations: usize,
     /// Rows removed before the dense kernel ran (drops plus set-asides).
     pub rows_eliminated: usize,
     /// Columns absent from every dense core (eliminated or never occupied).
@@ -104,8 +114,11 @@ pub struct PresolveStats {
     pub dense_rows: usize,
     /// Total (compacted) columns across all dense cores.
     pub dense_cols: usize,
-    /// Wall-clock nanoseconds of the sparse phase: rule fixpoint, component
-    /// split, core compaction, read-back and stitching.
+    /// Wall-clock nanoseconds of the sparse path outside the dense cores:
+    /// rule fixpoint, component split, core compaction, read-back and
+    /// stitching — plus, when a caller hands a linearisation over, its CSR
+    /// hand-off and fact read-back, so that this and
+    /// [`PresolveStats::dense_ns`] add up to the whole elimination.
     pub presolve_ns: u64,
     /// Wall-clock nanoseconds spent inside the dense core eliminations,
     /// summed over the components.
@@ -120,8 +133,6 @@ pub struct PresolveStats {
     pub weight2_nnz: usize,
     /// Entries of the rows set aside by pure-leading extraction (R5).
     pub pure_leading_nnz: usize,
-    /// Entries removed from superset rows by subset cancellation.
-    pub subset_nnz: usize,
     /// High-water mark of rows held live at once. The presolve stores every
     /// input row before any rule fires, so this equals `input_rows`. Merges
     /// take the max.
@@ -134,8 +145,6 @@ pub struct PresolveStats {
     pub cascade_ns: u64,
     /// Wall-clock nanoseconds inside batch duplicate-drop passes (R2).
     pub dedup_ns: u64,
-    /// Wall-clock nanoseconds inside bounded subset-cancellation passes.
-    pub subset_ns: u64,
 }
 
 impl PresolveStats {
@@ -151,7 +160,6 @@ impl PresolveStats {
         self.singleton_rows += other.singleton_rows;
         self.weight2_rows += other.weight2_rows;
         self.pure_leading_rows += other.pure_leading_rows;
-        self.subset_cancellations += other.subset_cancellations;
         self.rows_eliminated += other.rows_eliminated;
         self.cols_eliminated += other.cols_eliminated;
         self.components += other.components;
@@ -163,12 +171,10 @@ impl PresolveStats {
         self.singleton_nnz += other.singleton_nnz;
         self.weight2_nnz += other.weight2_nnz;
         self.pure_leading_nnz += other.pure_leading_nnz;
-        self.subset_nnz += other.subset_nnz;
         self.peak_interned_rows = self.peak_interned_rows.max(other.peak_interned_rows);
         self.peak_interned_words = self.peak_interned_words.max(other.peak_interned_words);
         self.cascade_ns += other.cascade_ns;
         self.dedup_ns += other.dedup_ns;
-        self.subset_ns += other.subset_ns;
     }
 
     /// Rows set aside by the pivoting rules (each contributes one final RREF
@@ -178,11 +184,13 @@ impl PresolveStats {
     }
 }
 
-/// A sparse GF(2) matrix: rows of strictly ascending column ids.
+/// A sparse GF(2) matrix in CSR form: one arena of column ids, each row a
+/// strictly ascending run of it.
 ///
 /// This is the presolve's working representation of the linearised system —
-/// the CSR store of `LinearizationBuilder` (one term-id arena plus
-/// row offsets) converts into it without densifying.
+/// the CSR store of `LinearizationBuilder` (one term-id arena plus row
+/// offsets) is taken over by [`SparseMatrix::from_csr`] without copying or
+/// densifying.
 ///
 /// # Examples
 ///
@@ -190,16 +198,20 @@ impl PresolveStats {
 /// use bosphorus_gf2::SparseMatrix;
 ///
 /// let mut m = SparseMatrix::new(4);
-/// m.push_row(vec![0, 3]);
-/// m.push_row(vec![3]);
+/// m.push_row([0, 3]);
+/// m.push_row([3]);
 /// let r = m.rref();
 /// assert_eq!(r.rank, 2);
-/// assert_eq!(r.rows, vec![vec![0], vec![3]]);
+/// // {0, 3} ^ {3} = {0}: the RREF rows are {0} and {3}.
+/// assert_eq!(r.rows().collect::<Vec<_>>(), [&[0][..], &[3][..]]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseMatrix {
     ncols: usize,
-    rows: Vec<Vec<u32>>,
+    /// Every row's column ids, concatenated.
+    entries: Vec<u32>,
+    /// Row `r` is `entries[offsets[r]..offsets[r + 1]]`; starts with `0`.
+    offsets: Vec<usize>,
 }
 
 impl SparseMatrix {
@@ -207,7 +219,8 @@ impl SparseMatrix {
     pub fn new(ncols: usize) -> Self {
         SparseMatrix {
             ncols,
-            rows: Vec::new(),
+            entries: Vec::new(),
+            offsets: vec![0],
         }
     }
 
@@ -215,26 +228,47 @@ impl SparseMatrix {
     /// (sorted; duplicate pairs cancel, XOR-style).
     pub fn from_rows(ncols: usize, rows: Vec<Vec<u32>>) -> Self {
         let mut m = SparseMatrix::new(ncols);
-        m.rows.reserve(rows.len());
+        m.offsets.reserve(rows.len());
         for row in rows {
             m.push_row(row);
         }
         m
     }
 
-    /// Builds a matrix from a CSR store: `cols` is the concatenated
-    /// column-id arena, `offsets` the per-row half-open ranges
+    /// Takes over a CSR store: `entries` is the concatenated column-id
+    /// arena, `offsets` the per-row half-open ranges
     /// (`offsets[r]..offsets[r + 1]`, so `offsets.len()` is `nrows + 1`).
+    /// Each row is normalised in place (sorted; duplicate pairs cancel,
+    /// XOR-style) and the arena compacted, so no row is copied out.
     ///
     /// # Panics
     ///
-    /// Panics if `offsets` is empty or not non-decreasing within `cols`.
-    pub fn from_csr(ncols: usize, cols: &[u32], offsets: &[usize]) -> Self {
-        assert!(!offsets.is_empty(), "offsets must hold nrows + 1 entries");
-        let mut m = SparseMatrix::new(ncols);
-        m.rows.reserve(offsets.len() - 1);
-        for w in offsets.windows(2) {
-            m.push_row(cols[w[0]..w[1]].to_vec());
+    /// Panics if `offsets` does not start at 0, decreases, or does not end
+    /// at `entries.len()`, or if a column id is out of range.
+    pub fn from_csr(ncols: usize, mut entries: Vec<u32>, mut offsets: Vec<usize>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
+        assert_eq!(
+            offsets.last(),
+            Some(&entries.len()),
+            "offsets must end at the arena length"
+        );
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for r in 0..offsets.len() - 1 {
+            let end = offsets[r + 1];
+            assert!(start <= end, "offsets must be non-decreasing");
+            offsets[r + 1] = normalize_into(&mut entries, start, end, write);
+            write = offsets[r + 1];
+            start = end;
+        }
+        entries.truncate(write);
+        let m = SparseMatrix {
+            ncols,
+            entries,
+            offsets,
+        };
+        for r in 0..m.nrows() {
+            m.check_width(m.row(r));
         }
         m
     }
@@ -245,21 +279,29 @@ impl SparseMatrix {
     /// # Panics
     ///
     /// Panics if a column id is out of range.
-    pub fn push_row(&mut self, mut cols: Vec<u32>) {
-        normalize_row(&mut cols);
-        if let Some(&last) = cols.last() {
+    pub fn push_row<I: IntoIterator<Item = u32>>(&mut self, cols: I) {
+        let start = self.entries.len();
+        self.entries.extend(cols);
+        let len = self.entries.len();
+        let end = normalize_into(&mut self.entries, start, len, start);
+        self.entries.truncate(end);
+        self.offsets.push(end);
+        self.check_width(&self.entries[start..end]);
+    }
+
+    fn check_width(&self, row: &[u32]) {
+        if let Some(&last) = row.last() {
             assert!(
                 (last as usize) < self.ncols,
                 "column id {last} out of range for width {}",
                 self.ncols
             );
         }
-        self.rows.push(cols);
     }
 
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        self.rows.len()
+        self.offsets.len() - 1
     }
 
     /// Number of columns.
@@ -269,19 +311,28 @@ impl SparseMatrix {
 
     /// Number of stored non-zero entries.
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.entries.len()
     }
 
-    /// The rows as sorted column-id lists.
-    pub fn rows(&self) -> &[Vec<u32>] {
-        &self.rows
+    /// Row `r` as a strictly ascending column-id slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn row(&self, r: usize) -> &[u32] {
+        &self.entries[self.offsets[r]..self.offsets[r + 1]]
+    }
+
+    /// The rows in order, as strictly ascending column-id slices.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.offsets.windows(2).map(|w| &self.entries[w[0]..w[1]])
     }
 
     /// Densifies into a [`BitMatrix`] (diagnostics and tests; the presolve
     /// itself only densifies the residual cores).
     pub fn to_dense(&self) -> BitMatrix {
-        let mut m = BitMatrix::zero(self.rows.len(), self.ncols);
-        for (r, row) in self.rows.iter().enumerate() {
+        let mut m = BitMatrix::zero(self.nrows(), self.ncols);
+        for (r, row) in self.rows().enumerate() {
             for &c in row {
                 m.set(r, c as usize, true);
             }
@@ -300,20 +351,52 @@ impl SparseMatrix {
     /// cancellation the result carries [`GaussStats::interrupted`] and *no*
     /// rows — partial output is never exposed.
     pub fn rref_cancellable(self, token: &CancelToken) -> SparseRref {
-        presolve_rref(self, token)
+        presolve_rref(self, token, &|_| true)
+    }
+
+    /// Like [`SparseMatrix::rref_cancellable`], but returns only the RREF
+    /// rows whose [`RowShape`] `keep` accepts; [`SparseRref::rank`] still
+    /// counts every row. A dense-core row `keep` rejects is never read back
+    /// into sparse form unless a set-aside row's back-substitution needs
+    /// it — the saving for callers that want a few rows of a large RREF,
+    /// like XL's retainable facts.
+    pub fn rref_keeping(self, token: &CancelToken, keep: impl Fn(RowShape) -> bool) -> SparseRref {
+        presolve_rref(self, token, &keep)
+    }
+}
+
+/// What [`SparseMatrix::rref_keeping`] tells its filter about an RREF row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowShape {
+    /// The leading (pivot) column.
+    pub lead: u32,
+    /// The last column.
+    pub last: u32,
+    /// The number of entries.
+    pub weight: usize,
+}
+
+impl RowShape {
+    fn of(row: &[u32]) -> Self {
+        RowShape {
+            lead: row[0],
+            last: row[row.len() - 1],
+            weight: row.len(),
+        }
     }
 }
 
 /// The stitched result of [`SparseMatrix::rref`]: exactly the non-zero rows
-/// of the dense-path RREF, in the same order.
+/// of the dense-path RREF, in the same order (for
+/// [`SparseMatrix::rref_keeping`], the accepted ones among them).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseRref {
-    /// Non-zero RREF rows as strictly ascending column-id lists, sorted by
-    /// leading (pivot) column — byte-identical to the non-zero rows the
-    /// dense kernel would produce. Empty when `gauss.interrupted` is set.
-    pub rows: Vec<Vec<u32>>,
-    /// Rank (= `rows.len()` when not interrupted; pivots established before
-    /// the trip otherwise).
+    /// The rows' column ids, in the order they were produced.
+    entries: Vec<u32>,
+    /// `entries` range of each RREF row, sorted by leading column.
+    spans: Vec<(usize, usize)>,
+    /// Rank (= the number of rows when not interrupted; pivots established
+    /// before the trip otherwise).
     pub rank: usize,
     /// Elimination work: the merged dense-core counters plus every presolve
     /// row operation folded into `row_xors`, with `rank` set to the total.
@@ -322,40 +405,82 @@ pub struct SparseRref {
     pub presolve: PresolveStats,
 }
 
-/// Sorts a column list and cancels duplicate pairs (XOR semantics).
-fn normalize_row(cols: &mut Vec<u32>) {
-    cols.sort_unstable();
-    let mut keep = 0usize;
-    let mut i = 0usize;
-    while i < cols.len() {
+impl SparseRref {
+    /// Number of RREF rows returned (0 when `gauss.interrupted` is set).
+    pub fn num_rows(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// The non-zero RREF rows as strictly ascending column-id lists, sorted
+    /// by leading (pivot) column — byte-identical to the non-zero rows the
+    /// dense kernel would produce. Empty when `gauss.interrupted` is set.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.spans
+            .iter()
+            .map(|&(start, end)| &self.entries[start..end])
+    }
+}
+
+/// Sorts `arena[start..end]`, cancels duplicate pairs (XOR semantics) and
+/// writes the survivors to `arena[write..]`, returning the end of what was
+/// written. `write <= start`, so compaction never overtakes the reads.
+fn normalize_into(arena: &mut [u32], start: usize, end: usize, write: usize) -> usize {
+    debug_assert!(write <= start);
+    arena[start..end].sort_unstable();
+    let mut keep = write;
+    let mut i = start;
+    while i < end {
+        let c = arena[i];
         let mut run = 1usize;
-        while i + run < cols.len() && cols[i + run] == cols[i] {
+        while i + run < end && arena[i + run] == c {
             run += 1;
         }
         if run % 2 == 1 {
-            cols[keep] = cols[i];
+            arena[keep] = c;
             keep += 1;
         }
         i += run;
     }
-    cols.truncate(keep);
+    keep
 }
 
-/// One set-aside row: `pivot` is its leading column (pure at removal time),
-/// `tail` the rest of its support, awaiting back-substitution.
+/// Calls `f` with the index of every set bit of `words`, ascending.
+fn push_ones(words: &[u64], mut f: impl FnMut(usize)) {
+    for (i, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            f(i * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
+}
+
+/// One set-aside row: its slot `row`, frozen at removal with `len` entries —
+/// the leading column (pure at removal time) followed by the tail awaiting
+/// back-substitution.
+#[derive(Clone, Copy)]
 struct SetAside {
-    pivot: u32,
-    tail: Vec<u32>,
+    row: u32,
+    len: u32,
 }
 
-/// The iterated rule engine. Rows live in `rows` (`None` = removed);
-/// `col_count` is the exact live occupancy per column; `col_rows` maps each
-/// column to candidate row indices (append-only, may hold stale entries
-/// that are re-validated on use).
+/// The iterated rule engine over the flat row arena.
+///
+/// Row `r` lives in `entries[offsets[r]..][..len[r]]` (`len[r] == NONE` once
+/// removed); `col_count` is the exact live occupancy per column. The rows
+/// containing column `c` are among the input CSC's `col_rows[col_start[c]..
+/// col_start[c + 1]]` and the `renamed` chain starting at `renamed_head[c]`
+/// — candidates that may be stale and are re-validated on use.
 struct Presolver {
-    rows: Vec<Option<Vec<u32>>>,
+    entries: Vec<u32>,
+    offsets: Vec<usize>,
+    len: Vec<u32>,
     col_count: Vec<u32>,
-    col_rows: Vec<Vec<u32>>,
+    col_start: Vec<u32>,
+    col_rows: Vec<u32>,
+    renamed_head: Vec<u32>,
+    /// `(row, next)` links of the per-column append lists R4 renames feed.
+    renamed: Vec<(u32, u32)>,
     set_asides: Vec<SetAside>,
     stats: PresolveStats,
     /// Elementary row operations performed, folded into
@@ -365,46 +490,93 @@ struct Presolver {
     small: Vec<u32>,
     /// Columns whose live count dropped to 1 and await R5.
     pure_cols: Vec<u32>,
+    /// Reused result buffer of [`Presolver::rows_containing`] and the R2
+    /// duplicate list.
+    found: Vec<u32>,
+    /// Reused `(row hash, row)` keys of the R2 pass.
+    keys: Vec<(u64, u32)>,
 }
 
 impl Presolver {
     fn new(m: SparseMatrix) -> Self {
-        let ncols = m.ncols;
-        let nnz: usize = m.rows.iter().map(Vec::len).sum();
+        let SparseMatrix {
+            ncols,
+            entries,
+            offsets,
+        } = m;
+        let nrows = offsets.len() - 1;
+        assert!(
+            entries.len() < NONE as usize && nrows < NONE as usize,
+            "the presolve indexes rows and entries with u32"
+        );
+        let len: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        // Counting-sort the entries by column: one CSC of the input, its row
+        // lists ascending.
         let mut col_count = vec![0u32; ncols];
-        let mut col_rows = vec![Vec::new(); ncols];
-        for (r, row) in m.rows.iter().enumerate() {
-            for &c in row {
-                col_count[c as usize] += 1;
-                col_rows[c as usize].push(r as u32);
+        for &c in &entries {
+            col_count[c as usize] += 1;
+        }
+        let mut col_start = Vec::with_capacity(ncols + 1);
+        let mut total = 0u32;
+        col_start.push(0);
+        for &n in &col_count {
+            total += n;
+            col_start.push(total);
+        }
+        let mut col_rows = vec![0u32; entries.len()];
+        let mut fill: Vec<u32> = col_start[..ncols].to_vec();
+        for r in 0..nrows {
+            for &c in &entries[offsets[r]..offsets[r + 1]] {
+                col_rows[fill[c as usize] as usize] = r as u32;
+                fill[c as usize] += 1;
             }
         }
-        let small = (0..m.rows.len())
-            .filter(|&r| m.rows[r].len() <= 2)
-            .map(|r| r as u32)
+        let small = (0..nrows as u32)
+            .filter(|&r| len[r as usize] <= 2)
             .collect();
-        let pure_cols = (0..ncols)
-            .filter(|&c| col_count[c] == 1)
-            .map(|c| c as u32)
+        let pure_cols = (0..ncols as u32)
+            .filter(|&c| col_count[c as usize] == 1)
             .collect();
         let stats = PresolveStats {
-            input_rows: m.rows.len(),
+            input_rows: nrows,
             input_cols: ncols,
             // Batch presolve materialises every row before a rule fires.
-            peak_interned_rows: m.rows.len(),
-            peak_interned_words: nnz,
+            peak_interned_rows: nrows,
+            peak_interned_words: entries.len(),
             ..PresolveStats::default()
         };
         Presolver {
-            rows: m.rows.into_iter().map(Some).collect(),
+            entries,
+            offsets,
+            len,
             col_count,
+            col_start,
             col_rows,
+            renamed_head: vec![NONE; ncols],
+            renamed: Vec::new(),
             set_asides: Vec::new(),
             stats,
             xors: 0,
             small,
             pure_cols,
+            found: Vec::new(),
+            keys: Vec::new(),
         }
+    }
+
+    fn nrows(&self) -> usize {
+        self.len.len()
+    }
+
+    fn is_live(&self, r: usize) -> bool {
+        self.len[r] != NONE
+    }
+
+    /// Live row `r`'s current entries.
+    fn row(&self, r: usize) -> &[u32] {
+        debug_assert!(self.is_live(r));
+        let start = self.offsets[r];
+        &self.entries[start..start + self.len[r] as usize]
     }
 
     /// Decrements a column's live count, queueing it for R5 at count 1.
@@ -416,62 +588,92 @@ impl Presolver {
         }
     }
 
-    /// Removes row `r` from the live set, releasing its column counts.
-    fn kill_row(&mut self, r: usize) -> Vec<u32> {
-        let row = self.rows[r].take().expect("killing a live row");
-        for &c in &row {
-            self.dec_col(c);
+    /// Removes live row `r`, releasing its column counts, and returns its
+    /// length; its slot keeps the entries it had.
+    fn kill_row(&mut self, r: usize) -> u32 {
+        let len = self.len[r];
+        debug_assert!(len != NONE, "killing a live row");
+        self.len[r] = NONE;
+        let start = self.offsets[r];
+        for i in start..start + len as usize {
+            self.dec_col(self.entries[i]);
         }
-        row
+        len
     }
 
-    /// Live rows currently containing column `c`, re-validating the
-    /// append-only `col_rows` list. A row removed from and later re-added
-    /// to the column carries duplicate list entries, so the result is
-    /// deduplicated — callers may mutate each returned row exactly once.
-    fn rows_containing(&self, c: u32) -> Vec<usize> {
-        let mut rows: Vec<usize> = self.col_rows[c as usize]
-            .iter()
-            .map(|&r| r as usize)
-            .filter(|&r| {
-                self.rows[r]
-                    .as_ref()
-                    .is_some_and(|row| row.binary_search(&c).is_ok())
-            })
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
+    /// Removes live row `r` as a set-aside (its slot holds pivot and tail).
+    fn set_aside(&mut self, r: usize) -> u32 {
+        let len = self.kill_row(r);
+        self.set_asides.push(SetAside { row: r as u32, len });
+        len
+    }
+
+    /// Deletes the entry at `pos` of live row `r`.
+    fn remove_at(&mut self, r: usize, pos: usize) {
+        let start = self.offsets[r];
+        let len = self.len[r] as usize;
+        self.entries
+            .copy_within(start + pos + 1..start + len, start + pos);
+        self.len[r] -= 1;
+    }
+
+    /// Fills `found` with the live rows currently containing column `c`, in
+    /// ascending order. A row removed from and later re-added to the column
+    /// can be listed twice, so the result is deduplicated — callers may
+    /// mutate each returned row exactly once.
+    fn rows_containing(&self, c: u32, found: &mut Vec<u32>) {
+        found.clear();
+        let contains = |r: u32| {
+            let r = r as usize;
+            self.is_live(r) && self.row(r).binary_search(&c).is_ok()
+        };
+        let listed = &self.col_rows
+            [self.col_start[c as usize] as usize..self.col_start[c as usize + 1] as usize];
+        found.extend(listed.iter().copied().filter(|&r| contains(r)));
+        let mut link = self.renamed_head[c as usize];
+        if link == NONE {
+            return; // the CSC lists are ascending and distinct already
+        }
+        while link != NONE {
+            let (r, next) = self.renamed[link as usize];
+            if contains(r) {
+                found.push(r);
+            }
+            link = next;
+        }
+        found.sort_unstable();
+        found.dedup();
     }
 
     /// XORs the weight-2 set-aside `{a, b}` into row `j` (which contains
     /// `a`): deletes `a`, toggles `b`. Never increases the row's weight.
     fn xor_pair_into(&mut self, j: usize, a: u32, b: u32) {
-        let row = self.rows[j].as_mut().expect("target row is live");
-        let pos = row.binary_search(&a).expect("row contains the pivot");
-        row.remove(pos);
+        let start = self.offsets[j];
+        let len = self.len[j] as usize;
+        let row = &mut self.entries[start..start + len];
+        let pos_a = row.binary_search(&a).expect("row contains the pivot");
+        // `a` leads the pair, so `b` sits (or belongs) after it.
         match row.binary_search(&b) {
-            Ok(p) => {
-                row.remove(p);
-                let small_now = row.len() <= 2;
+            Ok(pos_b) => {
+                row.copy_within(pos_b + 1..len, pos_b);
+                row.copy_within(pos_a + 1..len - 1, pos_a);
+                self.len[j] -= 2;
                 self.dec_col(a);
                 self.dec_col(b);
                 self.stats.weight2_nnz += 2;
-                if small_now {
-                    self.small.push(j as u32);
-                }
             }
-            Err(p) => {
-                row.insert(p, b);
-                let small_now = row.len() <= 2;
+            Err(ins) => {
+                row.copy_within(pos_a + 1..ins, pos_a);
+                row[ins - 1] = b;
                 self.dec_col(a);
                 self.col_count[b as usize] += 1;
-                self.col_rows[b as usize].push(j as u32);
+                self.renamed.push((j as u32, self.renamed_head[b as usize]));
+                self.renamed_head[b as usize] = (self.renamed.len() - 1) as u32;
                 self.stats.weight2_nnz += 1;
-                if small_now {
-                    self.small.push(j as u32);
-                }
             }
+        }
+        if self.len[j] <= 2 {
+            self.small.push(j as u32);
         }
         self.xors += 1;
     }
@@ -497,51 +699,44 @@ impl Presolver {
 
     /// Applies R1/R3/R4 to row `r` if it (still) has weight ≤ 2.
     fn reduce_small_row(&mut self, r: usize) {
-        let Some(row) = self.rows[r].as_ref() else {
+        if !self.is_live(r) {
             return;
-        };
-        match row.len() {
-            0 => {
+        }
+        let mut found = std::mem::take(&mut self.found);
+        match *self.row(r) {
+            [] => {
                 self.kill_row(r);
                 self.stats.empty_rows += 1;
             }
-            1 => {
-                let c = row[0];
-                self.kill_row(r);
-                self.set_asides.push(SetAside {
-                    pivot: c,
-                    tail: Vec::new(),
-                });
+            [c] => {
+                self.set_aside(r);
                 self.stats.singleton_rows += 1;
                 self.stats.singleton_nnz += 1;
-                for j in self.rows_containing(c) {
-                    let row_j = self.rows[j].as_mut().expect("live by construction");
-                    let pos = row_j.binary_search(&c).expect("contains c");
-                    row_j.remove(pos);
-                    let small_now = row_j.len() <= 2;
+                self.rows_containing(c, &mut found);
+                for &j in &found {
+                    let j = j as usize;
+                    let pos = self.row(j).binary_search(&c).expect("contains c");
+                    self.remove_at(j, pos);
                     self.dec_col(c);
                     self.xors += 1;
                     self.stats.singleton_nnz += 1;
-                    if small_now {
+                    if self.len[j] <= 2 {
                         self.small.push(j as u32);
                     }
                 }
             }
-            2 => {
-                let (a, b) = (row[0], row[1]);
-                self.kill_row(r);
-                self.set_asides.push(SetAside {
-                    pivot: a,
-                    tail: vec![b],
-                });
+            [a, b] => {
+                self.set_aside(r);
                 self.stats.weight2_rows += 1;
                 self.stats.weight2_nnz += 2;
-                for j in self.rows_containing(a) {
-                    self.xor_pair_into(j, a, b);
+                self.rows_containing(a, &mut found);
+                for &j in &found {
+                    self.xor_pair_into(j as usize, a, b);
                 }
             }
             _ => {}
         }
+        self.found = found;
     }
 
     /// Applies R5 to column `c` if it is (still) pure and leading in its
@@ -550,145 +745,101 @@ impl Presolver {
         if self.col_count[c as usize] != 1 {
             return;
         }
-        let rows = self.rows_containing(c);
-        let [r] = rows[..] else {
+        let mut found = std::mem::take(&mut self.found);
+        self.rows_containing(c, &mut found);
+        let found_one = match found[..] {
+            [r] => Some(r as usize),
+            _ => None,
+        };
+        self.found = found;
+        let Some(r) = found_one else {
             return;
         };
-        let row = self.rows[r].as_ref().expect("validated live");
+        let row = self.row(r);
         if row[0] != c || row.len() <= 2 {
             // Non-leading pure columns must stay (pivoting them would change
             // the stitched row's leading column and break RREF); weight ≤ 2
             // rows belong to the small-row rules.
             return;
         }
-        let mut tail = self.kill_row(r);
-        self.stats.pure_leading_nnz += tail.len();
-        tail.remove(0);
-        self.set_asides.push(SetAside { pivot: c, tail });
+        let len = self.set_aside(r);
+        self.stats.pure_leading_nnz += len as usize;
         self.stats.pure_leading_rows += 1;
     }
 
-    /// R2: one global pass hashing every live row and dropping exact
-    /// duplicates (the later row XORs to zero). Returns
-    /// `(changed, interrupted)`.
+    /// R2: one global pass over every live row, dropping each row equal to
+    /// a lower-numbered one (it XORs to zero). Rows are grouped by hash
+    /// through one sort of `(hash, row)` keys and the duplicates dropped in
+    /// ascending row order. Returns `(changed, interrupted)`.
     fn dedup_pass(&mut self, check: &mut Checkpoint) -> (bool, bool) {
         let mut changed = false;
-        let mut seen: HashMap<u64, Vec<u32>> = HashMap::new();
-        for r in 0..self.rows.len() {
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        for r in 0..self.nrows() {
             if check.check() {
+                self.keys = keys;
                 return (changed, true);
             }
-            let Some(row) = self.rows[r].as_ref() else {
+            if !self.is_live(r) {
                 continue;
-            };
-            if row.is_empty() {
+            }
+            if self.len[r] == 0 {
                 self.kill_row(r);
                 self.stats.empty_rows += 1;
                 changed = true;
                 continue;
             }
-            let hash = hash_row(row);
-            let bucket = seen.entry(hash).or_default();
-            let duplicate_of = bucket
+            keys.push((hash_row(self.row(r)), r as u32));
+        }
+        keys.sort_unstable();
+        let mut duplicates = std::mem::take(&mut self.found);
+        duplicates.clear();
+        let mut run = 0usize;
+        for i in 1..keys.len() {
+            if keys[i].0 != keys[run].0 {
+                run = i;
+                continue;
+            }
+            // Equal rows share a hash, and row equality is transitive, so a
+            // match against any lower-numbered row of the run decides.
+            let row = self.row(keys[i].1 as usize);
+            if keys[run..i]
                 .iter()
-                .copied()
-                .find(|&p| self.rows[p as usize].as_deref() == self.rows[r].as_deref());
-            if duplicate_of.is_some() {
-                let dropped = self.kill_row(r);
-                self.stats.duplicate_rows += 1;
-                self.stats.duplicate_nnz += dropped.len();
-                self.xors += 1;
-                changed = true;
-            } else {
-                seen.entry(hash).or_default().push(r as u32);
+                .any(|&(_, p)| self.row(p as usize) == row)
+            {
+                duplicates.push(keys[i].1);
             }
         }
+        duplicates.sort_unstable();
+        for &r in &duplicates {
+            let dropped = self.kill_row(r as usize);
+            self.stats.duplicate_rows += 1;
+            self.stats.duplicate_nnz += dropped as usize;
+            self.xors += 1;
+            changed = true;
+        }
+        self.found = duplicates;
+        self.keys = keys;
         (changed, false)
     }
 
-    /// Bounded subset cancellation: for each live row `A`, candidate
-    /// supersets are the rows sharing `A`'s rarest column; when
-    /// `A ⊆ B`, `B ^= A`. Returns `(changed, interrupted)`.
-    fn subset_pass(&mut self, check: &mut Checkpoint) -> (bool, bool) {
-        let mut changed = false;
-        for r in 0..self.rows.len() {
-            if check.check() {
-                return (changed, true);
-            }
-            let Some(row) = self.rows[r].as_ref() else {
-                continue;
-            };
-            if row.len() < 3 {
-                continue; // weight ≤ 2 rows are the queue rules' job
-            }
-            let (&rarest, rarest_count) = row
-                .iter()
-                .map(|c| (c, self.col_count[*c as usize]))
-                .min_by_key(|&(_, n)| n)
-                .expect("row is non-empty");
-            if rarest_count > SUBSET_CANDIDATE_LIMIT {
-                continue;
-            }
-            for j in self.rows_containing(rarest) {
-                if j == r {
-                    continue;
-                }
-                let a = self.rows[r].as_ref().expect("source row stays live");
-                let b = self.rows[j].as_ref().expect("validated live");
-                if b.len() < a.len() || !is_subset(a, b) {
-                    continue;
-                }
-                self.xor_subset_into(r, j);
-                self.stats.subset_cancellations += 1;
-                changed = true;
-            }
-        }
-        (changed, false)
-    }
-
-    /// `rows[j] ^= rows[r]` where `rows[r] ⊆ rows[j]` (pure removal, no
-    /// fill).
-    fn xor_subset_into(&mut self, r: usize, j: usize) {
-        let src = self.rows[r].clone().expect("source row is live");
-        let dst = self.rows[j].as_mut().expect("target row is live");
-        dst.retain(|c| src.binary_search(c).is_err());
-        self.stats.subset_nnz += src.len();
-        let small_now = dst.len() <= 2;
-        for &c in &src {
-            self.dec_col(c);
-        }
-        self.xors += 1;
-        if small_now {
-            self.small.push(j as u32);
-        }
-    }
-
-    /// Runs the rules to a fixed point, attributing wall-clock to the three
+    /// Runs the rules to a fixed point, attributing wall-clock to the two
     /// rule phases. Returns `true` on cancellation.
     fn run(&mut self, check: &mut Checkpoint) -> bool {
         loop {
-            let t = std::time::Instant::now();
+            let t = Instant::now();
             let interrupted = self.drain_queues(check);
             self.stats.cascade_ns += t.elapsed().as_nanos() as u64;
             if interrupted {
                 return true;
             }
-            let t = std::time::Instant::now();
+            let t = Instant::now();
             let (changed, interrupted) = self.dedup_pass(check);
             self.stats.dedup_ns += t.elapsed().as_nanos() as u64;
             if interrupted {
                 return true;
             }
-            if changed {
-                continue;
-            }
-            let t = std::time::Instant::now();
-            let (changed, interrupted) = self.subset_pass(check);
-            self.stats.subset_ns += t.elapsed().as_nanos() as u64;
-            if interrupted {
-                return true;
-            }
-            if !changed && self.small.is_empty() && self.pure_cols.is_empty() {
+            if !changed {
                 return false;
             }
         }
@@ -703,24 +854,6 @@ fn hash_row(row: &[u32]) -> u64 {
         h = (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(K);
     }
     h
-}
-
-/// Two-pointer containment test over sorted column lists.
-fn is_subset(a: &[u32], b: &[u32]) -> bool {
-    let mut i = 0usize;
-    for &c in a {
-        loop {
-            if i >= b.len() || b[i] > c {
-                return false;
-            }
-            if b[i] == c {
-                i += 1;
-                break;
-            }
-            i += 1;
-        }
-    }
-    true
 }
 
 /// Union–find with path halving over column ids.
@@ -752,6 +885,27 @@ impl ColumnForest {
     }
 }
 
+/// Groups `items` by the group ids in `group_of` (one per item, each below
+/// `groups`) with a counting sort that keeps the items' order within a
+/// group: returns the grouped items and the per-group start offsets
+/// (`groups + 1` entries).
+fn group_by(items: &[u32], group_of: &[u32], groups: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; groups + 1];
+    for &g in group_of {
+        start[g as usize + 1] += 1;
+    }
+    for g in 0..groups {
+        start[g + 1] += start[g];
+    }
+    let mut grouped = vec![0u32; items.len()];
+    let mut fill = start.clone();
+    for (&item, &g) in items.iter().zip(group_of) {
+        grouped[fill[g as usize] as usize] = item;
+        fill[g as usize] += 1;
+    }
+    (grouped, start)
+}
+
 /// An interrupted result: no rows, pivots-so-far as the rank, counters as
 /// far as they got.
 fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> SparseRref {
@@ -759,7 +913,8 @@ fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> Sparse
     stats.rows_eliminated = stats.empty_rows + stats.duplicate_rows + stats.rows_set_aside();
     let rank = presolver.set_asides.len() + partial_dense_rank;
     SparseRref {
-        rows: Vec::new(),
+        entries: Vec::new(),
+        spans: Vec::new(),
         rank,
         gauss: GaussStats {
             rank,
@@ -772,9 +927,13 @@ fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> Sparse
 }
 
 /// The full presolve → dense cores → stitch pipeline behind
-/// [`SparseMatrix::rref_cancellable`].
-fn presolve_rref(m: SparseMatrix, token: &CancelToken) -> SparseRref {
-    let started = std::time::Instant::now();
+/// [`SparseMatrix::rref_keeping`], returning the rows `keep` accepts.
+fn presolve_rref(
+    m: SparseMatrix,
+    token: &CancelToken,
+    keep: &dyn Fn(RowShape) -> bool,
+) -> SparseRref {
+    let started = Instant::now();
     let ncols = m.ncols;
     let mut presolver = Presolver::new(m);
     let mut check = token.checkpoint_every(PRESOLVE_CHECK_INTERVAL);
@@ -783,139 +942,212 @@ fn presolve_rref(m: SparseMatrix, token: &CancelToken) -> SparseRref {
     }
 
     // Connected components of the residual rows (union–find over columns;
-    // each live row unions its support).
+    // each live row unions its support), numbered in first-seen row order
+    // (deterministic).
+    let p = &presolver;
+    let live_rows: Vec<u32> = (0..p.nrows() as u32)
+        .filter(|&r| p.is_live(r as usize))
+        .collect();
     let mut forest = ColumnForest::new(ncols);
-    for row in presolver.rows.iter().flatten() {
+    for &r in &live_rows {
+        let row = p.row(r as usize);
+        debug_assert!(!row.is_empty(), "empty rows were drained by R1");
         for &c in &row[1..] {
             forest.union(row[0], c);
         }
     }
-    // Group rows by component root, in first-seen row order (deterministic).
-    let mut comp_of_root: HashMap<u32, usize> = HashMap::new();
-    let mut comp_rows: Vec<Vec<usize>> = Vec::new();
-    for r in 0..presolver.rows.len() {
-        let Some(row) = presolver.rows[r].as_ref() else {
-            continue;
-        };
-        debug_assert!(!row.is_empty(), "empty rows were drained by R1");
-        let root = forest.find(row[0]);
-        let comp = *comp_of_root.entry(root).or_insert_with(|| {
-            comp_rows.push(Vec::new());
-            comp_rows.len() - 1
-        });
-        comp_rows[comp].push(r);
-    }
-
-    // Per-component column supports (compaction keeps the ascending global
-    // order, so component pivots are exactly the dense path's pivots
-    // restricted to the component).
-    let comp_cols: Vec<Vec<u32>> = comp_rows
+    let mut comp_of_root = vec![NONE; ncols];
+    let mut components = 0usize;
+    let row_comp: Vec<u32> = live_rows
         .iter()
-        .map(|rows| {
-            let mut cols: Vec<u32> = Vec::new();
-            for &r in rows {
-                cols.extend_from_slice(presolver.rows[r].as_ref().expect("grouped rows are live"));
+        .map(|&r| {
+            let root = forest.find(p.row(r as usize)[0]) as usize;
+            if comp_of_root[root] == NONE {
+                comp_of_root[root] = components as u32;
+                components += 1;
             }
-            cols.sort_unstable();
-            cols.dedup();
-            cols
+            comp_of_root[root]
         })
         .collect();
+    let (comp_rows, comp_row_start) = group_by(&live_rows, &row_comp, components);
+    // Per-component column supports, ascending (compaction keeps the global
+    // order, so component pivots are exactly the dense path's pivots
+    // restricted to the component).
+    let live_cols: Vec<u32> = (0..ncols as u32)
+        .filter(|&c| p.col_count[c as usize] > 0)
+        .collect();
+    let col_comp: Vec<u32> = live_cols
+        .iter()
+        .map(|&c| comp_of_root[forest.find(c) as usize])
+        .collect();
+    let (comp_cols, comp_col_start) = group_by(&live_cols, &col_comp, components);
+    drop((live_rows, row_comp, live_cols, col_comp, forest));
+    // Columns in some set-aside tail: the back-substitution needs the final
+    // rows pivoting there, kept or not.
+    let words_per_set = ncols.div_ceil(64);
+    let mut referenced: Vec<u64> = vec![0; words_per_set];
+    for sa in &presolver.set_asides {
+        let start = presolver.offsets[sa.row as usize] + 1;
+        for &c in &presolver.entries[start..start + sa.len as usize - 1] {
+            referenced[c as usize / 64] |= 1 << (c % 64);
+        }
+    }
+    // Pivot columns of the rows `keep` accepted.
+    let mut kept: Vec<u64> = vec![0; words_per_set];
+    let is_set = |set: &[u64], c: u32| set[c as usize / 64] >> (c % 64) & 1 == 1;
 
     // Each component becomes a column-compacted dense matrix, eliminated in
     // component order; the token is polled before each component and once
-    // per sweep inside the kernel.
+    // per sweep inside the kernel. Its RREF rows that `keep` accepts or the
+    // back-substitution needs are read back into one output arena.
     let mut gauss = GaussStats::default();
-    let mut rows_out: Vec<Vec<u32>> = Vec::new();
-    let mut dense_elapsed = std::time::Duration::ZERO;
-    presolver.stats.components = comp_rows.len();
+    let mut entries: Vec<u32> = Vec::new();
+    let mut spans: Vec<(usize, usize)> =
+        Vec::with_capacity(comp_rows.len() + presolver.set_asides.len());
+    let mut dense_elapsed = Duration::ZERO;
+    presolver.stats.components = components;
     // Global column → column of the current component's core. Components
     // own disjoint columns, so each one overwrites just its own entries.
-    let mut local_col: Vec<u32> = vec![0; ncols];
-    for (rows, cols) in comp_rows.iter().zip(&comp_cols) {
+    let mut local_col = comp_of_root;
+    // One word arena and one set of kernel buffers, recycled from core to
+    // core.
+    let mut words: Vec<u64> = Vec::new();
+    let mut kernel = KernelScratch::default();
+    for comp in 0..components {
         if token.is_cancelled() {
             gauss.interrupted = true;
             break;
         }
+        let rows = &comp_rows[comp_row_start[comp] as usize..comp_row_start[comp + 1] as usize];
+        let cols = &comp_cols[comp_col_start[comp] as usize..comp_col_start[comp + 1] as usize];
         for (local_c, &c) in cols.iter().enumerate() {
             local_col[c as usize] = local_c as u32;
         }
-        let mut dense = BitMatrix::zero(rows.len(), cols.len());
+        let stride = cols.len().div_ceil(64);
+        words.clear();
+        words.resize(rows.len() * stride, 0);
         for (local_r, &r) in rows.iter().enumerate() {
-            for &c in presolver.rows[r].as_ref().expect("grouped rows are live") {
+            let row_words = &mut words[local_r * stride..(local_r + 1) * stride];
+            for &c in presolver.row(r as usize) {
                 let local_c = local_col[c as usize] as usize;
                 debug_assert_eq!(cols[local_c], c, "col is in the component");
-                dense.set(local_r, local_c, true);
+                row_words[local_c / 64] |= 1 << (local_c % 64);
             }
         }
-        let dense_started = std::time::Instant::now();
-        let stats = dense.gauss_jordan_cancellable(token);
+        let mut dense = BitMatrix::from_row_words(words, rows.len(), cols.len());
+        let dense_started = Instant::now();
+        let stats = dense.gauss_jordan_in(token, &mut kernel);
         dense_elapsed += dense_started.elapsed();
         gauss.merge(stats);
         if stats.interrupted {
             break;
         }
-        for row in dense.iter() {
-            let cols_of_row: Vec<u32> = row.iter_ones().map(|c| cols[c]).collect();
-            if cols_of_row.is_empty() {
-                break; // RREF sorts zero rows last
+        for r in 0..stats.rank {
+            let row = dense.row_words(r);
+            let first = row
+                .iter()
+                .position(|&w| w != 0)
+                .expect("rank rows are non-zero");
+            let last = row
+                .iter()
+                .rposition(|&w| w != 0)
+                .expect("rank rows are non-zero");
+            let shape = RowShape {
+                lead: cols[first * 64 + row[first].trailing_zeros() as usize],
+                last: cols[last * 64 + 63 - row[last].leading_zeros() as usize],
+                weight: row.iter().map(|w| w.count_ones() as usize).sum(),
+            };
+            if keep(shape) {
+                kept[shape.lead as usize / 64] |= 1 << (shape.lead % 64);
+            } else if !is_set(&referenced, shape.lead) {
+                continue;
             }
-            rows_out.push(cols_of_row);
+            let start = entries.len();
+            push_ones(row, |c| entries.push(cols[c]));
+            spans.push((start, entries.len()));
         }
+        words = dense.into_row_words();
     }
     if gauss.interrupted {
         presolver.xors += gauss.row_xors;
         return interrupted_result(presolver, gauss.rank);
     }
-    let dense_rows_total: usize = comp_rows.iter().map(Vec::len).sum();
-    let dense_cols_total: usize = comp_cols.iter().map(Vec::len).sum();
-    presolver.stats.dense_rows = dense_rows_total;
-    presolver.stats.dense_cols = dense_cols_total;
-    presolver.stats.rows_eliminated = presolver.stats.input_rows - dense_rows_total;
-    presolver.stats.cols_eliminated = ncols - dense_cols_total;
+    presolver.stats.dense_rows = comp_rows.len();
+    presolver.stats.dense_cols = comp_cols.len();
+    presolver.stats.rows_eliminated = presolver.stats.input_rows - comp_rows.len();
+    presolver.stats.cols_eliminated = ncols - comp_cols.len();
+    drop((comp_rows, comp_cols, comp_row_start, comp_col_start));
 
     // Back-substitute the set-asides in reverse removal order: each becomes
     // pivot ∪ (tail with every finished-pivot column replaced by that final
     // row). One pass per set-aside suffices — finished rows are fully
     // reduced and set-aside pivots never occur in other rows.
-    let mut pivot_row: Vec<u32> = vec![u32::MAX; ncols];
-    for (i, row) in rows_out.iter().enumerate() {
-        pivot_row[row[0] as usize] = i as u32;
+    let mut pivot_row = local_col;
+    pivot_row.fill(NONE);
+    for (i, &(start, _)) in spans.iter().enumerate() {
+        pivot_row[entries[start] as usize] = i as u32;
     }
-    let mut acc: Vec<u32> = Vec::new();
+    // The stitched row accumulates as a bit set over the columns; every
+    // entry lies at or after the pivot, so only those words are read back.
+    let mut acc = referenced;
+    acc.fill(0);
     let mut backsub_xors = 0usize;
     for sa in presolver.set_asides.iter().rev() {
-        acc.clear();
-        acc.push(sa.pivot);
-        for &c in &sa.tail {
-            let idx = pivot_row[c as usize];
-            if idx == u32::MAX {
-                acc.push(c);
-            } else {
-                // Toggling the full final row cancels `c` (parity) and adds
-                // its free-column tail.
-                acc.push(c);
-                acc.extend_from_slice(&rows_out[idx as usize]);
-                backsub_xors += 1;
+        let start = presolver.offsets[sa.row as usize];
+        let frozen = &presolver.entries[start..start + sa.len as usize];
+        let pivot = frozen[0] as usize;
+        let out = entries.len();
+        if frozen[1..].iter().all(|&c| pivot_row[c as usize] == NONE) {
+            // Nothing to substitute: the frozen row is final.
+            entries.extend_from_slice(frozen);
+        } else {
+            let mut last = 0usize;
+            let mut toggle = |row: &[u32]| {
+                for &c in row {
+                    acc[c as usize / 64] ^= 1 << (c % 64);
+                }
+                last = last.max(row[row.len() - 1] as usize);
+            };
+            toggle(frozen);
+            for &c in &frozen[1..] {
+                let idx = pivot_row[c as usize];
+                if idx != NONE {
+                    // Toggling the full final row cancels `c` (parity) and
+                    // adds its free-column tail.
+                    let (s, e) = spans[idx as usize];
+                    toggle(&entries[s..e]);
+                    backsub_xors += 1;
+                }
+            }
+            let (first_word, last_word) = (pivot / 64, last / 64);
+            for (w, word) in acc[first_word..=last_word].iter_mut().enumerate() {
+                let base = (first_word + w) * 64;
+                push_ones(&[*word], |c| entries.push((base + c) as u32));
+                *word = 0;
             }
         }
-        let mut stitched = acc.clone();
-        normalize_row(&mut stitched);
-        debug_assert_eq!(stitched.first(), Some(&sa.pivot), "pivot survives");
-        pivot_row[sa.pivot as usize] = rows_out.len() as u32;
-        rows_out.push(stitched);
+        debug_assert_eq!(entries.get(out), Some(&frozen[0]), "pivot survives");
+        if keep(RowShape::of(&entries[out..])) {
+            kept[pivot / 64] |= 1 << (pivot % 64);
+        }
+        pivot_row[pivot] = spans.len() as u32;
+        spans.push((out, entries.len()));
     }
-    rows_out.sort_unstable_by_key(|row| row[0]);
+    // Order the kept rows by pivot: every pivot column indexes its row.
+    let ordered: Vec<(usize, usize)> = (0..ncols as u32)
+        .filter(|&c| is_set(&kept, c))
+        .map(|c| spans[pivot_row[c as usize] as usize])
+        .collect();
 
     gauss.rank += presolver.set_asides.len();
     gauss.row_xors += presolver.xors + backsub_xors;
-    debug_assert_eq!(gauss.rank, rows_out.len());
     presolver.stats.dense_ns += dense_elapsed.as_nanos() as u64;
     presolver.stats.presolve_ns +=
         (started.elapsed().saturating_sub(dense_elapsed)).as_nanos() as u64;
     SparseRref {
-        rank: rows_out.len(),
-        rows: rows_out,
+        rank: gauss.rank,
+        entries,
+        spans: ordered,
         gauss,
         presolve: presolver.stats,
     }
@@ -933,6 +1165,10 @@ mod tests {
             .map(|row| row.iter_ones().map(|c| c as u32).collect::<Vec<u32>>())
             .filter(|row| !row.is_empty())
             .collect()
+    }
+
+    fn rows_of(r: &SparseRref) -> Vec<Vec<u32>> {
+        r.rows().map(<[u32]>::to_vec).collect()
     }
 
     fn sparse_from_dense(m: &BitMatrix) -> SparseMatrix {
@@ -956,8 +1192,7 @@ mod tests {
         };
         let mut m = SparseMatrix::new(cols);
         for _ in 0..rows {
-            let row: Vec<u32> = (0..fill).map(|_| (next() % cols as u64) as u32).collect();
-            m.push_row(row);
+            m.push_row((0..fill).map(|_| (next() % cols as u64) as u32));
         }
         m
     }
@@ -967,7 +1202,11 @@ mod tests {
         let expected = dense_nonzero_rows(&dense);
         let got = m.rref();
         assert!(!got.gauss.interrupted);
-        assert_eq!(got.rows, expected, "stitched RREF must equal dense RREF");
+        assert_eq!(
+            rows_of(&got),
+            expected,
+            "stitched RREF must equal dense RREF"
+        );
         assert_eq!(got.rank, expected.len());
         assert_eq!(got.gauss.rank, expected.len());
         got
@@ -977,7 +1216,7 @@ mod tests {
     fn empty_matrix_and_empty_rows() {
         let r = SparseMatrix::new(0).rref();
         assert_eq!(r.rank, 0);
-        assert!(r.rows.is_empty());
+        assert_eq!(r.num_rows(), 0);
         let mut m = SparseMatrix::new(5);
         m.push_row(vec![]);
         m.push_row(vec![2, 2]); // cancels to empty
@@ -1042,22 +1281,6 @@ mod tests {
         );
         let r = assert_matches_dense(m);
         assert!(r.presolve.weight2_rows >= 1);
-    }
-
-    #[test]
-    fn subset_rows_cancel() {
-        let m = SparseMatrix::from_rows(
-            10,
-            vec![
-                vec![1, 4, 7],
-                vec![1, 2, 4, 6, 7, 9],
-                vec![1, 4, 7, 8],
-                vec![2, 6, 9],
-                vec![0, 3, 5, 8, 9],
-            ],
-        );
-        let r = assert_matches_dense(m);
-        assert!(r.presolve.subset_cancellations >= 1);
     }
 
     #[test]
@@ -1134,13 +1357,45 @@ mod tests {
     }
 
     #[test]
+    fn kept_rows_are_the_filtered_rref() {
+        // Filters that reject most rows — including rows that set-aside
+        // back-substitution still needs — return exactly the accepted rows
+        // of the full RREF, with the full rank.
+        let filters: [fn(RowShape) -> bool; 3] = [
+            |row| row.lead % 3 == 0,
+            |row| row.weight <= 2,
+            |row| row.lead >= 40 || (row.weight == 2 && row.last % 2 == 1),
+        ];
+        for (rows, cols, fill, seed) in [
+            (33usize, 80usize, 3usize, 3u64),
+            (50, 65, 3, 5),
+            (80, 129, 4, 6),
+        ] {
+            let m = splitmix_sparse(rows, cols, fill, seed);
+            let full = m.clone().rref();
+            assert!(full.presolve.rows_set_aside() > 0 && full.presolve.dense_rows > 0);
+            for keep in filters {
+                let got = m.clone().rref_keeping(&CancelToken::never(), keep);
+                let expected: Vec<Vec<u32>> = full
+                    .rows()
+                    .filter(|row| keep(RowShape::of(row)))
+                    .map(<[u32]>::to_vec)
+                    .collect();
+                assert_eq!(rows_of(&got), expected);
+                assert_eq!(got.rank, full.rank);
+                assert_eq!(got.gauss, full.gauss);
+            }
+        }
+    }
+
+    #[test]
     fn pre_cancelled_token_reports_interrupted_with_no_rows() {
         let token = CancelToken::new();
         token.cancel();
         let m = splitmix_sparse(30, 30, 3, 9);
         let r = m.rref_cancellable(&token);
         assert!(r.gauss.interrupted);
-        assert!(r.rows.is_empty(), "partial output is never exposed");
+        assert_eq!(r.num_rows(), 0, "partial output is never exposed");
     }
 
     #[test]
@@ -1149,18 +1404,19 @@ mod tests {
         let m = splitmix_sparse(200, 150, 4, 10);
         let r = m.rref_cancellable(&token);
         assert!(r.gauss.interrupted);
-        assert!(r.rows.is_empty());
+        assert_eq!(r.num_rows(), 0);
     }
 
     #[test]
     fn csr_construction_round_trips() {
         let cols = vec![3u32, 1, 0, 2, 2];
         let offsets = vec![0usize, 2, 2, 5];
-        let m = SparseMatrix::from_csr(4, &cols, &offsets);
+        let m = SparseMatrix::from_csr(4, cols, offsets);
         assert_eq!(m.nrows(), 3);
-        assert_eq!(m.rows()[0], vec![1, 3]);
-        assert!(m.rows()[1].is_empty());
-        assert_eq!(m.rows()[2], vec![0], "duplicate 2s cancel");
+        assert_eq!(m.row(0), [1, 3]);
+        assert!(m.row(1).is_empty());
+        assert_eq!(m.row(2), [0], "duplicate 2s cancel");
+        assert_eq!(m.nnz(), 3, "the arena is compacted in place");
         assert_matches_dense(m);
     }
 

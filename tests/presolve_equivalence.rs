@@ -7,11 +7,16 @@
 //! alone: fresh engines with the presolve on and off must give the same
 //! status, the same learnt facts in the same order, the same per-pass fact
 //! counts and the same iteration count. These tests pin that on the
-//! committed example instances; the fact streams themselves are pinned by
-//! the golden test in `tests/pipeline.rs`.
+//! committed example instances and on seeded SR-[1,2,2,4] systems (the
+//! shape the `small-mix` benchmark workload runs, where XL's presolve path
+//! carries the time); the fact streams themselves are pinned by the golden
+//! test in `tests/pipeline.rs`.
 
 use bosphorus_repro::anf::PolynomialSystem;
+use bosphorus_repro::ciphers::aes;
 use bosphorus_repro::core::{Bosphorus, BosphorusConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Preprocesses `system` with the presolve on and off and asserts the
 /// outcomes are indistinguishable.
@@ -99,4 +104,17 @@ fn simon_2_8_preprocesses_identically() {
         ..BosphorusConfig::default()
     };
     assert_preprocess_equivalent("simon_2_8", &system, &config);
+}
+
+#[test]
+fn seeded_sr_1_2_2_4_systems_preprocess_identically() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for i in 0..4 {
+        let system = aes::generate(aes::AesParams::small(1), &mut rng).system;
+        assert_preprocess_equivalent(
+            &format!("SR-[1,2,2,4] #{i}"),
+            &system,
+            &BosphorusConfig::default(),
+        );
+    }
 }
