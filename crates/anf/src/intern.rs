@@ -134,15 +134,22 @@ impl MonomialInterner {
     /// largest monomial and each RREF row's pivot is its leading monomial),
     /// together with the inverse id → column map.
     ///
-    /// Shared by the dense and sparse linearisation paths so both assign
-    /// byte-identical columns — the property the presolve equivalence tests
-    /// rely on.
+    /// Sorts precomputed (degree, packed variables) keys; only monomials of
+    /// degree above four whose first four variables agree need the full
+    /// comparison.
     pub fn column_order_desc(&self) -> (Vec<u32>, Vec<u32>) {
-        let n = self.monomials.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order
-            .sort_unstable_by(|&a, &b| self.monomials[b as usize].cmp(&self.monomials[a as usize]));
-        let mut col_of_id = vec![0u32; n];
+        let mut keyed: Vec<((usize, u128), u32)> = self
+            .monomials
+            .iter()
+            .zip(0..)
+            .map(|(m, id)| (m.graded_key(), id))
+            .collect();
+        keyed.sort_unstable_by(|(ka, a), (kb, b)| {
+            kb.cmp(ka)
+                .then_with(|| self.monomials[*b as usize].cmp(&self.monomials[*a as usize]))
+        });
+        let order: Vec<u32> = keyed.into_iter().map(|(_, id)| id).collect();
+        let mut col_of_id = vec![0u32; order.len()];
         for (col, &id) in order.iter().enumerate() {
             col_of_id[id as usize] = col as u32;
         }
@@ -249,6 +256,25 @@ mod tests {
         for (col, &id) in order.iter().enumerate() {
             assert_eq!(col_of_id[id as usize] as usize, col, "inverse map");
         }
+    }
+
+    #[test]
+    fn column_order_equals_the_monomial_order() {
+        // Inline and heap monomials mixed, including heap ones of equal
+        // degree that share their first four variables (the keys tie).
+        let mut interner = MonomialInterner::new();
+        for i in 0..200u32 {
+            let degree = (i % 7) as usize;
+            let vars = (0..degree as u32).map(|k| (i * 13 + k * 5) % 11 + k * 11);
+            interner.intern(&Monomial::from_vars(vars));
+        }
+        for tail in [[0, 1, 2, 3, 9], [0, 1, 2, 3, 7], [0, 1, 2, 3, 8]] {
+            interner.intern(&Monomial::from_vars(tail));
+        }
+        let (order, _) = interner.column_order_desc();
+        let mut expected: Vec<u32> = (0..interner.len() as u32).collect();
+        expected.sort_by(|&a, &b| interner.monomial(b).cmp(interner.monomial(a)));
+        assert_eq!(order, expected);
     }
 
     #[test]

@@ -319,6 +319,21 @@ impl Monomial {
         self.vars().iter().all(|&v| value(v))
     }
 
+    /// A precomputed graded-lex sort key: the degree, then the first four
+    /// variables packed like the inline comparison key. Keys order
+    /// monomials exactly as [`Ord`] does, except that two monomials of
+    /// degree above four that share their first four variables tie.
+    pub(crate) fn graded_key(&self) -> (usize, u128) {
+        match &self.repr {
+            Repr::Inline { len, vars } => (*len as usize, Monomial::packed_key(vars)),
+            Repr::Heap(vars) => {
+                let mut head = [0; INLINE_CAP];
+                head.copy_from_slice(&vars[..INLINE_CAP]);
+                (vars.len(), Monomial::packed_key(&head))
+            }
+        }
+    }
+
     /// The inline comparison key: the four variable slots packed big-endian
     /// into a `u128`. Unused slots are zero, so for monomials of *equal
     /// degree* numeric comparison of the keys is exactly lexicographic

@@ -76,7 +76,7 @@ fn bench_xl_expand(c: &mut Criterion) {
 fn bench_linearize_build(c: &mut Criterion) {
     let system = simon_system();
     // Pre-expand once; the benchmark isolates Linearization::build (intern,
-    // column sort, word-wise row assembly).
+    // column sort, CSR hand-off).
     let multipliers = expansion_monomials(&occurring_vars(&system), 1);
     let mut expanded: Vec<Polynomial> = system.iter().cloned().collect();
     for base in system.iter() {

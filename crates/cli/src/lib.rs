@@ -66,10 +66,6 @@ pipeline:
   --max-iterations N    cap the number of pipeline iterations
   --sat-budget N        initial SAT conflict budget C
   --seed N              subsampling RNG seed
-  --no-presolve         skip the sparse structural presolve and hand the
-                        XL/ElimLin matrices straight to the dense GF(2)
-                        kernel (the learnt facts are identical either way;
-                        this is an A/B and escape hatch, not a mode)
   --solver NAME         solver configuration for the final --solve call:
                         minimal | aggressive | xorgauss (the in-loop SAT
                         pass always uses the paper's aggressive setting)
@@ -78,10 +74,13 @@ misc:
   --timeout SECS        wall-clock deadline (fractional seconds allowed);
                         when it expires every pass winds down at its next
                         checkpoint and the run exits 30 with whatever was
-                        learnt so far (dumps stay valid). SIGINT (Ctrl-C)
-                        or SIGTERM triggers the same graceful wind-down;
-                        a second delivery of the same signal kills the
-                        process immediately.
+                        learnt so far (dumps stay valid). The exception is
+                        groebner: it checks between critical pairs only,
+                        and a single reduction can overrun the deadline by
+                        far (32 s against --timeout 3 on simon_2_8.anf).
+                        SIGINT (Ctrl-C) or SIGTERM triggers the same
+                        graceful wind-down; a second delivery of the same
+                        signal kills the process immediately.
   --help, -h            this text
 
 exit codes:
@@ -189,9 +188,6 @@ pub struct CliOptions {
     pub sat_budget: Option<u64>,
     /// Override of the RNG seed.
     pub seed: Option<u64>,
-    /// Disable the sparse structural presolve in front of the dense GF(2)
-    /// kernel (see [`BosphorusConfig::presolve`]).
-    pub no_presolve: bool,
     /// Solver configuration for the final `--solve` call. The in-loop SAT
     /// pass is pinned to the paper's aggressive configuration (as in the
     /// original engine); under `xorgauss` the final solver also receives the
@@ -229,7 +225,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
         max_iterations: None,
         sat_budget: None,
         seed: None,
-        no_presolve: false,
         solver: SolverChoice::Aggressive,
         timeout: None,
     };
@@ -282,7 +277,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                         .map_err(|_| format!("--seed: {raw:?} is not a 64-bit seed"))?,
                 );
             }
-            "--no-presolve" => options.no_presolve = true,
             "--solver" => options.solver = value_of("--solver")?.parse()?,
             "--timeout" => {
                 let raw = value_of("--timeout")?;
@@ -326,9 +320,6 @@ pub fn build_config(options: &CliOptions) -> BosphorusConfig {
     }
     if let Some(seed) = options.seed {
         config.rng_seed = seed;
-    }
-    if options.no_presolve {
-        config.presolve = false;
     }
     config
 }
@@ -545,8 +536,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             pass.time.as_secs_f64() * 1e3
         );
         // The sparse-presolve phase split for this pass, cumulative over
-        // its runs; all-zero when presolve is off or the pass has no GF(2)
-        // elimination.
+        // its runs; all-zero when the pass has no GF(2) elimination.
         let p = &pass.presolve;
         let _ = write!(
             out,
@@ -676,7 +666,6 @@ mod tests {
             "123",
             "--seed",
             "42",
-            "--no-presolve",
             "--solver",
             "xorgauss",
         ]);
@@ -692,7 +681,6 @@ mod tests {
         assert_eq!(options.max_iterations, Some(5));
         assert_eq!(options.sat_budget, Some(123));
         assert_eq!(options.seed, Some(42));
-        assert!(options.no_presolve);
         assert_eq!(options.solver, SolverChoice::XorGauss);
     }
 
@@ -748,16 +736,6 @@ mod tests {
         assert!(parse(&["--anf", "a", "--threads", "4"])
             .unwrap_err()
             .contains("unknown argument \"--threads\""));
-    }
-
-    #[test]
-    fn presolve_defaults_on_and_no_presolve_turns_it_off() {
-        let on = options(&["--anf", "a"]);
-        assert!(!on.no_presolve);
-        assert!(build_config(&on).presolve);
-        let off = options(&["--anf", "a", "--no-presolve"]);
-        assert!(off.no_presolve);
-        assert!(!build_config(&off).presolve);
     }
 
     #[test]

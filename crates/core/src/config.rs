@@ -77,15 +77,6 @@ pub struct BosphorusConfig {
     /// Seed for the subsampling random number generator, fixed for
     /// reproducibility of experiments.
     pub rng_seed: u64,
-    /// Whether the XL and ElimLin eliminations run the sparse structural
-    /// presolve (singleton, duplicate, weight-2 and pure-leading-column
-    /// rules over the linearisation's sparse rows) before materialising the
-    /// residual dense core for the blocked M4RM kernel. The presolve is
-    /// exact — learnt facts are byte-identical with it on or off — so this
-    /// only changes wall-clock; the dense-only path exists as an escape
-    /// hatch (the CLI's `--no-presolve`) and as the test oracle the presolve
-    /// is checked against. Default `true`.
-    pub presolve: bool,
 }
 
 impl Default for BosphorusConfig {
@@ -106,7 +97,6 @@ impl Default for BosphorusConfig {
             groebner_max_basis_size: 500,
             groebner_max_degree: 4,
             rng_seed: 0xB05F0405,
-            presolve: true,
         }
     }
 }
@@ -172,13 +162,6 @@ mod tests {
     #[test]
     fn exhaustive_disables_subsampling_in_practice() {
         assert_eq!(BosphorusConfig::exhaustive().subsample_m, 63);
-    }
-
-    #[test]
-    fn presolve_defaults_on_everywhere() {
-        assert!(BosphorusConfig::default().presolve);
-        assert!(BosphorusConfig::paper_defaults().presolve);
-        assert!(BosphorusConfig::exhaustive().presolve);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use bosphorus_interrupt::CancelToken;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::linearize::{Linearization, SparseLinearization};
+use crate::linearize::Linearization;
 use crate::BosphorusConfig;
 
 /// Outcome of one ElimLin round.
@@ -31,8 +31,7 @@ pub struct ElimLinOutcome {
     /// Cumulative elimination-kernel operation counts across all rounds
     /// (the `rank` field is the *sum* of per-round ranks).
     pub gauss: GaussStats,
-    /// Cumulative sparse-presolve reduction counts across all rounds
-    /// (all-zero when [`BosphorusConfig::presolve`] is off).
+    /// Cumulative sparse-presolve reduction counts across all rounds.
     pub presolve: PresolveStats,
     /// `true` when the round worked on a strict subsample of the input
     /// system. An exhaustive round is deterministic for a given system, so
@@ -85,14 +84,12 @@ pub fn elimlin_learn_cancellable<R: Rng>(
         }
     }
     let subsampled = working.len() < system.len();
-    let mut outcome = elimlin_run(working, config.presolve, token, substitute_linear);
+    let mut outcome = elimlin_run(working, token, eliminate, substitute_linear);
     outcome.subsampled = subsampled;
     outcome
 }
 
-/// Runs ElimLin on exactly the given polynomials (no subsampling). The
-/// sparse presolve is on, as in the default engine configuration; it is
-/// exact, so this is a wall-clock choice only.
+/// Runs ElimLin on exactly the given polynomials (no subsampling).
 pub fn elimlin_on(working: Vec<Polynomial>) -> ElimLinOutcome {
     elimlin_on_cancellable(working, &CancelToken::never())
 }
@@ -101,7 +98,21 @@ pub fn elimlin_on(working: Vec<Polynomial>) -> ElimLinOutcome {
 /// [`elimlin_learn_cancellable`] for the checkpoint placement and the
 /// completed-rounds fact guarantee).
 pub fn elimlin_on_cancellable(working: Vec<Polynomial>, token: &CancelToken) -> ElimLinOutcome {
-    elimlin_run(working, true, token, substitute_linear)
+    elimlin_run(working, token, eliminate, substitute_linear)
+}
+
+/// Step (1) of an ElimLin round: the non-zero RREF rows of the linearised
+/// working set, with the elimination's work counts. No rows are returned
+/// when `token` tripped (`GaussStats::interrupted`).
+type Eliminate = fn(&[Polynomial], &CancelToken) -> (Vec<Polynomial>, GaussStats, PresolveStats);
+
+/// The engine's step (1): the structural presolve, then the dense kernel on
+/// its residual cores.
+fn eliminate(
+    working: &[Polynomial],
+    token: &CancelToken,
+) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
+    Linearization::build(working).eliminate_cancellable(token)
 }
 
 /// Step (3) of an ElimLin round: eliminates one variable per equation of
@@ -112,13 +123,11 @@ type Substitute =
     fn(&[Polynomial], &mut [Polynomial], &mut TermScratch, &CancelToken, &mut usize) -> bool;
 
 /// The ElimLin fixed-point loop behind every public entry point, with each
-/// round's elimination routed through the sparse presolve or straight to the
-/// dense kernel according to `presolve` (both commit identical facts), and
-/// its step (3) done by `substitute`.
+/// round's step (1) done by `eliminate` and its step (3) by `substitute`.
 fn elimlin_run(
     mut working: Vec<Polynomial>,
-    presolve: bool,
     token: &CancelToken,
+    eliminate: Eliminate,
     substitute: Substitute,
 ) -> ElimLinOutcome {
     // One scratch buffer serves every substitution of every round.
@@ -145,15 +154,8 @@ fn elimlin_run(
             outcome.facts.push(Polynomial::one());
             return outcome;
         }
-        // Step (1): Gauss–Jordan elimination on the linearisation, with or
-        // without the sparse presolve ahead of the dense kernel.
-        let (reduced, round_stats, round_presolve) = if presolve {
-            SparseLinearization::build(working.iter()).eliminate_cancellable(token)
-        } else {
-            let mut lin = Linearization::build(working.iter());
-            let (reduced, stats) = lin.eliminate_cancellable(token);
-            (reduced, stats, PresolveStats::default())
-        };
+        // Step (1): Gauss–Jordan elimination on the linearisation.
+        let (reduced, round_stats, round_presolve) = eliminate(&working, token);
         let round_interrupted = round_stats.interrupted;
         outcome.gauss.merge(round_stats);
         outcome.presolve.merge(round_presolve);
@@ -366,8 +368,8 @@ fn substitute_linear_by_scan(
 pub(crate) fn elimlin_by_scan(working: Vec<Polynomial>) -> ElimLinOutcome {
     elimlin_run(
         working,
-        true,
         &CancelToken::never(),
+        eliminate,
         substitute_linear_by_scan,
     )
 }
@@ -503,14 +505,21 @@ mod tests {
              x1 + x2;",
         );
         let token = CancelToken::never();
-        let with = elimlin_run(source.clone(), true, &token, substitute_linear);
-        let without = elimlin_run(source, false, &token, substitute_linear);
-        assert_eq!(with.facts, without.facts, "facts diverge");
-        assert_eq!(with.rounds, without.rounds, "rounds diverge");
-        assert_eq!(with.eliminated_vars, without.eliminated_vars);
-        assert_eq!(with.gauss.rank, without.gauss.rank);
+        let dense_oracle: Eliminate = |working, _| {
+            let reduced = Linearization::build(working).dense_rref();
+            let gauss = GaussStats {
+                rank: reduced.len(),
+                ..GaussStats::default()
+            };
+            (reduced, gauss, PresolveStats::default())
+        };
+        let with = elimlin_run(source.clone(), &token, eliminate, substitute_linear);
+        let oracle = elimlin_run(source, &token, dense_oracle, substitute_linear);
+        assert_eq!(with.facts, oracle.facts, "facts diverge");
+        assert_eq!(with.rounds, oracle.rounds, "rounds diverge");
+        assert_eq!(with.eliminated_vars, oracle.eliminated_vars);
+        assert_eq!(with.gauss.rank, oracle.gauss.rank, "summed ranks diverge");
         assert!(with.presolve.input_rows > 0, "presolve ran");
-        assert_eq!(without.presolve, PresolveStats::default());
     }
 
     /// Runs step (3) both ways on copies of `nonlinear` and returns the

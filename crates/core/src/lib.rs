@@ -79,7 +79,7 @@ pub use elimlin::{
     elimlin_learn, elimlin_learn_cancellable, elimlin_on, elimlin_on_cancellable, ElimLinOutcome,
 };
 pub use engine::{Bosphorus, PreprocessStatus, SolveStatus};
-pub use linearize::{Linearization, LinearizationBuilder, SparseLinearization};
+pub use linearize::{Linearization, LinearizationBuilder};
 pub use minimize::karnaugh_clauses;
 pub use pipeline::{
     ElimLinPass, GroebnerPass, LearningPass, PassBudget, PassKind, PassOutcome, PassStatus,

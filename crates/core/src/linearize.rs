@@ -2,28 +2,22 @@
 //! polynomial system becomes a GF(2) linear system.
 //!
 //! Both XL and ElimLin rest on this transformation: the polynomials become
-//! rows of a [`BitMatrix`], Gauss–Jordan elimination is applied, and the rows
-//! are mapped back to polynomials.
+//! sparse rows of a [`SparseMatrix`], the structural presolve reduces them
+//! and hands its residual cores to the dense kernel
+//! (`crates/gf2/src/sparse.rs`), and the RREF rows are mapped back to
+//! polynomials.
 //!
 //! The column index is a [`MonomialInterner`] — a fast-hash monomial→dense-id
 //! map that stores each distinct monomial exactly once — instead of an
-//! ordered map cloning every key, and matrix rows are assembled word-wise
-//! from the interned ids. [`LinearizationBuilder`] exposes the construction
-//! incrementally so the XL expansion can intern each product's terms straight
-//! from a scratch buffer without materialising the product polynomial.
-//!
-//! The elimination itself goes through `gauss_jordan_with_stats`, which
-//! auto-selects the kernel via `bosphorus_gf2::select_kernel`: XL-expanded
-//! systems routinely reach thousands of monomial columns, the regime the
-//! cache-blocked multi-table M4RM kernel is built for (see
-//! `crates/gf2/src/blocked.rs` and `crates/bench/DESIGN.md`).
+//! ordered map cloning every key. [`LinearizationBuilder`] exposes the
+//! construction incrementally so the XL expansion can intern each product's
+//! terms straight from a scratch buffer without materialising the product
+//! polynomial.
 
 use std::time::{Duration, Instant};
 
 use bosphorus_anf::{Monomial, MonomialInterner, Polynomial, TermScratch};
-use bosphorus_gf2::{
-    BitMatrix, GaussStats, PresolveStats, RowRef, RowShape, SparseMatrix, SparseRref,
-};
+use bosphorus_gf2::{GaussStats, PresolveStats, RowShape, SparseMatrix, SparseRref};
 use bosphorus_interrupt::CancelToken;
 
 /// Incremental construction of a [`Linearization`].
@@ -119,61 +113,26 @@ impl LinearizationBuilder {
         terms.len()
     }
 
-    /// Orders the columns (descending graded lex) and assembles the matrix.
-    pub fn finish(self) -> Linearization {
-        let LinearizationBuilder {
-            interner,
-            terms,
-            row_offsets,
-        } = self;
-        let num_cols = interner.len();
-        // Columns are the distinct monomials in descending graded-lex order,
-        // so each RREF row's pivot is its leading monomial (Table I layout).
-        let (order, col_of_id) = interner.column_order_desc();
-        // Assemble the rows word-wise straight into one flat arena — the
-        // exact backing store `BitMatrix` uses — so the matrix constructor
-        // takes ownership of the buffer instead of copying per-row vectors.
-        let words_per_row = num_cols.div_ceil(64);
-        let nrows = row_offsets.len() - 1;
-        let mut arena = vec![0u64; nrows * words_per_row];
-        for r in 0..nrows {
-            let row = &mut arena[r * words_per_row..(r + 1) * words_per_row];
-            for &id in &terms[row_offsets[r]..row_offsets[r + 1]] {
-                let col = col_of_id[id as usize] as usize;
-                row[col >> 6] |= 1u64 << (col & 63);
-            }
-        }
-        let matrix = BitMatrix::from_row_words(arena, nrows, num_cols);
-        Linearization {
-            interner,
-            order,
-            col_of_id,
-            matrix,
-        }
-    }
-
-    /// Orders the columns like [`LinearizationBuilder::finish`] but keeps
-    /// the rows *sparse*: the builder's CSR term store is handed over as
-    /// is — each term id rewritten to its column in place, each row sorted
-    /// in place — without ever materialising the dense bit arena or a
-    /// per-row copy. This is the entry to the structural presolve
-    /// ([`bosphorus_gf2::SparseMatrix`]); the column assignment is shared
-    /// with the dense path, so the two eliminate to byte-identical facts.
-    /// The hand-off's wall-clock is charged to the elimination's
+    /// Orders the columns (descending graded lex) and hands the builder's
+    /// CSR term store over as the sparse matrix — each term id rewritten to
+    /// its column in place, each row sorted in place — without a per-row
+    /// copy. The hand-off's wall-clock is charged to the elimination's
     /// [`PresolveStats::presolve_ns`].
-    pub fn finish_sparse(self) -> SparseLinearization {
+    pub fn finish(self) -> Linearization {
         let started = Instant::now();
         let LinearizationBuilder {
             interner,
             mut terms,
             row_offsets,
         } = self;
+        // Columns are the distinct monomials in descending graded-lex order,
+        // so each RREF row's pivot is its leading monomial (Table I layout).
         let (order, col_of_id) = interner.column_order_desc();
         for t in &mut terms {
             *t = col_of_id[*t as usize];
         }
         let matrix = SparseMatrix::from_csr(interner.len(), terms, row_offsets);
-        SparseLinearization {
+        Linearization {
             interner,
             order,
             matrix,
@@ -183,7 +142,7 @@ impl LinearizationBuilder {
 }
 
 /// A linearised view of a set of polynomials: a column ordering over the
-/// monomials that occur, and the corresponding GF(2) matrix.
+/// monomials that occur, and the corresponding sparse GF(2) matrix.
 ///
 /// Columns are ordered by *descending* graded-lexicographic monomial order,
 /// so that after Gauss–Jordan elimination each row's pivot is its leading
@@ -206,10 +165,10 @@ pub struct Linearization {
     interner: MonomialInterner,
     /// Column → interner id, in descending graded-lex monomial order.
     order: Vec<u32>,
-    /// Interner id → column.
-    col_of_id: Vec<u32>,
-    /// The linearised coefficient matrix, one row per polynomial.
-    matrix: BitMatrix,
+    /// The linearised coefficient matrix, one sparse row per polynomial.
+    matrix: SparseMatrix,
+    /// Wall-clock of [`LinearizationBuilder::finish`].
+    handoff: Duration,
 }
 
 impl Linearization {
@@ -241,190 +200,14 @@ impl Linearization {
         self.interner.monomial(self.order[col])
     }
 
-    /// The column of a monomial, if it occurs in the linearised system.
-    pub fn column_of(&self, monomial: &Monomial) -> Option<usize> {
-        self.interner
-            .get(monomial)
-            .map(|id| self.col_of_id[id as usize] as usize)
-    }
-
-    /// Borrow the coefficient matrix.
-    pub fn matrix(&self) -> &BitMatrix {
-        &self.matrix
-    }
-
-    /// Mutable access to the coefficient matrix (e.g. to run GJE in place).
-    pub fn matrix_mut(&mut self) -> &mut BitMatrix {
-        &mut self.matrix
-    }
-
-    /// Converts a matrix row view back into a polynomial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row length differs from the number of columns.
-    pub fn row_to_polynomial(&self, row: RowRef<'_>) -> Polynomial {
-        assert_eq!(row.len(), self.order.len(), "row/column count mismatch");
-        // Ascending columns are descending monomials (and distinct), so the
-        // polynomial assembles with a reverse instead of a sort.
-        Polynomial::from_descending_monomials(
-            row.iter_ones()
-                .map(|c| self.interner.monomial(self.order[c]).clone()),
-        )
-    }
-
-    /// Runs Gauss–Jordan elimination in place and returns the non-zero rows
-    /// as polynomials (the reduced system), in matrix row order.
-    pub fn eliminate(&mut self) -> Vec<Polynomial> {
-        self.eliminate_with_stats().0
-    }
-
-    /// Like [`Linearization::eliminate`], but also reports the elimination
-    /// kernel's operation counts ([`GaussStats`]) so callers on the XL /
-    /// ElimLin hot path can surface how much work each round performed.
-    pub fn eliminate_with_stats(&mut self) -> (Vec<Polynomial>, GaussStats) {
-        self.eliminate_cancellable(&CancelToken::never())
-    }
-
-    /// Like [`Linearization::eliminate_with_stats`], but the GF(2) kernel
-    /// polls `token` between sweeps. When the elimination is interrupted
-    /// (`stats.interrupted`), **no rows are read back**: the matrix is only
-    /// partially reduced and the caller is expected to discard the round.
-    pub fn eliminate_cancellable(&mut self, token: &CancelToken) -> (Vec<Polynomial>, GaussStats) {
-        let stats = self.matrix.gauss_jordan_cancellable(token);
-        if stats.interrupted {
-            return (Vec::new(), stats);
-        }
-        let reduced = self
-            .matrix
-            .iter()
-            .filter(|r| !r.is_zero())
-            .map(|r| self.row_to_polynomial(r))
-            .collect();
-        (reduced, stats)
-    }
-
-    /// Estimated memory footprint in bits (rows × columns), the quantity the
-    /// paper bounds by `2^M` when subsampling.
-    pub fn size_bits(&self) -> u128 {
-        self.num_rows() as u128 * self.num_columns() as u128
-    }
-
-    /// Runs Gauss–Jordan elimination in place and returns only the
-    /// *retainable* rows (see `is_retainable_fact`: linear polynomials and
-    /// `monomial ⊕ 1` facts) together with the number of non-zero rows and
-    /// the kernel stats.
-    ///
-    /// Because columns are in descending graded-lex order, the degree-≤1
-    /// monomials occupy a contiguous column suffix: a row is linear exactly
-    /// when its first set bit lies in that suffix, and the `monomial ⊕ 1`
-    /// shape is two set bits with one in the constant column. Both checks
-    /// run on the bit rows directly, so the (typically dominant) share of
-    /// non-retainable RREF rows is never materialised as polynomials — the
-    /// XL fast path.
-    pub fn eliminate_retainable_with_stats(&mut self) -> (Vec<Polynomial>, usize, GaussStats) {
-        self.eliminate_retainable_cancellable(&CancelToken::never())
-    }
-
-    /// Like [`Linearization::eliminate_retainable_with_stats`], but the
-    /// GF(2) kernel polls `token` between sweeps. On interruption
-    /// (`stats.interrupted`) no facts are read back and the non-zero row
-    /// count is 0 — the partially reduced matrix is not the RREF.
-    pub fn eliminate_retainable_cancellable(
-        &mut self,
-        token: &CancelToken,
-    ) -> (Vec<Polynomial>, usize, GaussStats) {
-        let stats = self.matrix.gauss_jordan_cancellable(token);
-        if stats.interrupted {
-            return (Vec::new(), 0, stats);
-        }
-        let (facts, non_zero_rows) = self.retainable_rows();
-        (facts, non_zero_rows, stats)
-    }
-
-    /// Scans the current matrix rows for retainable facts — the read-back
-    /// half of [`Linearization::eliminate_retainable_with_stats`]. Returns
-    /// the facts in row order together with the number of non-zero rows.
-    fn retainable_rows(&self) -> (Vec<Polynomial>, usize) {
-        let ncols = self.num_columns();
-        // First column whose monomial has degree <= 1 (degrees are
-        // non-increasing across the descending graded-lex order).
-        let linear_boundary = self
-            .order
-            .partition_point(|&id| self.interner.monomial(id).degree() > 1);
-        let has_constant_column =
-            ncols > 0 && self.interner.monomial(self.order[ncols - 1]).is_one();
-        let mut non_zero_rows = 0usize;
-        let mut facts: Vec<Polynomial> = Vec::new();
-        for row in self.matrix.iter() {
-            let Some(first) = row.first_one() else {
-                continue; // zero row
-            };
-            non_zero_rows += 1;
-            let retainable = first >= linear_boundary // every monomial is degree <= 1
-                || (has_constant_column && row.get(ncols - 1) && row.count_ones() == 2);
-            if !retainable {
-                continue;
-            }
-            facts.push(Polynomial::from_descending_monomials(
-                row.iter_ones()
-                    .map(|c| self.interner.monomial(self.order[c]).clone()),
-            ));
-        }
-        (facts, non_zero_rows)
-    }
-}
-
-/// A linearised view that keeps the rows sparse for the structural presolve
-/// (see [`LinearizationBuilder::finish_sparse`]).
-///
-/// The column ordering is identical to [`Linearization`]'s — descending
-/// graded-lex, shared through `MonomialInterner::column_order_desc` — so the
-/// presolved elimination returns the exact facts of the dense path; only the
-/// route there differs (structural rules and component-wise dense cores
-/// instead of one monolithic arena).
-#[derive(Debug, Clone)]
-pub struct SparseLinearization {
-    /// Every distinct monomial, stored once (id = first-seen order).
-    interner: MonomialInterner,
-    /// Column → interner id, in descending graded-lex monomial order.
-    order: Vec<u32>,
-    /// The linearised coefficient matrix, one sparse row per polynomial.
-    matrix: SparseMatrix,
-    /// Wall-clock of [`LinearizationBuilder::finish_sparse`].
-    handoff: Duration,
-}
-
-impl SparseLinearization {
-    /// Builds the sparse linearisation of the given polynomials.
-    pub fn build<'a, I: IntoIterator<Item = &'a Polynomial>>(polynomials: I) -> Self {
-        let mut builder = LinearizationBuilder::new();
-        for poly in polynomials {
-            builder.push(poly);
-        }
-        builder.finish_sparse()
-    }
-
-    /// Number of monomial columns.
-    pub fn num_columns(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Number of polynomial rows.
-    pub fn num_rows(&self) -> usize {
-        self.matrix.nrows()
-    }
-
-    /// Borrow the sparse coefficient matrix.
+    /// Borrow the sparse coefficient matrix, one row per polynomial.
     pub fn matrix(&self) -> &SparseMatrix {
         &self.matrix
     }
 
     /// Presolves, eliminates and returns all non-zero RREF rows as
-    /// polynomials — the sparse twin of
-    /// [`Linearization::eliminate_cancellable`], returning the same facts in
-    /// the same order. On interruption (`stats.interrupted`) no rows are
-    /// read back.
+    /// polynomials, in pivot order. The GF(2) kernel polls `token`; on
+    /// interruption (`stats.interrupted`) no rows are read back.
     pub fn eliminate_cancellable(
         self,
         token: &CancelToken,
@@ -434,12 +217,12 @@ impl SparseLinearization {
     }
 
     /// Presolves, eliminates and returns only the *retainable* rows (linear
-    /// polynomials and `monomial ⊕ 1` facts) together with the non-zero row
-    /// count — the sparse twin of
-    /// [`Linearization::eliminate_retainable_cancellable`], with the
-    /// byte-identical predicate of the dense read-back. Non-retainable
-    /// rows are never materialised as polynomials, nor read back out of
-    /// the dense cores unless the presolve's back-substitution needs them.
+    /// polynomials and `monomial ⊕ 1` facts, see `is_retainable_fact`)
+    /// together with the non-zero row count. The predicate reads each RREF
+    /// row's shape, so non-retainable rows are never materialised as
+    /// polynomials, nor read back out of the dense cores unless the
+    /// presolve's back-substitution needs them — the XL fast path. On
+    /// interruption no facts are read back and the row count is 0.
     pub fn eliminate_retainable_cancellable(
         self,
         token: &CancelToken,
@@ -468,7 +251,7 @@ impl SparseLinearization {
         token: &CancelToken,
         keep: impl Fn(RowShape) -> bool,
     ) -> (Vec<Polynomial>, SparseRref) {
-        let SparseLinearization {
+        let Linearization {
             interner,
             order,
             matrix,
@@ -478,21 +261,40 @@ impl SparseLinearization {
         let read_back = Instant::now();
         let polys = rref
             .rows()
-            .map(|row| sparse_row_to_polynomial(&interner, &order, row))
+            .map(|row| row_to_polynomial(&interner, &order, row))
             .collect();
         rref.presolve.presolve_ns += (handoff + read_back.elapsed()).as_nanos() as u64;
         (polys, rref)
     }
 }
 
-/// Converts a stitched sparse RREF row (ascending column ids) back to a
-/// polynomial. Ascending columns are descending monomials (shared column
-/// order), so the polynomial assembles without a sort.
-fn sparse_row_to_polynomial(interner: &MonomialInterner, order: &[u32], row: &[u32]) -> Polynomial {
+/// Converts a sparse row (ascending column ids) back to a polynomial.
+/// Ascending columns are descending monomials, so the polynomial assembles
+/// without a sort.
+fn row_to_polynomial(interner: &MonomialInterner, order: &[u32], row: &[u32]) -> Polynomial {
     Polynomial::from_descending_monomials(
         row.iter()
             .map(|&c| interner.monomial(order[c as usize]).clone()),
     )
+}
+
+#[cfg(test)]
+impl Linearization {
+    /// Test oracle for the presolve: the whole matrix densified and reduced
+    /// by the dense kernel alone, its non-zero RREF rows read back in the
+    /// same column order.
+    pub(crate) fn dense_rref(&self) -> Vec<Polynomial> {
+        let mut dense = self.matrix.to_dense();
+        dense.gauss_jordan();
+        dense
+            .iter()
+            .filter(|r| !r.is_zero())
+            .map(|r| {
+                let cols: Vec<u32> = r.iter_ones().map(|c| c as u32).collect();
+                row_to_polynomial(&self.interner, &self.order, &cols)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -504,6 +306,23 @@ mod tests {
         PolynomialSystem::parse(s)
             .expect("test system parses")
             .into_polynomials()
+    }
+
+    /// The fully expanded Table I system (degree-1 expansion of
+    /// {x1x2+x1+1, x2x3+x3}); it contains a duplicate row.
+    const TABLE_1: &str = "x1*x2 + x1 + 1;
+         x1*x2;
+         x2;
+         x1*x2*x3 + x1*x3 + x3;
+         x2*x3 + x3;
+         x1*x2*x3 + x1*x3;";
+
+    /// The matrix rows read back as polynomials.
+    fn rows(lin: &Linearization) -> Vec<Polynomial> {
+        lin.matrix()
+            .rows()
+            .map(|row| row_to_polynomial(&lin.interner, &lin.order, row))
+            .collect()
     }
 
     #[test]
@@ -520,26 +339,14 @@ mod tests {
     #[test]
     fn roundtrip_row_to_polynomial() {
         let ps = polys("x0*x1 + x2 + 1; x2 + x0;");
-        let lin = Linearization::build(ps.iter());
-        for (i, p) in ps.iter().enumerate() {
-            assert_eq!(&lin.row_to_polynomial(lin.matrix().row(i)), p);
-        }
+        assert_eq!(rows(&Linearization::build(ps.iter())), ps);
     }
 
     #[test]
     fn eliminate_reproduces_paper_table_1_facts() {
-        // The fully expanded Table I system (degree-1 expansion of
-        // {x1x2+x1+1, x2x3+x3}); after GJE the facts x1+1, x2, x3 appear.
-        let ps = polys(
-            "x1*x2 + x1 + 1;
-             x1*x2;
-             x2;
-             x1*x2*x3 + x1*x3 + x3;
-             x2*x3 + x3;
-             x1*x2*x3 + x1*x3;",
-        );
-        let mut lin = Linearization::build(ps.iter());
-        let reduced = lin.eliminate();
+        // After GJE the facts x1+1, x2, x3 appear.
+        let lin = Linearization::build(polys(TABLE_1).iter());
+        let (reduced, _, _) = lin.eliminate_cancellable(&CancelToken::never());
         assert!(reduced.contains(&"x1 + 1".parse().expect("parses")));
         assert!(reduced.contains(&"x2".parse().expect("parses")));
         assert!(reduced.contains(&"x3".parse().expect("parses")));
@@ -547,43 +354,11 @@ mod tests {
 
     #[test]
     fn eliminate_with_stats_reports_rank_and_work() {
-        let ps = polys(
-            "x1*x2 + x1 + 1;
-             x1*x2;
-             x2;
-             x1*x2*x3 + x1*x3 + x3;
-             x2*x3 + x3;
-             x1*x2*x3 + x1*x3;",
-        );
-        let mut lin = Linearization::build(ps.iter());
-        let (reduced, stats) = lin.eliminate_with_stats();
+        let lin = Linearization::build(polys(TABLE_1).iter());
+        let (reduced, stats, _) = lin.eliminate_cancellable(&CancelToken::never());
         assert_eq!(stats.rank, 6, "Table I(b) rank");
         assert_eq!(reduced.len(), stats.rank);
         assert!(stats.row_xors > 0, "elimination work must be counted");
-    }
-
-    #[test]
-    fn column_of_lookup() {
-        let ps = polys("x0*x1 + x2;");
-        let lin = Linearization::build(ps.iter());
-        let m: Polynomial = "x0*x1".parse().expect("parses");
-        let mono = m.leading_monomial().expect("non-zero").clone();
-        assert_eq!(lin.column_of(&mono), Some(0));
-        let absent: Polynomial = "x9".parse().expect("parses");
-        assert_eq!(
-            lin.column_of(absent.leading_monomial().expect("non-zero")),
-            None
-        );
-    }
-
-    #[test]
-    fn size_bits_is_rows_times_cols() {
-        let ps = polys("x0 + x1; x1 + x2;");
-        let lin = Linearization::build(ps.iter());
-        assert_eq!(
-            lin.size_bits(),
-            (lin.num_rows() * lin.num_columns()) as u128
-        );
     }
 
     #[test]
@@ -641,6 +416,7 @@ mod tests {
             for r in 0..lin.num_rows() {
                 assert_eq!(lin.matrix().row(r), eager_lin.matrix().row(r));
             }
+            assert_eq!(rows(&lin), eager, "{text}");
         }
     }
 
@@ -661,60 +437,52 @@ mod tests {
 
     #[test]
     fn zero_polynomial_rows_survive_word_wise_assembly() {
+        // A zero polynomial is an empty sparse row, and an all-zero word
+        // row once densified for the oracle.
         let ps = [
             "x0 + x1".parse::<Polynomial>().expect("parses"),
             Polynomial::zero(),
         ];
         let lin = Linearization::build(ps.iter());
         assert_eq!(lin.num_rows(), 2);
-        assert!(lin.matrix().row(1).is_zero());
+        assert!(lin.matrix().row(1).is_empty());
+        assert!(lin.matrix().to_dense().row(1).is_zero());
     }
 
     #[test]
     fn sparse_eliminate_matches_dense_facts_exactly() {
         // Table I expansion (contains a duplicate row) plus mixed systems:
-        // the sparse presolve path must return byte-identical facts, in the
-        // same order, with the same non-zero row count and rank.
+        // the presolve path must return the dense oracle's RREF rows
+        // byte for byte, in the same order, with the same rank.
         for text in [
-            "x1*x2 + x1 + 1;
-             x1*x2;
-             x2;
-             x1*x2*x3 + x1*x3 + x3;
-             x2*x3 + x3;
-             x1*x2*x3 + x1*x3;",
+            TABLE_1,
             "x0*x1 + x2; x0 + x1 + 1; x1*x2 + x0 + 1;",
             "x1 + x2 + x3; x1*x2 + x2*x3 + 1;",
         ] {
             let ps = polys(text);
-            let mut dense = Linearization::build(ps.iter());
-            let (dense_facts, dense_stats) = dense.eliminate_with_stats();
-            let sparse = SparseLinearization::build(ps.iter());
-            let (sparse_facts, gauss, presolve) =
-                sparse.eliminate_cancellable(&CancelToken::never());
-            assert_eq!(sparse_facts, dense_facts, "facts must be identical");
-            assert_eq!(gauss.rank, dense_stats.rank);
+            let lin = Linearization::build(ps.iter());
+            let oracle = lin.dense_rref();
+            let (facts, gauss, presolve) = lin.eliminate_cancellable(&CancelToken::never());
+            assert_eq!(facts, oracle, "facts must be identical");
+            assert_eq!(gauss.rank, oracle.len());
             assert_eq!(presolve.input_rows, ps.len());
         }
     }
 
     #[test]
     fn sparse_retainable_matches_dense_retainable() {
-        let ps = polys(
-            "x1*x2 + x1 + 1;
-             x1*x2;
-             x2;
-             x1*x2*x3 + x1*x3 + x3;
-             x2*x3 + x3;
-             x1*x2*x3 + x1*x3;",
-        );
-        let mut dense = Linearization::build(ps.iter());
-        let (dense_facts, dense_nonzero, dense_stats) = dense.eliminate_retainable_with_stats();
-        let sparse = SparseLinearization::build(ps.iter());
-        let (sparse_facts, sparse_nonzero, gauss, presolve) =
-            sparse.eliminate_retainable_cancellable(&CancelToken::never());
-        assert_eq!(sparse_facts, dense_facts);
-        assert_eq!(sparse_nonzero, dense_nonzero);
-        assert_eq!(gauss.rank, dense_stats.rank);
+        let lin = Linearization::build(polys(TABLE_1).iter());
+        let oracle = lin.dense_rref();
+        let (facts, nonzero, gauss, presolve) =
+            lin.eliminate_retainable_cancellable(&CancelToken::never());
+        let retainable: Vec<Polynomial> = oracle
+            .iter()
+            .filter(|p| crate::is_retainable_fact(p))
+            .cloned()
+            .collect();
+        assert_eq!(facts, retainable);
+        assert_eq!(nonzero, oracle.len());
+        assert_eq!(gauss.rank, oracle.len());
         assert!(gauss.row_xors > 0, "presolve ops count as elimination work");
         assert_eq!(presolve.input_cols, 8);
     }
@@ -724,8 +492,8 @@ mod tests {
         let ps = polys("x0*x1 + x2; x0 + x1 + 1; x1*x2 + x0 + 1;");
         let token = CancelToken::new();
         token.cancel();
-        let sparse = SparseLinearization::build(ps.iter());
-        let (facts, nonzero, gauss, _) = sparse.eliminate_retainable_cancellable(&token);
+        let lin = Linearization::build(ps.iter());
+        let (facts, nonzero, gauss, _) = lin.eliminate_retainable_cancellable(&token);
         assert!(gauss.interrupted);
         assert!(facts.is_empty());
         assert_eq!(nonzero, 0);
@@ -734,8 +502,8 @@ mod tests {
     #[test]
     fn wide_linearizations_cross_word_boundaries() {
         // 70 distinct variables → 71 columns (with the constant), i.e. more
-        // than one 64-bit word per row; every bit must land where the
-        // per-bit construction would have put it.
+        // than one 64-bit word per densified row; the oracle's read-back
+        // must put every bit back in its column.
         let mut text = String::new();
         for v in 0..70u32 {
             text.push_str(&format!("x{v} + 1;"));
@@ -743,8 +511,10 @@ mod tests {
         let ps = polys(&text);
         let lin = Linearization::build(ps.iter());
         assert_eq!(lin.num_columns(), 71);
-        for (r, p) in ps.iter().enumerate() {
-            assert_eq!(&lin.row_to_polynomial(lin.matrix().row(r)), p);
-        }
+        assert_eq!(rows(&lin), ps);
+        // Already reduced: each row pivots on its own variable, and the RREF
+        // lists the rows by pivot column, x69 + 1 first.
+        let by_pivot: Vec<Polynomial> = ps.iter().rev().cloned().collect();
+        assert_eq!(lin.dense_rref(), by_pivot);
     }
 }

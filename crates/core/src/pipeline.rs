@@ -232,7 +232,7 @@ pub struct PassOutcome {
     /// GF(2) elimination work performed by this run.
     pub gauss: GaussStats,
     /// Sparse-presolve reductions performed by this run's eliminations
-    /// (all-zero for passes without a GF(2) stage or with presolve off).
+    /// (all-zero for passes without a GF(2) stage).
     pub presolve: PresolveStats,
     /// SAT conflicts spent by this run.
     pub sat_conflicts: u64,

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::elimlin::elimlin_by_scan;
+use crate::xl::exhaustive_round_oracle;
 use crate::{
     anf_to_cnf, cnf_to_anf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus,
     BosphorusConfig, CancelToken, PassKind, PreprocessStatus, SolveStatus,
@@ -254,30 +255,17 @@ proptest! {
         }
     }
 
-    /// The batch presolve and the dense-only path commit byte-identical XL
-    /// facts.
+    /// An exhaustive XL round commits exactly the retainable rows of the
+    /// dense kernel's RREF of the whole expansion, at the same rank.
     #[test]
-    fn presolve_modes_commit_identical_facts(system in arb_system(), seed in any::<u64>()) {
-        let mut reference = None;
-        for presolve in [true, false] {
-            let config = BosphorusConfig {
-                presolve,
-                ..BosphorusConfig::exhaustive()
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = xl_learn(&system, &config, &mut rng);
-            match &reference {
-                None => reference = Some((outcome.facts.clone(), outcome.rank)),
-                Some((facts, rank)) => {
-                    prop_assert_eq!(
-                        facts, &outcome.facts,
-                        "facts diverge (presolve={})",
-                        presolve
-                    );
-                    prop_assert_eq!(*rank, outcome.rank);
-                }
-            }
-        }
+    fn xl_facts_equal_the_dense_oracle(system in arb_system(), seed in any::<u64>()) {
+        let config = BosphorusConfig::exhaustive();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let outcome = xl_learn(&system, &config, &mut rng);
+        prop_assert!(!outcome.subsampled);
+        let (facts, rank) = exhaustive_round_oracle(&system, config.xl_degree);
+        prop_assert_eq!(outcome.facts, facts);
+        prop_assert_eq!(outcome.rank, rank);
     }
 
     /// Preprocessing a CNF never changes its satisfiability (the

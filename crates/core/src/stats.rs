@@ -60,7 +60,7 @@ pub struct PassStats {
     /// Cumulative GF(2) elimination work performed by the pass.
     pub gauss: GaussStats,
     /// Cumulative sparse-presolve reductions performed ahead of the pass's
-    /// dense eliminations (all-zero with presolve off).
+    /// dense eliminations (all-zero for passes without a GF(2) stage).
     pub presolve: PresolveStats,
     /// Cumulative SAT conflicts spent by the pass.
     pub sat_conflicts: u64,

@@ -42,9 +42,8 @@ pub struct XlOutcome {
     /// round).
     pub gauss: GaussStats,
     /// Reduction counts and phase timing of the sparse structural presolve
-    /// that ran before the dense kernel. All-zero when
-    /// [`BosphorusConfig::presolve`] is off or the round never reached the
-    /// elimination.
+    /// that ran before the dense kernel. All-zero when the round never
+    /// reached the elimination.
     pub presolve: PresolveStats,
     /// `true` when the round worked on a strict subsample of the system (or
     /// truncated the expansion at the size budget). An exhaustive round
@@ -211,20 +210,11 @@ pub fn xl_learn_cancellable<R: Rng>(
     let expanded_rows = builder.num_rows();
     let expanded_columns = builder.num_columns();
     // Read back only the retainable rows: the non-retainable bulk of the
-    // RREF is detected at the bit level and never built as polynomials.
-    // With presolve on, the structural rules run on the interned sparse rows
-    // and only the residual dense core reaches the blocked kernel; both
-    // paths commit byte-identical facts (see `crates/gf2/src/sparse.rs` and
-    // the equivalence tests in `linearize.rs`).
-    let (facts, rank, gauss, presolve) = if config.presolve {
-        builder
-            .finish_sparse()
-            .eliminate_retainable_cancellable(token)
-    } else {
-        let mut lin = builder.finish();
-        let (facts, rank, gauss) = lin.eliminate_retainable_cancellable(token);
-        (facts, rank, gauss, PresolveStats::default())
-    };
+    // RREF is detected from each row's shape and never built as polynomials.
+    // The structural rules run on the interned sparse rows and only the
+    // residual dense cores reach the blocked kernel (see
+    // `crates/gf2/src/sparse.rs`).
+    let (facts, rank, gauss, presolve) = builder.finish().eliminate_retainable_cancellable(token);
     if gauss.interrupted {
         // The elimination stopped between sweeps (or mid-presolve); its
         // partial reduction is not the RREF, so no facts were read back (the
@@ -262,6 +252,30 @@ pub fn xl_learn_cancellable<R: Rng>(
 /// to the master ANF copy.
 pub fn is_retainable_fact(p: &Polynomial) -> bool {
     !p.is_zero() && (p.is_linear() || p.as_monomial_plus_one().is_some())
+}
+
+/// Test oracle for an exhaustive XL round: the retainable rows and the rank
+/// of the dense kernel's RREF of the whole expansion — every polynomial of
+/// `system` and its products with every multiplier of degree `1..=degree`.
+/// The RREF depends only on the span of the rows and on the column order,
+/// not on the order the round expanded in.
+#[cfg(test)]
+pub(crate) fn exhaustive_round_oracle(
+    system: &PolynomialSystem,
+    degree: usize,
+) -> (Vec<Polynomial>, usize) {
+    let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let multipliers = expansion_monomials(&vars, degree);
+    let mut rows: Vec<Polynomial> = system.iter().cloned().collect();
+    for base in system.iter() {
+        rows.extend(multipliers.iter().map(|m| base.mul_monomial(m)));
+    }
+    let mut rref = crate::Linearization::build(rows.iter()).dense_rref();
+    let rank = rref.len();
+    rref.retain(is_retainable_fact);
+    (rref, rank)
 }
 
 #[cfg(test)]
@@ -410,26 +424,17 @@ mod tests {
              x2*x3 + x3*x5 + 1;
              x2*x3 + x5 + 1;",
         );
+        let config = exhaustive_config();
+        let (oracle, rank) = exhaustive_round_oracle(&s, config.xl_degree);
         for seed in [7u64, 13, 2019] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let with = xl_learn(&s, &exhaustive_config(), &mut rng);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let config = BosphorusConfig {
-                presolve: false,
-                ..exhaustive_config()
-            };
-            let without = xl_learn(&s, &config, &mut rng);
-            assert_eq!(with.facts, without.facts, "facts diverge at seed {seed}");
-            assert_eq!(with.rank, without.rank);
-            assert_eq!(with.gauss.rank, without.gauss.rank);
+            let outcome = xl_learn(&s, &config, &mut rng);
+            assert!(!outcome.subsampled);
+            assert_eq!(outcome.facts, oracle, "facts diverge at seed {seed}");
+            assert_eq!(outcome.rank, rank);
             assert!(
-                with.presolve.input_rows > 0,
+                outcome.presolve.input_rows > 0,
                 "presolve ran and reported its input shape"
-            );
-            assert_eq!(
-                without.presolve,
-                PresolveStats::default(),
-                "dense-only rounds report an all-zero presolve"
             );
         }
     }

@@ -1,8 +1,8 @@
 //! Sparse structural presolve ahead of the dense Gauss–Jordan kernels.
 //!
 //! XL and ElimLin rows are born sparse — one polynomial, a handful of
-//! monomials — yet the dense path packs all of them into a bit arena and
-//! rediscovers that structure by brute force. This module runs a set of
+//! monomials — yet packed whole into a bit arena they make a dense kernel
+//! rediscover that structure by brute force. This module runs a set of
 //! *exact* structural reductions on the sparse rows first and hands only the
 //! residual core(s) to the dense kernel:
 //!
@@ -971,8 +971,8 @@ fn presolve_rref(
         .collect();
     let (comp_rows, comp_row_start) = group_by(&live_rows, &row_comp, components);
     // Per-component column supports, ascending (compaction keeps the global
-    // order, so component pivots are exactly the dense path's pivots
-    // restricted to the component).
+    // order, so component pivots are exactly the whole matrix's dense RREF
+    // pivots restricted to the component).
     let live_cols: Vec<u32> = (0..ncols as u32)
         .filter(|&c| p.col_count[c as usize] > 0)
         .collect();

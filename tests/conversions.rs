@@ -6,7 +6,7 @@ use bosphorus_repro::ciphers::{satcomp, simon};
 use bosphorus_repro::cnf::CnfFormula;
 use bosphorus_repro::core::{
     anf_to_cnf, cnf_to_anf, expansion_monomials, AnfPropagator, BosphorusConfig, CancelToken,
-    Linearization, LinearizationBuilder, SparseLinearization,
+    Linearization, LinearizationBuilder,
 };
 use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
@@ -134,9 +134,8 @@ fn conversion_paths_match_polynomial_shape() {
 /// ways: streamed through `LinearizationBuilder` (the engine's path) and from
 /// materialised products (`Linearization::build`). The two linearisations are
 /// identical column for column and row for row, and after elimination they
-/// have the same rank and the same retainable facts. The eliminations run on
-/// the presolve path: the dense kernel on this 14k × 13k matrix is seconds in
-/// a debug build, and presolve ≡ dense is pinned by its own tests.
+/// have the same rank and the same retainable facts. The presolve's
+/// agreement with the dense kernel is pinned by its own tests.
 #[test]
 fn simon_xl_round_builder_matches_the_eager_construction() {
     let mut rng = StdRng::seed_from_u64(2019);
@@ -168,7 +167,7 @@ fn simon_xl_round_builder_matches_the_eager_construction() {
             builder.push_product(base, m, &mut scratch);
         }
     }
-    let lin = builder.clone().finish();
+    let lin = builder.finish();
     let eager_lin = Linearization::build(eager.iter());
     assert_eq!(
         (lin.num_rows(), lin.num_columns()),
@@ -182,11 +181,8 @@ fn simon_xl_round_builder_matches_the_eager_construction() {
     }
 
     let never = CancelToken::never();
-    let (facts, rank, _, _) = builder
-        .finish_sparse()
-        .eliminate_retainable_cancellable(&never);
-    let (eager_facts, eager_rank, _, _) =
-        SparseLinearization::build(eager.iter()).eliminate_retainable_cancellable(&never);
+    let (facts, rank, _, _) = lin.eliminate_retainable_cancellable(&never);
+    let (eager_facts, eager_rank, _, _) = eager_lin.eliminate_retainable_cancellable(&never);
     assert_eq!(rank, eager_rank);
     assert_eq!(facts, eager_facts);
     assert!(!facts.is_empty(), "the round learns facts");

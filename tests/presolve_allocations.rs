@@ -79,7 +79,7 @@ fn xl_expansion(system: &PolynomialSystem, rows: usize) -> SparseMatrix {
         }
     }
     assert_eq!(builder.num_rows(), rows, "the system expands far enough");
-    builder.finish_sparse().matrix().clone()
+    builder.finish().matrix().clone()
 }
 
 /// Allocations of one presolve call (the input is built beforehand).
