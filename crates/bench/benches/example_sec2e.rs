@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bosphorus::{elimlin_on, xl_learn, Bosphorus, BosphorusConfig, PreprocessStatus};
+use bosphorus::{elimlin_on, xl_learn, Bosphorus, BosphorusConfig, CancelToken, PreprocessStatus};
 use bosphorus_anf::PolynomialSystem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,12 +26,17 @@ fn bench_example(c: &mut Criterion) {
 
     // Reproduce the example once and report what each technique learns.
     let mut rng = StdRng::seed_from_u64(1);
-    let xl = xl_learn(&system, &BosphorusConfig::exhaustive(), &mut rng);
+    let xl = xl_learn(
+        &system,
+        &BosphorusConfig::exhaustive(),
+        &mut rng,
+        &CancelToken::never(),
+    );
     println!(
         "Section II-E — XL facts: {:?}",
         xl.facts.iter().map(ToString::to_string).collect::<Vec<_>>()
     );
-    let elimlin = elimlin_on(system.polynomials().to_vec());
+    let elimlin = elimlin_on(system.polynomials().to_vec(), &CancelToken::never());
     println!(
         "Section II-E — ElimLin facts: {:?}",
         elimlin
@@ -56,11 +61,17 @@ fn bench_example(c: &mut Criterion) {
                 black_box(&system),
                 &BosphorusConfig::exhaustive(),
                 &mut rng,
+                &CancelToken::never(),
             ))
         })
     });
     c.bench_function("sec2e_elimlin_step", |b| {
-        b.iter(|| black_box(elimlin_on(black_box(system.polynomials().to_vec()))))
+        b.iter(|| {
+            black_box(elimlin_on(
+                black_box(system.polynomials().to_vec()),
+                &CancelToken::never(),
+            ))
+        })
     });
     c.bench_function("sec2e_full_engine", |b| {
         b.iter(|| {

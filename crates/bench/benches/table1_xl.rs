@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bosphorus::{xl_learn, BosphorusConfig};
+use bosphorus::{xl_learn, BosphorusConfig, CancelToken};
 use bosphorus_anf::PolynomialSystem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +20,7 @@ fn bench_table1(c: &mut Criterion) {
     // Verify the reproduction once, outside the measurement loop, and print
     // the learnt facts next to the paper's expected output.
     let mut rng = StdRng::seed_from_u64(1);
-    let outcome = xl_learn(&system, &config, &mut rng);
+    let outcome = xl_learn(&system, &config, &mut rng, &CancelToken::never());
     println!("Table I reproduction — facts learnt by XL (D = 1):");
     for fact in &outcome.facts {
         println!("  {fact}");
@@ -33,7 +33,12 @@ fn bench_table1(c: &mut Criterion) {
     c.bench_function("table1_xl_degree1", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
-            black_box(xl_learn(black_box(&system), &config, &mut rng))
+            black_box(xl_learn(
+                black_box(&system),
+                &config,
+                &mut rng,
+                &CancelToken::never(),
+            ))
         })
     });
 }

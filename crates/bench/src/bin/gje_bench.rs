@@ -18,15 +18,38 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bosphorus::{xl_learn, BosphorusConfig};
-use bosphorus_bench::{random_dense_matrix, random_sparse_matrix};
+use bosphorus::{xl_learn, BosphorusConfig, CancelToken};
 use bosphorus_ciphers::aes;
 use bosphorus_gf2::{
     m4rm_block_size, select_kernel, BitMatrix, GaussStats, KernelChoice, PresolveStats,
     SparseMatrix,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// A dense uniform random GF(2) matrix.
+fn random_dense_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> BitMatrix {
+    let mut m = BitMatrix::zero(rows, cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            if rng.gen::<bool>() {
+                m.set(r, c, true);
+            }
+        }
+    }
+    m
+}
+
+/// A sparse random GF(2) matrix with up to `fill` entries per row
+/// (duplicate column draws cancel XOR-style, like repeated monomials): the
+/// XL-shaped input of the presolve comparison.
+fn random_sparse_matrix(rng: &mut StdRng, rows: usize, cols: usize, fill: usize) -> SparseMatrix {
+    let mut m = SparseMatrix::new(cols);
+    for _ in 0..rows {
+        m.push_row((0..fill).map(|_| rng.gen_range(0..cols) as u32));
+    }
+    m
+}
 
 /// One (size, kernel-comparison) measurement.
 struct SizeResult {
@@ -34,7 +57,7 @@ struct SizeResult {
     cols: usize,
     rank: usize,
     k: usize,
-    /// What `gauss_jordan_with_stats` would pick at this size.
+    /// What `gauss_jordan` would pick at this size.
     auto_kernel: &'static str,
     reps: usize,
     plain_ns: u128,
@@ -92,14 +115,14 @@ fn measure_sparse(m: &SparseMatrix, reps: usize) -> SparseResult {
     for _ in 0..reps {
         let start = Instant::now();
         let mut a = m.to_dense();
-        dense_rank = a.gauss_jordan_with_stats().rank;
+        dense_rank = a.gauss_jordan(&CancelToken::never()).rank;
         dense_only_ns = dense_only_ns.min(start.elapsed().as_nanos());
     }
     let mut presolve_total_ns = u128::MAX;
     let mut best: Option<PresolveStats> = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let r = m.clone().rref();
+        let r = m.clone().rref(&CancelToken::never(), |_| true);
         let elapsed = start.elapsed().as_nanos();
         assert_eq!(r.rank, dense_rank, "presolve path rank disagrees");
         if elapsed < presolve_total_ns {
@@ -155,7 +178,7 @@ fn measure_xl_cores(rounds: usize, reps: usize, seed: u64) -> XlCoresResult {
         let mut first: Option<GaussStats> = None;
         for _ in 0..reps {
             let mut subsample = StdRng::seed_from_u64(seed ^ round as u64);
-            let outcome = xl_learn(&system, &config, &mut subsample);
+            let outcome = xl_learn(&system, &config, &mut subsample, &CancelToken::never());
             let p = outcome.presolve;
             dense_ns = dense_ns.min(p.dense_ns);
             presolve_ns = presolve_ns.min(p.presolve_ns);
@@ -183,9 +206,10 @@ fn measure(m: &BitMatrix, reps: usize) -> SizeResult {
         KernelChoice::Plain => "plain",
         KernelChoice::BlockedM4rm { .. } => "blocked",
     };
-    let (plain_ns, plain_rank) = time_best(m, reps, |a| a.gauss_jordan_plain_with_stats().rank);
+    let never = CancelToken::never();
+    let (plain_ns, plain_rank) = time_best(m, reps, |a| a.gauss_jordan_plain(&never).rank);
     let (blocked_ns, blocked_rank) =
-        time_best(m, reps, |a| a.gauss_jordan_blocked_m4rm_with_stats(k).rank);
+        time_best(m, reps, |a| a.gauss_jordan_blocked_m4rm(k, &never).rank);
     assert_eq!(plain_rank, blocked_rank, "blocked kernel disagrees");
     SizeResult {
         rows,

@@ -26,40 +26,5 @@ pub use args::{Table2Args, TABLE2_USAGE};
 pub use par2::{Par2Scorer, ScoredRun};
 pub use parallel::run_indexed;
 
-use bosphorus_gf2::{BitMatrix, SparseMatrix};
-use rand::rngs::StdRng;
-use rand::Rng;
-
-/// Builds a dense uniform random GF(2) matrix — the shared input generator
-/// of the `gje_kernels` bench and the `gje_bench` baseline binary, so both
-/// measure the same distribution for a given seed.
-pub fn random_dense_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> BitMatrix {
-    let mut m = BitMatrix::zero(rows, cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            if rng.gen::<bool>() {
-                m.set(r, c, true);
-            }
-        }
-    }
-    m
-}
-
-/// Builds a sparse random GF(2) matrix with up to `fill` entries per row
-/// (duplicate column draws cancel XOR-style, like repeated monomials) — the
-/// XL-shaped input the presolve comparisons in `gje_kernels` and `gje_bench`
-/// share, so both measure the same distribution for a given seed.
-pub fn random_sparse_matrix(
-    rng: &mut StdRng,
-    rows: usize,
-    cols: usize,
-    fill: usize,
-) -> SparseMatrix {
-    let mut m = SparseMatrix::new(cols);
-    for _ in 0..rows {
-        m.push_row((0..fill).map(|_| rng.gen_range(0..cols) as u32));
-    }
-    m
-}
 pub use runner::{solve_anf_instance, solve_cnf_instance, Approach, InstanceOutcome, RunSettings};
 pub use tables::{run_table2, Table2Options, Table2Row};

@@ -283,7 +283,9 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                 options.timeout = Some(
                     raw.parse()
                         .ok()
-                        .filter(|t: &f64| t.is_finite() && *t > 0.0)
+                        // Beyond about 1.8e19 s no `Duration` holds the
+                        // deadline.
+                        .filter(|t: &f64| *t > 0.0 && Duration::try_from_secs_f64(*t).is_ok())
                         .ok_or_else(|| {
                             format!("--timeout: {raw:?} is not a positive number of seconds")
                         })?,
@@ -900,7 +902,7 @@ mod tests {
 
     #[test]
     fn timeout_rejects_nonpositive_and_garbage() {
-        for bad in ["0", "-1", "nan", "inf", "soon"] {
+        for bad in ["0", "-1", "nan", "inf", "soon", "1e20"] {
             assert!(
                 parse(&["--anf", "a", "--timeout", bad])
                     .unwrap_err()

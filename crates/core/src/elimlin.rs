@@ -10,10 +10,10 @@
 use bosphorus_anf::{Polynomial, PolynomialSystem, TermScratch, Var};
 use bosphorus_gf2::{GaussStats, PresolveStats};
 use bosphorus_interrupt::CancelToken;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::linearize::Linearization;
+use crate::xl::subsample;
 use crate::BosphorusConfig;
 
 /// Outcome of one ElimLin round.
@@ -52,52 +52,31 @@ pub struct ElimLinOutcome {
 /// linearised size is roughly `2^M` (see
 /// [`BosphorusConfig::subsample_m`]); the substitutions are performed on a
 /// local copy, so the input system is not modified.
+///
+/// `token` is polled between rounds, between substitutions and once per
+/// elimination sweep inside the GF(2) kernel. When the token trips the run
+/// returns early with [`ElimLinOutcome::interrupted`] set; the reported
+/// facts come from fully completed GJE rounds only.
 pub fn elimlin_learn<R: Rng>(
-    system: &PolynomialSystem,
-    config: &BosphorusConfig,
-    rng: &mut R,
-) -> ElimLinOutcome {
-    elimlin_learn_cancellable(system, config, rng, &CancelToken::never())
-}
-
-/// Like [`elimlin_learn`], but polls `token` between rounds, between
-/// substitutions and once per elimination sweep inside the GF(2) kernel.
-/// When the token trips the run returns early with
-/// [`ElimLinOutcome::interrupted`] set; the reported facts come from fully
-/// completed GJE rounds only.
-pub fn elimlin_learn_cancellable<R: Rng>(
     system: &PolynomialSystem,
     config: &BosphorusConfig,
     rng: &mut R,
     token: &CancelToken,
 ) -> ElimLinOutcome {
-    let budget = 1u128 << config.subsample_m.min(126);
-    let mut selected: Vec<&Polynomial> = system.iter().collect();
-    selected.shuffle(rng);
-    let mut working: Vec<Polynomial> = Vec::new();
-    let mut terms = 0u128;
-    for poly in selected {
-        working.push(poly.clone());
-        terms += poly.len() as u128;
-        if working.len() as u128 * terms >= budget {
-            break;
-        }
-    }
+    let working: Vec<Polynomial> = subsample(system, config, rng)
+        .into_iter()
+        .cloned()
+        .collect();
     let subsampled = working.len() < system.len();
-    let mut outcome = elimlin_run(working, token, eliminate, substitute_linear);
+    let mut outcome = elimlin_on(working, token);
     outcome.subsampled = subsampled;
     outcome
 }
 
-/// Runs ElimLin on exactly the given polynomials (no subsampling).
-pub fn elimlin_on(working: Vec<Polynomial>) -> ElimLinOutcome {
-    elimlin_on_cancellable(working, &CancelToken::never())
-}
-
-/// Like [`elimlin_on`], but cooperatively cancellable (see
-/// [`elimlin_learn_cancellable`] for the checkpoint placement and the
-/// completed-rounds fact guarantee).
-pub fn elimlin_on_cancellable(working: Vec<Polynomial>, token: &CancelToken) -> ElimLinOutcome {
+/// Runs ElimLin on exactly the given polynomials (no subsampling),
+/// cooperatively cancellable (see [`elimlin_learn`] for the checkpoint
+/// placement and the completed-rounds fact guarantee).
+pub fn elimlin_on(working: Vec<Polynomial>, token: &CancelToken) -> ElimLinOutcome {
     elimlin_run(working, token, eliminate, substitute_linear)
 }
 
@@ -390,7 +369,10 @@ mod tests {
     fn section_2c_worked_example() {
         // {x1+x2+x3, x1x2 + x2x3 + 1}: substituting x1 = x2 + x3 gives
         // x2 + 1, so ElimLin learns both x1+x2+x3 and x2+1.
-        let outcome = elimlin_on(polys("x1 + x2 + x3; x1*x2 + x2*x3 + 1;"));
+        let outcome = elimlin_on(
+            polys("x1 + x2 + x3; x1*x2 + x2*x3 + 1;"),
+            &CancelToken::never(),
+        );
         assert!(!outcome.contradiction);
         assert!(outcome
             .facts
@@ -411,8 +393,9 @@ mod tests {
         // already contributed. Its initial GJE then reports those four
         // linear equations, and after substituting them it learns a unit
         // fact (the paper derives x1 + 1).
-        let outcome = elimlin_on(polys(
-            "x1*x2 + x3 + x4 + 1;
+        let outcome = elimlin_on(
+            polys(
+                "x1*x2 + x3 + x4 + 1;
              x1*x2*x3 + x1 + x3 + 1;
              x1*x3 + x3*x4*x5 + x3;
              x2*x3 + x3*x5 + 1;
@@ -421,7 +404,9 @@ mod tests {
              x1 + x4;
              x3 + 1;
              x1 + x2;",
-        ));
+            ),
+            &CancelToken::never(),
+        );
         assert!(!outcome.contradiction);
         // The four linear equations from the initial GJE...
         for expected in ["x1 + x5 + 1", "x1 + x4", "x3 + 1", "x1 + x2"] {
@@ -453,7 +438,7 @@ mod tests {
 
     #[test]
     fn contradiction_is_detected() {
-        let outcome = elimlin_on(polys("x0 + x1; x0 + x1 + 1;"));
+        let outcome = elimlin_on(polys("x0 + x1; x0 + x1 + 1;"), &CancelToken::never());
         assert!(outcome.contradiction);
         assert!(outcome.facts.contains(&Polynomial::one()));
     }
@@ -461,7 +446,7 @@ mod tests {
     #[test]
     fn facts_are_consequences() {
         let source = polys("x0*x1 + x2; x0 + x1 + 1; x1*x2 + x0 + 1;");
-        let outcome = elimlin_on(source.clone());
+        let outcome = elimlin_on(source.clone(), &CancelToken::never());
         let n = 3usize;
         for bits in 0u64..(1 << n) {
             let assign: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
@@ -478,7 +463,10 @@ mod tests {
 
     #[test]
     fn purely_nonlinear_system_terminates_quickly() {
-        let outcome = elimlin_on(polys("x0*x1 + x1*x2; x0*x2 + x1*x2;"));
+        let outcome = elimlin_on(
+            polys("x0*x1 + x1*x2; x0*x2 + x1*x2;"),
+            &CancelToken::never(),
+        );
         assert!(!outcome.contradiction);
         assert!(outcome.rounds >= 1);
         assert_eq!(outcome.eliminated_vars, 0);
@@ -486,7 +474,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_noop() {
-        let outcome = elimlin_on(Vec::new());
+        let outcome = elimlin_on(Vec::new(), &CancelToken::never());
         assert!(outcome.facts.is_empty());
         assert!(!outcome.contradiction);
     }
@@ -630,7 +618,7 @@ mod tests {
             ..BosphorusConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = elimlin_learn(&system, &config, &mut rng);
+        let outcome = elimlin_learn(&system, &config, &mut rng, &CancelToken::never());
         let n = system.num_vars();
         for bits in 0u64..(1 << n) {
             let assign: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();

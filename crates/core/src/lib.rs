@@ -14,10 +14,13 @@
 //!    the linear / "all-ones monomial" rows (Section II-B).
 //! 3. **ElimLin** ([`elimlin_learn`]) — iterated GJE + variable elimination
 //!    by substitution of linear equations (Section II-C).
-//! 4. **Conflict-bounded SAT** ([`sat_step`]) — convert to CNF, run a CDCL
+//! 4. **Conflict-bounded SAT** ([`SatSearch`]) — convert to CNF, run a CDCL
 //!    solver with a conflict budget, harvest unit and binary learnt clauses
-//!    (Section II-D). A [`SatSearch`] left undecided can be continued with a
+//!    (Section II-D). A search left undecided can be continued with a
 //!    larger budget while the database is unchanged.
+//!
+//! Each technique has one entry point, and it takes a [`CancelToken`]:
+//! pass [`CancelToken::never`] for a run that cannot be interrupted.
 //!
 //! The techniques are [`LearningPass`] objects registered in a [`Pipeline`]
 //! over the incremental [`AnfDatabase`](bosphorus_anf::AnfDatabase); the
@@ -75,9 +78,7 @@ pub use bosphorus_gf2::{GaussStats, PresolveStats};
 pub use bosphorus_interrupt::{CancelToken, Checkpoint};
 pub use cnf_to_anf::{clause_to_polynomial, cnf_to_anf, AnfConversion};
 pub use config::BosphorusConfig;
-pub use elimlin::{
-    elimlin_learn, elimlin_learn_cancellable, elimlin_on, elimlin_on_cancellable, ElimLinOutcome,
-};
+pub use elimlin::{elimlin_learn, elimlin_on, ElimLinOutcome};
 pub use engine::{Bosphorus, PreprocessStatus, SolveStatus};
 pub use linearize::{Linearization, LinearizationBuilder};
 pub use minimize::karnaugh_clauses;
@@ -85,9 +86,9 @@ pub use pipeline::{
     ElimLinPass, GroebnerPass, LearningPass, PassBudget, PassKind, PassOutcome, PassStatus,
     Pipeline, PropagatePass, SatPass, XlPass,
 };
-pub use satstep::{sat_step, sat_step_cancellable, SatSearch, SatStepOutcome, SatStepStatus};
+pub use satstep::{SatSearch, SatStepOutcome, SatStepStatus};
 pub use stats::{EngineStats, PassStats, TimelineEntry};
-pub use xl::{expansion_monomials, is_retainable_fact, xl_learn, xl_learn_cancellable, XlOutcome};
+pub use xl::{expansion_monomials, is_retainable_fact, xl_learn, XlOutcome};
 
 #[cfg(test)]
 mod proptests;

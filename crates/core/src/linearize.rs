@@ -257,7 +257,7 @@ impl Linearization {
             matrix,
             handoff,
         } = self;
-        let mut rref = matrix.rref_keeping(token, keep);
+        let mut rref = matrix.rref(token, keep);
         let read_back = Instant::now();
         let polys = rref
             .rows()
@@ -285,7 +285,7 @@ impl Linearization {
     /// same column order.
     pub(crate) fn dense_rref(&self) -> Vec<Polynomial> {
         let mut dense = self.matrix.to_dense();
-        dense.gauss_jordan();
+        dense.gauss_jordan(&CancelToken::never());
         dense
             .iter()
             .filter(|r| !r.is_zero())

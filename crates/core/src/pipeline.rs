@@ -16,7 +16,7 @@
 //! last read and *skip* its work when nothing changed since — provided its
 //! previous run was deterministic (see
 //! [`XlOutcome::subsampled`](crate::XlOutcome::subsampled)). A skipped
-//! subsample-style pass still draws its (unused) shuffle from the shared
+//! subsample-style pass still draws its (unused) subsample from the shared
 //! randomness so that skip decisions never shift the random stream of later
 //! passes; the expensive part — building and eliminating the linearised
 //! matrix — is what the skip saves.
@@ -31,12 +31,11 @@ use bosphorus_groebner::{groebner_basis_cancellable, GroebnerConfig, GroebnerOut
 use bosphorus_interrupt::CancelToken;
 use bosphorus_sat::SolverConfig;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::elimlin::elimlin_learn_cancellable;
+use crate::elimlin::elimlin_learn;
 use crate::satstep::{SatSearch, SatStepStatus};
-use crate::xl::xl_learn_cancellable;
+use crate::xl::{subsample, xl_learn};
 use crate::BosphorusConfig;
 
 /// Identifier of a built-in pass, used to describe pass order and
@@ -369,17 +368,14 @@ impl LearningPass for XlPass {
         if self.last_exhaustive && self.last_seen == Some(db.revision()) {
             // The previous run saw the whole system and nothing changed:
             // re-running would reproduce the same (already committed) RREF.
-            // Burn the shuffle the skipped run would have drawn so the
+            // Draw the subsample the skipped run would have drawn so the
             // random stream stays independent of skip decisions.
-            if !db.is_empty() {
-                burn_subsample_draw(budget, db.len());
-            }
+            budget.with_rng_mut(|rng| subsample(db.system(), &self.config, rng));
             return PassOutcome::skipped();
         }
         self.last_seen = Some(db.revision());
-        let xl = budget.with_rng_mut(|rng| {
-            xl_learn_cancellable(db.system(), &self.config, rng, budget.cancel_token())
-        });
+        let xl = budget
+            .with_rng_mut(|rng| xl_learn(db.system(), &self.config, rng, budget.cancel_token()));
         // An interrupted round must not arm the skip: it neither saw the
         // whole system nor committed the full RREF.
         self.last_exhaustive = !xl.subsampled && !xl.interrupted;
@@ -420,12 +416,12 @@ impl LearningPass for ElimLinPass {
 
     fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome {
         if self.last_exhaustive && self.last_seen == Some(db.revision()) {
-            burn_subsample_draw(budget, db.len());
+            budget.with_rng_mut(|rng| subsample(db.system(), &self.config, rng));
             return PassOutcome::skipped();
         }
         self.last_seen = Some(db.revision());
         let elimlin = budget.with_rng_mut(|rng| {
-            elimlin_learn_cancellable(db.system(), &self.config, rng, budget.cancel_token())
+            elimlin_learn(db.system(), &self.config, rng, budget.cancel_token())
         });
         self.last_exhaustive = !elimlin.subsampled && !elimlin.interrupted;
         let mut outcome = PassOutcome::ran();
@@ -434,8 +430,8 @@ impl LearningPass for ElimLinPass {
         if elimlin.contradiction {
             outcome.status = PassStatus::Unsat;
         } else {
-            // Facts from completed rounds only (the cancellable variant
-            // guarantees this), so committing them on interruption is safe.
+            // Facts from completed rounds only (`elimlin_learn` guarantees
+            // this), so committing them on interruption is safe.
             outcome.facts = elimlin.facts;
             if elimlin.interrupted {
                 outcome.status = PassStatus::Interrupted;
@@ -609,15 +605,6 @@ impl LearningPass for GroebnerPass {
         }
         outcome
     }
-}
-
-/// Consumes exactly the random draws a skipped subsample selection would
-/// have made (a Fisher–Yates shuffle of `len` elements).
-fn burn_subsample_draw(budget: &PassBudget, len: usize) {
-    budget.with_rng_mut(|rng| {
-        let mut dummy: Vec<usize> = (0..len).collect();
-        dummy.shuffle(rng);
-    });
 }
 
 /// An ordered sequence of [`LearningPass`] objects.

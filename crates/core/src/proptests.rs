@@ -109,7 +109,7 @@ fn indexed_elimlin_matches_the_scan_reference() {
     let (mut eliminated, mut satisfiable, mut contradictions) = (0, 0, 0);
     for case in 0..300 {
         let polys = elimlin_stress_system(&mut rng);
-        let indexed = elimlin_on(polys.clone());
+        let indexed = elimlin_on(polys.clone(), &CancelToken::never());
         let reference = elimlin_by_scan(polys.clone());
         let summary = |o: &crate::ElimLinOutcome| {
             (
@@ -242,8 +242,8 @@ proptest! {
     #[test]
     fn xl_and_elimlin_facts_are_consequences(system in arb_system(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let xl = xl_learn(&system, &BosphorusConfig::exhaustive(), &mut rng);
-        let el = elimlin_on(system.polynomials().to_vec());
+        let xl = xl_learn(&system, &BosphorusConfig::exhaustive(), &mut rng, &CancelToken::never());
+        let el = elimlin_on(system.polynomials().to_vec(), &CancelToken::never());
         let n = system.num_vars();
         for bits in 0u64..(1 << n) {
             let a = Assignment::from_bits((0..n).map(|i| (bits >> i) & 1 == 1));
@@ -261,7 +261,7 @@ proptest! {
     fn xl_facts_equal_the_dense_oracle(system in arb_system(), seed in any::<u64>()) {
         let config = BosphorusConfig::exhaustive();
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = xl_learn(&system, &config, &mut rng);
+        let outcome = xl_learn(&system, &config, &mut rng, &CancelToken::never());
         prop_assert!(!outcome.subsampled);
         let (facts, rank) = exhaustive_round_oracle(&system, config.xl_degree);
         prop_assert_eq!(outcome.facts, facts);

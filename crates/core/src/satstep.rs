@@ -65,43 +65,6 @@ pub struct SatStepOutcome {
     pub cnf_vars: usize,
 }
 
-/// Runs one conflict-bounded SAT round on `system`.
-///
-/// `propagator` carries the determined variables and equivalences that must
-/// be encoded alongside the polynomials; `budget` is the conflict budget `C`.
-pub fn sat_step(
-    system: &PolynomialSystem,
-    propagator: &AnfPropagator,
-    config: &BosphorusConfig,
-    solver_config: &SolverConfig,
-    budget: u64,
-) -> SatStepOutcome {
-    sat_step_cancellable(
-        system,
-        propagator,
-        config,
-        solver_config,
-        budget,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`sat_step`], but hands `token` to the solver, which polls it
-/// alongside its conflict budget (every
-/// [`SOLVER_CHECK_INTERVAL`](bosphorus_sat::SOLVER_CHECK_INTERVAL) conflicts
-/// or decisions). A cancelled call reports
-/// [`SatStepStatus::Interrupted`] with no facts.
-pub fn sat_step_cancellable(
-    system: &PolynomialSystem,
-    propagator: &AnfPropagator,
-    config: &BosphorusConfig,
-    solver_config: &SolverConfig,
-    budget: u64,
-    token: &CancelToken,
-) -> SatStepOutcome {
-    SatSearch::new(system, propagator, config, solver_config).run(budget, token)
-}
-
 /// One conflict-bounded search over the CNF of a system: the solver, and
 /// the map from CNF variables to ANF monomials that translates what it
 /// learns back into ANF facts.
@@ -268,13 +231,13 @@ mod tests {
     fn run(text: &str, budget: u64) -> (PolynomialSystem, SatStepOutcome) {
         let system = PolynomialSystem::parse(text).expect("test system parses");
         let propagator = AnfPropagator::new(system.num_vars());
-        let outcome = sat_step(
+        let outcome = SatSearch::new(
             &system,
             &propagator,
             &BosphorusConfig::default(),
             &SolverConfig::aggressive(),
-            budget,
-        );
+        )
+        .run(budget, &CancelToken::never());
         (system, outcome)
     }
 
@@ -350,13 +313,13 @@ mod tests {
             PolynomialSystem::parse("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;")
                 .expect("parses");
         let propagator = AnfPropagator::new(system.num_vars());
-        let outcome = sat_step(
+        let outcome = SatSearch::new(
             &system,
             &propagator,
             &BosphorusConfig::default(),
             &SolverConfig::xor_gauss(),
-            10_000,
-        );
+        )
+        .run(10_000, &CancelToken::never());
         match outcome.status {
             SatStepStatus::Satisfiable(a) => assert!(system.is_satisfied_by(&a)),
             other => panic!("expected SAT, got {other:?}"),

@@ -88,30 +88,52 @@ pub fn expansion_monomials(vars: &[Var], degree: usize) -> Vec<Monomial> {
     result
 }
 
+/// The paper's uniform subsample of `system` (§II-B): its polynomials in a
+/// random order, cut after the shortest prefix whose linearised size — rows
+/// times the running term count — reaches `2^M`
+/// ([`BosphorusConfig::subsample_m`]).
+///
+/// XL and ElimLin both work on this subsample, and a pass that skips a run
+/// draws it anyway, so the random stream does not depend on skip decisions.
+/// The draws are those of one shuffle of the whole system.
+pub(crate) fn subsample<'a, R: Rng>(
+    system: &'a PolynomialSystem,
+    config: &BosphorusConfig,
+    rng: &mut R,
+) -> Vec<&'a Polynomial> {
+    let budget = 1u128 << config.subsample_m.min(126);
+    let mut selected: Vec<&Polynomial> = system.iter().collect();
+    selected.shuffle(rng);
+    let mut taken = 0usize;
+    let mut terms = 0u128;
+    for poly in &selected {
+        taken += 1;
+        terms += poly.len() as u128;
+        if taken as u128 * terms >= budget {
+            break;
+        }
+    }
+    selected.truncate(taken);
+    selected
+}
+
 /// Runs one round of XL fact learning on `system`.
 ///
-/// The polynomials are subsampled and expanded according to
-/// [`BosphorusConfig::subsample_m`], [`BosphorusConfig::expansion_delta_m`]
-/// and [`BosphorusConfig::xl_degree`]; the random source drives the uniform
+/// The polynomials are subsampled ([`BosphorusConfig::subsample_m`]) and
+/// expanded according to [`BosphorusConfig::expansion_delta_m`] and
+/// [`BosphorusConfig::xl_degree`]; the random source drives the uniform
 /// subsampling.
 ///
 /// Every returned fact is a GF(2) linear combination of (multiples of) input
 /// equations, hence a consequence of the system.
+///
+/// `token` is polled at coarse checkpoints: once per 256 expansion products
+/// and once per elimination sweep (inside the GF(2) kernel). When the token
+/// trips, the round returns with [`XlOutcome::interrupted`] set and **no
+/// facts** — XL's unit of committed work is the whole round, so an
+/// interrupted round contributes nothing and the pipeline simply stops
+/// cleanly after it.
 pub fn xl_learn<R: Rng>(
-    system: &PolynomialSystem,
-    config: &BosphorusConfig,
-    rng: &mut R,
-) -> XlOutcome {
-    xl_learn_cancellable(system, config, rng, &CancelToken::never())
-}
-
-/// Like [`xl_learn`], but polls `token` at coarse checkpoints: once per
-/// 256 expansion products and once per elimination sweep
-/// (inside the GF(2) kernel). When the token trips, the round returns with
-/// [`XlOutcome::interrupted`] set and **no facts** — XL's unit of committed
-/// work is the whole round, so an interrupted round contributes nothing and
-/// the pipeline simply stops cleanly after it.
-pub fn xl_learn_cancellable<R: Rng>(
     system: &PolynomialSystem,
     config: &BosphorusConfig,
     rng: &mut R,
@@ -129,28 +151,14 @@ pub fn xl_learn_cancellable<R: Rng>(
             interrupted: false,
         };
     }
-    let budget = 1u128 << config.subsample_m.min(126);
     let expansion_budget = 1u128 << (config.subsample_m + config.expansion_delta_m).min(126);
-
-    // Uniformly subsample equations until the linearised size reaches ~2^M.
-    let mut selected: Vec<&Polynomial> = system.iter().collect();
-    selected.shuffle(rng);
-    let mut subsample: Vec<Polynomial> = Vec::new();
-    let mut columns_estimate = 0u128;
-    for poly in selected {
-        subsample.push(poly.clone());
-        columns_estimate += poly.len() as u128;
-        let size = subsample.len() as u128 * columns_estimate;
-        if size >= budget {
-            break;
-        }
-    }
+    let mut subsample = subsample(system, config, rng);
 
     // Expand in ascending degree order (the paper selects equations in
     // ascending degree order) by all monomials of degree <= D over the
     // variables that actually occur, stopping when the estimated size
     // exceeds 2^(M + δM).
-    subsample.sort_by_key(Polynomial::degree);
+    subsample.sort_by_key(|p| p.degree());
     let occurring: Vec<Var> = {
         let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
         vars.sort_unstable();
@@ -163,7 +171,7 @@ pub fn xl_learn_cancellable<R: Rng>(
     // matrix row, so the expansion allocates no intermediate copy of the
     // (much larger) expanded system.
     let mut builder = LinearizationBuilder::new();
-    for poly in &subsample {
+    for &poly in &subsample {
         builder.push(poly);
     }
     let mut scratch = TermScratch::new();
@@ -171,7 +179,7 @@ pub fn xl_learn_cancellable<R: Rng>(
     let mut truncated = false;
     let mut checkpoint = token.checkpoint_every(XL_CHECK_INTERVAL);
     let mut interrupted = false;
-    'expansion: for base in &subsample {
+    'expansion: for &base in &subsample {
         for m in &multipliers {
             if checkpoint.check() {
                 interrupted = true;
@@ -322,7 +330,7 @@ mod tests {
         // x1 + 1, x2 and x3.
         let s = system("x1*x2 + x1 + 1; x2*x3 + x3;");
         let mut rng = StdRng::seed_from_u64(7);
-        let outcome = xl_learn(&s, &exhaustive_config(), &mut rng);
+        let outcome = xl_learn(&s, &exhaustive_config(), &mut rng, &CancelToken::never());
         assert!(outcome.facts.contains(&"x1 + 1".parse().expect("parses")));
         assert!(outcome.facts.contains(&"x2".parse().expect("parses")));
         assert!(outcome.facts.contains(&"x3".parse().expect("parses")));
@@ -344,7 +352,7 @@ mod tests {
              x2*x3 + x5 + 1;",
         );
         let mut rng = StdRng::seed_from_u64(7);
-        let outcome = xl_learn(&s, &exhaustive_config(), &mut rng);
+        let outcome = xl_learn(&s, &exhaustive_config(), &mut rng, &CancelToken::never());
         for expected in [
             "x2*x3*x4 + 1",
             "x1*x3*x4 + 1",
@@ -367,7 +375,7 @@ mod tests {
         // Every learnt fact must vanish on every solution of the system.
         let s = system("x0*x1 + x2; x1 + x2 + 1; x0*x2 + x0 + x1;");
         let mut rng = StdRng::seed_from_u64(3);
-        let outcome = xl_learn(&s, &exhaustive_config(), &mut rng);
+        let outcome = xl_learn(&s, &exhaustive_config(), &mut rng, &CancelToken::never());
         let n = s.num_vars();
         for bits in 0u64..(1 << n) {
             let assign: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
@@ -386,7 +394,12 @@ mod tests {
     #[test]
     fn empty_system_learns_nothing() {
         let mut rng = StdRng::seed_from_u64(1);
-        let outcome = xl_learn(&PolynomialSystem::new(), &exhaustive_config(), &mut rng);
+        let outcome = xl_learn(
+            &PolynomialSystem::new(),
+            &exhaustive_config(),
+            &mut rng,
+            &CancelToken::never(),
+        );
         assert!(outcome.facts.is_empty());
         assert_eq!(outcome.expanded_rows, 0);
     }
@@ -400,7 +413,7 @@ mod tests {
             ..BosphorusConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(11);
-        let outcome = xl_learn(&s, &config, &mut rng);
+        let outcome = xl_learn(&s, &config, &mut rng, &CancelToken::never());
         assert!(outcome.subsampled, "a 2^2 budget cannot cover the system");
         // With such a small budget little may be learnt, but whatever is
         // learnt must still be a consequence.
@@ -428,7 +441,7 @@ mod tests {
         let (oracle, rank) = exhaustive_round_oracle(&s, config.xl_degree);
         for seed in [7u64, 13, 2019] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = xl_learn(&s, &config, &mut rng);
+            let outcome = xl_learn(&s, &config, &mut rng, &CancelToken::never());
             assert!(!outcome.subsampled);
             assert_eq!(outcome.facts, oracle, "facts diverge at seed {seed}");
             assert_eq!(outcome.rank, rank);

@@ -49,7 +49,7 @@
 //! the offline-build constraint.
 //!
 //! The produced RREF is **bit-identical** to the schoolbook kernel
-//! ([`BitMatrix::gauss_jordan_plain_with_stats`]): RREF is unique and both
+//! ([`BitMatrix::gauss_jordan_plain`]): RREF is unique and both
 //! kernels order rows canonically (pivot rows sorted by pivot column, zero
 //! rows last). Property tests in `proptests.rs` assert this equivalence,
 //! including at widths 2048, 4096 and non-powers-of-two.
@@ -72,14 +72,14 @@ use crate::{BitMatrix, GaussStats};
 /// of contemporary per-core L2 sizes: underestimating costs a little tiling
 /// overhead, overestimating reintroduces the cache misses the tiling exists
 /// to avoid.
-pub const GF2_L2_CACHE_BYTES: usize = 1024 * 1024;
+pub(crate) const GF2_L2_CACHE_BYTES: usize = 1024 * 1024;
 
 /// Maximum per-table M4RM block width: `2^8 = 256` Gray-code table entries.
 ///
 /// Wider blocks would grow the tables exponentially while the per-row saving
 /// only grows linearly; 8 is also the widest block the `u8`-indexed lookup
 /// of the original M4RI implementation uses per table.
-pub const M4RM_MAX_BLOCK: usize = 8;
+pub(crate) const M4RM_MAX_BLOCK: usize = 8;
 
 /// Matrices whose smaller dimension is below this threshold take the
 /// schoolbook kernel: the Gray-code table setup costs more than it saves
@@ -115,15 +115,7 @@ pub fn m4rm_block_size(nrows: usize, ncols: usize) -> usize {
 /// tables get the whole budget), with a floor of 16 words so the inner loops
 /// keep enough straight-line work to amortise the per-row-per-tile
 /// bookkeeping.
-///
-/// ```
-/// use bosphorus_gf2::blocked_tile_words;
-/// // k = 8: 3 tables x 256 entries x 170 words x 8 bytes <= 1 MiB resident.
-/// assert_eq!(blocked_tile_words(8), 170);
-/// // Smaller tables allow wider tiles.
-/// assert!(blocked_tile_words(4) > blocked_tile_words(8));
-/// ```
-pub fn blocked_tile_words(k: usize) -> usize {
+pub(crate) fn blocked_tile_words(k: usize) -> usize {
     let budget = GF2_L2_CACHE_BYTES;
     let table_entries = 3 * (1usize << k.clamp(1, M4RM_MAX_BLOCK));
     (budget / (table_entries * 8)).max(16)
@@ -138,43 +130,36 @@ impl BitMatrix {
     /// Gray-code tables, and clears every other row with one fused
     /// three-table XOR pass (column-tiled once rows outgrow the L2
     /// estimate). The result is identical to
-    /// [`BitMatrix::gauss_jordan_plain_with_stats`]; only the operation
-    /// schedule differs. This is the kernel
-    /// [`BitMatrix::gauss_jordan_with_stats`] dispatches to for all but tiny
-    /// matrices — see [`select_kernel`](crate::select_kernel).
+    /// [`BitMatrix::gauss_jordan_plain`]; only the operation schedule
+    /// differs. This is the kernel [`BitMatrix::gauss_jordan`] dispatches to
+    /// for all but tiny matrices — see [`select_kernel`](crate::select_kernel).
+    ///
+    /// `token` is polled once per elimination sweep, before the sweep
+    /// starts: a sweep's row updates are the unit of committed work, so no
+    /// row is ever left half updated. On cancellation the elimination stops
+    /// before the next sweep and returns with
+    /// [`GaussStats::interrupted`](crate::GaussStats) set and the pivots
+    /// established so far as the rank; the matrix is then only partially
+    /// reduced and must be treated as scratch.
     ///
     /// ```
     /// use bosphorus_gf2::BitMatrix;
-    /// let mut a = BitMatrix::identity(20);
+    /// use bosphorus_interrupt::CancelToken;
+    /// let mut a = BitMatrix::zero(20, 20);
+    /// for i in 0..20 {
+    ///     a.set(i, i, true);
+    /// }
     /// a.set(0, 19, true);
-    /// let stats = a.gauss_jordan_blocked_m4rm_with_stats(8);
+    /// let stats = a.gauss_jordan_blocked_m4rm(8, &CancelToken::never());
     /// assert_eq!(stats.rank, 20);
-    /// assert_eq!(a, BitMatrix::identity(20));
+    /// assert!(!a.get(0, 19));
     /// ```
-    pub fn gauss_jordan_blocked_m4rm_with_stats(&mut self, block: usize) -> GaussStats {
-        self.gauss_jordan_blocked_m4rm_cancellable(block, &CancelToken::never())
-    }
-
-    /// Like [`BitMatrix::gauss_jordan_blocked_m4rm_with_stats`], polling
-    /// `token` once per elimination sweep, before the sweep starts: a
-    /// sweep's row updates are the unit of committed work, so no row is
-    /// ever left half updated.
-    ///
-    /// On cancellation the elimination stops before the next sweep and
-    /// returns with [`GaussStats::interrupted`](crate::GaussStats) set and
-    /// the pivots established so far as the rank; the matrix is then only
-    /// partially reduced and must be treated as scratch.
-    pub fn gauss_jordan_blocked_m4rm_cancellable(
-        &mut self,
-        block: usize,
-        token: &CancelToken,
-    ) -> GaussStats {
+    pub fn gauss_jordan_blocked_m4rm(&mut self, block: usize, token: &CancelToken) -> GaussStats {
         self.gauss_jordan_blocked_m4rm_in(block, token, &mut KernelScratch::default())
     }
 
-    /// [`BitMatrix::gauss_jordan_blocked_m4rm_cancellable`] with its buffers
-    /// taken from `scratch`, so a caller eliminating many matrices allocates
-    /// them once.
+    /// [`BitMatrix::gauss_jordan_blocked_m4rm`] with its buffers taken from
+    /// `scratch`, so a caller eliminating many matrices allocates them once.
     pub(crate) fn gauss_jordan_blocked_m4rm_in(
         &mut self,
         block: usize,
@@ -746,15 +731,27 @@ fn build_gray_table(
 
 #[cfg(test)]
 mod tests {
+    use bosphorus_interrupt::CancelToken;
+
     use super::{blocked_tile_words, m4rm_block_size, GF2_L2_CACHE_BYTES, M4RM_MAX_BLOCK};
     use crate::testutil::splitmix_matrix;
-    use crate::{BitMatrix, BitVec};
+    use crate::BitMatrix;
+
+    /// Overwrites rows `dup..dup + n` with copies of rows `0..n` and zeroes
+    /// rows `zero..zero + n`.
+    fn duplicate_and_zero_rows(m: &mut BitMatrix, n: usize, dup: usize, zero: usize) {
+        for r in 0..n {
+            let (src, dst) = m.row_pair_mut(r, r + dup);
+            dst.copy_from_slice(src);
+            m.row_words_mut(r + zero).fill(0);
+        }
+    }
 
     fn assert_matches_plain(m: &BitMatrix, k: usize) {
         let mut reference = m.clone();
-        let reference_stats = reference.gauss_jordan_plain_with_stats();
+        let reference_stats = reference.gauss_jordan_plain(&CancelToken::never());
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(k);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm(k, &CancelToken::never());
         assert_eq!(
             blocked_stats.rank,
             reference_stats.rank,
@@ -775,11 +772,7 @@ mod tests {
     /// rank at most 30.
     fn rank_deficient_90x120() -> BitMatrix {
         let mut deficient = splitmix_matrix(90, 120, 13);
-        for r in 0..30 {
-            let dup = deficient.row(r).to_bitvec();
-            deficient.set_row(r + 30, &dup);
-            deficient.set_row(r + 60, &BitVec::zero(120));
-        }
+        duplicate_and_zero_rows(&mut deficient, 30, 30, 60);
         deficient
     }
 
@@ -830,10 +823,12 @@ mod tests {
         let mut bottom_heavy = BitMatrix::zero(5000, 192);
         let dense = splitmix_matrix(100, 192, 42);
         for r in 0..100 {
-            bottom_heavy.set_row(4900 + r, &dense.row(r).to_bitvec());
+            bottom_heavy
+                .row_words_mut(4900 + r)
+                .copy_from_slice(dense.row_words(r));
         }
         let wide = splitmix_matrix(40, 20_480, 77);
-        let auto = |a: &mut BitMatrix| a.gauss_jordan_with_stats();
+        let auto = |a: &mut BitMatrix| a.gauss_jordan(&CancelToken::never());
         assert_eq!(
             kernel_work(&splitmix_matrix(320, 320, 2019), auto),
             (318, 21760, 149, 0x94c5_0d07_d09b_c945)
@@ -860,7 +855,8 @@ mod tests {
         // runs tile by tile.
         assert!(20_480 / 64 > blocked_tile_words(8));
         assert_eq!(
-            kernel_work(&wide, |a| a.gauss_jordan_blocked_m4rm_with_stats(8)),
+            kernel_work(&wide, |a| a
+                .gauss_jordan_blocked_m4rm(8, &CancelToken::never())),
             (40, 1777, 18, 0x40eb_56b5_6a3c_b9b3)
         );
     }
@@ -906,13 +902,18 @@ mod tests {
     fn scattered_pivot_columns_match_plain() {
         for (rows, cols) in [(40usize, 60usize), (200, 300), (700, 1050)] {
             let m = every_third_column_dependent(rows, cols, (rows + cols) as u64);
-            assert_eq!(m.clone().gauss_jordan_plain_with_stats().sweeps, 0);
+            assert_eq!(
+                m.clone().gauss_jordan_plain(&CancelToken::never()).sweeps,
+                0
+            );
             for k in [1usize, 3, 5, 7, 8] {
                 assert_matches_plain(&m, k);
                 // At k = 1 a sweep spans three columns and finds its pivots
                 // in the first two, a contiguous run; wider sweeps skip the
                 // dependent columns between their pivots.
-                let stats = m.clone().gauss_jordan_blocked_m4rm_with_stats(k);
+                let stats = m
+                    .clone()
+                    .gauss_jordan_blocked_m4rm(k, &CancelToken::never());
                 assert!(stats.scattered_sweeps <= stats.sweeps);
                 assert!(
                     k == 1 || stats.scattered_sweeps > 0,
@@ -941,7 +942,7 @@ mod tests {
         assert!(
             deficient
                 .clone()
-                .gauss_jordan_blocked_m4rm_with_stats(8)
+                .gauss_jordan_blocked_m4rm(8, &CancelToken::never())
                 .rank
                 <= 30
         );
@@ -954,16 +955,12 @@ mod tests {
         assert_matches_plain(&splitmix_matrix(200, 40, 7), 6);
         assert_matches_plain(&splitmix_matrix(40, 200, 8), 6);
         let mut deficient = splitmix_matrix(60, 80, 9);
-        for r in 0..20 {
-            let dup = deficient.row(r).to_bitvec();
-            deficient.set_row(r + 20, &dup);
-            deficient.set_row(r + 40, &BitVec::zero(80));
-        }
+        duplicate_and_zero_rows(&mut deficient, 20, 20, 40);
         assert_matches_plain(&deficient, 8);
         assert!(
             deficient
                 .clone()
-                .gauss_jordan_blocked_m4rm_with_stats(8)
+                .gauss_jordan_blocked_m4rm(8, &CancelToken::never())
                 .rank
                 <= 20
         );
@@ -975,9 +972,9 @@ mod tests {
         // several multi-sweep iterations.
         let m = splitmix_matrix(320, 320, 2019);
         let mut plain = m.clone();
-        let plain_stats = plain.gauss_jordan_plain_with_stats();
+        let plain_stats = plain.gauss_jordan_plain(&CancelToken::never());
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(8);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm(8, &CancelToken::never());
         assert_eq!(blocked_stats.rank, plain_stats.rank);
         assert_eq!(blocked, plain);
     }
@@ -986,9 +983,10 @@ mod tests {
     fn stats_rank_matches_plain_and_xors_are_fewer_when_large() {
         let m = splitmix_matrix(512, 512, 42);
         let mut plain = m.clone();
-        let plain_stats = plain.gauss_jordan_plain_with_stats();
+        let plain_stats = plain.gauss_jordan_plain(&CancelToken::never());
         let mut fast = m.clone();
-        let fast_stats = fast.gauss_jordan_blocked_m4rm_with_stats(m4rm_block_size(512, 512));
+        let fast_stats =
+            fast.gauss_jordan_blocked_m4rm(m4rm_block_size(512, 512), &CancelToken::never());
         assert_eq!(fast_stats.rank, plain_stats.rank);
         assert!(
             fast_stats.row_xors * 2 < plain_stats.row_xors,
@@ -1018,16 +1016,26 @@ mod tests {
     /// XORs; an `identity_dim`-square identity is a fixed point of full rank.
     fn assert_degenerate_cases(identity_dim: usize) {
         let mut empty = BitMatrix::zero(0, 0);
-        assert_eq!(empty.gauss_jordan_blocked_m4rm_with_stats(4).rank, 0);
+        assert_eq!(
+            empty
+                .gauss_jordan_blocked_m4rm(4, &CancelToken::never())
+                .rank,
+            0
+        );
         let mut no_cols = BitMatrix::zero(5, 0);
-        assert_eq!(no_cols.gauss_jordan_blocked_m4rm_with_stats(4).rank, 0);
+        assert_eq!(
+            no_cols
+                .gauss_jordan_blocked_m4rm(4, &CancelToken::never())
+                .rank,
+            0
+        );
         let mut zero = BitMatrix::zero(9, 9);
-        let stats = zero.gauss_jordan_blocked_m4rm_with_stats(4);
+        let stats = zero.gauss_jordan_blocked_m4rm(4, &CancelToken::never());
         assert_eq!(stats.rank, 0);
         assert_eq!(stats.row_xors, 0);
         let mut id = BitMatrix::identity(identity_dim);
         assert_eq!(
-            id.gauss_jordan_blocked_m4rm_with_stats(8).rank,
+            id.gauss_jordan_blocked_m4rm(8, &CancelToken::never()).rank,
             identity_dim
         );
         assert_eq!(id, BitMatrix::identity(identity_dim));
@@ -1067,12 +1075,11 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_interrupts_before_any_sweep() {
-        use bosphorus_interrupt::CancelToken;
         let token = CancelToken::new();
         token.cancel();
         let m = splitmix_matrix(96, 256, 9);
         let mut a = m.clone();
-        let stats = a.gauss_jordan_blocked_m4rm_cancellable(8, &token);
+        let stats = a.gauss_jordan_blocked_m4rm(8, &token);
         assert!(stats.interrupted);
         assert_eq!(stats.rank, 0, "no pivots established");
         assert_eq!(a, m, "no sweep ran, matrix untouched");
@@ -1080,13 +1087,12 @@ mod tests {
 
     #[test]
     fn mid_run_cancellation_stops_between_sweeps() {
-        use bosphorus_interrupt::CancelToken;
         // 320x320 at k=8 needs several sweeps (24 pivots each); tripping
         // the token on its second poll stops after exactly one sweep, with
         // the partial pivot count as the rank.
         let token = CancelToken::new().cancel_after_checks(2);
         let mut m = splitmix_matrix(320, 320, 2019);
-        let stats = m.gauss_jordan_blocked_m4rm_cancellable(8, &token);
+        let stats = m.gauss_jordan_blocked_m4rm(8, &token);
         assert!(stats.interrupted);
         assert!(stats.rank > 0, "one sweep committed");
         assert!(
@@ -1098,12 +1104,12 @@ mod tests {
 
     #[test]
     fn never_token_elimination_is_unchanged() {
-        use bosphorus_interrupt::CancelToken;
+        // A live token that never trips does the work of the never token.
         let m = splitmix_matrix(96, 256, 9);
         let mut plain = m.clone();
-        let plain_stats = plain.gauss_jordan_blocked_m4rm_with_stats(8);
+        let plain_stats = plain.gauss_jordan_blocked_m4rm(8, &CancelToken::never());
         let mut cancellable = m.clone();
-        let stats = cancellable.gauss_jordan_blocked_m4rm_cancellable(8, &CancelToken::never());
+        let stats = cancellable.gauss_jordan_blocked_m4rm(8, &CancelToken::new());
         assert!(!stats.interrupted);
         assert_eq!(stats, plain_stats);
         assert_eq!(cancellable, plain);
@@ -1111,6 +1117,10 @@ mod tests {
 
     #[test]
     fn tile_words_track_the_cache_budget() {
+        // k = 8: 3 tables x 256 entries x 170 words x 8 bytes <= 1 MiB
+        // resident; smaller tables allow wider tiles.
+        assert_eq!(blocked_tile_words(8), 170);
+        assert!(blocked_tile_words(4) > blocked_tile_words(8));
         for k in 1..=8usize {
             let tile = blocked_tile_words(k);
             assert!(tile >= 16);

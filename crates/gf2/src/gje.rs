@@ -1,22 +1,21 @@
-//! Gauss–Jordan elimination, rank, kernel and linear-system solving.
+//! Gauss–Jordan elimination.
 //!
-//! Two elimination kernels sit behind one API: the schoolbook kernel
-//! ([`BitMatrix::gauss_jordan_plain_with_stats`], kept as the reference
+//! Two elimination kernels sit behind one entry point: the schoolbook
+//! kernel ([`BitMatrix::gauss_jordan_plain`], kept as the reference
 //! baseline) and the cache-blocked multi-table M4RM kernel
-//! ([`BitMatrix::gauss_jordan_blocked_m4rm_with_stats`]). Both produce
-//! bit-identical RREF; [`BitMatrix::gauss_jordan_with_stats`] picks between
-//! them with [`select_kernel`], so `rank`, `rref`, `kernel` and `solve` all
-//! ride on the fast path.
+//! ([`BitMatrix::gauss_jordan_blocked_m4rm`]). Both produce bit-identical
+//! RREF; [`BitMatrix::gauss_jordan`] picks between them with
+//! [`select_kernel`].
 
 use bosphorus_interrupt::CancelToken;
 
 use crate::blocked::{m4rm_block_size, KernelScratch, M4RM_MIN_DIM};
-use crate::{BitMatrix, BitVec};
+use crate::BitMatrix;
 
 /// The elimination kernel [`select_kernel`] picked for a matrix shape.
 ///
 /// Mostly useful for tests and diagnostics: production callers go through
-/// [`BitMatrix::gauss_jordan_with_stats`], which consults [`select_kernel`]
+/// [`BitMatrix::gauss_jordan`], which consults [`select_kernel`]
 /// internally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
@@ -40,11 +39,9 @@ pub enum KernelChoice {
 ///   costs more to set up than it saves when only a handful of rows need
 ///   clearing per block.
 /// * **Everything else**: the cache-blocked multi-table kernel with the
-///   [`m4rm_block_size`] per-table width. The cache estimate
-///   [`GF2_L2_CACHE_BYTES`](crate::GF2_L2_CACHE_BYTES) steers the *shape*
-///   of its work: matrices wider than
-///   [`blocked_tile_words`](crate::blocked_tile_words) have their updates
-///   column-tiled so all three Gray-code tables stay L2-resident.
+///   [`m4rm_block_size`] per-table width. A per-core L2 estimate steers
+///   the *shape* of its work: rows too wide for all three Gray-code tables
+///   to stay L2-resident have their updates column-tiled.
 ///
 /// ```
 /// use bosphorus_gf2::{select_kernel, KernelChoice};
@@ -62,7 +59,7 @@ pub fn select_kernel(nrows: usize, ncols: usize) -> KernelChoice {
     }
 }
 
-/// Statistics reported by the `*_with_stats` elimination entry points.
+/// Statistics reported by the elimination entry points.
 ///
 /// The Bosphorus engine uses these to report how much work each XL / ElimLin
 /// round performed.
@@ -104,82 +101,55 @@ impl GaussStats {
     }
 }
 
-/// Result of solving a linear system `A x = b` over GF(2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SolveOutcome {
-    /// The system has at least one solution; a particular solution is given.
-    Solution(BitVec),
-    /// The system is inconsistent (a row reduces to `0 = 1`).
-    Inconsistent,
-}
-
 impl BitMatrix {
     /// Performs in-place Gauss–Jordan elimination, bringing the matrix into
-    /// reduced row-echelon form (RREF), and returns the rank.
+    /// reduced row-echelon form (RREF), and reports the rank and the
+    /// operation counts.
     ///
     /// Pivot columns are chosen left to right; after the call every pivot
     /// column contains exactly one `1` and pivot rows are sorted by pivot
-    /// column, followed by all-zero rows.
+    /// column, followed by all-zero rows. The kernel is the one
+    /// [`select_kernel`] picks — schoolbook for tiny matrices, the
+    /// cache-blocked multi-table kernel for everything else. Both produce
+    /// bit-identical RREF, so callers only ever observe a change in speed.
     ///
-    /// Dispatches to the blocked Method-of-Four-Russians kernel for all but
-    /// tiny matrices; see [`BitMatrix::gauss_jordan_with_stats`].
+    /// `token` is polled at coarse checkpoints (once per elimination sweep
+    /// for the blocked kernel, once per pivot column for the schoolbook
+    /// kernel). On cancellation the elimination stops between sweeps and
+    /// returns with [`GaussStats::interrupted`] set; the matrix is then only
+    /// partially reduced, so callers must treat it as scratch and discard
+    /// any facts they would otherwise read from the RREF.
     ///
     /// # Examples
     ///
     /// ```
     /// use bosphorus_gf2::BitMatrix;
-    /// let mut m = BitMatrix::from_dense(&[
-    ///     vec![true, true, false],
-    ///     vec![true, true, true],
-    ///     vec![false, false, true],
-    /// ]);
-    /// assert_eq!(m.gauss_jordan(), 2);
+    /// use bosphorus_interrupt::CancelToken;
+    /// // x0 + x1 = 0 and x0 + x1 + x2 = 0 reduce to x0 + x1 = 0, x2 = 0.
+    /// let mut m = BitMatrix::zero(3, 3);
+    /// for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)] {
+    ///     m.set(r, c, true);
+    /// }
+    /// let stats = m.gauss_jordan(&CancelToken::never());
+    /// assert_eq!(stats.rank, 2);
+    /// assert_eq!(m.row(0).to_string(), "110");
+    /// assert_eq!(m.row(1).to_string(), "001");
+    /// assert!(m.row(2).is_zero());
     /// ```
-    pub fn gauss_jordan(&mut self) -> usize {
-        self.gauss_jordan_with_stats().rank
-    }
-
-    /// Like [`BitMatrix::gauss_jordan`] but also reports operation counts.
-    ///
-    /// This is the unified elimination entry point: it dispatches on
-    /// [`select_kernel`] — schoolbook for tiny matrices, the cache-blocked
-    /// multi-table kernel for everything else. Both kernels produce
-    /// bit-identical RREF, so callers only ever observe a change in speed.
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitMatrix;
-    /// let mut m = BitMatrix::identity(100);
-    /// m.set(99, 0, true);
-    /// let stats = m.gauss_jordan_with_stats();
-    /// assert_eq!(stats.rank, 100);
-    /// assert_eq!(m, BitMatrix::identity(100));
-    /// ```
-    pub fn gauss_jordan_with_stats(&mut self) -> GaussStats {
-        self.gauss_jordan_cancellable(&CancelToken::never())
-    }
-
-    /// Like [`BitMatrix::gauss_jordan_with_stats`], polling `token` at
-    /// coarse checkpoints (once per elimination sweep for the blocked
-    /// kernel, once per pivot column for the schoolbook kernel).
-    ///
-    /// On cancellation the elimination stops between sweeps and returns
-    /// with [`GaussStats::interrupted`] set; the matrix is then only
-    /// partially reduced, so callers must treat it as scratch and discard
-    /// any facts they would otherwise read from the RREF.
-    pub fn gauss_jordan_cancellable(&mut self, token: &CancelToken) -> GaussStats {
+    pub fn gauss_jordan(&mut self, token: &CancelToken) -> GaussStats {
         self.gauss_jordan_in(token, &mut KernelScratch::default())
     }
 
-    /// [`BitMatrix::gauss_jordan_cancellable`] with the blocked kernel's
-    /// buffers taken from `scratch` (the sparse presolve eliminates many
-    /// cores per call through one).
+    /// [`BitMatrix::gauss_jordan`] with the blocked kernel's buffers taken
+    /// from `scratch` (the sparse presolve eliminates many cores per call
+    /// through one).
     pub(crate) fn gauss_jordan_in(
         &mut self,
         token: &CancelToken,
         scratch: &mut KernelScratch,
     ) -> GaussStats {
         match select_kernel(self.nrows(), self.ncols()) {
-            KernelChoice::Plain => self.gauss_jordan_plain_cancellable(token),
+            KernelChoice::Plain => self.gauss_jordan_plain(token),
             KernelChoice::BlockedM4rm { block } => {
                 self.gauss_jordan_blocked_m4rm_in(block, token, scratch)
             }
@@ -187,19 +157,12 @@ impl BitMatrix {
     }
 
     /// Schoolbook Gauss–Jordan elimination: one pivot column at a time, one
-    /// row XOR per offending row.
+    /// row XOR per offending row, polling `token` once per pivot column.
     ///
     /// Kept as the reference the M4RM kernel is checked and benchmarked
-    /// against (`gje_kernels` bench); production callers should use
-    /// [`BitMatrix::gauss_jordan_with_stats`] instead.
-    pub fn gauss_jordan_plain_with_stats(&mut self) -> GaussStats {
-        self.gauss_jordan_plain_cancellable(&CancelToken::never())
-    }
-
-    /// Like [`BitMatrix::gauss_jordan_plain_with_stats`], polling `token`
-    /// once per pivot column (the schoolbook kernel only runs on tiny
-    /// matrices, so per-column polling is already coarse).
-    pub fn gauss_jordan_plain_cancellable(&mut self, token: &CancelToken) -> GaussStats {
+    /// against (`gje_bench`); production callers should use
+    /// [`BitMatrix::gauss_jordan`] instead.
+    pub fn gauss_jordan_plain(&mut self, token: &CancelToken) -> GaussStats {
         let mut stats = GaussStats::default();
         let nrows = self.nrows();
         let ncols = self.ncols();
@@ -233,137 +196,19 @@ impl BitMatrix {
         stats
     }
 
-    /// Returns the rank of the matrix without modifying it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitMatrix;
-    /// assert_eq!(BitMatrix::identity(17).rank(), 17);
-    /// assert_eq!(BitMatrix::zero(5, 9).rank(), 0);
-    /// ```
-    pub fn rank(&self) -> usize {
-        self.clone().gauss_jordan()
+    /// The rank of the matrix, which is left unchanged.
+    #[cfg(test)]
+    pub(crate) fn rank(&self) -> usize {
+        self.rref().1
     }
 
-    /// Returns the reduced row-echelon form of the matrix without modifying
-    /// it, together with its rank.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitMatrix;
-    /// // x0 + x1 = 0 and x1 = 0 reduce to the unit facts x0 = 0, x1 = 0.
-    /// let m = BitMatrix::from_dense(&[vec![true, true], vec![false, true]]);
-    /// let (rref, rank) = m.rref();
-    /// assert_eq!(rank, 2);
-    /// assert_eq!(rref, BitMatrix::identity(2));
-    /// ```
-    pub fn rref(&self) -> (BitMatrix, usize) {
+    /// The reduced row-echelon form of the matrix and its rank; the matrix
+    /// is left unchanged.
+    #[cfg(test)]
+    pub(crate) fn rref(&self) -> (BitMatrix, usize) {
         let mut m = self.clone();
-        let rank = m.gauss_jordan();
+        let rank = m.gauss_jordan(&CancelToken::never()).rank;
         (m, rank)
-    }
-
-    /// Returns the pivot column index of each pivot row, assuming the matrix
-    /// is already in reduced row-echelon form (e.g. after
-    /// [`BitMatrix::gauss_jordan`]).
-    pub fn pivot_columns(&self) -> Vec<usize> {
-        self.iter().filter_map(|row| row.first_one()).collect()
-    }
-
-    /// Computes a basis of the right kernel (null space) of the matrix.
-    ///
-    /// Every returned vector `v` satisfies `self * v = 0`. The basis has
-    /// `ncols - rank` elements.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitMatrix;
-    /// let m = BitMatrix::from_dense(&[vec![true, true, false]]);
-    /// let kernel = m.kernel();
-    /// assert_eq!(kernel.len(), 2);
-    /// for v in &kernel {
-    ///     assert!(m.mul_vec(v).is_zero());
-    /// }
-    /// ```
-    pub fn kernel(&self) -> Vec<BitVec> {
-        let (rref, rank) = self.rref();
-        let ncols = self.ncols();
-        let pivots = rref.pivot_columns();
-        let is_pivot: Vec<bool> = {
-            let mut v = vec![false; ncols];
-            for &p in &pivots {
-                v[p] = true;
-            }
-            v
-        };
-        // Building a basis vector reads a whole *column* of the RREF (the
-        // free column's coefficients in every pivot row). The arena's fixed
-        // row stride makes that one direct word probe per pivot row — no
-        // transposed copy of the whole RREF needs materialising, which for
-        // the paper-scale XL matrices (thousands of rows, tens of thousands
-        // of columns) used to double the working set. Only the first `rank`
-        // rows need probing: zero rows have no ones.
-        let word = |free_col: usize| free_col / 64;
-        let bit = |free_col: usize| free_col % 64;
-        let mut basis = Vec::with_capacity(ncols - rank);
-        for free_col in (0..ncols).filter(|&c| !is_pivot[c]) {
-            let mut v = BitVec::zero(ncols);
-            v.set(free_col, true);
-            for (row_idx, &pivot_col) in pivots.iter().enumerate() {
-                if (rref.row_words(row_idx)[word(free_col)] >> bit(free_col)) & 1 == 1 {
-                    v.set(pivot_col, true);
-                }
-            }
-            basis.push(v);
-        }
-        basis
-    }
-
-    /// Solves `self * x = b` over GF(2), returning a particular solution when
-    /// one exists.
-    ///
-    /// The augmented matrix `[A | b]` is assembled with the word-level
-    /// [`BitMatrix::hstack`] row copies, then eliminated with the default
-    /// kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.nrows()`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bosphorus_gf2::{BitMatrix, BitVec, SolveOutcome};
-    /// // x0 + x1 = 1, x1 = 1  ->  x0 = 0, x1 = 1.
-    /// let a = BitMatrix::from_dense(&[vec![true, true], vec![false, true]]);
-    /// let b = BitVec::from_bits([true, true]);
-    /// match a.solve(&b) {
-    ///     SolveOutcome::Solution(x) => assert_eq!(a.mul_vec(&x), b),
-    ///     SolveOutcome::Inconsistent => unreachable!(),
-    /// }
-    /// ```
-    pub fn solve(&self, b: &BitVec) -> SolveOutcome {
-        assert_eq!(
-            b.len(),
-            self.nrows(),
-            "right-hand side length must equal the row count"
-        );
-        let ncols = self.ncols();
-        let mut aug = self.hstack(&BitMatrix::column_vector(b));
-        aug.gauss_jordan();
-        let mut x = BitVec::zero(ncols);
-        for row in aug.iter() {
-            match row.first_one() {
-                None => {}
-                Some(p) if p == ncols => return SolveOutcome::Inconsistent,
-                Some(p) if row.get(ncols) => x.set(p, true),
-                Some(_) => {}
-            }
-        }
-        SolveOutcome::Solution(x)
     }
 }
 
@@ -396,7 +241,7 @@ mod tests {
         // Reproduces Table I(b): after GJE the last three non-zero rows are
         // x1 + 1, x2, and x3 (i.e. facts x1=1, x2=0, x3=0).
         let mut m = paper_table1_matrix();
-        let rank = m.gauss_jordan();
+        let rank = m.gauss_jordan(&CancelToken::never()).rank;
         assert_eq!(rank, 6);
         let rows: Vec<String> = m
             .iter()
@@ -411,9 +256,9 @@ mod tests {
     #[test]
     fn gje_idempotent() {
         let mut m = paper_table1_matrix();
-        m.gauss_jordan();
+        m.gauss_jordan(&CancelToken::never());
         let once = m.clone();
-        m.gauss_jordan();
+        m.gauss_jordan(&CancelToken::never());
         assert_eq!(m, once);
     }
 
@@ -436,63 +281,10 @@ mod tests {
             }
         }
         let mut plain = wide.clone();
-        let plain_stats = plain.gauss_jordan_plain_with_stats();
-        let stats = wide.gauss_jordan_with_stats();
+        let plain_stats = plain.gauss_jordan_plain(&CancelToken::never());
+        let stats = wide.gauss_jordan(&CancelToken::never());
         assert_eq!(stats.rank, plain_stats.rank);
         assert_eq!(wide, plain);
-    }
-
-    #[test]
-    fn kernel_dimension_and_membership() {
-        let m = BitMatrix::from_dense(&[
-            vec![true, true, false, false],
-            vec![false, true, true, false],
-        ]);
-        let k = m.kernel();
-        assert_eq!(k.len(), 2);
-        for v in &k {
-            assert!(m.mul_vec(v).is_zero());
-        }
-    }
-
-    #[test]
-    fn solve_consistent_system() {
-        // x0 + x1 = 1, x1 = 1  ->  x0 = 0, x1 = 1
-        let m = BitMatrix::from_dense(&[vec![true, true], vec![false, true]]);
-        let b = BitVec::from_bits([true, true]);
-        match m.solve(&b) {
-            SolveOutcome::Solution(x) => {
-                assert_eq!(m.mul_vec(&x), b);
-                assert!(!x.get(0));
-                assert!(x.get(1));
-            }
-            SolveOutcome::Inconsistent => panic!("system should be consistent"),
-        }
-    }
-
-    #[test]
-    fn solve_inconsistent_system() {
-        // x0 = 0 and x0 = 1.
-        let m = BitMatrix::from_dense(&[vec![true], vec![true]]);
-        let b = BitVec::from_bits([false, true]);
-        assert_eq!(m.solve(&b), SolveOutcome::Inconsistent);
-    }
-
-    #[test]
-    fn solve_across_word_boundary_widths() {
-        for &n in &[63usize, 64, 65, 127] {
-            let mut m = BitMatrix::identity(n);
-            // Mix in some off-diagonal structure.
-            for r in 1..n {
-                m.set(r, r - 1, true);
-            }
-            let x = BitVec::from_bits((0..n).map(|i| i % 3 == 0));
-            let b = m.mul_vec(&x);
-            match m.solve(&b) {
-                SolveOutcome::Solution(sol) => assert_eq!(m.mul_vec(&sol), b, "width {n}"),
-                SolveOutcome::Inconsistent => panic!("consistent by construction (width {n})"),
-            }
-        }
     }
 
     #[test]
@@ -501,7 +293,9 @@ mod tests {
         let (plain, rank_plain) = m.rref();
         for block in [1usize, 2, 3, 8, 16] {
             let mut b = m.clone();
-            let rank_b = b.gauss_jordan_blocked_m4rm_with_stats(block).rank;
+            let rank_b = b
+                .gauss_jordan_blocked_m4rm(block, &CancelToken::never())
+                .rank;
             assert_eq!(rank_b, rank_plain, "rank mismatch for block {block}");
             assert_eq!(b, plain, "RREF mismatch for block {block}");
         }
@@ -510,7 +304,7 @@ mod tests {
     #[test]
     fn blocked_gje_reports_stats() {
         let mut m = paper_table1_matrix();
-        let stats = m.gauss_jordan_blocked_m4rm_with_stats(4);
+        let stats = m.gauss_jordan_blocked_m4rm(4, &CancelToken::never());
         assert_eq!(stats.rank, 6);
         assert!(stats.row_xors > 0, "elimination work must be counted");
     }
@@ -518,7 +312,7 @@ mod tests {
     #[test]
     fn stats_counts_operations() {
         let mut m = BitMatrix::from_dense(&[vec![false, true], vec![true, false]]);
-        let stats = m.gauss_jordan_with_stats();
+        let stats = m.gauss_jordan(&CancelToken::never());
         assert_eq!(stats.rank, 2);
         assert_eq!(stats.row_swaps, 1);
         assert_eq!(stats.row_xors, 0);
@@ -580,9 +374,9 @@ mod tests {
         assert_eq!(select_kernel(100, 4096), blocked(5));
         // The dispatcher must agree with the choice (rank sanity check).
         let mut m = BitMatrix::identity(64);
-        assert_eq!(m.gauss_jordan_with_stats().rank, 64);
+        assert_eq!(m.gauss_jordan(&CancelToken::never()).rank, 64);
         let mut m2 = BitMatrix::identity(4096);
-        assert_eq!(m2.gauss_jordan_with_stats().rank, 4096);
+        assert_eq!(m2.gauss_jordan(&CancelToken::never()).rank, 4096);
     }
 
     #[test]
@@ -594,7 +388,8 @@ mod tests {
         for block in [0usize, 1, 8, 100] {
             let mut b = m.clone();
             assert_eq!(
-                b.gauss_jordan_blocked_m4rm_with_stats(block).rank,
+                b.gauss_jordan_blocked_m4rm(block, &CancelToken::never())
+                    .rank,
                 rank,
                 "block {block}"
             );
@@ -605,7 +400,7 @@ mod tests {
     #[test]
     fn pivot_columns_after_rref() {
         let (rref, _) = paper_table1_matrix().rref();
-        let pivots = rref.pivot_columns();
+        let pivots: Vec<usize> = rref.iter().filter_map(|row| row.first_one()).collect();
         assert_eq!(pivots.len(), 6);
         assert!(pivots.windows(2).all(|w| w[0] < w[1]));
     }

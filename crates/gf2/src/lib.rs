@@ -1,34 +1,38 @@
-//! Dense linear algebra over GF(2), the Galois field of two elements.
+//! Gauss–Jordan elimination over GF(2), the Galois field of two elements.
 //!
-//! This crate is the reproduction's stand-in for the M4RI library used by the
-//! original Bosphorus tool. It provides a bit-packed dense matrix type,
-//! [`BitMatrix`], together with Gauss–Jordan elimination, rank computation,
-//! kernel bases and linear system solving. Everything operates on rows packed
-//! 64 columns per `u64` word, so elementary row operations are word-parallel
-//! XORs.
+//! XL and ElimLin (§II-B/C of the paper) need one thing from linear
+//! algebra: the reduced row-echelon form of a linearised system. The
+//! original Bosphorus tool calls the M4RI library for it; this crate is the
+//! reproduction's elimination, and nothing more.
 //!
-//! Two elimination kernels sit behind one API, picked automatically by
-//! [`select_kernel`] from the matrix shape:
+//! * [`SparseMatrix::rref`] runs exact structural reductions on the sparse
+//!   rows a linearisation produces and hands only the residual cores to a
+//!   dense kernel (`sparse.rs`).
+//! * [`BitMatrix`] stores its rows packed 64 columns per `u64` word in one
+//!   contiguous arena, so elementary row operations are word-parallel XORs
+//!   and the kernels eliminate in place. [`BitMatrix::gauss_jordan`] picks
+//!   one of two kernels with [`select_kernel`] from the matrix shape:
+//!   * a **schoolbook** reference kernel for tiny matrices
+//!     ([`BitMatrix::gauss_jordan_plain`]),
+//!   * a **cache-blocked multi-table Method of the Four Russians** (M4RM)
+//!     kernel for everything else
+//!     ([`BitMatrix::gauss_jordan_blocked_m4rm`]): pivot columns
+//!     processed in Gray-code blocks of up to 8 per table (see
+//!     [`m4rm_block_size`]), three tables per sweep so each non-pivot row
+//!     is cleared with one fused word-parallel XOR per `3k` columns, and
+//!     column-tiled row updates sized to a per-core L2 estimate (see
+//!     `blocked.rs` and `crates/bench/DESIGN.md`).
 //!
-//! * a **schoolbook** reference kernel for tiny matrices,
-//! * a **cache-blocked multi-table Method of the Four Russians** (M4RM)
-//!   kernel for everything else: pivot columns processed in Gray-code
-//!   blocks of up to 8 per table (see [`m4rm_block_size`]), three tables
-//!   per sweep so each non-pivot row is cleared with one fused
-//!   word-parallel XOR per `3k` columns, column-tiled row updates sized to
-//!   [`GF2_L2_CACHE_BYTES`], all in place over the matrix arena (see
-//!   `blocked.rs` and `crates/bench/DESIGN.md`).
+//!   Both produce bit-identical RREF.
 //!
-//! Both produce bit-identical RREF, so `gauss_jordan`, `rank`, `rref`,
-//! `kernel` and `solve` all ride on the fast path transparently.
-//! [`BitMatrix`] stores its rows in one contiguous `Vec<u64>` arena with a
-//! fixed per-row word stride, which is what lets the blocked kernel
-//! eliminate in place without copying.
+//! Every entry point takes a [`CancelToken`](bosphorus_interrupt::CancelToken)
+//! and polls it at coarse checkpoints.
 //!
 //! # Examples
 //!
 //! ```
 //! use bosphorus_gf2::BitMatrix;
+//! use bosphorus_interrupt::CancelToken;
 //!
 //! // The linearised system from Table I of the paper has 7 rows over
 //! // 8 monomial columns; here is a tiny 3x4 system instead.
@@ -39,8 +43,8 @@
 //! m.set(1, 3, true);
 //! m.set(2, 0, true);
 //! m.set(2, 1, true);
-//! let rank = m.gauss_jordan();
-//! assert_eq!(rank, 2);
+//! let stats = m.gauss_jordan(&CancelToken::never());
+//! assert_eq!(stats.rank, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,11 +56,11 @@ mod matrix;
 pub mod sparse;
 mod vector;
 
-pub use blocked::{blocked_tile_words, m4rm_block_size, GF2_L2_CACHE_BYTES, M4RM_MAX_BLOCK};
-pub use gje::{select_kernel, GaussStats, KernelChoice, SolveOutcome};
-pub use matrix::{BitMatrix, RowRef};
+pub use blocked::m4rm_block_size;
+pub use gje::{select_kernel, GaussStats, KernelChoice};
+pub use matrix::BitMatrix;
 pub use sparse::{PresolveStats, RowShape, SparseMatrix, SparseRref};
-pub use vector::BitVec;
+pub use vector::RowRef;
 
 #[cfg(test)]
 mod proptests;

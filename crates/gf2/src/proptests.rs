@@ -2,18 +2,17 @@
 
 use proptest::prelude::*;
 
+use bosphorus_interrupt::CancelToken;
+
 use crate::sparse::{SparseMatrix, SparseRref};
-use crate::{BitMatrix, BitVec, SolveOutcome};
+use crate::vector::{first_one_in_range_words, xor_words};
+use crate::BitMatrix;
 
 fn arb_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = BitMatrix> {
     (1..=max_rows, 1..=max_cols).prop_flat_map(|(r, c)| {
         proptest::collection::vec(proptest::collection::vec(any::<bool>(), c), r)
             .prop_map(move |rows| BitMatrix::from_dense(&rows))
     })
-}
-
-fn arb_vec(len: usize) -> impl Strategy<Value = BitVec> {
-    proptest::collection::vec(any::<bool>(), len).prop_map(BitVec::from_bits)
 }
 
 /// The non-zero rows of the dense-path RREF as ascending column-id lists —
@@ -38,6 +37,15 @@ fn sparse_from_dense(m: &BitMatrix) -> SparseMatrix {
     SparseMatrix::from_rows(m.ncols(), rows)
 }
 
+/// `len` bits packed LSB first, bit `i` taken from bit `i % 64` of `seed`.
+fn seeded_words(len: usize, seed: u64) -> Vec<u64> {
+    let mut words = vec![0u64; len.div_ceil(64)];
+    for i in (0..len).filter(|&i| (seed >> (i % 64)) & 1 == 1) {
+        words[i / 64] |= 1 << (i % 64);
+    }
+    words
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -45,11 +53,11 @@ proptest! {
     #[test]
     fn rank_bounded_and_gje_idempotent(m in arb_matrix(12, 20)) {
         let mut a = m.clone();
-        let rank = a.gauss_jordan();
+        let rank = a.gauss_jordan(&CancelToken::never()).rank;
         prop_assert!(rank <= m.nrows());
         prop_assert!(rank <= m.ncols());
         let frozen = a.clone();
-        a.gauss_jordan();
+        a.gauss_jordan(&CancelToken::never());
         prop_assert_eq!(a, frozen);
     }
 
@@ -58,20 +66,15 @@ proptest! {
     #[test]
     fn gje_preserves_row_space(m in arb_matrix(10, 16)) {
         let (rref, _) = m.rref();
-        let pivot_rows: Vec<BitVec> = rref
-            .iter()
-            .filter(|r| !r.is_zero())
-            .map(|r| r.to_bitvec())
-            .collect();
         for row in m.iter() {
-            let mut residual = row.to_bitvec();
-            for p in &pivot_rows {
+            let mut residual = row.words().to_vec();
+            for p in rref.iter().filter(|r| !r.is_zero()) {
                 let pivot_col = p.first_one().expect("pivot row is non-zero");
-                if residual.get(pivot_col) {
-                    residual.xor_assign(p);
+                if (residual[pivot_col / 64] >> (pivot_col % 64)) & 1 == 1 {
+                    xor_words(&mut residual, p.words());
                 }
             }
-            prop_assert!(residual.is_zero(), "row {row} not in RREF row space");
+            prop_assert!(residual.iter().all(|&w| w == 0), "row {row} not in RREF row space");
         }
     }
 
@@ -79,37 +82,11 @@ proptest! {
     #[test]
     fn rref_pivot_columns_are_unit(m in arb_matrix(10, 16)) {
         let (rref, rank) = m.rref();
-        let pivots = rref.pivot_columns();
+        let pivots: Vec<usize> = rref.iter().filter_map(|row| row.first_one()).collect();
         prop_assert_eq!(pivots.len(), rank);
         for &p in &pivots {
             let ones = rref.iter().filter(|r| r.get(p)).count();
             prop_assert_eq!(ones, 1, "pivot column {} not unit", p);
-        }
-    }
-
-    /// Kernel vectors really are in the kernel, and the rank–nullity theorem
-    /// holds.
-    #[test]
-    fn kernel_membership_and_rank_nullity(m in arb_matrix(10, 14)) {
-        let kernel = m.kernel();
-        prop_assert_eq!(kernel.len(), m.ncols() - m.rank());
-        for v in &kernel {
-            prop_assert!(m.mul_vec(v).is_zero());
-        }
-    }
-
-    /// Any solution returned by `solve` satisfies the system, and a
-    /// right-hand side built from a known assignment is always solvable.
-    #[test]
-    fn solve_known_consistent_systems(m in arb_matrix(10, 14), seed in any::<u64>()) {
-        let mut x = BitVec::zero(m.ncols());
-        for i in 0..m.ncols() {
-            x.set(i, (seed >> (i % 64)) & 1 == 1);
-        }
-        let b = m.mul_vec(&x);
-        match m.solve(&b) {
-            SolveOutcome::Solution(sol) => prop_assert_eq!(m.mul_vec(&sol), b),
-            SolveOutcome::Inconsistent => prop_assert!(false, "constructed system must be consistent"),
         }
     }
 
@@ -118,7 +95,7 @@ proptest! {
     fn blocked_gje_agrees_with_plain(m in arb_matrix(12, 20), block in 1usize..10) {
         let (plain, rank) = m.rref();
         let mut blocked = m.clone();
-        let blocked_rank = blocked.gauss_jordan_blocked_m4rm_with_stats(block).rank;
+        let blocked_rank = blocked.gauss_jordan_blocked_m4rm(block, &CancelToken::never()).rank;
         prop_assert_eq!(blocked_rank, rank);
         prop_assert_eq!(blocked, plain);
     }
@@ -140,16 +117,13 @@ proptest! {
         let mut m = crate::testutil::splitmix_matrix(rows, cols, seed);
         if dup && rows >= 2 {
             // Force rank deficiency: duplicate the first row over the last.
-            let first = m.row(0).to_bitvec();
-            let last = rows - 1;
-            for c in 0..cols {
-                m.set(last, c, first.get(c));
-            }
+            let (first, last) = m.row_pair_mut(0, rows - 1);
+            last.copy_from_slice(first);
         }
         let mut plain = m.clone();
-        let plain_stats = plain.gauss_jordan_plain_with_stats();
+        let plain_stats = plain.gauss_jordan_plain(&CancelToken::never());
         let mut fast = m.clone();
-        let fast_stats = fast.gauss_jordan_blocked_m4rm_with_stats(8);
+        let fast_stats = fast.gauss_jordan_blocked_m4rm(8, &CancelToken::never());
         prop_assert_eq!(fast_stats.rank, plain_stats.rank);
         prop_assert_eq!(fast.rank(), plain_stats.rank);
         prop_assert_eq!(fast, plain);
@@ -168,16 +142,14 @@ proptest! {
         let mut m = m;
         if dup && m.nrows() >= 2 {
             // Force rank deficiency: overwrite the last row with the first.
-            let first = m.row(0).to_bitvec();
             let last = m.nrows() - 1;
-            for c in 0..m.ncols() {
-                m.set(last, c, first.get(c));
-            }
+            let (first, last) = m.row_pair_mut(0, last);
+            last.copy_from_slice(first);
         }
         let mut reference = m.clone();
-        let reference_stats = reference.gauss_jordan_plain_with_stats();
+        let reference_stats = reference.gauss_jordan_plain(&CancelToken::never());
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(block);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm(block, &CancelToken::never());
         prop_assert_eq!(blocked_stats.rank, reference_stats.rank);
         prop_assert_eq!(blocked, reference);
     }
@@ -196,9 +168,9 @@ proptest! {
         let cols = WIDTHS[width_idx];
         let m = crate::testutil::splitmix_matrix(rows, cols, seed);
         let mut reference = m.clone();
-        let reference_stats = reference.gauss_jordan_plain_with_stats();
+        let reference_stats = reference.gauss_jordan_plain(&CancelToken::never());
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(8);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm(8, &CancelToken::never());
         prop_assert_eq!(blocked_stats.rank, reference_stats.rank);
         prop_assert_eq!(blocked, reference);
     }
@@ -232,7 +204,7 @@ proptest! {
         }
         let dense = m.to_dense();
         let expected = dense_nonzero_rows(&dense);
-        let got = m.rref();
+        let got = m.rref(&CancelToken::never(), |_| true);
         prop_assert!(!got.gauss.interrupted);
         prop_assert_eq!(&rows_of(&got), &expected);
         prop_assert_eq!(got.rank, expected.len());
@@ -285,7 +257,7 @@ proptest! {
             }
         }
         let expected = dense_nonzero_rows(&dense);
-        let got = sparse_from_dense(&dense).rref();
+        let got = sparse_from_dense(&dense).rref(&CancelToken::never(), |_| true);
         prop_assert_eq!(&rows_of(&got), &expected);
         prop_assert_eq!(got.rank, expected.len());
         if weights_ok && cols_ok && orders_ok {
@@ -300,118 +272,33 @@ proptest! {
         }
     }
 
-    /// The word-level 64x64-tile transpose matches the naive definition,
-    /// including matrices spanning several 64-row bands (the
-    /// `words_mut()[row_band]` write path paper-scale RREFs take).
-    #[test]
-    fn transpose_matches_naive(m in arb_matrix(150, 150)) {
-        let t = m.transpose();
-        prop_assert_eq!(t.nrows(), m.ncols());
-        prop_assert_eq!(t.ncols(), m.nrows());
-        for r in 0..m.nrows() {
-            for c in 0..m.ncols() {
-                prop_assert_eq!(t.get(c, r), m.get(r, c), "({}, {})", r, c);
-            }
-        }
-    }
-
-    /// `first_one_in_range` matches a naive bit scan on arbitrary vectors
-    /// and sub-ranges.
+    /// `first_one_in_range_words` matches a naive bit scan on arbitrary
+    /// vectors and sub-ranges.
     #[test]
     fn first_one_in_range_matches_naive(bits in proptest::collection::vec(any::<bool>(), 1..200), cut in any::<u64>()) {
-        let v = BitVec::from_bits(bits.iter().copied());
-        let len = v.len();
+        let len = bits.len();
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for i in (0..len).filter(|&i| bits[i]) {
+            words[i / 64] |= 1 << (i % 64);
+        }
         let start = (cut as usize) % (len + 1);
         let end = start + ((cut >> 32) as usize) % (len - start + 1);
-        let naive = (start..end).find(|&i| v.get(i));
-        prop_assert_eq!(v.first_one_in_range(start, end), naive);
+        let naive = (start..end).find(|&i| bits[i]);
+        prop_assert_eq!(first_one_in_range_words(&words, start, end), naive);
     }
 
-    /// Word-level `copy_bits_from` matches a bit-by-bit copy and preserves
-    /// every destination bit outside the copied range.
-    #[test]
-    fn copy_bits_from_matches_bitwise(
-        src_bits in proptest::collection::vec(any::<bool>(), 0..150),
-        dst_bits in proptest::collection::vec(any::<bool>(), 1..300),
-        offset_seed in any::<u64>(),
-    ) {
-        prop_assume!(src_bits.len() <= dst_bits.len());
-        let src = BitVec::from_bits(src_bits.iter().copied());
-        let mut dst = BitVec::from_bits(dst_bits.iter().copied());
-        let offset = (offset_seed as usize) % (dst.len() - src.len() + 1);
-        let mut expected = dst.clone();
-        for i in 0..src.len() {
-            expected.set(offset + i, src.get(i));
-        }
-        dst.copy_bits_from(&src, offset);
-        prop_assert_eq!(dst, expected);
-    }
-
-    /// `hstack` agrees with a bit-by-bit concatenation.
-    #[test]
-    fn hstack_matches_bitwise(a in arb_matrix(6, 70), seed in any::<u64>()) {
-        let mut b = BitMatrix::zero(a.nrows(), 33);
-        for r in 0..b.nrows() {
-            for c in 0..33 {
-                if (seed >> ((r * 33 + c) % 64)) & 1 == 1 {
-                    b.set(r, c, true);
-                }
-            }
-        }
-        let ab = a.hstack(&b);
-        prop_assert_eq!(ab.ncols(), a.ncols() + 33);
-        for r in 0..a.nrows() {
-            for c in 0..a.ncols() {
-                prop_assert_eq!(ab.get(r, c), a.get(r, c));
-            }
-            for c in 0..33 {
-                prop_assert_eq!(ab.get(r, a.ncols() + c), b.get(r, c));
-            }
-        }
-    }
-
-    /// Matrix-vector product distributes over vector XOR.
-    #[test]
-    fn mul_vec_is_linear(m in arb_matrix(8, 12), seed in any::<u64>()) {
-        let n = m.ncols();
-        let u = BitVec::from_bits((0..n).map(|i| (seed >> (i % 64)) & 1 == 1));
-        let v = BitVec::from_bits((0..n).map(|i| (seed >> ((i + 17) % 64)) & 1 == 1));
-        let sum = &u ^ &v;
-        let lhs = m.mul_vec(&sum);
-        let rhs = &m.mul_vec(&u) ^ &m.mul_vec(&v);
-        prop_assert_eq!(lhs, rhs);
-    }
-
-    /// Transpose reverses products: (AB)^T = B^T A^T.
-    #[test]
-    fn transpose_reverses_products(a in arb_matrix(6, 8), seed in any::<u64>()) {
-        // Build B with compatible dimensions from the seed.
-        let rows = a.ncols();
-        let cols = 5usize;
-        let mut b = BitMatrix::zero(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                if (seed >> ((i * cols + j) % 64)) & 1 == 1 {
-                    b.set(i, j, true);
-                }
-            }
-        }
-        prop_assert_eq!(a.mul(&b).transpose(), b.transpose().mul(&a.transpose()));
-    }
-
-    /// XOR of vectors is associative and has the zero vector as identity.
+    /// Word-level XOR of bit vectors is associative and has the zero
+    /// vector as identity.
     #[test]
     fn bitvec_xor_group_laws(len in 1usize..100, s1 in any::<u64>(), s2 in any::<u64>(), s3 in any::<u64>()) {
-        let gen = |s: u64| BitVec::from_bits((0..len).map(|i| (s >> (i % 64)) & 1 == 1));
-        let (a, b, c) = (gen(s1), gen(s2), gen(s3));
-        prop_assert_eq!(&(&a ^ &b) ^ &c, &a ^ &(&b ^ &c));
-        prop_assert_eq!(&a ^ &BitVec::zero(len), a.clone());
-        prop_assert!((&a ^ &a).is_zero());
+        let (a, b, c) = (seeded_words(len, s1), seeded_words(len, s2), seeded_words(len, s3));
+        let xor = |x: &[u64], y: &[u64]| {
+            let mut out = x.to_vec();
+            xor_words(&mut out, y);
+            out
+        };
+        prop_assert_eq!(xor(&xor(&a, &b), &c), xor(&a, &xor(&b, &c)));
+        prop_assert_eq!(xor(&a, &vec![0; a.len()]), a.clone());
+        prop_assert!(xor(&a, &a).iter().all(|&w| w == 0));
     }
-}
-
-#[allow(dead_code)]
-fn arb_vec_unused() {
-    // Keep the helper referenced so future tests can use it without warnings.
-    let _ = arb_vec(4);
 }

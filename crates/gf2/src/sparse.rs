@@ -40,7 +40,7 @@
 //! split, the cores and the stitched RREF rows are ranges of flat arrays
 //! too, and [`SparseRref`] hands the rows out as slices. A caller that
 //! wants only some rows says which by their [`RowShape`]
-//! ([`SparseMatrix::rref_keeping`]); a dense-core row it rejects is read
+//! ([`SparseMatrix::rref`]); a dense-core row it rejects is read
 //! back only if a set-aside row's back-substitution needs it.
 //!
 //! # Exactness
@@ -196,11 +196,12 @@ impl PresolveStats {
 ///
 /// ```
 /// use bosphorus_gf2::SparseMatrix;
+/// use bosphorus_interrupt::CancelToken;
 ///
 /// let mut m = SparseMatrix::new(4);
 /// m.push_row([0, 3]);
 /// m.push_row([3]);
-/// let r = m.rref();
+/// let r = m.rref(&CancelToken::never(), |_| true);
 /// assert_eq!(r.rank, 2);
 /// // {0, 3} ^ {3} = {0}: the RREF rows are {0} and {3}.
 /// assert_eq!(r.rows().collect::<Vec<_>>(), [&[0][..], &[3][..]]);
@@ -226,7 +227,8 @@ impl SparseMatrix {
 
     /// Builds a matrix from per-row column-id lists. Rows are normalised
     /// (sorted; duplicate pairs cancel, XOR-style).
-    pub fn from_rows(ncols: usize, rows: Vec<Vec<u32>>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(ncols: usize, rows: Vec<Vec<u32>>) -> Self {
         let mut m = SparseMatrix::new(ncols);
         m.offsets.reserve(rows.len());
         for row in rows {
@@ -340,32 +342,23 @@ impl SparseMatrix {
         m
     }
 
-    /// Presolves and eliminates, returning the full RREF (see
-    /// [`SparseRref`]).
-    pub fn rref(self) -> SparseRref {
-        self.rref_cancellable(&CancelToken::never())
-    }
-
-    /// Like [`SparseMatrix::rref`], polling `token` throughout the presolve
-    /// loops and once per sweep inside the dense core eliminations. On
-    /// cancellation the result carries [`GaussStats::interrupted`] and *no*
-    /// rows — partial output is never exposed.
-    pub fn rref_cancellable(self, token: &CancelToken) -> SparseRref {
-        presolve_rref(self, token, &|_| true)
-    }
-
-    /// Like [`SparseMatrix::rref_cancellable`], but returns only the RREF
-    /// rows whose [`RowShape`] `keep` accepts; [`SparseRref::rank`] still
-    /// counts every row. A dense-core row `keep` rejects is never read back
-    /// into sparse form unless a set-aside row's back-substitution needs
-    /// it — the saving for callers that want a few rows of a large RREF,
-    /// like XL's retainable facts.
-    pub fn rref_keeping(self, token: &CancelToken, keep: impl Fn(RowShape) -> bool) -> SparseRref {
+    /// Presolves and eliminates, returning the RREF rows whose
+    /// [`RowShape`] `keep` accepts (see [`SparseRref`]);
+    /// [`SparseRref::rank`] still counts every row. A dense-core row `keep`
+    /// rejects is never read back into sparse form unless a set-aside row's
+    /// back-substitution needs it — the saving for callers that want a few
+    /// rows of a large RREF, like XL's retainable facts.
+    ///
+    /// `token` is polled throughout the presolve loops and once per sweep
+    /// inside the dense core eliminations. On cancellation the result
+    /// carries [`GaussStats::interrupted`] and *no* rows — partial output is
+    /// never exposed.
+    pub fn rref(self, token: &CancelToken, keep: impl Fn(RowShape) -> bool) -> SparseRref {
         presolve_rref(self, token, &keep)
     }
 }
 
-/// What [`SparseMatrix::rref_keeping`] tells its filter about an RREF row.
+/// What [`SparseMatrix::rref`] tells its filter about an RREF row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowShape {
     /// The leading (pivot) column.
@@ -386,9 +379,8 @@ impl RowShape {
     }
 }
 
-/// The stitched result of [`SparseMatrix::rref`]: exactly the non-zero rows
-/// of the dense-path RREF, in the same order (for
-/// [`SparseMatrix::rref_keeping`], the accepted ones among them).
+/// The stitched result of [`SparseMatrix::rref`]: the non-zero rows of the
+/// dense-path RREF that its filter accepts, in the same order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseRref {
     /// The rows' column ids, in the order they were produced.
@@ -927,7 +919,7 @@ fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> Sparse
 }
 
 /// The full presolve → dense cores → stitch pipeline behind
-/// [`SparseMatrix::rref_keeping`], returning the rows `keep` accepts.
+/// [`SparseMatrix::rref`], returning the rows `keep` accepts.
 fn presolve_rref(
     m: SparseMatrix,
     token: &CancelToken,
@@ -1158,6 +1150,11 @@ mod tests {
     use super::*;
     use crate::testutil::splitmix_matrix;
 
+    /// The full RREF, never cancelled.
+    fn full_rref(m: SparseMatrix) -> SparseRref {
+        m.rref(&CancelToken::never(), |_| true)
+    }
+
     /// The non-zero rows of the dense-path RREF as sorted column lists.
     fn dense_nonzero_rows(m: &BitMatrix) -> Vec<Vec<u32>> {
         let (rref, _) = m.rref();
@@ -1200,7 +1197,7 @@ mod tests {
     fn assert_matches_dense(m: SparseMatrix) -> SparseRref {
         let dense = m.to_dense();
         let expected = dense_nonzero_rows(&dense);
-        let got = m.rref();
+        let got = full_rref(m);
         assert!(!got.gauss.interrupted);
         assert_eq!(
             rows_of(&got),
@@ -1214,13 +1211,13 @@ mod tests {
 
     #[test]
     fn empty_matrix_and_empty_rows() {
-        let r = SparseMatrix::new(0).rref();
+        let r = full_rref(SparseMatrix::new(0));
         assert_eq!(r.rank, 0);
         assert_eq!(r.num_rows(), 0);
         let mut m = SparseMatrix::new(5);
         m.push_row(vec![]);
         m.push_row(vec![2, 2]); // cancels to empty
-        let r = m.rref();
+        let r = full_rref(m);
         assert_eq!(r.rank, 0);
         assert_eq!(r.presolve.empty_rows, 2);
         assert_eq!(r.presolve.rows_eliminated, 2);
@@ -1372,10 +1369,10 @@ mod tests {
             (80, 129, 4, 6),
         ] {
             let m = splitmix_sparse(rows, cols, fill, seed);
-            let full = m.clone().rref();
+            let full = full_rref(m.clone());
             assert!(full.presolve.rows_set_aside() > 0 && full.presolve.dense_rows > 0);
             for keep in filters {
-                let got = m.clone().rref_keeping(&CancelToken::never(), keep);
+                let got = m.clone().rref(&CancelToken::never(), keep);
                 let expected: Vec<Vec<u32>> = full
                     .rows()
                     .filter(|row| keep(RowShape::of(row)))
@@ -1393,7 +1390,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let m = splitmix_sparse(30, 30, 3, 9);
-        let r = m.rref_cancellable(&token);
+        let r = m.rref(&token, |_| true);
         assert!(r.gauss.interrupted);
         assert_eq!(r.num_rows(), 0, "partial output is never exposed");
     }
@@ -1402,7 +1399,7 @@ mod tests {
     fn mid_run_cancellation_is_transactional() {
         let token = CancelToken::new().cancel_after_checks(2);
         let m = splitmix_sparse(200, 150, 4, 10);
-        let r = m.rref_cancellable(&token);
+        let r = m.rref(&token, |_| true);
         assert!(r.gauss.interrupted);
         assert_eq!(r.num_rows(), 0);
     }
@@ -1424,7 +1421,7 @@ mod tests {
     fn stats_shape_fields_are_consistent() {
         let m = splitmix_sparse(64, 48, 3, 12);
         let (nrows, ncols) = (m.nrows(), m.ncols());
-        let r = m.rref();
+        let r = full_rref(m);
         assert_eq!(r.presolve.input_rows, nrows);
         assert_eq!(r.presolve.input_cols, ncols);
         assert_eq!(

@@ -1,8 +1,8 @@
-//! Bit-packed GF(2) vectors and the word-level XOR primitives shared by the
-//! elimination kernels.
+//! GF(2) row vectors: the borrowed row view [`RowRef`] and the word-level
+//! primitives the elimination kernels share — XORs over packed `u64` rows,
+//! bit reads and set-bit scans.
 
 use std::fmt;
-use std::ops::{BitXor, BitXorAssign};
 
 /// XORs `src` into `dst` word by word (`dst[i] ^= src[i]`) over the common
 /// prefix of the two slices.
@@ -73,8 +73,8 @@ pub(crate) fn xor3_words(dst: &mut [u64], a: &[u64], b: &[u64], c: &[u64]) {
     }
 }
 
-/// Reads bit `index` of a packed word slice (LSB-first layout shared by
-/// [`BitVec`] and matrix row views).
+/// Reads bit `index` of a packed word slice (LSB first: bit `i` is bit
+/// `i % 64` of word `i / 64`).
 pub(crate) fn word_get(words: &[u64], index: usize) -> bool {
     (words[index / 64] >> (index % 64)) & 1 == 1
 }
@@ -115,7 +115,7 @@ pub(crate) fn first_one_in_range_words(words: &[u64], start: usize, end: usize) 
 }
 
 /// Iterates the indices of set bits of a packed word slice in ascending
-/// order. Shared by [`BitVec::iter_ones`] and the matrix row views.
+/// order.
 pub(crate) fn iter_ones_words(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
         let mut w = w;
@@ -131,92 +131,29 @@ pub(crate) fn iter_ones_words(words: &[u64]) -> impl Iterator<Item = usize> + '_
     })
 }
 
-/// A fixed-length vector over GF(2), packed 64 bits per word.
+/// A borrowed, read-only view of one matrix row: a `&[u64]` window into the
+/// arena plus the logical bit length.
 ///
-/// `BitVec` is used both as a matrix row view (owned) and as a standalone
-/// vector for right-hand sides, solutions and kernel basis elements.
-///
-/// # Examples
-///
-/// ```
-/// use bosphorus_gf2::BitVec;
-///
-/// let mut v = BitVec::zero(10);
-/// v.set(3, true);
-/// v.set(7, true);
-/// assert_eq!(v.count_ones(), 2);
-/// assert!(v.get(3));
-/// assert!(!v.get(4));
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct BitVec {
-    words: Vec<u64>,
+/// Bit `i` of the row is bit `i % 64` of word `i / 64`; the unused high bits
+/// of the last word are zero.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct RowRef<'a> {
+    words: &'a [u64],
     len: usize,
 }
 
-impl BitVec {
-    /// Creates an all-zero vector of `len` bits.
-    pub fn zero(len: usize) -> Self {
-        BitVec {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
+impl<'a> RowRef<'a> {
+    /// A view of the `len` bits packed in `words`.
+    pub(crate) fn new(words: &'a [u64], len: usize) -> Self {
+        RowRef { words, len }
     }
 
-    /// Creates a vector of `len` bits directly from its backing words (bit
-    /// `i` of the vector is bit `i % 64` of word `i / 64`), taking ownership
-    /// of the buffer. The word-level construction path used by builders that
-    /// assemble whole rows at once (e.g. linearisation).
-    ///
-    /// Unused high bits of the last word are cleared, preserving the
-    /// invariant [`BitVec::words`] documents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length does not match `len.div_ceil(64)`.
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitVec;
-    /// let v = BitVec::from_words(vec![0b101], 3);
-    /// assert!(v.get(0) && !v.get(1) && v.get(2));
-    /// ```
-    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
-        assert_eq!(
-            words.len(),
-            len.div_ceil(64),
-            "word buffer does not match the bit length"
-        );
-        if len % 64 != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= (1u64 << (len % 64)) - 1;
-            }
-        }
-        BitVec { words, len }
-    }
-
-    /// Creates a vector from an iterator of booleans.
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitVec;
-    /// let v = BitVec::from_bits([true, false, true]);
-    /// assert_eq!(v.len(), 3);
-    /// assert!(v.get(0) && !v.get(1) && v.get(2));
-    /// ```
-    pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let bits: Vec<bool> = bits.into_iter().collect();
-        let mut v = BitVec::zero(bits.len());
-        for (i, b) in bits.into_iter().enumerate() {
-            v.set(i, b);
-        }
-        v
-    }
-
-    /// Number of bits in the vector.
+    /// Number of bits in the row (the matrix column count).
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Returns `true` if the vector has zero length.
+    /// Returns `true` if the row has zero length.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -232,40 +169,7 @@ impl BitVec {
             "bit index {index} out of range {}",
             self.len
         );
-        (self.words[index / 64] >> (index % 64)) & 1 == 1
-    }
-
-    /// Sets the bit at `index` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn set(&mut self, index: usize, value: bool) {
-        assert!(
-            index < self.len,
-            "bit index {index} out of range {}",
-            self.len
-        );
-        let mask = 1u64 << (index % 64);
-        if value {
-            self.words[index / 64] |= mask;
-        } else {
-            self.words[index / 64] &= !mask;
-        }
-    }
-
-    /// Flips the bit at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn flip(&mut self, index: usize) {
-        assert!(
-            index < self.len,
-            "bit index {index} out of range {}",
-            self.len
-        );
-        self.words[index / 64] ^= 1u64 << (index % 64);
+        word_get(self.words, index)
     }
 
     /// Number of set bits.
@@ -280,146 +184,37 @@ impl BitVec {
 
     /// Index of the first set bit, if any.
     pub fn first_one(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
+        first_one_in_range_words(self.words, 0, self.len)
     }
 
-    /// Index of the first set bit inside `start..end`, if any.
-    ///
-    /// The scan is word-parallel: whole zero words are skipped and the first
-    /// non-zero (masked) word is resolved with a single `trailing_zeros`.
-    /// This is the pivot-search primitive of the elimination kernels — column
-    /// scans stop touching every bit individually.
+    /// Index of the first set bit inside `start..end`, if any. Whole zero
+    /// words are skipped.
     ///
     /// # Panics
     ///
     /// Panics if `start > end` or `end > self.len()`.
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitVec;
-    /// let mut v = BitVec::zero(200);
-    /// v.set(3, true);
-    /// v.set(130, true);
-    /// assert_eq!(v.first_one_in_range(0, 200), Some(3));
-    /// assert_eq!(v.first_one_in_range(4, 200), Some(130));
-    /// assert_eq!(v.first_one_in_range(4, 130), None);
-    /// ```
     pub fn first_one_in_range(&self, start: usize, end: usize) -> Option<usize> {
         assert!(
             start <= end && end <= self.len,
             "bit range {start}..{end} out of range {}",
             self.len
         );
-        first_one_in_range_words(&self.words, start, end)
-    }
-
-    /// Copies every bit of `src` into `self` starting at bit `offset`
-    /// (a word-parallel `copy_from_slice` with shift — the row-assembly
-    /// primitive behind [`BitMatrix::hstack`](crate::BitMatrix::hstack)).
-    ///
-    /// Bits of `self` outside `offset..offset + src.len()` are preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + src.len() > self.len()`.
-    pub fn copy_bits_from(&mut self, src: &BitVec, offset: usize) {
-        assert!(
-            offset + src.len() <= self.len,
-            "copy_bits_from: range {}..{} exceeds destination length {}",
-            offset,
-            offset + src.len(),
-            self.len
-        );
-        if src.is_empty() {
-            return;
-        }
-        let shift = offset % 64;
-        let n = src.len();
-        let dst_word0 = offset / 64;
-        for (si, &raw) in src.words.iter().enumerate() {
-            let wi = dst_word0 + si;
-            let bits = (n - si * 64).min(64);
-            let mask = if bits == 64 {
-                !0u64
-            } else {
-                (1u64 << bits) - 1
-            };
-            let sw = raw & mask;
-            self.words[wi] = (self.words[wi] & !(mask << shift)) | (sw << shift);
-            if shift != 0 {
-                // High bits of the source word that did not fit spill into
-                // the next destination word.
-                let spill_mask = mask >> (64 - shift);
-                if spill_mask != 0 {
-                    self.words[wi + 1] = (self.words[wi + 1] & !spill_mask) | (sw >> (64 - shift));
-                }
-            }
-        }
+        first_one_in_range_words(self.words, start, end)
     }
 
     /// Iterates over the indices of set bits in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        iter_ones_words(&self.words)
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + 'a {
+        iter_ones_words(self.words)
     }
 
-    /// XORs `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn xor_assign(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "length mismatch in BitVec XOR");
-        xor_words(&mut self.words, &other.words);
-    }
-
-    /// Dot product over GF(2) (parity of the AND of the two vectors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn dot(&self, other: &BitVec) -> bool {
-        assert_eq!(self.len, other.len, "length mismatch in BitVec dot");
+    /// The backing words of the row, least-significant bit first. Unused
+    /// high bits of the last word are zero.
+    pub fn words(&self) -> &'a [u64] {
         self.words
-            .iter()
-            .zip(&other.words)
-            .fold(0u32, |acc, (a, b)| acc ^ (a & b).count_ones())
-            & 1
-            == 1
-    }
-
-    /// The backing `u64` words, least-significant bit first: bit `i` of the
-    /// vector is bit `i % 64` of word `i / 64`.
-    ///
-    /// The unused high bits of the last word are always zero, so word-level
-    /// consumers (the elimination kernels, benchmark harnesses) can operate
-    /// on whole words without masking.
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitVec;
-    /// let mut v = BitVec::zero(65);
-    /// v.set(64, true);
-    /// assert_eq!(v.words(), &[0, 1]);
-    /// ```
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 
-impl fmt::Debug for BitVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BitVec[")?;
-        for i in 0..self.len {
-            write!(f, "{}", u8::from(self.get(i)))?;
-        }
-        write!(f, "]")
-    }
-}
-
-impl fmt::Display for BitVec {
+impl fmt::Display for RowRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.len {
             write!(f, "{}", u8::from(self.get(i)))?;
@@ -428,25 +223,9 @@ impl fmt::Display for BitVec {
     }
 }
 
-impl BitXorAssign<&BitVec> for BitVec {
-    fn bitxor_assign(&mut self, rhs: &BitVec) {
-        self.xor_assign(rhs);
-    }
-}
-
-impl BitXor<&BitVec> for &BitVec {
-    type Output = BitVec;
-
-    fn bitxor(self, rhs: &BitVec) -> BitVec {
-        let mut out = self.clone();
-        out.xor_assign(rhs);
-        out
-    }
-}
-
-impl FromIterator<bool> for BitVec {
-    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        BitVec::from_bits(iter)
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RowRef[{self}]")
     }
 }
 
@@ -454,157 +233,110 @@ impl FromIterator<bool> for BitVec {
 mod tests {
     use super::*;
 
-    #[test]
-    fn zero_vector_has_no_ones() {
-        let v = BitVec::zero(130);
-        assert_eq!(v.len(), 130);
-        assert_eq!(v.count_ones(), 0);
-        assert!(v.is_zero());
-        assert_eq!(v.first_one(), None);
+    /// A row view of the `len` bits `bit(i)`.
+    fn with_row<T>(len: usize, bit: impl Fn(usize) -> bool, f: impl Fn(RowRef<'_>) -> T) -> T {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for i in (0..len).filter(|&i| bit(i)) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        f(RowRef::new(&words, len))
     }
 
     #[test]
-    fn set_get_flip_roundtrip() {
-        let mut v = BitVec::zero(70);
-        v.set(0, true);
-        v.set(63, true);
-        v.set(64, true);
-        v.set(69, true);
-        assert!(v.get(0) && v.get(63) && v.get(64) && v.get(69));
-        assert_eq!(v.count_ones(), 4);
-        v.flip(64);
-        assert!(!v.get(64));
-        assert_eq!(v.count_ones(), 3);
-        v.set(0, false);
-        assert!(!v.get(0));
+    fn zero_vector_has_no_ones() {
+        with_row(
+            130,
+            |_| false,
+            |v| {
+                assert_eq!(v.len(), 130);
+                assert_eq!(v.count_ones(), 0);
+                assert!(v.is_zero());
+                assert_eq!(v.first_one(), None);
+                assert_eq!(v.iter_ones().next(), None);
+            },
+        );
     }
 
     #[test]
     fn iter_ones_is_sorted_and_complete() {
-        let mut v = BitVec::zero(200);
         let idx = [0usize, 1, 63, 64, 65, 127, 128, 199];
+        let mut words = vec![0u64; 4];
         for &i in &idx {
-            v.set(i, true);
+            words[i / 64] |= 1 << (i % 64);
         }
-        let got: Vec<usize> = v.iter_ones().collect();
+        let got: Vec<usize> = iter_ones_words(&words).collect();
         assert_eq!(got, idx);
-        assert_eq!(v.first_one(), Some(0));
+        assert_eq!(first_one_in_range_words(&words, 0, 200), Some(0));
     }
 
     #[test]
     fn xor_is_involution() {
-        let a = BitVec::from_bits((0..100).map(|i| i % 3 == 0));
-        let b = BitVec::from_bits((0..100).map(|i| i % 5 == 0));
+        let a: Vec<u64> = (0..7u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let b: Vec<u64> = (0..7u64).map(|i| !i.rotate_left(13)).collect();
         let mut c = a.clone();
-        c.xor_assign(&b);
-        c.xor_assign(&b);
-        assert_eq!(a, c);
-    }
-
-    #[test]
-    fn dot_product_parity() {
-        let a = BitVec::from_bits([true, true, false, true]);
-        let b = BitVec::from_bits([true, false, true, true]);
-        // overlap at indices 0 and 3 -> even parity
-        assert!(!a.dot(&b));
-        let c = BitVec::from_bits([true, false, false, false]);
-        assert!(a.dot(&c));
+        xor_words(&mut c, &b);
+        assert_ne!(c, a);
+        xor_words(&mut c, &b);
+        assert_eq!(c, a);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
-        let v = BitVec::zero(3);
-        let _ = v.get(3);
-    }
-
-    #[test]
-    fn bitxor_operator() {
-        let a = BitVec::from_bits([true, false, true]);
-        let b = BitVec::from_bits([true, true, false]);
-        let c = &a ^ &b;
-        assert_eq!(c, BitVec::from_bits([false, true, true]));
+        with_row(3, |_| true, |v| v.get(3));
     }
 
     #[test]
     fn display_and_debug() {
-        let v = BitVec::from_bits([true, false, true]);
-        assert_eq!(v.to_string(), "101");
-        assert_eq!(format!("{v:?}"), "BitVec[101]");
-    }
-
-    #[test]
-    fn from_iterator_collect() {
-        let v: BitVec = (0..5).map(|i| i % 2 == 0).collect();
-        assert_eq!(v.to_string(), "10101");
+        with_row(
+            3,
+            |i| i != 1,
+            |v| {
+                assert_eq!(v.to_string(), "101");
+                assert_eq!(format!("{v:?}"), "RowRef[101]");
+            },
+        );
     }
 
     #[test]
     fn first_one_in_range_word_boundaries() {
-        let mut v = BitVec::zero(200);
+        let mut words = vec![0u64; 4];
         for &i in &[0usize, 63, 64, 65, 127, 128, 199] {
-            v.set(i, true);
+            words[i / 64] |= 1 << (i % 64);
         }
-        assert_eq!(v.first_one_in_range(0, 200), Some(0));
-        assert_eq!(v.first_one_in_range(1, 200), Some(63));
-        assert_eq!(v.first_one_in_range(64, 200), Some(64));
-        assert_eq!(v.first_one_in_range(65, 127), Some(65));
-        assert_eq!(v.first_one_in_range(66, 127), None);
-        assert_eq!(v.first_one_in_range(129, 200), Some(199));
-        assert_eq!(v.first_one_in_range(129, 199), None);
-        assert_eq!(v.first_one_in_range(63, 64), Some(63));
-        assert_eq!(v.first_one_in_range(5, 5), None);
+        let first = |start, end| first_one_in_range_words(&words, start, end);
+        assert_eq!(first(0, 200), Some(0));
+        assert_eq!(first(1, 200), Some(63));
+        assert_eq!(first(64, 200), Some(64));
+        assert_eq!(first(65, 127), Some(65));
+        assert_eq!(first(66, 127), None);
+        assert_eq!(first(129, 200), Some(199));
+        assert_eq!(first(129, 199), None);
+        assert_eq!(first(63, 64), Some(63));
+        assert_eq!(first(5, 5), None);
     }
 
     #[test]
     fn first_one_in_range_matches_naive_scan() {
-        let v = BitVec::from_bits((0..150).map(|i| i % 7 == 3));
-        for start in 0..150 {
-            for end in start..=150 {
-                let naive = (start..end).find(|&i| v.get(i));
-                assert_eq!(v.first_one_in_range(start, end), naive, "{start}..{end}");
-            }
-        }
+        with_row(
+            150,
+            |i| i % 7 == 3,
+            |v| {
+                for start in 0..150 {
+                    for end in start..=150 {
+                        let naive = (start..end).find(|&i| v.get(i));
+                        assert_eq!(v.first_one_in_range(start, end), naive, "{start}..{end}");
+                        assert_eq!(first_one_in_range_words(v.words(), start, end), naive);
+                    }
+                }
+            },
+        );
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn first_one_in_range_rejects_bad_range() {
-        let v = BitVec::zero(10);
-        let _ = v.first_one_in_range(0, 11);
-    }
-
-    #[test]
-    fn copy_bits_from_at_offsets() {
-        let src = BitVec::from_bits((0..70).map(|i| i % 3 == 0));
-        for offset in [0usize, 1, 5, 62, 63, 64, 65, 100] {
-            let mut dst = BitVec::from_bits((0..200).map(|i| i % 2 == 0));
-            let before = dst.clone();
-            dst.copy_bits_from(&src, offset);
-            for i in 0..200 {
-                let expected = if (offset..offset + 70).contains(&i) {
-                    src.get(i - offset)
-                } else {
-                    before.get(i)
-                };
-                assert_eq!(dst.get(i), expected, "offset {offset}, bit {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn copy_bits_from_empty_source_is_noop() {
-        let mut dst = BitVec::from_bits([true, false, true]);
-        let before = dst.clone();
-        dst.copy_bits_from(&BitVec::zero(0), 2);
-        assert_eq!(dst, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds destination")]
-    fn copy_bits_from_rejects_overflow() {
-        let mut dst = BitVec::zero(10);
-        dst.copy_bits_from(&BitVec::zero(8), 3);
+        with_row(10, |_| false, |v| v.first_one_in_range(0, 11));
     }
 
     #[test]
@@ -638,11 +370,13 @@ mod tests {
 
     #[test]
     fn words_exposes_zero_padded_storage() {
-        let mut v = BitVec::zero(70);
-        v.set(69, true);
-        assert_eq!(v.words().len(), 2);
-        assert_eq!(v.words()[1], 1u64 << 5);
-        v.set(69, false);
-        assert!(v.words().iter().all(|&w| w == 0), "padding stays zero");
+        with_row(
+            70,
+            |i| i == 69,
+            |v| {
+                assert_eq!(v.words().len(), 2);
+                assert_eq!(v.words()[1], 1u64 << 5);
+            },
+        );
     }
 }

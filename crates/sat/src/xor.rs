@@ -19,6 +19,7 @@ use std::fmt;
 
 use bosphorus_cnf::CnfVar;
 use bosphorus_gf2::{BitMatrix, GaussStats};
+use bosphorus_interrupt::CancelToken;
 
 /// An XOR constraint `x_{i1} ⊕ x_{i2} ⊕ … ⊕ x_{ik} = rhs`.
 ///
@@ -164,7 +165,7 @@ pub fn xor_gauss_eliminate(constraints: &[XorConstraint]) -> XorGaussOutcome {
             matrix.set(i, rhs_col, true);
         }
     }
-    let stats = matrix.gauss_jordan_with_stats();
+    let stats = matrix.gauss_jordan(&CancelToken::never());
     let mut rows = Vec::with_capacity(stats.rank);
     let mut contradiction = false;
     for row in matrix.iter().take(stats.rank) {

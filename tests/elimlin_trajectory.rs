@@ -9,7 +9,7 @@
 
 use bosphorus_repro::anf::{Polynomial, PolynomialSystem};
 use bosphorus_repro::ciphers::simon;
-use bosphorus_repro::core::elimlin_on;
+use bosphorus_repro::core::{elimlin_on, CancelToken};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,7 +31,7 @@ fn assert_trajectory(
     facts: usize,
     hash: u64,
 ) {
-    let outcome = elimlin_on(system.polynomials().to_vec());
+    let outcome = elimlin_on(system.polynomials().to_vec(), &CancelToken::never());
     assert!(!outcome.contradiction, "{name}: the system is satisfiable");
     assert_eq!(
         (

@@ -14,8 +14,8 @@
 use bosphorus_repro::anf::{AnfPropagator, Assignment, Polynomial, PolynomialSystem, Var};
 use bosphorus_repro::ciphers::{aes, simon};
 use bosphorus_repro::core::{
-    elimlin_learn, is_retainable_fact, sat_step, xl_learn, Bosphorus, BosphorusConfig,
-    PreprocessStatus, SatStepStatus,
+    elimlin_learn, is_retainable_fact, xl_learn, Bosphorus, BosphorusConfig, CancelToken,
+    PreprocessStatus, SatSearch, SatStepStatus,
 };
 use bosphorus_repro::sat::SolverConfig;
 use rand::rngs::StdRng;
@@ -124,7 +124,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
         let mut new_facts = 0usize;
 
         // --- XL -------------------------------------------------------
-        let xl = xl_learn(&master, config, &mut rng);
+        let xl = xl_learn(&master, config, &mut rng, &CancelToken::never());
         let added = add_facts(&mut master, &mut learnt, xl.facts);
         counts.facts_from_xl += added;
         new_facts += added;
@@ -137,7 +137,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
         }
 
         // --- ElimLin --------------------------------------------------
-        let elimlin = elimlin_learn(&master, config, &mut rng);
+        let elimlin = elimlin_learn(&master, config, &mut rng, &CancelToken::never());
         if elimlin.contradiction {
             return LegacyRun {
                 status: LegacyStatus::Unsat,
@@ -157,13 +157,8 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
         }
 
         // --- Conflict-bounded SAT ------------------------------------
-        let sat = sat_step(
-            &master,
-            &propagator,
-            config,
-            &SolverConfig::aggressive(),
-            budget,
-        );
+        let sat = SatSearch::new(&master, &propagator, config, &SolverConfig::aggressive())
+            .run(budget, &CancelToken::never());
         match sat.status {
             SatStepStatus::Unsatisfiable => {
                 return LegacyRun {

@@ -4,7 +4,7 @@
 use bosphorus_repro::anf::{Assignment, Polynomial, PolynomialSystem};
 use bosphorus_repro::core::{
     elimlin_on, karnaugh_clauses, tseitin_clause_count, xl_learn, Bosphorus, BosphorusConfig,
-    PreprocessStatus, SolveStatus,
+    CancelToken, PreprocessStatus, SolveStatus,
 };
 use bosphorus_repro::sat::SolverConfig;
 use rand::rngs::StdRng;
@@ -25,7 +25,12 @@ fn section_2e_system() -> PolynomialSystem {
 fn table1_xl_learns_the_three_unit_facts() {
     let system = PolynomialSystem::parse("x1*x2 + x1 + 1; x2*x3 + x3;").expect("parses");
     let mut rng = StdRng::seed_from_u64(1);
-    let outcome = xl_learn(&system, &BosphorusConfig::exhaustive(), &mut rng);
+    let outcome = xl_learn(
+        &system,
+        &BosphorusConfig::exhaustive(),
+        &mut rng,
+        &CancelToken::never(),
+    );
     for expected in ["x1 + 1", "x2", "x3"] {
         let fact: Polynomial = expected.parse().expect("parses");
         assert!(
@@ -42,6 +47,7 @@ fn section_2c_elimlin_worked_example() {
         PolynomialSystem::parse("x1 + x2 + x3; x1*x2 + x2*x3 + 1;")
             .expect("parses")
             .into_polynomials(),
+        &CancelToken::never(),
     );
     assert!(outcome.facts.contains(&"x2 + 1".parse().expect("parses")));
 }
@@ -53,6 +59,7 @@ fn section_2e_xl_learns_the_six_documented_facts() {
         &section_2e_system(),
         &BosphorusConfig::exhaustive(),
         &mut rng,
+        &CancelToken::never(),
     );
     for expected in [
         "x2*x3*x4 + 1",

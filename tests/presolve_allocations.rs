@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use bosphorus_repro::anf::{PolynomialSystem, TermScratch};
 use bosphorus_repro::ciphers::aes;
-use bosphorus_repro::core::{expansion_monomials, LinearizationBuilder};
+use bosphorus_repro::core::{expansion_monomials, CancelToken, LinearizationBuilder};
 use bosphorus_repro::gf2::SparseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,7 +85,7 @@ fn xl_expansion(system: &PolynomialSystem, rows: usize) -> SparseMatrix {
 /// Allocations of one presolve call (the input is built beforehand).
 fn presolve_allocations(m: SparseMatrix) -> (usize, usize) {
     let before = allocations();
-    let rref = m.rref();
+    let rref = m.rref(&CancelToken::never(), |_| true);
     let made = allocations() - before;
     (made, rref.presolve.dense_rows)
 }
