@@ -9,15 +9,15 @@
 //! fixed-point loop from repeated full-system rescans into incremental
 //! updates.
 //!
-//! A per-polynomial dirty set is kept alongside the global revision: each
-//! polynomial remembers the revision at which it was last modified, and
-//! [`AnfDatabase::dirty_since`] reports which indices a consumer must
-//! re-read. [`AnfDatabase::propagate`] is itself such a consumer: it
-//! propagates only the rows appended since its previous call and touches
-//! the (already fixpointed) rest of the system only when those rows
-//! actually produce new knowledge.
+//! The database also keeps a propagation index of its rows: occurrence
+//! lists (variable → rows) and a hash index. [`AnfDatabase::push_unique`]
+//! is a hash lookup, and [`AnfDatabase::propagate`] starts a worklist from
+//! the rows appended since its previous call. A row is visited again only
+//! when one of its variables receives a value or joins another variable's
+//! class; rows the new facts do not reach are never touched.
 
-use crate::{AnfPropagator, Polynomial, PolynomialSystem, PropagationOutcome};
+use crate::worklist::RowIndex;
+use crate::{AnfPropagator, Polynomial, PolynomialSystem, PropagationOutcome, TermScratch};
 
 /// A monotonically increasing change counter. Revision 0 is the freshly
 /// constructed database; every observable mutation bumps it by one.
@@ -59,15 +59,13 @@ pub type Revision = u64;
 pub struct AnfDatabase {
     system: PolynomialSystem,
     propagator: AnfPropagator,
+    /// Occurrence lists and row hashes of `system`.
+    index: RowIndex,
     revision: Revision,
-    /// Revision at which each polynomial (by index) was last modified.
-    /// Kept parallel to `system.polynomials()`.
-    modified: Vec<Revision>,
-    /// Revision observed at the end of the last [`AnfDatabase::propagate`]
-    /// call (`None` before the first). Together with `modified` this
-    /// identifies the rows appended since — the only rows an incremental
-    /// propagation has to look at.
-    last_propagated: Option<Revision>,
+    /// Number of rows at the end of the last [`AnfDatabase::propagate`]
+    /// call (`None` before the first): the rows after it were appended
+    /// since, and only they can seed new knowledge.
+    propagated_rows: Option<usize>,
 }
 
 impl AnfDatabase {
@@ -81,13 +79,12 @@ impl AnfDatabase {
     /// Creates a database from an existing system and propagation state.
     pub fn with_propagator(system: PolynomialSystem, mut propagator: AnfPropagator) -> Self {
         propagator.ensure_num_vars(system.num_vars());
-        let modified = vec![0; system.len()];
         AnfDatabase {
+            index: RowIndex::new(&system),
             system,
             propagator,
             revision: 0,
-            modified,
-            last_propagated: None,
+            propagated_rows: None,
         }
     }
 
@@ -113,17 +110,6 @@ impl AnfDatabase {
         self.revision > revision
     }
 
-    /// Indices of the polynomials modified after `revision` was observed —
-    /// the dirty set an incremental pass must re-read.
-    pub fn dirty_since(&self, revision: Revision) -> Vec<usize> {
-        self.modified
-            .iter()
-            .enumerate()
-            .filter(|&(_, &rev)| rev > revision)
-            .map(|(idx, _)| idx)
-            .collect()
-    }
-
     /// Number of polynomial equations.
     pub fn len(&self) -> usize {
         self.system.len()
@@ -145,96 +131,52 @@ impl AnfDatabase {
     /// This is the one place that decides whether a fact is new. The fact is
     /// first reduced by the propagation knowledge: one that reduces to zero
     /// restates a determined value or equivalence and is rejected. Otherwise
-    /// the *reduced* row is appended unless an equal row is already present,
-    /// which also rejects a fact that reduces to an existing row — exactly
-    /// what [`AnfDatabase::propagate`] would have reduced it to anyway.
+    /// the *reduced* row is appended unless an equal row is already present
+    /// (a hash lookup), which also rejects a fact that reduces to an
+    /// existing row — exactly what [`AnfDatabase::propagate`] would have
+    /// reduced it to anyway.
     pub fn push_unique(&mut self, poly: Polynomial) -> bool {
-        let reduced = self.propagator.apply_to_polynomial(&poly);
-        if self.system.push_unique(reduced) {
+        let reduced = self
+            .propagator
+            .reduce_with(&poly, &mut TermScratch::new())
+            .unwrap_or(poly);
+        if self.index.push_unique(&mut self.system, reduced) {
             self.revision += 1;
-            self.modified.push(self.revision);
             self.propagator.ensure_num_vars(self.system.num_vars());
-            debug_assert_eq!(self.modified.len(), self.system.len());
             true
         } else {
             false
         }
     }
 
-    /// Runs ANF propagation on the master system to a fixed point. When the
-    /// propagation rewrote the system (or recorded new knowledge), the whole
-    /// system is stamped with a new revision: propagation substitutes into
-    /// every polynomial, so a wholesale rewrite dirties everything.
+    /// Runs ANF propagation on the master system to a fixed point, and
+    /// bumps the revision once when it rewrote the system or recorded new
+    /// knowledge.
     ///
-    /// Propagation is *incremental*: the dirty set identifies the rows
-    /// appended since the previous call, and when reducing just those rows
-    /// yields no new knowledge, the untouched prefix — already at its fixed
-    /// point — is not rescanned at all. An empty dirty set short-circuits to
-    /// a no-op. The observable outcome (counters, `system_changed`, the
-    /// resulting system) is identical to a full-system propagation.
+    /// Propagation is *incremental*: its worklist starts from the rows
+    /// appended since the previous call (every row on the first call, or
+    /// after a contradiction), and reaches the rest of the system only
+    /// through the occurrence lists of variables that received new
+    /// knowledge. A call with nothing appended is a no-op. The outcome
+    /// (rows, knowledge, counters, `system_changed`) is identical to
+    /// sweeping the whole system until nothing changes.
     pub fn propagate(&mut self) -> PropagationOutcome {
-        let outcome = self.propagate_incremental();
+        let first = match self.propagated_rows {
+            Some(rows) if !self.propagator.has_contradiction() => rows,
+            _ => 0,
+        };
+        let outcome = self
+            .index
+            .propagate(&mut self.system, &mut self.propagator, first);
         if outcome.system_changed
             || outcome.new_assignments > 0
             || outcome.new_equivalences > 0
             || outcome.contradiction
         {
             self.revision += 1;
-            self.modified = vec![self.revision; self.system.len()];
-        } else {
-            debug_assert_eq!(self.modified.len(), self.system.len());
         }
-        self.last_propagated = Some(self.revision);
+        self.propagated_rows = Some(self.system.len());
         outcome
-    }
-
-    /// Chooses between the incremental suffix path and a full-system sweep.
-    fn propagate_incremental(&mut self) -> PropagationOutcome {
-        let full = |this: &mut AnfDatabase| -> PropagationOutcome {
-            this.propagator.propagate(&mut this.system)
-        };
-        // First call, or a propagator in an exceptional state: full sweep.
-        let Some(last) = self.last_propagated else {
-            return full(self);
-        };
-        if self.propagator.has_contradiction() {
-            return full(self);
-        }
-        let dirty = self.dirty_since(last);
-        // An empty dirty set is the fixpoint invariant: nothing was appended
-        // since the previous propagation, and only propagation itself changes
-        // knowledge, so a sweep would reduce every row to itself.
-        if !dirty.is_empty() {
-            let clean_len = self.system.len() - dirty.len();
-            // Appended facts form a trailing suffix (propagation stamps the
-            // whole system with one revision; `push_unique` appends at later
-            // ones). Anything else — including an all-dirty system — takes
-            // the full path.
-            if clean_len == 0 || dirty.first() != Some(&clean_len) {
-                return full(self);
-            }
-            // Trial: propagate only the appended suffix against a clone of
-            // the knowledge. If that yields no new knowledge, the clean
-            // prefix (already at its fixed point under unchanged knowledge)
-            // cannot be affected, and the suffix — reduced by that same
-            // knowledge when it was pushed — is at its fixed point too.
-            let mut suffix = PolynomialSystem::with_num_vars(self.system.num_vars());
-            suffix.extend(self.system.iter().skip(clean_len).cloned());
-            let sub = self.propagator.clone().propagate(&mut suffix);
-            if sub.contradiction || sub.new_assignments > 0 || sub.new_equivalences > 0 {
-                // The new rows carry knowledge that reaches the prefix: redo
-                // everything from the untouched state so counters and
-                // ordering match a from-scratch sweep exactly.
-                return full(self);
-            }
-            debug_assert!(!sub.system_changed, "pushed rows are stored reduced");
-        }
-        PropagationOutcome {
-            contradiction: false,
-            new_assignments: 0,
-            new_equivalences: 0,
-            system_changed: false,
-        }
     }
 
     /// Returns `true` if the propagator has derived a contradiction.
@@ -261,7 +203,6 @@ mod tests {
         let db = db("x0*x1 + x2;");
         assert_eq!(db.revision(), 0);
         assert!(!db.has_changed_since(0));
-        assert!(db.dirty_since(0).is_empty());
     }
 
     #[test]
@@ -269,7 +210,11 @@ mod tests {
         let mut db = db("x0*x1 + x2;");
         assert!(db.push_unique("x0 + x1".parse().expect("parses")));
         assert_eq!(db.revision(), 1);
-        assert_eq!(db.dirty_since(0), vec![1], "only the new row is dirty");
+        assert_eq!(db.len(), 2, "the new row is appended");
+        assert_eq!(
+            db.system().polynomials()[1],
+            "x0 + x1".parse().expect("parses")
+        );
         // A duplicate changes nothing.
         assert!(!db.push_unique("x0 + x1".parse().expect("parses")));
         assert_eq!(db.revision(), 1);
@@ -290,8 +235,9 @@ mod tests {
         assert!(!outcome.contradiction);
         assert!(outcome.system_changed);
         assert_eq!(db.revision(), 1);
-        // The whole (rewritten) system is dirty relative to revision 0.
-        assert_eq!(db.dirty_since(0).len(), db.len());
+        // The rewritten system is one revision past the input.
+        assert!(db.has_changed_since(0));
+        assert!(db.is_empty(), "x0 = 1, then x1 + x2 becomes x1 = x2");
     }
 
     #[test]
@@ -338,7 +284,6 @@ mod tests {
         // x5 = 1 was propagated out of the rows; restating it is no news.
         assert!(!db.push_unique("x5 + 1".parse().expect("parses")));
         assert_eq!(db.revision(), rev, "a rejected fact is revision-silent");
-        assert!(db.dirty_since(rev).is_empty());
         assert_eq!(db.len(), 1);
     }
 

@@ -8,7 +8,7 @@
 //! FxHash-style mixer over the variable indices, storing each distinct
 //! monomial exactly once.
 
-use crate::Monomial;
+use crate::{Monomial, Polynomial};
 
 const EMPTY: u32 = u32::MAX;
 
@@ -169,6 +169,16 @@ impl MonomialInterner {
             self.table[idx] = id as u32;
         }
     }
+}
+
+/// FxHash-style mix over the monomials' hashes (plus the term count).
+pub(crate) fn hash_polynomial(p: &Polynomial) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = (p.len() as u64).wrapping_mul(K);
+    for m in p.monomials() {
+        h = (h.rotate_left(5) ^ hash_monomial(m)).wrapping_mul(K);
+    }
+    h
 }
 
 /// FxHash-style mix over the variable indices (plus the degree, so short

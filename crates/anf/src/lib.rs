@@ -14,7 +14,9 @@
 //!   to a fixed point.
 //! * [`AnfDatabase`] — the master system plus propagation knowledge behind
 //!   one revision counter, so incremental consumers (the engine's learning
-//!   passes) can skip work when nothing they read has changed.
+//!   passes) can skip work when nothing they read has changed. Its
+//!   occurrence lists and row hash index let propagation revisit only the
+//!   rows a new fact reaches.
 //! * [`MonomialInterner`] and [`TermScratch`] — the supporting cast of the
 //!   allocation-conscious term layer: a fast-hash monomial→dense-id map used
 //!   by linearisation, and a reusable working buffer for the merge-based
@@ -57,6 +59,7 @@ mod parser;
 mod polynomial;
 mod propagate;
 mod system;
+mod worklist;
 
 pub use database::{AnfDatabase, Revision};
 pub use eval::Assignment;

@@ -17,6 +17,9 @@ use crate::{Monomial, Var};
 #[derive(Debug, Default, Clone)]
 pub struct TermScratch {
     buf: Vec<Monomial>,
+    /// Variable buffers of [`Polynomial::substitute_all_with`].
+    kept: Vec<Var>,
+    negated: Vec<Var>,
 }
 
 impl TermScratch {
@@ -83,6 +86,17 @@ fn merge_cancel<'a>(
     }
     out.extend_from_slice(&b[j..]);
     out
+}
+
+/// What [`Polynomial::substitute_all_with`] puts in place of a variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Image {
+    /// The variable stays.
+    Keep,
+    /// A constant.
+    Const(bool),
+    /// The literal `var`, or `var ⊕ 1` when the flag is set.
+    Literal(Var, bool),
 }
 
 /// A Boolean polynomial in Algebraic Normal Form: a GF(2) sum (XOR) of
@@ -477,6 +491,56 @@ impl Polynomial {
             replacement.toggle_monomial(Monomial::one());
         }
         self.substitute_poly_with(v, &replacement, scratch)
+    }
+
+    /// Substitutes every variable by its `image` at once, reusing `scratch`
+    /// as the working buffer; returns `None` when every image is
+    /// [`Image::Keep`]. A literal image must itself map to `Keep`, so the
+    /// result equals the substitutions made one variable at a time.
+    ///
+    /// Each monomial expands to `kept · Π (r ⊕ 1)` over its negated
+    /// literals `r`, one product per subset of them, and all products are
+    /// sorted and cancelled once.
+    pub(crate) fn substitute_all_with(
+        &self,
+        image: impl Fn(Var) -> Image,
+        scratch: &mut TermScratch,
+    ) -> Option<Polynomial> {
+        let keeps = |m: &Monomial| m.vars().iter().all(|&v| image(v) == Image::Keep);
+        if self.monomials.iter().all(keeps) {
+            return None;
+        }
+        let TermScratch { buf, kept, negated } = scratch;
+        buf.clear();
+        'monomials: for m in &self.monomials {
+            if keeps(m) {
+                buf.push(m.clone());
+                continue;
+            }
+            kept.clear();
+            negated.clear();
+            for &v in m.vars() {
+                match image(v) {
+                    Image::Keep => kept.push(v),
+                    Image::Const(true) => {}
+                    Image::Const(false) => continue 'monomials,
+                    Image::Literal(root, false) => kept.push(root),
+                    Image::Literal(root, true) => negated.push(root),
+                }
+            }
+            assert!(
+                negated.len() < 64,
+                "too many negated literals in one monomial"
+            );
+            for subset in 0u64..1 << negated.len() {
+                let chosen = (0..negated.len())
+                    .filter(|&i| subset >> i & 1 == 1)
+                    .map(|i| negated[i]);
+                buf.push(Monomial::from_vars(kept.iter().copied().chain(chosen)));
+            }
+        }
+        sort_and_cancel(buf);
+        Some(scratch.emit())
     }
 
     /// Evaluates the polynomial under the predicate `value(v)`.

@@ -7,14 +7,24 @@
 //! * `x_{i1}·…·x_{ip} ⊕ 1` assigns 1 to every variable of the monomial;
 //! * `x ⊕ y` and `x ⊕ y ⊕ 1` record the equivalences `x = y` and `x = ¬y`.
 //!
-//! Assignments are applied to the system and the process repeats until a
-//! fixed point is reached.
+//! Assignments are substituted into the system and the process repeats until
+//! a fixed point is reached. Equivalence classes are kept as links from the
+//! larger to the smaller variable index, so each class is represented by its
+//! smallest variable, and values sit on those representatives.
+//!
+//! [`AnfPropagator`] holds the knowledge; applying it to a system is the job
+//! of the worklist in `worklist.rs`, which revisits only the rows a new fact
+//! can change (through occurrence lists) yet reaches exactly the fixed point
+//! of repeated in-order sweeps. The sweeps themselves survive as the test
+//! oracle `AnfPropagator::propagate_by_sweeps`.
 //!
 //! The propagator lives next to [`PolynomialSystem`] (rather than in the
 //! engine crate) because together they form the shared problem
 //! representation every learning technique reads: see
 //! [`AnfDatabase`](crate::AnfDatabase).
 
+use crate::polynomial::Image;
+use crate::worklist::RowIndex;
 use crate::{Polynomial, PolynomialSystem, TermScratch, Var};
 
 /// What the propagator knows about one variable.
@@ -36,7 +46,7 @@ pub enum VarKnowledge {
 }
 
 /// Result of running [`AnfPropagator::propagate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PropagationOutcome {
     /// `true` if the contradiction `1 = 0` was derived.
     pub contradiction: bool,
@@ -101,6 +111,19 @@ impl AnfPropagator {
     /// Returns `true` if a contradiction has been derived.
     pub fn has_contradiction(&self) -> bool {
         self.contradiction
+    }
+
+    /// Records that the contradiction `1 = 0` was derived.
+    pub(crate) fn flag_contradiction(&mut self) {
+        self.contradiction = true;
+    }
+
+    /// Returns `true` if `var` has no value and represents its own class.
+    pub(crate) fn is_free_root(&self, var: Var) -> bool {
+        matches!(
+            self.knowledge.get(var as usize),
+            None | Some(VarKnowledge::Free)
+        )
     }
 
     /// The value of `var`, if determined (following equivalence chains).
@@ -229,95 +252,56 @@ impl AnfPropagator {
     /// Applies the current knowledge to `poly`, substituting determined
     /// values and equivalence representatives.
     pub fn apply_to_polynomial(&self, poly: &Polynomial) -> Polynomial {
-        self.apply_with(poly, &mut TermScratch::new())
+        self.reduce_with(poly, &mut TermScratch::new())
+            .unwrap_or_else(|| poly.clone())
     }
 
-    /// [`AnfPropagator::apply_to_polynomial`] with a caller-provided scratch
-    /// buffer, so the propagation fixpoint loop reuses one working buffer
-    /// across every substitution of every polynomial.
-    fn apply_with(&self, poly: &Polynomial, scratch: &mut TermScratch) -> Polynomial {
-        let mut result = poly.clone();
-        loop {
-            let mut changed = false;
-            for v in result.variables() {
-                match self.resolve(v) {
-                    Resolved::Value(b) => {
-                        result = result.substitute_const_with(v, b, scratch);
-                        changed = true;
-                    }
-                    Resolved::Literal { root, negated } => {
-                        if root != v || negated {
-                            result = result.substitute_literal_with(v, root, negated, scratch);
-                            changed = true;
-                        }
-                    }
+    /// `poly` with the current knowledge substituted, or `None` when every
+    /// variable of `poly` is a free root (the polynomial is reduced
+    /// already). `scratch` is the working buffer, reused across calls.
+    pub(crate) fn reduce_with(
+        &self,
+        poly: &Polynomial,
+        scratch: &mut TermScratch,
+    ) -> Option<Polynomial> {
+        poly.substitute_all_with(
+            |v| match self.resolve(v) {
+                Resolved::Value(b) => Image::Const(b),
+                Resolved::Literal { root, negated } if root != v || negated => {
+                    Image::Literal(root, negated)
                 }
-            }
-            if !changed {
-                return result;
-            }
-        }
+                Resolved::Literal { .. } => Image::Keep,
+            },
+            scratch,
+        )
     }
 
     /// Runs propagation on `system` until a fixed point: extracts value and
-    /// equivalence assignments from suitably-shaped polynomials, substitutes
-    /// them everywhere, and repeats. The system is rewritten in place (zero
-    /// polynomials are dropped, duplicates removed).
+    /// equivalence assignments from suitably-shaped polynomials and
+    /// substitutes them into the rows that contain the affected variables,
+    /// until no row yields anything new. The system is rewritten in place
+    /// (zero polynomials are dropped, later duplicates removed); the result
+    /// equals that of sweeping every row in order until a sweep learns
+    /// nothing.
     pub fn propagate(&mut self, system: &mut PolynomialSystem) -> PropagationOutcome {
-        self.ensure_num_vars(system.num_vars());
-        let mut outcome = PropagationOutcome {
-            contradiction: false,
-            new_assignments: 0,
-            new_equivalences: 0,
-            system_changed: false,
-        };
-        let mut scratch = TermScratch::new();
-        loop {
-            let mut changed = false;
-            let mut rewritten: Vec<Polynomial> = Vec::with_capacity(system.len());
-            for poly in system.iter() {
-                let reduced = self.apply_with(poly, &mut scratch);
-                if reduced != *poly {
-                    outcome.system_changed = true;
-                }
-                if reduced.is_zero() {
-                    continue;
-                }
-                if reduced.is_one() {
-                    self.contradiction = true;
-                    outcome.contradiction = true;
-                    outcome.system_changed = true;
-                    return outcome;
-                }
-                changed |= self.extract_fact(&reduced, &mut outcome);
-                if self.contradiction {
-                    outcome.contradiction = true;
-                    outcome.system_changed = true;
-                    return outcome;
-                }
-                rewritten.push(reduced);
-            }
-            if rewritten.len() != system.len() {
-                // A polynomial vanished (reduced to zero, or was zero).
-                outcome.system_changed = true;
-            }
-            let mut next = PolynomialSystem::with_num_vars(system.num_vars());
-            next.extend(rewritten);
-            if next.normalize() > 0 {
-                outcome.system_changed = true;
-            }
-            *system = next;
-            if !changed {
-                return outcome;
-            }
-        }
+        RowIndex::new(system).propagate(system, self, 0)
     }
 
     /// Inspects a single polynomial for the fact shapes of Section II-A.
     /// Returns `true` if new knowledge was recorded.
-    fn extract_fact(&mut self, poly: &Polynomial, outcome: &mut PropagationOutcome) -> bool {
-        // Value assignment: x or x ⊕ 1.
-        if let Some((vars, constant)) = poly.as_linear() {
+    pub(crate) fn extract_fact(
+        &mut self,
+        poly: &Polynomial,
+        outcome: &mut PropagationOutcome,
+    ) -> bool {
+        // Value assignment: x or x ⊕ 1. (A polynomial of more than three
+        // terms is neither of the linear shapes below.)
+        let linear = if poly.len() <= 3 {
+            poly.as_linear()
+        } else {
+            None
+        };
+        if let Some((vars, constant)) = linear {
             match vars.len() {
                 1 => {
                     let var = vars[0];
@@ -371,6 +355,95 @@ impl AnfPropagator {
             return any;
         }
         false
+    }
+
+    /// The textbook reduction, kept for the oracle below: substitute one
+    /// variable at a time until nothing changes.
+    #[cfg(test)]
+    fn apply_by_steps(&self, poly: &Polynomial, scratch: &mut TermScratch) -> Polynomial {
+        let mut result = poly.clone();
+        loop {
+            let mut changed = false;
+            for v in result.variables() {
+                match self.resolve(v) {
+                    Resolved::Value(b) => {
+                        result = result.substitute_const_with(v, b, scratch);
+                        changed = true;
+                    }
+                    Resolved::Literal { root, negated } => {
+                        if root != v || negated {
+                            result = result.substitute_literal_with(v, root, negated, scratch);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                return result;
+            }
+        }
+    }
+
+    /// The textbook propagation loop, kept as the oracle of the worklist:
+    /// sweep every row in order (substitute, extract facts), drop zero rows
+    /// and later duplicates after the sweep, and repeat until a sweep learns
+    /// nothing. On a contradiction the system keeps its state from before
+    /// the sweep.
+    #[cfg(test)]
+    pub(crate) fn propagate_by_sweeps(
+        &mut self,
+        system: &mut PolynomialSystem,
+    ) -> PropagationOutcome {
+        self.ensure_num_vars(system.num_vars());
+        let mut outcome = PropagationOutcome {
+            contradiction: false,
+            new_assignments: 0,
+            new_equivalences: 0,
+            system_changed: false,
+        };
+        let mut scratch = TermScratch::new();
+        loop {
+            let mut changed = false;
+            let mut rewritten: Vec<Polynomial> = Vec::with_capacity(system.len());
+            for poly in system.iter() {
+                let reduced = self.apply_by_steps(poly, &mut scratch);
+                if reduced != *poly {
+                    outcome.system_changed = true;
+                }
+                if reduced.is_zero() {
+                    continue;
+                }
+                if reduced.is_one() {
+                    self.contradiction = true;
+                    outcome.contradiction = true;
+                    outcome.system_changed = true;
+                    return outcome;
+                }
+                changed |= self.extract_fact(&reduced, &mut outcome);
+                if self.contradiction {
+                    outcome.contradiction = true;
+                    outcome.system_changed = true;
+                    return outcome;
+                }
+                rewritten.push(reduced);
+            }
+            if rewritten.len() != system.len() {
+                // A polynomial vanished (reduced to zero, or was zero).
+                outcome.system_changed = true;
+            }
+            let mut next = PolynomialSystem::with_num_vars(system.num_vars());
+            for p in rewritten {
+                if next.polynomials().contains(&p) {
+                    outcome.system_changed = true;
+                } else {
+                    next.push(p);
+                }
+            }
+            *system = next;
+            if !changed {
+                return outcome;
+            }
+        }
     }
 
     fn resolve(&self, var: Var) -> Resolved {

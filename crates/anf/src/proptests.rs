@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use crate::naive::{NaiveMonomial, NaivePolynomial};
-use crate::{Assignment, Monomial, Polynomial, PolynomialSystem, Var};
+use crate::{AnfDatabase, AnfPropagator, Assignment, Monomial, Polynomial, PolynomialSystem, Var};
 
 const MAX_VARS: u32 = 6;
 
@@ -35,6 +35,29 @@ fn arb_boundary_polynomial() -> impl Strategy<Value = Polynomial> {
 fn arb_exact_degree(degree: usize) -> impl Strategy<Value = Monomial> {
     (0..32u32)
         .prop_map(move |offset| Monomial::from_vars((0..degree as u32).map(|i| offset + 2 * i)))
+}
+
+/// A row biased towards the shapes propagation reads: a variable, a pair
+/// of variables, a single monomial (an all-ones fact with the constant),
+/// or an arbitrary polynomial; each with or without the constant 1.
+fn arb_propagation_row() -> impl Strategy<Value = Polynomial> {
+    (
+        (0..5u8, 0..MAX_VARS, 0..MAX_VARS, any::<bool>()),
+        arb_monomial(),
+        arb_polynomial(),
+    )
+        .prop_map(|((shape, a, b, constant), m, p)| {
+            let mut row = match shape {
+                0 => Polynomial::variable(a),
+                1 => Polynomial::variable(a) + Polynomial::variable(b),
+                2 => Polynomial::from_monomial(m),
+                _ => p,
+            };
+            if constant {
+                row += &Polynomial::one();
+            }
+            row
+        })
 }
 
 proptest! {
@@ -251,8 +274,62 @@ proptest! {
         for (v, list) in occ.iter().enumerate() {
             for (idx, poly) in system.iter().enumerate() {
                 let occurs = poly.contains_var(v as Var);
-                prop_assert_eq!(occurs, list.contains(&idx));
+                prop_assert_eq!(occurs, list.contains(&(idx as u32)));
             }
+        }
+    }
+
+    /// The worklist reaches exactly the sweeps' result: the same rows in the
+    /// same order, the same knowledge (down to the equivalence links), the
+    /// same contradiction flag and the same counters.
+    #[test]
+    fn worklist_propagation_equals_the_sweep_oracle(
+        rows in proptest::collection::vec(arb_propagation_row(), 0..12),
+    ) {
+        let system = PolynomialSystem::from_polynomials(rows);
+        let (mut fast, mut slow) = (system.clone(), system.clone());
+        let mut fast_prop = AnfPropagator::new(system.num_vars());
+        let mut slow_prop = fast_prop.clone();
+        let fast_outcome = fast_prop.propagate(&mut fast);
+        let slow_outcome = slow_prop.propagate_by_sweeps(&mut slow);
+        prop_assert_eq!(&fast_outcome, &slow_outcome);
+        prop_assert_eq!(fast.polynomials(), slow.polynomials());
+        prop_assert_eq!(fast_prop.has_contradiction(), slow_prop.has_contradiction());
+        for v in 0..MAX_VARS {
+            prop_assert_eq!(fast_prop.knowledge(v), slow_prop.knowledge(v));
+        }
+        prop_assert_eq!(format!("{fast_prop:?}"), format!("{slow_prop:?}"));
+    }
+
+    /// Propagating the database after appending facts equals sweeping its
+    /// whole system with the same knowledge, call after call, including
+    /// after a contradiction.
+    #[test]
+    fn database_propagation_equals_sweeping_the_whole_system(
+        rows in proptest::collection::vec(arb_propagation_row(), 0..10),
+        batches in proptest::collection::vec(
+            proptest::collection::vec(arb_propagation_row(), 0..4),
+            0..4,
+        ),
+    ) {
+        let mut db = AnfDatabase::new(PolynomialSystem::from_polynomials(rows));
+        for batch in std::iter::once(Vec::new()).chain(batches) {
+            for fact in batch {
+                db.push_unique(fact);
+            }
+            let mut system = db.system().clone();
+            let mut prop = db.propagator().clone();
+            let expected = prop.propagate_by_sweeps(&mut system);
+            let before = db.revision();
+            let outcome = db.propagate();
+            prop_assert_eq!(&outcome, &expected);
+            prop_assert_eq!(db.system().polynomials(), system.polynomials());
+            prop_assert_eq!(format!("{:?}", db.propagator()), format!("{prop:?}"));
+            let changed = outcome.system_changed
+                || outcome.new_assignments > 0
+                || outcome.new_equivalences > 0
+                || outcome.contradiction;
+            prop_assert_eq!(db.has_changed_since(before), changed);
         }
     }
 

@@ -88,6 +88,11 @@ impl PolynomialSystem {
         &self.polynomials
     }
 
+    /// The polynomials, for propagation to rewrite and compact in place.
+    pub(crate) fn polynomials_mut(&mut self) -> &mut Vec<Polynomial> {
+        &mut self.polynomials
+    }
+
     /// Iterates over the polynomials.
     pub fn iter(&self) -> std::slice::Iter<'_, Polynomial> {
         self.polynomials.iter()
@@ -118,10 +123,12 @@ impl PolynomialSystem {
         self.polynomials.push(poly);
     }
 
-    /// Appends a polynomial only if an equal polynomial is not already
-    /// present; returns `true` if it was inserted.
+    /// Appends a polynomial only if it is non-zero and an equal polynomial is
+    /// not already present; returns `true` if it was inserted.
     ///
-    /// This is how learnt facts are added to the master ANF copy.
+    /// This compares against every equation. The master ANF copy of the
+    /// engine, [`AnfDatabase`](crate::AnfDatabase), keeps a hash index of
+    /// its rows instead.
     pub fn push_unique(&mut self, poly: Polynomial) -> bool {
         if poly.is_zero() || self.polynomials.contains(&poly) {
             false
@@ -150,31 +157,22 @@ impl PolynomialSystem {
         self.polynomials.iter().map(Polynomial::len).sum()
     }
 
-    /// Removes zero polynomials and exact duplicates, preserving the order of
-    /// first occurrence. Returns the number of polynomials removed.
-    pub fn normalize(&mut self) -> usize {
-        let before = self.polynomials.len();
-        let mut seen: Vec<Polynomial> = Vec::with_capacity(before);
-        for p in self.polynomials.drain(..) {
-            if !p.is_zero() && !seen.contains(&p) {
-                seen.push(p);
-            }
-        }
-        self.polynomials = seen;
-        before - self.polynomials.len()
-    }
-
     /// Builds the occurrence list: for each variable, the indices of the
-    /// polynomials it occurs in.
+    /// polynomials it occurs in, ascending.
     ///
-    /// This mirrors the occurrence-list optimisation Bosphorus borrows from
-    /// the SAT literature: updates to a variable only need to touch the
-    /// polynomials listed for it.
-    pub fn occurrence_lists(&self) -> Vec<Vec<usize>> {
-        let mut occ = vec![Vec::new(); self.num_vars];
-        for (idx, poly) in self.polynomials.iter().enumerate() {
-            for v in poly.variables() {
-                occ[v as usize].push(idx);
+    /// This is the occurrence-list optimisation Bosphorus borrows from the
+    /// SAT literature: propagation uses these lists so that new knowledge
+    /// about a variable only touches the polynomials listed for it.
+    pub fn occurrence_lists(&self) -> Vec<Vec<u32>> {
+        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars];
+        for (idx, poly) in (0..).zip(&self.polynomials) {
+            for m in poly.monomials() {
+                for &v in m.vars() {
+                    let list = &mut occ[v as usize];
+                    if list.last() != Some(&idx) {
+                        list.push(idx);
+                    }
+                }
             }
         }
         occ
@@ -296,17 +294,6 @@ mod tests {
         assert!(s.push_unique(p.clone()));
         assert!(!s.push_unique(p));
         assert!(!s.push_unique(Polynomial::zero()));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn normalize_removes_zero_and_duplicate_rows() {
-        let mut s = PolynomialSystem::new();
-        let p: Polynomial = "x0 + x1".parse().expect("parses");
-        s.push(p.clone());
-        s.push(Polynomial::zero());
-        s.push(p.clone());
-        assert_eq!(s.normalize(), 2);
         assert_eq!(s.len(), 1);
     }
 

@@ -1,15 +1,20 @@
 //! Micro-benchmarks of the ANF term layer: polynomial multiplication, one
-//! XL expansion sweep, and linearisation build — the three operations the
-//! inline-monomial / merge-arithmetic / interner redesign targets.
+//! XL expansion sweep, linearisation build — the three operations the
+//! inline-monomial / merge-arithmetic / interner redesign targets — and
+//! the incremental propagation the engine runs after each fact commit.
 //!
 //! Run with `cargo bench -p bosphorus-bench --bench anf_ops`. The
 //! end-to-end cost of these operations in real jobs is perfbench's
-//! `core.xl_s` and `core.elimlin_s` (`perfbench/README.md`).
+//! `core.xl_s`, `core.elimlin_s` and (for propagation)
+//! `core.driver_self_s` (`perfbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use bosphorus::{expansion_monomials, Linearization, LinearizationBuilder};
-use bosphorus_anf::{Polynomial, PolynomialSystem, TermScratch, Var};
+use bosphorus::{
+    expansion_monomials, xl_learn, BosphorusConfig, CancelToken, Linearization,
+    LinearizationBuilder,
+};
+use bosphorus_anf::{AnfDatabase, Polynomial, PolynomialSystem, TermScratch, Var};
 use bosphorus_ciphers::simon;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,5 +103,44 @@ fn bench_linearize_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(anf_ops, bench_mul, bench_xl_expand, bench_linearize_build);
+/// One fact commit of the engine's loop on a Simon-[4,5] instance: the
+/// input propagated, then the facts of one default XL round pushed and
+/// propagated. Each iteration starts from a clone of the propagated
+/// database; `clone` times that alone.
+fn bench_propagate(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(2019);
+    let system = simon::generate(
+        simon::SimonParams {
+            num_plaintexts: 4,
+            rounds: 5,
+        },
+        &mut rng,
+    )
+    .system;
+    let mut db = AnfDatabase::new(system);
+    assert!(!db.propagate().contradiction);
+    let config = BosphorusConfig::default();
+    let facts = xl_learn(db.system(), &config, &mut rng, &CancelToken::never()).facts;
+    let mut group = c.benchmark_group("anf_ops/propagate");
+    group.sample_size(10);
+    group.bench_function("clone", |bench| bench.iter(|| black_box(&db).clone()));
+    group.bench_function(format!("simon_4_5_{}_xl_facts", facts.len()), |bench| {
+        bench.iter(|| {
+            let mut db = black_box(&db).clone();
+            for fact in &facts {
+                db.push_unique(fact.clone());
+            }
+            black_box(db.propagate())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    anf_ops,
+    bench_mul,
+    bench_xl_expand,
+    bench_linearize_build,
+    bench_propagate
+);
 criterion_main!(anf_ops);

@@ -382,3 +382,64 @@ fn help_prints_usage_and_exits_zero() {
         );
     }
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn dumps_of_the_committed_instances_are_pinned() {
+    // (instance, FNV-1a of `--anfdump`, FNV-1a of `--cnfdump`) under the
+    // default configuration. A change to propagation, the learning passes
+    // or the CNF encoding that alters either dump shows up here.
+    let pinned: [(&str, u64, u64); 6] = [
+        (
+            "worked_example.anf",
+            0x2778_4e6f_43be_f416,
+            0x973f_0f55_8e98_ce32,
+        ),
+        ("table1.anf", 0x7e7a_deb5_adbb_5c2b, 0x8e8c_0070_0200_db04),
+        ("unsat.anf", 0x9677_ffd0_894c_d314, 0x1757_d44a_4c39_1f20),
+        (
+            "simon_2_8.anf",
+            0x6a47_1308_4c1f_8c40,
+            0xa8b4_7381_c712_3372,
+        ),
+        ("small.cnf", 0x11a5_7a07_508b_62fe, 0x741d_b120_e831_3622),
+        ("unsat.cnf", 0xa32c_d416_c84e_0993, 0x57f0_1853_fe02_3e72),
+    ];
+    for (name, anf_hash, cnf_hash) in pinned {
+        let format = if name.ends_with(".cnf") {
+            "--cnf"
+        } else {
+            "--anf"
+        };
+        let anf_dump = temp_file(&format!("golden_{name}.anf"));
+        let cnf_dump = temp_file(&format!("golden_{name}.cnf"));
+        let output = bosphorus(&[
+            format,
+            &instance(name),
+            "--anfdump",
+            &anf_dump,
+            "--cnfdump",
+            &cnf_dump,
+        ]);
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{name}: preprocess-only exit"
+        );
+        let anf = std::fs::read(&anf_dump).expect("anf dump written");
+        let cnf = std::fs::read(&cnf_dump).expect("cnf dump written");
+        let _ = std::fs::remove_file(&anf_dump);
+        let _ = std::fs::remove_file(&cnf_dump);
+        assert_eq!(
+            (fnv1a(&anf), fnv1a(&cnf)),
+            (anf_hash, cnf_hash),
+            "{name}: dump hashes (anf, cnf)"
+        );
+    }
+}

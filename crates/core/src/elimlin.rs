@@ -91,7 +91,7 @@ fn eliminate(
     working: &[Polynomial],
     token: &CancelToken,
 ) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
-    Linearization::build(working).eliminate_cancellable(token)
+    Linearization::build(working).eliminate(token)
 }
 
 /// Step (3) of an ElimLin round: eliminates one variable per equation of

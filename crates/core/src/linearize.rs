@@ -208,10 +208,7 @@ impl Linearization {
     /// Presolves, eliminates and returns all non-zero RREF rows as
     /// polynomials, in pivot order. The GF(2) kernel polls `token`; on
     /// interruption (`stats.interrupted`) no rows are read back.
-    pub fn eliminate_cancellable(
-        self,
-        token: &CancelToken,
-    ) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
+    pub fn eliminate(self, token: &CancelToken) -> (Vec<Polynomial>, GaussStats, PresolveStats) {
         let (reduced, rref) = self.eliminate_keeping(token, |_| true);
         (reduced, rref.gauss, rref.presolve)
     }
@@ -223,7 +220,7 @@ impl Linearization {
     /// polynomials, nor read back out of the dense cores unless the
     /// presolve's back-substitution needs them — the XL fast path. On
     /// interruption no facts are read back and the row count is 0.
-    pub fn eliminate_retainable_cancellable(
+    pub fn eliminate_retainable(
         self,
         token: &CancelToken,
     ) -> (Vec<Polynomial>, usize, GaussStats, PresolveStats) {
@@ -288,11 +285,9 @@ impl Linearization {
         dense.gauss_jordan(&CancelToken::never());
         dense
             .iter()
-            .filter(|r| !r.is_zero())
-            .map(|r| {
-                let cols: Vec<u32> = r.iter_ones().map(|c| c as u32).collect();
-                row_to_polynomial(&self.interner, &self.order, &cols)
-            })
+            .map(|r| r.iter_ones().map(|c| c as u32).collect::<Vec<u32>>())
+            .filter(|cols| !cols.is_empty())
+            .map(|cols| row_to_polynomial(&self.interner, &self.order, &cols))
             .collect()
     }
 }
@@ -346,7 +341,7 @@ mod tests {
     fn eliminate_reproduces_paper_table_1_facts() {
         // After GJE the facts x1+1, x2, x3 appear.
         let lin = Linearization::build(polys(TABLE_1).iter());
-        let (reduced, _, _) = lin.eliminate_cancellable(&CancelToken::never());
+        let (reduced, _, _) = lin.eliminate(&CancelToken::never());
         assert!(reduced.contains(&"x1 + 1".parse().expect("parses")));
         assert!(reduced.contains(&"x2".parse().expect("parses")));
         assert!(reduced.contains(&"x3".parse().expect("parses")));
@@ -355,7 +350,7 @@ mod tests {
     #[test]
     fn eliminate_with_stats_reports_rank_and_work() {
         let lin = Linearization::build(polys(TABLE_1).iter());
-        let (reduced, stats, _) = lin.eliminate_cancellable(&CancelToken::never());
+        let (reduced, stats, _) = lin.eliminate(&CancelToken::never());
         assert_eq!(stats.rank, 6, "Table I(b) rank");
         assert_eq!(reduced.len(), stats.rank);
         assert!(stats.row_xors > 0, "elimination work must be counted");
@@ -446,7 +441,7 @@ mod tests {
         let lin = Linearization::build(ps.iter());
         assert_eq!(lin.num_rows(), 2);
         assert!(lin.matrix().row(1).is_empty());
-        assert!(lin.matrix().to_dense().row(1).is_zero());
+        assert_eq!(lin.matrix().to_dense().row(1).iter_ones().next(), None);
     }
 
     #[test]
@@ -462,7 +457,7 @@ mod tests {
             let ps = polys(text);
             let lin = Linearization::build(ps.iter());
             let oracle = lin.dense_rref();
-            let (facts, gauss, presolve) = lin.eliminate_cancellable(&CancelToken::never());
+            let (facts, gauss, presolve) = lin.eliminate(&CancelToken::never());
             assert_eq!(facts, oracle, "facts must be identical");
             assert_eq!(gauss.rank, oracle.len());
             assert_eq!(presolve.input_rows, ps.len());
@@ -473,8 +468,7 @@ mod tests {
     fn sparse_retainable_matches_dense_retainable() {
         let lin = Linearization::build(polys(TABLE_1).iter());
         let oracle = lin.dense_rref();
-        let (facts, nonzero, gauss, presolve) =
-            lin.eliminate_retainable_cancellable(&CancelToken::never());
+        let (facts, nonzero, gauss, presolve) = lin.eliminate_retainable(&CancelToken::never());
         let retainable: Vec<Polynomial> = oracle
             .iter()
             .filter(|p| crate::is_retainable_fact(p))
@@ -493,7 +487,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let lin = Linearization::build(ps.iter());
-        let (facts, nonzero, gauss, _) = lin.eliminate_retainable_cancellable(&token);
+        let (facts, nonzero, gauss, _) = lin.eliminate_retainable(&token);
         assert!(gauss.interrupted);
         assert!(facts.is_empty());
         assert_eq!(nonzero, 0);

@@ -3,9 +3,9 @@
 //! The current ANF is converted to CNF and handed to the CDCL solver with a
 //! conflict budget. Three outcomes are possible: UNSAT (the learnt fact is
 //! the contradiction `1 = 0`), SAT (a satisfying assignment is stored), or
-//! undecided within the budget. In the last two cases, unit and binary learnt
-//! clauses over variables with an ANF meaning are harvested and turned into
-//! ANF facts. An undecided [`SatSearch`] is paused, not ended, so a later
+//! undecided within the budget. Only in the last case are unit and binary
+//! learnt clauses over variables with an ANF meaning harvested and turned
+//! into ANF facts: a verdict ends the preprocessing loop. An undecided [`SatSearch`] is paused, not ended, so a later
 //! round on the same CNF can continue it instead of starting over.
 
 use std::collections::BTreeSet;
@@ -46,7 +46,8 @@ pub struct SatStepOutcome {
     /// Termination status.
     pub status: SatStepStatus,
     /// ANF facts harvested from top-level assignments and from unit/binary
-    /// learnt clauses whose variables have an ANF meaning.
+    /// learnt clauses whose variables have an ANF meaning (undecided runs
+    /// only; the contradiction `1 = 0` on UNSAT).
     pub facts: Vec<Polynomial>,
     /// Conflicts spent by the solver in this round.
     pub conflicts: u64,
@@ -117,8 +118,8 @@ impl SatSearch {
     }
 
     /// Runs the search for at most `budget` more conflicts, polling `token`
-    /// alongside, and harvests facts from everything the search has learnt
-    /// so far.
+    /// alongside. When the budget runs out undecided, it harvests facts from
+    /// everything the search has learnt so far.
     pub fn run(&mut self, budget: u64, token: &CancelToken) -> SatStepOutcome {
         let solver = &mut self.solver;
         let before = *solver.stats();
@@ -133,12 +134,13 @@ impl SatSearch {
                 facts.push(Polynomial::one());
                 SatStepStatus::Unsatisfiable
             }
+            // A model ends the preprocessing: nothing learnt alongside it
+            // would be used, so nothing is harvested.
             SolveResult::Sat => {
                 let model = solver.model().expect("SAT implies a model");
                 let assignment = Assignment::from_bits(
                     (0..self.num_anf_vars).map(|v| model.get(v).copied().unwrap_or(false)),
                 );
-                harvest_facts(&mut facts, solver, &self.conversion);
                 SatStepStatus::Satisfiable(assignment)
             }
             // The solver reports Unknown for both budget exhaustion and
@@ -269,9 +271,26 @@ mod tests {
 
     #[test]
     fn harvested_facts_are_consequences() {
+        // Three conflicts leave this system undecided; the fourth equation
+        // alone forces x7 = 1.
         let (system, outcome) = run(
-            "x0*x1 + x2; x1 + x2 + 1; x0*x2 + x0 + x1; x2*x3 + x0; x3 + x1;",
-            10_000,
+            "x6*x7 + x2*x12 + x1*x11 + x7 + x0 + 1;
+             x2*x5 + x5*x12 + x8 + x12;
+             x0*x3 + x4*x8 + x9*x11 + x7 + x4;
+             x4*x7 + x7*x8 + 1;
+             x0*x5 + x0*x6 + x0*x2 + x4 + x12;
+             x1*x10 + x5*x6 + x7*x9 + x13 + x11;
+             x6*x9 + x7*x9 + x4*x12 + x9 + x6;
+             x0*x3 + x2*x7 + x1 + x8;
+             x6*x13 + x7*x13 + x1 + x6 + 1;
+             x5*x6 + x1*x7 + x10 + x9;",
+            3,
+        );
+        assert_eq!(outcome.status, SatStepStatus::Undecided);
+        assert!(
+            outcome.facts.contains(&"x7 + 1".parse().expect("parses")),
+            "harvest: {:?}",
+            outcome.facts
         );
         let n = system.num_vars();
         for bits in 0u64..(1 << n) {
@@ -285,6 +304,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_model_comes_without_harvested_facts() {
+        let (_, outcome) = run(
+            "x1*x2 + x3 + x4 + 1;
+             x1*x2*x3 + x1 + x3 + 1;
+             x1*x3 + x3*x4*x5 + x3;
+             x2*x3 + x3*x5 + 1;
+             x2*x3 + x5 + 1;",
+            10_000,
+        );
+        assert!(matches!(outcome.status, SatStepStatus::Satisfiable(_)));
+        assert!(outcome.facts.is_empty());
     }
 
     #[test]

@@ -222,7 +222,7 @@ pub fn xl_learn<R: Rng>(
     // The structural rules run on the interned sparse rows and only the
     // residual dense cores reach the blocked kernel (see
     // `crates/gf2/src/sparse.rs`).
-    let (facts, rank, gauss, presolve) = builder.finish().eliminate_retainable_cancellable(token);
+    let (facts, rank, gauss, presolve) = builder.finish().eliminate_retainable(token);
     if gauss.interrupted {
         // The elimination stopped between sweeps (or mid-presolve); its
         // partial reduction is not the RREF, so no facts were read back (the

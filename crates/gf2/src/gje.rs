@@ -134,7 +134,7 @@ impl BitMatrix {
     /// assert_eq!(stats.rank, 2);
     /// assert_eq!(m.row(0).to_string(), "110");
     /// assert_eq!(m.row(1).to_string(), "001");
-    /// assert!(m.row(2).is_zero());
+    /// assert_eq!(m.row(2).to_string(), "000");
     /// ```
     pub fn gauss_jordan(&mut self, token: &CancelToken) -> GaussStats {
         self.gauss_jordan_in(token, &mut KernelScratch::default())

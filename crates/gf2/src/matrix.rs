@@ -10,10 +10,10 @@ use crate::vector::{word_get, xor_words, RowRef};
 /// stride (`ncols.div_ceil(64)`), so row `r` occupies
 /// `words[r * stride .. (r + 1) * stride]`. Rows are never separate
 /// allocations: the elimination kernels work in place on the arena through
-/// word-level row views ([`BitMatrix::row_words`],
-/// [`BitMatrix::row_words_mut`], [`BitMatrix::row_pair_mut`]) and, for the
-/// blocked kernel's row-update pass, one streaming walk over the whole
-/// arena, without flattening or read-back copies.
+/// word-level row views (read-only ones are public as
+/// [`BitMatrix::row_words`]) and, for the blocked kernel's row-update pass,
+/// one streaming walk over the whole arena, without flattening or read-back
+/// copies.
 ///
 /// The matrix supports the elementary row operations needed by Gauss–Jordan
 /// elimination (row swap, row XOR) as word-parallel operations, which is what
@@ -75,15 +75,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `words.len() != nrows * ncols.div_ceil(64)`.
-    ///
-    /// ```
-    /// use bosphorus_gf2::BitMatrix;
-    /// // two rows of 3 columns: 0b101 and 0b010
-    /// let m = BitMatrix::from_row_words(vec![0b101, 0b010], 2, 3);
-    /// assert!(m.get(0, 0) && m.get(0, 2) && m.get(1, 1));
-    /// assert!(!m.get(0, 1) && !m.get(1, 0) && !m.get(1, 2));
-    /// ```
-    pub fn from_row_words(mut words: Vec<u64>, nrows: usize, ncols: usize) -> Self {
+    pub(crate) fn from_row_words(mut words: Vec<u64>, nrows: usize, ncols: usize) -> Self {
         let stride = ncols.div_ceil(64);
         assert_eq!(
             words.len(),
@@ -129,7 +121,7 @@ impl BitMatrix {
     }
 
     /// Number of `u64` words per row in the arena (`ncols.div_ceil(64)`).
-    pub fn words_per_row(&self) -> usize {
+    pub(crate) fn words_per_row(&self) -> usize {
         self.stride
     }
 
@@ -213,7 +205,8 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    pub fn row_words_mut(&mut self, row: usize) -> &mut [u64] {
+    #[cfg(test)]
+    pub(crate) fn row_words_mut(&mut self, row: usize) -> &mut [u64] {
         assert!(
             row < self.nrows,
             "row index {row} out of range {}",
@@ -228,7 +221,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `a == b` or either index is out of range.
-    pub fn row_pair_mut(&mut self, a: usize, b: usize) -> (&mut [u64], &mut [u64]) {
+    pub(crate) fn row_pair_mut(&mut self, a: usize, b: usize) -> (&mut [u64], &mut [u64]) {
         assert_ne!(a, b, "row_pair_mut requires two distinct rows");
         assert!(
             a < self.nrows && b < self.nrows,
@@ -260,7 +253,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         assert!(
             a < self.nrows && b < self.nrows,
             "row pair ({a}, {b}) out of range {}",
@@ -278,7 +271,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if either index is out of range or `src == dst`.
-    pub fn xor_row_into(&mut self, src: usize, dst: usize) {
+    pub(crate) fn xor_row_into(&mut self, src: usize, dst: usize) {
         assert_ne!(src, dst, "cannot XOR a row into itself");
         let (s, d) = self.row_pair_mut(src, dst);
         xor_words(d, s);

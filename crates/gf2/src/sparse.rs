@@ -485,8 +485,16 @@ struct Presolver {
     /// Reused result buffer of [`Presolver::rows_containing`] and the R2
     /// duplicate list.
     found: Vec<u32>,
-    /// Reused `(row hash, row)` keys of the R2 pass.
+    /// `(row hash, row)` keys of the rows the last R2 pass saw live,
+    /// ascending; a row killed or changed since has a stale key here.
     keys: Vec<(u64, u32)>,
+    /// Reused buffers of the R2 pass: the new keys, and the merge target.
+    fresh_keys: Vec<(u64, u32)>,
+    merged_keys: Vec<(u64, u32)>,
+    /// Rows changed since the last R2 pass (each listed once), and the
+    /// flags that say so.
+    changed: Vec<u32>,
+    is_changed: Vec<bool>,
 }
 
 impl Presolver {
@@ -553,6 +561,11 @@ impl Presolver {
             pure_cols,
             found: Vec::new(),
             keys: Vec::new(),
+            fresh_keys: Vec::new(),
+            merged_keys: Vec::new(),
+            // The first R2 pass keys every row.
+            changed: (0..nrows as u32).collect(),
+            is_changed: vec![true; nrows],
         }
     }
 
@@ -607,6 +620,16 @@ impl Presolver {
         self.entries
             .copy_within(start + pos + 1..start + len, start + pos);
         self.len[r] -= 1;
+        self.mark_changed(r);
+    }
+
+    /// Notes that row `r`'s entries changed, so the next R2 pass re-keys
+    /// it.
+    fn mark_changed(&mut self, r: usize) {
+        if !self.is_changed[r] {
+            self.is_changed[r] = true;
+            self.changed.push(r as u32);
+        }
     }
 
     /// Fills `found` with the live rows currently containing column `c`, in
@@ -667,6 +690,7 @@ impl Presolver {
         if self.len[j] <= 2 {
             self.small.push(j as u32);
         }
+        self.mark_changed(j);
         self.xors += 1;
     }
 
@@ -759,19 +783,31 @@ impl Presolver {
         self.stats.pure_leading_rows += 1;
     }
 
-    /// R2: one global pass over every live row, dropping each row equal to
-    /// a lower-numbered one (it XORs to zero). Rows are grouped by hash
-    /// through one sort of `(hash, row)` keys and the duplicates dropped in
-    /// ascending row order. Returns `(changed, interrupted)`.
+    /// R2: drops each live row equal to a lower-numbered one (it XORs to
+    /// zero). Rows are grouped by hash through the sorted `(hash, row)`
+    /// keys, and the duplicates dropped in ascending row order. Only rows
+    /// changed since the previous pass are hashed again: the others kept
+    /// their entries, so their keys still hold, and two of them cannot have
+    /// become equal. Returns `(changed, interrupted)`.
     fn dedup_pass(&mut self, check: &mut Checkpoint) -> (bool, bool) {
         let mut changed = false;
-        let mut keys = std::mem::take(&mut self.keys);
-        keys.clear();
-        for r in 0..self.nrows() {
+        // The keys of rows killed or changed since the last pass go.
+        let (len, is_changed) = (&self.len, &self.is_changed);
+        self.keys
+            .retain(|&(_, r)| len[r as usize] != NONE && !is_changed[r as usize]);
+        let mut fresh = std::mem::take(&mut self.fresh_keys);
+        fresh.clear();
+        let mut rows = std::mem::take(&mut self.changed);
+        for &r in &rows {
             if check.check() {
-                self.keys = keys;
+                // The pass is abandoned with the presolve; nothing reads the
+                // keys again.
+                self.fresh_keys = fresh;
+                self.changed = rows;
                 return (changed, true);
             }
+            let r = r as usize;
+            self.is_changed[r] = false;
             if !self.is_live(r) {
                 continue;
             }
@@ -781,9 +817,26 @@ impl Presolver {
                 changed = true;
                 continue;
             }
-            keys.push((hash_row(self.row(r)), r as u32));
+            fresh.push((hash_row(self.row(r)), r as u32));
         }
-        keys.sort_unstable();
+        rows.clear();
+        self.changed = rows;
+        fresh.sort_unstable();
+        // Merge the kept keys with the new ones.
+        let mut keys = std::mem::take(&mut self.merged_keys);
+        keys.clear();
+        let mut old = self.keys.iter().copied().peekable();
+        for &key in &fresh {
+            while let Some(&next) = old.peek().filter(|&&next| next < key) {
+                keys.push(next);
+                old.next();
+            }
+            keys.push(key);
+        }
+        keys.extend(old);
+        self.merged_keys = std::mem::replace(&mut self.keys, keys);
+        self.fresh_keys = fresh;
+        let keys = &self.keys;
         let mut duplicates = std::mem::take(&mut self.found);
         duplicates.clear();
         let mut run = 0usize;
@@ -811,7 +864,6 @@ impl Presolver {
             changed = true;
         }
         self.found = duplicates;
-        self.keys = keys;
         (changed, false)
     }
 
@@ -1245,6 +1297,31 @@ mod tests {
         let r = assert_matches_dense(m);
         assert_eq!(r.presolve.duplicate_rows, 2);
         assert!(r.gauss.row_xors >= 2, "duplicate drops count as row XORs");
+    }
+
+    #[test]
+    fn duplicate_pass_keys_equal_a_full_rekeying() {
+        // After the rule fixpoint the kept keys are exactly what hashing
+        // every live row afresh gives, and no two live rows are equal.
+        for seed in 0..8 {
+            let m = splitmix_sparse(300, 40, 4, seed);
+            let mut presolver = Presolver::new(m);
+            assert!(!presolver.run(&mut CancelToken::never().checkpoint()));
+            let live: Vec<usize> = (0..presolver.nrows())
+                .filter(|&r| presolver.is_live(r))
+                .collect();
+            let mut expected: Vec<(u64, u32)> = live
+                .iter()
+                .map(|&r| (hash_row(presolver.row(r)), r as u32))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(presolver.keys, expected, "seed {seed}");
+            assert!(presolver.changed.is_empty());
+            let mut rows: Vec<&[u32]> = live.iter().map(|&r| presolver.row(r)).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            assert_eq!(rows.len(), live.len(), "seed {seed}: a duplicate survived");
+        }
     }
 
     #[test]

@@ -173,12 +173,14 @@ impl<'a> RowRef<'a> {
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Returns `true` if no bit is set.
-    pub fn is_zero(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
@@ -193,7 +195,8 @@ impl<'a> RowRef<'a> {
     /// # Panics
     ///
     /// Panics if `start > end` or `end > self.len()`.
-    pub fn first_one_in_range(&self, start: usize, end: usize) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn first_one_in_range(&self, start: usize, end: usize) -> Option<usize> {
         assert!(
             start <= end && end <= self.len,
             "bit range {start}..{end} out of range {}",
@@ -209,7 +212,8 @@ impl<'a> RowRef<'a> {
 
     /// The backing words of the row, least-significant bit first. Unused
     /// high bits of the last word are zero.
-    pub fn words(&self) -> &'a [u64] {
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> &'a [u64] {
         self.words
     }
 }

@@ -181,8 +181,8 @@ fn simon_xl_round_builder_matches_the_eager_construction() {
     }
 
     let never = CancelToken::never();
-    let (facts, rank, _, _) = lin.eliminate_retainable_cancellable(&never);
-    let (eager_facts, eager_rank, _, _) = eager_lin.eliminate_retainable_cancellable(&never);
+    let (facts, rank, _, _) = lin.eliminate_retainable(&never);
+    let (eager_facts, eager_rank, _, _) = eager_lin.eliminate_retainable(&never);
     assert_eq!(rank, eager_rank);
     assert_eq!(facts, eager_facts);
     assert!(!facts.is_empty(), "the round learns facts");
