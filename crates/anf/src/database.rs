@@ -157,9 +157,10 @@ impl AnfDatabase {
     /// appended since the previous call (every row on the first call, or
     /// after a contradiction), and reaches the rest of the system only
     /// through the occurrence lists of variables that received new
-    /// knowledge. A call with nothing appended is a no-op. The outcome
-    /// (rows, knowledge, counters, `system_changed`) is identical to
-    /// sweeping the whole system until nothing changes.
+    /// knowledge. A call with nothing appended is a no-op. It reaches the
+    /// fixed point of propagating the whole system (the same rows and
+    /// resolved knowledge), and counts the same facts as
+    /// [`AnfPropagator::propagate`] on the whole system would.
     pub fn propagate(&mut self) -> PropagationOutcome {
         let first = match self.propagated_rows {
             Some(rows) if !self.propagator.has_contradiction() => rows,
@@ -182,11 +183,6 @@ impl AnfDatabase {
     /// Returns `true` if the propagator has derived a contradiction.
     pub fn has_contradiction(&self) -> bool {
         self.propagator.has_contradiction()
-    }
-
-    /// Consumes the database, returning the system and propagation state.
-    pub fn into_parts(self) -> (PolynomialSystem, AnfPropagator) {
-        (self.system, self.propagator)
     }
 }
 
@@ -312,14 +308,5 @@ mod tests {
         assert_eq!(outcome.new_assignments, 1, "the unit fact is absorbed");
         assert_eq!(db.propagator().value(9), Some(true));
         assert_eq!(db.len(), 1, "the absorbed fact leaves the system");
-    }
-
-    #[test]
-    fn into_parts_returns_system_and_knowledge() {
-        let mut db = db("x0 + 1;");
-        db.propagate();
-        let (system, propagator) = db.into_parts();
-        assert!(system.is_empty());
-        assert_eq!(propagator.value(0), Some(true));
     }
 }

@@ -77,11 +77,6 @@ impl Assignment {
     pub fn iter(&self) -> impl Iterator<Item = (Var, bool)> + '_ {
         self.values.iter().enumerate().map(|(i, &b)| (i as Var, b))
     }
-
-    /// Number of variables assigned `true`.
-    pub fn count_true(&self) -> usize {
-        self.values.iter().filter(|&&b| b).count()
-    }
 }
 
 impl FromIterator<bool> for Assignment {
@@ -120,7 +115,6 @@ mod tests {
         let a = Assignment::from_bits([true, false, true]);
         assert_eq!(a.len(), 3);
         assert!(a.get(0) && !a.get(1) && a.get(2));
-        assert_eq!(a.count_true(), 2);
         assert_eq!(a.to_string(), "101");
     }
 
@@ -143,7 +137,7 @@ mod tests {
     #[test]
     fn conversions() {
         let a: Assignment = vec![true, true].into();
-        assert_eq!(a.count_true(), 2);
+        assert_eq!(a.as_bits(), [true, true]);
         let b: Assignment = [false, true].into_iter().collect();
         assert_eq!(b.len(), 2);
     }

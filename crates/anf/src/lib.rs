@@ -67,7 +67,7 @@ pub use intern::MonomialInterner;
 pub use monomial::Monomial;
 pub use parser::{ParsePolynomialError, ParseSystemError};
 pub use polynomial::{Polynomial, TermScratch};
-pub use propagate::{AnfPropagator, PropagationOutcome, VarKnowledge};
+pub use propagate::{is_retainable_fact, AnfPropagator, PropagationOutcome, VarKnowledge};
 pub use system::PolynomialSystem;
 
 /// Index of a Boolean variable. Variables are named `x0, x1, ...` in the

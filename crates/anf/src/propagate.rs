@@ -1,22 +1,35 @@
 //! ANF propagation (Section II-A of the paper).
 //!
 //! For each variable the propagator tracks a value (0, 1 or undetermined) and
-//! an equivalence literal. Polynomials of special shapes yield assignments:
+//! an equivalence literal. A reduced polynomial of one of three shapes yields
+//! facts:
 //!
-//! * `x` or `x ⊕ 1` assign a constant to `x`;
-//! * `x_{i1}·…·x_{ip} ⊕ 1` assigns 1 to every variable of the monomial;
-//! * `x ⊕ y` and `x ⊕ y ⊕ 1` record the equivalences `x = y` and `x = ¬y`.
+//! * `x` or `x ⊕ 1` assigns a constant to `x`;
+//! * `x ⊕ y` and `x ⊕ y ⊕ 1` record the equivalences `x = y` and `x = ¬y`;
+//! * a product of literals plus one, `(x_1 ⊕ a_1)·…·(x_k ⊕ a_k) ⊕ 1` with
+//!   k ≥ 2, forces every `x_i = ¬a_i`. With every `a_i = 0` this is the
+//!   paper's all-ones rule `x_{i1}·…·x_{ip} ⊕ 1`.
 //!
 //! Assignments are substituted into the system and the process repeats until
 //! a fixed point is reached. Equivalence classes are kept as links from the
 //! larger to the smaller variable index, so each class is represented by its
 //! smallest variable, and values sit on those representatives.
 //!
+//! The fixed point does not depend on the order rows are visited in, because
+//! the three shapes are closed under substitution: putting a constant or a
+//! literal into a row of one of them gives a row of one of them, `0` or the
+//! contradiction `1` (a factor that becomes 1 drops out, one that becomes 0
+//! zeroes the product, and two factors over the same variable collapse or
+//! cancel). So a row that yields a fact keeps yielding it, or its facts are
+//! already known, whatever is learnt first, and every visiting order ends
+//! with the same resolved knowledge and the same reduced rows. The all-ones
+//! rule alone is not closed: after `x1 = ¬x0` the fact `x1*x2 + 1` reads
+//! `x0*x2 + x2 + 1`, which only the product rule sees as `x0 = 0, x2 = 1`.
+//!
 //! [`AnfPropagator`] holds the knowledge; applying it to a system is the job
 //! of the worklist in `worklist.rs`, which revisits only the rows a new fact
-//! can change (through occurrence lists) yet reaches exactly the fixed point
-//! of repeated in-order sweeps. The sweeps themselves survive as the test
-//! oracle `AnfPropagator::propagate_by_sweeps`.
+//! can change (through occurrence lists). Whole-system sweeps survive as the
+//! test oracle `AnfPropagator::propagate_by_sweeps`.
 //!
 //! The propagator lives next to [`PolynomialSystem`] (rather than in the
 //! engine crate) because together they form the shared problem
@@ -25,7 +38,7 @@
 
 use crate::polynomial::Image;
 use crate::worklist::RowIndex;
-use crate::{Polynomial, PolynomialSystem, TermScratch, Var};
+use crate::{Monomial, Polynomial, PolynomialSystem, TermScratch, Var};
 
 /// What the propagator knows about one variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -167,13 +180,6 @@ impl AnfPropagator {
         }
     }
 
-    /// Count of variables with a determined value.
-    pub fn num_assigned(&self) -> usize {
-        (0..self.knowledge.len() as Var)
-            .filter(|&v| self.value(v).is_some())
-            .count()
-    }
-
     /// Records the fact `var = value`. Returns `false` (and flags a
     /// contradiction) if it conflicts with existing knowledge.
     pub fn assign(&mut self, var: Var, value: bool) -> bool {
@@ -280,9 +286,10 @@ impl AnfPropagator {
     /// equivalence assignments from suitably-shaped polynomials and
     /// substitutes them into the rows that contain the affected variables,
     /// until no row yields anything new. The system is rewritten in place
-    /// (zero polynomials are dropped, later duplicates removed); the result
-    /// equals that of sweeping every row in order until a sweep learns
-    /// nothing.
+    /// (zero polynomials are dropped, later duplicates removed). The rows
+    /// and the resolved knowledge at the fixed point do not depend on the
+    /// order of the rows. On a contradiction the rows stay as rewritten so
+    /// far.
     pub fn propagate(&mut self, system: &mut PolynomialSystem) -> PropagationOutcome {
         RowIndex::new(system).propagate(system, self, 0)
     }
@@ -339,12 +346,12 @@ impl AnfPropagator {
                 _ => return false,
             }
         }
-        // All-ones fact: x_{i1}…x_{ip} ⊕ 1 forces every variable to 1.
-        if let Some(monomial) = poly.as_monomial_plus_one() {
+        // Product of literals plus one: every literal is forced to 1.
+        if let Some(forced) = forced_by_literal_product(poly) {
             let mut any = false;
-            for &v in monomial.vars() {
-                if self.value(v) != Some(true) {
-                    self.assign(v, true);
+            for (v, value) in forced {
+                if self.value(v) != Some(value) {
+                    self.assign(v, value);
                     outcome.new_assignments += 1;
                     any = true;
                 }
@@ -474,6 +481,65 @@ impl AnfPropagator {
     }
 }
 
+/// The values forced by `poly = 0` when `poly ⊕ 1` is a product of literals
+/// `(x_1 ⊕ a_1)·…·(x_k ⊕ a_k)` over k ≥ 2 distinct variables: every
+/// `x_i = ¬a_i`, in the order of the variables. `None` for any other
+/// polynomial.
+///
+/// The expansion of the product has one term per set of variables that
+/// holds every `x_i` with `a_i = 0`, `2^#{a_i = 1}` terms in all, and its
+/// largest one is `x_1·…·x_k`. So the largest term of `poly` names the
+/// variables, `a_i` says whether that term without `x_i` is a term of
+/// `poly`, and the constant 1 of the product cancels exactly when every
+/// `a_i = 1`. The term count is checked first, in O(1), because propagation
+/// asks this of every row it visits.
+fn forced_by_literal_product(poly: &Polynomial) -> Option<Vec<(Var, bool)>> {
+    let terms = poly.monomials();
+    let top = terms.last()?;
+    let constant = poly.has_constant_term();
+    let product_terms = if constant {
+        terms.len() - 1
+    } else {
+        terms.len() + 1
+    };
+    if top.degree() < 2 || !product_terms.is_power_of_two() {
+        return None;
+    }
+    // (x_i, ¬a_i) for every variable of the top term.
+    let forced: Vec<(Var, bool)> = top
+        .vars()
+        .iter()
+        .map(|&v| (v, !poly.contains_monomial(&top.without(v))))
+        .collect();
+    let negated = forced.iter().filter(|&&(_, value)| !value).count();
+    if product_terms.trailing_zeros() as usize != negated || constant == (negated == forced.len()) {
+        return None;
+    }
+    // The count matches, so the terms are all the sets between the
+    // variables forced to 1 and the top term exactly when each lies there.
+    let ones = Monomial::from_vars(forced.iter().filter(|f| f.1).map(|f| f.0));
+    terms
+        .iter()
+        .filter(|m| !m.is_one())
+        .all(|m| ones.divides(m) && m.divides(top))
+        .then_some(forced)
+}
+
+/// The shapes of learnt fact a pass keeps: linear equations and
+/// `x_{i1}·…·x_{ip} ⊕ 1` (the two fact shapes of Section II), plus the
+/// contradiction `1`, which lets the engine conclude UNSAT. Every pass's
+/// facts go through this filter before they are committed, and XL reads
+/// back only rows of these shapes.
+///
+/// It is narrower than propagation's product-of-literals rule on purpose:
+/// XL recognises retainable rows of its eliminated matrix by their column
+/// pattern (every term linear, or one term plus the constant column), which
+/// sees only these shapes. Widening the filter means widening that
+/// read-back too.
+pub fn is_retainable_fact(p: &Polynomial) -> bool {
+    !p.is_zero() && (p.is_linear() || p.as_monomial_plus_one().is_some())
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Resolved {
     Value(bool),
@@ -509,6 +575,62 @@ mod tests {
         assert_eq!(prop.value(2), Some(true));
         assert_eq!(prop.value(5), Some(true));
         assert_eq!(prop.value(1), None);
+    }
+
+    #[test]
+    fn every_product_of_literals_plus_one_forces_its_literals() {
+        let vars: [Var; 4] = [1, 3, 4, 7];
+        for k in 2..=4 {
+            for signs in 0u32..(1 << k) {
+                // (x_{v_i} ⊕ a_i) over the first k variables, a_i = bit i.
+                let negated = |i: usize| signs >> i & 1 == 1;
+                let mut p = Polynomial::one();
+                for (i, &v) in vars[..k].iter().enumerate() {
+                    p = &p * &(Polynomial::variable(v) + Polynomial::constant(negated(i)));
+                }
+                p += &Polynomial::one();
+                let expected: Vec<(Var, bool)> = (0..k).map(|i| (vars[i], !negated(i))).collect();
+                assert_eq!(forced_by_literal_product(&p), Some(expected.clone()), "{p}");
+                let mut s = PolynomialSystem::from_polynomials([p.clone()]);
+                let mut prop = AnfPropagator::new(s.num_vars());
+                prop.propagate(&mut s);
+                assert!(s.is_empty(), "{p}");
+                for (v, value) in expected {
+                    assert_eq!(prop.value(v), Some(value), "{p}: x{v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_product_of_negated_literals_forces_zeros() {
+        // x0*x1 + x0 + x1 = (x0 ⊕ 1)(x1 ⊕ 1) ⊕ 1: both are 0.
+        let mut s = system("x0*x1 + x0 + x1;");
+        let mut prop = AnfPropagator::new(s.num_vars());
+        let outcome = prop.propagate(&mut s);
+        assert_eq!(outcome.new_assignments, 2);
+        assert_eq!(prop.value(0), Some(false));
+        assert_eq!(prop.value(1), Some(false));
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn other_shapes_are_not_products_of_literals() {
+        for text in [
+            "x0*x1 + x1*x2 + 1",
+            "x0*x1 + x2 + 1",
+            "x0*x1 + x2",
+            "x0*x1",
+            "x0 + 1",
+            "x0 + x1 + 1",
+            // Right count and top term, but the constant does not cancel.
+            "x0*x1*x2 + x0*x2 + x1*x2",
+            // Right count, signs and constant, but x3 is not under the top.
+            "x0*x1*x2 + x0*x1 + x0*x2 + x1*x2 + x0 + x1 + x3",
+        ] {
+            let p: Polynomial = text.parse().expect("parses");
+            assert_eq!(forced_by_literal_product(&p), None, "{text}");
+        }
     }
 
     #[test]
@@ -607,12 +729,13 @@ mod tests {
     }
 
     #[test]
-    fn num_assigned_counts_through_equivalences() {
+    fn values_resolve_through_equivalences() {
         let mut prop = AnfPropagator::new(3);
         prop.equate(0, 1, false);
-        assert_eq!(prop.num_assigned(), 0);
+        assert_eq!(prop.value(0), None);
         prop.assign(1, true);
-        assert_eq!(prop.num_assigned(), 2, "x0 inherits x1's value");
+        assert_eq!(prop.value(0), Some(true), "x0 inherits x1's value");
+        assert_eq!(prop.value(2), None);
     }
 
     #[test]

@@ -98,15 +98,6 @@ impl PolynomialSystem {
         self.polynomials.iter()
     }
 
-    /// Mutable access to polynomial `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn polynomial_mut(&mut self, idx: usize) -> &mut Polynomial {
-        &mut self.polynomials[idx]
-    }
-
     /// Replaces polynomial `idx` with `poly`.
     ///
     /// # Panics
@@ -150,11 +141,6 @@ impl PolynomialSystem {
             .map(Polynomial::degree)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total number of monomial occurrences across all equations.
-    pub fn total_terms(&self) -> usize {
-        self.polynomials.iter().map(Polynomial::len).sum()
     }
 
     /// Builds the occurrence list: for each variable, the indices of the

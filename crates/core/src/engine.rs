@@ -5,7 +5,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use bosphorus_anf::{AnfDatabase, AnfPropagator, Assignment, Polynomial, PolynomialSystem, Var};
+use bosphorus_anf::{
+    is_retainable_fact, AnfDatabase, AnfPropagator, Assignment, Polynomial, PolynomialSystem, Var,
+};
 use bosphorus_cnf::CnfFormula;
 use bosphorus_interrupt::CancelToken;
 use bosphorus_sat::{SolveResult, SolverConfig};
@@ -15,7 +17,6 @@ use rand::SeedableRng;
 use crate::anf_to_cnf::{anf_to_cnf, CnfConversion};
 use crate::cnf_to_anf::cnf_to_anf;
 use crate::pipeline::{PassBudget, PassStatus, Pipeline};
-use crate::xl::is_retainable_fact;
 use crate::{BosphorusConfig, EngineStats, TimelineEntry};
 
 /// Outcome of [`Bosphorus::preprocess`].
@@ -161,11 +162,6 @@ impl Bosphorus {
     /// The master ANF after the preprocessing performed so far.
     pub fn processed_system(&self) -> &PolynomialSystem {
         self.db.system()
-    }
-
-    /// The system the engine was constructed with.
-    pub fn original_system(&self) -> &PolynomialSystem {
-        &self.original
     }
 
     /// Number of variables of the original problem (before any auxiliary

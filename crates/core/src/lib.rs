@@ -69,7 +69,7 @@ pub use anf_to_cnf::{anf_to_cnf, tseitin_clause_count, CnfConversion};
 // The propagator moved into `bosphorus-anf` (it is part of the shared
 // problem representation, see `AnfDatabase`); re-exported here so existing
 // `bosphorus::AnfPropagator` paths keep working.
-pub use bosphorus_anf::{AnfPropagator, PropagationOutcome, VarKnowledge};
+pub use bosphorus_anf::{is_retainable_fact, AnfPropagator, PropagationOutcome, VarKnowledge};
 pub use bosphorus_gf2::{GaussStats, PresolveStats};
 // The cancellation token lives in its own bottom-level crate so every layer
 // (gf2, sat, groebner) can poll it; re-exported here as the engine-facing
@@ -88,7 +88,7 @@ pub use pipeline::{
 };
 pub use satstep::{SatSearch, SatStepOutcome, SatStepStatus};
 pub use stats::{EngineStats, PassStats, TimelineEntry};
-pub use xl::{expansion_monomials, is_retainable_fact, xl_learn, XlOutcome};
+pub use xl::{expansion_monomials, xl_learn, XlOutcome};
 
 #[cfg(test)]
 mod proptests;

@@ -681,16 +681,6 @@ impl Pipeline {
         self.poisoned[index]
     }
 
-    /// Names of the poisoned passes, in pipeline order.
-    pub fn poisoned_names(&self) -> Vec<&'static str> {
-        self.passes
-            .iter()
-            .zip(&self.poisoned)
-            .filter(|(_, &poisoned)| poisoned)
-            .map(|(pass, _)| pass.name())
-            .collect()
-    }
-
     /// Number of registered passes.
     pub fn len(&self) -> usize {
         self.passes.len()

@@ -11,7 +11,7 @@
 //! described in the paper. Because the purpose is to *learn facts*, not to
 //! solve the system, working on a subsample is acceptable.
 
-use bosphorus_anf::{Monomial, Polynomial, PolynomialSystem, TermScratch, Var};
+use bosphorus_anf::{is_retainable_fact, Monomial, Polynomial, PolynomialSystem, TermScratch, Var};
 use bosphorus_gf2::{GaussStats, PresolveStats};
 use bosphorus_interrupt::CancelToken;
 use rand::seq::SliceRandom;
@@ -252,16 +252,6 @@ pub fn xl_learn<R: Rng>(
     }
 }
 
-/// The two learnt-fact shapes of Section II: linear equations and
-/// `monomial ⊕ 1` facts. The contradiction `1` is also retained so the engine
-/// can conclude UNSAT.
-///
-/// This is the filter the engine applies before committing any pass's facts
-/// to the master ANF copy.
-pub fn is_retainable_fact(p: &Polynomial) -> bool {
-    !p.is_zero() && (p.is_linear() || p.as_monomial_plus_one().is_some())
-}
-
 /// Test oracle for an exhaustive XL round: the retainable rows and the rank
 /// of the dense kernel's RREF of the whole expansion — every polynomial of
 /// `system` and its products with every multiplier of degree `1..=degree`.
@@ -459,5 +449,10 @@ mod tests {
         assert!(is_retainable_fact(&Polynomial::one()));
         assert!(!is_retainable_fact(&Polynomial::zero()));
         assert!(!is_retainable_fact(&"x0*x1 + x2".parse().expect("parses")));
+        // Propagation reads this product of literals; the fact filter does
+        // not.
+        assert!(!is_retainable_fact(
+            &"x0*x1 + x0 + 1".parse().expect("parses")
+        ));
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use bosphorus_anf::{Monomial, Polynomial, PolynomialSystem, Var};
+use bosphorus_anf::{is_retainable_fact, Monomial, Polynomial, PolynomialSystem, Var};
 use bosphorus_interrupt::CancelToken;
 
 use crate::normal_form;
@@ -85,8 +85,8 @@ impl GroebnerResult {
     }
 
     /// Extracts the basis elements that have one of the learnt-fact shapes
-    /// Bosphorus feeds back into its master ANF copy: linear polynomials and
-    /// `monomial ⊕ 1` facts. Every element of the (possibly partial) basis
+    /// Bosphorus feeds back into its master ANF copy ([`is_retainable_fact`]):
+    /// linear polynomials and `monomial ⊕ 1` facts. Every element of the (possibly partial) basis
     /// lies in the ideal generated by the input system and the field
     /// equations, so each returned polynomial vanishes on every solution of
     /// the input — they are sound learnt facts even when the budget ran out.
@@ -99,7 +99,7 @@ impl GroebnerResult {
         }
         self.basis
             .iter()
-            .filter(|p| !p.is_zero() && (p.is_linear() || p.as_monomial_plus_one().is_some()))
+            .filter(|p| is_retainable_fact(p))
             .cloned()
             .collect()
     }
@@ -435,7 +435,7 @@ mod tests {
         assert!(!facts.is_empty(), "unit facts should surface in the basis");
         for fact in &facts {
             assert!(
-                fact.is_linear() || fact.as_monomial_plus_one().is_some(),
+                is_retainable_fact(fact),
                 "fact {fact} has a non-retainable shape"
             );
         }

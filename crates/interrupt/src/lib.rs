@@ -88,12 +88,6 @@ impl CancelToken {
         Self::build(Instant::now().checked_add(timeout), false)
     }
 
-    /// A token that cancels at the given wall-clock instant.
-    #[must_use]
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self::build(Some(deadline), false)
-    }
-
     /// Makes polls on this token also observe the process SIGINT and
     /// SIGTERM latch (see [`sigint`]). Returns a never-token unchanged.
     #[must_use]
@@ -191,12 +185,6 @@ impl CancelToken {
         self.inner.is_some()
     }
 
-    /// The configured deadline, if any.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.as_ref().and_then(|inner| inner.deadline)
-    }
-
     /// A fresh [`Checkpoint`] over this token at the default interval.
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
@@ -292,12 +280,6 @@ impl Checkpoint {
             self.latched = true;
         }
         self.latched
-    }
-
-    /// The underlying token.
-    #[must_use]
-    pub fn token(&self) -> &CancelToken {
-        &self.token
     }
 }
 
@@ -403,7 +385,6 @@ mod tests {
         assert!(!token.is_cancelled());
         token.cancel();
         assert!(!token.is_cancelled());
-        assert!(token.deadline().is_none());
     }
 
     #[test]
@@ -423,9 +404,9 @@ mod tests {
 
     #[test]
     fn deadline_in_the_past_cancels_immediately() {
-        let token = CancelToken::with_deadline(Instant::now());
+        let token = CancelToken::with_timeout(Duration::ZERO);
+        assert!(token.can_cancel());
         assert!(token.is_cancelled());
-        assert!(token.deadline().is_some());
     }
 
     #[test]

@@ -24,8 +24,6 @@ pub struct SolverConfig {
     pub name: &'static str,
     /// Exponential decay applied to variable activities (0 < decay < 1).
     pub var_decay: f64,
-    /// Exponential decay applied to learnt-clause activities.
-    pub clause_decay: f64,
     /// Restart strategy.
     pub restart: RestartStrategy,
     /// Base interval (in conflicts) between restarts.
@@ -35,19 +33,9 @@ pub struct SolverConfig {
     /// Initial ratio of learnt clauses to problem clauses that triggers a
     /// database reduction (grows geometrically afterwards).
     pub learnt_ratio: f64,
-    /// Growth factor applied to the learnt-clause allowance after every
-    /// database reduction (the geometric schedule; MiniSat uses 1.1–1.5).
-    pub reduce_db_growth: f64,
-    /// Literal-block-distance value at or below which a learnt clause is
-    /// considered "glue" and never deleted by database reductions.
-    pub lbd_glue: u32,
     /// Whether learnt clauses are shrunk by recursive conflict-clause
     /// minimization (CCMin) before being recorded.
     pub ccmin: bool,
-    /// Bound on the number of reason-side expansions one recursive
-    /// redundancy check may perform before giving up (keeps CCMin linear in
-    /// practice on pathological implication graphs).
-    pub ccmin_depth: usize,
     /// Re-validate every minimized learnt clause by cloning the solver,
     /// asserting the clause's negation at a fresh decision level and checking
     /// that unit propagation refutes it. Very expensive (one solver clone per
@@ -56,14 +44,9 @@ pub struct SolverConfig {
     pub verify_minimization: bool,
     /// Whether the saved phase of a variable is reused when deciding it.
     pub phase_saving: bool,
-    /// Default polarity used when no phase has been saved.
-    pub default_phase: bool,
     /// Whether native XOR constraints are propagated and periodically
     /// combined by top-level Gauss–Jordan elimination.
     pub xor_reasoning: bool,
-    /// Perform top-level XOR Gauss–Jordan every this many conflicts
-    /// (ignored when `xor_reasoning` is false).
-    pub xor_gauss_interval: u64,
 }
 
 impl SolverConfig {
@@ -73,20 +56,14 @@ impl SolverConfig {
         SolverConfig {
             name: "minisat-like",
             var_decay: 0.95,
-            clause_decay: 0.999,
             restart: RestartStrategy::Geometric,
             restart_base: 100,
             reduce_db: false,
             learnt_ratio: f64::INFINITY,
-            reduce_db_growth: 1.5,
-            lbd_glue: 2,
             ccmin: true,
-            ccmin_depth: 1000,
             verify_minimization: false,
             phase_saving: false,
-            default_phase: false,
             xor_reasoning: false,
-            xor_gauss_interval: 4000,
         }
     }
 
@@ -96,20 +73,14 @@ impl SolverConfig {
         SolverConfig {
             name: "lingeling-like",
             var_decay: 0.92,
-            clause_decay: 0.999,
             restart: RestartStrategy::Luby,
             restart_base: 64,
             reduce_db: true,
             learnt_ratio: 0.4,
-            reduce_db_growth: 1.5,
-            lbd_glue: 2,
             ccmin: true,
-            ccmin_depth: 1000,
             verify_minimization: false,
             phase_saving: true,
-            default_phase: false,
             xor_reasoning: false,
-            xor_gauss_interval: 4000,
         }
     }
 
@@ -163,14 +134,11 @@ mod tests {
             SolverConfig::xor_gauss(),
         ] {
             assert!(config.ccmin, "{}: CCMin defaults on", config.name);
-            assert!(config.ccmin_depth > 0);
             assert!(
                 !config.verify_minimization,
                 "{}: the per-conflict self-check is opt-in",
                 config.name
             );
-            assert!(config.reduce_db_growth > 1.0);
-            assert!(config.lbd_glue >= 2, "binary-like glue is always kept");
         }
     }
 }

@@ -29,6 +29,29 @@ enum LBool {
 /// large enough that the amortised poll cost vanishes next to propagation.
 pub const SOLVER_CHECK_INTERVAL: u64 = 1024;
 
+/// Exponential decay applied to learnt-clause activities.
+const CLAUSE_DECAY: f64 = 0.999;
+
+/// Growth factor of the learnt-clause allowance after every database
+/// reduction (the geometric schedule; MiniSat uses 1.1–1.5).
+const REDUCE_DB_GROWTH: f64 = 1.5;
+
+/// Literal-block distance at or below which a learnt clause is "glue" and
+/// never deleted by a database reduction.
+const LBD_GLUE: u32 = 2;
+
+/// Bound on the reason-side expansions of one recursive redundancy check of
+/// CCMin, which keeps the minimisation linear in practice on pathological
+/// implication graphs.
+const CCMIN_DEPTH: usize = 1000;
+
+/// Polarity of a decision when no phase has been saved.
+const DEFAULT_PHASE: bool = false;
+
+/// Conflicts between two top-level XOR Gauss–Jordan runs (with
+/// `xor_reasoning`).
+const XOR_GAUSS_INTERVAL: u64 = 4000;
+
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveResult {
@@ -229,7 +252,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(Reason::Decision);
         self.activity.push(0.0);
-        self.phase.push(self.config.default_phase);
+        self.phase.push(DEFAULT_PHASE);
         self.seen.push(false);
         self.level_stamp.push(0);
         self.watches.push(Vec::new());
@@ -469,7 +492,7 @@ impl Solver {
                 }
                 if self.decision_level() == 0
                     && self.config.xor_reasoning
-                    && self.conflicts_since_gauss >= self.config.xor_gauss_interval
+                    && self.conflicts_since_gauss >= XOR_GAUSS_INTERVAL
                 {
                     if !self.xor_gauss_top_level() {
                         self.ok = false;
@@ -479,7 +502,7 @@ impl Solver {
                 }
                 if self.config.reduce_db && (self.stats.learnt_clauses as f64) >= self.max_learnts {
                     self.reduce_db();
-                    self.max_learnts *= self.config.reduce_db_growth;
+                    self.max_learnts *= REDUCE_DB_GROWTH;
                 }
                 match self.pick_branch_var() {
                     None => {
@@ -505,7 +528,7 @@ impl Solver {
                         let phase = if self.config.phase_saving {
                             self.phase[var as usize]
                         } else {
-                            self.config.default_phase
+                            DEFAULT_PHASE
                         };
                         let lit = Lit::new(var, !phase);
                         self.trail_lim.push(self.trail.len());
@@ -927,7 +950,7 @@ impl Solver {
     /// stack; `to_clear` records every interior variable marked along the
     /// way so the caller can reset `seen`. Aborts (non-redundant) on a
     /// decision ancestor, an ancestor outside the clause's level signature,
-    /// or when the walk exceeds `ccmin_depth` expansions.
+    /// or when the walk exceeds `CCMIN_DEPTH` expansions.
     fn lit_is_redundant(
         &mut self,
         lit: Lit,
@@ -955,7 +978,7 @@ impl Solver {
                 }
                 if matches!(self.reason[v], Reason::Decision)
                     || Self::abstract_level(self.level[v]) & abstract_levels == 0
-                    || expansions > self.config.ccmin_depth
+                    || expansions > CCMIN_DEPTH
                 {
                     // Roll back the speculative marks: only literals proven
                     // redundant may stay marked, otherwise a later check
@@ -1056,7 +1079,7 @@ impl Solver {
 
     fn decay_activities(&mut self) {
         self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     fn next_restart_limit(&self) -> u64 {
@@ -1117,7 +1140,7 @@ impl Solver {
                 break;
             }
             if self.clause_len(cref) <= 2
-                || self.clause_meta(cref).lbd <= self.config.lbd_glue
+                || self.clause_meta(cref).lbd <= LBD_GLUE
                 || self.clause_is_locked(cref)
             {
                 continue;
@@ -1737,7 +1760,7 @@ mod tests {
         assert_eq!(marked.len(), removed);
         for &c in &marked {
             let meta = s.clause_meta(c);
-            assert!(meta.learnt && meta.lbd > s.config().lbd_glue && s.clause_len(c) > 2);
+            assert!(meta.learnt && meta.lbd > LBD_GLUE && s.clause_len(c) > 2);
         }
         let clauses_before = s.clause_refs().count();
         s.collect_garbage();
