@@ -1,17 +1,19 @@
 //! Argument parsing for the `table2` driver, split out of `main` so the
-//! parser has unit tests (notably the `--jobs 0` error path).
+//! parser has unit tests (notably the `--jobs 0` and `--timeout 0` error
+//! paths).
 
 use bosphorus::PassKind;
+
+use crate::tables::FamilySelector;
 
 /// Everything the `table2` command line can specify.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2Args {
-    /// Benchmark family selector (`all`, `sr`, `simon`, `bitcoin`,
-    /// `satcomp`, `groebner-baseline`).
-    pub family: String,
+    /// The benchmark families to run.
+    pub family: FamilySelector,
     /// Instances generated per family.
     pub instances: usize,
-    /// Nominal PAR-2 timeout in seconds.
+    /// Nominal PAR-2 timeout in seconds (at least 1).
     pub timeout_secs: u64,
     /// Worker threads for the instance × approach × solver grid.
     pub jobs: usize,
@@ -24,7 +26,7 @@ pub struct Table2Args {
 impl Default for Table2Args {
     fn default() -> Self {
         Table2Args {
-            family: "all".to_string(),
+            family: FamilySelector::All,
             instances: 3,
             timeout_secs: 5,
             jobs: 1,
@@ -36,17 +38,8 @@ impl Default for Table2Args {
 
 /// The usage line printed for `--help` and after argument errors.
 pub const TABLE2_USAGE: &str = "usage: table2 \
-[--family all|sr|simon|bitcoin|satcomp|groebner-baseline] [--instances N] \
+[--family all|sr|simon|bitcoin|satcomp] [--instances N] \
 [--timeout SECONDS] [--jobs N] [--passes LIST]";
-
-const FAMILIES: [&str; 6] = [
-    "all",
-    "sr",
-    "simon",
-    "bitcoin",
-    "satcomp",
-    "groebner-baseline",
-];
 
 impl Table2Args {
     /// Parses the command line (without the program name).
@@ -54,8 +47,8 @@ impl Table2Args {
     /// # Errors
     ///
     /// Returns a message for unknown flags, missing or unparseable values,
-    /// an unknown family, and — explicitly — `--jobs 0`, which used to fall
-    /// through to whatever the downstream runner did with it.
+    /// an unknown family, `--jobs 0` and `--timeout 0` (a zero timeout
+    /// would score every unsolved run at 2 × 0 seconds).
     pub fn parse<S: AsRef<str>, I: IntoIterator<Item = S>>(args: I) -> Result<Self, String> {
         let mut parsed = Table2Args::default();
         let mut iter = args.into_iter();
@@ -69,14 +62,13 @@ impl Table2Args {
             match arg.as_str() {
                 "--help" | "-h" => parsed.help = true,
                 "--family" => {
-                    let family = value_of("--family")?;
-                    if !FAMILIES.contains(&family.as_str()) {
-                        return Err(format!(
-                            "unknown family {family:?} (expected one of {})",
-                            FAMILIES.join(", ")
-                        ));
-                    }
-                    parsed.family = family;
+                    let name = value_of("--family")?;
+                    parsed.family = FamilySelector::from_name(&name).ok_or_else(|| {
+                        format!(
+                            "unknown family {name:?} (expected one of {})",
+                            FamilySelector::ALL.map(FamilySelector::name).join(", ")
+                        )
+                    })?;
                 }
                 "--instances" => {
                     let raw = value_of("--instances")?;
@@ -86,9 +78,13 @@ impl Table2Args {
                 }
                 "--timeout" => {
                     let raw = value_of("--timeout")?;
-                    parsed.timeout_secs = raw
+                    let timeout_secs: u64 = raw
                         .parse()
                         .map_err(|_| format!("--timeout: {raw:?} is not a number of seconds"))?;
+                    if timeout_secs == 0 {
+                        return Err("--timeout must be at least 1 second".to_string());
+                    }
+                    parsed.timeout_secs = timeout_secs;
                 }
                 "--jobs" => {
                     let raw = value_of("--jobs")?;
@@ -122,7 +118,7 @@ mod tests {
     #[test]
     fn defaults_match_the_historic_flags() {
         let args = parse(&[]).expect("empty parses");
-        assert_eq!(args.family, "all");
+        assert_eq!(args.family, FamilySelector::All);
         assert_eq!(args.instances, 3);
         assert_eq!(args.timeout_secs, 5);
         assert_eq!(args.jobs, 1);
@@ -137,6 +133,13 @@ mod tests {
     }
 
     #[test]
+    fn timeout_zero_is_a_clean_error() {
+        let err = parse(&["--timeout", "0"]).unwrap_err();
+        assert!(err.contains("--timeout must be at least 1"), "got: {err}");
+        assert_eq!(parse(&["--timeout", "1"]).expect("parses").timeout_secs, 1);
+    }
+
+    #[test]
     fn jobs_values_parse_and_garbage_is_rejected() {
         assert_eq!(parse(&["--jobs", "4"]).expect("parses").jobs, 4);
         assert!(parse(&["--jobs", "many"]).unwrap_err().contains("--jobs"));
@@ -145,13 +148,18 @@ mod tests {
 
     #[test]
     fn family_is_validated() {
-        assert_eq!(
-            parse(&["--family", "simon"]).expect("parses").family,
-            "simon"
-        );
-        assert!(parse(&["--family", "nonsense"])
-            .unwrap_err()
-            .contains("unknown family"));
+        for family in FamilySelector::ALL {
+            assert_eq!(
+                parse(&["--family", family.name()]).expect("parses").family,
+                family
+            );
+            assert!(TABLE2_USAGE.contains(family.name()));
+        }
+        for unknown in ["nonsense", "groebner-baseline"] {
+            assert!(parse(&["--family", unknown])
+                .unwrap_err()
+                .contains("unknown family"));
+        }
     }
 
     #[test]
@@ -178,7 +186,7 @@ mod tests {
         assert!(parse(&["-h"]).expect("-h parses").help);
         let mixed = parse(&["--family", "simon", "--help"]).expect("parses");
         assert!(mixed.help);
-        assert_eq!(mixed.family, "simon");
+        assert_eq!(mixed.family, FamilySelector::Simon);
         assert!(!parse(&[]).expect("parses").help);
         // The usage text names the flags so `--help` output stays useful.
         for flag in ["--family", "--instances", "--timeout", "--jobs", "--passes"] {

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p bosphorus-bench --bin table2 -- \
-//!     [--family all|sr|simon|bitcoin|satcomp|groebner-baseline] \
+//!     [--family all|sr|simon|bitcoin|satcomp] \
 //!     [--instances N] [--timeout SECONDS] [--jobs N] [--passes LIST]
 //! ```
 //!
@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use bosphorus_bench::args::{Table2Args, TABLE2_USAGE};
-use bosphorus_bench::tables::{format_table2, run_groebner_baseline, run_table2, Table2Options};
+use bosphorus_bench::tables::{format_table2, run_table2, Table2Options};
 use bosphorus_bench::RunSettings;
 
 fn main() {
@@ -39,11 +39,7 @@ fn main() {
     }
     let options = Table2Options {
         instances_per_family: args.instances,
-        include_aes: matches!(args.family.as_str(), "all" | "sr"),
-        include_simon: matches!(args.family.as_str(), "all" | "simon"),
-        include_bitcoin: matches!(args.family.as_str(), "all" | "bitcoin"),
-        include_satcomp: matches!(args.family.as_str(), "all" | "satcomp"),
-        include_groebner_baseline: matches!(args.family.as_str(), "all" | "groebner-baseline"),
+        families: args.family,
         settings,
         jobs: args.jobs,
         ..Table2Options::default()
@@ -70,25 +66,15 @@ fn main() {
     );
     println!();
 
-    if args.family != "groebner-baseline" {
-        if options.jobs > 1 {
-            println!(
-                "note: --jobs {} — solved counts stay deterministic, but measured \
-                 runtimes (and PAR-2) inflate under CPU contention; use --jobs 1 \
-                 for PAR-2 values comparable to a sequential baseline",
-                options.jobs
-            );
-            println!();
-        }
-        let rows = run_table2(&options);
-        println!("{}", format_table2(&rows));
-    }
-
-    if options.include_groebner_baseline {
-        let (decided, total, elapsed) = run_groebner_baseline(&options);
+    if options.jobs > 1 {
         println!(
-            "Groebner baseline (M4GB stand-in, tight budget): decided {decided}/{total} \
-             instances in {elapsed:.2}s — the paper reports M4GB timing out on all instances"
+            "note: --jobs {} — solved counts stay deterministic, but measured \
+             runtimes (and PAR-2) inflate under CPU contention; use --jobs 1 \
+             for PAR-2 values comparable to a sequential baseline",
+            options.jobs
         );
+        println!();
     }
+    let rows = run_table2(&options);
+    println!("{}", format_table2(&rows));
 }

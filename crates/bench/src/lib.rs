@@ -26,5 +26,5 @@ pub use args::{Table2Args, TABLE2_USAGE};
 pub use par2::{Par2Scorer, ScoredRun};
 pub use parallel::run_indexed;
 
-pub use runner::{solve_anf_instance, solve_cnf_instance, Approach, InstanceOutcome, RunSettings};
-pub use tables::{run_table2, Table2Options, Table2Row};
+pub use runner::{solve_instance, Approach, Instance, InstanceOutcome, RunSettings};
+pub use tables::{run_table2, FamilySelector, Table2Options, Table2Row};

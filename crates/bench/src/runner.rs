@@ -1,9 +1,10 @@
-//! Per-instance runners: direct solving vs solving through Bosphorus.
+//! The per-instance runner: direct solving vs solving through Bosphorus,
+//! with every SAT model checked against the input.
 
 use std::time::{Duration, Instant};
 
 use bosphorus::{anf_to_cnf, AnfPropagator, Bosphorus, BosphorusConfig, PreprocessStatus};
-use bosphorus_anf::PolynomialSystem;
+use bosphorus_anf::{Assignment, PolynomialSystem};
 use bosphorus_cnf::CnfFormula;
 use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 
@@ -80,95 +81,116 @@ impl InstanceOutcome {
     }
 }
 
-/// Solves an ANF instance with the given approach and solver configuration.
-pub fn solve_anf_instance(
-    system: &PolynomialSystem,
+/// One benchmark instance: an ANF system or a CNF formula.
+#[derive(Debug)]
+pub enum Instance {
+    /// An ANF system (the cipher families).
+    Anf(PolynomialSystem),
+    /// A CNF formula (the SAT-2017-style experiment: Bosphorus acts as a CNF
+    /// preprocessor).
+    Cnf(CnfFormula),
+}
+
+impl Instance {
+    /// Whether `model` satisfies the instance. An ANF instance reads it
+    /// over the ANF variables, a CNF instance over the CNF variables; ANF
+    /// variable i is CNF variable i in every conversion, so a solver's model
+    /// of the converted CNF can be checked as it is.
+    pub fn is_satisfied_by(&self, model: &Assignment) -> bool {
+        match self {
+            Instance::Anf(system) => system.is_satisfied_by(model),
+            Instance::Cnf(cnf) => cnf.evaluate(model.as_bits()) == Ok(true),
+        }
+    }
+}
+
+/// A final answer before it is checked and scored.
+enum Verdict {
+    Sat(Assignment),
+    Unsat,
+    Unknown,
+}
+
+/// Solves an instance with the given approach and solver configuration.
+///
+/// # Panics
+///
+/// Panics, naming the arm and the solver, if a SAT answer's model does not
+/// satisfy the instance, so that a wrong answer never counts as solved.
+pub fn solve_instance(
+    instance: &Instance,
     approach: Approach,
     solver_config: &SolverConfig,
     settings: &RunSettings,
 ) -> InstanceOutcome {
     let start = Instant::now();
-    match approach {
+    let (verdict, preprocessing_time) = match approach {
         Approach::Direct => {
-            let propagator = AnfPropagator::new(system.num_vars());
-            let conversion = anf_to_cnf(system, &propagator, &settings.bosphorus);
-            let result = run_solver(conversion.solver(solver_config), settings);
-            InstanceOutcome {
-                result,
-                total_time: start.elapsed(),
-                preprocessing_time: Duration::ZERO,
-            }
+            let solver = match instance {
+                Instance::Anf(system) => {
+                    let propagator = AnfPropagator::new(system.num_vars());
+                    anf_to_cnf(system, &propagator, &settings.bosphorus).solver(solver_config)
+                }
+                Instance::Cnf(cnf) => Solver::from_formula(solver_config.clone(), cnf),
+            };
+            (run_solver(solver, settings), Duration::ZERO)
         }
         Approach::WithBosphorus => {
-            let mut engine = Bosphorus::new(system.clone(), settings.bosphorus.clone());
+            let config = settings.bosphorus.clone();
+            let mut engine = match instance {
+                Instance::Anf(system) => Bosphorus::new(system.clone(), config),
+                Instance::Cnf(cnf) => Bosphorus::from_cnf(cnf, config),
+            };
             let status = engine.preprocess();
             let preprocessing_time = start.elapsed();
-            let result = match status {
-                PreprocessStatus::Solved(_) => Some(true),
-                PreprocessStatus::Unsat => Some(false),
+            let verdict = match status {
+                PreprocessStatus::Solved(model) => Verdict::Sat(model),
+                PreprocessStatus::Unsat => Verdict::Unsat,
                 // No cancel token is set here, so Interrupted cannot occur;
                 // treated as undecided for robustness.
-                PreprocessStatus::Interrupted => None,
+                PreprocessStatus::Interrupted => Verdict::Unknown,
                 PreprocessStatus::Simplified => {
-                    let conversion = engine.to_cnf();
-                    run_solver(conversion.solver(solver_config), settings)
+                    match run_solver(engine.to_cnf().solver(solver_config), settings) {
+                        Verdict::Sat(model) => Verdict::Sat(engine.reconstruct_assignment(&model)),
+                        other => other,
+                    }
                 }
             };
-            InstanceOutcome {
-                result,
-                total_time: start.elapsed(),
-                preprocessing_time,
-            }
+            (verdict, preprocessing_time)
         }
+    };
+    let total_time = start.elapsed();
+    let result = match verdict {
+        Verdict::Sat(model) => {
+            assert!(
+                instance.is_satisfied_by(&model),
+                "the {} arm with {} returned a model that falsifies the input",
+                approach.label(),
+                solver_config.name
+            );
+            Some(true)
+        }
+        Verdict::Unsat => Some(false),
+        Verdict::Unknown => None,
+    };
+    InstanceOutcome {
+        result,
+        total_time,
+        preprocessing_time,
     }
 }
 
-/// Solves a CNF instance with the given approach (the SAT-2017-style
-/// experiment: Bosphorus acts as a CNF preprocessor).
-pub fn solve_cnf_instance(
-    cnf: &CnfFormula,
-    approach: Approach,
-    solver_config: &SolverConfig,
-    settings: &RunSettings,
-) -> InstanceOutcome {
-    let start = Instant::now();
-    match approach {
-        Approach::Direct => {
-            let result = run_solver(Solver::from_formula(solver_config.clone(), cnf), settings);
-            InstanceOutcome {
-                result,
-                total_time: start.elapsed(),
-                preprocessing_time: Duration::ZERO,
-            }
-        }
-        Approach::WithBosphorus => {
-            let mut engine = Bosphorus::from_cnf(cnf, settings.bosphorus.clone());
-            let status = engine.preprocess();
-            let preprocessing_time = start.elapsed();
-            let result = match status {
-                PreprocessStatus::Solved(_) => Some(true),
-                PreprocessStatus::Unsat => Some(false),
-                PreprocessStatus::Interrupted => None,
-                PreprocessStatus::Simplified => {
-                    let conversion = engine.to_cnf();
-                    run_solver(conversion.solver(solver_config), settings)
-                }
-            };
-            InstanceOutcome {
-                result,
-                total_time: start.elapsed(),
-                preprocessing_time,
-            }
-        }
-    }
-}
-
-fn run_solver(mut solver: Solver, settings: &RunSettings) -> Option<bool> {
+/// Runs `solver` under the final conflict cap; a SAT verdict carries the
+/// model over every solver variable.
+fn run_solver(mut solver: Solver, settings: &RunSettings) -> Verdict {
     solver.set_conflict_budget(Some(settings.final_conflict_cap));
     match solver.solve() {
-        SolveResult::Sat => Some(true),
-        SolveResult::Unsat => Some(false),
-        SolveResult::Unknown => None,
+        SolveResult::Sat => {
+            let model = solver.model().expect("SAT implies a model");
+            Verdict::Sat(Assignment::from_bits(model.iter().copied()))
+        }
+        SolveResult::Unsat => Verdict::Unsat,
+        SolveResult::Unknown => Verdict::Unknown,
     }
 }
 
@@ -182,16 +204,26 @@ mod tests {
 
     #[test]
     fn both_approaches_agree_on_a_small_anf() {
-        let system = PolynomialSystem::parse(
-            "x0*x1 + x2; x1 + x2 + 1; x0*x2 + x0 + x1; x2*x3 + x0; x3 + x1;",
-        )
-        .expect("parses");
-        for config in [SolverConfig::minimal(), SolverConfig::xor_gauss()] {
-            let direct = solve_anf_instance(&system, Approach::Direct, &config, &settings());
-            let with = solve_anf_instance(&system, Approach::WithBosphorus, &config, &settings());
-            assert_eq!(direct.result, with.result, "config {}", config.name);
-            assert!(direct.result.is_some());
-            assert!(with.preprocessing_time <= with.total_time);
+        // An UNSAT system and the SAT worked example of Section II-E.
+        for (text, expected) in [
+            (
+                "x0*x1 + x2; x1 + x2 + 1; x0*x2 + x0 + x1; x2*x3 + x0; x3 + x1;",
+                false,
+            ),
+            (
+                "x1*x2 + x3 + x4 + 1; x1*x2*x3 + x1 + x3 + 1; x1*x3 + x3*x4*x5 + x3; \
+                 x2*x3 + x3*x5 + 1; x2*x3 + x5 + 1;",
+                true,
+            ),
+        ] {
+            let instance = Instance::Anf(PolynomialSystem::parse(text).expect("parses"));
+            for config in [SolverConfig::minimal(), SolverConfig::xor_gauss()] {
+                let direct = solve_instance(&instance, Approach::Direct, &config, &settings());
+                let with = solve_instance(&instance, Approach::WithBosphorus, &config, &settings());
+                assert_eq!(direct.result, Some(expected), "config {}", config.name);
+                assert_eq!(with.result, Some(expected), "config {}", config.name);
+                assert!(with.preprocessing_time <= with.total_time);
+            }
         }
     }
 
@@ -199,20 +231,32 @@ mod tests {
     fn both_approaches_agree_on_unsat_cnf() {
         let cnf = CnfFormula::parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
             .expect("parses");
-        let direct = solve_cnf_instance(
-            &cnf,
-            Approach::Direct,
-            &SolverConfig::aggressive(),
-            &settings(),
-        );
-        let with = solve_cnf_instance(
-            &cnf,
-            Approach::WithBosphorus,
-            &SolverConfig::aggressive(),
-            &settings(),
-        );
-        assert_eq!(direct.result, Some(false));
-        assert_eq!(with.result, Some(false));
+        let instance = Instance::Cnf(cnf);
+        for approach in Approach::both() {
+            let outcome = solve_instance(
+                &instance,
+                approach,
+                &SolverConfig::aggressive(),
+                &settings(),
+            );
+            assert_eq!(outcome.result, Some(false), "{}", approach.label());
+        }
+    }
+
+    #[test]
+    fn the_instance_check_accepts_models_and_rejects_falsifying_assignments() {
+        // x0 = 1, x1 = 0, x2 = 1 is the only solution of the ANF.
+        let anf =
+            Instance::Anf(PolynomialSystem::parse("x0 + 1; x0*x1; x1 + x2 + 1;").expect("parses"));
+        assert!(anf.is_satisfied_by(&Assignment::from_bits([true, false, true])));
+        assert!(!anf.is_satisfied_by(&Assignment::from_bits([true, true, true])));
+        // DIMACS (1 ∨ 2) ∧ ¬1: variable 0 is false and variable 1 true.
+        let cnf =
+            Instance::Cnf(CnfFormula::parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n").expect("parses"));
+        assert!(cnf.is_satisfied_by(&Assignment::from_bits([false, true])));
+        assert!(!cnf.is_satisfied_by(&Assignment::from_bits([true, true])));
+        // A model that does not cover every CNF variable is rejected.
+        assert!(!cnf.is_satisfied_by(&Assignment::from_bits([false])));
     }
 
     #[test]

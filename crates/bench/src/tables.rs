@@ -2,42 +2,77 @@
 //! with and without Bosphorus, for the three solver configurations.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
-use bosphorus_anf::PolynomialSystem;
 use bosphorus_ciphers::{aes, bitcoin, satcomp, simon};
-use bosphorus_cnf::CnfFormula;
-use bosphorus_groebner::{groebner_basis, GroebnerConfig, GroebnerOutcome};
 use bosphorus_sat::SolverConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::par2::{Par2Scorer, ScoredRun};
 use crate::parallel::run_indexed;
-use crate::runner::{solve_anf_instance, solve_cnf_instance, Approach, RunSettings};
+use crate::runner::{solve_instance, Approach, Instance, RunSettings};
+
+/// SHA-256 rounds of the Bitcoin families (the paper runs all 64; five keep
+/// the table quick to regenerate).
+const SHA_ROUNDS: usize = 5;
+
+/// Which benchmark families a Table II run covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FamilySelector {
+    /// Every family below.
+    All,
+    /// The SR (small-scale AES) families.
+    Sr,
+    /// The Simon families.
+    Simon,
+    /// The Bitcoin (SHA-256 nonce finding) families.
+    Bitcoin,
+    /// The SAT-competition-style CNF suite.
+    Satcomp,
+}
+
+impl FamilySelector {
+    /// Every selector, in the order `table2 --family` lists them.
+    pub const ALL: [FamilySelector; 5] = [
+        FamilySelector::All,
+        FamilySelector::Sr,
+        FamilySelector::Simon,
+        FamilySelector::Bitcoin,
+        FamilySelector::Satcomp,
+    ];
+
+    /// The selector's `--family` name.
+    pub fn name(self) -> &'static str {
+        match self {
+            FamilySelector::All => "all",
+            FamilySelector::Sr => "sr",
+            FamilySelector::Simon => "simon",
+            FamilySelector::Bitcoin => "bitcoin",
+            FamilySelector::Satcomp => "satcomp",
+        }
+    }
+
+    /// The selector with the given `--family` name.
+    pub fn from_name(name: &str) -> Option<FamilySelector> {
+        FamilySelector::ALL.into_iter().find(|f| f.name() == name)
+    }
+
+    fn covers(self, family: FamilySelector) -> bool {
+        self == FamilySelector::All || self == family
+    }
+}
 
 /// Which benchmark families to run and how many instances per family.
 #[derive(Debug, Clone)]
 pub struct Table2Options {
     /// Instances generated per family.
     pub instances_per_family: usize,
-    /// Include the SR (small-scale AES) families.
-    pub include_aes: bool,
-    /// Include the Simon families.
-    pub include_simon: bool,
-    /// Include the Bitcoin (SHA-256 nonce finding) families.
-    pub include_bitcoin: bool,
-    /// Include the SAT-competition-style CNF suite.
-    pub include_satcomp: bool,
-    /// Include the Gröbner-basis baseline reference row.
-    pub include_groebner_baseline: bool,
+    /// The families to run.
+    pub families: FamilySelector,
     /// Shared run settings (budgets, Bosphorus configuration).
     pub settings: RunSettings,
     /// Seed for instance generation.
     pub seed: u64,
-    /// Number of SHA-256 rounds for the Bitcoin family (64 = paper setting;
-    /// the default is reduced so the table regenerates quickly).
-    pub sha_rounds: usize,
     /// Worker threads for the instance × approach × solver grid (1 =
     /// sequential). Result ordering and solved counts are deterministic
     /// regardless of the value, but **measured runtimes — and therefore
@@ -52,14 +87,9 @@ impl Default for Table2Options {
     fn default() -> Self {
         Table2Options {
             instances_per_family: 3,
-            include_aes: true,
-            include_simon: true,
-            include_bitcoin: true,
-            include_satcomp: true,
-            include_groebner_baseline: true,
+            families: FamilySelector::All,
             settings: RunSettings::default(),
             seed: 2019,
-            sha_rounds: 5,
             jobs: 1,
         }
     }
@@ -92,12 +122,6 @@ pub struct SolverCell {
     pub solved_with: (usize, usize),
 }
 
-/// One benchmark instance: either an ANF system or a CNF formula.
-enum Instance {
-    Anf(PolynomialSystem),
-    Cnf(CnfFormula),
-}
-
 fn solver_configs() -> Vec<SolverConfig> {
     vec![
         SolverConfig::minimal(),
@@ -113,9 +137,9 @@ fn evaluate_family(name: &str, instances: &[Instance], options: &Table2Options) 
     // Flatten the solver × approach × instance grid into an indexed task
     // list; every cell is an independent solver run, so the grid fans out
     // across `options.jobs` scoped workers with deterministic ordering.
-    // Each cell is panic-isolated: one blown-up run is scored as unsolved
-    // (the PAR-2 penalty) with a warning, instead of tearing down the
-    // whole table.
+    // Each cell is panic-isolated: one blown-up run, or a SAT answer whose
+    // model fails its check, is scored as unsolved (the PAR-2 penalty) with
+    // a warning, instead of tearing down the whole table.
     let n = instances.len();
     let grid = configs.len() * approaches.len() * n;
     let runs = run_indexed(grid, options.jobs, |task| {
@@ -123,13 +147,8 @@ fn evaluate_family(name: &str, instances: &[Instance], options: &Table2Options) 
         let (ai, ii) = (rest / n, rest % n);
         let config = &configs[ci];
         let approach = approaches[ai];
-        let cell = catch_unwind(AssertUnwindSafe(|| match &instances[ii] {
-            Instance::Anf(system) => {
-                solve_anf_instance(system, approach, config, &options.settings).scored()
-            }
-            Instance::Cnf(cnf) => {
-                solve_cnf_instance(cnf, approach, config, &options.settings).scored()
-            }
+        let cell = catch_unwind(AssertUnwindSafe(|| {
+            solve_instance(&instances[ii], approach, config, &options.settings).scored()
         }));
         cell.unwrap_or_else(|_| {
             eprintln!(
@@ -183,7 +202,7 @@ pub fn run_table2(options: &Table2Options) -> Vec<Table2Row> {
     let mut rows = Vec::new();
     let n = options.instances_per_family;
 
-    if options.include_aes {
+    if options.families.covers(FamilySelector::Sr) {
         for (label, params) in [
             ("SR-[1,2,2,4]", aes::AesParams::small(1)),
             ("SR-[2,2,2,4]", aes::AesParams::small(2)),
@@ -195,7 +214,7 @@ pub fn run_table2(options: &Table2Options) -> Vec<Table2Row> {
         }
     }
 
-    if options.include_simon {
+    if options.families.covers(FamilySelector::Simon) {
         for (label, params) in [
             (
                 "Simon-[2,3]",
@@ -226,11 +245,11 @@ pub fn run_table2(options: &Table2Options) -> Vec<Table2Row> {
         }
     }
 
-    if options.include_bitcoin {
+    if options.families.covers(FamilySelector::Bitcoin) {
         for difficulty in [4usize, 6, 8] {
             let params = bitcoin::BitcoinParams {
                 difficulty,
-                rounds: options.sha_rounds,
+                rounds: SHA_ROUNDS,
             };
             let label = format!("Bitcoin-[{difficulty}]");
             let instances: Vec<Instance> = (0..n)
@@ -240,7 +259,7 @@ pub fn run_table2(options: &Table2Options) -> Vec<Table2Row> {
         }
     }
 
-    if options.include_satcomp {
+    if options.families.covers(FamilySelector::Satcomp) {
         let families = satcomp::default_suite(1);
         let instances: Vec<Instance> = (0..n)
             .flat_map(|_| {
@@ -254,32 +273,6 @@ pub fn run_table2(options: &Table2Options) -> Vec<Table2Row> {
     }
 
     rows
-}
-
-/// Runs the Gröbner-basis baseline (the paper's M4GB reference point) on a
-/// sample of ANF instances and reports how many it decides within its budget.
-///
-/// Returns `(decided, total, elapsed_seconds)`.
-pub fn run_groebner_baseline(options: &Table2Options) -> (usize, usize, f64) {
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut decided = 0usize;
-    let mut total = 0usize;
-    let start = Instant::now();
-    for _ in 0..options.instances_per_family {
-        let instance = simon::generate(
-            simon::SimonParams {
-                num_plaintexts: 2,
-                rounds: 3,
-            },
-            &mut rng,
-        );
-        total += 1;
-        let result = groebner_basis(&instance.system, &GroebnerConfig::tight_budget());
-        if result.outcome != GroebnerOutcome::BudgetExhausted {
-            decided += 1;
-        }
-    }
-    (decided, total, start.elapsed().as_secs_f64())
 }
 
 /// Formats rows in the layout of Table II.
@@ -322,18 +315,13 @@ mod tests {
     fn tiny_options() -> Table2Options {
         Table2Options {
             instances_per_family: 1,
-            include_aes: true,
-            include_simon: false,
-            include_bitcoin: false,
-            include_satcomp: false,
-            include_groebner_baseline: false,
+            families: FamilySelector::Sr,
             settings: RunSettings {
                 final_conflict_cap: 50_000,
                 nominal_timeout: Duration::from_secs(2),
                 ..RunSettings::default()
             },
             seed: 7,
-            sha_rounds: 2,
             jobs: 1,
         }
     }
@@ -381,19 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn groebner_baseline_reports_counts() {
-        let mut options = tiny_options();
-        options.instances_per_family = 1;
-        let (decided, total, _elapsed) = run_groebner_baseline(&options);
-        assert_eq!(total, 1);
-        assert!(decided <= total);
-    }
-
-    #[test]
     fn satcomp_family_runs_end_to_end() {
         let mut options = tiny_options();
-        options.include_aes = false;
-        options.include_satcomp = true;
+        options.families = FamilySelector::Satcomp;
         let rows = run_table2(&options);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].family.contains("SAT-comp"));
@@ -402,5 +380,10 @@ mod tests {
         let strongest = rows[0].per_solver[2];
         assert!(strongest.solved_without.0 > 0);
         assert!(strongest.solved_without.1 > 0);
+        // Every SAT model is checked against the input CNF, so a model the
+        // w arm reconstructs wrongly would lose a solved count here.
+        for cell in &rows[0].per_solver {
+            assert_eq!(cell.solved_with, cell.solved_without);
+        }
     }
 }

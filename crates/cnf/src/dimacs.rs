@@ -189,21 +189,16 @@ impl CnfFormula {
     /// assert_eq!(cnf.to_dimacs(), "p cnf 2 1\n1 -2 0\n");
     /// ```
     pub fn to_dimacs(&self) -> String {
-        write_dimacs(self)
-    }
-}
-
-/// Renders a formula as DIMACS text. Equivalent to [`CnfFormula::to_dimacs`].
-pub fn write_dimacs(cnf: &CnfFormula) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "p cnf {} {}", cnf.num_vars(), cnf.num_clauses());
-    for clause in cnf.iter() {
-        for lit in clause.iter() {
-            let _ = write!(out, "{} ", lit.to_dimacs());
+        let mut out = String::new();
+        let _ = writeln!(out, "p cnf {} {}", self.num_vars(), self.num_clauses());
+        for clause in self.iter() {
+            for lit in clause.iter() {
+                let _ = write!(out, "{} ", lit.to_dimacs());
+            }
+            let _ = writeln!(out, "0");
         }
-        let _ = writeln!(out, "0");
+        out
     }
-    out
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ mod formula;
 mod lit;
 
 pub use clause::Clause;
-pub use dimacs::{write_dimacs, ParseDimacsError};
+pub use dimacs::ParseDimacsError;
 pub use formula::{CnfFormula, EvaluateError};
 pub use lit::Lit;
 

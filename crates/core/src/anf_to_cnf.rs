@@ -20,9 +20,10 @@ use bosphorus_anf::{AnfPropagator, VarKnowledge};
 
 /// The product of an ANF → CNF conversion.
 ///
-/// Besides the formula itself, the conversion records which CNF variable
-/// stands for which ANF monomial (the bidirectional map of Section III-C), so
-/// that facts learnt on the CNF side can be translated back into ANF.
+/// Besides the formula itself, the conversion records which ANF monomial
+/// each CNF variable stands for (the CNF → ANF half of the bidirectional map
+/// of Section III-C), so that facts learnt on the CNF side can be translated
+/// back into ANF.
 #[derive(Debug, Clone)]
 pub struct CnfConversion {
     /// The CNF formula.
@@ -31,9 +32,6 @@ pub struct CnfConversion {
     /// CNF variables introduced purely for XOR cutting do not appear here
     /// (the paper: auxiliary variables "do not participate in learnt facts").
     pub monomial_of_var: BTreeMap<CnfVar, Monomial>,
-    /// CNF variable representing each ANF monomial of degree ≥ 1 that was
-    /// materialised during the conversion.
-    pub var_of_monomial: BTreeMap<Monomial, CnfVar>,
     /// Native XOR constraints mirroring the encoded polynomials, for
     /// XOR-aware solvers. Always recorded; [`CnfConversion::solver`] hands
     /// them over only when the solver configuration enables XOR reasoning.
@@ -104,8 +102,8 @@ struct Converter<'a> {
     cnf: CnfFormula,
     config: &'a BosphorusConfig,
     /// Monomial → dense id (each distinct monomial stored once); the hot
-    /// lookup of the conversion. The public `BTreeMap`s of
-    /// [`CnfConversion`] are materialised once in [`Converter::finish`].
+    /// lookup of the conversion. The public `BTreeMap` of
+    /// [`CnfConversion`] is materialised once in [`Converter::finish`].
     interner: MonomialInterner,
     /// Interner id → the CNF variable standing for that monomial.
     var_of_id: Vec<CnfVar>,
@@ -265,19 +263,15 @@ impl<'a> Converter<'a> {
     }
 
     fn finish(self) -> CnfConversion {
-        // Materialise the public bidirectional maps from the interner: one
-        // pass, one clone pair per distinct monomial.
+        // Materialise the public map from the interner: one pass, one clone
+        // per distinct monomial.
         let mut monomial_of_var = BTreeMap::new();
-        let mut var_of_monomial = BTreeMap::new();
         for (id, monomial) in self.interner.monomials().iter().enumerate() {
-            let var = self.var_of_id[id];
-            monomial_of_var.insert(var, monomial.clone());
-            var_of_monomial.insert(monomial.clone(), var);
+            monomial_of_var.insert(self.var_of_id[id], monomial.clone());
         }
         CnfConversion {
             cnf: self.cnf,
             monomial_of_var,
-            var_of_monomial,
             xors: self.xors,
             karnaugh_clauses: self.karnaugh_clauses,
             tseitin_clauses: self.tseitin_clauses,
@@ -312,6 +306,16 @@ mod tests {
         let propagator = AnfPropagator::new(system.num_vars());
         let conversion = anf_to_cnf(&system, &propagator, &config());
         (system, conversion)
+    }
+
+    /// The CNF variable standing for `monomial`.
+    fn var_of(conversion: &CnfConversion, monomial: &Monomial) -> CnfVar {
+        conversion
+            .monomial_of_var
+            .iter()
+            .find(|(_, m)| *m == monomial)
+            .map(|(&var, _)| var)
+            .expect("the monomial has a CNF variable")
     }
 
     /// Exhaustively checks that the CNF is equisatisfiable with the ANF and
@@ -447,8 +451,7 @@ mod tests {
         // the degree-3 monomial gets a definition variable.
         let (system, conversion) = convert("x0*x1*x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9;");
         let m = Monomial::from_vars([0, 1, 2]);
-        assert!(conversion.var_of_monomial.contains_key(&m));
-        let v = conversion.var_of_monomial[&m];
+        let v = var_of(&conversion, &m);
         assert_eq!(conversion.monomial(v), Some(&m));
         assert_faithful(&system, &conversion);
     }
@@ -494,7 +497,7 @@ mod tests {
     fn literal_fact_translation() {
         let (_, conversion) = convert("x0*x1*x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9;");
         let m = Monomial::from_vars([0, 1, 2]);
-        let v = conversion.var_of_monomial[&m];
+        let v = var_of(&conversion, &m);
         assert_eq!(
             conversion.literal_fact(Lit::positive(v)),
             Some("x0*x1*x2 + 1".parse().expect("parses"))

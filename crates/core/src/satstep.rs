@@ -60,10 +60,6 @@ pub struct SatStepOutcome {
     pub minimized_literals: u64,
     /// Restarts performed in this round.
     pub restarts: u64,
-    /// Number of clauses of the converted CNF.
-    pub cnf_clauses: usize,
-    /// Number of variables of the converted CNF.
-    pub cnf_vars: usize,
 }
 
 /// One conflict-bounded search over the CNF of a system: the solver, and
@@ -80,8 +76,6 @@ pub struct SatSearch {
     conversion: CnfConversion,
     solver: Solver,
     num_anf_vars: usize,
-    cnf_clauses: usize,
-    cnf_vars: usize,
 }
 
 impl SatSearch {
@@ -95,20 +89,16 @@ impl SatSearch {
     ) -> Self {
         let mut conversion = anf_to_cnf(system, propagator, config);
         let solver = conversion.solver(solver_config);
-        let (cnf_clauses, cnf_vars) = (conversion.cnf.num_clauses(), conversion.cnf.num_vars());
         // The solver holds its own copy of the clauses and XORs; harvesting
         // needs only the map from CNF variables to monomials, so the rest
         // of the conversion is not kept alive next to the solver's
         // (growing) clause database.
         drop(std::mem::take(&mut conversion.cnf));
         drop(std::mem::take(&mut conversion.xors));
-        drop(std::mem::take(&mut conversion.var_of_monomial));
         SatSearch {
             conversion,
             solver,
             num_anf_vars: system.num_vars(),
-            cnf_clauses,
-            cnf_vars,
         }
     }
 
@@ -162,8 +152,6 @@ impl SatSearch {
             removed_clauses: stats.removed_clauses - before.removed_clauses,
             minimized_literals: stats.minimized_literals - before.minimized_literals,
             restarts: stats.restarts - before.restarts,
-            cnf_clauses: self.cnf_clauses,
-            cnf_vars: self.cnf_vars,
         }
     }
 }
@@ -331,13 +319,6 @@ mod tests {
             SatStepStatus::Unsatisfiable => panic!("system is satisfiable"),
             SatStepStatus::Interrupted => panic!("no cancel token was set"),
         }
-    }
-
-    #[test]
-    fn conversion_statistics_are_reported() {
-        let (_, outcome) = run("x0*x1 + x2 + 1;", 100);
-        assert!(outcome.cnf_clauses > 0);
-        assert!(outcome.cnf_vars >= 3);
     }
 
     #[test]

@@ -36,11 +36,11 @@ impl Default for GroebnerConfig {
     }
 }
 
+#[cfg(test)]
 impl GroebnerConfig {
-    /// A deliberately small budget used by the benchmark harness to mimic the
-    /// paper's observation that the Gröbner baseline exhausts its resources
-    /// on every real instance.
-    pub fn tight_budget() -> Self {
+    /// A deliberately small budget, for tests that must finish quickly on
+    /// random systems.
+    pub(crate) fn tight_budget() -> Self {
         GroebnerConfig {
             max_reductions: 2_000,
             max_basis_size: 200,
@@ -58,8 +58,7 @@ pub enum GroebnerOutcome {
     /// The constant polynomial `1` entered the basis: the system has no
     /// solution.
     Inconsistent,
-    /// The work budget was exhausted before completion, mirroring the
-    /// "times out" behaviour of the paper's M4GB baseline.
+    /// The work budget was exhausted before completion.
     BudgetExhausted,
     /// A cancellation token tripped before completion. Like
     /// [`GroebnerOutcome::BudgetExhausted`], the returned basis is a

@@ -1,15 +1,13 @@
 //! A degree-bounded Buchberger Gröbner-basis engine over the Boolean
 //! polynomial ring GF(2)[x₀,…,x_{n−1}] / (xᵢ² + xᵢ).
 //!
-//! The paper uses M4GB only as a reference point: "the most efficient
-//! off-the-shelf ANF solver, M4GB, has such a high memory footprint that it
-//! times out on all the instances". This crate reproduces that baseline with
-//! a handwritten Buchberger algorithm:
-//!
-//! * it is *correct* on toy systems (verified against brute force by property
-//!   tests), so it doubles as a cross-check for the Bosphorus engine, and
-//! * it *exhausts its work budget* on anything sizeable, reproducing the
-//!   "times out on all instances" row of the evaluation.
+//! It backs the optional Gröbner learning pass, which runs it under a work
+//! budget and learns the retainable elements of the (possibly partial)
+//! basis. It is *correct* on toy systems (verified against brute force by
+//! property tests), so it doubles as a cross-check for the Bosphorus engine.
+//! The paper cites M4GB, the fastest off-the-shelf ANF solver, only as a
+//! reference that "times out on all the instances"; this crate does not
+//! stand in for it.
 //!
 //! Because the Boolean ring has zero divisors, plain Buchberger is
 //! incomplete; following the PolyBoRi treatment, every generator `f` also

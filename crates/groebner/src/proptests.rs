@@ -1,4 +1,4 @@
-//! Property-based tests: the Gröbner baseline must agree with brute force on
+//! Property-based tests: the Gröbner engine must agree with brute force on
 //! random small Boolean polynomial systems.
 
 use proptest::prelude::*;

@@ -28,10 +28,9 @@ pub struct SolverConfig {
     pub restart: RestartStrategy,
     /// Base interval (in conflicts) between restarts.
     pub restart_base: u64,
-    /// Whether the learnt-clause database is periodically reduced.
-    pub reduce_db: bool,
     /// Initial ratio of learnt clauses to problem clauses that triggers a
-    /// database reduction (grows geometrically afterwards).
+    /// database reduction (grows geometrically afterwards). A non-finite
+    /// ratio (`f64::INFINITY`) never reduces the database.
     pub learnt_ratio: f64,
     /// Whether learnt clauses are shrunk by recursive conflict-clause
     /// minimization (CCMin) before being recorded.
@@ -58,7 +57,6 @@ impl SolverConfig {
             var_decay: 0.95,
             restart: RestartStrategy::Geometric,
             restart_base: 100,
-            reduce_db: false,
             learnt_ratio: f64::INFINITY,
             ccmin: true,
             verify_minimization: false,
@@ -75,7 +73,6 @@ impl SolverConfig {
             var_decay: 0.92,
             restart: RestartStrategy::Luby,
             restart_base: 64,
-            reduce_db: true,
             learnt_ratio: 0.4,
             ccmin: true,
             verify_minimization: false,
@@ -111,8 +108,8 @@ mod tests {
         let minimal = SolverConfig::minimal();
         let aggressive = SolverConfig::aggressive();
         let xor = SolverConfig::xor_gauss();
-        assert!(!minimal.reduce_db);
-        assert!(aggressive.reduce_db);
+        assert!(!minimal.learnt_ratio.is_finite());
+        assert!(aggressive.learnt_ratio.is_finite());
         assert!(!minimal.xor_reasoning && !aggressive.xor_reasoning);
         assert!(xor.xor_reasoning);
         assert_eq!(minimal.restart, RestartStrategy::Geometric);

@@ -170,7 +170,6 @@ proptest! {
         let expected_sat = brute_force(&cnf, &xors).is_some();
         for reduce in [false, true] {
             let mut config = SolverConfig::xor_gauss();
-            config.reduce_db = reduce;
             config.learnt_ratio = if reduce { 0.01 } else { f64::INFINITY };
             config.verify_minimization = true;
             let mut solver = Solver::from_formula(config, &cnf);

@@ -444,8 +444,10 @@ impl Solver {
             // The learnt-clause allowance persists across solve calls (a
             // repeated call would otherwise reset the geometric schedule);
             // it only ratchets up when clause additions raise the initial
-            // target above the stored value.
-            if self.config.reduce_db {
+            // target above the stored value. The finiteness test comes
+            // first: an empty formula times an infinite ratio is NaN, and
+            // `NaN.max(100.0)` is 100.
+            if self.config.learnt_ratio.is_finite() {
                 let initial =
                     (self.num_original_clauses as f64 * self.config.learnt_ratio).max(100.0);
                 if self.max_learnts < initial {
@@ -500,7 +502,7 @@ impl Solver {
                     }
                     self.conflicts_since_gauss = 0;
                 }
-                if self.config.reduce_db && (self.stats.learnt_clauses as f64) >= self.max_learnts {
+                if (self.stats.learnt_clauses as f64) >= self.max_learnts {
                     self.reduce_db();
                     self.max_learnts *= REDUCE_DB_GROWTH;
                 }
@@ -1747,7 +1749,7 @@ mod tests {
         // Glue clauses are never deleted, whatever their activity: grow a
         // database without reductions, then run one reduction step by step.
         let mut config = SolverConfig::aggressive();
-        config.reduce_db = false;
+        config.learnt_ratio = f64::INFINITY;
         let mut s = pigeonhole(7, 6, config);
         s.set_conflict_budget(Some(300));
         assert_eq!(s.solve(), SolveResult::Unknown);

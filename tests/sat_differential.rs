@@ -164,10 +164,12 @@ fn check_differential(
 }
 
 /// The aggressive preset with the CCMin self-check armed and the clause-DB
-/// reduction forced to `reduce`.
+/// reduction on only when `reduce` holds.
 fn checked_config(reduce: bool) -> SolverConfig {
     let mut config = SolverConfig::aggressive();
-    config.reduce_db = reduce;
+    if !reduce {
+        config.learnt_ratio = f64::INFINITY;
+    }
     config.verify_minimization = true;
     config
 }
