@@ -158,11 +158,6 @@ impl CnfFormula {
             .iter()
             .all(|c| c.evaluate(|v| values[v as usize])))
     }
-
-    /// Consumes the formula and returns its clauses.
-    pub fn into_clauses(self) -> Vec<Clause> {
-        self.clauses
-    }
 }
 
 impl Extend<Clause> for CnfFormula {

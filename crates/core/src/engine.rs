@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use crate::anf_to_cnf::{anf_to_cnf, CnfConversion};
 use crate::cnf_to_anf::cnf_to_anf;
-use crate::pipeline::{PassBudget, PassStatus, Pipeline};
+use crate::pipeline::{PassBudget, PassStatus, Pipeline, Schedule};
 use crate::{BosphorusConfig, EngineStats, TimelineEntry};
 
 /// Outcome of [`Bosphorus::preprocess`].
@@ -95,8 +95,6 @@ pub struct Bosphorus {
     original_cnf: Option<CnfFormula>,
     config: BosphorusConfig,
     learnt_facts: Vec<Polynomial>,
-    solution: Option<Assignment>,
-    unsat: bool,
     stats: EngineStats,
     rng: StdRng,
     cancel: CancelToken,
@@ -114,8 +112,6 @@ impl Bosphorus {
             original_cnf: None,
             config,
             learnt_facts: Vec::new(),
-            solution: None,
-            unsat: false,
             stats: EngineStats::default(),
             rng,
             cancel: CancelToken::never(),
@@ -131,11 +127,6 @@ impl Bosphorus {
         self.cancel = token;
     }
 
-    /// The engine's cancellation token (never-cancelling by default).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Creates an engine for a problem given in CNF (the CNF-preprocessor
     /// use-case of Section III-D). The clauses are converted to ANF with the
     /// configured clause-cutting length; the original CNF is kept and
@@ -146,11 +137,6 @@ impl Bosphorus {
         engine.original_num_vars = conversion.original_vars;
         engine.original_cnf = Some(cnf.clone());
         engine
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &BosphorusConfig {
-        &self.config
     }
 
     /// The incremental database holding the master ANF and the propagation
@@ -186,11 +172,6 @@ impl Bosphorus {
         &self.stats
     }
 
-    /// The satisfying assignment found during preprocessing, if any.
-    pub fn solution(&self) -> Option<&Assignment> {
-        self.solution.as_ref()
-    }
-
     /// Runs the fact-learning pipeline of Fig. 1 until the fixed point (no
     /// new facts), a solution, a contradiction, or the iteration limit.
     ///
@@ -204,107 +185,105 @@ impl Bosphorus {
 
     /// Runs a caller-supplied pipeline to the fixed point.
     ///
-    /// Pass state (revision bookkeeping, the adaptive SAT budget) lives for
-    /// the duration of this call; handing the same pipeline to a second call
-    /// keeps its revision memory, so already-converged passes skip
-    /// immediately.
+    /// Every call starts the loop's sizes (the SAT conflict budget, XL and
+    /// ElimLin's subsample size) afresh from the configuration. Pass state
+    /// (revision bookkeeping, a kept SAT search) lives in the pipeline:
+    /// handing the same pipeline to a second call keeps its revision memory,
+    /// so already-converged passes skip immediately.
     pub fn preprocess_with(&mut self, pipeline: &mut Pipeline) -> PreprocessStatus {
-        let budget = PassBudget::with_rng(&self.config, self.rng.clone())
+        let mut budget = PassBudget::with_rng(&self.config, self.rng.clone())
             .with_cancel_token(self.cancel.clone());
-        let status = self.drive(pipeline, &budget);
+        let status = self.drive(pipeline, &mut budget);
         self.rng = budget.into_rng();
         status
     }
 
     /// The fixed-point driver: run every pass in order, commit and propagate
-    /// its facts, and stop when a full iteration learns nothing.
+    /// its facts, and stop when a full iteration learns nothing. The loop's
+    /// sizes and its stop rule are the [`Schedule`]'s: the driver moves the
+    /// budget's schedule after every pass.
     ///
     /// Each pass runs inside `catch_unwind`: a panicking pass is marked
     /// poisoned (skipped for the rest of the run, recorded in
     /// [`EngineStats::poisoned_passes`]) instead of tearing down the whole
     /// preprocessing — its facts from previous runs are already committed
     /// and remain valid.
-    fn drive(&mut self, pipeline: &mut Pipeline, budget: &PassBudget) -> PreprocessStatus {
+    fn drive(&mut self, pipeline: &mut Pipeline, budget: &mut PassBudget) -> PreprocessStatus {
         // Initial ANF propagation on the input.
         if self.propagate_master() {
             return PreprocessStatus::Unsat;
         }
-        for _ in 0..self.config.max_iterations {
+        let (mut iterations, mut quiet) = (0, false);
+        while !Schedule::stops(&self.config, iterations, quiet) {
             if budget.cancel_token().is_cancelled() {
                 self.stats.interrupted = true;
                 return PreprocessStatus::Interrupted;
             }
+            iterations += 1;
             self.stats.iterations += 1;
-            let mut new_facts = 0usize;
+            let learnt_before = self.learnt_facts.len();
             for index in 0..pipeline.len() {
                 if pipeline.is_poisoned(index) {
                     continue;
                 }
                 let pass = &mut pipeline.passes_mut()[index];
                 let name = pass.name();
-                let iteration = self.stats.iterations;
                 let started = Instant::now();
-                let run = catch_unwind(AssertUnwindSafe(|| pass.run(&mut self.db, budget)));
+                let run = catch_unwind(AssertUnwindSafe(|| pass.run(&mut self.db, &*budget)));
                 let elapsed = started.elapsed();
-                let outcome = match run {
-                    Ok(outcome) => outcome,
-                    Err(_) => {
-                        // The pass panicked mid-run. The database may hold a
-                        // half-applied rewrite only if the pass mutates it
-                        // directly; the built-in passes work on copies and
-                        // return facts, so the master copy is intact. Poison
-                        // the pass and carry on with the rest.
-                        pipeline.mark_poisoned(index);
-                        self.stats.record_poisoned(name, elapsed);
-                        self.stats.record_timeline(TimelineEntry {
-                            iteration,
-                            pass: name.to_string(),
-                            revision: self.db.revision(),
-                            facts: 0,
-                            skipped: false,
-                            poisoned: true,
-                            time: elapsed,
-                        });
-                        continue;
-                    }
-                };
-                self.stats.record_pass(name, &outcome, elapsed);
-                let status = outcome.status;
                 // Commit facts first (a Ran pass's full results, an
                 // Interrupted pass's fully-committed prefix), then record
-                // the timeline entry once for every status — the recorded
+                // the timeline entry once for every run — the recorded
                 // revision is the post-commit one.
-                let added = if matches!(status, PassStatus::Ran | PassStatus::Interrupted) {
-                    let (added, known) = self.add_facts(outcome.facts);
-                    self.stats.record_facts(name, added);
-                    self.stats.record_known_facts(name, known);
-                    added
-                } else {
-                    0
+                let (status, added) = match run {
+                    Ok(outcome) => {
+                        self.stats.record_pass(name, &outcome, elapsed);
+                        let commits =
+                            matches!(outcome.status, PassStatus::Ran | PassStatus::Interrupted);
+                        let (added, known) = if commits {
+                            self.add_facts(outcome.facts)
+                        } else {
+                            (0, 0)
+                        };
+                        self.stats.record_facts(name, added);
+                        self.stats.record_known_facts(name, known);
+                        (Some(outcome.status), added)
+                    }
+                    // The pass panicked mid-run. The database may hold a
+                    // half-applied rewrite only if the pass mutates it
+                    // directly; the built-in passes work on copies and
+                    // return facts, so the master copy is intact.
+                    Err(_) => {
+                        self.stats.record_poisoned(name, elapsed);
+                        (None, 0)
+                    }
                 };
-                let skipped = status == PassStatus::Skipped;
                 self.stats.record_timeline(TimelineEntry {
-                    iteration,
+                    iteration: self.stats.iterations,
                     pass: name.to_string(),
                     revision: self.db.revision(),
                     facts: added,
-                    skipped,
-                    poisoned: false,
+                    skipped: status == Some(PassStatus::Skipped),
+                    poisoned: status.is_none(),
                     time: elapsed,
                 });
+                // Poison a panicked pass and carry on with the rest.
+                let Some(status) = status else {
+                    pipeline.mark_poisoned(index);
+                    continue;
+                };
+                budget.schedule = budget
+                    .schedule
+                    .after_pass(&self.config, name, &status, added);
                 match status {
                     PassStatus::Skipped => continue,
-                    PassStatus::Unsat => {
-                        self.unsat = true;
-                        return PreprocessStatus::Unsat;
-                    }
+                    PassStatus::Unsat => return PreprocessStatus::Unsat,
                     PassStatus::Solved(partial) => {
                         // The paper exits the loop and provides the solution
                         // when the SAT solver finds one; the solution is not
                         // used to simplify the ANF because it may not be
                         // unique.
                         let full = self.checked_solution(&partial);
-                        self.solution = Some(full.clone());
                         self.stats.decided_during_preprocessing = true;
                         return PreprocessStatus::Solved(full);
                     }
@@ -320,14 +299,11 @@ impl Bosphorus {
                     PassStatus::Ran => {}
                 }
                 pass.facts_committed(added, budget);
-                new_facts += added;
                 if added > 0 && self.propagate_master() {
                     return PreprocessStatus::Unsat;
                 }
             }
-            if new_facts == 0 {
-                break;
-            }
+            quiet = self.learnt_facts.len() == learnt_before;
         }
         if self.db.is_empty() && !self.db.has_contradiction() {
             // Everything is determined: read the solution off the propagator.
@@ -337,7 +313,6 @@ impl Bosphorus {
             );
             if self.satisfies_input(&model) {
                 let assignment = self.restrict_to_original_vars(model);
-                self.solution = Some(assignment.clone());
                 self.stats.decided_during_preprocessing = true;
                 return PreprocessStatus::Solved(assignment);
             }
@@ -376,14 +351,9 @@ impl Bosphorus {
                 let partial = Assignment::from_bits(
                     (0..self.original.num_vars()).map(|v| model.get(v).copied().unwrap_or(false)),
                 );
-                let full = self.checked_solution(&partial);
-                self.solution = Some(full.clone());
-                SolveStatus::Sat(full)
+                SolveStatus::Sat(self.checked_solution(&partial))
             }
-            SolveResult::Unsat => {
-                self.unsat = true;
-                SolveStatus::Unsat
-            }
+            SolveResult::Unsat => SolveStatus::Unsat,
             SolveResult::Unknown => {
                 // The final SAT call runs without a conflict budget, so the
                 // only way it returns Unknown is a tripped cancel token.
@@ -482,12 +452,7 @@ impl Bosphorus {
         let outcome = self.db.propagate();
         self.stats
             .record_driver_propagation(outcome.new_assignments, outcome.new_equivalences);
-        if outcome.contradiction {
-            self.unsat = true;
-            true
-        } else {
-            false
-        }
+        outcome.contradiction
     }
 }
 

@@ -21,7 +21,7 @@
 //! passes; the expensive part — building and eliminating the linearised
 //! matrix — is what the skip saves.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::str::FromStr;
 
@@ -122,12 +122,59 @@ impl FromStr for PassKind {
     }
 }
 
-/// The run-scoped resources shared by every pass: the adaptive SAT conflict
-/// budget, the subsampling randomness and the cancellation token.
+/// The sizes of the Fig. 1 loop: the subsample size `M` of XL and ElimLin
+/// and the SAT conflict budget `C`.
 ///
-/// The budget and rng are interior-mutable so that the fixed `&PassBudget` in
-/// [`LearningPass::run`] suffices: the SAT pass escalates its own conflict
-/// budget when a round produces no new facts (Section IV), and XL/ElimLin
+/// The driver owns the schedule and moves it only through these pure rules;
+/// passes read the current sizes off their [`PassBudget`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Schedule {
+    pub(crate) subsample_m: u32,
+    pub(crate) sat_conflicts: u64,
+}
+
+impl Schedule {
+    /// The sizes a run starts with.
+    pub(crate) fn start(config: &BosphorusConfig) -> Self {
+        Schedule {
+            subsample_m: config.subsample_m,
+            sat_conflicts: config.sat_conflict_budget,
+        }
+    }
+
+    /// The sizes after the facts of the pass `pass` were committed, `added`
+    /// of them new. A SAT round that ran and learnt nothing raises `C` by
+    /// the increment, up to the maximum (Section IV); `M` does not move.
+    pub(crate) fn after_pass(
+        self,
+        config: &BosphorusConfig,
+        pass: &str,
+        status: &PassStatus,
+        added: usize,
+    ) -> Self {
+        if pass != "sat" || *status != PassStatus::Ran || added > 0 {
+            return self;
+        }
+        Schedule {
+            sat_conflicts: (self.sat_conflicts + config.sat_budget_increment)
+                .min(config.sat_budget_max),
+            ..self
+        }
+    }
+
+    /// Whether the loop stops after `iterations` iterations, `quiet` when
+    /// the last of them committed no new fact. A limit of 0 runs none.
+    pub(crate) fn stops(config: &BosphorusConfig, iterations: usize, quiet: bool) -> bool {
+        quiet || iterations >= config.max_iterations
+    }
+}
+
+/// The run-scoped resources shared by every pass: the loop's current sizes,
+/// the subsampling randomness and the cancellation token.
+///
+/// Passes read the sizes and never move them: the driver writes its
+/// schedule in between passes. The rng is interior-mutable so that the
+/// fixed `&PassBudget` in [`LearningPass::run`] suffices: XL and ElimLin
 /// draw their subsamples from one shared stream so the default pipeline
 /// consumes randomness exactly like the pre-pipeline engine did.
 ///
@@ -137,9 +184,7 @@ impl FromStr for PassKind {
 /// cancels and costs nothing to poll.
 #[derive(Debug)]
 pub struct PassBudget {
-    sat_conflicts: Cell<u64>,
-    sat_budget_increment: u64,
-    sat_budget_max: u64,
+    pub(crate) schedule: Schedule,
     rng: RefCell<StdRng>,
     cancel: CancelToken,
 }
@@ -155,9 +200,7 @@ impl PassBudget {
     /// so that repeated `preprocess` calls continue one stream).
     pub fn with_rng(config: &BosphorusConfig, rng: StdRng) -> Self {
         PassBudget {
-            sat_conflicts: Cell::new(config.sat_conflict_budget),
-            sat_budget_increment: config.sat_budget_increment,
-            sat_budget_max: config.sat_budget_max,
+            schedule: Schedule::start(config),
             rng: RefCell::new(rng),
             cancel: CancelToken::never(),
         }
@@ -176,14 +219,12 @@ impl PassBudget {
 
     /// The current SAT conflict budget `C`.
     pub fn sat_conflicts(&self) -> u64 {
-        self.sat_conflicts.get()
+        self.schedule.sat_conflicts
     }
 
-    /// Increases the SAT conflict budget by the configured increment, up to
-    /// the configured maximum (Section IV's escalation rule).
-    pub fn escalate_sat(&self) {
-        let next = (self.sat_conflicts.get() + self.sat_budget_increment).min(self.sat_budget_max);
-        self.sat_conflicts.set(next);
+    /// The current subsample size `M` of XL and ElimLin.
+    pub fn subsample_m(&self) -> u32 {
+        self.schedule.subsample_m
     }
 
     /// Runs `f` with the shared random stream.
@@ -284,9 +325,9 @@ impl PassOutcome {
 /// One technique of the fact-learning loop, as a pipeline stage.
 ///
 /// A pass owns whatever per-run state it needs (configuration snapshot, the
-/// revision it last read, adaptive budgets); the shared problem lives in the
-/// [`AnfDatabase`] and the shared run-scoped resources in the
-/// [`PassBudget`].
+/// revision it last read, a kept search); the shared problem lives in the
+/// [`AnfDatabase`] and the shared run-scoped resources, the loop's current
+/// sizes among them, in the [`PassBudget`].
 pub trait LearningPass {
     /// Stable lower-case name, used for per-pass statistics and CLI output.
     fn name(&self) -> &'static str;
@@ -294,9 +335,9 @@ pub trait LearningPass {
     /// Executes (or skips) one round of the technique against the database.
     fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome;
 
-    /// Called by the driver after this pass's facts were committed, with the
-    /// number that were actually new. The SAT pass uses this to escalate its
-    /// conflict budget when a round learnt nothing (Section IV).
+    /// Called by the driver after this pass ran and its facts were
+    /// committed, with the number that were actually new. An observer hook:
+    /// the built-in passes do not implement it.
     fn facts_committed(&mut self, _added: usize, _budget: &PassBudget) {}
 }
 
@@ -341,6 +382,8 @@ impl LearningPass for PropagatePass {
 }
 
 /// eXtended Linearization as a pass (Section II-B).
+///
+/// Each run subsamples at the budget's [`PassBudget::subsample_m`].
 #[derive(Debug)]
 pub struct XlPass {
     config: BosphorusConfig,
@@ -365,6 +408,7 @@ impl LearningPass for XlPass {
     }
 
     fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome {
+        self.config.subsample_m = budget.subsample_m();
         if self.last_exhaustive && self.last_seen == Some(db.revision()) {
             // The previous run saw the whole system and nothing changed:
             // re-running would reproduce the same (already committed) RREF.
@@ -391,6 +435,8 @@ impl LearningPass for XlPass {
 }
 
 /// ElimLin as a pass (Section II-C).
+///
+/// Each run subsamples at the budget's [`PassBudget::subsample_m`].
 #[derive(Debug)]
 pub struct ElimLinPass {
     config: BosphorusConfig,
@@ -415,6 +461,7 @@ impl LearningPass for ElimLinPass {
     }
 
     fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome {
+        self.config.subsample_m = budget.subsample_m();
         if self.last_exhaustive && self.last_seen == Some(db.revision()) {
             budget.with_rng_mut(|rng| subsample(db.system(), &self.config, rng));
             return PassOutcome::skipped();
@@ -536,12 +583,6 @@ impl LearningPass for SatPass {
         }
         outcome
     }
-
-    fn facts_committed(&mut self, added: usize, budget: &PassBudget) {
-        if added == 0 {
-            budget.escalate_sat();
-        }
-    }
 }
 
 /// The optional degree-bounded Buchberger/Gröbner pass.
@@ -561,17 +602,12 @@ pub struct GroebnerPass {
 impl GroebnerPass {
     /// Creates the pass from the engine configuration's Gröbner budget.
     pub fn new(config: &BosphorusConfig) -> Self {
-        GroebnerPass::with_config(GroebnerConfig {
-            max_reductions: config.groebner_max_reductions,
-            max_basis_size: config.groebner_max_basis_size,
-            max_degree: config.groebner_max_degree,
-        })
-    }
-
-    /// Creates the pass with an explicit Gröbner configuration.
-    pub fn with_config(config: GroebnerConfig) -> Self {
         GroebnerPass {
-            config,
+            config: GroebnerConfig {
+                max_reductions: config.groebner_max_reductions,
+                max_basis_size: config.groebner_max_basis_size,
+                max_degree: config.groebner_max_degree,
+            },
             last_seen: None,
         }
     }
@@ -631,13 +667,8 @@ impl Pipeline {
     /// The paper's pipeline for `config`: the passes of
     /// [`BosphorusConfig::pass_order`], in order.
     pub fn standard(config: &BosphorusConfig) -> Self {
-        Pipeline::from_kinds(&config.pass_order, config)
-    }
-
-    /// Builds a pipeline of built-in passes in the given order.
-    pub fn from_kinds(kinds: &[PassKind], config: &BosphorusConfig) -> Self {
         let mut pipeline = Pipeline::new();
-        for &kind in kinds {
+        for &kind in &config.pass_order {
             pipeline.push_kind(kind, config);
         }
         pipeline
@@ -742,20 +773,99 @@ mod tests {
         assert_eq!(pipeline.names(), vec!["elimlin", "xl"]);
     }
 
-    #[test]
-    fn budget_escalation_respects_the_cap() {
-        let config = BosphorusConfig {
+    /// The sizes after a dry SAT round, the driver's only way to raise `C`.
+    fn escalate(budget: &mut PassBudget, config: &BosphorusConfig) {
+        budget.schedule = budget
+            .schedule
+            .after_pass(config, "sat", &PassStatus::Ran, 0);
+    }
+
+    fn small_escalation() -> BosphorusConfig {
+        BosphorusConfig {
             sat_conflict_budget: 10,
             sat_budget_increment: 7,
             sat_budget_max: 20,
             ..BosphorusConfig::default()
-        };
-        let budget = PassBudget::new(&config);
+        }
+    }
+
+    #[test]
+    fn budget_escalation_respects_the_cap() {
+        let config = small_escalation();
+        let mut budget = PassBudget::new(&config);
         assert_eq!(budget.sat_conflicts(), 10);
-        budget.escalate_sat();
+        escalate(&mut budget, &config);
         assert_eq!(budget.sat_conflicts(), 17);
-        budget.escalate_sat();
+        escalate(&mut budget, &config);
         assert_eq!(budget.sat_conflicts(), 20, "clamped at the maximum");
+        escalate(&mut budget, &config);
+        assert_eq!(budget.sat_conflicts(), 20, "stays at the maximum");
+    }
+
+    #[test]
+    fn the_sat_budget_escalates_only_after_a_dry_sat_run() {
+        let config = small_escalation();
+        let start = Schedule::start(&config);
+        assert_eq!(start.sat_conflicts, 10);
+        let unchanged = [
+            ("sat", PassStatus::Ran, 1),
+            ("sat", PassStatus::Skipped, 0),
+            ("sat", PassStatus::Interrupted, 0),
+            ("xl", PassStatus::Ran, 0),
+            ("elimlin", PassStatus::Ran, 0),
+            ("groebner", PassStatus::Ran, 0),
+        ];
+        for (pass, status, added) in unchanged {
+            assert_eq!(
+                start.after_pass(&config, pass, &status, added),
+                start,
+                "{pass} {status:?} {added}"
+            );
+        }
+        let dry = start.after_pass(&config, "sat", &PassStatus::Ran, 0);
+        assert_eq!(dry.sat_conflicts, 17);
+    }
+
+    #[test]
+    fn the_subsample_size_does_not_move() {
+        let config = BosphorusConfig {
+            subsample_m: 11,
+            ..small_escalation()
+        };
+        let mut schedule = Schedule::start(&config);
+        assert_eq!(PassBudget::new(&config).subsample_m(), 11);
+        for (pass, added) in [("xl", 0), ("elimlin", 0), ("sat", 0), ("sat", 3)] {
+            schedule = schedule.after_pass(&config, pass, &PassStatus::Ran, added);
+            assert_eq!(schedule.subsample_m, 11, "after {pass} added {added}");
+        }
+        assert_eq!(schedule.sat_conflicts, 17);
+    }
+
+    #[test]
+    fn a_quiet_iteration_stops_the_loop() {
+        let config = BosphorusConfig::default();
+        assert!(!Schedule::stops(&config, 1, false));
+        assert!(Schedule::stops(&config, 1, true));
+    }
+
+    #[test]
+    fn the_loop_stops_at_its_iteration_limit() {
+        let config = BosphorusConfig {
+            max_iterations: 3,
+            ..BosphorusConfig::default()
+        };
+        assert!(!Schedule::stops(&config, 0, false));
+        assert!(!Schedule::stops(&config, 2, false));
+        assert!(Schedule::stops(&config, 3, false));
+    }
+
+    #[test]
+    fn an_iteration_limit_of_zero_runs_nothing() {
+        let config = BosphorusConfig {
+            max_iterations: 0,
+            ..BosphorusConfig::default()
+        };
+        assert!(Schedule::stops(&config, 0, false));
     }
 
     #[test]
@@ -818,15 +928,15 @@ mod tests {
         // Hard enough that one conflict cannot decide it, small enough to be
         // fast: a random-ish 3-variable system.
         let mut database = db("x0*x1 + x2; x1 + x2 + 1; x0*x2 + x0 + x1;");
-        let budget = PassBudget::new(&config);
-        let mut pass = SatPass::new(config);
+        let mut budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config.clone());
         let first = pass.run(&mut database, &budget);
         assert_ne!(first.status, PassStatus::Skipped);
         // Same database, same budget: skip.
         let same = pass.run(&mut database, &budget);
         assert_eq!(same.status, PassStatus::Skipped);
         // Escalating the budget re-arms the pass.
-        budget.escalate_sat();
+        escalate(&mut budget, &config);
         let rerun = pass.run(&mut database, &budget);
         assert_ne!(rerun.status, PassStatus::Skipped);
     }
@@ -869,12 +979,12 @@ mod tests {
     fn sat_pass_continues_its_search_on_an_unchanged_revision() {
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
-        let budget = PassBudget::new(&config);
+        let mut budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
         let first = pass.run(&mut database, &budget);
         assert_eq!((first.status, first.sat_resumed), (PassStatus::Ran, false));
         assert_eq!(first.sat_conflicts, 100);
-        budget.escalate_sat();
+        escalate(&mut budget, &config);
         let second = pass.run(&mut database, &budget);
         assert_eq!((second.status, second.sat_resumed), (PassStatus::Ran, true));
         assert_eq!(
@@ -884,8 +994,8 @@ mod tests {
 
         // A new search with the full budget harvests the same facts.
         let mut fresh_pass = SatPass::new(config.clone());
-        let fresh_budget = PassBudget::new(&config);
-        fresh_budget.escalate_sat();
+        let mut fresh_budget = PassBudget::new(&config);
+        escalate(&mut fresh_budget, &config);
         let fresh = fresh_pass.run(&mut database, &fresh_budget);
         assert_eq!((fresh.sat_conflicts, fresh.sat_resumed), (200, false));
         assert_eq!(second.facts, fresh.facts);
@@ -895,11 +1005,11 @@ mod tests {
     fn sat_pass_starts_a_new_search_on_a_new_revision() {
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
-        let budget = PassBudget::new(&config);
-        let mut pass = SatPass::new(config);
+        let mut budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config.clone());
         pass.run(&mut database, &budget);
         assert!(database.push_unique(Polynomial::variable(0) * Polynomial::variable(7)));
-        budget.escalate_sat();
+        escalate(&mut budget, &config);
         let rerun = pass.run(&mut database, &budget);
         assert!(!rerun.sat_resumed);
         assert_eq!(rerun.sat_conflicts, 200, "the full budget, from scratch");
@@ -909,20 +1019,20 @@ mod tests {
     fn an_interrupted_sat_run_drops_its_search() {
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
-        let budget = PassBudget::new(&config);
+        let mut budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
         pass.run(&mut database, &budget);
         assert!(pass.search.is_some(), "an undecided search is kept");
 
         let token = CancelToken::new();
         token.cancel();
-        let cancelled = PassBudget::new(&config).with_cancel_token(token);
-        cancelled.escalate_sat();
+        let mut cancelled = PassBudget::new(&config).with_cancel_token(token);
+        escalate(&mut cancelled, &config);
         let interrupted = pass.run(&mut database, &cancelled);
         assert_eq!(interrupted.status, PassStatus::Interrupted);
         assert!(pass.search.is_none(), "cancellation ends the search");
 
-        budget.escalate_sat();
+        escalate(&mut budget, &config);
         let rerun = pass.run(&mut database, &budget);
         assert!(!rerun.sat_resumed);
         assert_eq!(rerun.sat_conflicts, 200);
