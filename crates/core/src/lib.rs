@@ -16,8 +16,9 @@
 //!    by substitution of linear equations (Section II-C).
 //! 4. **Conflict-bounded SAT** ([`SatSearch`]) — convert to CNF, run a CDCL
 //!    solver with a conflict budget, harvest unit and binary learnt clauses
-//!    (Section II-D). A search left undecided can be continued with a
-//!    larger budget while the database is unchanged.
+//!    (Section II-D). A search left undecided is kept and continued with a
+//!    larger budget, after taking the values and equivalences learnt since
+//!    as clauses.
 //!
 //! Each technique has one entry point, and it takes a [`CancelToken`]:
 //! pass [`CancelToken::never`] for a run that cannot be interrupted.

@@ -284,8 +284,8 @@ pub struct PassOutcome {
     pub sat_minimized_lits: u64,
     /// SAT restarts performed by this run.
     pub sat_restarts: u64,
-    /// `true` when this run continued the SAT search of an earlier run on
-    /// the same database revision instead of starting a new one.
+    /// `true` when this run continued the SAT search of an earlier run
+    /// instead of starting a new one.
     pub sat_resumed: bool,
     /// Value assignments recorded by this run (propagation pass only).
     pub new_assignments: usize,
@@ -490,20 +490,29 @@ impl LearningPass for ElimLinPass {
 
 /// The conflict-bounded SAT step as a pass (Section II-D).
 ///
-/// A round on a new database revision converts the database to CNF and
-/// starts a new search. A round that ends undecided keeps its search: when
-/// the next round sees the same revision with a larger budget, it continues
-/// that search up to the new budget instead of spending the old budget's
-/// conflicts again. The result is the one a new search with the full
-/// budget would reach, because the solver's budget pauses its search and
-/// the solver is deterministic. No clause is ever added to a kept search.
+/// The pass keeps one undecided search for the whole run. A round that
+/// finds a kept search that has spent fewer than the budget's `C`
+/// conflicts continues it up to `C` in total, instead of spending the
+/// conflicts it already spent again. When the database changed since, the
+/// search first takes the values and equivalences propagation found as
+/// clauses ([`SatSearch::sync_knowledge`]); other new rows are left out,
+/// which is sound because they are consequences of the input. On an
+/// unchanged database the continued search is the one a new search with
+/// the full budget would run, because the solver's budget pauses its
+/// search and the solver is deterministic.
+///
+/// A kept search that has already spent `C` skips the round when the
+/// database is unchanged (it cannot stop at `C` any more, and it has
+/// already seen this database at least that long), and otherwise starts
+/// over: the pass converts the database to CNF and runs a new search with
+/// the full `C`. This happens after a productive round, which does not
+/// raise `C`. Decided and interrupted rounds drop the search.
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,
+    /// The revision the kept search last saw.
     last_seen: Option<Revision>,
-    last_budget: Option<u64>,
-    /// The undecided search of the last round, over the CNF of revision
-    /// `last_seen`.
+    /// The undecided search of the last round.
     search: Option<SatSearch>,
 }
 
@@ -514,7 +523,6 @@ impl SatPass {
         SatPass {
             config,
             last_seen: None,
-            last_budget: None,
             search: None,
         }
     }
@@ -527,37 +535,39 @@ impl LearningPass for SatPass {
 
     fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome {
         let conflicts = budget.sat_conflicts();
-        // The solver's input is the database *and* the conflict budget: a
-        // rerun with an escalated budget can decide what the last run could
-        // not, so both must be unchanged for the skip.
-        if self.last_seen == Some(db.revision()) && self.last_budget == Some(conflicts) {
-            return PassOutcome::skipped();
-        }
-        // A kept search continues only on the CNF it was built from, and
-        // only forward: one that has already spent the budget cannot stop
-        // at it. Otherwise it is dropped before the new one is built, so
-        // the two never coexist.
-        let resumable = self.last_seen == Some(db.revision())
-            && self
-                .search
-                .as_ref()
-                .is_some_and(|search| search.conflicts() < conflicts);
-        if !resumable {
-            self.search = None;
+        let unchanged = self.last_seen == Some(db.revision());
+        // A kept search continues only forward, and only over the variables
+        // it was built on; otherwise it is dropped before the new one is
+        // built, so the two never coexist.
+        match &self.search {
+            Some(search) if search.conflicts() >= conflicts && unchanged => {
+                return PassOutcome::skipped();
+            }
+            Some(search)
+                if search.conflicts() >= conflicts
+                    || search.num_anf_vars() != db.system().num_vars() =>
+            {
+                self.search = None;
+            }
+            _ => {}
         }
         self.last_seen = Some(db.revision());
-        self.last_budget = Some(conflicts);
         let mut outcome = PassOutcome::ran();
-        outcome.sat_resumed = resumable;
-        // A new search has spent no conflicts, so it runs the full budget.
-        let search = self.search.get_or_insert_with(|| {
-            SatSearch::new(
+        outcome.sat_resumed = self.search.is_some();
+        let search = match &mut self.search {
+            Some(search) => {
+                search.sync_knowledge(db.propagator());
+                search
+            }
+            // A new search has spent no conflicts, so it runs the full
+            // budget.
+            None => self.search.insert(SatSearch::new(
                 db.system(),
                 db.propagator(),
                 &self.config,
                 &SolverConfig::aggressive(),
-            )
-        });
+            )),
+        };
         let sat = search.run(conflicts - search.conflicts(), budget.cancel_token());
         if sat.status != SatStepStatus::Undecided {
             self.search = None;
@@ -573,13 +583,7 @@ impl LearningPass for SatPass {
                 outcome.status = PassStatus::Solved(assignment);
             }
             SatStepStatus::Undecided => outcome.facts = sat.facts,
-            SatStepStatus::Interrupted => {
-                // Forget the skip state: the interrupted call spent less
-                // than its conflict budget, so a rerun can still decide.
-                self.last_seen = None;
-                self.last_budget = None;
-                outcome.status = PassStatus::Interrupted;
-            }
+            SatStepStatus::Interrupted => outcome.status = PassStatus::Interrupted,
         }
         outcome
     }
@@ -1002,17 +1006,62 @@ mod tests {
     }
 
     #[test]
-    fn sat_pass_starts_a_new_search_on_a_new_revision() {
+    fn sat_pass_continues_its_search_on_a_new_revision() {
+        let config = small_sat_budget();
+        let mut database = pigeonhole_db();
+        let mut budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config.clone());
+        let first = pass.run(&mut database, &budget);
+        let pigeon_0_in_hole_0: Polynomial = "x0 + 1".parse().expect("parses");
+        assert!(!first.facts.contains(&pigeon_0_in_hole_0));
+        // A dry round raises the budget; a value arrives in between.
+        escalate(&mut budget, &config);
+        assert!(database.push_unique(pigeon_0_in_hole_0.clone()));
+        assert!(!database.propagate().contradiction);
+        assert_eq!(database.propagator().value(0), Some(true));
+        let rerun = pass.run(&mut database, &budget);
+        assert_eq!((rerun.status, rerun.sat_resumed), (PassStatus::Ran, true));
+        assert_eq!(rerun.sat_conflicts, 200 - 100, "only C minus the spent");
+        assert!(
+            rerun.facts.contains(&pigeon_0_in_hole_0),
+            "the value is a unit of the kept search: {:?}",
+            rerun.facts
+        );
+    }
+
+    #[test]
+    fn sat_pass_starts_over_once_its_search_has_spent_the_budget() {
+        // After a productive round the budget stays at `C`, which the kept
+        // search has already spent: the next round on the new revision runs
+        // a new search with the full `C`.
+        let config = small_sat_budget();
+        let mut database = pigeonhole_db();
+        let budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config.clone());
+        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
+        assert!(database.push_unique(Polynomial::variable(0) * Polynomial::variable(7)));
+        let rerun = pass.run(&mut database, &budget);
+        assert_eq!((rerun.status, rerun.sat_resumed), (PassStatus::Ran, false));
+        assert_eq!(rerun.sat_conflicts, 100, "the full budget, from scratch");
+    }
+
+    #[test]
+    fn sat_pass_skips_below_what_its_search_spent_on_an_unchanged_revision() {
+        // A second run of the loop starts `C` afresh, below what the kept
+        // search has already spent: on the same database there is nothing
+        // to search for.
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
         let mut budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
         pass.run(&mut database, &budget);
-        assert!(database.push_unique(Polynomial::variable(0) * Polynomial::variable(7)));
         escalate(&mut budget, &config);
-        let rerun = pass.run(&mut database, &budget);
-        assert!(!rerun.sat_resumed);
-        assert_eq!(rerun.sat_conflicts, 200, "the full budget, from scratch");
+        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
+        let restarted = PassBudget::new(&config);
+        assert_eq!(restarted.sat_conflicts(), 100);
+        let again = pass.run(&mut database, &restarted);
+        assert_eq!(again.status, PassStatus::Skipped);
+        assert!(pass.search.is_some(), "a skip keeps the search");
     }
 
     #[test]

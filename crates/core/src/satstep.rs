@@ -5,8 +5,10 @@
 //! the contradiction `1 = 0`), SAT (a satisfying assignment is stored), or
 //! undecided within the budget. Only in the last case are unit and binary
 //! learnt clauses over variables with an ANF meaning harvested and turned
-//! into ANF facts: a verdict ends the preprocessing loop. An undecided [`SatSearch`] is paused, not ended, so a later
-//! round on the same CNF can continue it instead of starting over.
+//! into ANF facts: a verdict ends the preprocessing loop. An undecided
+//! [`SatSearch`] is paused, not ended, so a later round can continue it
+//! instead of starting over, after handing it the values and equivalences
+//! propagation has found since ([`SatSearch::sync_knowledge`]).
 
 use std::collections::BTreeSet;
 
@@ -15,9 +17,9 @@ use bosphorus_cnf::Lit;
 use bosphorus_interrupt::CancelToken;
 use bosphorus_sat::{SolveResult, Solver, SolverConfig, SolverStats};
 
-use crate::anf_to_cnf::{anf_to_cnf, CnfConversion};
+use crate::anf_to_cnf::{anf_to_cnf, encode_knowledge, CnfConversion};
 use crate::BosphorusConfig;
-use bosphorus_anf::AnfPropagator;
+use bosphorus_anf::{AnfPropagator, Var, VarKnowledge};
 
 /// How the conflict-bounded SAT call ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,11 +73,19 @@ pub struct SatStepOutcome {
 /// [`Undecided`](SatStepStatus::Undecided) search to spend more conflicts:
 /// runs of `a` and then `b` conflicts reach the state of one run of
 /// `a + b`, and harvest the same facts.
+///
+/// The search can outlive the system it was built from: every fact the
+/// loop commits is a consequence of the input, so the search stays sound on
+/// a later revision of the same problem. [`SatSearch::sync_knowledge`] adds
+/// the values and equivalences found since as clauses; other new rows are
+/// left out, which only makes the search know less.
 #[derive(Debug)]
 pub struct SatSearch {
     conversion: CnfConversion,
     solver: Solver,
-    num_anf_vars: usize,
+    /// The propagation knowledge the solver holds as clauses, per ANF
+    /// variable.
+    known: Vec<VarKnowledge>,
 }
 
 impl SatSearch {
@@ -95,16 +105,48 @@ impl SatSearch {
         // (growing) clause database.
         drop(std::mem::take(&mut conversion.cnf));
         drop(std::mem::take(&mut conversion.xors));
+        let known = (0..system.num_vars() as Var)
+            .map(|var| propagator.knowledge(var))
+            .collect();
         SatSearch {
             conversion,
             solver,
-            num_anf_vars: system.num_vars(),
+            known,
         }
     }
 
     /// Conflicts the search has spent over all its runs.
     pub fn conflicts(&self) -> u64 {
         self.solver.stats().conflicts
+    }
+
+    /// The number of ANF variables the search was built over: ANF variable
+    /// `i` is CNF variable `i` below it, and an auxiliary variable at or
+    /// above it.
+    pub fn num_anf_vars(&self) -> usize {
+        self.known.len()
+    }
+
+    /// Adds to the solver, as clauses, every value and equivalence of
+    /// `propagator` that changed since the search was built or last synced
+    /// (the encoding of [`anf_to_cnf`]: a value is a unit clause, an
+    /// equivalence two binary clauses).
+    ///
+    /// Adding a clause backs a paused search out to decision level zero; it
+    /// keeps its learnt clauses, activities and phases. With nothing new,
+    /// nothing is added and the paused search stays exactly where it was.
+    /// `propagator` must describe the same problem, over no more variables
+    /// than [`SatSearch::num_anf_vars`].
+    pub fn sync_knowledge(&mut self, propagator: &AnfPropagator) {
+        for (var, known) in self.known.iter_mut().enumerate() {
+            let knowledge = propagator.knowledge(var as Var);
+            if knowledge != *known {
+                encode_knowledge(var as Var, knowledge, |clause| {
+                    self.solver.add_clause(clause.iter().copied());
+                });
+                *known = knowledge;
+            }
+        }
     }
 
     /// Runs the search for at most `budget` more conflicts, polling `token`
@@ -129,7 +171,7 @@ impl SatSearch {
             SolveResult::Sat => {
                 let model = solver.model().expect("SAT implies a model");
                 let assignment = Assignment::from_bits(
-                    (0..self.num_anf_vars).map(|v| model.get(v).copied().unwrap_or(false)),
+                    (0..self.known.len()).map(|v| model.get(v).copied().unwrap_or(false)),
                 );
                 SatStepStatus::Satisfiable(assignment)
             }

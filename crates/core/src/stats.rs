@@ -74,8 +74,8 @@ pub struct PassStats {
     /// Cumulative SAT restarts performed by the pass.
     pub sat_restarts: u64,
     /// SAT runs that continued the search of the pass's previous run
-    /// instead of starting a new one (the database revision was unchanged
-    /// and the conflict budget had grown).
+    /// instead of starting a new one (the kept search had spent less than
+    /// the grown conflict budget).
     pub sat_resumes: usize,
     /// Value assignments recorded by the pass (propagation only).
     pub propagated_assignments: usize,

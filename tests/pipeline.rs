@@ -3,7 +3,9 @@
 
 use bosphorus_repro::anf::Assignment;
 use bosphorus_repro::ciphers::{aes, bitcoin, satcomp, simon};
-use bosphorus_repro::core::{anf_to_cnf, AnfPropagator, Bosphorus, BosphorusConfig, SolveStatus};
+use bosphorus_repro::core::{
+    anf_to_cnf, AnfPropagator, Bosphorus, BosphorusConfig, Pipeline, SolveStatus,
+};
 use bosphorus_repro::groebner::{groebner_basis, GroebnerConfig, GroebnerOutcome};
 use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
@@ -270,21 +272,23 @@ fn simon_facts_are_distinct_and_the_loop_reaches_its_fixed_point() {
 
 #[test]
 fn sat_pass_continues_its_search_while_the_database_is_unchanged() {
-    // Under the default config the SAT pass runs at 2,000, 4,000 and 6,000
-    // conflicts on Simon-[2,8]. The database changes between the first two
-    // rounds, so the second starts a new search; the third sees the same
-    // revision and continues the second's search for 2,000 more conflicts
-    // instead of spending all 6,000 again.
+    // Under the default config the SAT pass runs at budgets of 2,000, 4,000
+    // and 6,000 conflicts on Simon-[2,8], and keeps one search throughout.
+    // The first round builds it and spends 2,000. XL changes the database
+    // before the second round, which hands the search the new values and
+    // equivalences and continues it to 4,000 in total (2,000 more); the
+    // third sees the same revision and continues to 6,000 (2,000 more):
+    // 3 runs, 2 resumes, 6,000 conflicts.
     let mut engine = Bosphorus::new(
         committed_instance("simon_2_8.anf"),
         BosphorusConfig::default(),
     );
     let _ = engine.preprocess();
     let sat = engine.stats().pass("sat").expect("the SAT pass ran");
-    assert_eq!((sat.runs, sat.sat_resumes), (3, 1), "{}", engine.stats());
-    assert_eq!(sat.sat_conflicts, 2_000 + 4_000 + 2_000);
-    // The continued search learns what a new one would: the fact stream is
-    // the golden Simon-[2,8] stream of the trimmed config, which the default
+    assert_eq!((sat.runs, sat.sat_resumes), (3, 2), "{}", engine.stats());
+    assert_eq!(sat.sat_conflicts, 2_000 + 2_000 + 2_000);
+    // The SAT pass learns no new fact here, so the fact stream is the
+    // golden Simon-[2,8] stream of the trimmed config, which the default
     // config also produced when every round searched from scratch.
     let text: String = engine
         .learnt_facts()
@@ -293,4 +297,32 @@ fn sat_pass_continues_its_search_while_the_database_is_unchanged() {
         .collect();
     assert_eq!(engine.learnt_facts().len(), 74);
     assert_eq!(fnv1a(&text), 0x39fe_85e1_33cb_b52b);
+}
+
+#[test]
+fn a_second_run_on_a_converged_pipeline_spends_no_sat_conflicts() {
+    // The second run starts the SAT budget afresh at 2,000, below the
+    // 6,000 conflicts the kept search has spent on the unchanged database,
+    // so the SAT pass skips instead of searching again.
+    let config = BosphorusConfig::default();
+    let mut engine = Bosphorus::new(committed_instance("simon_2_8.anf"), config.clone());
+    let mut pipeline = Pipeline::standard(&config);
+    let _ = engine.preprocess_with(&mut pipeline);
+    let first = engine
+        .stats()
+        .pass("sat")
+        .expect("the SAT pass ran")
+        .clone();
+    assert_eq!(first.sat_conflicts, 6_000);
+    assert_eq!(engine.learnt_facts().len(), 74);
+    let _ = engine.preprocess_with(&mut pipeline);
+    let second = engine.stats().pass("sat").expect("the SAT pass ran");
+    assert_eq!(
+        second.sat_conflicts,
+        first.sat_conflicts,
+        "{}",
+        engine.stats()
+    );
+    assert_eq!(second.runs, first.runs, "{}", engine.stats());
+    assert_eq!(engine.learnt_facts().len(), 74);
 }
