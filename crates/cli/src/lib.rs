@@ -57,14 +57,17 @@ actions:
                         values/equivalences, re-parseable by --anf
   --stats-json          print engine statistics as JSON on stdout: per-pass
                         totals plus a per-iteration timeline (pass, revision,
-                        facts, elapsed)
+                        facts, elapsed, subsample size M, SAT budget C)
 
 pipeline:
   --passes LIST         comma-separated pass order, e.g. `elimlin,xl,sat`
                         (available: propagate, xl, elimlin, sat, groebner)
   --config PRESET       default | paper | exhaustive
   --max-iterations N    cap the number of pipeline iterations
-  --sat-budget N        initial SAT conflict budget C
+  --sat-budget N        initial SAT conflict budget C; a dry SAT round
+                        raises it only when no earlier pass of its
+                        iteration learnt a fact, so on the default order
+                        every SAT round runs at C
   --seed N              subsampling RNG seed
   --solver NAME         solver configuration for the final --solve call:
                         minimal | aggressive | xorgauss (the in-loop SAT
@@ -596,14 +599,17 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
         let _ = write!(
             out,
             "\n    {{\"iteration\": {}, \"pass\": \"{}\", \"revision\": {}, \
-             \"facts\": {}, \"skipped\": {}, \"poisoned\": {}, \"time_ms\": {:.3}}}",
+             \"facts\": {}, \"skipped\": {}, \"poisoned\": {}, \"time_ms\": {:.3}, \
+             \"subsample_m\": {}, \"sat_budget\": {}}}",
             entry.iteration,
             entry.pass,
             entry.revision,
             entry.facts,
             entry.skipped,
             entry.poisoned,
-            entry.time.as_secs_f64() * 1e3
+            entry.time.as_secs_f64() * 1e3,
+            entry.subsample_m,
+            entry.sat_budget
         );
     }
     if stats.timeline.is_empty() {
@@ -773,6 +779,8 @@ mod tests {
                 skipped: false,
                 poisoned: false,
                 time: Duration::from_millis(2),
+                subsample_m: 20,
+                sat_budget: 2_000,
             }],
             ..EngineStats::default()
         };
@@ -784,6 +792,8 @@ mod tests {
         assert!(json.contains("\"facts\": 4"));
         assert!(json.contains("\"skipped\": false"));
         assert!(json.contains("\"poisoned\": false"));
+        assert!(json.contains("\"subsample_m\": 20"));
+        assert!(json.contains("\"sat_budget\": 2000"));
     }
 
     #[test]

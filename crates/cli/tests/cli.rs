@@ -160,6 +160,12 @@ fn stats_json_includes_a_per_iteration_timeline() {
         json.contains("\"skipped\": false") && json.contains("\"time_ms\": "),
         "json: {json}"
     );
+    // Each entry carries the sizes its pass ran with: the default subsample
+    // size M = 20 and SAT budget C = 2,000.
+    assert!(
+        json.contains("\"subsample_m\": 20") && json.contains("\"sat_budget\": 2000"),
+        "json: {json}"
+    );
     // The first timeline entry is the first configured pass (xl) and
     // carries its facts; the entry order follows execution order.
     let timeline_pos = json.find("\"timeline\"").expect("timeline present");

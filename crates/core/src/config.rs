@@ -48,12 +48,21 @@ pub struct BosphorusConfig {
     /// so that each piece has at most this many positive literals.
     /// The paper uses `L' = 5`.
     pub clause_cut_length: usize,
-    /// Initial SAT conflict budget `C`. The paper starts at 10,000.
+    /// Initial SAT conflict budget `C`. The paper starts at 10,000. On the
+    /// default order (XL, ElimLin, SAT) every SAT round runs at this budget:
+    /// see [`sat_budget_increment`](Self::sat_budget_increment).
     pub sat_conflict_budget: u64,
-    /// Budget increment applied when a SAT round produces no new facts.
-    /// The paper increments by 10,000.
+    /// Budget increment applied when a SAT round produces no new facts and
+    /// no earlier pass of the same iteration committed one. While XL or
+    /// ElimLin still change the system, `C` stays flat: the next iteration
+    /// hands SAT a new CNF anyway. So on the default order `C` rises only
+    /// in an iteration where nothing was learnt, which ends the loop; a
+    /// SAT-first order grows it after every dry round. The paper increments
+    /// by 10,000.
     pub sat_budget_increment: u64,
-    /// Maximum SAT conflict budget. The paper caps at 100,000.
+    /// Maximum SAT conflict budget, the cap of
+    /// [`sat_budget_increment`](Self::sat_budget_increment)'s growth. The
+    /// paper caps at 100,000.
     pub sat_budget_max: u64,
     /// Upper bound on the number of XL–ElimLin–SAT iterations of the
     /// fact-learning loop (a safeguard on top of the fixed-point test).

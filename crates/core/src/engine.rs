@@ -201,7 +201,9 @@ impl Bosphorus {
     /// The fixed-point driver: run every pass in order, commit and propagate
     /// its facts, and stop when a full iteration learns nothing. The loop's
     /// sizes and its stop rule are the [`Schedule`]'s: the driver moves the
-    /// budget's schedule after every pass.
+    /// budget's schedule after every pass and starts each iteration with
+    /// nothing committed, and an iteration that ends with nothing committed
+    /// is quiet.
     ///
     /// Each pass runs inside `catch_unwind`: a panicking pass is marked
     /// poisoned (skipped for the rest of the run, recorded in
@@ -221,7 +223,7 @@ impl Bosphorus {
             }
             iterations += 1;
             self.stats.iterations += 1;
-            let learnt_before = self.learnt_facts.len();
+            budget.schedule = budget.schedule.next_iteration();
             for index in 0..pipeline.len() {
                 if pipeline.is_poisoned(index) {
                     continue;
@@ -266,6 +268,8 @@ impl Bosphorus {
                     skipped: status == Some(PassStatus::Skipped),
                     poisoned: status.is_none(),
                     time: elapsed,
+                    subsample_m: budget.subsample_m(),
+                    sat_budget: budget.sat_conflicts(),
                 });
                 // Poison a panicked pass and carry on with the rest.
                 let Some(status) = status else {
@@ -303,7 +307,7 @@ impl Bosphorus {
                     return PreprocessStatus::Unsat;
                 }
             }
-            quiet = self.learnt_facts.len() == learnt_before;
+            quiet = !budget.schedule.committed;
         }
         if self.db.is_empty() && !self.db.has_contradiction() {
             // Everything is determined: read the solution off the propagator.

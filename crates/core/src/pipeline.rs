@@ -123,7 +123,8 @@ impl FromStr for PassKind {
 }
 
 /// The sizes of the Fig. 1 loop: the subsample size `M` of XL and ElimLin
-/// and the SAT conflict budget `C`.
+/// and the SAT conflict budget `C`, plus whether the current iteration has
+/// committed a new fact yet.
 ///
 /// The driver owns the schedule and moves it only through these pure rules;
 /// passes read the current sizes off their [`PassBudget`].
@@ -131,6 +132,8 @@ impl FromStr for PassKind {
 pub(crate) struct Schedule {
     pub(crate) subsample_m: u32,
     pub(crate) sat_conflicts: u64,
+    /// Whether a pass of the current iteration has committed a new fact.
+    pub(crate) committed: bool,
 }
 
 impl Schedule {
@@ -139,12 +142,30 @@ impl Schedule {
         Schedule {
             subsample_m: config.subsample_m,
             sat_conflicts: config.sat_conflict_budget,
+            committed: false,
+        }
+    }
+
+    /// The schedule at the start of the next iteration: the sizes carry
+    /// over, and nothing is committed yet.
+    pub(crate) fn next_iteration(self) -> Self {
+        Schedule {
+            committed: false,
+            ..self
         }
     }
 
     /// The sizes after the facts of the pass `pass` were committed, `added`
-    /// of them new. A SAT round that ran and learnt nothing raises `C` by
-    /// the increment, up to the maximum (Section IV); `M` does not move.
+    /// of them new.
+    ///
+    /// A SAT round that ran and learnt nothing raises `C` by the increment,
+    /// up to the maximum, but only when no earlier pass of the same
+    /// iteration committed a fact. Section IV raises `C` after every dry
+    /// SAT call; while the algebra still changes the system, though, the
+    /// next iteration hands SAT a new CNF anyway, and a longer search on
+    /// the old one buys nothing. On the default order (XL, ElimLin, SAT)
+    /// every SAT round therefore runs at the start budget; a SAT-first
+    /// order still grows `C` after every dry round. `M` does not move.
     pub(crate) fn after_pass(
         self,
         config: &BosphorusConfig,
@@ -152,7 +173,13 @@ impl Schedule {
         status: &PassStatus,
         added: usize,
     ) -> Self {
-        if pass != "sat" || *status != PassStatus::Ran || added > 0 {
+        if added > 0 {
+            return Schedule {
+                committed: true,
+                ..self
+            };
+        }
+        if pass != "sat" || *status != PassStatus::Ran || self.committed {
             return self;
         }
         Schedule {
@@ -505,8 +532,11 @@ impl LearningPass for ElimLinPass {
 /// database is unchanged (it cannot stop at `C` any more, and it has
 /// already seen this database at least that long), and otherwise starts
 /// over: the pass converts the database to CNF and runs a new search with
-/// the full `C`. This happens after a productive round, which does not
-/// raise `C`. Decided and interrupted rounds drop the search.
+/// the full `C`. `C` rises only after a dry round that no earlier fact of
+/// its iteration preceded (the driver's schedule), so on the default
+/// order (XL, ElimLin, SAT) every round whose revision changed gets a new
+/// encoding, and a SAT-first order continues its search. Decided and
+/// interrupted rounds drop the search.
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,
@@ -820,14 +850,69 @@ mod tests {
             ("groebner", PassStatus::Ran, 0),
         ];
         for (pass, status, added) in unchanged {
+            let after = start.after_pass(&config, pass, &status, added);
             assert_eq!(
-                start.after_pass(&config, pass, &status, added),
-                start,
+                (after.subsample_m, after.sat_conflicts),
+                (start.subsample_m, start.sat_conflicts),
                 "{pass} {status:?} {added}"
             );
         }
         let dry = start.after_pass(&config, "sat", &PassStatus::Ran, 0);
         assert_eq!(dry.sat_conflicts, 17);
+    }
+
+    #[test]
+    fn a_dry_sat_pass_after_a_productive_pass_keeps_the_budget() {
+        let config = small_escalation();
+        for productive in ["xl", "elimlin", "sat", "groebner", "propagate"] {
+            let schedule = Schedule::start(&config)
+                .after_pass(&config, productive, &PassStatus::Ran, 2)
+                .after_pass(&config, "elimlin", &PassStatus::Ran, 0)
+                .after_pass(&config, "sat", &PassStatus::Ran, 0);
+            assert!(schedule.committed, "after {productive}");
+            assert_eq!(schedule.sat_conflicts, 10, "after {productive}");
+        }
+        // The facts of an interrupted pass are committed too.
+        let schedule = Schedule::start(&config)
+            .after_pass(&config, "xl", &PassStatus::Interrupted, 1)
+            .after_pass(&config, "sat", &PassStatus::Ran, 0);
+        assert_eq!(schedule.sat_conflicts, 10);
+    }
+
+    #[test]
+    fn a_dry_sat_pass_with_nothing_committed_raises_the_budget_up_to_the_cap() {
+        let config = small_escalation();
+        let mut schedule = Schedule::start(&config);
+        for expected in [17, 20, 20] {
+            schedule = schedule
+                .next_iteration()
+                .after_pass(&config, "xl", &PassStatus::Ran, 0)
+                .after_pass(&config, "elimlin", &PassStatus::Skipped, 0)
+                .after_pass(&config, "sat", &PassStatus::Ran, 0);
+            assert!(!schedule.committed);
+            assert_eq!(schedule.sat_conflicts, expected);
+        }
+        // A productive pass after the dry SAT round does not undo the rise.
+        let schedule = Schedule::start(&config)
+            .after_pass(&config, "sat", &PassStatus::Ran, 0)
+            .after_pass(&config, "xl", &PassStatus::Ran, 3);
+        assert_eq!((schedule.sat_conflicts, schedule.committed), (17, true));
+    }
+
+    #[test]
+    fn the_commit_flag_resets_at_the_next_iteration() {
+        let config = small_escalation();
+        let productive = Schedule::start(&config).after_pass(&config, "xl", &PassStatus::Ran, 1);
+        assert!(productive.committed);
+        let next = productive.next_iteration();
+        assert_eq!(next, Schedule::start(&config), "the sizes carry over");
+        let dry = next.after_pass(&config, "sat", &PassStatus::Ran, 0);
+        assert_eq!(
+            dry.sat_conflicts, 17,
+            "a fact of the last iteration holds nothing"
+        );
+        // A raised budget carries over the reset.
+        assert_eq!(dry.next_iteration().sat_conflicts, 17);
     }
 
     #[test]

@@ -34,6 +34,10 @@ pub struct TimelineEntry {
     pub poisoned: bool,
     /// Wall-clock time of this execution.
     pub time: Duration,
+    /// The subsample size `M` of XL and ElimLin this execution ran with.
+    pub subsample_m: u32,
+    /// The SAT conflict budget `C` this execution ran with.
+    pub sat_budget: u64,
 }
 
 /// Per-pass counters, recorded uniformly for every pipeline pass.

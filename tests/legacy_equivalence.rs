@@ -45,10 +45,11 @@ struct LegacyRun {
     learnt: Vec<Polynomial>,
 }
 
-/// A faithful port of the pre-pipeline `Bosphorus::preprocess`: XL, then
-/// ElimLin, then the conflict-bounded SAT step, ANF propagation after each,
-/// budget escalation when SAT learns nothing, until a full iteration adds
-/// no facts.
+/// A port of the pre-pipeline `Bosphorus::preprocess`: XL, then ElimLin,
+/// then the conflict-bounded SAT step, ANF propagation after each, until a
+/// full iteration adds no facts. Its budget rule is the shipped one, not
+/// the original's: a dry SAT call escalates the budget only in an
+/// iteration where XL and ElimLin learnt nothing either.
 fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> LegacyRun {
     let original = system.clone();
     let original_num_vars = system.num_vars();
@@ -180,7 +181,9 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
         }
         let added = add_facts(&mut master, &mut learnt, sat.facts);
         counts.facts_from_sat += added;
-        if added == 0 {
+        // A dry SAT call raises the budget only when XL and ElimLin
+        // committed nothing earlier in this iteration.
+        if added == 0 && new_facts == 0 {
             budget = (budget + config.sat_budget_increment).min(config.sat_budget_max);
         }
         new_facts += added;

@@ -1,9 +1,12 @@
 //! Pins how the fact-learning loop moves its sizes under custom pass orders.
 //!
-//! The SAT conflict budget grows after every dry SAT pass, not once per
-//! iteration, so a second SAT pass in the same iteration already runs with
-//! the raised budget. The iteration limit bounds the loop, and a limit of 0
-//! runs no iteration at all.
+//! A dry SAT pass raises the SAT conflict budget only when no earlier pass
+//! of its iteration committed a fact; the raise applies at once, so a
+//! second SAT pass in the same iteration already runs with the raised
+//! budget. On the default order (XL, ElimLin, SAT) the budget therefore
+//! stays at its start value for every SAT round, while a SAT-first order
+//! grows it after every dry round. The iteration limit bounds the loop,
+//! and a limit of 0 runs no iteration at all.
 
 use bosphorus_repro::core::{Bosphorus, BosphorusConfig, PassKind};
 
@@ -18,17 +21,20 @@ fn simon_2_8() -> bosphorus_repro::anf::PolynomialSystem {
 }
 
 #[test]
-fn two_sat_passes_share_a_budget_that_grows_after_each_dry_pass() {
+fn two_sat_passes_share_a_budget_that_a_productive_pass_holds_flat() {
     // Each pass keeps its own search. Iteration 1: the first pass (new
     // search, 2,000 conflicts) learns the only new fact, so the budget
     // stays at 2,000; the second (new search, 2,000, on the new revision)
-    // is dry and raises the budget to 4,000. Iteration 2: the first pass
-    // continues its 2,000-conflict search to 4,000 (2,000 more, on the
-    // revision its fact made), is dry and raises the budget to 6,000; the
-    // second continues its 2,000-conflict search to 6,000 (4,000 more), is
-    // dry, and the quiet iteration ends the loop: 10,000 conflicts and 2
-    // resumes. Raising the budget once per iteration instead would run the
-    // second pass of iteration 2 to 4,000 (2,000 more), for 8,000 in all.
+    // is dry, but a fact was committed earlier in the iteration, so the
+    // budget still stays at 2,000. Iteration 2: the first pass's search has
+    // spent the full 2,000 and the revision changed (its own fact), so it
+    // starts over with a new search of 2,000; it is dry with nothing
+    // committed before it and raises the budget to 4,000. The second
+    // continues its 2,000-conflict search to 4,000 (2,000 more, the only
+    // resume), is dry and raises the budget to 6,000, and the quiet
+    // iteration ends the loop: 8,000 conflicts and 1 resume. Raising the
+    // budget after every dry pass, as the loop once did, spent 10,000
+    // with 2 resumes.
     let config = BosphorusConfig {
         pass_order: vec![PassKind::Sat, PassKind::Sat],
         ..BosphorusConfig::default()
@@ -39,11 +45,46 @@ fn two_sat_passes_share_a_budget_that_grows_after_each_dry_pass() {
     assert_eq!(stats.iterations, 2, "{stats}");
     let sat = stats.pass("sat").expect("the SAT passes ran");
     assert_eq!(sat.runs, 4, "{stats}");
-    assert_eq!(sat.sat_conflicts, 10_000, "{stats}");
-    assert_eq!(stats.sat_conflicts, 10_000, "{stats}");
-    assert_eq!(sat.sat_resumes, 2, "{stats}");
+    assert_eq!(sat.sat_conflicts, 8_000, "{stats}");
+    assert_eq!(stats.sat_conflicts, 8_000, "{stats}");
+    assert_eq!(sat.sat_resumes, 1, "{stats}");
     assert_eq!(sat.facts, 1, "{stats}");
     assert_eq!(stats.facts_from_sat, 1, "{stats}");
+    let budgets: Vec<u64> = stats.timeline.iter().map(|e| e.sat_budget).collect();
+    assert_eq!(budgets, [2_000, 2_000, 2_000, 4_000], "{stats}");
+}
+
+#[test]
+fn a_sat_first_order_grows_the_budget_and_continues_its_search() {
+    // SAT opens every iteration, so no earlier fact holds its budget flat.
+    // Iteration 1: a new search spends 2,000 conflicts and learns 1 fact,
+    // so the budget stays at 2,000; XL and ElimLin then commit facts.
+    // Iteration 2: the search has spent the full 2,000 on a changed
+    // revision, so it starts over (2,000), is dry and raises the budget to
+    // 4,000; XL commits more facts. Iteration 3: the search has spent
+    // 2,000 of the 4,000, so it takes the new knowledge and continues
+    // (2,000 more, the one resume), is dry, and XL and ElimLin learn
+    // nothing: 3 runs, 6,000 conflicts. The rule that raised the budget
+    // after every dry pass gives the same counts on this order.
+    let config = BosphorusConfig {
+        pass_order: vec![PassKind::Sat, PassKind::Xl, PassKind::ElimLin],
+        ..BosphorusConfig::default()
+    };
+    let mut engine = Bosphorus::new(simon_2_8(), config);
+    let _ = engine.preprocess();
+    let stats = engine.stats();
+    assert_eq!(stats.iterations, 3, "{stats}");
+    let sat = stats.pass("sat").expect("the SAT pass ran");
+    assert_eq!((sat.runs, sat.sat_resumes), (3, 1), "{stats}");
+    assert_eq!(sat.sat_conflicts, 6_000, "{stats}");
+    assert_eq!(sat.facts, 1, "{stats}");
+    let budgets: Vec<u64> = stats
+        .timeline
+        .iter()
+        .filter(|e| e.pass == "sat")
+        .map(|e| e.sat_budget)
+        .collect();
+    assert_eq!(budgets, [2_000, 2_000, 4_000], "{stats}");
 }
 
 #[test]

@@ -271,22 +271,39 @@ fn simon_facts_are_distinct_and_the_loop_reaches_its_fixed_point() {
 }
 
 #[test]
-fn sat_pass_continues_its_search_while_the_database_is_unchanged() {
-    // Under the default config the SAT pass runs at budgets of 2,000, 4,000
-    // and 6,000 conflicts on Simon-[2,8], and keeps one search throughout.
-    // The first round builds it and spends 2,000. XL changes the database
-    // before the second round, which hands the search the new values and
-    // equivalences and continues it to 4,000 in total (2,000 more); the
-    // third sees the same revision and continues to 6,000 (2,000 more):
-    // 3 runs, 2 resumes, 6,000 conflicts.
+fn sat_pass_skips_an_unchanged_revision_and_searches_a_changed_one_afresh() {
+    // Under the default config every SAT round on Simon-[2,8] runs at the
+    // start budget of 2,000 conflicts, because XL or ElimLin commit facts
+    // before it in every iteration that has any. Iteration 1: XL and
+    // ElimLin commit facts, and the SAT pass builds its search and spends
+    // 2,000, learning nothing. Iteration 2: XL commits facts; the kept
+    // search has spent the full 2,000 and the revision changed, so the pass
+    // encodes the new revision and spends 2,000 on a new search. Iteration
+    // 3: XL and ElimLin learn nothing, so the revision is the one the kept
+    // search saw and it has spent the budget: the pass skips, and the quiet
+    // iteration ends the loop. 2 runs, 1 skip, no resume, 4,000 conflicts.
     let mut engine = Bosphorus::new(
         committed_instance("simon_2_8.anf"),
         BosphorusConfig::default(),
     );
     let _ = engine.preprocess();
     let sat = engine.stats().pass("sat").expect("the SAT pass ran");
-    assert_eq!((sat.runs, sat.sat_resumes), (3, 2), "{}", engine.stats());
-    assert_eq!(sat.sat_conflicts, 2_000 + 2_000 + 2_000);
+    assert_eq!(
+        (sat.runs, sat.skips, sat.sat_resumes),
+        (2, 1, 0),
+        "{}",
+        engine.stats()
+    );
+    assert_eq!(sat.sat_conflicts, 2_000 + 2_000);
+    assert!(
+        engine
+            .stats()
+            .timeline
+            .iter()
+            .all(|entry| entry.sat_budget == 2_000 && entry.subsample_m == 20),
+        "{:?}",
+        engine.stats().timeline
+    );
     // The SAT pass learns no new fact here, so the fact stream is the
     // golden Simon-[2,8] stream of the trimmed config, which the default
     // config also produced when every round searched from scratch.
@@ -301,8 +318,9 @@ fn sat_pass_continues_its_search_while_the_database_is_unchanged() {
 
 #[test]
 fn a_second_run_on_a_converged_pipeline_spends_no_sat_conflicts() {
-    // The second run starts the SAT budget afresh at 2,000, below the
-    // 6,000 conflicts the kept search has spent on the unchanged database,
+    // The first run spends 2,000 conflicts on each of its two SAT rounds
+    // (see above). The second run starts the SAT budget afresh at 2,000,
+    // which the kept search has already spent on the unchanged database,
     // so the SAT pass skips instead of searching again.
     let config = BosphorusConfig::default();
     let mut engine = Bosphorus::new(committed_instance("simon_2_8.anf"), config.clone());
@@ -313,7 +331,7 @@ fn a_second_run_on_a_converged_pipeline_spends_no_sat_conflicts() {
         .pass("sat")
         .expect("the SAT pass ran")
         .clone();
-    assert_eq!(first.sat_conflicts, 6_000);
+    assert_eq!(first.sat_conflicts, 4_000);
     assert_eq!(engine.learnt_facts().len(), 74);
     let _ = engine.preprocess_with(&mut pipeline);
     let second = engine.stats().pass("sat").expect("the SAT pass ran");
