@@ -521,7 +521,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
              \"known_facts\": {}, \"gauss_rank\": {}, \"gauss_row_xors\": {}, \
              \"gauss_sweeps\": {}, \"gauss_scattered_sweeps\": {}, \
              \"sat_conflicts\": {}, \"sat_learnt\": {}, \"sat_removed\": {}, \
-             \"sat_minimized_lits\": {}, \"sat_restarts\": {}, \"sat_resumes\": {}, \
+             \"sat_minimized_lits\": {}, \"sat_restarts\": {}, \
              \"time_ms\": {:.3}, ",
             pass.name,
             pass.runs,
@@ -537,7 +537,6 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             pass.sat_removed,
             pass.sat_minimized_lits,
             pass.sat_restarts,
-            pass.sat_resumes,
             pass.time.as_secs_f64() * 1e3
         );
         // The sparse-presolve phase split for this pass, cumulative over
@@ -872,7 +871,6 @@ mod tests {
             sat_removed: 4,
             sat_minimized_lits: 9,
             sat_restarts: 2,
-            sat_resumes: 1,
             ..bosphorus::PassStats::default()
         };
         let stats = EngineStats {
@@ -885,7 +883,6 @@ mod tests {
         assert!(json.contains("\"sat_removed\": 4"));
         assert!(json.contains("\"sat_minimized_lits\": 9"));
         assert!(json.contains("\"sat_restarts\": 2"));
-        assert!(json.contains("\"sat_resumes\": 1"));
     }
 
     #[test]

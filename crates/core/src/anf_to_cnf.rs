@@ -88,36 +88,12 @@ pub fn anf_to_cnf(
 ) -> CnfConversion {
     let mut converter = Converter::new(system.num_vars(), config);
     for var in 0..system.num_vars() as Var {
-        encode_knowledge(var, propagator.knowledge(var), |clause| {
-            converter.cnf.add_clause(clause.iter().copied());
-        });
+        converter.encode_knowledge(var, propagator.knowledge(var));
     }
     for poly in system.iter() {
         converter.convert_polynomial(poly);
     }
     converter.finish()
-}
-
-/// Encodes one variable's propagation knowledge as clauses over the ANF
-/// variables (ANF variable `i` is CNF variable `i`), handing each to
-/// `add_clause`: a determined variable becomes a unit clause, an
-/// equivalence two binary clauses — (x ∨ y)(¬x ∨ ¬y) for x = ¬y,
-/// (x ∨ ¬y)(¬x ∨ y) for x = y. The one knowledge encoder: [`anf_to_cnf`]
-/// writes its clauses into a formula, and a kept SAT search
-/// ([`SatSearch`](crate::SatSearch)) adds them to its solver.
-pub(crate) fn encode_knowledge(
-    var: Var,
-    knowledge: VarKnowledge,
-    mut add_clause: impl FnMut(&[Lit]),
-) {
-    match knowledge {
-        VarKnowledge::Free => {}
-        VarKnowledge::Value(value) => add_clause(&[Lit::new(var, !value)]),
-        VarKnowledge::Equivalent { other, negated } => {
-            add_clause(&[Lit::positive(var), Lit::new(other, !negated)]);
-            add_clause(&[Lit::negative(var), Lit::new(other, negated)]);
-        }
-    }
 }
 
 /// The encoding engine behind [`anf_to_cnf`], finished into a
@@ -158,6 +134,24 @@ impl<'a> Converter<'a> {
             covers: KarnaughCache::default(),
             karnaugh_clauses: 0,
             tseitin_clauses: 0,
+        }
+    }
+
+    /// Encodes one variable's propagation knowledge: determined variables
+    /// become unit clauses, equivalences two binary clauses — (x ∨ y)(¬x ∨ ¬y)
+    /// for x = ¬y, (x ∨ ¬y)(¬x ∨ y) for x = y.
+    fn encode_knowledge(&mut self, var: Var, knowledge: VarKnowledge) {
+        match knowledge {
+            VarKnowledge::Free => {}
+            VarKnowledge::Value(value) => {
+                self.cnf.add_clause([Lit::new(var, !value)]);
+            }
+            VarKnowledge::Equivalent { other, negated } => {
+                self.cnf
+                    .add_clause([Lit::positive(var), Lit::new(other, !negated)]);
+                self.cnf
+                    .add_clause([Lit::negative(var), Lit::new(other, negated)]);
+            }
         }
     }
 

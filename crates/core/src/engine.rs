@@ -187,9 +187,9 @@ impl Bosphorus {
     ///
     /// Every call starts the loop's sizes (the SAT conflict budget, XL and
     /// ElimLin's subsample size) afresh from the configuration. Pass state
-    /// (revision bookkeeping, a kept SAT search) lives in the pipeline:
-    /// handing the same pipeline to a second call keeps its revision memory,
-    /// so already-converged passes skip immediately.
+    /// (revision bookkeeping, the SAT pass's skip memo) lives in the
+    /// pipeline: handing the same pipeline to a second call keeps its
+    /// revision memory, so already-converged passes skip immediately.
     pub fn preprocess_with(&mut self, pipeline: &mut Pipeline) -> PreprocessStatus {
         let mut budget = PassBudget::with_rng(&self.config, self.rng.clone())
             .with_cancel_token(self.cancel.clone());

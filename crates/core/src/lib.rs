@@ -14,11 +14,10 @@
 //!    the linear / "all-ones monomial" rows (Section II-B).
 //! 3. **ElimLin** ([`elimlin_learn`]) — iterated GJE + variable elimination
 //!    by substitution of linear equations (Section II-C).
-//! 4. **Conflict-bounded SAT** ([`SatSearch`]) — convert to CNF, run a CDCL
+//! 4. **Conflict-bounded SAT** ([`sat_step`]) — convert to CNF, run a CDCL
 //!    solver with a conflict budget, harvest unit and binary learnt clauses
-//!    (Section II-D). A search left undecided is kept and continued with a
-//!    larger budget, after taking the values and equivalences learnt since
-//!    as clauses.
+//!    (Section II-D). Each round is one new search on a new encoding of the
+//!    current system.
 //!
 //! Each technique has one entry point, and it takes a [`CancelToken`]:
 //! pass [`CancelToken::never`] for a run that cannot be interrupted.
@@ -87,7 +86,7 @@ pub use pipeline::{
     ElimLinPass, GroebnerPass, LearningPass, PassBudget, PassKind, PassOutcome, PassStatus,
     Pipeline, PropagatePass, SatPass, XlPass,
 };
-pub use satstep::{SatSearch, SatStepOutcome, SatStepStatus};
+pub use satstep::{sat_step, SatStepOutcome, SatStepStatus};
 pub use stats::{EngineStats, PassStats, TimelineEntry};
 pub use xl::{expansion_monomials, xl_learn, XlOutcome};
 

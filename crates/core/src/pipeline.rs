@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::elimlin::elimlin_learn;
-use crate::satstep::{SatSearch, SatStepStatus};
+use crate::satstep::{sat_step, SatStepStatus};
 use crate::xl::{subsample, xl_learn};
 use crate::BosphorusConfig;
 
@@ -311,9 +311,6 @@ pub struct PassOutcome {
     pub sat_minimized_lits: u64,
     /// SAT restarts performed by this run.
     pub sat_restarts: u64,
-    /// `true` when this run continued the SAT search of an earlier run
-    /// instead of starting a new one.
-    pub sat_resumed: bool,
     /// Value assignments recorded by this run (propagation pass only).
     pub new_assignments: usize,
     /// Equivalences recorded by this run (propagation pass only).
@@ -334,7 +331,6 @@ impl PassOutcome {
             sat_removed: 0,
             sat_minimized_lits: 0,
             sat_restarts: 0,
-            sat_resumed: false,
             new_assignments: 0,
             new_equivalences: 0,
         }
@@ -352,7 +348,7 @@ impl PassOutcome {
 /// One technique of the fact-learning loop, as a pipeline stage.
 ///
 /// A pass owns whatever per-run state it needs (configuration snapshot, the
-/// revision it last read, a kept search); the shared problem lives in the
+/// revision it last read); the shared problem lives in the
 /// [`AnfDatabase`] and the shared run-scoped resources, the loop's current
 /// sizes among them, in the [`PassBudget`].
 pub trait LearningPass {
@@ -517,33 +513,18 @@ impl LearningPass for ElimLinPass {
 
 /// The conflict-bounded SAT step as a pass (Section II-D).
 ///
-/// The pass keeps one undecided search for the whole run. A round that
-/// finds a kept search that has spent fewer than the budget's `C`
-/// conflicts continues it up to `C` in total, instead of spending the
-/// conflicts it already spent again. When the database changed since, the
-/// search first takes the values and equivalences propagation found as
-/// clauses ([`SatSearch::sync_knowledge`]); other new rows are left out,
-/// which is sound because they are consequences of the input. On an
-/// unchanged database the continued search is the one a new search with
-/// the full budget would run, because the solver's budget pauses its
-/// search and the solver is deterministic.
-///
-/// A kept search that has already spent `C` skips the round when the
-/// database is unchanged (it cannot stop at `C` any more, and it has
-/// already seen this database at least that long), and otherwise starts
-/// over: the pass converts the database to CNF and runs a new search with
-/// the full `C`. `C` rises only after a dry round that no earlier fact of
-/// its iteration preceded (the driver's schedule), so on the default
-/// order (XL, ElimLin, SAT) every round whose revision changed gets a new
-/// encoding, and a SAT-first order continues its search. Decided and
-/// interrupted rounds drop the search.
+/// Each round converts the database to CNF and runs a new search for the
+/// full budget `C` ([`sat_step`]), harvests its facts and drops it; no
+/// solver lives between rounds. The pass remembers only the revision and
+/// budget of its last undecided round, and skips a round whose revision is
+/// unchanged and whose budget has not risen: the solver is deterministic,
+/// so that search would end where the last one did. A decided or
+/// interrupted round forgets them, so the next round searches again.
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,
-    /// The revision the kept search last saw.
-    last_seen: Option<Revision>,
-    /// The undecided search of the last round.
-    search: Option<SatSearch>,
+    /// The revision and budget of the last undecided round.
+    last_undecided: Option<(Revision, u64)>,
 }
 
 impl SatPass {
@@ -552,8 +533,7 @@ impl SatPass {
     pub fn new(config: BosphorusConfig) -> Self {
         SatPass {
             config,
-            last_seen: None,
-            search: None,
+            last_undecided: None,
         }
     }
 }
@@ -565,43 +545,22 @@ impl LearningPass for SatPass {
 
     fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome {
         let conflicts = budget.sat_conflicts();
-        let unchanged = self.last_seen == Some(db.revision());
-        // A kept search continues only forward, and only over the variables
-        // it was built on; otherwise it is dropped before the new one is
-        // built, so the two never coexist.
-        match &self.search {
-            Some(search) if search.conflicts() >= conflicts && unchanged => {
+        if let Some((revision, last)) = self.last_undecided {
+            if revision == db.revision() && conflicts <= last {
                 return PassOutcome::skipped();
             }
-            Some(search)
-                if search.conflicts() >= conflicts
-                    || search.num_anf_vars() != db.system().num_vars() =>
-            {
-                self.search = None;
-            }
-            _ => {}
         }
-        self.last_seen = Some(db.revision());
+        let sat = sat_step(
+            db.system(),
+            db.propagator(),
+            &self.config,
+            &SolverConfig::aggressive(),
+            conflicts,
+            budget.cancel_token(),
+        );
+        self.last_undecided =
+            (sat.status == SatStepStatus::Undecided).then_some((db.revision(), conflicts));
         let mut outcome = PassOutcome::ran();
-        outcome.sat_resumed = self.search.is_some();
-        let search = match &mut self.search {
-            Some(search) => {
-                search.sync_knowledge(db.propagator());
-                search
-            }
-            // A new search has spent no conflicts, so it runs the full
-            // budget.
-            None => self.search.insert(SatSearch::new(
-                db.system(),
-                db.propagator(),
-                &self.config,
-                &SolverConfig::aggressive(),
-            )),
-        };
-        let sat = search.run(conflicts - search.conflicts(), budget.cancel_token());
-        if sat.status != SatStepStatus::Undecided {
-            self.search = None;
-        }
         outcome.sat_conflicts = sat.conflicts;
         outcome.sat_learnt = sat.learnt_clauses;
         outcome.sat_removed = sat.removed_clauses;
@@ -1065,98 +1024,70 @@ mod tests {
     }
 
     #[test]
-    fn sat_pass_continues_its_search_on_an_unchanged_revision() {
+    fn sat_pass_skips_the_same_revision_until_its_budget_rises() {
+        // The solver is deterministic: on an unchanged revision, a budget
+        // that has not risen would end the search where the last one ended.
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
         let mut budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
-        let first = pass.run(&mut database, &budget);
-        assert_eq!((first.status, first.sat_resumed), (PassStatus::Ran, false));
-        assert_eq!(first.sat_conflicts, 100);
+        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
+        let same = pass.run(&mut database, &budget);
+        assert_eq!(same.status, PassStatus::Skipped);
         escalate(&mut budget, &config);
-        let second = pass.run(&mut database, &budget);
-        assert_eq!((second.status, second.sat_resumed), (PassStatus::Ran, true));
-        assert_eq!(
-            second.sat_conflicts, 100,
-            "only the new conflicts are spent"
-        );
-
-        // A new search with the full budget harvests the same facts.
-        let mut fresh_pass = SatPass::new(config.clone());
-        let mut fresh_budget = PassBudget::new(&config);
-        escalate(&mut fresh_budget, &config);
-        let fresh = fresh_pass.run(&mut database, &fresh_budget);
-        assert_eq!((fresh.sat_conflicts, fresh.sat_resumed), (200, false));
-        assert_eq!(second.facts, fresh.facts);
+        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 200);
+        // A second run of the loop starts the budget afresh, below the last
+        // round's: there is still nothing to search for.
+        let restarted = PassBudget::new(&config);
+        assert_eq!(restarted.sat_conflicts(), 100);
+        let again = pass.run(&mut database, &restarted);
+        assert_eq!(again.status, PassStatus::Skipped);
     }
 
     #[test]
-    fn sat_pass_continues_its_search_on_a_new_revision() {
+    fn a_raised_sat_budget_reruns_the_search_from_scratch() {
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
         let mut budget = PassBudget::new(&config);
+        let mut pass = SatPass::new(config.clone());
+        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
+        escalate(&mut budget, &config);
+        let rerun = pass.run(&mut database, &budget);
+        assert_eq!(rerun.status, PassStatus::Ran);
+        assert_eq!(rerun.sat_conflicts, 200, "the full budget, not the rest");
+        // The rerun is the search a new pass runs with the raised budget.
+        let fresh = SatPass::new(config).run(&mut database, &budget);
+        assert_eq!(rerun, fresh);
+    }
+
+    #[test]
+    fn sat_pass_reruns_on_a_changed_revision() {
+        let config = small_sat_budget();
+        let mut database = pigeonhole_db();
+        let budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
         let first = pass.run(&mut database, &budget);
         let pigeon_0_in_hole_0: Polynomial = "x0 + 1".parse().expect("parses");
         assert!(!first.facts.contains(&pigeon_0_in_hole_0));
-        // A dry round raises the budget; a value arrives in between.
-        escalate(&mut budget, &config);
         assert!(database.push_unique(pigeon_0_in_hole_0.clone()));
         assert!(!database.propagate().contradiction);
-        assert_eq!(database.propagator().value(0), Some(true));
         let rerun = pass.run(&mut database, &budget);
-        assert_eq!((rerun.status, rerun.sat_resumed), (PassStatus::Ran, true));
-        assert_eq!(rerun.sat_conflicts, 200 - 100, "only C minus the spent");
+        assert_eq!(rerun.status, PassStatus::Ran);
+        assert_eq!(rerun.sat_conflicts, 100);
         assert!(
             rerun.facts.contains(&pigeon_0_in_hole_0),
-            "the value is a unit of the kept search: {:?}",
+            "the value is a unit clause of the new encoding: {:?}",
             rerun.facts
         );
     }
 
     #[test]
-    fn sat_pass_starts_over_once_its_search_has_spent_the_budget() {
-        // After a productive round the budget stays at `C`, which the kept
-        // search has already spent: the next round on the new revision runs
-        // a new search with the full `C`.
+    fn the_sat_round_after_an_interrupted_one_runs() {
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
         let budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
         assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
-        assert!(database.push_unique(Polynomial::variable(0) * Polynomial::variable(7)));
-        let rerun = pass.run(&mut database, &budget);
-        assert_eq!((rerun.status, rerun.sat_resumed), (PassStatus::Ran, false));
-        assert_eq!(rerun.sat_conflicts, 100, "the full budget, from scratch");
-    }
-
-    #[test]
-    fn sat_pass_skips_below_what_its_search_spent_on_an_unchanged_revision() {
-        // A second run of the loop starts `C` afresh, below what the kept
-        // search has already spent: on the same database there is nothing
-        // to search for.
-        let config = small_sat_budget();
-        let mut database = pigeonhole_db();
-        let mut budget = PassBudget::new(&config);
-        let mut pass = SatPass::new(config.clone());
-        pass.run(&mut database, &budget);
-        escalate(&mut budget, &config);
-        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
-        let restarted = PassBudget::new(&config);
-        assert_eq!(restarted.sat_conflicts(), 100);
-        let again = pass.run(&mut database, &restarted);
-        assert_eq!(again.status, PassStatus::Skipped);
-        assert!(pass.search.is_some(), "a skip keeps the search");
-    }
-
-    #[test]
-    fn an_interrupted_sat_run_drops_its_search() {
-        let config = small_sat_budget();
-        let mut database = pigeonhole_db();
-        let mut budget = PassBudget::new(&config);
-        let mut pass = SatPass::new(config.clone());
-        pass.run(&mut database, &budget);
-        assert!(pass.search.is_some(), "an undecided search is kept");
 
         let token = CancelToken::new();
         token.cancel();
@@ -1164,12 +1095,12 @@ mod tests {
         escalate(&mut cancelled, &config);
         let interrupted = pass.run(&mut database, &cancelled);
         assert_eq!(interrupted.status, PassStatus::Interrupted);
-        assert!(pass.search.is_none(), "cancellation ends the search");
 
-        escalate(&mut budget, &config);
+        // Same revision and a budget that has not risen since the undecided
+        // round, but the interrupted round in between forgot it.
         let rerun = pass.run(&mut database, &budget);
-        assert!(!rerun.sat_resumed);
-        assert_eq!(rerun.sat_conflicts, 200);
+        assert_eq!(rerun.status, PassStatus::Ran);
+        assert_eq!(rerun.sat_conflicts, 100);
     }
 
     #[test]

@@ -2,12 +2,7 @@
 
 use proptest::prelude::*;
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use bosphorus_anf::{
-    AnfDatabase, Assignment, Monomial, Polynomial, PolynomialSystem, Var, VarKnowledge,
-};
+use bosphorus_anf::{Assignment, Monomial, Polynomial, PolynomialSystem};
 use bosphorus_cnf::{Clause, CnfFormula, Lit};
 use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
@@ -17,8 +12,7 @@ use crate::elimlin::elimlin_by_scan;
 use crate::xl::exhaustive_round_oracle;
 use crate::{
     anf_to_cnf, cnf_to_anf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus,
-    BosphorusConfig, CancelToken, LearningPass, PassBudget, PassKind, PassOutcome, Pipeline,
-    PreprocessStatus, SatPass, SolveStatus,
+    BosphorusConfig, CancelToken, PassKind, PreprocessStatus, SolveStatus,
 };
 
 const MAX_VARS: u32 = 5;
@@ -155,42 +149,14 @@ fn indexed_elimlin_matches_the_scan_reference() {
     assert!(contradictions >= 20, "only {contradictions} contradictions");
 }
 
-/// A SAT pass that counts its runs that continued a kept search after
-/// propagation learnt a value or equivalence the search had not seen.
-struct CrossingSatPass {
-    inner: SatPass,
-    last_seen: Vec<VarKnowledge>,
-    crossings: Rc<Cell<usize>>,
-}
-
-impl LearningPass for CrossingSatPass {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome {
-        let propagator = db.propagator();
-        let knowledge: Vec<VarKnowledge> = (0..db.system().num_vars() as Var)
-            .map(|var| propagator.knowledge(var))
-            .collect();
-        let outcome = self.inner.run(db, budget);
-        if outcome.sat_resumed && self.last_seen != knowledge {
-            self.crossings.set(self.crossings.get() + 1);
-        }
-        self.last_seen = knowledge;
-        outcome
-    }
-}
-
-/// Kept SAT searches that cross revisions agree with brute force. With a
-/// 1-conflict budget and increment, and the SAT pass before or between XL
-/// and ElimLin, a dry SAT round's search is continued after the other
-/// passes committed facts (27 of the 2,000 runs continue a search that
-/// takes new values or equivalences first). The verdict and model of
-/// `solve` are checked, and so is every learnt fact against every solution
-/// of the input.
+/// SAT rounds that alternate with the algebra agree with brute force.
+/// With a 1-conflict budget and increment, and the SAT pass before or
+/// between XL and ElimLin, each SAT round searches a new encoding of a
+/// revision the other passes changed. The verdict and model of `solve` are
+/// checked, and so is every learnt fact against every solution of the
+/// input.
 #[test]
-fn kept_sat_searches_across_revisions_agree_with_brute_force() {
+fn sat_rounds_between_revisions_agree_with_brute_force() {
     let mut rng = StdRng::seed_from_u64(0x5a7);
     let orders = [
         vec![PassKind::Sat, PassKind::Xl, PassKind::ElimLin],
@@ -201,7 +167,6 @@ fn kept_sat_searches_across_revisions_agree_with_brute_force() {
             PassKind::Sat,
         ],
     ];
-    let crossings = Rc::new(Cell::new(0));
     for case in 0..1000 {
         let system = PolynomialSystem::from_polynomials(elimlin_stress_system(&mut rng));
         let n = system.num_vars();
@@ -231,20 +196,8 @@ fn kept_sat_searches_across_revisions_agree_with_brute_force() {
                 SolveStatus::Interrupted => panic!("no cancel token was set"),
             }
 
-            let mut pipeline = Pipeline::new();
-            for &kind in order {
-                if kind == PassKind::Sat {
-                    pipeline.push(Box::new(CrossingSatPass {
-                        inner: SatPass::new(config.clone()),
-                        last_seen: Vec::new(),
-                        crossings: Rc::clone(&crossings),
-                    }));
-                } else {
-                    pipeline.push_kind(kind, &config);
-                }
-            }
             let mut engine = Bosphorus::new(system.clone(), config);
-            let _ = engine.preprocess_with(&mut pipeline);
+            let _ = engine.preprocess();
             for fact in engine.learnt_facts() {
                 for a in &solutions {
                     assert!(
@@ -255,11 +208,6 @@ fn kept_sat_searches_across_revisions_agree_with_brute_force() {
             }
         }
     }
-    assert!(
-        crossings.get() >= 20,
-        "only {} continued searches took new knowledge",
-        crossings.get()
-    );
 }
 
 proptest! {
@@ -454,9 +402,8 @@ proptest! {
 
     /// The SAT pass is invisible to the verdict: with it in the pass order
     /// or dropped from it, the engine returns the same verdict and genuine
-    /// models. The pass keeps one search across rounds and revisions, and
-    /// the solver is deterministic, so a repeat run commits exactly the
-    /// same learnt facts.
+    /// models. Each SAT round is a new deterministic search, so a repeat
+    /// run commits exactly the same learnt facts.
     #[test]
     fn incremental_sat_pass_is_invisible(system in arb_system()) {
         let expected = brute_force_sat(&system);

@@ -1,25 +1,24 @@
 //! Conflict-bounded SAT solving (Section II-D of the paper).
 //!
-//! The current ANF is converted to CNF and handed to the CDCL solver with a
-//! conflict budget. Three outcomes are possible: UNSAT (the learnt fact is
-//! the contradiction `1 = 0`), SAT (a satisfying assignment is stored), or
-//! undecided within the budget. Only in the last case are unit and binary
-//! learnt clauses over variables with an ANF meaning harvested and turned
-//! into ANF facts: a verdict ends the preprocessing loop. An undecided
-//! [`SatSearch`] is paused, not ended, so a later round can continue it
-//! instead of starting over, after handing it the values and equivalences
-//! propagation has found since ([`SatSearch::sync_knowledge`]).
+//! The current ANF is converted to CNF and handed to a new CDCL solver with
+//! a conflict budget ([`sat_step`]), once per round. Three outcomes are
+//! possible: UNSAT (the learnt fact is the contradiction `1 = 0`), SAT (a
+//! satisfying assignment is stored), or undecided within the budget. Only in
+//! the last case are unit and binary learnt clauses over variables with an
+//! ANF meaning harvested and turned into ANF facts: a verdict ends the
+//! preprocessing loop. The solver is dropped at the end of the round; the
+//! next round encodes the database again and searches from scratch.
 
 use std::collections::BTreeSet;
 
 use bosphorus_anf::{Assignment, Polynomial, PolynomialSystem};
 use bosphorus_cnf::Lit;
 use bosphorus_interrupt::CancelToken;
-use bosphorus_sat::{SolveResult, Solver, SolverConfig, SolverStats};
+use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 
-use crate::anf_to_cnf::{anf_to_cnf, encode_knowledge, CnfConversion};
+use crate::anf_to_cnf::{anf_to_cnf, CnfConversion};
 use crate::BosphorusConfig;
-use bosphorus_anf::{AnfPropagator, Var, VarKnowledge};
+use bosphorus_anf::AnfPropagator;
 
 /// How the conflict-bounded SAT call ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,8 +28,8 @@ pub enum SatStepStatus {
     /// A satisfying assignment of the converted CNF was found; the values of
     /// the original ANF variables are reported.
     Satisfiable(Assignment),
-    /// The conflict budget ran out before a decision. The search is paused,
-    /// not ended: [`SatSearch::run`] can continue it.
+    /// The conflict budget ran out before a decision. The search is
+    /// dropped; what it learnt survives only as the harvested facts.
     Undecided,
     /// The cancellation token tripped before a decision. Unlike
     /// [`SatStepStatus::Undecided`] no facts are harvested: the round's unit
@@ -38,11 +37,9 @@ pub enum SatStepStatus {
     Interrupted,
 }
 
-/// Result of one conflict-bounded SAT round.
-///
-/// The work counts (`conflicts`, `learnt_clauses`, ...) cover the one
-/// [`SatSearch::run`] call that produced the outcome: on a continued search
-/// they are the work of this call, not of the search so far.
+/// Result of one conflict-bounded SAT round: one new search, from
+/// conflict 0, so its work counts (`conflicts`, `learnt_clauses`, ...) are
+/// the solver's own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatStepOutcome {
     /// Termination status.
@@ -64,137 +61,64 @@ pub struct SatStepOutcome {
     pub restarts: u64,
 }
 
-/// One conflict-bounded search over the CNF of a system: the solver, and
-/// the map from CNF variables to ANF monomials that translates what it
-/// learns back into ANF facts.
-///
-/// The solver's conflict budget pauses its search rather than ending it,
-/// so [`SatSearch::run`] can be called again on an
-/// [`Undecided`](SatStepStatus::Undecided) search to spend more conflicts:
-/// runs of `a` and then `b` conflicts reach the state of one run of
-/// `a + b`, and harvest the same facts.
-///
-/// The search can outlive the system it was built from: every fact the
-/// loop commits is a consequence of the input, so the search stays sound on
-/// a later revision of the same problem. [`SatSearch::sync_knowledge`] adds
-/// the values and equivalences found since as clauses; other new rows are
-/// left out, which only makes the search know less.
-#[derive(Debug)]
-pub struct SatSearch {
-    conversion: CnfConversion,
-    solver: Solver,
-    /// The propagation knowledge the solver holds as clauses, per ANF
-    /// variable.
-    known: Vec<VarKnowledge>,
-}
+/// One conflict-bounded SAT round: converts `system` (with `propagator`'s
+/// knowledge) to CNF, searches it with a new `solver_config` solver for at
+/// most `budget` conflicts while polling `token`, and, when the budget runs
+/// out undecided, harvests facts from what the search learnt.
+pub fn sat_step(
+    system: &PolynomialSystem,
+    propagator: &AnfPropagator,
+    config: &BosphorusConfig,
+    solver_config: &SolverConfig,
+    budget: u64,
+    token: &CancelToken,
+) -> SatStepOutcome {
+    let mut conversion = anf_to_cnf(system, propagator, config);
+    let mut solver = conversion.solver(solver_config);
+    // The solver holds its own copy of the clauses and XORs; harvesting
+    // needs only the map from CNF variables to monomials, so the rest of
+    // the conversion is not kept alive next to the solver's (growing)
+    // clause database.
+    drop(std::mem::take(&mut conversion.cnf));
+    drop(std::mem::take(&mut conversion.xors));
+    solver.set_conflict_budget(Some(budget));
+    solver.set_cancel_token(token.clone());
+    let result = solver.solve();
 
-impl SatSearch {
-    /// Converts `system` (with `propagator`'s knowledge) to CNF and loads it
-    /// into a solver; no conflict is spent yet.
-    pub fn new(
-        system: &PolynomialSystem,
-        propagator: &AnfPropagator,
-        config: &BosphorusConfig,
-        solver_config: &SolverConfig,
-    ) -> Self {
-        let mut conversion = anf_to_cnf(system, propagator, config);
-        let solver = conversion.solver(solver_config);
-        // The solver holds its own copy of the clauses and XORs; harvesting
-        // needs only the map from CNF variables to monomials, so the rest
-        // of the conversion is not kept alive next to the solver's
-        // (growing) clause database.
-        drop(std::mem::take(&mut conversion.cnf));
-        drop(std::mem::take(&mut conversion.xors));
-        let known = (0..system.num_vars() as Var)
-            .map(|var| propagator.knowledge(var))
-            .collect();
-        SatSearch {
-            conversion,
-            solver,
-            known,
+    let mut facts: Vec<Polynomial> = Vec::new();
+    let status = match result {
+        SolveResult::Unsat => {
+            facts.push(Polynomial::one());
+            SatStepStatus::Unsatisfiable
         }
-    }
-
-    /// Conflicts the search has spent over all its runs.
-    pub fn conflicts(&self) -> u64 {
-        self.solver.stats().conflicts
-    }
-
-    /// The number of ANF variables the search was built over: ANF variable
-    /// `i` is CNF variable `i` below it, and an auxiliary variable at or
-    /// above it.
-    pub fn num_anf_vars(&self) -> usize {
-        self.known.len()
-    }
-
-    /// Adds to the solver, as clauses, every value and equivalence of
-    /// `propagator` that changed since the search was built or last synced
-    /// (the encoding of [`anf_to_cnf`]: a value is a unit clause, an
-    /// equivalence two binary clauses).
-    ///
-    /// Adding a clause backs a paused search out to decision level zero; it
-    /// keeps its learnt clauses, activities and phases. With nothing new,
-    /// nothing is added and the paused search stays exactly where it was.
-    /// `propagator` must describe the same problem, over no more variables
-    /// than [`SatSearch::num_anf_vars`].
-    pub fn sync_knowledge(&mut self, propagator: &AnfPropagator) {
-        for (var, known) in self.known.iter_mut().enumerate() {
-            let knowledge = propagator.knowledge(var as Var);
-            if knowledge != *known {
-                encode_knowledge(var as Var, knowledge, |clause| {
-                    self.solver.add_clause(clause.iter().copied());
-                });
-                *known = knowledge;
-            }
+        // A model ends the preprocessing: nothing learnt alongside it would
+        // be used, so nothing is harvested.
+        SolveResult::Sat => {
+            let model = solver.model().expect("SAT implies a model");
+            let assignment = Assignment::from_bits(
+                (0..system.num_vars()).map(|v| model.get(v).copied().unwrap_or(false)),
+            );
+            SatStepStatus::Satisfiable(assignment)
         }
-    }
-
-    /// Runs the search for at most `budget` more conflicts, polling `token`
-    /// alongside. When the budget runs out undecided, it harvests facts from
-    /// everything the search has learnt so far.
-    pub fn run(&mut self, budget: u64, token: &CancelToken) -> SatStepOutcome {
-        let solver = &mut self.solver;
-        let before = *solver.stats();
-        solver.set_conflict_budget(Some(budget));
-        solver.set_cancel_token(token.clone());
-        let result = solver.solve();
-        let stats = *solver.stats();
-
-        let mut facts: Vec<Polynomial> = Vec::new();
-        let status = match result {
-            SolveResult::Unsat => {
-                facts.push(Polynomial::one());
-                SatStepStatus::Unsatisfiable
-            }
-            // A model ends the preprocessing: nothing learnt alongside it
-            // would be used, so nothing is harvested.
-            SolveResult::Sat => {
-                let model = solver.model().expect("SAT implies a model");
-                let assignment = Assignment::from_bits(
-                    (0..self.known.len()).map(|v| model.get(v).copied().unwrap_or(false)),
-                );
-                SatStepStatus::Satisfiable(assignment)
-            }
-            // The solver reports Unknown for both budget exhaustion and
-            // cancellation; the token distinguishes them.
-            SolveResult::Unknown if token.is_cancelled() => SatStepStatus::Interrupted,
-            SolveResult::Unknown => {
-                harvest_facts(&mut facts, solver, &self.conversion);
-                SatStepStatus::Undecided
-            }
-        };
+        // The solver reports Unknown for both budget exhaustion and
+        // cancellation; the token distinguishes them.
+        SolveResult::Unknown if token.is_cancelled() => SatStepStatus::Interrupted,
+        SolveResult::Unknown => {
+            harvest_facts(&mut facts, &solver, &conversion);
+            SatStepStatus::Undecided
+        }
+    };
+    let stats = solver.stats();
+    SatStepOutcome {
+        status,
+        facts,
+        conflicts: stats.conflicts,
         // `learnt_clauses` alone is a gauge (reductions decrement it);
         // adding the removed counter back makes the count monotone.
-        let learnt = |s: &SolverStats| s.learnt_clauses + s.removed_clauses;
-        SatStepOutcome {
-            status,
-            facts,
-            conflicts: stats.conflicts - before.conflicts,
-            learnt_clauses: learnt(&stats) - learnt(&before),
-            removed_clauses: stats.removed_clauses - before.removed_clauses,
-            minimized_literals: stats.minimized_literals - before.minimized_literals,
-            restarts: stats.restarts - before.restarts,
-        }
+        learnt_clauses: stats.learnt_clauses + stats.removed_clauses,
+        removed_clauses: stats.removed_clauses,
+        minimized_literals: stats.minimized_literals,
+        restarts: stats.restarts,
     }
 }
 
@@ -263,13 +187,14 @@ mod tests {
     fn run(text: &str, budget: u64) -> (PolynomialSystem, SatStepOutcome) {
         let system = PolynomialSystem::parse(text).expect("test system parses");
         let propagator = AnfPropagator::new(system.num_vars());
-        let outcome = SatSearch::new(
+        let outcome = sat_step(
             &system,
             &propagator,
             &BosphorusConfig::default(),
             &SolverConfig::aggressive(),
-        )
-        .run(budget, &CancelToken::never());
+            budget,
+            &CancelToken::never(),
+        );
         (system, outcome)
     }
 
@@ -369,13 +294,14 @@ mod tests {
             PolynomialSystem::parse("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;")
                 .expect("parses");
         let propagator = AnfPropagator::new(system.num_vars());
-        let outcome = SatSearch::new(
+        let outcome = sat_step(
             &system,
             &propagator,
             &BosphorusConfig::default(),
             &SolverConfig::xor_gauss(),
-        )
-        .run(10_000, &CancelToken::never());
+            10_000,
+            &CancelToken::never(),
+        );
         match outcome.status {
             SatStepStatus::Satisfiable(a) => assert!(system.is_satisfied_by(&a)),
             other => panic!("expected SAT, got {other:?}"),

@@ -77,10 +77,6 @@ pub struct PassStats {
     pub sat_minimized_lits: u64,
     /// Cumulative SAT restarts performed by the pass.
     pub sat_restarts: u64,
-    /// SAT runs that continued the search of the pass's previous run
-    /// instead of starting a new one (the kept search had spent less than
-    /// the grown conflict budget).
-    pub sat_resumes: usize,
     /// Value assignments recorded by the pass (propagation only).
     pub propagated_assignments: usize,
     /// Equivalences recorded by the pass (propagation only).
@@ -171,7 +167,6 @@ impl EngineStats {
         entry.sat_removed += outcome.sat_removed;
         entry.sat_minimized_lits += outcome.sat_minimized_lits;
         entry.sat_restarts += outcome.sat_restarts;
-        entry.sat_resumes += usize::from(outcome.sat_resumed);
         entry.propagated_assignments += outcome.new_assignments;
         entry.propagated_equivalences += outcome.new_equivalences;
     }
@@ -235,7 +230,7 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "iterations={} facts(xl={}, elimlin={}, sat={}) propagation(values={}, equivalences={}) conflicts={} sat_resumes={} gauss_row_xors={}",
+            "iterations={} facts(xl={}, elimlin={}, sat={}) propagation(values={}, equivalences={}) conflicts={} gauss_row_xors={}",
             self.iterations,
             self.facts_from_xl,
             self.facts_from_elimlin,
@@ -243,7 +238,6 @@ impl fmt::Display for EngineStats {
             self.propagated_assignments,
             self.propagated_equivalences,
             self.sat_conflicts,
-            self.passes.iter().map(|p| p.sat_resumes).sum::<usize>(),
             self.gauss_row_xors
         )?;
         if self.facts_from_groebner > 0 {
@@ -310,7 +304,6 @@ mod tests {
         ran.sat_removed = 4;
         ran.sat_minimized_lits = 9;
         ran.sat_restarts = 2;
-        ran.sat_resumed = true;
         stats.record_pass("xl", &ran, Duration::from_millis(2));
         let skipped = PassOutcome::skipped();
         stats.record_pass("xl", &skipped, Duration::from_millis(1));
@@ -327,8 +320,6 @@ mod tests {
         assert_eq!(xl.sat_removed, 4);
         assert_eq!(xl.sat_minimized_lits, 9);
         assert_eq!(xl.sat_restarts, 2);
-        assert_eq!(xl.sat_resumes, 1);
-        assert!(stats.to_string().contains("sat_resumes=1"), "{stats}");
         assert!(
             stats
                 .to_string()

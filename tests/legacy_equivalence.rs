@@ -14,8 +14,8 @@
 use bosphorus_repro::anf::{AnfPropagator, Assignment, Polynomial, PolynomialSystem, Var};
 use bosphorus_repro::ciphers::{aes, simon};
 use bosphorus_repro::core::{
-    elimlin_learn, is_retainable_fact, xl_learn, Bosphorus, BosphorusConfig, CancelToken,
-    PreprocessStatus, SatSearch, SatStepStatus,
+    elimlin_learn, is_retainable_fact, sat_step, xl_learn, Bosphorus, BosphorusConfig, CancelToken,
+    PreprocessStatus, SatStepStatus,
 };
 use bosphorus_repro::sat::SolverConfig;
 use rand::rngs::StdRng;
@@ -47,9 +47,11 @@ struct LegacyRun {
 
 /// A port of the pre-pipeline `Bosphorus::preprocess`: XL, then ElimLin,
 /// then the conflict-bounded SAT step, ANF propagation after each, until a
-/// full iteration adds no facts. Its budget rule is the shipped one, not
-/// the original's: a dry SAT call escalates the budget only in an
-/// iteration where XL and ElimLin learnt nothing either.
+/// full iteration adds no facts. Two rules are the shipped ones, not the
+/// original's: a dry SAT call escalates the budget only in an iteration
+/// where XL and ElimLin learnt nothing either, and a fact counts as new only
+/// if the system does not already imply it. Every SAT call is a new search
+/// on a new encoding, as in the shipped SAT pass.
 fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> LegacyRun {
     let original = system.clone();
     let original_num_vars = system.num_vars();
@@ -59,8 +61,12 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
     let mut counts = LegacyCounts::default();
     let mut learnt: Vec<Polynomial> = Vec::new();
 
+    /// Commits each retainable fact reduced by the propagation knowledge
+    /// (rejecting one that reduces to zero or to a row already present),
+    /// and logs the fact as it was returned.
     fn add_facts(
         master: &mut PolynomialSystem,
+        propagator: &AnfPropagator,
         learnt: &mut Vec<Polynomial>,
         facts: Vec<Polynomial>,
     ) -> usize {
@@ -69,7 +75,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
             if !is_retainable_fact(&fact) && !fact.is_one() {
                 continue;
             }
-            if master.push_unique(fact.clone()) {
+            if master.push_unique(propagator.apply_to_polynomial(&fact)) {
                 learnt.push(fact);
                 added += 1;
             }
@@ -126,7 +132,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
 
         // --- XL -------------------------------------------------------
         let xl = xl_learn(&master, config, &mut rng, &CancelToken::never());
-        let added = add_facts(&mut master, &mut learnt, xl.facts);
+        let added = add_facts(&mut master, &propagator, &mut learnt, xl.facts);
         counts.facts_from_xl += added;
         new_facts += added;
         if propagate(&mut master, &mut propagator, &mut counts) {
@@ -146,7 +152,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
                 learnt,
             };
         }
-        let added = add_facts(&mut master, &mut learnt, elimlin.facts);
+        let added = add_facts(&mut master, &propagator, &mut learnt, elimlin.facts);
         counts.facts_from_elimlin += added;
         new_facts += added;
         if propagate(&mut master, &mut propagator, &mut counts) {
@@ -158,8 +164,14 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
         }
 
         // --- Conflict-bounded SAT ------------------------------------
-        let sat = SatSearch::new(&master, &propagator, config, &SolverConfig::aggressive())
-            .run(budget, &CancelToken::never());
+        let sat = sat_step(
+            &master,
+            &propagator,
+            config,
+            &SolverConfig::aggressive(),
+            budget,
+            &CancelToken::never(),
+        );
         match sat.status {
             SatStepStatus::Unsatisfiable => {
                 return LegacyRun {
@@ -179,7 +191,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
             SatStepStatus::Undecided => {}
             SatStepStatus::Interrupted => unreachable!("no cancel token was set"),
         }
-        let added = add_facts(&mut master, &mut learnt, sat.facts);
+        let added = add_facts(&mut master, &propagator, &mut learnt, sat.facts);
         counts.facts_from_sat += added;
         // A dry SAT call raises the budget only when XL and ElimLin
         // committed nothing earlier in this iteration.
@@ -300,6 +312,41 @@ fn simon_instances_match_the_legacy_loop() {
             &instance.system,
             &BosphorusConfig::default(),
         );
+    }
+}
+
+#[test]
+fn committed_simon_2_8_matches_the_legacy_loop() {
+    // The SAT pass reads values propagation already knows back off its
+    // trail here; neither loop counts them as new facts.
+    let path = format!(
+        "{}/examples/instances/simon_2_8.anf",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let system = PolynomialSystem::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    assert_equivalent("simon_2_8.anf", &system, &BosphorusConfig::default());
+}
+
+#[test]
+fn simon_under_a_small_sat_budget_matches_the_legacy_loop() {
+    // A budget of 100 conflicts leaves more SAT rounds undecided, and the
+    // budget grows after each round that finds the algebra stalled.
+    let config = BosphorusConfig {
+        sat_conflict_budget: 100,
+        sat_budget_increment: 100,
+        ..BosphorusConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(11);
+    for rounds in [5usize, 6, 7] {
+        let instance = simon::generate(
+            simon::SimonParams {
+                num_plaintexts: 2,
+                rounds,
+            },
+            &mut rng,
+        );
+        assert_equivalent(&format!("simon-2-{rounds}/c100"), &instance.system, &config);
     }
 }
 
