@@ -64,10 +64,8 @@ pipeline:
                         (available: propagate, xl, elimlin, sat, groebner)
   --config PRESET       default | paper | exhaustive
   --max-iterations N    cap the number of pipeline iterations
-  --sat-budget N        initial SAT conflict budget C; a dry SAT round
-                        raises it only when no earlier pass of its
-                        iteration learnt a fact, so on the default order
-                        every SAT round runs at C
+  --sat-budget N        SAT conflict budget C of every in-loop SAT round
+                        (C does not rise during the run)
   --seed N              subsampling RNG seed
   --solver NAME         solver configuration for the final --solve call:
                         minimal | aggressive | xorgauss (the in-loop SAT
@@ -321,7 +319,6 @@ pub fn build_config(options: &CliOptions) -> BosphorusConfig {
     }
     if let Some(c) = options.sat_budget {
         config.sat_conflict_budget = c;
-        config.sat_budget_max = config.sat_budget_max.max(c);
     }
     if let Some(seed) = options.seed {
         config.rng_seed = seed;
@@ -492,10 +489,10 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
     let _ = writeln!(
         out,
         "  \"facts\": {{\"xl\": {}, \"elimlin\": {}, \"sat\": {}, \"groebner\": {}, \"total\": {}}},",
-        stats.facts_from_xl,
-        stats.facts_from_elimlin,
-        stats.facts_from_sat,
-        stats.facts_from_groebner,
+        stats.facts_from("xl"),
+        stats.facts_from("elimlin"),
+        stats.facts_from("sat"),
+        stats.facts_from("groebner"),
         stats.total_facts()
     );
     let _ = writeln!(
@@ -730,10 +727,6 @@ mod tests {
         let config = build_config(&options);
         assert_eq!(config.pass_order, vec![PassKind::Groebner, PassKind::Sat]);
         assert_eq!(config.sat_conflict_budget, 999_999);
-        assert!(
-            config.sat_budget_max >= 999_999,
-            "the cap never undercuts the initial budget"
-        );
         assert_eq!(config.rng_seed, 7);
     }
 

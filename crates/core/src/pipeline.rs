@@ -127,7 +127,9 @@ impl FromStr for PassKind {
 /// committed a new fact yet.
 ///
 /// The driver owns the schedule and moves it only through these pure rules;
-/// passes read the current sizes off their [`PassBudget`].
+/// passes read the current sizes off their [`PassBudget`]. The sizes are
+/// set at the start of a run and do not move (see
+/// [`BosphorusConfig::sat_conflict_budget`] for why `C` stays flat).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Schedule {
     pub(crate) subsample_m: u32,
@@ -155,36 +157,11 @@ impl Schedule {
         }
     }
 
-    /// The sizes after the facts of the pass `pass` were committed, `added`
-    /// of them new.
-    ///
-    /// A SAT round that ran and learnt nothing raises `C` by the increment,
-    /// up to the maximum, but only when no earlier pass of the same
-    /// iteration committed a fact. Section IV raises `C` after every dry
-    /// SAT call; while the algebra still changes the system, though, the
-    /// next iteration hands SAT a new CNF anyway, and a longer search on
-    /// the old one buys nothing. On the default order (XL, ElimLin, SAT)
-    /// every SAT round therefore runs at the start budget; a SAT-first
-    /// order still grows `C` after every dry round. `M` does not move.
-    pub(crate) fn after_pass(
-        self,
-        config: &BosphorusConfig,
-        pass: &str,
-        status: &PassStatus,
-        added: usize,
-    ) -> Self {
-        if added > 0 {
-            return Schedule {
-                committed: true,
-                ..self
-            };
-        }
-        if pass != "sat" || *status != PassStatus::Ran || self.committed {
-            return self;
-        }
+    /// The schedule after a pass's facts were committed, `added` of them
+    /// new.
+    pub(crate) fn after_pass(self, added: usize) -> Self {
         Schedule {
-            sat_conflicts: (self.sat_conflicts + config.sat_budget_increment)
-                .min(config.sat_budget_max),
+            committed: self.committed || added > 0,
             ..self
         }
     }
@@ -515,16 +492,16 @@ impl LearningPass for ElimLinPass {
 ///
 /// Each round converts the database to CNF and runs a new search for the
 /// full budget `C` ([`sat_step`]), harvests its facts and drops it; no
-/// solver lives between rounds. The pass remembers only the revision and
-/// budget of its last undecided round, and skips a round whose revision is
-/// unchanged and whose budget has not risen: the solver is deterministic,
-/// so that search would end where the last one did. A decided or
-/// interrupted round forgets them, so the next round searches again.
+/// solver lives between rounds. The pass remembers only the revision of its
+/// last undecided round, and skips a round on that revision: the solver is
+/// deterministic and `C` does not move, so that search would end where the
+/// last one did. A decided or interrupted round forgets it, so the next
+/// round searches again.
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,
-    /// The revision and budget of the last undecided round.
-    last_undecided: Option<(Revision, u64)>,
+    /// The revision of the last undecided round.
+    last_undecided: Option<Revision>,
 }
 
 impl SatPass {
@@ -544,22 +521,18 @@ impl LearningPass for SatPass {
     }
 
     fn run(&mut self, db: &mut AnfDatabase, budget: &PassBudget) -> PassOutcome {
-        let conflicts = budget.sat_conflicts();
-        if let Some((revision, last)) = self.last_undecided {
-            if revision == db.revision() && conflicts <= last {
-                return PassOutcome::skipped();
-            }
+        if self.last_undecided == Some(db.revision()) {
+            return PassOutcome::skipped();
         }
         let sat = sat_step(
             db.system(),
             db.propagator(),
             &self.config,
             &SolverConfig::aggressive(),
-            conflicts,
+            budget.sat_conflicts(),
             budget.cancel_token(),
         );
-        self.last_undecided =
-            (sat.status == SatStepStatus::Undecided).then_some((db.revision(), conflicts));
+        self.last_undecided = (sat.status == SatStepStatus::Undecided).then_some(db.revision());
         let mut outcome = PassOutcome::ran();
         outcome.sat_conflicts = sat.conflicts;
         outcome.sat_learnt = sat.learnt_clauses;
@@ -766,127 +739,38 @@ mod tests {
         assert_eq!(pipeline.names(), vec!["elimlin", "xl"]);
     }
 
-    /// The sizes after a dry SAT round, the driver's only way to raise `C`.
-    fn escalate(budget: &mut PassBudget, config: &BosphorusConfig) {
-        budget.schedule = budget
-            .schedule
-            .after_pass(config, "sat", &PassStatus::Ran, 0);
-    }
-
-    fn small_escalation() -> BosphorusConfig {
-        BosphorusConfig {
-            sat_conflict_budget: 10,
-            sat_budget_increment: 7,
-            sat_budget_max: 20,
-            ..BosphorusConfig::default()
-        }
-    }
-
-    #[test]
-    fn budget_escalation_respects_the_cap() {
-        let config = small_escalation();
-        let mut budget = PassBudget::new(&config);
-        assert_eq!(budget.sat_conflicts(), 10);
-        escalate(&mut budget, &config);
-        assert_eq!(budget.sat_conflicts(), 17);
-        escalate(&mut budget, &config);
-        assert_eq!(budget.sat_conflicts(), 20, "clamped at the maximum");
-        escalate(&mut budget, &config);
-        assert_eq!(budget.sat_conflicts(), 20, "stays at the maximum");
-    }
-
-    #[test]
-    fn the_sat_budget_escalates_only_after_a_dry_sat_run() {
-        let config = small_escalation();
-        let start = Schedule::start(&config);
-        assert_eq!(start.sat_conflicts, 10);
-        let unchanged = [
-            ("sat", PassStatus::Ran, 1),
-            ("sat", PassStatus::Skipped, 0),
-            ("sat", PassStatus::Interrupted, 0),
-            ("xl", PassStatus::Ran, 0),
-            ("elimlin", PassStatus::Ran, 0),
-            ("groebner", PassStatus::Ran, 0),
-        ];
-        for (pass, status, added) in unchanged {
-            let after = start.after_pass(&config, pass, &status, added);
-            assert_eq!(
-                (after.subsample_m, after.sat_conflicts),
-                (start.subsample_m, start.sat_conflicts),
-                "{pass} {status:?} {added}"
-            );
-        }
-        let dry = start.after_pass(&config, "sat", &PassStatus::Ran, 0);
-        assert_eq!(dry.sat_conflicts, 17);
-    }
-
-    #[test]
-    fn a_dry_sat_pass_after_a_productive_pass_keeps_the_budget() {
-        let config = small_escalation();
-        for productive in ["xl", "elimlin", "sat", "groebner", "propagate"] {
-            let schedule = Schedule::start(&config)
-                .after_pass(&config, productive, &PassStatus::Ran, 2)
-                .after_pass(&config, "elimlin", &PassStatus::Ran, 0)
-                .after_pass(&config, "sat", &PassStatus::Ran, 0);
-            assert!(schedule.committed, "after {productive}");
-            assert_eq!(schedule.sat_conflicts, 10, "after {productive}");
-        }
-        // The facts of an interrupted pass are committed too.
-        let schedule = Schedule::start(&config)
-            .after_pass(&config, "xl", &PassStatus::Interrupted, 1)
-            .after_pass(&config, "sat", &PassStatus::Ran, 0);
-        assert_eq!(schedule.sat_conflicts, 10);
-    }
-
-    #[test]
-    fn a_dry_sat_pass_with_nothing_committed_raises_the_budget_up_to_the_cap() {
-        let config = small_escalation();
-        let mut schedule = Schedule::start(&config);
-        for expected in [17, 20, 20] {
-            schedule = schedule
-                .next_iteration()
-                .after_pass(&config, "xl", &PassStatus::Ran, 0)
-                .after_pass(&config, "elimlin", &PassStatus::Skipped, 0)
-                .after_pass(&config, "sat", &PassStatus::Ran, 0);
-            assert!(!schedule.committed);
-            assert_eq!(schedule.sat_conflicts, expected);
-        }
-        // A productive pass after the dry SAT round does not undo the rise.
-        let schedule = Schedule::start(&config)
-            .after_pass(&config, "sat", &PassStatus::Ran, 0)
-            .after_pass(&config, "xl", &PassStatus::Ran, 3);
-        assert_eq!((schedule.sat_conflicts, schedule.committed), (17, true));
-    }
-
     #[test]
     fn the_commit_flag_resets_at_the_next_iteration() {
-        let config = small_escalation();
-        let productive = Schedule::start(&config).after_pass(&config, "xl", &PassStatus::Ran, 1);
+        let start = Schedule::start(&BosphorusConfig::default());
+        assert!(!start.after_pass(0).committed, "a dry pass commits nothing");
+        let productive = start.after_pass(1);
         assert!(productive.committed);
-        let next = productive.next_iteration();
-        assert_eq!(next, Schedule::start(&config), "the sizes carry over");
-        let dry = next.after_pass(&config, "sat", &PassStatus::Ran, 0);
-        assert_eq!(
-            dry.sat_conflicts, 17,
-            "a fact of the last iteration holds nothing"
+        assert!(
+            productive.after_pass(0).committed,
+            "a later dry pass does not clear the flag"
         );
-        // A raised budget carries over the reset.
-        assert_eq!(dry.next_iteration().sat_conflicts, 17);
+        assert_eq!(productive.next_iteration(), start, "the sizes carry over");
     }
 
     #[test]
     fn the_subsample_size_does_not_move() {
         let config = BosphorusConfig {
             subsample_m: 11,
-            ..small_escalation()
+            sat_conflict_budget: 10,
+            ..BosphorusConfig::default()
         };
         let mut schedule = Schedule::start(&config);
         assert_eq!(PassBudget::new(&config).subsample_m(), 11);
-        for (pass, added) in [("xl", 0), ("elimlin", 0), ("sat", 0), ("sat", 3)] {
-            schedule = schedule.after_pass(&config, pass, &PassStatus::Ran, added);
-            assert_eq!(schedule.subsample_m, 11, "after {pass} added {added}");
+        for added in [0, 0, 3, 0] {
+            schedule = schedule.after_pass(added);
+            assert_eq!(
+                (schedule.subsample_m, schedule.sat_conflicts),
+                (11, 10),
+                "after a pass that added {added}"
+            );
+            schedule = schedule.next_iteration();
+            assert_eq!((schedule.subsample_m, schedule.sat_conflicts), (11, 10));
         }
-        assert_eq!(schedule.sat_conflicts, 17);
     }
 
     #[test]
@@ -965,30 +849,6 @@ mod tests {
         assert_eq!(outcome.status, PassStatus::Unsat);
     }
 
-    #[test]
-    fn sat_pass_reruns_when_its_budget_escalates() {
-        let config = BosphorusConfig {
-            sat_conflict_budget: 1,
-            sat_budget_increment: 1,
-            sat_budget_max: 10,
-            ..exhaustive()
-        };
-        // Hard enough that one conflict cannot decide it, small enough to be
-        // fast: a random-ish 3-variable system.
-        let mut database = db("x0*x1 + x2; x1 + x2 + 1; x0*x2 + x0 + x1;");
-        let mut budget = PassBudget::new(&config);
-        let mut pass = SatPass::new(config.clone());
-        let first = pass.run(&mut database, &budget);
-        assert_ne!(first.status, PassStatus::Skipped);
-        // Same database, same budget: skip.
-        let same = pass.run(&mut database, &budget);
-        assert_eq!(same.status, PassStatus::Skipped);
-        // Escalating the budget re-arms the pass.
-        escalate(&mut budget, &config);
-        let rerun = pass.run(&mut database, &budget);
-        assert_ne!(rerun.status, PassStatus::Skipped);
-    }
-
     /// Seven pigeons in six holes: unsatisfiable, and far too hard for the
     /// SAT pass to decide in a few hundred conflicts.
     fn pigeonhole_db() -> AnfDatabase {
@@ -1017,47 +877,25 @@ mod tests {
     fn small_sat_budget() -> BosphorusConfig {
         BosphorusConfig {
             sat_conflict_budget: 100,
-            sat_budget_increment: 100,
-            sat_budget_max: 1_000,
             ..exhaustive()
         }
     }
 
     #[test]
-    fn sat_pass_skips_the_same_revision_until_its_budget_rises() {
-        // The solver is deterministic: on an unchanged revision, a budget
-        // that has not risen would end the search where the last one ended.
+    fn sat_pass_skips_a_revision_it_already_searched() {
+        // The solver is deterministic: on an unchanged revision, the same
+        // budget would end the search where the last one ended.
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
-        let mut budget = PassBudget::new(&config);
+        let budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
         assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
         let same = pass.run(&mut database, &budget);
         assert_eq!(same.status, PassStatus::Skipped);
-        escalate(&mut budget, &config);
-        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 200);
-        // A second run of the loop starts the budget afresh, below the last
-        // round's: there is still nothing to search for.
-        let restarted = PassBudget::new(&config);
-        assert_eq!(restarted.sat_conflicts(), 100);
-        let again = pass.run(&mut database, &restarted);
+        // A second run of the loop starts the same budget afresh: there is
+        // still nothing to search for.
+        let again = pass.run(&mut database, &PassBudget::new(&config));
         assert_eq!(again.status, PassStatus::Skipped);
-    }
-
-    #[test]
-    fn a_raised_sat_budget_reruns_the_search_from_scratch() {
-        let config = small_sat_budget();
-        let mut database = pigeonhole_db();
-        let mut budget = PassBudget::new(&config);
-        let mut pass = SatPass::new(config.clone());
-        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
-        escalate(&mut budget, &config);
-        let rerun = pass.run(&mut database, &budget);
-        assert_eq!(rerun.status, PassStatus::Ran);
-        assert_eq!(rerun.sat_conflicts, 200, "the full budget, not the rest");
-        // The rerun is the search a new pass runs with the raised budget.
-        let fresh = SatPass::new(config).run(&mut database, &budget);
-        assert_eq!(rerun, fresh);
     }
 
     #[test]
@@ -1085,20 +923,16 @@ mod tests {
     fn the_sat_round_after_an_interrupted_one_runs() {
         let config = small_sat_budget();
         let mut database = pigeonhole_db();
-        let budget = PassBudget::new(&config);
         let mut pass = SatPass::new(config.clone());
-        assert_eq!(pass.run(&mut database, &budget).sat_conflicts, 100);
-
         let token = CancelToken::new();
         token.cancel();
-        let mut cancelled = PassBudget::new(&config).with_cancel_token(token);
-        escalate(&mut cancelled, &config);
+        let cancelled = PassBudget::new(&config).with_cancel_token(token);
         let interrupted = pass.run(&mut database, &cancelled);
         assert_eq!(interrupted.status, PassStatus::Interrupted);
 
-        // Same revision and a budget that has not risen since the undecided
-        // round, but the interrupted round in between forgot it.
-        let rerun = pass.run(&mut database, &budget);
+        // Same revision, but an interrupted round does not count as a
+        // search of it.
+        let rerun = pass.run(&mut database, &PassBudget::new(&config));
         assert_eq!(rerun.status, PassStatus::Ran);
         assert_eq!(rerun.sat_conflicts, 100);
     }

@@ -150,9 +150,9 @@ fn indexed_elimlin_matches_the_scan_reference() {
 }
 
 /// SAT rounds that alternate with the algebra agree with brute force.
-/// With a 1-conflict budget and increment, and the SAT pass before or
-/// between XL and ElimLin, each SAT round searches a new encoding of a
-/// revision the other passes changed. The verdict and model of `solve` are
+/// With a 1-conflict budget and the SAT pass before or between XL and
+/// ElimLin, each SAT round searches a new encoding of a revision the other
+/// passes changed. The verdict and model of `solve` are
 /// checked, and so is every learnt fact against every solution of the
 /// input.
 #[test]
@@ -178,7 +178,6 @@ fn sat_rounds_between_revisions_agree_with_brute_force() {
             let config = BosphorusConfig {
                 pass_order: order.clone(),
                 sat_conflict_budget: 1,
-                sat_budget_increment: 1,
                 ..BosphorusConfig::default()
             };
             let mut engine = Bosphorus::new(system.clone(), config.clone());
@@ -213,18 +212,30 @@ fn sat_rounds_between_revisions_agree_with_brute_force() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The full engine agrees with brute force and returns genuine models.
+    /// The full engine agrees with brute force and returns genuine models,
+    /// whichever solver preset runs the final solve.
     #[test]
     fn engine_agrees_with_brute_force(system in arb_system()) {
         let expected = brute_force_sat(&system);
-        let mut engine = Bosphorus::new(system.clone(), BosphorusConfig::default());
-        match engine.solve(&SolverConfig::aggressive()) {
-            SolveStatus::Sat(a) => {
-                prop_assert!(expected, "engine claimed SAT on an UNSAT system");
-                prop_assert!(system.is_satisfied_by(&a), "model violates the input system");
+        for (name, solver) in [
+            ("minimal", SolverConfig::minimal()),
+            ("aggressive", SolverConfig::aggressive()),
+            ("xor_gauss", SolverConfig::xor_gauss()),
+        ] {
+            let mut engine = Bosphorus::new(system.clone(), BosphorusConfig::default());
+            match engine.solve(&solver) {
+                SolveStatus::Sat(a) => {
+                    prop_assert!(expected, "{name}: engine claimed SAT on an UNSAT system");
+                    prop_assert!(
+                        system.is_satisfied_by(&a),
+                        "{name}: model violates the input system"
+                    );
+                }
+                SolveStatus::Unsat => {
+                    prop_assert!(!expected, "{name}: engine claimed UNSAT on a SAT system");
+                }
+                SolveStatus::Interrupted => prop_assert!(false, "{name}: no cancel token was set"),
             }
-            SolveStatus::Unsat => prop_assert!(!expected, "engine claimed UNSAT on a SAT system"),
-            SolveStatus::Interrupted => prop_assert!(false, "no cancel token was set"),
         }
     }
 

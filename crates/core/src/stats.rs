@@ -89,21 +89,13 @@ pub struct PassStats {
 /// Counters describing what the fact-learning loop did.
 ///
 /// Returned by [`Bosphorus::stats`](crate::Bosphorus::stats) and printed by
-/// the benchmark harness next to each PAR-2 row. The flat fields mirror the
-/// paper's Fig. 1 loop; [`EngineStats::passes`] carries the same information
-/// broken down per pipeline pass (including custom orders).
+/// the benchmark harness next to each PAR-2 row. The flat fields are totals
+/// over the whole loop; [`EngineStats::passes`] breaks the work and the
+/// facts down per pipeline pass (including custom orders).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Number of pipeline iterations executed.
     pub iterations: usize,
-    /// Facts contributed by the XL pass.
-    pub facts_from_xl: usize,
-    /// Facts contributed by the ElimLin pass.
-    pub facts_from_elimlin: usize,
-    /// Facts contributed by the conflict-bounded SAT pass.
-    pub facts_from_sat: usize,
-    /// Facts contributed by the optional Gröbner pass.
-    pub facts_from_groebner: usize,
     /// Value assignments made by ANF propagation (driver-level and explicit
     /// propagation passes combined).
     pub propagated_assignments: usize,
@@ -132,12 +124,14 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Total number of learnt facts across all techniques.
+    /// Total number of learnt facts across all passes.
     pub fn total_facts(&self) -> usize {
-        self.facts_from_xl
-            + self.facts_from_elimlin
-            + self.facts_from_sat
-            + self.facts_from_groebner
+        self.passes.iter().map(|p| p.facts).sum()
+    }
+
+    /// Facts contributed by the pass `name` (0 if it never ran).
+    pub fn facts_from(&self, name: &str) -> usize {
+        self.pass(name).map_or(0, |p| p.facts)
     }
 
     /// The per-pass entry for `name`, if that pass appeared in the pipeline.
@@ -171,17 +165,9 @@ impl EngineStats {
         entry.propagated_equivalences += outcome.new_equivalences;
     }
 
-    /// Records `added` committed facts for the pass `name`, updating both
-    /// the per-pass entry and the matching flat counter.
+    /// Records `added` committed facts for the pass `name`.
     pub(crate) fn record_facts(&mut self, name: &str, added: usize) {
         self.entry_mut(name).facts += added;
-        match name {
-            "xl" => self.facts_from_xl += added,
-            "elimlin" => self.facts_from_elimlin += added,
-            "sat" => self.facts_from_sat += added,
-            "groebner" => self.facts_from_groebner += added,
-            _ => {}
-        }
     }
 
     /// Records `known` returned facts of the pass `name` that the master
@@ -232,16 +218,17 @@ impl fmt::Display for EngineStats {
             f,
             "iterations={} facts(xl={}, elimlin={}, sat={}) propagation(values={}, equivalences={}) conflicts={} gauss_row_xors={}",
             self.iterations,
-            self.facts_from_xl,
-            self.facts_from_elimlin,
-            self.facts_from_sat,
+            self.facts_from("xl"),
+            self.facts_from("elimlin"),
+            self.facts_from("sat"),
             self.propagated_assignments,
             self.propagated_equivalences,
             self.sat_conflicts,
             self.gauss_row_xors
         )?;
-        if self.facts_from_groebner > 0 {
-            write!(f, " facts_groebner={}", self.facts_from_groebner)?;
+        let groebner = self.facts_from("groebner");
+        if groebner > 0 {
+            write!(f, " facts_groebner={groebner}")?;
         }
         if self.interrupted {
             write!(f, " interrupted=true")?;
@@ -271,23 +258,19 @@ mod tests {
 
     #[test]
     fn totals_add_up() {
-        let stats = EngineStats {
-            facts_from_xl: 2,
-            facts_from_elimlin: 3,
-            facts_from_sat: 4,
-            ..EngineStats::default()
-        };
+        let mut stats = EngineStats::default();
+        stats.record_facts("xl", 2);
+        stats.record_facts("elimlin", 3);
+        stats.record_facts("sat", 4);
         assert_eq!(stats.total_facts(), 9);
-        assert!(stats.to_string().contains("xl=2"));
+        assert!(stats.to_string().contains("facts(xl=2, elimlin=3, sat=4)"));
     }
 
     #[test]
     fn groebner_facts_count_towards_the_total() {
-        let stats = EngineStats {
-            facts_from_xl: 1,
-            facts_from_groebner: 5,
-            ..EngineStats::default()
-        };
+        let mut stats = EngineStats::default();
+        stats.record_facts("xl", 1);
+        stats.record_facts("groebner", 5);
         assert_eq!(stats.total_facts(), 6);
         assert!(stats.to_string().contains("facts_groebner=5"));
     }
@@ -329,7 +312,6 @@ mod tests {
         assert_eq!(xl.time, Duration::from_millis(3));
         assert_eq!(stats.gauss_row_xors, 7);
         assert_eq!(stats.sat_conflicts, 3);
-        assert_eq!(stats.facts_from_xl, 4);
         assert_eq!(ran.status, PassStatus::Ran);
     }
 
@@ -348,6 +330,7 @@ mod tests {
         let mut stats = EngineStats::default();
         stats.record_facts("custom", 2);
         assert_eq!(stats.pass("custom").expect("entry").facts, 2);
-        assert_eq!(stats.total_facts(), 0, "no flat counter for custom passes");
+        assert_eq!(stats.facts_from("custom"), 2);
+        assert_eq!(stats.total_facts(), 2, "the total sums every pass");
     }
 }

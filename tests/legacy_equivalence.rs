@@ -21,13 +21,13 @@ use bosphorus_repro::sat::SolverConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// What the legacy loop produced, in the vocabulary of `EngineStats`.
+/// What the legacy loop produced, counted as `EngineStats` counts it.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct LegacyCounts {
     iterations: usize,
-    facts_from_xl: usize,
-    facts_from_elimlin: usize,
-    facts_from_sat: usize,
+    xl_facts: usize,
+    elimlin_facts: usize,
+    sat_facts: usize,
     propagated_assignments: usize,
     propagated_equivalences: usize,
 }
@@ -47,11 +47,11 @@ struct LegacyRun {
 
 /// A port of the pre-pipeline `Bosphorus::preprocess`: XL, then ElimLin,
 /// then the conflict-bounded SAT step, ANF propagation after each, until a
-/// full iteration adds no facts. Two rules are the shipped ones, not the
-/// original's: a dry SAT call escalates the budget only in an iteration
-/// where XL and ElimLin learnt nothing either, and a fact counts as new only
-/// if the system does not already imply it. Every SAT call is a new search
-/// on a new encoding, as in the shipped SAT pass.
+/// full iteration adds no facts. Three rules are the shipped ones, not the
+/// original's: the SAT budget stays at its start value, a fact counts as
+/// new only if the system does not already imply it, and the loop stops as
+/// soon as propagation has emptied the system. Every SAT call is a new
+/// search on a new encoding, as in the shipped SAT pass.
 fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> LegacyRun {
     let original = system.clone();
     let original_num_vars = system.num_vars();
@@ -125,15 +125,17 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
             learnt,
         };
     }
-    let mut budget = config.sat_conflict_budget;
     for _ in 0..config.max_iterations {
+        if master.is_empty() {
+            break;
+        }
         counts.iterations += 1;
         let mut new_facts = 0usize;
 
         // --- XL -------------------------------------------------------
         let xl = xl_learn(&master, config, &mut rng, &CancelToken::never());
         let added = add_facts(&mut master, &propagator, &mut learnt, xl.facts);
-        counts.facts_from_xl += added;
+        counts.xl_facts += added;
         new_facts += added;
         if propagate(&mut master, &mut propagator, &mut counts) {
             return LegacyRun {
@@ -141,6 +143,9 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
                 counts,
                 learnt,
             };
+        }
+        if master.is_empty() {
+            break;
         }
 
         // --- ElimLin --------------------------------------------------
@@ -153,7 +158,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
             };
         }
         let added = add_facts(&mut master, &propagator, &mut learnt, elimlin.facts);
-        counts.facts_from_elimlin += added;
+        counts.elimlin_facts += added;
         new_facts += added;
         if propagate(&mut master, &mut propagator, &mut counts) {
             return LegacyRun {
@@ -162,6 +167,9 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
                 learnt,
             };
         }
+        if master.is_empty() {
+            break;
+        }
 
         // --- Conflict-bounded SAT ------------------------------------
         let sat = sat_step(
@@ -169,7 +177,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
             &propagator,
             config,
             &SolverConfig::aggressive(),
-            budget,
+            config.sat_conflict_budget,
             &CancelToken::never(),
         );
         match sat.status {
@@ -192,12 +200,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
             SatStepStatus::Interrupted => unreachable!("no cancel token was set"),
         }
         let added = add_facts(&mut master, &propagator, &mut learnt, sat.facts);
-        counts.facts_from_sat += added;
-        // A dry SAT call raises the budget only when XL and ElimLin
-        // committed nothing earlier in this iteration.
-        if added == 0 && new_facts == 0 {
-            budget = (budget + config.sat_budget_increment).min(config.sat_budget_max);
-        }
+        counts.sat_facts += added;
         new_facts += added;
         if propagate(&mut master, &mut propagator, &mut counts) {
             return LegacyRun {
@@ -248,9 +251,9 @@ fn assert_equivalent(label: &str, system: &PolynomialSystem, config: &BosphorusC
     }
     let pipeline_counts = LegacyCounts {
         iterations: stats.iterations,
-        facts_from_xl: stats.facts_from_xl,
-        facts_from_elimlin: stats.facts_from_elimlin,
-        facts_from_sat: stats.facts_from_sat,
+        xl_facts: stats.facts_from("xl"),
+        elimlin_facts: stats.facts_from("elimlin"),
+        sat_facts: stats.facts_from("sat"),
         propagated_assignments: stats.propagated_assignments,
         propagated_equivalences: stats.propagated_equivalences,
     };
@@ -289,6 +292,10 @@ fn small_handwritten_systems_match_the_legacy_loop() {
         "x0 + x1; x1 + x2; x0*x2 + 1;",
         "x0*x1 + x0 + x1; x2 + 1; x0*x2 + x1;",
         "x0*x1*x2 + 1; x0 + x1;",
+        // Propagation leaves these two alone and XL does not empty them, so
+        // every technique runs on them.
+        "x0*x1 + x2; x1*x2 + x3;",
+        "x0*x1 + x1*x2 + x2*x3 + 1; x0*x2 + x1*x3;",
     ];
     for text in texts {
         let system = PolynomialSystem::parse(text).expect("parses");
@@ -330,11 +337,9 @@ fn committed_simon_2_8_matches_the_legacy_loop() {
 
 #[test]
 fn simon_under_a_small_sat_budget_matches_the_legacy_loop() {
-    // A budget of 100 conflicts leaves more SAT rounds undecided, and the
-    // budget grows after each round that finds the algebra stalled.
+    // A budget of 100 conflicts leaves more SAT rounds undecided.
     let config = BosphorusConfig {
         sat_conflict_budget: 100,
-        sat_budget_increment: 100,
         ..BosphorusConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(11);

@@ -214,7 +214,6 @@ fn learnt_fact_stream_matches_the_recorded_golden_values() {
     let simon = BosphorusConfig {
         max_iterations: 4,
         sat_conflict_budget: 300,
-        sat_budget_max: 300,
         ..BosphorusConfig::default()
     };
     for (file, config, count, hash) in [
@@ -273,15 +272,13 @@ fn simon_facts_are_distinct_and_the_loop_reaches_its_fixed_point() {
 #[test]
 fn sat_pass_skips_an_unchanged_revision_and_searches_a_changed_one_afresh() {
     // Under the default config every SAT round on Simon-[2,8] runs at the
-    // start budget of 2,000 conflicts, because XL or ElimLin commit facts
-    // before it in every iteration that has any. Iteration 1: XL and
-    // ElimLin commit facts, and the SAT pass builds its search and spends
-    // 2,000, learning nothing. Iteration 2: XL commits facts; the revision
+    // flat budget of 2,000 conflicts. Iteration 1: XL and ElimLin commit
+    // facts, and the SAT pass builds its search and spends 2,000, learning
+    // nothing. Iteration 2: XL commits facts; the revision
     // changed, so the pass encodes the new revision and spends 2,000 on a
     // new search. Iteration 3: XL and ElimLin learn nothing, so the
-    // revision and the budget are the ones the last search saw: the pass
-    // skips, and the quiet iteration ends the loop. 2 runs, 1 skip, 4,000
-    // conflicts.
+    // revision is the one the last search saw: the pass skips, and the
+    // quiet iteration ends the loop. 2 runs, 1 skip, 4,000 conflicts.
     let mut engine = Bosphorus::new(
         committed_instance("simon_2_8.anf"),
         BosphorusConfig::default(),
@@ -314,9 +311,9 @@ fn sat_pass_skips_an_unchanged_revision_and_searches_a_changed_one_afresh() {
 #[test]
 fn a_second_run_on_a_converged_pipeline_spends_no_sat_conflicts() {
     // The first run spends 2,000 conflicts on each of its two SAT rounds
-    // (see above). The second run starts the SAT budget afresh at 2,000,
-    // which the last SAT round already searched on the unchanged database,
-    // so the SAT pass skips instead of searching again.
+    // (see above). The last SAT round already searched the database the
+    // second run starts from, so the SAT pass skips instead of searching
+    // again.
     let config = BosphorusConfig::default();
     let mut engine = Bosphorus::new(committed_instance("simon_2_8.anf"), config.clone());
     let mut pipeline = Pipeline::standard(&config);
