@@ -14,7 +14,8 @@
 //! `--solve` is given (10 = SAT, 20 = UNSAT), otherwise 0 on success; usage,
 //! I/O and parse errors exit 1; a run interrupted by `--timeout`, SIGINT or
 //! SIGTERM that still produced a consistent partial result exits
-//! [`EXIT_INTERRUPTED`] (30).
+//! [`EXIT_INTERRUPTED`] (30). A reader that closes stdout early (`| head`)
+//! changes no exit code: the rest of the output is dropped.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +70,7 @@ pipeline:
   --seed N              subsampling RNG seed
   --solver NAME         solver configuration for the final --solve call:
                         minimal | aggressive | xorgauss (the in-loop SAT
-                        pass always uses the paper's aggressive setting)
+                        pass always uses xorgauss, with native XORs)
 
 misc:
   --timeout SECS        wall-clock deadline (fractional seconds allowed);
@@ -190,9 +191,9 @@ pub struct CliOptions {
     /// Override of the RNG seed.
     pub seed: Option<u64>,
     /// Solver configuration for the final `--solve` call. The in-loop SAT
-    /// pass is pinned to the paper's aggressive configuration (as in the
-    /// original engine); under `xorgauss` the final solver also receives the
-    /// conversion's native XOR constraints for its Gauss engine.
+    /// pass is pinned to `xorgauss`; under `xorgauss` the final solver, too,
+    /// receives the conversion's XOR pieces as native constraints instead
+    /// of their clause blocks.
     pub solver: SolverChoice,
     /// Wall-clock deadline in seconds (`--timeout`); `None` = no deadline.
     pub timeout: Option<f64>,
@@ -378,28 +379,26 @@ pub fn run(options: &CliOptions) -> Result<i32, String> {
     let (status_label, exit_code) = if options.solve {
         match engine.solve(&options.solver.to_config()) {
             SolveStatus::Sat(assignment) => {
-                println!("s SATISFIABLE");
-                println!("{}", model_line(&assignment));
+                print_stdout(&format!("s SATISFIABLE\n{}\n", model_line(&assignment)))?;
                 ("sat", 10)
             }
             SolveStatus::Unsat => {
-                println!("s UNSATISFIABLE");
+                print_stdout("s UNSATISFIABLE\n")?;
                 ("unsat", 20)
             }
             SolveStatus::Interrupted => {
-                println!("s UNKNOWN");
+                print_stdout("s UNKNOWN\n")?;
                 ("interrupted", EXIT_INTERRUPTED)
             }
         }
     } else {
         match engine.preprocess() {
             PreprocessStatus::Solved(assignment) => {
-                println!("s SATISFIABLE");
-                println!("{}", model_line(&assignment));
+                print_stdout(&format!("s SATISFIABLE\n{}\n", model_line(&assignment)))?;
                 ("solved", 0)
             }
             PreprocessStatus::Unsat => {
-                println!("s UNSATISFIABLE");
+                print_stdout("s UNSATISFIABLE\n")?;
                 ("unsat", 0)
             }
             PreprocessStatus::Simplified => ("simplified", 0),
@@ -421,7 +420,7 @@ pub fn run(options: &CliOptions) -> Result<i32, String> {
         write_output(target, &simplified_anf(&engine))?;
     }
     if options.stats_json {
-        println!("{}", stats_json(engine.stats(), status_label));
+        print_stdout(&format!("{}\n", stats_json(engine.stats(), status_label)))?;
     }
     Ok(exit_code)
 }
@@ -617,10 +616,30 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
     out
 }
 
+/// Writes `text` to stdout. A reader that closed the pipe early (`EPIPE`)
+/// is not an error: the text is dropped, and the run ends with the exit
+/// code it would otherwise have had.
+///
+/// # Errors
+///
+/// Any other write failure, as a message.
+pub fn print_stdout(text: &str) -> Result<(), String> {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn write_output(target: &str, content: &str) -> Result<(), String> {
     if target == "-" {
-        print!("{content}");
-        Ok(())
+        print_stdout(content)
     } else {
         std::fs::write(target, content).map_err(|e| format!("cannot write {target:?}: {e}"))
     }

@@ -2,7 +2,7 @@
 //! in `examples/instances/`.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use bosphorus_anf::{Assignment, PolynomialSystem};
 use bosphorus_cnf::CnfFormula;
@@ -387,6 +387,31 @@ fn help_prints_usage_and_exits_zero() {
             output.stderr.is_empty(),
             "stderr must stay quiet for {args:?}"
         );
+    }
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_changes_no_exit_code() {
+    // As in `bosphorus ... | head -1`, but with the read end closed before
+    // the first write, so every write meets a closed pipe (EPIPE).
+    let worked = instance("worked_example.anf");
+    let table1 = instance("table1.anf");
+    for (args, code) in [
+        (vec!["--anf", &worked, "--solve", "--stats-json"], 10),
+        (vec!["--anf", &table1, "--stats-json", "--anfdump", "-"], 0),
+        (vec!["--help"], 0),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_bosphorus"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 

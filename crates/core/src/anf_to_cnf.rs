@@ -7,8 +7,14 @@
 //! through an XOR/Tseitin encoding: monomials are replaced by their auxiliary
 //! variables, the resulting XOR is cut into pieces of at most `L` terms, and
 //! each piece is expanded into its 2^(l−1) clauses.
+//!
+//! Every XOR piece — a cut piece, or a linear polynomial on the Karnaugh
+//! path — is also recorded as one native constraint with the range of its
+//! clause block. A solver with XOR reasoning takes the constraint in place
+//! of the block ([`CnfConversion::solver`]); the CNF itself is the paper's.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use bosphorus_anf::{Monomial, MonomialInterner, Polynomial, PolynomialSystem, Var};
 use bosphorus_cnf::{CnfFormula, CnfVar, Lit};
@@ -32,26 +38,49 @@ pub struct CnfConversion {
     /// CNF variables introduced purely for XOR cutting do not appear here
     /// (the paper: auxiliary variables "do not participate in learnt facts").
     pub monomial_of_var: BTreeMap<CnfVar, Monomial>,
-    /// Native XOR constraints mirroring the encoded polynomials, for
-    /// XOR-aware solvers. Always recorded; [`CnfConversion::solver`] hands
-    /// them over only when the solver configuration enables XOR reasoning.
-    pub xors: Vec<XorConstraint>,
+    /// The XOR pieces of the encoding, in clause order. Always recorded;
+    /// [`CnfConversion::solver`] hands them over, in place of their clause
+    /// blocks, only when the solver configuration enables XOR reasoning.
+    pub xors: Vec<XorPiece>,
     /// Number of clauses produced through the Karnaugh-map path.
     pub karnaugh_clauses: usize,
     /// Number of clauses produced through the Tseitin/XOR path.
     pub tseitin_clauses: usize,
 }
 
+/// One XOR piece of an encoding: `⊕ vars = rhs` with n ≥ 1 variables, and
+/// the 2^(n−1) clauses that spell it out in the CNF.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct XorPiece {
+    /// The piece as a native constraint.
+    pub xor: XorConstraint,
+    /// Its clause block, as indices into [`CnfConversion::cnf`]'s clauses.
+    pub clauses: Range<usize>,
+}
+
 impl CnfConversion {
-    /// A solver loaded with the formula, plus the native XOR constraints
-    /// when `solver_config` enables XOR reasoning. This is the one place
-    /// that decides which XORs a solver receives.
+    /// A solver loaded with the encoding. With XOR reasoning enabled it
+    /// receives each XOR piece as one native constraint instead of its
+    /// clause block, so no piece is encoded twice; otherwise it receives
+    /// the CNF as is. This is the one place that decides which XORs a
+    /// solver receives.
     pub fn solver(&self, solver_config: &SolverConfig) -> Solver {
-        let mut solver = Solver::from_formula(solver_config.clone(), &self.cnf);
-        if solver_config.xor_reasoning {
-            for xor in &self.xors {
-                solver.add_xor(xor.clone());
+        if !solver_config.xor_reasoning {
+            return Solver::from_formula(solver_config.clone(), &self.cnf);
+        }
+        let mut solver = Solver::new(solver_config.clone());
+        solver.new_vars(self.cnf.num_vars());
+        let clauses = self.cnf.clauses();
+        let mut next = 0;
+        for piece in &self.xors {
+            for clause in &clauses[next..piece.clauses.start] {
+                solver.add_clause(clause.iter().copied());
             }
+            solver.add_xor(piece.xor.clone());
+            next = piece.clauses.end;
+        }
+        for clause in &clauses[next..] {
+            solver.add_clause(clause.iter().copied());
         }
         solver
     }
@@ -107,7 +136,7 @@ struct Converter<'a> {
     interner: MonomialInterner,
     /// Interner id → the CNF variable standing for that monomial.
     var_of_id: Vec<CnfVar>,
-    xors: Vec<XorConstraint>,
+    xors: Vec<XorPiece>,
     /// Karnaugh covers chosen so far, by truth table.
     covers: KarnaughCache,
     karnaugh_clauses: usize,
@@ -192,14 +221,17 @@ impl<'a> Converter<'a> {
         // Karnaugh path: small support, no auxiliary variables.
         if let Some(clauses) = self.covers.clauses(poly, self.config.karnaugh_vars) {
             self.karnaugh_clauses += clauses.len();
+            let start = self.cnf.num_clauses();
             for c in clauses {
                 self.cnf.push_clause(c);
             }
+            // A parity function has no two adjacent minterms, so the cover
+            // of a linear polynomial is exactly its XOR block.
             if let Some((vars, constant)) = poly.as_linear() {
-                self.xors.push(XorConstraint::new(
-                    vars.iter().map(|&v| v as CnfVar),
-                    constant,
-                ));
+                let xor = XorConstraint::new(vars.iter().map(|&v| v as CnfVar), constant);
+                let clauses = start..self.cnf.num_clauses();
+                debug_assert_eq!(clauses.len(), 1 << (xor.len() - 1));
+                self.xors.push(XorPiece { xor, clauses });
             }
             return;
         }
@@ -245,8 +277,7 @@ impl<'a> Converter<'a> {
             }
             return;
         }
-        self.xors
-            .push(XorConstraint::new(vars.iter().copied(), rhs));
+        let start = self.cnf.num_clauses();
         let n = vars.len();
         for pattern in 0u32..(1 << n) {
             // Forbid every assignment whose parity differs from rhs.
@@ -260,6 +291,10 @@ impl<'a> Converter<'a> {
             self.tseitin_clauses += 1;
             self.cnf.push_clause(clause);
         }
+        self.xors.push(XorPiece {
+            xor: XorConstraint::new(vars.iter().copied(), rhs),
+            clauses: start..self.cnf.num_clauses(),
+        });
     }
 
     fn finish(self) -> CnfConversion {
@@ -535,6 +570,40 @@ mod tests {
             let model = solver.model().expect("model");
             assert!(system.iter().all(|p| !p.evaluate(|v| model[v as usize])));
         }
+    }
+
+    #[test]
+    fn an_xor_solver_takes_each_piece_instead_of_its_clause_block() {
+        // A long XOR (Tseitin pieces of at most L terms), a nonlinear
+        // polynomial (Karnaugh, no piece) and a 2-variable linear one
+        // (Karnaugh, one piece). No clause is a unit, so the solver keeps
+        // every clause it is given.
+        let (_, conversion) = convert(
+            "x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;
+             x0*x1 + x2 + x3;
+             x1 + x4 + 1;",
+        );
+        let lengths: Vec<usize> = conversion.xors.iter().map(|p| p.xor.len()).collect();
+        assert!(
+            lengths.len() > 2 && lengths.contains(&2),
+            "pieces {lengths:?}"
+        );
+        let mut next = 0;
+        for piece in &conversion.xors {
+            assert!(piece.clauses.start >= next, "blocks in clause order");
+            assert_eq!(piece.clauses.len(), 1 << (piece.xor.len() - 1));
+            next = piece.clauses.end;
+        }
+        let block_clauses: usize = conversion.xors.iter().map(|p| p.clauses.len()).sum();
+        let cnf_clauses = conversion.cnf.num_clauses();
+        assert!(conversion.cnf.clauses().iter().all(|c| c.len() >= 2));
+
+        let solver = conversion.solver(&SolverConfig::xor_gauss());
+        assert_eq!(solver.num_clauses(), cnf_clauses - block_clauses);
+        assert_eq!(solver.num_xors(), conversion.xors.len());
+        let solver = conversion.solver(&SolverConfig::aggressive());
+        assert_eq!(solver.num_clauses(), cnf_clauses);
+        assert_eq!(solver.num_xors(), 0);
     }
 
     #[test]

@@ -65,7 +65,7 @@ mod satstep;
 mod stats;
 mod xl;
 
-pub use anf_to_cnf::{anf_to_cnf, tseitin_clause_count, CnfConversion};
+pub use anf_to_cnf::{anf_to_cnf, tseitin_clause_count, CnfConversion, XorPiece};
 // The propagator moved into `bosphorus-anf` (it is part of the shared
 // problem representation, see `AnfDatabase`); re-exported here so existing
 // `bosphorus::AnfPropagator` paths keep working.

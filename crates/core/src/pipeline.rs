@@ -491,7 +491,9 @@ impl LearningPass for ElimLinPass {
 /// The conflict-bounded SAT step as a pass (Section II-D).
 ///
 /// Each round converts the database to CNF and runs a new search for the
-/// full budget `C` ([`sat_step`]), harvests its facts and drops it; no
+/// full budget `C` ([`sat_step`]) with [`SolverConfig::xor_gauss`], which
+/// takes each XOR piece of the encoding as one watched constraint instead
+/// of its clause block. It harvests the search's facts and drops it; no
 /// solver lives between rounds. The pass remembers only the revision of its
 /// last undecided round, and skips a round on that revision: the solver is
 /// deterministic and `C` does not move, so that search would end where the
@@ -505,8 +507,9 @@ pub struct SatPass {
 }
 
 impl SatPass {
-    /// Creates the pass. The paper runs the in-loop SAT calls with an
-    /// aggressive restart/activity configuration.
+    /// Creates the pass. The in-loop SAT calls run the aggressive
+    /// restart/activity configuration with native XOR reasoning
+    /// ([`SolverConfig::xor_gauss`]), CryptoMiniSat's role in the paper.
     pub fn new(config: BosphorusConfig) -> Self {
         SatPass {
             config,
@@ -528,7 +531,7 @@ impl LearningPass for SatPass {
             db.system(),
             db.propagator(),
             &self.config,
-            &SolverConfig::aggressive(),
+            &SolverConfig::xor_gauss(),
             budget.sat_conflicts(),
             budget.cancel_token(),
         );

@@ -213,7 +213,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The full engine agrees with brute force and returns genuine models,
-    /// whichever solver preset runs the final solve.
+    /// whichever solver preset runs the final solve. Most systems are
+    /// decided by the default loop, so each preset also solves every system
+    /// with no loop iteration (`max_iterations: 0`), where only propagation
+    /// stands before the final solve, and through its conversion solver
+    /// straight from the input, where nothing does.
     #[test]
     fn engine_agrees_with_brute_force(system in arb_system()) {
         let expected = brute_force_sat(&system);
@@ -222,19 +226,42 @@ proptest! {
             ("aggressive", SolverConfig::aggressive()),
             ("xor_gauss", SolverConfig::xor_gauss()),
         ] {
-            let mut engine = Bosphorus::new(system.clone(), BosphorusConfig::default());
-            match engine.solve(&solver) {
-                SolveStatus::Sat(a) => {
-                    prop_assert!(expected, "{name}: engine claimed SAT on an UNSAT system");
+            for max_iterations in [BosphorusConfig::default().max_iterations, 0] {
+                let config = BosphorusConfig { max_iterations, ..BosphorusConfig::default() };
+                let mut engine = Bosphorus::new(system.clone(), config);
+                match engine.solve(&solver) {
+                    SolveStatus::Sat(a) => {
+                        prop_assert!(expected, "{name}/{max_iterations}: engine claimed SAT on an UNSAT system");
+                        prop_assert!(
+                            system.is_satisfied_by(&a),
+                            "{name}/{max_iterations}: model violates the input system"
+                        );
+                    }
+                    SolveStatus::Unsat => {
+                        prop_assert!(!expected, "{name}/{max_iterations}: engine claimed UNSAT on a SAT system");
+                    }
+                    SolveStatus::Interrupted => prop_assert!(false, "{name}: no cancel token was set"),
+                }
+            }
+            let propagator = AnfPropagator::new(system.num_vars());
+            let conversion = anf_to_cnf(&system, &propagator, &BosphorusConfig::default());
+            let mut direct = conversion.solver(&solver);
+            match direct.solve() {
+                SolveResult::Sat => {
+                    prop_assert!(expected, "{name}: conversion solver claimed SAT on an UNSAT system");
+                    let model = direct.model().expect("model");
+                    let restricted = Assignment::from_bits(
+                        (0..system.num_vars()).map(|v| model.get(v).copied().unwrap_or(false)),
+                    );
                     prop_assert!(
-                        system.is_satisfied_by(&a),
-                        "{name}: model violates the input system"
+                        system.is_satisfied_by(&restricted),
+                        "{name}: conversion solver's model violates the input system"
                     );
                 }
-                SolveStatus::Unsat => {
-                    prop_assert!(!expected, "{name}: engine claimed UNSAT on a SAT system");
+                SolveResult::Unsat => {
+                    prop_assert!(!expected, "{name}: conversion solver claimed UNSAT on a SAT system");
                 }
-                SolveStatus::Interrupted => prop_assert!(false, "{name}: no cancel token was set"),
+                SolveResult::Unknown => prop_assert!(false, "{name}: no budget was set"),
             }
         }
     }

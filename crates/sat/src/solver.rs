@@ -99,20 +99,11 @@ struct Watcher {
 enum Reason {
     Decision,
     Clause(ClauseRef),
-    Xor(usize),
+    Xor(XorRef),
 }
 
-/// State of an XOR constraint under the current partial assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum XorStatus {
-    /// Two or more variables are still unassigned.
-    Open,
-    /// Exactly one variable is unassigned; `parity` is the XOR of the
-    /// assigned variables' values.
-    Unit { var: CnfVar, parity: bool },
-    /// Every variable is assigned; `parity` is the XOR of their values.
-    Assigned { parity: bool },
-}
+/// Offset of a native XOR constraint's header in the XOR arena.
+type XorRef = u32;
 
 /// A conflict-driven clause learning SAT solver with conflict budgets,
 /// learnt-fact extraction and optional native XOR reasoning.
@@ -155,8 +146,14 @@ pub struct Solver {
     level_stamp: Vec<u64>,
     lbd_epoch: u64,
 
-    xors: Vec<XorConstraint>,
-    xor_occ: Vec<Vec<usize>>,
+    /// Every native XOR constraint `⊕ vars = rhs`, back to back:
+    /// `[len << 1 | rhs, vars...]`. The first two variables are the XOR's
+    /// watches: while two or more of its variables are unassigned, both
+    /// watches are among them.
+    xor_arena: Vec<u32>,
+    num_xors: usize,
+    /// The XORs watching each variable, indexed by variable.
+    xor_watches: Vec<Vec<XorRef>>,
     conflicts_since_gauss: u64,
 
     conflict_budget: Option<u64>,
@@ -208,8 +205,9 @@ impl Solver {
             redundancy_stack: Vec::new(),
             level_stamp: vec![0],
             lbd_epoch: 0,
-            xors: Vec::new(),
-            xor_occ: Vec::new(),
+            xor_arena: Vec::new(),
+            num_xors: 0,
+            xor_watches: Vec::new(),
             conflicts_since_gauss: 0,
             conflict_budget: None,
             cancel_token: CancelToken::never(),
@@ -257,7 +255,7 @@ impl Solver {
         self.level_stamp.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.xor_occ.push(Vec::new());
+        self.xor_watches.push(Vec::new());
         self.order.insert(v, &self.activity);
         v
     }
@@ -312,10 +310,12 @@ impl Solver {
         }
     }
 
-    /// Adds a native XOR constraint (only meaningful for configurations with
-    /// [`SolverConfig::xor_reasoning`] enabled, but always recorded).
+    /// Adds a native XOR constraint, propagated as one constraint with two
+    /// watched variables. It stands in for the 2^(n−1) clauses of its CNF
+    /// block; [`SolverConfig::xor_reasoning`] adds top-level Gauss–Jordan
+    /// elimination over all of them.
     ///
-    /// Returns `false` if the constraint is immediately contradictory. A
+    /// Returns `false` if the solver is unsatisfiable after adding it. A
     /// paused search is abandoned first, as in [`Solver::add_clause`].
     pub fn add_xor(&mut self, xor: XorConstraint) -> bool {
         self.abandon_paused_search();
@@ -325,19 +325,55 @@ impl Solver {
         if let Some(max) = xor.max_var() {
             self.new_vars(max as usize + 1);
         }
-        if xor.is_trivial() {
-            return true;
+        // Fold top-level assignments into the right-hand side, as
+        // `add_clause` drops false literals.
+        let mut rhs = xor.rhs();
+        let vars: Vec<CnfVar> = xor
+            .vars()
+            .iter()
+            .copied()
+            .filter(|&v| match self.value_var(v) {
+                LBool::Undef => true,
+                value => {
+                    rhs ^= value == LBool::True;
+                    false
+                }
+            })
+            .collect();
+        match vars.len() {
+            0 => {
+                self.ok = !rhs;
+                self.ok
+            }
+            1 => {
+                self.enqueue(Lit::new(vars[0], !rhs), Reason::Decision);
+                self.ok = self.propagate().is_none();
+                self.ok
+            }
+            len => {
+                let xi = XorRef::try_from(self.xor_arena.len())
+                    .expect("the XOR arena outgrew u32 offsets");
+                self.xor_watches[vars[0] as usize].push(xi);
+                self.xor_watches[vars[1] as usize].push(xi);
+                self.xor_arena.push((len as u32) << 1 | u32::from(rhs));
+                self.xor_arena.extend_from_slice(&vars);
+                self.num_xors += 1;
+                true
+            }
         }
-        if xor.is_contradiction() {
-            self.ok = false;
-            return false;
-        }
-        let idx = self.xors.len();
-        for &v in xor.vars() {
-            self.xor_occ[v as usize].push(idx);
-        }
-        self.xors.push(xor);
-        true
+    }
+
+    /// Number of problem clauses of two or more literals the solver holds.
+    /// Units are top-level assignments, and satisfied or tautological
+    /// clauses are dropped when added, so neither counts.
+    pub fn num_clauses(&self) -> usize {
+        self.num_original_clauses
+    }
+
+    /// Number of native XOR constraints of two or more variables the solver
+    /// holds.
+    pub fn num_xors(&self) -> usize {
+        self.num_xors
     }
 
     /// Limits each following [`Solver::solve`] call to `budget` conflicts;
@@ -676,11 +712,9 @@ impl Solver {
                 self.qhead = self.trail.len();
                 return Some(Reason::Clause(cref));
             }
-            if self.config.xor_reasoning && !self.xors.is_empty() {
-                if let Some(xi) = self.propagate_xors(p) {
-                    self.qhead = self.trail.len();
-                    return Some(Reason::Xor(xi));
-                }
+            if let Some(xi) = self.propagate_xors(p) {
+                self.qhead = self.trail.len();
+                return Some(Reason::Xor(xi));
             }
         }
         None
@@ -750,55 +784,78 @@ impl Solver {
         conflict
     }
 
-    fn propagate_xors(&mut self, p: Lit) -> Option<usize> {
-        let var = p.var() as usize;
-        for k in 0..self.xor_occ[var].len() {
-            let xi = self.xor_occ[var][k];
-            match self.xor_status(xi) {
-                XorStatus::Open => {}
-                XorStatus::Unit { var: v, parity } => {
-                    // Exactly one variable left: it is forced to make the
-                    // parity match the right-hand side.
-                    let forced_value = parity ^ self.xors[xi].rhs();
-                    let lit = Lit::new(v, !forced_value);
-                    if self.value_lit(lit) == LBool::Undef {
-                        self.stats.xor_propagations += 1;
-                        self.enqueue(lit, Reason::Xor(xi));
-                    }
-                }
-                XorStatus::Assigned { parity } => {
-                    if parity != self.xors[xi].rhs() {
-                        return Some(xi);
-                    }
-                }
-            }
-        }
-        None
+    /// The variables of the XOR at `xi`.
+    fn xor_vars(&self, xi: XorRef) -> &[CnfVar] {
+        let start = xi as usize + 1;
+        &self.xor_arena[start..start + (self.xor_arena[xi as usize] >> 1) as usize]
     }
 
-    /// Classifies XOR constraint `xi` under the current assignment.
-    fn xor_status(&self, xi: usize) -> XorStatus {
-        let mut unassigned: Option<CnfVar> = None;
-        let mut count_unassigned = 0usize;
-        let mut parity = false;
-        for &v in self.xors[xi].vars() {
-            match self.value_var(v) {
-                LBool::Undef => {
-                    count_unassigned += 1;
-                    unassigned = Some(v);
-                    if count_unassigned > 1 {
-                        // Two or more unassigned variables: nothing to do yet.
-                        return XorStatus::Open;
-                    }
+    /// Visits the XORs watching `p`'s variable, which was just assigned,
+    /// and moves each watch to another unassigned variable where there is
+    /// one. An XOR with no other unassigned variable is unit: its other
+    /// watch is implied, or, if assigned too, checked. An XOR that implied
+    /// `p` itself is skipped; it was unit, and consistent, when it did.
+    /// Compacts the watch list in place as [`Solver::propagate_clauses`]
+    /// does; a replacement watch is unassigned, so it is never `p`'s
+    /// variable.
+    fn propagate_xors(&mut self, p: Lit) -> Option<XorRef> {
+        let var = p.var();
+        let mut watchers = std::mem::take(&mut self.xor_watches[var as usize]);
+        let mut conflict = None;
+        let (mut i, mut j) = (0, 0);
+        while i < watchers.len() {
+            let xi = watchers[i];
+            i += 1;
+            if self.reason[var as usize] == Reason::Xor(xi) {
+                watchers[j] = xi;
+                j += 1;
+                continue;
+            }
+            let header = self.xor_arena[xi as usize];
+            let start = xi as usize + 1;
+            let vars = &mut self.xor_arena[start..start + (header >> 1) as usize];
+            // Ensure the assigned watch is at position 1.
+            if vars[0] == var {
+                vars.swap(0, 1);
+            }
+            debug_assert_eq!(vars[1], var);
+            // The value `vars[0]` must take: the right-hand side plus every
+            // other variable, as far as the search for a new watch reads.
+            let mut implied = (header & 1 == 1) ^ p.is_positive();
+            let mut k = 2;
+            while k < vars.len() {
+                match self.values[Lit::positive(vars[k]).code()] {
+                    LBool::Undef => break,
+                    LBool::True => implied = !implied,
+                    LBool::False => {}
                 }
-                LBool::True => parity ^= true,
-                LBool::False => {}
+                k += 1;
+            }
+            if k < vars.len() {
+                vars.swap(1, k);
+                self.xor_watches[vars[1] as usize].push(xi);
+                continue;
+            }
+            watchers[j] = xi;
+            j += 1;
+            let first = vars[0];
+            match self.values[Lit::positive(first).code()] {
+                LBool::Undef => {
+                    self.stats.xor_propagations += 1;
+                    self.enqueue(Lit::new(first, !implied), Reason::Xor(xi));
+                }
+                value if (value == LBool::True) != implied => {
+                    conflict = Some(xi);
+                    watchers.copy_within(i.., j);
+                    j += watchers.len() - i;
+                    break;
+                }
+                _ => {}
             }
         }
-        match unassigned {
-            Some(var) => XorStatus::Unit { var, parity },
-            None => XorStatus::Assigned { parity },
-        }
+        watchers.truncate(j);
+        self.xor_watches[var as usize] = watchers;
+        conflict
     }
 
     /// Number of literals of a propagating or conflicting constraint.
@@ -806,7 +863,7 @@ impl Solver {
         match constraint {
             Reason::Decision => 0,
             Reason::Clause(cref) => self.clause_len(cref),
-            Reason::Xor(xi) => self.xors[xi].len(),
+            Reason::Xor(xi) => self.xor_vars(xi).len(),
         }
     }
 
@@ -820,7 +877,7 @@ impl Solver {
             Reason::Decision => unreachable!("a decision has no antecedents"),
             Reason::Clause(cref) => self.clause_lit(cref, k),
             Reason::Xor(xi) => {
-                let v = self.xors[xi].vars()[k];
+                let v = self.xor_vars(xi)[k];
                 Lit::new(v, self.value_var(v) == LBool::True)
             }
         }
@@ -1210,11 +1267,12 @@ impl Solver {
         }
     }
 
-    /// Checks the clause store against the watches and the trail: every
-    /// clause in the arena is live and watched by exactly its first two
-    /// literals, no watcher points anywhere else, the meta table is in
-    /// arena order, and every clause reason on the trail is a live clause
-    /// led by the literal it implied.
+    /// Checks the clause and XOR stores against the watches and the trail:
+    /// every clause in the arena is live and watched by exactly its first
+    /// two literals, every XOR by exactly its first two variables, no
+    /// watcher points anywhere else, the meta table is in arena order, and
+    /// every clause reason on the trail is a live clause led by the literal
+    /// it implied.
     #[cfg(test)]
     fn check_invariants(&self) {
         use std::collections::HashMap;
@@ -1254,6 +1312,28 @@ impl Solver {
             "the arena holds only whole clauses"
         );
         assert!(watched.is_empty(), "watchers of freed clauses: {watched:?}");
+        let mut xor_watched: HashMap<XorRef, Vec<CnfVar>> = HashMap::new();
+        for (var, list) in self.xor_watches.iter().enumerate() {
+            for &xi in list {
+                xor_watched.entry(xi).or_default().push(var as CnfVar);
+            }
+        }
+        let mut xi = 0;
+        while xi < self.xor_arena.len() {
+            let vars = self.xor_vars(xi as XorRef);
+            let mut expected = [vars[0], vars[1]];
+            expected.sort_unstable();
+            assert_eq!(
+                xor_watched.remove(&(xi as XorRef)).unwrap_or_default(),
+                expected,
+                "XOR {xi} is watched by its first two variables"
+            );
+            xi += 1 + vars.len();
+        }
+        assert!(
+            xor_watched.is_empty(),
+            "watchers of no XOR: {xor_watched:?}"
+        );
         for &lit in &self.trail {
             if let Reason::Clause(cref) = self.reason[lit.var() as usize] {
                 assert!(live.contains(&cref), "{lit:?} has a freed reason clause");
@@ -1277,16 +1357,19 @@ impl Solver {
     /// exposed by a forward sweep.
     fn xor_gauss_top_level(&mut self) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
-        if self.xors.is_empty() {
+        if self.num_xors == 0 {
             return true;
         }
         self.stats.xor_gauss_rounds += 1;
         // Reduce each XOR by the current top-level assignment.
-        let mut rows: Vec<XorConstraint> = Vec::with_capacity(self.xors.len());
-        for xor in &self.xors {
+        let mut rows: Vec<XorConstraint> = Vec::with_capacity(self.num_xors);
+        let mut xi = 0;
+        while xi < self.xor_arena.len() {
             let mut vars = Vec::new();
-            let mut rhs = xor.rhs();
-            for &v in xor.vars() {
+            let mut rhs = self.xor_arena[xi] & 1 == 1;
+            let xor_vars = self.xor_vars(xi as XorRef);
+            xi += 1 + xor_vars.len();
+            for &v in xor_vars {
                 match self.value_var(v) {
                     LBool::Undef => vars.push(v),
                     LBool::True => rhs = !rhs,
@@ -1618,6 +1701,29 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         let model = s.model().expect("model");
         assert!(model[3], "x3 must be 1 to keep even parity");
+    }
+
+    #[test]
+    fn watched_xors_survive_db_reductions() {
+        // Pigeonhole 7/6 searches long enough for reductions to fire, and
+        // each reduction checks the XOR watches along with the clause
+        // store. The XORs chain prefix parities of the pigeonhole
+        // variables into fresh variables, so they move watches throughout
+        // the search without changing the verdict.
+        let mut config = SolverConfig::aggressive();
+        config.learnt_ratio = 0.05;
+        let mut s = pigeonhole(7, 6, config);
+        let n = s.num_vars() as CnfVar;
+        let mut prefix = 0;
+        for v in 1..n {
+            let next = s.new_var();
+            assert!(s.add_xor(XorConstraint::new([prefix, v, next], v % 2 == 0)));
+            prefix = next;
+        }
+        assert_eq!(s.num_xors(), n as usize - 1);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert!(s.stats().db_reductions > 0, "{:?}", s.stats());
+        assert!(s.stats().xor_propagations > 0);
     }
 
     #[test]

@@ -3,9 +3,15 @@
 //! CryptoMiniSat — the GJE-enabled solver of the paper's evaluation — treats
 //! XOR constraints as first-class citizens instead of expanding them to
 //! exponentially many CNF clauses. This module provides the constraint type
-//! used by the [`xor_gauss`](crate::SolverConfig::xor_gauss) configuration:
-//! the solver propagates them with a watched-variable scheme and periodically
-//! combines them by Gauss–Jordan elimination at decision level zero.
+//! used by the [`xor_gauss`](crate::SolverConfig::xor_gauss) configuration,
+//! which takes each XOR piece of the ANF encoding as one constraint instead
+//! of its 2^(n−1) clauses. The solver keeps two watched variables per XOR:
+//! assigning a watched variable moves its watch to another unassigned
+//! variable, and an XOR left with a single unassigned variable implies it.
+//! As a reason or a conflict, an XOR acts as the one clause of its block
+//! that the current assignment falsifies. With `xor_reasoning` the solver
+//! also combines its XORs by Gauss–Jordan elimination at decision level
+//! zero.
 //!
 //! The elimination itself ([`xor_gauss_eliminate`]) packs the constraints
 //! into a dense [`BitMatrix`] over the occurring variables (plus a

@@ -176,7 +176,7 @@ fn legacy_preprocess(system: &PolynomialSystem, config: &BosphorusConfig) -> Leg
             &master,
             &propagator,
             config,
-            &SolverConfig::aggressive(),
+            &SolverConfig::xor_gauss(),
             config.sat_conflict_budget,
             &CancelToken::never(),
         );

@@ -73,6 +73,24 @@ fn arb_cnf_with_xors() -> impl Strategy<Value = (CnfFormula, Vec<XorConstraint>)
     })
 }
 
+/// `cnf` with each XOR spelled out as its 2^(n−1)-clause block: one clause
+/// per assignment of the XOR's variables with the wrong parity, excluding
+/// it. A contradictory XOR (`0 = 1`) becomes the empty clause.
+fn with_xor_blocks(cnf: &CnfFormula, xors: &[XorConstraint]) -> CnfFormula {
+    let mut out = cnf.clone();
+    for xor in xors {
+        let vars = xor.vars();
+        for pattern in 0u32..(1 << vars.len()) {
+            if (pattern.count_ones() % 2 == 1) != xor.rhs() {
+                out.push_clause(Clause::from_lits(
+                    (0..vars.len()).map(|i| Lit::new(vars[i], (pattern >> i) & 1 == 1)),
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// All satisfying assignments of `cnf` ∧ `xors`, as variable bit patterns.
 fn brute_force_models(cnf: &CnfFormula, xors: &[XorConstraint]) -> Vec<u64> {
     let n = cnf.num_vars();
@@ -189,14 +207,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
-    /// CNF+XOR instances through the CryptoMiniSat-role configuration
-    /// (native XOR watching plus top-level Gauss–Jordan).
+    /// CNF+XOR instances through the CryptoMiniSat-role configuration,
+    /// solved twice: with each XOR as its clause block, and as a native
+    /// constraint (two watched variables plus top-level Gauss–Jordan).
+    /// Both runs agree with brute force, and so with each other.
     #[test]
     fn xor_solver_agrees_with_brute_force(instance in arb_cnf_with_xors()) {
         let (cnf, xors) = instance;
         let mut config = SolverConfig::xor_gauss();
         config.verify_minimization = true;
-        check_differential(&cnf, &xors, config);
+        let (as_blocks, _) = check_differential(&with_xor_blocks(&cnf, &xors), &[], config.clone());
+        let (native, _) = check_differential(&cnf, &xors, config);
+        prop_assert_eq!(as_blocks, native);
     }
 }
 
