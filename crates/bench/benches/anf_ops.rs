@@ -10,20 +10,18 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use bosphorus::{
-    expansion_monomials, xl_learn, BosphorusConfig, CancelToken, Linearization,
-    LinearizationBuilder,
-};
-use bosphorus_anf::{AnfDatabase, Polynomial, PolynomialSystem, TermScratch, Var};
+use bosphorus::{xl_learn, BosphorusConfig, CancelToken, Linearization, LinearizationBuilder};
+use bosphorus_anf::{AnfDatabase, Monomial, Polynomial, PolynomialSystem, TermScratch, Var};
 use bosphorus_ciphers::simon;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn occurring_vars(system: &PolynomialSystem) -> Vec<Var> {
+/// XL's degree-1 multipliers: one monomial per variable of `system`.
+fn multipliers(system: &PolynomialSystem) -> Vec<Monomial> {
     let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
     vars.sort_unstable();
     vars.dedup();
-    vars
+    vars.into_iter().map(Monomial::variable).collect()
 }
 
 fn simon_system() -> PolynomialSystem {
@@ -57,7 +55,7 @@ fn bench_mul(c: &mut Criterion) {
 
 fn bench_xl_expand(c: &mut Criterion) {
     let system = simon_system();
-    let multipliers = expansion_monomials(&occurring_vars(&system), 1);
+    let multipliers = multipliers(&system);
     let mut group = c.benchmark_group("anf_ops/xl_expand");
     group.sample_size(10);
     group.bench_function("simon_2_3_degree_1", |bench| {
@@ -82,7 +80,7 @@ fn bench_linearize_build(c: &mut Criterion) {
     let system = simon_system();
     // Pre-expand once; the benchmark isolates Linearization::build (intern,
     // column sort, CSR hand-off).
-    let multipliers = expansion_monomials(&occurring_vars(&system), 1);
+    let multipliers = multipliers(&system);
     let mut expanded: Vec<Polynomial> = system.iter().cloned().collect();
     for base in system.iter() {
         for m in &multipliers {

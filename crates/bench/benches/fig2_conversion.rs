@@ -21,7 +21,7 @@ fn bench_fig2(c: &mut Criterion) {
     let config = BosphorusConfig::default();
 
     let karnaugh = karnaugh_clauses(&poly, config.karnaugh_vars).expect("within K");
-    let tseitin = tseitin_clause_count(&poly, &config);
+    let tseitin = tseitin_clause_count(&poly);
     println!("Fig. 2 reproduction for {poly}:");
     println!(
         "  Karnaugh-map conversion: {} clauses (paper: 6)",
@@ -35,7 +35,7 @@ fn bench_fig2(c: &mut Criterion) {
         b.iter(|| black_box(karnaugh_clauses(black_box(&poly), config.karnaugh_vars)))
     });
     c.bench_function("fig2_tseitin_conversion", |b| {
-        b.iter(|| black_box(tseitin_clause_count(black_box(&poly), &config)))
+        b.iter(|| black_box(tseitin_clause_count(black_box(&poly))))
     });
     c.bench_function("fig2_full_polynomial_to_cnf", |b| {
         let system = PolynomialSystem::from_polynomials([poly.clone()]);

@@ -66,7 +66,7 @@ pipeline:
   --config PRESET       default | paper | exhaustive
   --max-iterations N    cap the number of pipeline iterations
   --sat-budget N        SAT conflict budget C of every in-loop SAT round
-                        (C does not rise during the run)
+                        (C does not rise during the run; 0 spends no conflict)
   --seed N              subsampling RNG seed
   --solver NAME         solver configuration for the final --solve call:
                         minimal | aggressive | xorgauss (the in-loop SAT
@@ -506,6 +506,16 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
         "  \"decided_during_preprocessing\": {},",
         stats.decided_during_preprocessing
     );
+    // The final SAT call of `--solve`; null when none ran.
+    let final_solve = stats.final_solve.map_or("null".to_string(), |last| {
+        format!(
+            "{{\"conflicts\": {}, \"restarts\": {}, \"time_ms\": {:.3}}}",
+            last.solver.conflicts,
+            last.solver.restarts,
+            last.time.as_secs_f64() * 1e3
+        )
+    });
+    let _ = writeln!(out, "  \"final_solve\": {final_solve},");
     out.push_str("  \"passes\": [");
     for (i, pass) in stats.passes.iter().enumerate() {
         if i > 0 {

@@ -179,6 +179,39 @@ fn stats_json_includes_a_per_iteration_timeline() {
 }
 
 #[test]
+fn a_final_solve_reports_its_statistics() {
+    // With no loop iteration the worked example reaches the final search,
+    // whose counters appear in the JSON and on the summary line.
+    let output = bosphorus(&[
+        "--anf",
+        &instance("worked_example.anf"),
+        "--max-iterations",
+        "0",
+        "--solve",
+        "--stats-json",
+    ]);
+    assert_eq!(output.status.code(), Some(10));
+    let json = stdout(&output);
+    assert!(
+        json.contains("\"final_solve\": {\"conflicts\": ")
+            && json.contains("\"restarts\": ")
+            && json.contains("\"time_ms\": "),
+        "json: {json}"
+    );
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains(" final_solve(conflicts="), "{stderr}");
+    // The default loop decides the instance, so no final search runs.
+    let output = bosphorus(&[
+        "--anf",
+        &instance("worked_example.anf"),
+        "--solve",
+        "--stats-json",
+    ]);
+    assert_eq!(output.status.code(), Some(10));
+    assert!(stdout(&output).contains("\"final_solve\": null"));
+}
+
+#[test]
 fn stats_json_carries_the_presolve_phase_split() {
     let output = bosphorus(&["--anf", &instance("worked_example.anf"), "--stats-json"]);
     assert_eq!(output.status.code(), Some(0));

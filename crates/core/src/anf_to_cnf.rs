@@ -5,8 +5,9 @@
 //! become two binary clauses, and each polynomial is either converted through
 //! the Karnaugh-map minimiser (when its support has at most `K` variables) or
 //! through an XOR/Tseitin encoding: monomials are replaced by their auxiliary
-//! variables, the resulting XOR is cut into pieces of at most `L` terms, and
-//! each piece is expanded into its 2^(l−1) clauses.
+//! variables, the resulting XOR is cut into pieces of at most `L` terms
+//! ([`XOR_CUT_LENGTH`]), and each piece is expanded into its 2^(l−1)
+//! clauses.
 //!
 //! Every XOR piece — a cut piece, or a linear polynomial on the Karnaugh
 //! path — is also recorded as one native constraint with the range of its
@@ -21,7 +22,7 @@ use bosphorus_cnf::{CnfFormula, CnfVar, Lit};
 use bosphorus_sat::{Solver, SolverConfig, XorConstraint};
 
 use crate::minimize::KarnaughCache;
-use crate::BosphorusConfig;
+use crate::{BosphorusConfig, XOR_CUT_LENGTH};
 use bosphorus_anf::{AnfPropagator, VarKnowledge};
 
 /// The product of an ANF → CNF conversion.
@@ -115,7 +116,7 @@ pub fn anf_to_cnf(
     propagator: &AnfPropagator,
     config: &BosphorusConfig,
 ) -> CnfConversion {
-    let mut converter = Converter::new(system.num_vars(), config);
+    let mut converter = Converter::new(system.num_vars(), config.karnaugh_vars);
     for var in 0..system.num_vars() as Var {
         converter.encode_knowledge(var, propagator.knowledge(var));
     }
@@ -127,9 +128,9 @@ pub fn anf_to_cnf(
 
 /// The encoding engine behind [`anf_to_cnf`], finished into a
 /// [`CnfConversion`].
-struct Converter<'a> {
+struct Converter {
     cnf: CnfFormula,
-    config: &'a BosphorusConfig,
+    karnaugh_vars: usize,
     /// Monomial → dense id (each distinct monomial stored once); the hot
     /// lookup of the conversion. The public `BTreeMap` of
     /// [`CnfConversion`] is materialised once in [`Converter::finish`].
@@ -143,8 +144,8 @@ struct Converter<'a> {
     tseitin_clauses: usize,
 }
 
-impl<'a> Converter<'a> {
-    fn new(num_anf_vars: usize, config: &'a BosphorusConfig) -> Self {
+impl Converter {
+    fn new(num_anf_vars: usize, karnaugh_vars: usize) -> Self {
         let mut interner = MonomialInterner::with_capacity(num_anf_vars * 2);
         let mut var_of_id = Vec::with_capacity(num_anf_vars);
         // ANF variable x_i is CNF variable i; record the identity mapping so
@@ -156,7 +157,7 @@ impl<'a> Converter<'a> {
         }
         Converter {
             cnf: CnfFormula::new(num_anf_vars),
-            config,
+            karnaugh_vars,
             interner,
             var_of_id,
             xors: Vec::new(),
@@ -219,7 +220,7 @@ impl<'a> Converter<'a> {
             return;
         }
         // Karnaugh path: small support, no auxiliary variables.
-        if let Some(clauses) = self.covers.clauses(poly, self.config.karnaugh_vars) {
+        if let Some(clauses) = self.covers.clauses(poly, self.karnaugh_vars) {
             self.karnaugh_clauses += clauses.len();
             let start = self.cnf.num_clauses();
             for c in clauses {
@@ -255,11 +256,10 @@ impl<'a> Converter<'a> {
     /// Encodes `t_1 ⊕ … ⊕ t_n = constant` (over CNF variables), cutting into
     /// chunks of at most `L` terms with fresh auxiliary variables.
     fn encode_xor(&mut self, mut terms: Vec<CnfVar>, constant: bool) {
-        let cut = self.config.xor_cut_length.max(2);
-        while terms.len() > cut {
-            // Take (cut - 1) terms plus a fresh auxiliary output variable:
-            // t_1 ⊕ … ⊕ t_{cut-1} ⊕ aux = 0, and aux replaces them.
-            let chunk: Vec<CnfVar> = terms.drain(..cut - 1).collect();
+        while terms.len() > XOR_CUT_LENGTH {
+            // Take (L - 1) terms plus a fresh auxiliary output variable:
+            // t_1 ⊕ … ⊕ t_{L-1} ⊕ aux = 0, and aux replaces them.
+            let chunk: Vec<CnfVar> = terms.drain(..XOR_CUT_LENGTH - 1).collect();
             let aux = self.cnf.new_var();
             let mut piece = chunk.clone();
             piece.push(aux);
@@ -317,14 +317,12 @@ impl<'a> Converter<'a> {
 /// Counts the clauses a pure Tseitin-style conversion of `poly` would
 /// produce, without the Karnaugh-map path. Used by the Fig. 2 reproduction to
 /// compare the two approaches on the same polynomial.
-pub fn tseitin_clause_count(poly: &Polynomial, config: &BosphorusConfig) -> usize {
-    let mut tseitin_config = config.clone();
-    // Force the Tseitin path by disabling the Karnaugh route.
-    tseitin_config.karnaugh_vars = 0;
-    let system = PolynomialSystem::from_polynomials([poly.clone()]);
-    let propagator = AnfPropagator::new(system.num_vars());
-    let conversion = anf_to_cnf(&system, &propagator, &tseitin_config);
-    conversion.cnf.num_clauses()
+pub fn tseitin_clause_count(poly: &Polynomial) -> usize {
+    let num_vars = PolynomialSystem::from_polynomials([poly.clone()]).num_vars();
+    // K = 0 disables the Karnaugh route.
+    let mut converter = Converter::new(num_vars, 0);
+    converter.convert_polynomial(poly);
+    converter.finish().cnf.num_clauses()
 }
 
 #[cfg(test)]
@@ -396,8 +394,8 @@ mod tests {
     /// Converts `system` like [`anf_to_cnf`] but with a fresh cover memo
     /// for every polynomial — the reference the memoised conversion must
     /// reproduce.
-    fn convert_without_memo(system: &PolynomialSystem, config: &BosphorusConfig) -> CnfConversion {
-        let mut converter = Converter::new(system.num_vars(), config);
+    fn convert_without_memo(system: &PolynomialSystem, karnaugh_vars: usize) -> CnfConversion {
+        let mut converter = Converter::new(system.num_vars(), karnaugh_vars);
         for poly in system.iter() {
             converter.covers = KarnaughCache::default();
             converter.convert_polynomial(poly);
@@ -437,7 +435,7 @@ mod tests {
             let config = config();
             let propagator = AnfPropagator::new(system.num_vars());
             let memo = anf_to_cnf(&system, &propagator, &config);
-            let mut converter = Converter::new(system.num_vars(), &config);
+            let mut converter = Converter::new(system.num_vars(), config.karnaugh_vars);
             for poly in system.iter() {
                 converter.convert_polynomial(poly);
             }
@@ -450,7 +448,7 @@ mod tests {
                 "{name}: the memo is hit ({} tables, {karnaugh_polys} polynomials)",
                 converter.covers.tables()
             );
-            let fresh = convert_without_memo(&system, &config);
+            let fresh = convert_without_memo(&system, config.karnaugh_vars);
             assert!(memo.karnaugh_clauses > 0, "{name}");
             assert_eq!(memo.cnf, fresh.cnf, "{name}: clauses differ");
             assert_eq!(memo.xors, fresh.xors, "{name}: XORs differ");
@@ -522,7 +520,7 @@ mod tests {
         let system = PolynomialSystem::from_polynomials([poly.clone()]);
         let propagator = AnfPropagator::new(system.num_vars());
         let karnaugh = anf_to_cnf(&system, &propagator, &config());
-        let tseitin_count = tseitin_clause_count(&poly, &config());
+        let tseitin_count = tseitin_clause_count(&poly);
         assert_eq!(karnaugh.cnf.num_clauses(), 6, "Fig. 2 left-hand side");
         assert_eq!(tseitin_count, 11, "Fig. 2 right-hand side");
         assert!(karnaugh.cnf.num_clauses() < tseitin_count);

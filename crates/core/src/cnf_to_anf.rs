@@ -13,7 +13,7 @@
 use bosphorus_anf::{Polynomial, PolynomialSystem, Var};
 use bosphorus_cnf::{Clause, CnfFormula, Lit};
 
-use crate::BosphorusConfig;
+use crate::CLAUSE_CUT_LENGTH;
 
 /// The product of a CNF → ANF conversion.
 #[derive(Debug, Clone)]
@@ -55,9 +55,14 @@ pub fn clause_to_polynomial(clause: &Clause) -> Polynomial {
 
 /// Converts a CNF formula into an equisatisfiable ANF system, splitting
 /// clauses so that no piece has more than
-/// [`BosphorusConfig::clause_cut_length`] positive literals.
-pub fn cnf_to_anf(cnf: &CnfFormula, config: &BosphorusConfig) -> AnfConversion {
-    let cut = config.clause_cut_length.max(2);
+/// [`CLAUSE_CUT_LENGTH`] positive literals.
+pub fn cnf_to_anf(cnf: &CnfFormula) -> AnfConversion {
+    cnf_to_anf_with_cut(cnf, CLAUSE_CUT_LENGTH)
+}
+
+/// [`cnf_to_anf`] with the clause-cutting length `cut` (at least 2) in place
+/// of `L'`, so tests can force splits on short clauses.
+pub(crate) fn cnf_to_anf_with_cut(cnf: &CnfFormula, cut: usize) -> AnfConversion {
     let mut system = PolynomialSystem::with_num_vars(cnf.num_vars());
     let mut next_aux = cnf.num_vars() as Var;
     let mut split_clauses = 0usize;
@@ -111,10 +116,6 @@ mod tests {
     use super::*;
     use bosphorus_anf::Assignment;
 
-    fn config() -> BosphorusConfig {
-        BosphorusConfig::default()
-    }
-
     #[test]
     fn paper_example_clause() {
         let clause = Clause::from_lits([Lit::negative(1), Lit::positive(2)]);
@@ -155,7 +156,7 @@ mod tests {
     #[test]
     fn conversion_without_splitting_preserves_models_exactly() {
         let cnf = CnfFormula::parse_dimacs("p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n").expect("parses");
-        let result = cnf_to_anf(&cnf, &config());
+        let result = cnf_to_anf(&cnf);
         assert_eq!(result.split_clauses, 0);
         assert_eq!(result.system.num_vars(), 3);
         for bits in 0u64..8 {
@@ -170,19 +171,18 @@ mod tests {
 
     #[test]
     fn long_positive_clause_is_split_and_equisatisfiable() {
-        // Nine positive literals with L' = 3 forces splitting.
+        // Nine positive literals with L' = 5 forces splitting.
         let mut cnf = CnfFormula::new(9);
         cnf.add_clause((0..9).map(Lit::positive));
         cnf.add_clause([Lit::negative(0)]);
-        let cfg = BosphorusConfig {
-            clause_cut_length: 3,
-            ..config()
-        };
-        let result = cnf_to_anf(&cnf, &cfg);
-        assert!(result.split_clauses >= 1);
+        let result = cnf_to_anf(&cnf);
+        assert_eq!(result.split_clauses, 1);
         assert!(result.system.num_vars() > 9, "auxiliary variables appear");
-        // Every polynomial has at most 2^3 monomials.
-        assert!(result.system.iter().all(|p| p.len() <= 8));
+        // Every polynomial has at most 2^5 monomials.
+        assert!(result
+            .system
+            .iter()
+            .all(|p| p.len() <= 1 << CLAUSE_CUT_LENGTH));
         // Equisatisfiability: for every assignment of the original variables,
         // the CNF is satisfied iff some extension to the auxiliaries
         // satisfies the ANF.
@@ -211,14 +211,14 @@ mod tests {
     fn empty_clause_becomes_the_contradiction() {
         let mut cnf = CnfFormula::new(2);
         cnf.push_clause(Clause::empty());
-        let result = cnf_to_anf(&cnf, &config());
+        let result = cnf_to_anf(&cnf);
         assert!(result.system.has_contradiction());
     }
 
     #[test]
     fn empty_formula_converts_to_empty_system() {
         let cnf = CnfFormula::new(4);
-        let result = cnf_to_anf(&cnf, &config());
+        let result = cnf_to_anf(&cnf);
         assert!(result.system.is_empty());
         assert_eq!(result.system.num_vars(), 4);
     }

@@ -2,15 +2,33 @@
 
 use crate::pipeline::PassKind;
 
+/// XL expansion allowance `δM`: expansion stops once the linearised size
+/// reaches about `2^(M + δM)`, where `M` is
+/// [`BosphorusConfig::subsample_m`]. The paper uses `δM = 4`.
+pub const EXPANSION_DELTA_M: u32 = 4;
+
+/// XOR-cutting length `L`: in ANF→CNF conversion, long XORs are split into
+/// chunks of at most this many terms using auxiliary variables. The paper
+/// uses `L = 5`.
+pub const XOR_CUT_LENGTH: usize = 5;
+
+/// Clause-cutting length `L'`: in CNF→ANF conversion, clauses are split so
+/// that each piece has at most this many positive literals. The paper uses
+/// `L' = 5`.
+pub const CLAUSE_CUT_LENGTH: usize = 5;
+
 /// Tunable parameters of the [`Bosphorus`](crate::Bosphorus) engine.
 ///
 /// Field names follow the paper's notation (Section IV lists the defaults the
-/// authors used): `M` and `δM` control XL/ElimLin subsampling, `D` the XL
-/// expansion degree, `K` the Karnaugh-map variable limit, `L`/`L'` the
-/// XOR-cutting and clause-cutting lengths, and `C` the SAT conflict budget.
+/// authors used): `M` controls XL/ElimLin subsampling, `K` the Karnaugh-map
+/// variable limit and `C` the SAT conflict budget. The paper's `D`, `δM`,
+/// `L` and `L'` take one value in every experiment and preset, so they are
+/// constants: `D = 1` is built into [`xl_learn`](crate::xl_learn), and the
+/// others are [`EXPANSION_DELTA_M`], [`XOR_CUT_LENGTH`] and
+/// [`CLAUSE_CUT_LENGTH`].
 ///
 /// The defaults here are scaled down from the paper's values so the full
-/// benchmark table regenerates on a laptop in minutes; every parameter can be
+/// benchmark table regenerates on a laptop in minutes; every field can be
 /// overridden.
 ///
 /// # Examples
@@ -19,35 +37,22 @@ use crate::pipeline::PassKind;
 /// use bosphorus::BosphorusConfig;
 ///
 /// let config = BosphorusConfig {
-///     xl_degree: 1,
-///     karnaugh_vars: 8,
+///     sat_conflict_budget: 500,
 ///     ..BosphorusConfig::default()
 /// };
-/// assert_eq!(config.xl_degree, 1);
+/// assert_eq!(config.sat_conflict_budget, 500);
+/// assert_eq!(config.karnaugh_vars, 8);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BosphorusConfig {
-    /// XL expansion degree `D`: equations are multiplied by all monomials of
-    /// degree at most `D`. The paper uses `D = 1`.
-    pub xl_degree: usize,
     /// Subsampling parameter `M`: XL and ElimLin operate on a random subset
     /// of polynomials whose linearised size (rows × columns) is about `2^M`.
     /// The paper uses `M = 30`; the default here is smaller.
     pub subsample_m: u32,
-    /// XL expansion allowance `δM`: expansion stops once the linearised size
-    /// reaches about `2^(M + δM)`. The paper uses `δM = 4`.
-    pub expansion_delta_m: u32,
     /// Karnaugh parameter `K`: polynomials over at most this many variables
     /// are converted to CNF through logic minimisation; larger ones use the
     /// Tseitin-style XOR encoding. The paper uses `K = 8`.
     pub karnaugh_vars: usize,
-    /// XOR-cutting length `L`: long XORs are split into chunks of at most
-    /// this many terms using auxiliary variables. The paper uses `L = 5`.
-    pub xor_cut_length: usize,
-    /// Clause-cutting length `L'`: in CNF→ANF conversion, clauses are split
-    /// so that each piece has at most this many positive literals.
-    /// The paper uses `L' = 5`.
-    pub clause_cut_length: usize,
     /// SAT conflict budget `C` of every in-loop SAT round. The paper starts
     /// at 10,000 and raises `C` by 10,000, up to 100,000, after every SAT
     /// call that learnt nothing (Section IV). That rise is not reproduced:
@@ -85,12 +90,8 @@ pub struct BosphorusConfig {
 impl Default for BosphorusConfig {
     fn default() -> Self {
         BosphorusConfig {
-            xl_degree: 1,
             subsample_m: 20,
-            expansion_delta_m: 4,
             karnaugh_vars: 8,
-            xor_cut_length: 5,
-            clause_cut_length: 5,
             sat_conflict_budget: 2_000,
             max_iterations: 16,
             pass_order: vec![PassKind::Xl, PassKind::ElimLin, PassKind::Sat],
@@ -109,12 +110,7 @@ impl BosphorusConfig {
     /// setting.
     pub fn paper_defaults() -> Self {
         BosphorusConfig {
-            xl_degree: 1,
             subsample_m: 30,
-            expansion_delta_m: 4,
-            karnaugh_vars: 8,
-            xor_cut_length: 5,
-            clause_cut_length: 5,
             sat_conflict_budget: 10_000,
             max_iterations: 64,
             ..BosphorusConfig::default()
@@ -138,12 +134,11 @@ mod tests {
     #[test]
     fn paper_defaults_match_section_4() {
         let c = BosphorusConfig::paper_defaults();
-        assert_eq!(c.xl_degree, 1);
         assert_eq!(c.subsample_m, 30);
-        assert_eq!(c.expansion_delta_m, 4);
+        assert_eq!(EXPANSION_DELTA_M, 4);
         assert_eq!(c.karnaugh_vars, 8);
-        assert_eq!(c.xor_cut_length, 5);
-        assert_eq!(c.clause_cut_length, 5);
+        assert_eq!(XOR_CUT_LENGTH, 5);
+        assert_eq!(CLAUSE_CUT_LENGTH, 5);
         assert_eq!(c.sat_conflict_budget, 10_000);
     }
 
@@ -151,7 +146,6 @@ mod tests {
     fn default_is_scaled_down_but_same_shape() {
         let d = BosphorusConfig::default();
         let p = BosphorusConfig::paper_defaults();
-        assert_eq!(d.xl_degree, p.xl_degree);
         assert_eq!(d.karnaugh_vars, p.karnaugh_vars);
         assert!(d.sat_conflict_budget <= p.sat_conflict_budget);
         assert!(d.subsample_m <= p.subsample_m);

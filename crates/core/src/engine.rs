@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use crate::anf_to_cnf::{anf_to_cnf, CnfConversion};
 use crate::cnf_to_anf::cnf_to_anf;
 use crate::pipeline::{PassBudget, PassStatus, Pipeline, Schedule};
-use crate::{BosphorusConfig, EngineStats, TimelineEntry};
+use crate::{BosphorusConfig, EngineStats, FinalSolveStats, TimelineEntry};
 
 /// Outcome of [`Bosphorus::preprocess`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,11 +128,11 @@ impl Bosphorus {
     }
 
     /// Creates an engine for a problem given in CNF (the CNF-preprocessor
-    /// use-case of Section III-D). The clauses are converted to ANF with the
-    /// configured clause-cutting length; the original CNF is kept and
-    /// returned alongside the processed one by [`Bosphorus::output_cnf`].
+    /// use-case of Section III-D). The clauses are converted to ANF, cut at
+    /// [`CLAUSE_CUT_LENGTH`](crate::CLAUSE_CUT_LENGTH); the original CNF is
+    /// kept and returned alongside the processed one by [`Bosphorus::output_cnf`].
     pub fn from_cnf(cnf: &CnfFormula, config: BosphorusConfig) -> Self {
-        let conversion = cnf_to_anf(cnf, &config);
+        let conversion = cnf_to_anf(cnf);
         let mut engine = Bosphorus::new(conversion.system, config);
         engine.original_num_vars = conversion.original_vars;
         engine.original_cnf = Some(cnf.clone());
@@ -355,7 +355,13 @@ impl Bosphorus {
         let conversion = self.to_cnf();
         let mut solver = conversion.solver(solver_config);
         solver.set_cancel_token(self.cancel.clone());
-        match solver.solve() {
+        let start = Instant::now();
+        let result = solver.solve();
+        self.stats.final_solve = Some(FinalSolveStats {
+            solver: *solver.stats(),
+            time: start.elapsed(),
+        });
+        match result {
             SolveResult::Sat => {
                 let model = solver.model().expect("SAT implies a model");
                 let partial = Assignment::from_bits(

@@ -10,8 +10,8 @@
 //!    assignments extracted from unit-like polynomials, applied to a fixed
 //!    point (Section II-A).
 //! 2. **XL** ([`xl_learn`]) — eXtended Linearization: multiply equations by
-//!    low-degree monomials, linearise, run Gauss–Jordan elimination and keep
-//!    the linear / "all-ones monomial" rows (Section II-B).
+//!    every variable (`D = 1`), linearise, run Gauss–Jordan elimination and
+//!    keep the linear / "all-ones monomial" rows (Section II-B).
 //! 3. **ElimLin** ([`elimlin_learn`]) — iterated GJE + variable elimination
 //!    by substitution of linear equations (Section II-C).
 //! 4. **Conflict-bounded SAT** ([`sat_step`]) — convert to CNF, run a CDCL
@@ -77,7 +77,7 @@ pub use bosphorus_gf2::{GaussStats, PresolveStats};
 // interruption.
 pub use bosphorus_interrupt::{CancelToken, Checkpoint};
 pub use cnf_to_anf::{clause_to_polynomial, cnf_to_anf, AnfConversion};
-pub use config::BosphorusConfig;
+pub use config::{BosphorusConfig, CLAUSE_CUT_LENGTH, EXPANSION_DELTA_M, XOR_CUT_LENGTH};
 pub use elimlin::{elimlin_learn, elimlin_on, ElimLinOutcome};
 pub use engine::{Bosphorus, PreprocessStatus, SolveStatus};
 pub use linearize::{Linearization, LinearizationBuilder};
@@ -87,8 +87,8 @@ pub use pipeline::{
     Pipeline, PropagatePass, SatPass, XlPass,
 };
 pub use satstep::{sat_step, SatStepOutcome, SatStepStatus};
-pub use stats::{EngineStats, PassStats, TimelineEntry};
-pub use xl::{expansion_monomials, xl_learn, XlOutcome};
+pub use stats::{EngineStats, FinalSolveStats, PassStats, TimelineEntry};
+pub use xl::{xl_learn, XlOutcome};
 
 #[cfg(test)]
 mod proptests;

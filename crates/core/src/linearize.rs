@@ -375,11 +375,8 @@ mod tests {
              x2*x3 + x3*x5 + 1; x2*x3 + x5 + 1;",
         ] {
             let base = polys(text);
-            let mut vars: Vec<bosphorus_anf::Var> =
-                base.iter().flat_map(Polynomial::variables).collect();
-            vars.sort_unstable();
-            vars.dedup();
-            let multipliers = crate::expansion_monomials(&vars, 1);
+            let multipliers =
+                crate::xl::expansion_monomials(&PolynomialSystem::from_polynomials(base.clone()));
             let mut eager: Vec<Polynomial> = base.clone();
             for p in &base {
                 for m in &multipliers {

@@ -826,7 +826,6 @@ mod tests {
     fn subsampled_xl_never_skips() {
         let config = BosphorusConfig {
             subsample_m: 2,
-            expansion_delta_m: 1,
             ..BosphorusConfig::default()
         };
         let mut database = db("x0*x1 + x0 + 1; x1*x2 + x2; x0 + x2; x1*x0 + x2;");

@@ -8,11 +8,12 @@ use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::cnf_to_anf::cnf_to_anf_with_cut;
 use crate::elimlin::elimlin_by_scan;
 use crate::xl::exhaustive_round_oracle;
 use crate::{
-    anf_to_cnf, cnf_to_anf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus,
-    BosphorusConfig, CancelToken, PassKind, PreprocessStatus, SolveStatus,
+    anf_to_cnf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus, BosphorusConfig,
+    CancelToken, PassKind, PreprocessStatus, SolveStatus,
 };
 
 const MAX_VARS: u32 = 5;
@@ -308,7 +309,7 @@ proptest! {
     /// variables are existentially quantified by the SAT check).
     #[test]
     fn cnf_to_anf_is_equisatisfiable(cnf in arb_cnf()) {
-        let conversion = cnf_to_anf(&cnf, &BosphorusConfig { clause_cut_length: 2, ..BosphorusConfig::default() });
+        let conversion = cnf_to_anf_with_cut(&cnf, 2);
         let cnf_sat = {
             let mut solver = Solver::from_formula(SolverConfig::minimal(), &cnf);
             solver.solve() == SolveResult::Sat
@@ -362,7 +363,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = xl_learn(&system, &config, &mut rng, &CancelToken::never());
         prop_assert!(!outcome.subsampled);
-        let (facts, rank) = exhaustive_round_oracle(&system, config.xl_degree);
+        let (facts, rank) = exhaustive_round_oracle(&system);
         prop_assert_eq!(outcome.facts, facts);
         prop_assert_eq!(outcome.rank, rank);
     }

@@ -64,7 +64,8 @@ pub struct SatStepOutcome {
 /// One conflict-bounded SAT round: converts `system` (with `propagator`'s
 /// knowledge) to CNF, searches it with a new `solver_config` solver for at
 /// most `budget` conflicts while polling `token`, and, when the budget runs
-/// out undecided, harvests facts from what the search learnt.
+/// out undecided, harvests facts from what the search learnt (a budget of 0
+/// spends no conflict, so only level-zero reasoning is harvested).
 pub fn sat_step(
     system: &PolynomialSystem,
     propagator: &AnfPropagator,

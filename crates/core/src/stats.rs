@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use bosphorus_anf::Revision;
 use bosphorus_gf2::{GaussStats, PresolveStats};
+use bosphorus_sat::SolverStats;
 
 use crate::pipeline::PassOutcome;
 
@@ -86,6 +87,16 @@ pub struct PassStats {
     pub time: Duration,
 }
 
+/// The final SAT call of [`Bosphorus::solve`](crate::Bosphorus::solve): the
+/// unbounded search on the processed CNF.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FinalSolveStats {
+    /// The solver's counters at the end of the search.
+    pub solver: SolverStats,
+    /// Wall-clock time of the search.
+    pub time: Duration,
+}
+
 /// Counters describing what the fact-learning loop did.
 ///
 /// Returned by [`Bosphorus::stats`](crate::Bosphorus::stats) and printed by
@@ -121,6 +132,9 @@ pub struct EngineStats {
     /// (see [`TimelineEntry`]). Bounded by the iteration cap times the
     /// pipeline length.
     pub timeline: Vec<TimelineEntry>,
+    /// The final SAT call of [`Bosphorus::solve`](crate::Bosphorus::solve);
+    /// `None` when none ran.
+    pub final_solve: Option<FinalSolveStats>,
 }
 
 impl EngineStats {
@@ -246,6 +260,10 @@ impl fmt::Display for EngineStats {
                 pass.facts,
                 pass.time.as_secs_f64() * 1e3
             )?;
+        }
+        if let Some(last) = &self.final_solve {
+            let ms = last.time.as_secs_f64() * 1e3;
+            write!(f, " final_solve({} ms={ms:.3})", last.solver)?;
         }
         Ok(())
     }

@@ -1,7 +1,8 @@
 //! eXtended Linearization (XL), Section II-B of the paper.
 //!
-//! XL expands a polynomial system by multiplying each equation with all
-//! monomials up to a chosen degree `D`, linearises the expanded system
+//! XL expands a polynomial system by multiplying each equation with every
+//! variable of the system (the paper's degree `D = 1`), linearises the
+//! expanded system
 //! (treating each monomial as an independent variable) and applies
 //! Gauss–Jordan elimination. Rows of the reduced system that are linear
 //! equations or "all-ones" monomial facts are retained as learnt facts.
@@ -18,7 +19,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::linearize::LinearizationBuilder;
-use crate::BosphorusConfig;
+use crate::{BosphorusConfig, EXPANSION_DELTA_M};
 
 /// How many expansion products are appended between cancellation polls.
 /// Each product costs a monomial multiplication plus a row append, so a few
@@ -58,34 +59,14 @@ pub struct XlOutcome {
     pub interrupted: bool,
 }
 
-/// Enumerates all monomials of degree 1..=`degree` over the given variables
-/// (the constant monomial is excluded; multiplying by it reproduces the
-/// original equation, which is already present).
-pub fn expansion_monomials(vars: &[Var], degree: usize) -> Vec<Monomial> {
-    let mut result = Vec::new();
-    let mut current: Vec<Var> = Vec::new();
-    fn recurse(
-        vars: &[Var],
-        degree: usize,
-        start: usize,
-        current: &mut Vec<Var>,
-        out: &mut Vec<Monomial>,
-    ) {
-        if !current.is_empty() {
-            out.push(Monomial::from_vars(current.iter().copied()));
-        }
-        if current.len() == degree {
-            return;
-        }
-        for (offset, &v) in vars.iter().enumerate().skip(start) {
-            current.push(v);
-            recurse(vars, degree, offset + 1, current, out);
-            current.pop();
-        }
-    }
-    recurse(vars, degree, 0, &mut current, &mut result);
-    result.sort();
-    result
+/// XL's multipliers at degree `D = 1`: one monomial per variable that
+/// occurs in `system`, in ascending order. (Multiplying by the constant
+/// monomial would reproduce the original equation, which is already present.)
+pub(crate) fn expansion_monomials(system: &PolynomialSystem) -> Vec<Monomial> {
+    let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars.into_iter().map(Monomial::variable).collect()
 }
 
 /// The paper's uniform subsample of `system` (§II-B): its polynomials in a
@@ -120,9 +101,9 @@ pub(crate) fn subsample<'a, R: Rng>(
 /// Runs one round of XL fact learning on `system`.
 ///
 /// The polynomials are subsampled ([`BosphorusConfig::subsample_m`]) and
-/// expanded according to [`BosphorusConfig::expansion_delta_m`] and
-/// [`BosphorusConfig::xl_degree`]; the random source drives the uniform
-/// subsampling.
+/// each is multiplied by every variable of the system, until the expansion
+/// reaches about `2^(M + δM)` ([`EXPANSION_DELTA_M`]);
+/// the random source drives the uniform subsampling.
 ///
 /// Every returned fact is a GF(2) linear combination of (multiples of) input
 /// equations, hence a consequence of the system.
@@ -151,21 +132,14 @@ pub fn xl_learn<R: Rng>(
             interrupted: false,
         };
     }
-    let expansion_budget = 1u128 << (config.subsample_m + config.expansion_delta_m).min(126);
+    let expansion_budget = 1u128 << (config.subsample_m + EXPANSION_DELTA_M).min(126);
     let mut subsample = subsample(system, config, rng);
 
     // Expand in ascending degree order (the paper selects equations in
-    // ascending degree order) by all monomials of degree <= D over the
-    // variables that actually occur, stopping when the estimated size
-    // exceeds 2^(M + δM).
+    // ascending degree order) by every variable that actually occurs,
+    // stopping when the estimated size exceeds 2^(M + δM).
     subsample.sort_by_key(|p| p.degree());
-    let occurring: Vec<Var> = {
-        let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
-        vars.sort_unstable();
-        vars.dedup();
-        vars
-    };
-    let multipliers = expansion_monomials(&occurring, config.xl_degree);
+    let multipliers = expansion_monomials(system);
     // Expand straight into the linearisation: every product's terms are
     // computed into one reusable scratch buffer and interned directly as a
     // matrix row, so the expansion allocates no intermediate copy of the
@@ -254,18 +228,12 @@ pub fn xl_learn<R: Rng>(
 
 /// Test oracle for an exhaustive XL round: the retainable rows and the rank
 /// of the dense kernel's RREF of the whole expansion — every polynomial of
-/// `system` and its products with every multiplier of degree `1..=degree`.
+/// `system` and its products with every variable.
 /// The RREF depends only on the span of the rows and on the column order,
 /// not on the order the round expanded in.
 #[cfg(test)]
-pub(crate) fn exhaustive_round_oracle(
-    system: &PolynomialSystem,
-    degree: usize,
-) -> (Vec<Polynomial>, usize) {
-    let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
-    vars.sort_unstable();
-    vars.dedup();
-    let multipliers = expansion_monomials(&vars, degree);
+pub(crate) fn exhaustive_round_oracle(system: &PolynomialSystem) -> (Vec<Polynomial>, usize) {
+    let multipliers = expansion_monomials(system);
     let mut rows: Vec<Polynomial> = system.iter().cloned().collect();
     for base in system.iter() {
         rows.extend(multipliers.iter().map(|m| base.mul_monomial(m)));
@@ -292,26 +260,8 @@ mod tests {
 
     #[test]
     fn expansion_monomials_degree_one() {
-        let ms = expansion_monomials(&[0, 1, 2], 1);
-        assert_eq!(ms.len(), 3);
-        assert!(ms.contains(&Monomial::variable(0)));
-        assert!(ms.contains(&Monomial::variable(2)));
-    }
-
-    #[test]
-    fn expansion_monomials_degree_two() {
-        let ms = expansion_monomials(&[0, 1, 2, 3], 2);
-        // 4 singletons + C(4,2) = 6 pairs.
-        assert_eq!(ms.len(), 10);
-        assert!(ms.contains(&Monomial::from_vars([1, 3])));
-    }
-
-    #[test]
-    fn expansion_monomials_respect_variable_subset() {
-        let ms = expansion_monomials(&[2, 5], 2);
-        assert_eq!(ms.len(), 3);
-        assert!(ms.contains(&Monomial::from_vars([2, 5])));
-        assert!(!ms.iter().any(|m| m.contains(0)));
+        let ms = expansion_monomials(&system("x2 + x0*x1; x1*x2 + 1;"));
+        assert_eq!(ms, [0, 1, 2].map(Monomial::variable));
     }
 
     #[test]
@@ -399,7 +349,6 @@ mod tests {
         let s = system("x0*x1 + x0 + 1; x1*x2 + x2; x0 + x2;");
         let config = BosphorusConfig {
             subsample_m: 2,
-            expansion_delta_m: 1,
             ..BosphorusConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(11);
@@ -428,7 +377,7 @@ mod tests {
              x2*x3 + x5 + 1;",
         );
         let config = exhaustive_config();
-        let (oracle, rank) = exhaustive_round_oracle(&s, config.xl_degree);
+        let (oracle, rank) = exhaustive_round_oracle(&s);
         for seed in [7u64, 13, 2019] {
             let mut rng = StdRng::seed_from_u64(seed);
             let outcome = xl_learn(&s, &config, &mut rng, &CancelToken::never());

@@ -9,15 +9,14 @@ pub enum RestartStrategy {
     /// Restart after `base * luby(i)` conflicts following the Luby sequence
     /// (1, 1, 2, 1, 1, 2, 4, ...).
     Luby,
-    /// Never restart.
-    Never,
 }
 
 /// Tunable parameters of the [`Solver`](crate::Solver).
 ///
 /// Use one of the three presets — [`SolverConfig::minimal`],
 /// [`SolverConfig::aggressive`] or [`SolverConfig::xor_gauss`] — as a starting
-/// point and override individual fields as needed.
+/// point and override individual fields as needed. Recursive conflict-clause
+/// minimization (CCMin), which every preset used, is always on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
     /// Human-readable name of the configuration, reported in benchmark rows.
@@ -32,9 +31,6 @@ pub struct SolverConfig {
     /// database reduction (grows geometrically afterwards). A non-finite
     /// ratio (`f64::INFINITY`) never reduces the database.
     pub learnt_ratio: f64,
-    /// Whether learnt clauses are shrunk by recursive conflict-clause
-    /// minimization (CCMin) before being recorded.
-    pub ccmin: bool,
     /// Re-validate every minimized learnt clause by cloning the solver,
     /// asserting the clause's negation at a fresh decision level and checking
     /// that unit propagation refutes it. Very expensive (one solver clone per
@@ -63,7 +59,6 @@ impl SolverConfig {
             restart: RestartStrategy::Geometric,
             restart_base: 100,
             learnt_ratio: f64::INFINITY,
-            ccmin: true,
             verify_minimization: false,
             phase_saving: false,
             xor_reasoning: false,
@@ -79,7 +74,6 @@ impl SolverConfig {
             restart: RestartStrategy::Luby,
             restart_base: 64,
             learnt_ratio: 0.4,
-            ccmin: true,
             verify_minimization: false,
             phase_saving: true,
             xor_reasoning: false,
@@ -129,13 +123,12 @@ mod tests {
     }
 
     #[test]
-    fn ccmin_is_on_and_verification_is_off_by_default() {
+    fn verification_is_off_by_default() {
         for config in [
             SolverConfig::minimal(),
             SolverConfig::aggressive(),
             SolverConfig::xor_gauss(),
         ] {
-            assert!(config.ccmin, "{}: CCMin defaults on", config.name);
             assert!(
                 !config.verify_minimization,
                 "{}: the per-conflict self-check is opt-in",

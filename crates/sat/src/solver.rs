@@ -377,7 +377,9 @@ impl Solver {
     }
 
     /// Limits each following [`Solver::solve`] call to `budget` conflicts;
-    /// `None` removes the limit.
+    /// `None` removes the limit. No call exceeds its budget: a budget of 0
+    /// runs only the level-zero work of a new search (propagation and, with
+    /// XOR reasoning, Gauss–Jordan elimination) and spends no conflict.
     ///
     /// A budget pauses the search; it does not end it. A call that spends
     /// its budget returns [`SolveResult::Unknown`] and leaves the trail,
@@ -456,7 +458,11 @@ impl Solver {
             return SolveResult::Unsat;
         }
         self.model = None;
-        let budget_start = self.stats.conflicts;
+        // Checked before each propagation, so a spent budget (0 included)
+        // pauses before the next conflict is counted.
+        let conflict_limit = self.conflict_budget.map_or(u64::MAX, |budget| {
+            self.stats.conflicts.saturating_add(budget)
+        });
         // The checkpoint amortises the token poll so the per-conflict and
         // per-decision cost is a decrement and branch.
         let mut checkpoint = self.cancel_token.checkpoint_every(SOLVER_CHECK_INTERVAL);
@@ -495,6 +501,10 @@ impl Solver {
         }
 
         loop {
+            if self.stats.conflicts >= conflict_limit {
+                self.paused = true;
+                return SolveResult::Unknown;
+            }
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 self.conflicts_since_restart += 1;
@@ -507,21 +517,13 @@ impl Solver {
                 self.cancel_until(backtrack_level);
                 self.record_learnt(lbd);
                 self.decay_activities();
-                if let Some(budget) = self.conflict_budget {
-                    if self.stats.conflicts - budget_start >= budget {
-                        self.paused = true;
-                        return SolveResult::Unknown;
-                    }
-                }
                 if checkpoint.check() {
                     self.cancel_until(0);
                     return SolveResult::Unknown;
                 }
             } else {
                 // No conflict.
-                if self.conflicts_since_restart >= self.restart_limit
-                    && self.config.restart != RestartStrategy::Never
-                {
+                if self.conflicts_since_restart >= self.restart_limit {
                     self.stats.restarts += 1;
                     self.conflicts_since_restart = 0;
                     self.restart_limit = self.next_restart_limit();
@@ -943,7 +945,7 @@ impl Solver {
         let mut to_clear = std::mem::take(&mut self.to_clear);
         to_clear.clear();
         to_clear.extend_from_slice(&learnt);
-        if self.config.ccmin && learnt.len() > 1 {
+        if learnt.len() > 1 {
             // Levels represented in the clause, folded into a 32-bit
             // signature: a literal whose reason leaves this signature can
             // never be redundant, which prunes most walks immediately.
@@ -1143,7 +1145,6 @@ impl Solver {
 
     fn next_restart_limit(&self) -> u64 {
         match self.config.restart {
-            RestartStrategy::Never => u64::MAX,
             RestartStrategy::Geometric => {
                 let factor = 1.5f64.powi(self.stats.restarts as i32);
                 (self.config.restart_base as f64 * factor) as u64
@@ -1595,6 +1596,20 @@ mod tests {
     }
 
     #[test]
+    fn no_call_exceeds_its_conflict_budget() {
+        for config in all_configs() {
+            let mut s = pigeonhole(7, 6, config);
+            for (budget, total) in [(0, 0), (0, 0), (1, 1), (0, 1), (3, 4)] {
+                s.set_conflict_budget(Some(budget));
+                assert_eq!(s.solve(), SolveResult::Unknown);
+                assert_eq!(s.stats().conflicts, total, "budget {budget}");
+            }
+            s.set_conflict_budget(None);
+            assert_eq!(s.solve(), SolveResult::Unsat);
+        }
+    }
+
+    #[test]
     fn a_spent_budget_pauses_the_search_and_a_new_clause_abandons_it() {
         let mut s = pigeonhole(7, 6, SolverConfig::minimal());
         s.set_conflict_budget(Some(5));
@@ -1798,22 +1813,17 @@ mod tests {
 
     #[test]
     fn ccmin_shortens_clauses_and_preserves_verdicts() {
-        // The same unsatisfiable pigeonhole instance with CCMin on and off:
-        // the verdict must match, and the minimizing solver must report
-        // deleted literals.
-        let mut with = SolverConfig::minimal();
-        with.verify_minimization = true;
-        let mut without = SolverConfig::minimal();
-        without.ccmin = false;
-        let mut s_with = pigeonhole(5, 4, with);
-        let mut s_without = pigeonhole(5, 4, without);
-        assert_eq!(s_with.solve(), SolveResult::Unsat);
-        assert_eq!(s_without.solve(), SolveResult::Unsat);
+        // An unsatisfiable pigeonhole instance with every minimized clause
+        // re-checked: the verdict must hold, and CCMin must report deleted
+        // literals.
+        let mut config = SolverConfig::minimal();
+        config.verify_minimization = true;
+        let mut s = pigeonhole(5, 4, config);
+        assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(
-            s_with.stats().minimized_literals > 0,
+            s.stats().minimized_literals > 0,
             "CCMin fires on pigeonhole conflicts"
         );
-        assert_eq!(s_without.stats().minimized_literals, 0);
     }
 
     #[test]
@@ -1841,7 +1851,6 @@ mod tests {
     fn db_reduction_protects_glue_and_counts_reductions() {
         let mut config = SolverConfig::aggressive();
         config.learnt_ratio = 0.05;
-        config.restart = RestartStrategy::Never;
         let mut s = pigeonhole(7, 6, config);
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats().db_reductions > 0, "the schedule fired");

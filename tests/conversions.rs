@@ -1,12 +1,12 @@
 //! Integration tests for the ANF↔CNF conversions on realistic (cipher)
 //! polynomials rather than toy systems.
 
-use bosphorus_repro::anf::{Assignment, Polynomial, PolynomialSystem, TermScratch, Var};
+use bosphorus_repro::anf::{Assignment, Monomial, Polynomial, PolynomialSystem, TermScratch, Var};
 use bosphorus_repro::ciphers::{satcomp, simon};
 use bosphorus_repro::cnf::CnfFormula;
 use bosphorus_repro::core::{
-    anf_to_cnf, cnf_to_anf, expansion_monomials, AnfPropagator, BosphorusConfig, CancelToken,
-    Linearization, LinearizationBuilder,
+    anf_to_cnf, cnf_to_anf, AnfPropagator, BosphorusConfig, CancelToken, Linearization,
+    LinearizationBuilder,
 };
 use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
@@ -56,7 +56,7 @@ fn cnf_anf_cnf_roundtrip_preserves_answers() {
             solver.solve()
         };
         // CNF -> ANF.
-        let anf = cnf_to_anf(&cnf, &config);
+        let anf = cnf_to_anf(&cnf);
         // ANF -> CNF again.
         let back = anf_to_cnf(
             &anf.system,
@@ -150,7 +150,7 @@ fn simon_xl_round_builder_matches_the_eager_construction() {
     let mut vars: Vec<Var> = system.iter().flat_map(Polynomial::variables).collect();
     vars.sort_unstable();
     vars.dedup();
-    let multipliers = expansion_monomials(&vars, 1);
+    let multipliers: Vec<Monomial> = vars.into_iter().map(Monomial::variable).collect();
 
     let mut eager: Vec<Polynomial> = system.iter().cloned().collect();
     let mut builder = LinearizationBuilder::new();

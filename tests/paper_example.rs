@@ -119,7 +119,7 @@ fn fig2_conversion_counts() {
     let clauses = karnaugh_clauses(&poly, 8).expect("4 variables is within K = 8");
     assert_eq!(clauses.len(), 6, "Fig. 2 (left): Karnaugh-map conversion");
     assert_eq!(
-        tseitin_clause_count(&poly, &BosphorusConfig::default()),
+        tseitin_clause_count(&poly),
         11,
         "Fig. 2 (right): Tseitin-based conversion"
     );

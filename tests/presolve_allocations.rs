@@ -11,9 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bosphorus_repro::anf::{PolynomialSystem, TermScratch};
+use bosphorus_repro::anf::{Monomial, PolynomialSystem, TermScratch};
 use bosphorus_repro::ciphers::aes;
-use bosphorus_repro::core::{expansion_monomials, CancelToken, LinearizationBuilder};
+use bosphorus_repro::core::{CancelToken, LinearizationBuilder};
 use bosphorus_repro::gf2::SparseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +66,7 @@ fn xl_expansion(system: &PolynomialSystem, rows: usize) -> SparseMatrix {
     let mut vars: Vec<_> = system.iter().flat_map(|p| p.variables()).collect();
     vars.sort_unstable();
     vars.dedup();
-    let multipliers = expansion_monomials(&vars, 1);
+    let multipliers: Vec<Monomial> = vars.into_iter().map(Monomial::variable).collect();
     let mut builder = LinearizationBuilder::new();
     let mut scratch = TermScratch::new();
     'expansion: for base in system.iter() {
