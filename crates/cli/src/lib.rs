@@ -58,7 +58,8 @@ actions:
                         values/equivalences, re-parseable by --anf
   --stats-json          print engine statistics as JSON on stdout: per-pass
                         totals plus a per-iteration timeline (pass, revision,
-                        facts, elapsed, subsample size M, SAT budget C)
+                        facts, elapsed, subsample size M, SAT budget C, SAT
+                        conflicts spent)
 
 pipeline:
   --passes LIST         comma-separated pass order, e.g. `elimlin,xl,sat`
@@ -192,8 +193,8 @@ pub struct CliOptions {
     pub seed: Option<u64>,
     /// Solver configuration for the final `--solve` call. The in-loop SAT
     /// pass is pinned to `xorgauss`; under `xorgauss` the final solver, too,
-    /// receives the conversion's XOR pieces as native constraints instead
-    /// of their clause blocks.
+    /// receives each polynomial's XOR as one native constraint instead of
+    /// its clause block.
     pub solver: SolverChoice,
     /// Wall-clock deadline in seconds (`--timeout`); `None` = no deadline.
     pub timeout: Option<f64>,
@@ -605,7 +606,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             out,
             "\n    {{\"iteration\": {}, \"pass\": \"{}\", \"revision\": {}, \
              \"facts\": {}, \"skipped\": {}, \"poisoned\": {}, \"time_ms\": {:.3}, \
-             \"subsample_m\": {}, \"sat_budget\": {}}}",
+             \"subsample_m\": {}, \"sat_budget\": {}, \"sat_conflicts\": {}}}",
             entry.iteration,
             entry.pass,
             entry.revision,
@@ -614,7 +615,8 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             entry.poisoned,
             entry.time.as_secs_f64() * 1e3,
             entry.subsample_m,
-            entry.sat_budget
+            entry.sat_budget,
+            entry.sat_conflicts
         );
     }
     if stats.timeline.is_empty() {
@@ -802,6 +804,7 @@ mod tests {
                 time: Duration::from_millis(2),
                 subsample_m: 20,
                 sat_budget: 2_000,
+                sat_conflicts: 17,
             }],
             ..EngineStats::default()
         };
@@ -815,6 +818,7 @@ mod tests {
         assert!(json.contains("\"poisoned\": false"));
         assert!(json.contains("\"subsample_m\": 20"));
         assert!(json.contains("\"sat_budget\": 2000"));
+        assert!(json.contains("\"sat_conflicts\": 17}"));
     }
 
     #[test]

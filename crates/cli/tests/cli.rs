@@ -176,6 +176,35 @@ fn stats_json_includes_a_per_iteration_timeline() {
     if let Some(e) = elimlin_pos {
         assert!(xl_pos < e, "xl runs before elimlin in the timeline");
     }
+    // Each entry also carries the SAT conflicts it spent: none for XL, and
+    // the whole budget for a SAT round on Simon-[2,8], which no round of
+    // 100 conflicts decides.
+    let output = bosphorus(&[
+        "--anf",
+        &instance("simon_2_8.anf"),
+        "--passes",
+        "xl,sat",
+        "--max-iterations",
+        "1",
+        "--sat-budget",
+        "100",
+        "--stats-json",
+    ]);
+    assert_eq!(output.status.code(), Some(0));
+    let json = stdout(&output);
+    let entries: Vec<&str> = json
+        .lines()
+        .filter(|line| line.contains("\"iteration\": "))
+        .collect();
+    assert_eq!(entries.len(), 2, "json: {json}");
+    assert!(
+        entries[0].contains("\"pass\": \"xl\"") && entries[0].contains("\"sat_conflicts\": 0}"),
+        "json: {json}"
+    );
+    assert!(
+        entries[1].contains("\"pass\": \"sat\"") && entries[1].contains("\"sat_conflicts\": 100}"),
+        "json: {json}"
+    );
 }
 
 #[test]

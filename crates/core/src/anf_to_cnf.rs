@@ -9,10 +9,13 @@
 //! ([`XOR_CUT_LENGTH`]), and each piece is expanded into its 2^(l−1)
 //! clauses.
 //!
-//! Every XOR piece — a cut piece, or a linear polynomial on the Karnaugh
-//! path — is also recorded as one native constraint with the range of its
-//! clause block. A solver with XOR reasoning takes the constraint in place
-//! of the block ([`CnfConversion::solver`]); the CNF itself is the paper's.
+//! Every polynomial on the Tseitin path, and every linear polynomial on the
+//! Karnaugh path, is also recorded as one native XOR constraint with the
+//! range of its clause block. On the Tseitin path that constraint is the
+//! polynomial's whole, uncut XOR and the block is its whole cut chain. A
+//! solver with XOR reasoning takes the constraint in place of the block
+//! ([`CnfConversion::solver`]), so the cut shapes only the CNF, which is the
+//! paper's.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -39,9 +42,11 @@ pub struct CnfConversion {
     /// CNF variables introduced purely for XOR cutting do not appear here
     /// (the paper: auxiliary variables "do not participate in learnt facts").
     pub monomial_of_var: BTreeMap<CnfVar, Monomial>,
-    /// The XOR pieces of the encoding, in clause order. Always recorded;
-    /// [`CnfConversion::solver`] hands them over, in place of their clause
-    /// blocks, only when the solver configuration enables XOR reasoning.
+    /// The XORs of the encoding, one per Tseitin-path polynomial (whole,
+    /// not cut) and one per linear Karnaugh-path polynomial, in clause
+    /// order. Always recorded; [`CnfConversion::solver`] hands them over, in
+    /// place of their clause blocks, only when the solver configuration
+    /// enables XOR reasoning.
     pub xors: Vec<XorPiece>,
     /// Number of clauses produced through the Karnaugh-map path.
     pub karnaugh_clauses: usize,
@@ -49,11 +54,16 @@ pub struct CnfConversion {
     pub tseitin_clauses: usize,
 }
 
-/// One XOR piece of an encoding: `⊕ vars = rhs` with n ≥ 1 variables, and
-/// the 2^(n−1) clauses that spell it out in the CNF.
+/// One polynomial's XOR in an encoding, `⊕ vars = rhs` with n ≥ 1
+/// variables, and the clauses that spell it out in the CNF. For a linear
+/// polynomial on the Karnaugh path these are its 2^(n−1) clauses. For a
+/// polynomial on the Tseitin path, `vars` are its term variables (its
+/// monomials' CNF variables), `rhs` is its constant, and the clauses are
+/// the whole cut chain: Σ 2^(lᵢ−1) over pieces of lᵢ ≤ L variables, joined
+/// by auxiliary variables that the XOR does not mention.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XorPiece {
-    /// The piece as a native constraint.
+    /// The polynomial's XOR as a native constraint.
     pub xor: XorConstraint,
     /// Its clause block, as indices into [`CnfConversion::cnf`]'s clauses.
     pub clauses: Range<usize>,
@@ -61,10 +71,16 @@ pub struct XorPiece {
 
 impl CnfConversion {
     /// A solver loaded with the encoding. With XOR reasoning enabled it
-    /// receives each XOR piece as one native constraint instead of its
-    /// clause block, so no piece is encoded twice; otherwise it receives
+    /// receives each polynomial's XOR as one native constraint instead of
+    /// its clause block, so no XOR is encoded twice; otherwise it receives
     /// the CNF as is. This is the one place that decides which XORs a
     /// solver receives.
+    ///
+    /// The auxiliary variables of an XOR cut then occur in no constraint
+    /// the XOR-aware solver holds, so its model gives them arbitrary
+    /// values. Read a model only on the ANF variables (`0..num_vars` of
+    /// the system) and the monomial variables of
+    /// [`CnfConversion::monomial_of_var`].
     pub fn solver(&self, solver_config: &SolverConfig) -> Solver {
         if !solver_config.xor_reasoning {
             return Solver::from_formula(solver_config.clone(), &self.cnf);
@@ -254,8 +270,12 @@ impl Converter {
     }
 
     /// Encodes `t_1 ⊕ … ⊕ t_n = constant` (over CNF variables), cutting into
-    /// chunks of at most `L` terms with fresh auxiliary variables.
+    /// chunks of at most `L` terms with fresh auxiliary variables, and
+    /// records the whole, uncut XOR with the range of the chain's clauses.
+    /// The chain is contiguous: `new_var` emits no clause.
     fn encode_xor(&mut self, mut terms: Vec<CnfVar>, constant: bool) {
+        let xor = XorConstraint::new(terms.iter().copied(), constant);
+        let start = self.cnf.num_clauses();
         while terms.len() > XOR_CUT_LENGTH {
             // Take (L - 1) terms plus a fresh auxiliary output variable:
             // t_1 ⊕ … ⊕ t_{L-1} ⊕ aux = 0, and aux replaces them.
@@ -267,6 +287,8 @@ impl Converter {
             terms.insert(0, aux);
         }
         self.emit_xor_clauses(&terms, constant);
+        let clauses = start..self.cnf.num_clauses();
+        self.xors.push(XorPiece { xor, clauses });
     }
 
     /// Emits the 2^(n−1) CNF clauses of `v_1 ⊕ … ⊕ v_n = rhs`.
@@ -277,7 +299,6 @@ impl Converter {
             }
             return;
         }
-        let start = self.cnf.num_clauses();
         let n = vars.len();
         for pattern in 0u32..(1 << n) {
             // Forbid every assignment whose parity differs from rhs.
@@ -291,10 +312,6 @@ impl Converter {
             self.tseitin_clauses += 1;
             self.cnf.push_clause(clause);
         }
-        self.xors.push(XorPiece {
-            xor: XorConstraint::new(vars.iter().copied(), rhs),
-            clauses: start..self.cnf.num_clauses(),
-        });
     }
 
     fn finish(self) -> CnfConversion {
@@ -553,9 +570,9 @@ mod tests {
 
     #[test]
     fn xor_constraints_emitted_when_requested() {
-        // The default conversion records the XOR pieces of a long linear
-        // equation; a solver receives them exactly when its configuration
-        // asks for XOR reasoning.
+        // The default conversion records the XOR of a long linear equation;
+        // a solver receives it exactly when its configuration asks for XOR
+        // reasoning.
         let (system, conversion) = convert("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;");
         assert!(!conversion.xors.is_empty());
         for (solver_config, delivered) in [
@@ -571,37 +588,62 @@ mod tests {
     }
 
     #[test]
-    fn an_xor_solver_takes_each_piece_instead_of_its_clause_block() {
-        // A long XOR (Tseitin pieces of at most L terms), a nonlinear
-        // polynomial (Karnaugh, no piece) and a 2-variable linear one
-        // (Karnaugh, one piece). No clause is a unit, so the solver keeps
-        // every clause it is given.
-        let (_, conversion) = convert(
-            "x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1;
+    fn an_xor_solver_takes_each_polynomials_whole_xor_instead_of_its_cut_chain() {
+        // A long polynomial (Tseitin path, cut into pieces of at most L
+        // terms), a nonlinear polynomial (Karnaugh, no XOR) and a
+        // 2-variable linear one (Karnaugh, one XOR). No clause is a unit,
+        // so the solver keeps every clause it is given.
+        let (system, conversion) = convert(
+            "x0*x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10 + 1;
              x0*x1 + x2 + x3;
              x1 + x4 + 1;",
         );
-        let lengths: Vec<usize> = conversion.xors.iter().map(|p| p.xor.len()).collect();
-        assert!(
-            lengths.len() > 2 && lengths.contains(&2),
-            "pieces {lengths:?}"
-        );
-        let mut next = 0;
-        for piece in &conversion.xors {
-            assert!(piece.clauses.start >= next, "blocks in clause order");
-            assert_eq!(piece.clauses.len(), 1 << (piece.xor.len() - 1));
-            next = piece.clauses.end;
-        }
-        let block_clauses: usize = conversion.xors.iter().map(|p| p.clauses.len()).sum();
+        let [long, short] = &conversion.xors[..] else {
+            panic!("one XOR per polynomial: {:?}", conversion.xors);
+        };
+        // The long polynomial's XOR is whole: its ten term variables, its
+        // constant as the right-hand side, and its whole cut chain as the
+        // block. Ten terms cut at L = 5 give pieces of 5, 5 and 4 variables.
+        let product = var_of(&conversion, &Monomial::from_vars([0, 1]));
+        let terms = (2..=10).chain([product]);
+        assert_eq!(long.xor, XorConstraint::new(terms, true));
+        assert_eq!(long.clauses.len(), (1 << 4) + (1 << 4) + (1 << 3));
+        assert_eq!(short.xor, XorConstraint::new([1, 4], true));
+        assert_eq!(short.clauses.len(), 2);
+        assert!(long.clauses.end <= short.clauses.start, "clause order");
+        let anf_vars = system.num_vars() as CnfVar;
+        let auxiliaries: Vec<CnfVar> = (anf_vars..conversion.cnf.num_vars() as CnfVar)
+            .filter(|&v| conversion.monomial(v).is_none())
+            .collect();
+        assert_eq!(auxiliaries.len(), 2, "two cuts");
         let cnf_clauses = conversion.cnf.num_clauses();
         assert!(conversion.cnf.clauses().iter().all(|c| c.len() >= 2));
 
-        let solver = conversion.solver(&SolverConfig::xor_gauss());
-        assert_eq!(solver.num_clauses(), cnf_clauses - block_clauses);
-        assert_eq!(solver.num_xors(), conversion.xors.len());
+        let mut solver = conversion.solver(&SolverConfig::xor_gauss());
+        assert_eq!(solver.num_xors(), 2);
+        assert_eq!(
+            solver.num_clauses(),
+            cnf_clauses - long.clauses.len() - short.clauses.len()
+        );
+        assert_eq!(solver.solve(), SolveResult::Sat);
+        let solution = solver.model().expect("model")[..anf_vars as usize].to_vec();
         let solver = conversion.solver(&SolverConfig::aggressive());
         assert_eq!(solver.num_clauses(), cnf_clauses);
         assert_eq!(solver.num_xors(), 0);
+
+        // No cut auxiliary occurs in a constraint of the XOR-aware solver:
+        // with every ANF variable fixed to a solution, each one still takes
+        // either value. In the cut chain, the values fix it.
+        for &aux in &auxiliaries {
+            for value in [false, true] {
+                let mut solver = conversion.solver(&SolverConfig::xor_gauss());
+                for (var, &b) in solution.iter().enumerate() {
+                    solver.add_clause([Lit::new(var as CnfVar, !b)]);
+                }
+                solver.add_clause([Lit::new(aux, !value)]);
+                assert_eq!(solver.solve(), SolveResult::Sat, "x{aux} = {value}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@ pub const EXPANSION_DELTA_M: u32 = 4;
 
 /// XOR-cutting length `L`: in ANF→CNF conversion, long XORs are split into
 /// chunks of at most this many terms using auxiliary variables. The paper
-/// uses `L = 5`.
+/// uses `L = 5`. It shapes the CNF only: a solver with XOR reasoning takes
+/// each polynomial's whole XOR instead of its cut pieces
+/// ([`CnfConversion::solver`](crate::CnfConversion::solver)).
 pub const XOR_CUT_LENGTH: usize = 5;
 
 /// Clause-cutting length `L'`: in CNF→ANF conversion, clauses are split so

@@ -240,7 +240,7 @@ impl Bosphorus {
                 // Interrupted pass's fully-committed prefix), then record
                 // the timeline entry once for every run — the recorded
                 // revision is the post-commit one.
-                let (status, added) = match run {
+                let (status, added, sat_conflicts) = match run {
                     Ok(outcome) => {
                         self.stats.record_pass(name, &outcome, elapsed);
                         let commits =
@@ -252,7 +252,7 @@ impl Bosphorus {
                         };
                         self.stats.record_facts(name, added);
                         self.stats.record_known_facts(name, known);
-                        (Some(outcome.status), added)
+                        (Some(outcome.status), added, outcome.sat_conflicts)
                     }
                     // The pass panicked mid-run. The database may hold a
                     // half-applied rewrite only if the pass mutates it
@@ -260,7 +260,7 @@ impl Bosphorus {
                     // return facts, so the master copy is intact.
                     Err(_) => {
                         self.stats.record_poisoned(name, elapsed);
-                        (None, 0)
+                        (None, 0, 0)
                     }
                 };
                 self.stats.record_timeline(TimelineEntry {
@@ -273,6 +273,7 @@ impl Bosphorus {
                     time: elapsed,
                     subsample_m: budget.subsample_m(),
                     sat_budget: budget.sat_conflicts(),
+                    sat_conflicts,
                 });
                 // Poison a panicked pass and carry on with the rest.
                 let Some(status) = status else {

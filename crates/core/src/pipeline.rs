@@ -492,13 +492,13 @@ impl LearningPass for ElimLinPass {
 ///
 /// Each round converts the database to CNF and runs a new search for the
 /// full budget `C` ([`sat_step`]) with [`SolverConfig::xor_gauss`], which
-/// takes each XOR piece of the encoding as one watched constraint instead
-/// of its clause block. It harvests the search's facts and drops it; no
-/// solver lives between rounds. The pass remembers only the revision of its
-/// last undecided round, and skips a round on that revision: the solver is
-/// deterministic and `C` does not move, so that search would end where the
-/// last one did. A decided or interrupted round forgets it, so the next
-/// round searches again.
+/// takes each polynomial's XOR in the encoding as one watched constraint
+/// instead of its clause block. It harvests the search's facts and drops
+/// it; no solver lives between rounds. The pass remembers only the
+/// revision of its last undecided round, and skips a round on that
+/// revision: the solver is deterministic and `C` does not move, so that
+/// search would end where the last one did. A decided or interrupted round
+/// forgets it, so the next round searches again.
 #[derive(Debug)]
 pub struct SatPass {
     config: BosphorusConfig,

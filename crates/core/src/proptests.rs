@@ -1,5 +1,7 @@
 //! Property-based tests for the Bosphorus engine and its conversions.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use bosphorus_anf::{Assignment, Monomial, Polynomial, PolynomialSystem};
@@ -13,7 +15,7 @@ use crate::elimlin::elimlin_by_scan;
 use crate::xl::exhaustive_round_oracle;
 use crate::{
     anf_to_cnf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus, BosphorusConfig,
-    CancelToken, PassKind, PreprocessStatus, SolveStatus,
+    CancelToken, PassKind, PreprocessStatus, SolveStatus, XOR_CUT_LENGTH,
 };
 
 const MAX_VARS: u32 = 5;
@@ -208,6 +210,104 @@ fn sat_rounds_between_revisions_agree_with_brute_force() {
             }
         }
     }
+}
+
+/// A random system whose polynomials are too long for the arbitrary
+/// systems above: 1 to 12 polynomials of 6 to 12 distinct terms over 6 to 10
+/// variables. Half of them are linear; the rest take about one term in
+/// three of degree 2 or 3. Any of them may hold the constant term.
+fn long_polynomial_system(rng: &mut StdRng) -> PolynomialSystem {
+    let n = rng.gen_range(6..=10u32);
+    let polys = (0..rng.gen_range(1..=12))
+        .map(|_| {
+            let linear = rng.gen::<bool>();
+            // n variables and the constant are the linear terms there are.
+            let max_terms = if linear { 12.min(n as usize + 1) } else { 12 };
+            let num_terms = rng.gen_range(6..=max_terms);
+            let mut terms = BTreeSet::new();
+            while terms.len() < num_terms {
+                let degree = match rng.gen_range(0..6) {
+                    0 => 0,
+                    1 | 2 if !linear => rng.gen_range(2..=3),
+                    _ => 1,
+                };
+                terms.insert(Monomial::from_vars(
+                    (0..degree).map(|_| rng.gen_range(0..n)),
+                ));
+            }
+            Polynomial::from_monomials(terms)
+        })
+        .collect::<Vec<_>>();
+    let mut system = PolynomialSystem::from_polynomials(polys);
+    system.ensure_num_vars(n as usize);
+    system
+}
+
+/// Long polynomials take the Tseitin path, and the XOR-aware solver takes
+/// each one as a whole XOR in place of its cut chain. Every system is
+/// converted with the Karnaugh path on (K = 8) and off (K = 0) and solved
+/// by every preset, through the conversion's solver and through the engine
+/// with no loop iteration. Each verdict, and each model on the ANF
+/// variables, agrees with brute force.
+#[test]
+fn long_polynomials_agree_with_brute_force() {
+    let mut rng = StdRng::seed_from_u64(0x1f5);
+    let (mut satisfiable, mut unsatisfiable, mut long_xors) = (0, 0, 0);
+    for case in 0..200 {
+        let system = long_polynomial_system(&mut rng);
+        let expected = brute_force_sat(&system);
+        satisfiable += usize::from(expected);
+        unsatisfiable += usize::from(!expected);
+        let n = system.num_vars();
+        let propagator = AnfPropagator::new(n);
+        for karnaugh_vars in [8, 0] {
+            let config = BosphorusConfig {
+                karnaugh_vars,
+                max_iterations: 0,
+                ..BosphorusConfig::default()
+            };
+            let conversion = anf_to_cnf(&system, &propagator, &config);
+            long_xors += conversion
+                .xors
+                .iter()
+                .filter(|piece| piece.xor.len() > XOR_CUT_LENGTH)
+                .count();
+            for (name, solver) in [
+                ("minimal", SolverConfig::minimal()),
+                ("aggressive", SolverConfig::aggressive()),
+                ("xor_gauss", SolverConfig::xor_gauss()),
+            ] {
+                let context = format!("case {case}, K = {karnaugh_vars}, {name}: {system:?}");
+                let mut direct = conversion.solver(&solver);
+                match direct.solve() {
+                    SolveResult::Sat => {
+                        assert!(expected, "{context}: conversion solver claimed SAT");
+                        let model = direct.model().expect("model");
+                        let restricted = Assignment::from_bits(model[..n].iter().copied());
+                        assert!(system.is_satisfied_by(&restricted), "{context}: bad model");
+                    }
+                    SolveResult::Unsat => {
+                        assert!(!expected, "{context}: conversion solver claimed UNSAT");
+                    }
+                    SolveResult::Unknown => panic!("{context}: no budget was set"),
+                }
+                match Bosphorus::new(system.clone(), config.clone()).solve(&solver) {
+                    SolveStatus::Sat(a) => {
+                        assert!(expected, "{context}: engine claimed SAT");
+                        assert!(system.is_satisfied_by(&a), "{context}: bad engine model");
+                    }
+                    SolveStatus::Unsat => assert!(!expected, "{context}: engine claimed UNSAT"),
+                    SolveStatus::Interrupted => panic!("{context}: no cancel token was set"),
+                }
+            }
+        }
+    }
+    assert!(satisfiable >= 100, "only {satisfiable} satisfiable systems");
+    assert!(
+        unsatisfiable >= 30,
+        "only {unsatisfiable} unsatisfiable systems"
+    );
+    assert!(long_xors >= 1000, "only {long_xors} XORs longer than L");
 }
 
 proptest! {

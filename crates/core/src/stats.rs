@@ -39,6 +39,9 @@ pub struct TimelineEntry {
     pub subsample_m: u32,
     /// The SAT conflict budget `C` this execution ran with.
     pub sat_budget: u64,
+    /// SAT conflicts this execution spent (0 for a pass without a SAT
+    /// search, a skip, or a poisoned run).
+    pub sat_conflicts: u64,
 }
 
 /// Per-pass counters, recorded uniformly for every pipeline pass.

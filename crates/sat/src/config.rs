@@ -40,10 +40,11 @@ pub struct SolverConfig {
     /// Whether the saved phase of a variable is reused when deciding it.
     pub phase_saving: bool,
     /// Whether the solver takes native XOR constraints: a solver built by
-    /// `CnfConversion::solver` (crate `bosphorus`) receives each XOR piece
-    /// of the encoding as one watched constraint instead of its clause
-    /// block, and the solver combines its XORs by top-level Gauss–Jordan
-    /// elimination at the start of each search and periodically after.
+    /// `CnfConversion::solver` (crate `bosphorus`) receives each
+    /// polynomial's XOR in the encoding as one watched constraint instead
+    /// of its clause block, and the solver combines its XORs by top-level
+    /// Gauss–Jordan elimination at the start of each search and
+    /// periodically after.
     /// XORs given through [`Solver::add_xor`](crate::Solver::add_xor) are
     /// propagated either way.
     pub xor_reasoning: bool,

@@ -4,14 +4,14 @@
 //! XOR constraints as first-class citizens instead of expanding them to
 //! exponentially many CNF clauses. This module provides the constraint type
 //! used by the [`xor_gauss`](crate::SolverConfig::xor_gauss) configuration,
-//! which takes each XOR piece of the ANF encoding as one constraint instead
-//! of its 2^(n−1) clauses. The solver keeps two watched variables per XOR:
-//! assigning a watched variable moves its watch to another unassigned
+//! which takes each polynomial's XOR in the ANF encoding as one constraint
+//! instead of its clause block. The solver keeps two watched variables per
+//! XOR: assigning a watched variable moves its watch to another unassigned
 //! variable, and an XOR left with a single unassigned variable implies it.
-//! As a reason or a conflict, an XOR acts as the one clause of its block
-//! that the current assignment falsifies. With `xor_reasoning` the solver
-//! also combines its XORs by Gauss–Jordan elimination at decision level
-//! zero.
+//! As a reason or a conflict, an XOR acts as the one clause of its 2^(n−1)
+//! clause expansion that the current assignment falsifies. With
+//! `xor_reasoning` the solver also combines its XORs by Gauss–Jordan
+//! elimination at decision level zero.
 //!
 //! The elimination itself ([`xor_gauss_eliminate`]) packs the constraints
 //! into a dense [`BitMatrix`] over the occurring variables (plus a

@@ -73,6 +73,14 @@ fn a_sat_first_order_searches_afresh_each_round() {
         .map(|e| e.sat_budget)
         .collect();
     assert_eq!(budgets, [2_000; 3], "{stats}");
+    // Each timeline entry records the conflicts its execution spent.
+    assert!(
+        stats
+            .timeline
+            .iter()
+            .all(|e| e.sat_conflicts == if e.pass == "sat" { 2_000 } else { 0 }),
+        "{stats}"
+    );
 }
 
 #[test]
