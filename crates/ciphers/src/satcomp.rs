@@ -307,7 +307,7 @@ mod tests {
         let cnf = random_3sat(30, 100, &mut rng);
         assert_eq!(cnf.num_vars(), 30);
         assert_eq!(cnf.num_clauses(), 100);
-        assert!(cnf.clauses().iter().all(|c| c.len() == 3));
+        assert!(cnf.iter().all(|c| c.len() == 3));
     }
 
     #[test]

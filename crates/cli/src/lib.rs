@@ -502,6 +502,12 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
     );
     let _ = writeln!(out, "  \"sat_conflicts\": {},", stats.sat_conflicts);
     let _ = writeln!(out, "  \"gauss_row_xors\": {},", stats.gauss_row_xors);
+    // ANF → CNF encoding plus solver construction, apart from search.
+    let _ = writeln!(
+        out,
+        "  \"encode_ms\": {:.3},",
+        stats.encode_time.as_secs_f64() * 1e3
+    );
     let _ = writeln!(
         out,
         "  \"decided_during_preprocessing\": {},",
@@ -606,7 +612,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             out,
             "\n    {{\"iteration\": {}, \"pass\": \"{}\", \"revision\": {}, \
              \"facts\": {}, \"skipped\": {}, \"poisoned\": {}, \"time_ms\": {:.3}, \
-             \"subsample_m\": {}, \"sat_budget\": {}, \"sat_conflicts\": {}}}",
+             \"encode_ms\": {:.3}, \"subsample_m\": {}, \"sat_budget\": {}, \"sat_conflicts\": {}}}",
             entry.iteration,
             entry.pass,
             entry.revision,
@@ -614,6 +620,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             entry.skipped,
             entry.poisoned,
             entry.time.as_secs_f64() * 1e3,
+            entry.encode_time.as_secs_f64() * 1e3,
             entry.subsample_m,
             entry.sat_budget,
             entry.sat_conflicts
@@ -785,6 +792,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"status\": \"simplified\""));
         assert!(json.contains("\"iterations\": 2"));
+        assert!(json.contains("\"encode_ms\": 0.000,"));
         assert!(json.contains("\"passes\": []"));
         assert!(json.contains("\"timeline\": []"));
     }
@@ -805,6 +813,7 @@ mod tests {
                 subsample_m: 20,
                 sat_budget: 2_000,
                 sat_conflicts: 17,
+                encode_time: Duration::from_micros(1250),
             }],
             ..EngineStats::default()
         };
@@ -819,6 +828,7 @@ mod tests {
         assert!(json.contains("\"subsample_m\": 20"));
         assert!(json.contains("\"sat_budget\": 2000"));
         assert!(json.contains("\"sat_conflicts\": 17}"));
+        assert!(json.contains("\"time_ms\": 2.000, \"encode_ms\": 1.250,"));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
+use bosphorus::{Bosphorus, BosphorusConfig, SolveStatus};
 use bosphorus_anf::{Assignment, PolynomialSystem};
-use bosphorus_cnf::CnfFormula;
+use bosphorus_cnf::{CnfFormula, Lit};
+use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 
 fn instance(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -47,18 +49,138 @@ fn unsat_anf_reports_unsatisfiable() {
     assert!(stdout(&output).contains("s UNSATISFIABLE"));
 }
 
+/// The witness of `simon_2_8.anf`: its generator's first Simon-[2,8]
+/// instance at seed 7.
+fn simon_2_8_witness() -> Assignment {
+    use rand::SeedableRng;
+    let params = bosphorus_ciphers::simon::SimonParams {
+        num_plaintexts: 2,
+        rounds: 8,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let generated = bosphorus_ciphers::simon::generate(params, &mut rng);
+    let committed = std::fs::read_to_string(instance("simon_2_8.anf")).expect("readable");
+    assert_eq!(
+        PolynomialSystem::parse(&committed).expect("parses"),
+        generated.system,
+        "simon_2_8.anf is the generator's instance"
+    );
+    generated.witness
+}
+
+/// Solves `cnf`, with the ANF variables fixed to `witness` when given, and
+/// checks a model against every clause.
+fn solve_cnf(cnf: &CnfFormula, witness: Option<&Assignment>) -> bool {
+    let mut solver = Solver::from_formula(SolverConfig::aggressive(), cnf);
+    if let Some(witness) = witness {
+        for v in 0..witness.len() as u32 {
+            solver.add_clause([Lit::new(v, !witness.get(v))]);
+        }
+    }
+    match solver.solve() {
+        SolveResult::Sat => {
+            let model = solver.model().expect("SAT implies a model");
+            assert_eq!(
+                cnf.evaluate(model),
+                Ok(true),
+                "the model satisfies the dump"
+            );
+            true
+        }
+        SolveResult::Unsat => false,
+        SolveResult::Unknown => unreachable!("an uncapped solve decides"),
+    }
+}
+
+/// Solves `system` through the engine, with its variables fixed to
+/// `witness` when given.
+fn solve_anf(mut system: PolynomialSystem, witness: Option<&Assignment>) -> bool {
+    if let Some(witness) = witness {
+        for v in 0..witness.len() as u32 {
+            let value = if witness.get(v) { " + 1" } else { "" };
+            system.push(format!("x{v}{value}").parse().expect("a unit equation"));
+        }
+    }
+    let mut engine = Bosphorus::new(system.clone(), BosphorusConfig::default());
+    match engine.solve(&SolverConfig::aggressive()) {
+        SolveStatus::Sat(model) => {
+            assert!(
+                system.is_satisfied_by(&model),
+                "the model satisfies the dump"
+            );
+            true
+        }
+        SolveStatus::Unsat => false,
+        SolveStatus::Interrupted => unreachable!("no cancel token was set"),
+    }
+}
+
 #[test]
 fn cnfdump_output_reparses_and_stays_satisfiable() {
-    let dump = temp_file("worked_example.cnf");
-    let output = bosphorus(&["--anf", &instance("worked_example.anf"), "--cnfdump", &dump]);
+    // Every committed instance with its known verdict. Both dumps must
+    // re-parse, and solving either gives that verdict. Simon-[2,8] takes
+    // minutes to solve from scratch, so its dumps are solved with the ANF
+    // variables fixed to the generator's witness: the dumps must still
+    // admit it.
+    let instances = [
+        ("worked_example.anf", true),
+        ("table1.anf", true),
+        ("unsat.anf", false),
+        ("simon_2_8.anf", true),
+        ("small.cnf", true),
+        ("unsat.cnf", false),
+    ];
+    for (name, satisfiable) in instances {
+        let format = if name.ends_with(".cnf") {
+            "--cnf"
+        } else {
+            "--anf"
+        };
+        let anf_dump = temp_file(&format!("reparse_{name}.anf"));
+        let cnf_dump = temp_file(&format!("reparse_{name}.cnf"));
+        let output = bosphorus(&[
+            format,
+            &instance(name),
+            "--anfdump",
+            &anf_dump,
+            "--cnfdump",
+            &cnf_dump,
+        ]);
+        assert_eq!(output.status.code(), Some(0), "{name}");
+        let anf_text = std::fs::read_to_string(&anf_dump).expect("anf dump written");
+        let cnf_text = std::fs::read_to_string(&cnf_dump).expect("cnf dump written");
+        let _ = std::fs::remove_file(&anf_dump);
+        let _ = std::fs::remove_file(&cnf_dump);
+        let system = PolynomialSystem::parse(&anf_text).expect("the anf dump re-parses");
+        let cnf = CnfFormula::parse_dimacs(&cnf_text).expect("the cnf dump re-parses");
+        assert_eq!(cnf.to_dimacs(), cnf_text, "{name}: the cnf dump re-prints");
+        let witness = (name == "simon_2_8.anf").then(simon_2_8_witness);
+        assert_eq!(
+            solve_cnf(&cnf, witness.as_ref()),
+            satisfiable,
+            "{name}: cnf dump"
+        );
+        assert_eq!(
+            solve_anf(system, witness.as_ref()),
+            satisfiable,
+            "{name}: anf dump"
+        );
+    }
+}
+
+#[test]
+fn a_contradiction_in_the_database_stays_unsat_through_the_cnf_dump() {
+    // The master copy keeps the contradiction `1`, which the CNF encodes
+    // as the empty clause: its dump must re-parse as unsatisfiable.
+    let input = temp_file("contradiction.anf");
+    let dump = temp_file("contradiction.cnf");
+    std::fs::write(&input, "x0 + x1;\n1;\n").expect("input written");
+    let output = bosphorus(&["--anf", &input, "--cnfdump", &dump]);
     assert_eq!(output.status.code(), Some(0));
-    let text = std::fs::read_to_string(&dump).expect("dump written");
-    let cnf = CnfFormula::parse_dimacs(&text).expect("dump re-parses");
-    // The worked example is decided by preprocessing, so the processed CNF
-    // encodes the propagated knowledge; the paper's solution must satisfy
-    // the clauses over the original variables.
-    assert!(cnf.num_vars() >= 6);
+    let output = bosphorus(&["--cnf", &dump, "--solve"]);
+    let _ = std::fs::remove_file(&input);
     let _ = std::fs::remove_file(&dump);
+    assert_eq!(output.status.code(), Some(20), "UNSAT exit code");
 }
 
 #[test]

@@ -63,7 +63,10 @@ impl CnfFormula {
     /// Comment lines (`c ...`) and the problem line (`p cnf V C`) are
     /// handled; the declared variable count is honoured even when some
     /// variables do not occur in any clause. The declared clause count is not
-    /// enforced (many real-world files get it wrong).
+    /// enforced (many real-world files get it wrong). A `0` with no literal
+    /// before it is the empty clause, and a `%` line ends the clauses (the
+    /// SATLIB convention), so [`CnfFormula::to_dimacs`] output re-parses to
+    /// the same formula.
     ///
     /// # Errors
     ///
@@ -123,7 +126,12 @@ impl CnfFormula {
             }
             line_no += 1;
             let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('c') || trimmed.starts_with('%') {
+            // SATLIB files end their clauses with a `%` line, followed by
+            // a stray `0` that is not a clause.
+            if trimmed.starts_with('%') {
+                break;
+            }
+            if trimmed.is_empty() || trimmed.starts_with('c') {
                 continue;
             }
             if trimmed.starts_with('p') {
@@ -150,12 +158,8 @@ impl CnfFormula {
                         token: token.to_string(),
                     })?;
                 if value == 0 {
-                    // A bare `0` with no pending literals (e.g. the SATLIB
-                    // trailing "%\n0" idiom) is ignored rather than read
-                    // as an empty clause.
-                    if !current.is_empty() {
-                        cnf.add_clause(current.drain(..));
-                    }
+                    // A `0` with no pending literals is the empty clause.
+                    cnf.add_clause(current.drain(..));
                 } else {
                     // `from_dimacs` is None only for magnitudes beyond the
                     // u32 literal encoding — report them, never truncate.
@@ -204,7 +208,6 @@ impl CnfFormula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Clause;
 
     #[test]
     fn parse_basic_document() {
@@ -212,23 +215,29 @@ mod tests {
         let cnf = CnfFormula::parse_dimacs(text).expect("parses");
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(
-            cnf.clauses()[0],
-            Clause::from_lits([Lit::positive(0), Lit::negative(2)])
-        );
+        assert_eq!(cnf.clause(0), &[Lit::positive(0), Lit::negative(2)]);
     }
 
     #[test]
     fn parse_multiline_clause_and_trailing_percent() {
         let text = "p cnf 2 1\n1\n-2\n0\n%\n0\n";
-        // The trailing "%\n0" idiom from SATLIB files: '%' is skipped and the
-        // stray 0 is ignored instead of being read as an empty clause.
+        // The trailing "%\n0" idiom from SATLIB files: '%' ends the clauses,
+        // so the stray 0 is not read as an empty clause.
         let cnf = CnfFormula::parse_dimacs(text).expect("parses");
         assert_eq!(cnf.num_clauses(), 1);
-        assert_eq!(
-            cnf.clauses()[0],
-            Clause::from_lits([Lit::positive(0), Lit::negative(1)])
-        );
+        assert_eq!(cnf.clause(0), &[Lit::positive(0), Lit::negative(1)]);
+    }
+
+    #[test]
+    fn the_empty_clause_survives_a_round_trip() {
+        let mut cnf = CnfFormula::new(2);
+        cnf.add_clause([Lit::positive(0), Lit::negative(1)]);
+        cnf.add_clause([]);
+        let text = cnf.to_dimacs();
+        assert_eq!(text, "p cnf 2 2\n1 -2 0\n0\n");
+        let reparsed = CnfFormula::parse_dimacs(&text).expect("parses");
+        assert!(reparsed.has_empty_clause());
+        assert_eq!(reparsed, cnf);
     }
 
     #[test]
@@ -348,8 +357,7 @@ mod tests {
         // chunk handling.
         let streamed = CnfFormula::parse_dimacs_from(BufReader::with_capacity(4, text.as_bytes()))
             .expect("parses");
-        assert_eq!(streamed.num_vars(), in_memory.num_vars());
-        assert_eq!(streamed.clauses(), in_memory.clauses());
+        assert_eq!(streamed, in_memory);
     }
 
     #[test]
@@ -382,7 +390,6 @@ mod tests {
         cnf.add_clause([Lit::negative(1), Lit::positive(2), Lit::positive(3)]);
         let text = cnf.to_dimacs();
         let reparsed = CnfFormula::parse_dimacs(&text).expect("round-trip parses");
-        assert_eq!(reparsed.num_vars(), cnf.num_vars());
-        assert_eq!(reparsed.clauses(), cnf.clauses());
+        assert_eq!(reparsed, cnf);
     }
 }

@@ -27,8 +27,12 @@ impl fmt::Display for EvaluateError {
 
 impl Error for EvaluateError {}
 
-/// A CNF formula: a conjunction of [`Clause`]s over variables
-/// `x0 .. x{n-1}`.
+/// A CNF formula: a conjunction of clauses over variables `x0 .. x{n-1}`.
+///
+/// The clauses live back to back in one literal arena, each sorted by code
+/// and free of duplicate literals (the normal form of [`Clause`]), so adding
+/// a clause allocates nothing of its own. [`CnfFormula::iter`] and
+/// [`CnfFormula::clause`] hand out each clause as a literal slice.
 ///
 /// # Examples
 ///
@@ -36,14 +40,19 @@ impl Error for EvaluateError {}
 /// use bosphorus_cnf::{CnfFormula, Lit};
 ///
 /// let mut cnf = CnfFormula::new(3);
-/// cnf.add_clause([Lit::positive(0), Lit::positive(1)]);
+/// cnf.add_clause([Lit::positive(1), Lit::positive(0)]);
 /// cnf.add_clause([Lit::negative(0), Lit::positive(2)]);
 /// assert_eq!(cnf.num_vars(), 3);
 /// assert_eq!(cnf.num_clauses(), 2);
+/// assert_eq!(cnf.clause(0), &[Lit::positive(0), Lit::positive(1)]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CnfFormula {
-    clauses: Vec<Clause>,
+    /// Every clause's literals, in clause order.
+    lits: Vec<Lit>,
+    /// Where each clause ends in `lits`: clause `i` is
+    /// `lits[ends[i - 1]..ends[i]]` (from 0 for the first).
+    ends: Vec<usize>,
     num_vars: usize,
 }
 
@@ -51,7 +60,8 @@ impl CnfFormula {
     /// Creates an empty formula over `num_vars` variables.
     pub fn new(num_vars: usize) -> Self {
         CnfFormula {
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            ends: Vec::new(),
             num_vars,
         }
     }
@@ -59,9 +69,7 @@ impl CnfFormula {
     /// Builds a formula from clauses, inferring the variable count.
     pub fn from_clauses<I: IntoIterator<Item = Clause>>(clauses: I) -> Self {
         let mut cnf = CnfFormula::new(0);
-        for c in clauses {
-            cnf.push_clause(c);
-        }
+        cnf.extend(clauses);
         cnf
     }
 
@@ -72,22 +80,28 @@ impl CnfFormula {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Returns `true` if the formula has no clauses.
     pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The clauses in insertion order.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// The literals of clause `index` (in insertion order), sorted by code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`CnfFormula::num_clauses`].
+    pub fn clause(&self, index: usize) -> &[Lit] {
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        &self.lits[start..self.ends[index]]
     }
 
-    /// Iterates over the clauses.
-    pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
-        self.clauses.iter()
+    /// Iterates over the clauses in insertion order, each as its sorted
+    /// literals.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        (0..self.num_clauses()).map(|index| self.clause(index))
     }
 
     /// Grows the variable space to at least `num_vars` variables.
@@ -102,42 +116,59 @@ impl CnfFormula {
         v
     }
 
-    /// Adds a clause built from the given literals.
+    /// Adds a clause built from the given literals, sorting them and
+    /// dropping duplicates in place, and grows the variable space if needed.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        self.push_clause(Clause::from_lits(lits));
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        let clause = &mut self.lits[start..];
+        if !clause.windows(2).all(|w| w[0] < w[1]) {
+            clause.sort_unstable();
+            let mut kept = 1;
+            for read in 1..clause.len() {
+                if clause[read] != clause[kept - 1] {
+                    clause[kept] = clause[read];
+                    kept += 1;
+                }
+            }
+            self.lits.truncate(start + kept);
+        }
+        // Sorted by code, so the last literal has the largest variable.
+        if let Some(last) = self.lits[start..].last() {
+            self.num_vars = self.num_vars.max(last.var() as usize + 1);
+        }
+        self.ends.push(self.lits.len());
     }
 
     /// Adds an already-built clause, growing the variable space if needed.
     pub fn push_clause(&mut self, clause: Clause) {
-        if let Some(max) = clause.max_var() {
-            self.ensure_num_vars(max as usize + 1);
-        }
-        self.clauses.push(clause);
+        self.add_clause(clause.iter().copied());
     }
 
     /// Returns `true` if the formula contains an empty clause (trivially
     /// unsatisfiable).
     pub fn has_empty_clause(&self) -> bool {
-        self.clauses.iter().any(Clause::is_empty)
+        self.iter().any(<[Lit]>::is_empty)
     }
 
     /// Total number of literal occurrences.
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Clause::len).sum()
+        self.lits.len()
     }
 
-    /// Removes tautological clauses and exact duplicates. Returns how many
-    /// clauses were removed.
+    /// Removes tautological clauses and exact duplicates (keeping the
+    /// first occurrence). Returns how many clauses were removed.
     pub fn simplify_trivial(&mut self) -> usize {
-        let before = self.clauses.len();
-        let mut seen: Vec<Clause> = Vec::with_capacity(before);
-        for c in self.clauses.drain(..) {
-            if !c.is_tautology() && !seen.contains(&c) {
-                seen.push(c);
+        let before = self.num_clauses();
+        let mut kept = CnfFormula::new(self.num_vars);
+        for clause in self.iter() {
+            let tautology = clause.windows(2).any(|w| w[0].var() == w[1].var());
+            if !tautology && !kept.iter().any(|k| k == clause) {
+                kept.add_clause(clause.iter().copied());
             }
         }
-        self.clauses = seen;
-        before - self.clauses.len()
+        *self = kept;
+        before - self.num_clauses()
     }
 
     /// Evaluates the formula under a complete valuation indexed by variable.
@@ -154,9 +185,8 @@ impl CnfFormula {
             });
         }
         Ok(self
-            .clauses
             .iter()
-            .all(|c| c.evaluate(|v| values[v as usize])))
+            .all(|c| c.iter().any(|l| l.evaluate(values[l.var() as usize]))))
     }
 }
 
@@ -176,11 +206,11 @@ impl FromIterator<Clause> for CnfFormula {
 
 impl fmt::Display for CnfFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, c) in self.clauses.iter().enumerate() {
+        for (i, c) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, " ∧ ")?;
             }
-            write!(f, "({c})")?;
+            write!(f, "({})", Clause::from_lits(c.iter().copied()))?;
         }
         Ok(())
     }
@@ -192,7 +222,7 @@ impl fmt::Debug for CnfFormula {
             f,
             "CnfFormula({} vars, {} clauses)",
             self.num_vars,
-            self.clauses.len()
+            self.num_clauses()
         )
     }
 }
@@ -208,6 +238,24 @@ mod tests {
         assert_eq!(cnf.num_vars(), 5);
         assert_eq!(cnf.num_clauses(), 1);
         assert_eq!(cnf.num_literals(), 1);
+    }
+
+    #[test]
+    fn clauses_are_stored_back_to_back_in_normal_form() {
+        let mut cnf = CnfFormula::new(0);
+        cnf.add_clause([Lit::negative(3), Lit::positive(1), Lit::negative(3)]);
+        cnf.add_clause([]);
+        cnf.push_clause(Clause::from_lits([Lit::positive(2), Lit::negative(0)]));
+        assert_eq!(cnf.num_clauses(), 3);
+        assert_eq!(cnf.num_vars(), 4);
+        assert_eq!(cnf.num_literals(), 4);
+        assert_eq!(cnf.clause(0), &[Lit::positive(1), Lit::negative(3)]);
+        assert_eq!(cnf.clause(1), &[]);
+        assert_eq!(cnf.clause(2), &[Lit::negative(0), Lit::positive(2)]);
+        let clauses: Vec<&[Lit]> = cnf.iter().collect();
+        assert_eq!(clauses, [cnf.clause(0), cnf.clause(1), cnf.clause(2)]);
+        assert_eq!(cnf.iter().len(), 3);
+        assert!(cnf.has_empty_clause());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Conjunctive Normal Form (CNF) formulas.
 //!
 //! This crate provides the CNF side of the ANF↔CNF bridge: [`Lit`]erals,
-//! [`Clause`]s, [`CnfFormula`]s and DIMACS text I/O. It is shared by the SAT
+//! [`Clause`]s, [`CnfFormula`]s (one flat literal arena per formula) and
+//! DIMACS text I/O. It is shared by the SAT
 //! solver ([`bosphorus-sat`]) and by the conversion code in the core crate.
 //!
 //! # Examples

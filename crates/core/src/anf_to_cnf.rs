@@ -87,18 +87,13 @@ impl CnfConversion {
         }
         let mut solver = Solver::new(solver_config.clone());
         solver.new_vars(self.cnf.num_vars());
-        let clauses = self.cnf.clauses();
         let mut next = 0;
         for piece in &self.xors {
-            for clause in &clauses[next..piece.clauses.start] {
-                solver.add_clause(clause.iter().copied());
-            }
+            solver.add_formula_clauses(&self.cnf, next..piece.clauses.start);
             solver.add_xor(piece.xor.clone());
             next = piece.clauses.end;
         }
-        for clause in &clauses[next..] {
-            solver.add_clause(clause.iter().copied());
-        }
+        solver.add_formula_clauses(&self.cnf, next..self.cnf.num_clauses());
         solver
     }
 
@@ -215,13 +210,8 @@ impl Converter {
             self.cnf
                 .add_clause([Lit::negative(aux), Lit::positive(v as CnfVar)]);
         }
-        let mut long: Vec<Lit> = monomial
-            .vars()
-            .iter()
-            .map(|&v| Lit::negative(v as CnfVar))
-            .collect();
-        long.push(Lit::positive(aux));
-        self.cnf.add_clause(long);
+        let factors = monomial.vars().iter().map(|&v| Lit::negative(v as CnfVar));
+        self.cnf.add_clause(factors.chain([Lit::positive(aux)]));
         debug_assert_eq!(id, self.var_of_id.len(), "ids are assigned densely");
         self.var_of_id.push(aux);
         aux
@@ -232,16 +222,13 @@ impl Converter {
             return;
         }
         if poly.is_one() {
-            self.cnf.push_clause(bosphorus_cnf::Clause::empty());
+            self.cnf.add_clause([]);
             return;
         }
         // Karnaugh path: small support, no auxiliary variables.
-        if let Some(clauses) = self.covers.clauses(poly, self.karnaugh_vars) {
-            self.karnaugh_clauses += clauses.len();
-            let start = self.cnf.num_clauses();
-            for c in clauses {
-                self.cnf.push_clause(c);
-            }
+        let start = self.cnf.num_clauses();
+        if let Some(clauses) = self.covers.encode(poly, self.karnaugh_vars, &mut self.cnf) {
+            self.karnaugh_clauses += clauses;
             // A parity function has no two adjacent minterms, so the cover
             // of a linear polynomial is exactly its XOR block.
             if let Some((vars, constant)) = poly.as_linear() {
@@ -279,12 +266,11 @@ impl Converter {
         while terms.len() > XOR_CUT_LENGTH {
             // Take (L - 1) terms plus a fresh auxiliary output variable:
             // t_1 ⊕ … ⊕ t_{L-1} ⊕ aux = 0, and aux replaces them.
-            let chunk: Vec<CnfVar> = terms.drain(..XOR_CUT_LENGTH - 1).collect();
             let aux = self.cnf.new_var();
-            let mut piece = chunk.clone();
-            piece.push(aux);
+            let mut piece = [aux; XOR_CUT_LENGTH];
+            piece[..XOR_CUT_LENGTH - 1].copy_from_slice(&terms[..XOR_CUT_LENGTH - 1]);
             self.emit_xor_clauses(&piece, false);
-            terms.insert(0, aux);
+            terms.splice(..XOR_CUT_LENGTH - 1, [aux]);
         }
         self.emit_xor_clauses(&terms, constant);
         let clauses = start..self.cnf.num_clauses();
@@ -295,7 +281,7 @@ impl Converter {
     fn emit_xor_clauses(&mut self, vars: &[CnfVar], rhs: bool) {
         if vars.is_empty() {
             if rhs {
-                self.cnf.push_clause(bosphorus_cnf::Clause::empty());
+                self.cnf.add_clause([]);
             }
             return;
         }
@@ -306,11 +292,9 @@ impl Converter {
             if !parity {
                 continue;
             }
-            let clause = bosphorus_cnf::Clause::from_lits(
-                (0..n).map(|i| Lit::new(vars[i], (pattern >> i) & 1 == 1)),
-            );
             self.tseitin_clauses += 1;
-            self.cnf.push_clause(clause);
+            self.cnf
+                .add_clause((0..n).map(|i| Lit::new(vars[i], (pattern >> i) & 1 == 1)));
         }
     }
 
@@ -514,21 +498,9 @@ mod tests {
         propagator.equate(0, 1, true);
         let conversion = anf_to_cnf(&system, &propagator, &config());
         // x2 = 1 appears as a unit clause.
-        assert!(conversion
-            .cnf
-            .clauses()
-            .iter()
-            .any(|c| c.is_unit() && c.contains(Lit::positive(2))));
+        assert!(conversion.cnf.iter().any(|c| c == [Lit::positive(2)]));
         // The equivalence contributes two binary clauses.
-        assert!(
-            conversion
-                .cnf
-                .clauses()
-                .iter()
-                .filter(|c| c.is_binary())
-                .count()
-                >= 2
-        );
+        assert!(conversion.cnf.iter().filter(|c| c.len() == 2).count() >= 2);
     }
 
     #[test]
@@ -617,7 +589,7 @@ mod tests {
             .collect();
         assert_eq!(auxiliaries.len(), 2, "two cuts");
         let cnf_clauses = conversion.cnf.num_clauses();
-        assert!(conversion.cnf.clauses().iter().all(|c| c.len() >= 2));
+        assert!(conversion.cnf.iter().all(|c| c.len() >= 2));
 
         let mut solver = conversion.solver(&SolverConfig::xor_gauss());
         assert_eq!(solver.num_xors(), 2);
@@ -643,6 +615,34 @@ mod tests {
                 solver.add_clause([Lit::new(aux, !value)]);
                 assert_eq!(solver.solve(), SolveResult::Sat, "x{aux} = {value}");
             }
+        }
+    }
+
+    #[test]
+    fn supports_wider_than_a_truth_table_take_the_tseitin_path() {
+        // K = 32 admits a 32-variable support, but a truth table holds at
+        // most 8 variables: both parities of x0 + … + x31 must still be
+        // encoded in full and stay satisfiable.
+        let config = BosphorusConfig {
+            karnaugh_vars: 32,
+            ..config()
+        };
+        let sum: Vec<String> = (0..32).map(|i| format!("x{i}")).collect();
+        for constant in ["", " + 1"] {
+            let text = format!("{}{constant};", sum.join(" + "));
+            let system = PolynomialSystem::parse(&text).expect("parses");
+            let propagator = AnfPropagator::new(system.num_vars());
+            let conversion = anf_to_cnf(&system, &propagator, &config);
+            assert_eq!(conversion.karnaugh_clauses, 0, "{text}");
+            assert!(conversion.tseitin_clauses > 0, "{text}");
+            assert!(!conversion.cnf.has_empty_clause(), "{text}");
+            let mut solver = Solver::from_formula(SolverConfig::aggressive(), &conversion.cnf);
+            assert_eq!(solver.solve(), SolveResult::Sat, "{text}");
+            let model = solver.model().expect("model");
+            assert!(
+                system.iter().all(|p| !p.evaluate(|v| model[v as usize])),
+                "{text}"
+            );
         }
     }
 

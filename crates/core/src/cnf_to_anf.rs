@@ -37,13 +37,13 @@ pub struct AnfConversion {
 ///
 /// // ¬x1 ∨ x2   becomes   x1*x2 + x1.
 /// let clause = Clause::from_lits([Lit::negative(1), Lit::positive(2)]);
-/// assert_eq!(clause_to_polynomial(&clause).to_string(), "x1*x2 + x1");
+/// assert_eq!(clause_to_polynomial(clause.lits()).to_string(), "x1*x2 + x1");
 /// ```
-pub fn clause_to_polynomial(clause: &Clause) -> Polynomial {
+pub fn clause_to_polynomial(clause: &[Lit]) -> Polynomial {
     // The clause is violated exactly when every literal is false, i.e. when
     // the product of the negations of its literals is 1.
     let mut product = Polynomial::one();
-    for &lit in clause.iter() {
+    for &lit in clause {
         let mut factor = Polynomial::variable(lit.var() as Var);
         if lit.is_positive() {
             factor += &Polynomial::one();
@@ -72,7 +72,7 @@ pub(crate) fn cnf_to_anf_with_cut(cnf: &CnfFormula, cut: usize) -> AnfConversion
             continue;
         }
         let mut pieces: Vec<Clause> = Vec::new();
-        let mut remaining: Vec<Lit> = clause.lits().to_vec();
+        let mut remaining: Vec<Lit> = clause.to_vec();
         // Order positive literals first so that each split piece takes a full
         // batch of positives.
         remaining.sort_by_key(|l| l.is_negative());
@@ -100,7 +100,7 @@ pub(crate) fn cnf_to_anf_with_cut(cnf: &CnfFormula, cut: usize) -> AnfConversion
             split_clauses += 1;
         }
         for piece in pieces {
-            system.push(clause_to_polynomial(&piece));
+            system.push(clause_to_polynomial(piece.lits()));
         }
     }
     system.ensure_num_vars(next_aux as usize);
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn paper_example_clause() {
         let clause = Clause::from_lits([Lit::negative(1), Lit::positive(2)]);
-        let poly = clause_to_polynomial(&clause);
+        let poly = clause_to_polynomial(clause.lits());
         assert_eq!(poly, "x1*x2 + x1".parse().expect("parses"));
     }
 
@@ -131,22 +131,22 @@ mod tests {
             Lit::negative(2),
             Lit::positive(3),
         ]);
-        assert_eq!(clause_to_polynomial(&clause).degree(), 4);
+        assert_eq!(clause_to_polynomial(clause.lits()).degree(), 4);
     }
 
     #[test]
     fn positive_literal_count_drives_term_blowup() {
         // n positive literals -> 2^n monomials.
         let clause = Clause::from_lits([Lit::positive(0), Lit::positive(1), Lit::positive(2)]);
-        assert_eq!(clause_to_polynomial(&clause).len(), 8);
+        assert_eq!(clause_to_polynomial(clause.lits()).len(), 8);
         let negs = Clause::from_lits([Lit::negative(0), Lit::negative(1), Lit::negative(2)]);
-        assert_eq!(clause_to_polynomial(&negs).len(), 1);
+        assert_eq!(clause_to_polynomial(negs.lits()).len(), 1);
     }
 
     #[test]
     fn clause_and_polynomial_have_the_same_models() {
         let clause = Clause::from_lits([Lit::negative(0), Lit::positive(1), Lit::positive(2)]);
-        let poly = clause_to_polynomial(&clause);
+        let poly = clause_to_polynomial(clause.lits());
         for bits in 0u32..8 {
             let value = |v: u32| (bits >> v) & 1 == 1;
             assert_eq!(clause.evaluate(value), !poly.evaluate(value));

@@ -53,7 +53,9 @@ pub struct BosphorusConfig {
     pub subsample_m: u32,
     /// Karnaugh parameter `K`: polynomials over at most this many variables
     /// are converted to CNF through logic minimisation; larger ones use the
-    /// Tseitin-style XOR encoding. The paper uses `K = 8`.
+    /// Tseitin-style XOR encoding. The paper uses `K = 8`. The minimiser
+    /// works on truth tables of at most 8 variables, so a `K` above 8 acts
+    /// as 8: wider supports always take the Tseitin path.
     pub karnaugh_vars: usize,
     /// SAT conflict budget `C` of every in-loop SAT round. The paper starts
     /// at 10,000 and raises `C` by 10,000, up to 100,000, after every SAT

@@ -3,7 +3,7 @@
 //! objects driven to a fixed point over an incremental [`AnfDatabase`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bosphorus_anf::{
     is_retainable_fact, AnfDatabase, AnfPropagator, Assignment, Polynomial, PolynomialSystem, Var,
@@ -240,7 +240,7 @@ impl Bosphorus {
                 // Interrupted pass's fully-committed prefix), then record
                 // the timeline entry once for every run — the recorded
                 // revision is the post-commit one.
-                let (status, added, sat_conflicts) = match run {
+                let (status, added, (sat_conflicts, encode_time)) = match run {
                     Ok(outcome) => {
                         self.stats.record_pass(name, &outcome, elapsed);
                         let commits =
@@ -252,7 +252,8 @@ impl Bosphorus {
                         };
                         self.stats.record_facts(name, added);
                         self.stats.record_known_facts(name, known);
-                        (Some(outcome.status), added, outcome.sat_conflicts)
+                        let work = (outcome.sat_conflicts, outcome.encode_time);
+                        (Some(outcome.status), added, work)
                     }
                     // The pass panicked mid-run. The database may hold a
                     // half-applied rewrite only if the pass mutates it
@@ -260,7 +261,7 @@ impl Bosphorus {
                     // return facts, so the master copy is intact.
                     Err(_) => {
                         self.stats.record_poisoned(name, elapsed);
-                        (None, 0, 0)
+                        (None, 0, (0, Duration::ZERO))
                     }
                 };
                 self.stats.record_timeline(TimelineEntry {
@@ -274,6 +275,7 @@ impl Bosphorus {
                     subsample_m: budget.subsample_m(),
                     sat_budget: budget.sat_conflicts(),
                     sat_conflicts,
+                    encode_time,
                 });
                 // Poison a panicked pass and carry on with the rest.
                 let Some(status) = status else {
@@ -332,15 +334,19 @@ impl Bosphorus {
     }
 
     /// Converts the current master ANF (plus the propagation state) to CNF.
-    pub fn to_cnf(&self) -> CnfConversion {
-        anf_to_cnf(self.db.system(), self.db.propagator(), &self.config)
+    /// The time it takes counts towards [`EngineStats::encode_time`].
+    pub fn to_cnf(&mut self) -> CnfConversion {
+        let started = Instant::now();
+        let conversion = anf_to_cnf(self.db.system(), self.db.propagator(), &self.config);
+        self.stats.encode_time += started.elapsed();
+        conversion
     }
 
     /// The CNF output of the preprocessor: the processed CNF (with learnt
     /// facts), plus the original CNF when the engine was built with
     /// [`Bosphorus::from_cnf`] (the paper returns both, since a
     /// CNF→ANF→CNF round-trip alone can be a suboptimal description).
-    pub fn output_cnf(&self) -> (CnfFormula, Option<&CnfFormula>) {
+    pub fn output_cnf(&mut self) -> (CnfFormula, Option<&CnfFormula>) {
         (self.to_cnf().cnf, self.original_cnf.as_ref())
     }
 
@@ -354,7 +360,9 @@ impl Bosphorus {
             PreprocessStatus::Simplified => {}
         }
         let conversion = self.to_cnf();
+        let building = Instant::now();
         let mut solver = conversion.solver(solver_config);
+        self.stats.encode_time += building.elapsed();
         solver.set_cancel_token(self.cancel.clone());
         let start = Instant::now();
         let result = solver.solve();

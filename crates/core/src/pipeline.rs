@@ -24,6 +24,7 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::str::FromStr;
+use std::time::Duration;
 
 use bosphorus_anf::{AnfDatabase, Assignment, Polynomial, Revision};
 use bosphorus_gf2::{GaussStats, PresolveStats};
@@ -292,6 +293,9 @@ pub struct PassOutcome {
     pub new_assignments: usize,
     /// Equivalences recorded by this run (propagation pass only).
     pub new_equivalences: usize,
+    /// Time this run spent encoding the system to CNF and building its
+    /// solver, apart from the search (SAT pass only).
+    pub encode_time: Duration,
 }
 
 impl PassOutcome {
@@ -310,6 +314,7 @@ impl PassOutcome {
             sat_restarts: 0,
             new_assignments: 0,
             new_equivalences: 0,
+            encode_time: Duration::ZERO,
         }
     }
 
@@ -542,6 +547,7 @@ impl LearningPass for SatPass {
         outcome.sat_removed = sat.removed_clauses;
         outcome.sat_minimized_lits = sat.minimized_literals;
         outcome.sat_restarts = sat.restarts;
+        outcome.encode_time = sat.encode_time;
         match sat.status {
             SatStepStatus::Unsatisfiable => outcome.status = PassStatus::Unsat,
             SatStepStatus::Satisfiable(assignment) => {

@@ -10,6 +10,7 @@
 //! next round encodes the database again and searches from scratch.
 
 use std::collections::BTreeSet;
+use std::time::{Duration, Instant};
 
 use bosphorus_anf::{Assignment, Polynomial, PolynomialSystem};
 use bosphorus_cnf::Lit;
@@ -59,6 +60,9 @@ pub struct SatStepOutcome {
     pub minimized_literals: u64,
     /// Restarts performed in this round.
     pub restarts: u64,
+    /// Time spent encoding the system to CNF and building the solver,
+    /// apart from the search.
+    pub encode_time: Duration,
 }
 
 /// One conflict-bounded SAT round: converts `system` (with `propagator`'s
@@ -74,6 +78,7 @@ pub fn sat_step(
     budget: u64,
     token: &CancelToken,
 ) -> SatStepOutcome {
+    let started = Instant::now();
     let mut conversion = anf_to_cnf(system, propagator, config);
     let mut solver = conversion.solver(solver_config);
     // The solver holds its own copy of the clauses and XORs; harvesting
@@ -82,6 +87,7 @@ pub fn sat_step(
     // clause database.
     drop(std::mem::take(&mut conversion.cnf));
     drop(std::mem::take(&mut conversion.xors));
+    let encode_time = started.elapsed();
     solver.set_conflict_budget(Some(budget));
     solver.set_cancel_token(token.clone());
     let result = solver.solve();
@@ -120,6 +126,7 @@ pub fn sat_step(
         removed_clauses: stats.removed_clauses,
         minimized_literals: stats.minimized_literals,
         restarts: stats.restarts,
+        encode_time,
     }
 }
 

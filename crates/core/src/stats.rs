@@ -42,6 +42,10 @@ pub struct TimelineEntry {
     /// SAT conflicts this execution spent (0 for a pass without a SAT
     /// search, a skip, or a poisoned run).
     pub sat_conflicts: u64,
+    /// The part of [`TimelineEntry::time`] spent encoding the system to
+    /// CNF and building the solver (zero for a pass without a SAT search,
+    /// a skip, or a poisoned run).
+    pub encode_time: Duration,
 }
 
 /// Per-pass counters, recorded uniformly for every pipeline pass.
@@ -117,6 +121,11 @@ pub struct EngineStats {
     pub propagated_equivalences: usize,
     /// Total SAT conflicts spent across all SAT steps.
     pub sat_conflicts: u64,
+    /// Total time spent encoding ANF to CNF and building solvers, apart
+    /// from search: in every in-loop SAT round, in
+    /// [`Bosphorus::to_cnf`](crate::Bosphorus::to_cnf) and before the final
+    /// search of [`Bosphorus::solve`](crate::Bosphorus::solve).
+    pub encode_time: Duration,
     /// Total row XOR operations performed by the GF(2) elimination kernel
     /// across all XL and ElimLin rounds — the dominant cost of the loop.
     pub gauss_row_xors: u64,
@@ -162,6 +171,7 @@ impl EngineStats {
         use crate::pipeline::PassStatus;
         self.gauss_row_xors += outcome.gauss.row_xors as u64;
         self.sat_conflicts += outcome.sat_conflicts;
+        self.encode_time += outcome.encode_time;
         self.propagated_assignments += outcome.new_assignments;
         self.propagated_equivalences += outcome.new_equivalences;
         let entry = self.entry_mut(name);
@@ -233,7 +243,7 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "iterations={} facts(xl={}, elimlin={}, sat={}) propagation(values={}, equivalences={}) conflicts={} gauss_row_xors={}",
+            "iterations={} facts(xl={}, elimlin={}, sat={}) propagation(values={}, equivalences={}) conflicts={} gauss_row_xors={} encode_ms={:.3}",
             self.iterations,
             self.facts_from("xl"),
             self.facts_from("elimlin"),
@@ -241,7 +251,8 @@ impl fmt::Display for EngineStats {
             self.propagated_assignments,
             self.propagated_equivalences,
             self.sat_conflicts,
-            self.gauss_row_xors
+            self.gauss_row_xors,
+            self.encode_time.as_secs_f64() * 1e3
         )?;
         let groebner = self.facts_from("groebner");
         if groebner > 0 {
@@ -308,6 +319,7 @@ mod tests {
         ran.sat_removed = 4;
         ran.sat_minimized_lits = 9;
         ran.sat_restarts = 2;
+        ran.encode_time = Duration::from_micros(1500);
         stats.record_pass("xl", &ran, Duration::from_millis(2));
         let skipped = PassOutcome::skipped();
         stats.record_pass("xl", &skipped, Duration::from_millis(1));
@@ -333,6 +345,8 @@ mod tests {
         assert_eq!(xl.time, Duration::from_millis(3));
         assert_eq!(stats.gauss_row_xors, 7);
         assert_eq!(stats.sat_conflicts, 3);
+        assert_eq!(stats.encode_time, Duration::from_micros(1500));
+        assert!(stats.to_string().contains(" encode_ms=1.500 "), "{stats}");
         assert_eq!(ran.status, PassStatus::Ran);
     }
 

@@ -7,6 +7,8 @@
 //! one contiguous run of words. Every database reduction compacts the
 //! arena, so deleted clauses never linger.
 
+use std::ops::Range;
+
 use bosphorus_cnf::{Clause, CnfFormula, CnfVar, Lit};
 use bosphorus_interrupt::CancelToken;
 
@@ -141,6 +143,8 @@ pub struct Solver {
     learnt_buf: Vec<Lit>,
     to_clear: Vec<Lit>,
     redundancy_stack: Vec<Lit>,
+    /// [`Solver::add_clause`]'s buffer for normalising its literals.
+    clause_buf: Vec<Lit>,
     /// LBD counting: a level is counted once per clause by stamping it with
     /// the clause's `lbd_epoch`.
     level_stamp: Vec<u64>,
@@ -203,6 +207,7 @@ impl Solver {
             learnt_buf: Vec::new(),
             to_clear: Vec::new(),
             redundancy_stack: Vec::new(),
+            clause_buf: Vec::new(),
             level_stamp: vec![0],
             lbd_epoch: 0,
             xor_arena: Vec::new(),
@@ -225,9 +230,11 @@ impl Solver {
     pub fn from_formula(config: SolverConfig, formula: &CnfFormula) -> Self {
         let mut solver = Solver::new(config);
         solver.new_vars(formula.num_vars());
-        for clause in formula.iter() {
-            solver.add_clause(clause.iter().copied());
-        }
+        solver
+            .arena
+            .reserve(formula.num_literals() + HEADER * formula.num_clauses());
+        solver.meta.reserve(formula.num_clauses());
+        solver.add_formula_clauses(formula, 0..formula.num_clauses());
         solver
     }
 
@@ -275,36 +282,70 @@ impl Solver {
     /// solver backs out to decision level zero, and the next
     /// [`Solver::solve`] starts a new search.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
+        let mut clause = std::mem::take(&mut self.clause_buf);
+        clause.clear();
+        clause.extend(lits);
+        clause.sort_unstable();
+        clause.dedup();
+        let ok = self.add_normalised_clause(&clause);
+        self.clause_buf = clause;
+        ok
+    }
+
+    /// Adds the clauses `clauses` of `formula`, in order, as
+    /// [`Solver::add_clause`] would. A formula's clauses are already sorted
+    /// and free of duplicates, so they are loaded as they are. Returns
+    /// `false` if the solver is unsatisfiable afterwards.
+    pub fn add_formula_clauses(&mut self, formula: &CnfFormula, clauses: Range<usize>) -> bool {
+        for index in clauses {
+            if !self.add_normalised_clause(formula.clause(index)) {
+                return false;
+            }
+        }
+        self.ok
+    }
+
+    /// [`Solver::add_clause`] on literals sorted by code without
+    /// duplicates: the unassigned literals go straight into the arena.
+    fn add_normalised_clause(&mut self, lits: &[Lit]) -> bool {
+        debug_assert!(lits.windows(2).all(|w| w[0] < w[1]), "{lits:?}");
         self.abandon_paused_search();
         if !self.ok {
             return false;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        if let Some(max) = lits.iter().map(|l| l.var()).max() {
-            self.new_vars(max as usize + 1);
+        if let Some(last) = lits.last() {
+            self.new_vars(last.var() as usize + 1);
         }
-        lits.sort_unstable();
-        lits.dedup();
         // Tautology or satisfied at top level: nothing to do.
-        if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
+        if lits.windows(2).any(|w| w[0].var() == w[1].var())
+            || lits.iter().any(|&l| self.value_lit(l) == LBool::True)
+        {
             return true;
         }
-        lits.retain(|&l| self.value_lit(l) != LBool::False);
-        if lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
-            return true;
-        }
-        match lits.len() {
+        // Top-level false literals are dropped.
+        let cref = self.arena.len();
+        let values = &self.values;
+        self.arena.extend([0; HEADER]);
+        self.arena.extend(
+            lits.iter()
+                .filter(|l| values[l.code()] == LBool::Undef)
+                .map(|l| l.code() as u32),
+        );
+        match self.arena.len() - cref - HEADER {
             0 => {
+                self.arena.truncate(cref);
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(lits[0], Reason::Decision);
+                let unit = Lit::from_code(self.arena[cref + HEADER] as usize);
+                self.arena.truncate(cref);
+                self.enqueue(unit, Reason::Decision);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                self.attach_clause(&lits, false);
+                self.attach_pushed_clause(cref, false);
                 true
             }
         }
@@ -634,25 +675,35 @@ impl Solver {
     }
 
     fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
-        debug_assert!(lits.len() >= 2);
-        let cref =
-            ClauseRef::try_from(self.arena.len()).expect("the clause arena outgrew u32 offsets");
-        self.watches[lits[0].code()].push(Watcher {
+        let cref = self.arena.len();
+        self.arena.extend([0; HEADER]);
+        self.arena.extend(lits.iter().map(|l| l.code() as u32));
+        self.attach_pushed_clause(cref, learnt)
+    }
+
+    /// Attaches the clause whose literals were just pushed onto the arena
+    /// behind a placeholder header at `cref`: fills in the header, watches
+    /// its first two literals and records its metadata.
+    fn attach_pushed_clause(&mut self, cref: usize, learnt: bool) -> ClauseRef {
+        let len = self.arena.len() - cref - HEADER;
+        debug_assert!(len >= 2);
+        let cref = ClauseRef::try_from(cref).expect("the clause arena outgrew u32 offsets");
+        let [first, second] = [0, 1].map(|k| self.clause_lit(cref, k));
+        self.watches[first.code()].push(Watcher {
             cref,
-            blocker: lits[1],
+            blocker: second,
         });
-        self.watches[lits[1].code()].push(Watcher {
+        self.watches[second.code()].push(Watcher {
             cref,
-            blocker: lits[0],
+            blocker: first,
         });
         if learnt {
             self.stats.learnt_clauses += 1;
         } else {
             self.num_original_clauses += 1;
         }
-        self.arena.push(lits.len() as u32);
-        self.arena.push(self.meta.len() as u32);
-        self.arena.extend(lits.iter().map(|l| l.code() as u32));
+        self.arena[cref as usize] = len as u32;
+        self.arena[cref as usize + 1] = self.meta.len() as u32;
         self.meta.push(ClauseMeta {
             learnt,
             activity: 0.0,

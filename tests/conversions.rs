@@ -2,7 +2,7 @@
 //! polynomials rather than toy systems.
 
 use bosphorus_repro::anf::{Assignment, Monomial, Polynomial, PolynomialSystem, TermScratch, Var};
-use bosphorus_repro::ciphers::{satcomp, simon};
+use bosphorus_repro::ciphers::{aes, bitcoin, satcomp, simon};
 use bosphorus_repro::cnf::CnfFormula;
 use bosphorus_repro::core::{
     anf_to_cnf, cnf_to_anf, AnfPropagator, BosphorusConfig, CancelToken, Linearization,
@@ -78,8 +78,21 @@ fn generated_suite_survives_dimacs_roundtrip() {
     for family in satcomp::default_suite(1) {
         let cnf = satcomp::generate(family, &mut rng);
         let reparsed = CnfFormula::parse_dimacs(&cnf.to_dimacs()).expect("round-trip parses");
-        assert_eq!(reparsed.num_vars(), cnf.num_vars());
-        assert_eq!(reparsed.clauses(), cnf.clauses());
+        assert_eq!(reparsed, cnf);
+    }
+}
+
+/// The committed DIMACS instances round-trip through the writer and the
+/// parser: `parse_dimacs(to_dimacs(f)) == f`.
+#[test]
+fn committed_cnf_files_survive_dimacs_roundtrip() {
+    for name in ["small.cnf", "unsat.cnf"] {
+        let path = format!("{}/examples/instances/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let cnf = CnfFormula::parse_dimacs(&text).expect("the committed file parses");
+        assert!(cnf.num_clauses() > 0, "{name}");
+        let reparsed = CnfFormula::parse_dimacs(&cnf.to_dimacs()).expect("round-trip parses");
+        assert_eq!(reparsed, cnf, "{name}");
     }
 }
 
@@ -189,4 +202,80 @@ fn simon_xl_round_builder_matches_the_eager_construction() {
     for fact in &facts {
         assert!(!fact.evaluate(|v| instance.witness.get(v)), "{fact}");
     }
+}
+
+/// 64-bit FNV-1a over `bytes`: stable across Rust releases.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The seeded systems whose raw conversions are pinned, each generated from
+/// its own `StdRng` seed 1: Simon-[4,5], SR-[1,2,2,4] (its 8-variable
+/// S-box covers), Bitcoin-[8,16] and Simon-[2,8].
+fn pinned_systems() -> Vec<(&'static str, PolynomialSystem)> {
+    let simon = |num_plaintexts, rounds| {
+        let params = simon::SimonParams {
+            num_plaintexts,
+            rounds,
+        };
+        simon::generate(params, &mut StdRng::seed_from_u64(1)).system
+    };
+    let bitcoin = bitcoin::BitcoinParams {
+        difficulty: 8,
+        rounds: 16,
+    };
+    vec![
+        ("Simon-[4,5]", simon(4, 5)),
+        (
+            "SR-[1,2,2,4]",
+            aes::generate(aes::AesParams::small(1), &mut StdRng::seed_from_u64(1)).system,
+        ),
+        (
+            "Bitcoin-[8,16]",
+            bitcoin::generate(bitcoin, &mut StdRng::seed_from_u64(1)).system,
+        ),
+        ("Simon-[2,8]", simon(2, 8)),
+    ]
+}
+
+/// The raw ANF → CNF conversion with a fresh propagator (the Table II
+/// "w/o" path) is pinned clause for clause: the FNV-1a hash covers the
+/// DIMACS text and every recorded XOR (its variables, right-hand side and
+/// clause range). A change to the Karnaugh covers, the Tseitin cut, the
+/// clause order or the XOR bookkeeping shows up here.
+#[test]
+fn raw_conversions_of_seeded_systems_are_pinned() {
+    let pinned: [(&str, u64); 4] = [
+        ("Simon-[4,5]", 0x3fc8_ca4b_16f8_443f),
+        ("SR-[1,2,2,4]", 0xc92b_4b23_febb_f795),
+        ("Bitcoin-[8,16]", 0x9829_bfcc_a1dd_4da2),
+        ("Simon-[2,8]", 0xce64_5c7f_8365_30a5),
+    ];
+    let config = BosphorusConfig::default();
+    let mut hashes = Vec::new();
+    for (name, system) in pinned_systems() {
+        let conversion = anf_to_cnf(&system, &AnfPropagator::new(system.num_vars()), &config);
+        let mut text = conversion.cnf.to_dimacs();
+        assert_eq!(
+            CnfFormula::parse_dimacs(&text).as_ref(),
+            Ok(&conversion.cnf),
+            "{name}: parse_dimacs(to_dimacs(f)) == f"
+        );
+        for piece in &conversion.xors {
+            text.push('x');
+            for var in piece.xor.vars() {
+                text.push_str(&format!(" {var}"));
+            }
+            text.push_str(&format!(
+                " = {} @ {}..{}\n",
+                u8::from(piece.xor.rhs()),
+                piece.clauses.start,
+                piece.clauses.end
+            ));
+        }
+        hashes.push((name, fnv1a(text.as_bytes())));
+    }
+    assert_eq!(hashes, pinned, "(system, FNV-1a of its conversion)");
 }

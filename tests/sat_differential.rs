@@ -97,7 +97,8 @@ fn brute_force_models(cnf: &CnfFormula, xors: &[XorConstraint]) -> Vec<u64> {
     (0u64..(1 << n))
         .filter(|bits| {
             let value = |v: u32| (bits >> v) & 1 == 1;
-            cnf.iter().all(|c| c.evaluate(value)) && xors.iter().all(|x| x.evaluate(value))
+            let values: Vec<bool> = (0..n as u32).map(value).collect();
+            cnf.evaluate(&values) == Ok(true) && xors.iter().all(|x| x.evaluate(value))
         })
         .collect()
 }
@@ -130,13 +131,12 @@ fn check_differential(
             );
             let model = solver.model().expect("SAT implies a model").to_vec();
             let value = |v: u32| model[v as usize];
-            for clause in cnf.iter() {
-                assert!(
-                    clause.evaluate(value),
-                    "{}: model violates a clause",
-                    config.name
-                );
-            }
+            assert_eq!(
+                cnf.evaluate(&model),
+                Ok(true),
+                "{}: model violates a clause",
+                config.name
+            );
             for xor in xors {
                 assert!(
                     xor.evaluate(value),
