@@ -25,10 +25,10 @@ fn bench_fig2(c: &mut Criterion) {
     println!("Fig. 2 reproduction for {poly}:");
     println!(
         "  Karnaugh-map conversion: {} clauses (paper: 6)",
-        karnaugh.len()
+        karnaugh.num_clauses()
     );
     println!("  Tseitin-based conversion: {tseitin} clauses (paper: 11)");
-    assert_eq!(karnaugh.len(), 6);
+    assert_eq!(karnaugh.num_clauses(), 6);
     assert_eq!(tseitin, 11);
 
     c.bench_function("fig2_karnaugh_conversion", |b| {

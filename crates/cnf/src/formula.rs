@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{Clause, CnfVar, Lit};
+use crate::{CnfVar, Lit};
 
 /// Error returned by [`CnfFormula::evaluate`] when the valuation does not
 /// cover all variables of the formula.
@@ -30,9 +30,9 @@ impl Error for EvaluateError {}
 /// A CNF formula: a conjunction of clauses over variables `x0 .. x{n-1}`.
 ///
 /// The clauses live back to back in one literal arena, each sorted by code
-/// and free of duplicate literals (the normal form of [`Clause`]), so adding
-/// a clause allocates nothing of its own. [`CnfFormula::iter`] and
-/// [`CnfFormula::clause`] hand out each clause as a literal slice.
+/// and free of duplicate literals, so adding a clause allocates nothing of
+/// its own. [`CnfFormula::iter`] and [`CnfFormula::clause`] hand out each
+/// clause as a literal slice.
 ///
 /// # Examples
 ///
@@ -64,13 +64,6 @@ impl CnfFormula {
             ends: Vec::new(),
             num_vars,
         }
-    }
-
-    /// Builds a formula from clauses, inferring the variable count.
-    pub fn from_clauses<I: IntoIterator<Item = Clause>>(clauses: I) -> Self {
-        let mut cnf = CnfFormula::new(0);
-        cnf.extend(clauses);
-        cnf
     }
 
     /// Number of variables in the formula's variable space.
@@ -140,11 +133,6 @@ impl CnfFormula {
         self.ends.push(self.lits.len());
     }
 
-    /// Adds an already-built clause, growing the variable space if needed.
-    pub fn push_clause(&mut self, clause: Clause) {
-        self.add_clause(clause.iter().copied());
-    }
-
     /// Returns `true` if the formula contains an empty clause (trivially
     /// unsatisfiable).
     pub fn has_empty_clause(&self) -> bool {
@@ -154,21 +142,6 @@ impl CnfFormula {
     /// Total number of literal occurrences.
     pub fn num_literals(&self) -> usize {
         self.lits.len()
-    }
-
-    /// Removes tautological clauses and exact duplicates (keeping the
-    /// first occurrence). Returns how many clauses were removed.
-    pub fn simplify_trivial(&mut self) -> usize {
-        let before = self.num_clauses();
-        let mut kept = CnfFormula::new(self.num_vars);
-        for clause in self.iter() {
-            let tautology = clause.windows(2).any(|w| w[0].var() == w[1].var());
-            if !tautology && !kept.iter().any(|k| k == clause) {
-                kept.add_clause(clause.iter().copied());
-            }
-        }
-        *self = kept;
-        before - self.num_clauses()
     }
 
     /// Evaluates the formula under a complete valuation indexed by variable.
@@ -190,27 +163,20 @@ impl CnfFormula {
     }
 }
 
-impl Extend<Clause> for CnfFormula {
-    fn extend<I: IntoIterator<Item = Clause>>(&mut self, iter: I) {
-        for c in iter {
-            self.push_clause(c);
-        }
-    }
-}
-
-impl FromIterator<Clause> for CnfFormula {
-    fn from_iter<I: IntoIterator<Item = Clause>>(iter: I) -> Self {
-        CnfFormula::from_clauses(iter)
-    }
-}
-
 impl fmt::Display for CnfFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, c) in self.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∧ ")?;
+            f.write_str(if i > 0 { " ∧ (" } else { "(" })?;
+            if c.is_empty() {
+                f.write_str("⊥")?;
             }
-            write!(f, "({})", Clause::from_lits(c.iter().copied()))?;
+            for (k, l) in c.iter().enumerate() {
+                if k > 0 {
+                    f.write_str(" ∨ ")?;
+                }
+                write!(f, "{l}")?;
+            }
+            f.write_str(")")?;
         }
         Ok(())
     }
@@ -245,7 +211,7 @@ mod tests {
         let mut cnf = CnfFormula::new(0);
         cnf.add_clause([Lit::negative(3), Lit::positive(1), Lit::negative(3)]);
         cnf.add_clause([]);
-        cnf.push_clause(Clause::from_lits([Lit::positive(2), Lit::negative(0)]));
+        cnf.add_clause([Lit::positive(2), Lit::negative(0)]);
         assert_eq!(cnf.num_clauses(), 3);
         assert_eq!(cnf.num_vars(), 4);
         assert_eq!(cnf.num_literals(), 4);
@@ -274,20 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn simplify_removes_tautologies_and_duplicates() {
-        let mut cnf = CnfFormula::new(2);
-        cnf.add_clause([Lit::positive(0), Lit::negative(0)]);
-        cnf.add_clause([Lit::positive(1)]);
-        cnf.add_clause([Lit::positive(1)]);
-        assert_eq!(cnf.simplify_trivial(), 2);
-        assert_eq!(cnf.num_clauses(), 1);
-    }
-
-    #[test]
     fn empty_clause_detection() {
         let mut cnf = CnfFormula::new(1);
         assert!(!cnf.has_empty_clause());
-        cnf.push_clause(Clause::empty());
+        cnf.add_clause([]);
         assert!(cnf.has_empty_clause());
         assert_eq!(cnf.evaluate(&[true]), Ok(false));
     }
@@ -300,14 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_display() {
-        let cnf: CnfFormula = vec![
-            Clause::from_lits([Lit::positive(0)]),
-            Clause::from_lits([Lit::negative(1), Lit::positive(0)]),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(cnf.num_clauses(), 2);
+    fn display_format() {
+        let mut cnf = CnfFormula::new(0);
+        assert_eq!(cnf.to_string(), "");
+        cnf.add_clause([Lit::positive(0)]);
+        cnf.add_clause([Lit::negative(1), Lit::positive(0)]);
         assert_eq!(cnf.to_string(), "(x0) ∧ (x0 ∨ ¬x1)");
+        cnf.add_clause([]);
+        assert_eq!(cnf.to_string(), "(x0) ∧ (x0 ∨ ¬x1) ∧ (⊥)");
     }
 }

@@ -1,9 +1,10 @@
 //! Conjunctive Normal Form (CNF) formulas.
 //!
 //! This crate provides the CNF side of the ANF↔CNF bridge: [`Lit`]erals,
-//! [`Clause`]s, [`CnfFormula`]s (one flat literal arena per formula) and
-//! DIMACS text I/O. It is shared by the SAT
-//! solver ([`bosphorus-sat`]) and by the conversion code in the core crate.
+//! [`CnfFormula`]s and DIMACS text I/O. A formula keeps its clauses back to
+//! back in one flat literal arena and hands out each clause as a sorted,
+//! duplicate-free `&[Lit]`. It is shared by the SAT solver
+//! ([`bosphorus-sat`]) and by the conversion code in the core crate.
 //!
 //! # Examples
 //!
@@ -24,12 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clause;
 mod dimacs;
 mod formula;
 mod lit;
 
-pub use clause::Clause;
 pub use dimacs::ParseDimacsError;
 pub use formula::{CnfFormula, EvaluateError};
 pub use lit::Lit;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use crate::{Clause, CnfFormula, Lit};
+use crate::{CnfFormula, Lit};
 
 const MAX_VARS: u32 = 12;
 
@@ -10,14 +10,16 @@ fn arb_lit() -> impl Strategy<Value = Lit> {
     (0..MAX_VARS, any::<bool>()).prop_map(|(v, n)| Lit::new(v, n))
 }
 
-fn arb_clause() -> impl Strategy<Value = Clause> {
-    proptest::collection::vec(arb_lit(), 0..6).prop_map(Clause::from_lits)
+fn arb_clause() -> impl Strategy<Value = Vec<Lit>> {
+    proptest::collection::vec(arb_lit(), 0..6)
 }
 
 fn arb_formula() -> impl Strategy<Value = CnfFormula> {
     proptest::collection::vec(arb_clause(), 0..20).prop_map(|clauses| {
-        let mut cnf = CnfFormula::from_clauses(clauses);
-        cnf.ensure_num_vars(MAX_VARS as usize);
+        let mut cnf = CnfFormula::new(MAX_VARS as usize);
+        for clause in clauses {
+            cnf.add_clause(clause);
+        }
         cnf
     })
 }
@@ -41,25 +43,33 @@ proptest! {
         prop_assert_eq!(Lit::from_dimacs(encoded), Some(lit));
     }
 
-    /// Clause construction is order-insensitive and idempotent under
-    /// duplication of literals.
+    /// `add_clause` is order-insensitive and idempotent under duplication
+    /// of literals: the stored clause is the sorted, de-duplicated set.
     #[test]
-    fn clause_construction_normalises(lits in proptest::collection::vec(arb_lit(), 0..6)) {
-        let a = Clause::from_lits(lits.clone());
+    fn clause_construction_normalises(lits in arb_clause()) {
         let mut reversed = lits.clone();
         reversed.reverse();
-        let b = Clause::from_lits(reversed);
-        let doubled = Clause::from_lits(lits.iter().copied().chain(lits.iter().copied()));
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &doubled);
+        let mut cnf = CnfFormula::new(0);
+        cnf.add_clause(lits.iter().copied());
+        cnf.add_clause(reversed);
+        cnf.add_clause(lits.iter().chain(&lits).copied());
+        let mut expected = lits.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        prop_assert_eq!(cnf.clause(0), &expected[..]);
+        prop_assert_eq!(cnf.clause(1), &expected[..]);
+        prop_assert_eq!(cnf.clause(2), &expected[..]);
     }
 
-    /// A clause evaluates to true exactly when one of its literals does.
+    /// A one-clause formula evaluates to true exactly when one of the
+    /// clause's literals does.
     #[test]
     fn clause_evaluation_matches_literals(clause in arb_clause(), seed in any::<u64>()) {
-        let value = |v: u32| (seed >> (v % 64)) & 1 == 1;
-        let expected = clause.iter().any(|l| l.evaluate(value(l.var())));
-        prop_assert_eq!(clause.evaluate(value), expected);
+        let values: Vec<bool> = (0..MAX_VARS).map(|v| (seed >> v) & 1 == 1).collect();
+        let expected = clause.iter().any(|l| l.evaluate(values[l.var() as usize]));
+        let mut cnf = CnfFormula::new(MAX_VARS as usize);
+        cnf.add_clause(clause);
+        prop_assert_eq!(cnf.evaluate(&values), Ok(expected));
     }
 
     /// Formulas survive a DIMACS print/parse round trip: same variable
@@ -81,36 +91,6 @@ proptest! {
         let reparsed = CnfFormula::parse_dimacs(&cnf.to_dimacs()).expect("reparses");
         let assignment: Vec<bool> = (0..cnf.num_vars()).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
         prop_assert_eq!(cnf.evaluate(&assignment), reparsed.evaluate(&assignment));
-    }
-
-    /// `simplify_trivial` never changes the set of satisfying assignments.
-    #[test]
-    fn simplify_trivial_is_semantics_preserving(cnf in arb_formula(), seed in any::<u64>()) {
-        let mut simplified = cnf.clone();
-        simplified.simplify_trivial();
-        let assignment: Vec<bool> = (0..cnf.num_vars()).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
-        prop_assert_eq!(cnf.evaluate(&assignment), simplified.evaluate(&assignment));
-        prop_assert!(simplified.num_clauses() <= cnf.num_clauses());
-    }
-
-    /// Tautology detection agrees with a semantic check over all assignments
-    /// of the clause's (few) variables.
-    #[test]
-    fn tautology_detection_is_semantic(clause in arb_clause()) {
-        let vars: Vec<u32> = {
-            let mut v: Vec<u32> = clause.iter().map(|l| l.var()).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let all_assignments_true = !clause.is_empty()
-            && (0u32..(1 << vars.len())).all(|bits| {
-                clause.evaluate(|v| {
-                    let idx = vars.iter().position(|&w| w == v).expect("var in support");
-                    (bits >> idx) & 1 == 1
-                })
-            });
-        prop_assert_eq!(clause.is_tautology(), all_assignments_true);
     }
 
     /// The DIMACS parser is total: arbitrary bytes produce `Ok` or a

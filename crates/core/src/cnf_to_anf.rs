@@ -11,7 +11,7 @@
 //! auxiliary variables.
 
 use bosphorus_anf::{Polynomial, PolynomialSystem, Var};
-use bosphorus_cnf::{Clause, CnfFormula, Lit};
+use bosphorus_cnf::{CnfFormula, Lit};
 
 use crate::CLAUSE_CUT_LENGTH;
 
@@ -27,17 +27,19 @@ pub struct AnfConversion {
     pub split_clauses: usize,
 }
 
-/// Converts a single clause into the polynomial `∏ ¬l = 0`.
+/// Converts a single clause, given as its literals, into the polynomial
+/// `∏ ¬l = 0`. The product does not depend on the order of the literals or
+/// on repeated ones.
 ///
 /// # Examples
 ///
 /// ```
 /// use bosphorus::clause_to_polynomial;
-/// use bosphorus_cnf::{Clause, Lit};
+/// use bosphorus_cnf::Lit;
 ///
 /// // ¬x1 ∨ x2   becomes   x1*x2 + x1.
-/// let clause = Clause::from_lits([Lit::negative(1), Lit::positive(2)]);
-/// assert_eq!(clause_to_polynomial(clause.lits()).to_string(), "x1*x2 + x1");
+/// let clause = [Lit::negative(1), Lit::positive(2)];
+/// assert_eq!(clause_to_polynomial(&clause).to_string(), "x1*x2 + x1");
 /// ```
 pub fn clause_to_polynomial(clause: &[Lit]) -> Polynomial {
     // The clause is violated exactly when every literal is false, i.e. when
@@ -71,37 +73,28 @@ pub(crate) fn cnf_to_anf_with_cut(cnf: &CnfFormula, cut: usize) -> AnfConversion
             system.push(Polynomial::one());
             continue;
         }
-        let mut pieces: Vec<Clause> = Vec::new();
         let mut remaining: Vec<Lit> = clause.to_vec();
         // Order positive literals first so that each split piece takes a full
         // batch of positives.
         remaining.sort_by_key(|l| l.is_negative());
         let mut was_split = false;
-        loop {
-            let positives = remaining.iter().filter(|l| l.is_positive()).count();
-            if positives <= cut {
-                pieces.push(Clause::from_lits(remaining.iter().copied()));
-                break;
-            }
+        while remaining.iter().filter(|l| l.is_positive()).count() > cut {
             was_split = true;
             // Take (cut − 1) positive literals into a new piece closed by a
             // fresh (positive) auxiliary variable — the piece then has
             // exactly `cut` positive literals — and replace them by ¬a in
             // the remaining clause.
-            let taken: Vec<Lit> = remaining.drain(..cut - 1).collect();
+            let mut piece: Vec<Lit> = remaining.drain(..cut - 1).collect();
             let aux = next_aux;
             next_aux += 1;
-            let mut piece = taken;
             piece.push(Lit::positive(aux));
-            pieces.push(Clause::from_lits(piece));
+            system.push(clause_to_polynomial(&piece));
             remaining.insert(0, Lit::negative(aux));
         }
         if was_split {
             split_clauses += 1;
         }
-        for piece in pieces {
-            system.push(clause_to_polynomial(piece.lits()));
-        }
+        system.push(clause_to_polynomial(&remaining));
     }
     system.ensure_num_vars(next_aux as usize);
     AnfConversion {
@@ -118,38 +111,38 @@ mod tests {
 
     #[test]
     fn paper_example_clause() {
-        let clause = Clause::from_lits([Lit::negative(1), Lit::positive(2)]);
-        let poly = clause_to_polynomial(clause.lits());
+        let poly = clause_to_polynomial(&[Lit::negative(1), Lit::positive(2)]);
         assert_eq!(poly, "x1*x2 + x1".parse().expect("parses"));
     }
 
     #[test]
     fn clause_polynomial_degree_equals_clause_length() {
-        let clause = Clause::from_lits([
+        let clause = [
             Lit::negative(0),
             Lit::positive(1),
             Lit::negative(2),
             Lit::positive(3),
-        ]);
-        assert_eq!(clause_to_polynomial(clause.lits()).degree(), 4);
+        ];
+        assert_eq!(clause_to_polynomial(&clause).degree(), 4);
     }
 
     #[test]
     fn positive_literal_count_drives_term_blowup() {
         // n positive literals -> 2^n monomials.
-        let clause = Clause::from_lits([Lit::positive(0), Lit::positive(1), Lit::positive(2)]);
-        assert_eq!(clause_to_polynomial(clause.lits()).len(), 8);
-        let negs = Clause::from_lits([Lit::negative(0), Lit::negative(1), Lit::negative(2)]);
-        assert_eq!(clause_to_polynomial(negs.lits()).len(), 1);
+        let clause = [Lit::positive(0), Lit::positive(1), Lit::positive(2)];
+        assert_eq!(clause_to_polynomial(&clause).len(), 8);
+        let negs = [Lit::negative(0), Lit::negative(1), Lit::negative(2)];
+        assert_eq!(clause_to_polynomial(&negs).len(), 1);
     }
 
     #[test]
     fn clause_and_polynomial_have_the_same_models() {
-        let clause = Clause::from_lits([Lit::negative(0), Lit::positive(1), Lit::positive(2)]);
-        let poly = clause_to_polynomial(clause.lits());
+        let clause = [Lit::negative(0), Lit::positive(1), Lit::positive(2)];
+        let poly = clause_to_polynomial(&clause);
         for bits in 0u32..8 {
             let value = |v: u32| (bits >> v) & 1 == 1;
-            assert_eq!(clause.evaluate(value), !poly.evaluate(value));
+            let satisfied = clause.iter().any(|l| l.evaluate(value(l.var())));
+            assert_eq!(satisfied, !poly.evaluate(value));
         }
     }
 
@@ -210,7 +203,7 @@ mod tests {
     #[test]
     fn empty_clause_becomes_the_contradiction() {
         let mut cnf = CnfFormula::new(2);
-        cnf.push_clause(Clause::empty());
+        cnf.add_clause([]);
         let result = cnf_to_anf(&cnf);
         assert!(result.system.has_contradiction());
     }

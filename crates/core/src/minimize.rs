@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use bosphorus_anf::{Polynomial, Var};
-use bosphorus_cnf::{Clause, CnfFormula, Lit};
+use bosphorus_cnf::{CnfFormula, Lit};
 
 /// The widest support with a truth table: `2^8` bits, four words. Wider
 /// polynomials take the Tseitin path whatever
@@ -234,8 +234,9 @@ fn minimal_cover(on: Table, k: usize) -> Vec<Implicant> {
 ///
 /// Returns `None` when the polynomial mentions more variables than that
 /// (the caller should fall back to the Tseitin-style encoding) and
-/// `Some(clauses)` otherwise. A constant `1` polynomial yields the empty
-/// clause; the zero polynomial yields no clauses.
+/// `Some(cnf)` otherwise, a formula whose variable space ends at the
+/// largest variable of the polynomial. A constant `1` polynomial yields the
+/// empty clause; the zero polynomial yields no clauses.
 ///
 /// # Examples
 ///
@@ -246,14 +247,16 @@ fn minimal_cover(on: Table, k: usize) -> Vec<Implicant> {
 /// // The paper's Fig. 2 example: x1x3 + x1 + x2 + x4 + 1 needs only 6
 /// // clauses with the Karnaugh-map conversion (vs 11 with Tseitin).
 /// let p: Polynomial = "x1*x3 + x1 + x2 + x4 + 1".parse()?;
-/// let clauses = karnaugh_clauses(&p, 8).expect("4 variables is within K");
-/// assert_eq!(clauses.len(), 6);
+/// let cnf = karnaugh_clauses(&p, 8).expect("4 variables is within K");
+/// assert_eq!(cnf.num_clauses(), 6);
+/// // No auxiliary variables: every literal is over x1..x4.
+/// assert!(cnf.iter().all(|clause| clause.iter().all(|l| l.var() <= 4)));
 /// # Ok::<(), bosphorus_anf::ParsePolynomialError>(())
 /// ```
-pub fn karnaugh_clauses(poly: &Polynomial, max_vars: usize) -> Option<Vec<Clause>> {
+pub fn karnaugh_clauses(poly: &Polynomial, max_vars: usize) -> Option<CnfFormula> {
     let mut cnf = CnfFormula::new(0);
     KarnaughCache::default().encode(poly, max_vars, &mut cnf)?;
-    Some(cnf.iter().map(|c| c.iter().copied().collect()).collect())
+    Some(cnf)
 }
 
 /// Memoised Karnaugh covers for one CNF conversion.
@@ -441,7 +444,7 @@ mod tests {
 
     /// Checks that the clauses are satisfied exactly by the assignments on
     /// which the polynomial evaluates to zero.
-    fn assert_equivalent(p: &Polynomial, clauses: &[Clause]) {
+    fn assert_equivalent(p: &Polynomial, clauses: &CnfFormula) {
         let vars = p.variables();
         let k = vars.len();
         for bits in 0u32..(1 << k) {
@@ -450,7 +453,9 @@ mod tests {
                 (bits >> idx) & 1 == 1
             };
             let poly_zero = !p.evaluate(value);
-            let clauses_ok = clauses.iter().all(|c| c.evaluate(value));
+            let clauses_ok = clauses
+                .iter()
+                .all(|c| c.iter().any(|l| l.evaluate(value(l.var()))));
             assert_eq!(poly_zero, clauses_ok, "mismatch at assignment {bits:b}");
         }
     }
@@ -520,7 +525,7 @@ mod tests {
     fn fig2_example_produces_six_clauses() {
         let p = poly("x1*x3 + x1 + x2 + x4 + 1");
         let clauses = karnaugh_clauses(&p, 8).expect("within K");
-        assert_eq!(clauses.len(), 6, "paper's Fig. 2 reports 6 clauses");
+        assert_eq!(clauses.num_clauses(), 6, "paper's Fig. 2 reports 6 clauses");
         assert_equivalent(&p, &clauses);
     }
 
@@ -528,17 +533,17 @@ mod tests {
     fn simple_equations() {
         // x0 = 0  ->  single clause ¬x0.
         let clauses = karnaugh_clauses(&poly("x0"), 8).expect("within K");
-        assert_eq!(clauses, vec![Clause::from_lits([Lit::negative(0)])]);
+        assert_eq!(clauses.to_string(), "(¬x0)");
         // x0 + 1 = 0  ->  single clause x0.
         let clauses = karnaugh_clauses(&poly("x0 + 1"), 8).expect("within K");
-        assert_eq!(clauses, vec![Clause::from_lits([Lit::positive(0)])]);
+        assert_eq!(clauses.to_string(), "(x0)");
     }
 
     #[test]
     fn conjunction_fact() {
         // x0*x1 + 1 = 0 forces both variables to 1: two unit clauses.
         let clauses = karnaugh_clauses(&poly("x0*x1 + 1"), 8).expect("within K");
-        assert_eq!(clauses.len(), 2);
+        assert_eq!(clauses.num_clauses(), 2);
         assert_equivalent(&poly("x0*x1 + 1"), &clauses);
     }
 
@@ -547,17 +552,18 @@ mod tests {
         // x0 + x1 = 0 (equality) needs exactly two binary clauses.
         let p = poly("x0 + x1");
         let clauses = karnaugh_clauses(&p, 8).expect("within K");
-        assert_eq!(clauses.len(), 2);
+        assert_eq!(clauses.num_clauses(), 2);
         assert_equivalent(&p, &clauses);
     }
 
     #[test]
     fn constants_and_limits() {
-        assert_eq!(karnaugh_clauses(&Polynomial::zero(), 8), Some(Vec::new()));
         assert_eq!(
-            karnaugh_clauses(&Polynomial::one(), 8),
-            Some(vec![Clause::empty()])
+            karnaugh_clauses(&Polynomial::zero(), 8),
+            Some(CnfFormula::new(0))
         );
+        let one = karnaugh_clauses(&Polynomial::one(), 8).expect("a constant is within K");
+        assert_eq!(one.to_string(), "(⊥)");
         // Too many variables for the requested K.
         let wide = poly("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8");
         assert_eq!(karnaugh_clauses(&wide, 8), None);
@@ -588,7 +594,7 @@ mod tests {
         let p = poly("x0*x1 + x2*x3 + 1");
         let clauses = karnaugh_clauses(&p, 8).expect("within K");
         // Never worse than one clause per forbidden assignment.
-        assert!(clauses.len() <= 16);
+        assert!(clauses.num_clauses() <= 16);
         assert_equivalent(&p, &clauses);
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use bosphorus_anf::{Assignment, Monomial, Polynomial, PolynomialSystem};
-use bosphorus_cnf::{Clause, CnfFormula, Lit};
+use bosphorus_cnf::{CnfFormula, Lit};
 use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,12 +43,10 @@ fn arb_cnf() -> impl Strategy<Value = CnfFormula> {
         1..10,
     )
     .prop_map(|clauses| {
-        let mut cnf = CnfFormula::from_clauses(
-            clauses
-                .into_iter()
-                .map(|lits| Clause::from_lits(lits.into_iter().map(|(v, n)| Lit::new(v, n)))),
-        );
-        cnf.ensure_num_vars(MAX_VARS as usize);
+        let mut cnf = CnfFormula::new(MAX_VARS as usize);
+        for lits in clauses {
+            cnf.add_clause(lits.into_iter().map(|(v, n)| Lit::new(v, n)));
+        }
         cnf
     })
 }
@@ -432,7 +430,9 @@ proptest! {
                 (bits >> idx) & 1 == 1
             };
             let poly_zero = !p.evaluate(value);
-            let clauses_ok = clauses.iter().all(|c| c.evaluate(value));
+            let clauses_ok = clauses
+                .iter()
+                .all(|c| c.iter().any(|l| l.evaluate(value(l.var()))));
             prop_assert_eq!(poly_zero, clauses_ok);
         }
     }

@@ -29,6 +29,9 @@
 //! * **Learnt-clause extraction** ([`Solver::learnt_units`],
 //!   [`Solver::learnt_binaries`], [`Solver::learnt_clauses`]) — Bosphorus
 //!   harvests unit and binary learnt clauses and turns them into ANF facts.
+//!   The whole learnt database comes back as one
+//!   [`CnfFormula`](bosphorus_cnf::CnfFormula), the clause store every
+//!   crate shares.
 //!
 //! # Examples
 //!

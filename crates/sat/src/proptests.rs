@@ -3,21 +3,19 @@
 
 use proptest::prelude::*;
 
-use bosphorus_cnf::{Clause, CnfFormula, Lit};
+use bosphorus_cnf::{CnfFormula, Lit};
 
 use crate::{SolveResult, Solver, SolverConfig, XorConstraint};
 
 const MAX_VARS: u32 = 7;
 
-fn arb_clause() -> impl Strategy<Value = Clause> {
-    proptest::collection::vec((0..MAX_VARS, any::<bool>()), 1..4)
-        .prop_map(|lits| Clause::from_lits(lits.into_iter().map(|(v, neg)| Lit::new(v, neg))))
-}
-
 fn arb_formula() -> impl Strategy<Value = CnfFormula> {
-    proptest::collection::vec(arb_clause(), 0..25).prop_map(|clauses| {
-        let mut cnf = CnfFormula::from_clauses(clauses);
-        cnf.ensure_num_vars(MAX_VARS as usize);
+    let clause = proptest::collection::vec((0..MAX_VARS, any::<bool>()), 1..4);
+    proptest::collection::vec(clause, 0..25).prop_map(|clauses| {
+        let mut cnf = CnfFormula::new(MAX_VARS as usize);
+        for lits in clauses {
+            cnf.add_clause(lits.into_iter().map(|(v, neg)| Lit::new(v, neg)));
+        }
         cnf
     })
 }

@@ -9,7 +9,7 @@
 
 use std::ops::Range;
 
-use bosphorus_cnf::{Clause, CnfFormula, CnfVar, Lit};
+use bosphorus_cnf::{CnfFormula, CnfVar, Lit};
 use bosphorus_interrupt::CancelToken;
 
 use crate::varorder::VarOrderHeap;
@@ -477,12 +477,14 @@ impl Solver {
             .collect()
     }
 
-    /// All learnt clauses currently in the database.
-    pub fn learnt_clauses(&self) -> Vec<Clause> {
-        self.clause_refs()
-            .filter(|&c| self.clause_meta(c).learnt)
-            .map(|c| Clause::from_lits((0..self.clause_len(c)).map(|k| self.clause_lit(c, k))))
-            .collect()
+    /// All learnt clauses currently in the database, in arena order, as a
+    /// formula over the solver's variables.
+    pub fn learnt_clauses(&self) -> CnfFormula {
+        let mut learnt = CnfFormula::new(self.num_vars());
+        for c in self.clause_refs().filter(|&c| self.clause_meta(c).learnt) {
+            learnt.add_clause((0..self.clause_len(c)).map(|k| self.clause_lit(c, k)));
+        }
+        learnt
     }
 
     /// Runs the CDCL search until a result is reached or the conflict budget

@@ -87,29 +87,9 @@ impl XorConstraint {
         self.vars.is_empty()
     }
 
-    /// Returns `true` if the constraint can never be satisfied
-    /// (no variables but `rhs = 1`).
-    pub fn is_contradiction(&self) -> bool {
-        self.vars.is_empty() && self.rhs
-    }
-
-    /// Returns `true` if the constraint is trivially satisfied
-    /// (no variables and `rhs = 0`).
-    pub fn is_trivial(&self) -> bool {
-        self.vars.is_empty() && !self.rhs
-    }
-
     /// The largest variable index, if any.
     pub fn max_var(&self) -> Option<CnfVar> {
         self.vars.last().copied()
-    }
-
-    /// XOR-combines two constraints (adds the GF(2) equations).
-    pub fn combine(&self, other: &XorConstraint) -> XorConstraint {
-        XorConstraint::new(
-            self.vars.iter().chain(other.vars.iter()).copied(),
-            self.rhs ^ other.rhs,
-        )
     }
 
     /// Evaluates the constraint under a variable valuation.
@@ -223,19 +203,7 @@ mod tests {
         assert_eq!(c.vars(), &[1, 3]);
         let d = XorConstraint::new([2, 2], true);
         assert!(d.is_empty());
-        assert!(d.is_contradiction());
-        assert!(!d.is_trivial());
-    }
-
-    #[test]
-    fn combine_adds_equations() {
-        let a = XorConstraint::new([0, 1], true);
-        let b = XorConstraint::new([1, 2], false);
-        let c = a.combine(&b);
-        assert_eq!(c.vars(), &[0, 2]);
-        assert!(c.rhs());
-        // Combining with itself yields the trivial constraint.
-        assert!(a.combine(&a).is_trivial());
+        assert!(d.rhs());
     }
 
     #[test]
@@ -276,7 +244,7 @@ mod tests {
             XorConstraint::new([0, 1], true),
         ]);
         assert!(outcome.contradiction);
-        assert!(outcome.rows.iter().any(XorConstraint::is_contradiction));
+        assert!(outcome.rows.contains(&XorConstraint::new([], true)));
     }
 
     #[test]

@@ -279,3 +279,87 @@ fn raw_conversions_of_seeded_systems_are_pinned() {
     }
     assert_eq!(hashes, pinned, "(system, FNV-1a of its conversion)");
 }
+
+/// The raw CNF → ANF conversion (Hsiang's encoding with clauses cut at
+/// `L'`) is pinned input for input: the FNV-1a hash of the printed ANF,
+/// the number of split clauses and the original variable count. The inputs
+/// are the committed DIMACS files and the synthetic SAT-comp suite at scale
+/// 3, each family generated from its own `StdRng` seed 1. The Pigeonhole
+/// instance (7 pigeons, 6 holes) has clauses of 6 positive literals, more
+/// than `L' = 5`, so the cut is covered.
+#[test]
+fn raw_cnf_to_anf_conversions_are_pinned() {
+    let pinned: [(&str, u64, usize, usize); 9] = [
+        ("small.cnf", 0x2928_f547_e684_a4db, 0, 4),
+        ("unsat.cnf", 0xf65a_4feb_bf55_d99b, 0, 1),
+        (
+            "Random3Sat { vars: 60, clauses: 240 }",
+            0xcda9_c0a7_83a8_dc30,
+            0,
+            60,
+        ),
+        (
+            "Random3Sat { vars: 60, clauses: 273 }",
+            0xab81_b0fc_db9d_8d2b,
+            0,
+            60,
+        ),
+        ("Pigeonhole { pigeons: 7 }", 0xa701_c943_906a_40e6, 7, 42),
+        (
+            "XorChain { length: 72, contradictory: false }",
+            0xe4a4_9290_93f5_3969,
+            0,
+            72,
+        ),
+        (
+            "XorChain { length: 72, contradictory: true }",
+            0x76fe_d975_55e4_0d13,
+            0,
+            72,
+        ),
+        (
+            "GraphColouring { vertices: 30, edges: 60, colours: 3 }",
+            0xbdb0_ad84_b1cd_51e9,
+            0,
+            90,
+        ),
+        (
+            "CounterBmc { width: 6, steps: 12 }",
+            0xd517_6619_a004_0c0e,
+            0,
+            126,
+        ),
+    ];
+    let mut inputs = Vec::new();
+    for name in ["small.cnf", "unsat.cnf"] {
+        let path = format!("{}/examples/instances/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let cnf = CnfFormula::parse_dimacs(&text).expect("the committed file parses");
+        inputs.push((name.to_string(), cnf));
+    }
+    for family in satcomp::default_suite(3) {
+        let cnf = satcomp::generate(family, &mut StdRng::seed_from_u64(1));
+        inputs.push((format!("{family:?}"), cnf));
+    }
+    let recorded: Vec<(String, u64, usize, usize)> = inputs
+        .iter()
+        .map(|(name, cnf)| {
+            let conversion = cnf_to_anf(cnf);
+            (
+                name.clone(),
+                fnv1a(conversion.system.to_string().as_bytes()),
+                conversion.split_clauses,
+                conversion.original_vars,
+            )
+        })
+        .collect();
+    assert!(recorded.iter().any(|&(_, _, split, _)| split > 0));
+    let pinned: Vec<(String, u64, usize, usize)> = pinned
+        .iter()
+        .map(|&(name, hash, split, vars)| (name.to_string(), hash, split, vars))
+        .collect();
+    assert_eq!(
+        recorded, pinned,
+        "(input, FNV-1a of its ANF, split clauses, original vars)"
+    );
+}

@@ -117,7 +117,11 @@ fn section_2e_full_solve_and_fact_soundness() {
 fn fig2_conversion_counts() {
     let poly: Polynomial = "x1*x3 + x1 + x2 + x4 + 1".parse().expect("parses");
     let clauses = karnaugh_clauses(&poly, 8).expect("4 variables is within K = 8");
-    assert_eq!(clauses.len(), 6, "Fig. 2 (left): Karnaugh-map conversion");
+    assert_eq!(
+        clauses.num_clauses(),
+        6,
+        "Fig. 2 (left): Karnaugh-map conversion"
+    );
     assert_eq!(
         tseitin_clause_count(&poly),
         11,

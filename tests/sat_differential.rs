@@ -21,7 +21,7 @@
 //! arm uses a fixed seed, so CI runs the same cases every time.
 
 use bosphorus_repro::ciphers::satcomp;
-use bosphorus_repro::cnf::{Clause, CnfFormula, Lit};
+use bosphorus_repro::cnf::{CnfFormula, Lit};
 use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig, SolverStats, XorConstraint};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,11 +39,10 @@ fn arb_cnf() -> impl Strategy<Value = CnfFormula> {
             1..(2 * n as usize + 1),
         )
         .prop_map(move |clauses| {
-            let mut cnf =
-                CnfFormula::from_clauses(clauses.into_iter().map(|lits| {
-                    Clause::from_lits(lits.into_iter().map(|(v, neg)| Lit::new(v, neg)))
-                }));
-            cnf.ensure_num_vars(n as usize);
+            let mut cnf = CnfFormula::new(n as usize);
+            for lits in clauses {
+                cnf.add_clause(lits.into_iter().map(|(v, neg)| Lit::new(v, neg)));
+            }
             cnf
         })
     })
@@ -60,10 +59,10 @@ fn arb_cnf_with_xors() -> impl Strategy<Value = (CnfFormula, Vec<XorConstraint>)
             proptest::collection::vec((proptest::collection::vec(0..n, 1..5), any::<bool>()), 1..4),
         )
             .prop_map(move |(clauses, xors)| {
-                let mut cnf = CnfFormula::from_clauses(clauses.into_iter().map(|lits| {
-                    Clause::from_lits(lits.into_iter().map(|(v, neg)| Lit::new(v, neg)))
-                }));
-                cnf.ensure_num_vars(n as usize);
+                let mut cnf = CnfFormula::new(n as usize);
+                for lits in clauses {
+                    cnf.add_clause(lits.into_iter().map(|(v, neg)| Lit::new(v, neg)));
+                }
                 let xors = xors
                     .into_iter()
                     .map(|(vars, rhs)| XorConstraint::new(vars, rhs))
@@ -82,9 +81,7 @@ fn with_xor_blocks(cnf: &CnfFormula, xors: &[XorConstraint]) -> CnfFormula {
         let vars = xor.vars();
         for pattern in 0u32..(1 << vars.len()) {
             if (pattern.count_ones() % 2 == 1) != xor.rhs() {
-                out.push_clause(Clause::from_lits(
-                    (0..vars.len()).map(|i| Lit::new(vars[i], (pattern >> i) & 1 == 1)),
-                ));
+                out.add_clause((0..vars.len()).map(|i| Lit::new(vars[i], (pattern >> i) & 1 == 1)));
             }
         }
     }
@@ -161,6 +158,7 @@ fn check_differential(
     // the original instance — a learnt clause that rules out a model is a
     // soundness bug (an over-minimized conflict clause, a bad DB
     // reduction, ...).
+    let learnt = solver.learnt_clauses();
     for &bits in &models {
         let value = |v: u32| (bits >> v) & 1 == 1;
         for lit in solver.learnt_units() {
@@ -170,13 +168,13 @@ fn check_differential(
                 config.name
             );
         }
-        for clause in solver.learnt_clauses() {
-            assert!(
-                clause.evaluate(value),
-                "{}: learnt clause rules out a model",
-                config.name
-            );
-        }
+        let values: Vec<bool> = (0..learnt.num_vars() as u32).map(value).collect();
+        assert_eq!(
+            learnt.evaluate(&values),
+            Ok(true),
+            "{}: a learnt clause rules out a model",
+            config.name
+        );
     }
     (result, *solver.stats())
 }
