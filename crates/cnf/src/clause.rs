@@ -1,128 +1,53 @@
-//! Clauses: disjunctions of literals.
+//! Operations on one clause, held as a slice of literals.
+//!
+//! A clause has no type of its own: [`CnfFormula`](crate::CnfFormula) keeps
+//! its clauses in one literal arena and these helpers act on a clause's
+//! slice of it.
 
 use std::fmt;
 
 use crate::Lit;
 
-/// A clause: a disjunction of literals.
-///
-/// Literals are stored sorted and de-duplicated. A clause containing both a
-/// literal and its negation is a *tautology*; the empty clause is the
-/// unsatisfiable constant false.
-///
-/// # Examples
-///
-/// ```
-/// use bosphorus_cnf::{Clause, Lit};
-///
-/// let c = Clause::from_lits([Lit::positive(1), Lit::negative(0), Lit::positive(1)]);
-/// assert_eq!(c.len(), 2);
-/// assert!(!c.is_tautology());
-/// assert!(c.evaluate(|v| v == 1));
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Clause {
-    lits: Vec<Lit>,
-}
-
-impl Clause {
-    /// The empty (unsatisfiable) clause.
-    pub fn empty() -> Self {
-        Clause { lits: Vec::new() }
+/// Sorts `clause` by code and moves its distinct literals to the front,
+/// returning how many there are. A clause that is already strictly
+/// increasing is left as it is.
+pub(crate) fn normalise(clause: &mut [Lit]) -> usize {
+    if clause.windows(2).all(|w| w[0] < w[1]) {
+        return clause.len();
     }
-
-    /// Builds a clause from literals, sorting and removing duplicates.
-    pub fn from_lits<I: IntoIterator<Item = Lit>>(lits: I) -> Self {
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        lits.sort_unstable();
-        lits.dedup();
-        Clause { lits }
-    }
-
-    /// The literals, sorted by code.
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
-    }
-
-    /// Number of literals.
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// Returns `true` if the clause has no literals (constant false).
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// Returns `true` if the clause is a unit clause (exactly one literal).
-    pub fn is_unit(&self) -> bool {
-        self.lits.len() == 1
-    }
-
-    /// Returns `true` if the clause is binary (exactly two literals).
-    pub fn is_binary(&self) -> bool {
-        self.lits.len() == 2
-    }
-
-    /// Returns `true` if the clause contains both a literal and its negation.
-    pub fn is_tautology(&self) -> bool {
-        self.lits.windows(2).any(|w| w[0].var() == w[1].var())
-    }
-
-    /// Returns `true` if the clause contains `lit`.
-    pub fn contains(&self, lit: Lit) -> bool {
-        self.lits.binary_search(&lit).is_ok()
-    }
-
-    /// Iterates over the literals.
-    pub fn iter(&self) -> std::slice::Iter<'_, Lit> {
-        self.lits.iter()
-    }
-
-    /// The largest variable index mentioned, if any.
-    pub fn max_var(&self) -> Option<u32> {
-        self.lits.iter().map(|l| l.var()).max()
-    }
-
-    /// Evaluates the clause under a variable valuation.
-    pub fn evaluate<F: Fn(u32) -> bool>(&self, value: F) -> bool {
-        self.lits.iter().any(|l| l.evaluate(value(l.var())))
-    }
-}
-
-impl FromIterator<Lit> for Clause {
-    fn from_iter<I: IntoIterator<Item = Lit>>(iter: I) -> Self {
-        Clause::from_lits(iter)
-    }
-}
-
-impl<'a> IntoIterator for &'a Clause {
-    type Item = &'a Lit;
-    type IntoIter = std::slice::Iter<'a, Lit>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.lits.iter()
-    }
-}
-
-impl fmt::Display for Clause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.lits.is_empty() {
-            return write!(f, "⊥");
+    clause.sort_unstable();
+    let mut kept = 1;
+    for read in 1..clause.len() {
+        if clause[read] != clause[kept - 1] {
+            clause[kept] = clause[read];
+            kept += 1;
         }
-        for (i, l) in self.lits.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∨ ")?;
+    }
+    kept
+}
+
+/// Returns `true` if some literal of `clause` is true under `values`,
+/// indexed by variable. The empty clause is false.
+pub(crate) fn evaluate(clause: &[Lit], values: &[bool]) -> bool {
+    clause.iter().any(|l| l.evaluate(values[l.var() as usize]))
+}
+
+/// Displays a clause as its literals joined by `∨`, and the empty clause
+/// as `⊥`.
+pub(crate) struct Show<'a>(pub(crate) &'a [Lit]);
+
+impl fmt::Display for Show<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_empty() {
+            return f.write_str("⊥");
+        }
+        for (k, l) in self.0.iter().enumerate() {
+            if k > 0 {
+                f.write_str(" ∨ ")?;
             }
             write!(f, "{l}")?;
         }
         Ok(())
-    }
-}
-
-impl fmt::Debug for Clause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Clause({self})")
     }
 }
 
@@ -132,43 +57,28 @@ mod tests {
 
     #[test]
     fn from_lits_sorts_and_dedups() {
-        let c = Clause::from_lits([Lit::positive(3), Lit::positive(1), Lit::positive(3)]);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.lits(), &[Lit::positive(1), Lit::positive(3)]);
-    }
-
-    #[test]
-    fn classification() {
-        assert!(Clause::empty().is_empty());
-        assert!(Clause::from_lits([Lit::positive(0)]).is_unit());
-        assert!(Clause::from_lits([Lit::positive(0), Lit::negative(1)]).is_binary());
-        let taut = Clause::from_lits([Lit::positive(0), Lit::negative(0)]);
-        assert!(taut.is_tautology());
-        assert!(!Clause::from_lits([Lit::positive(0), Lit::negative(1)]).is_tautology());
+        let mut c = [Lit::positive(3), Lit::positive(1), Lit::positive(3)];
+        assert_eq!(normalise(&mut c), 2);
+        assert_eq!(&c[..2], &[Lit::positive(1), Lit::positive(3)]);
+        let mut sorted = [Lit::negative(0), Lit::positive(2)];
+        assert_eq!(normalise(&mut sorted), 2);
+        assert_eq!(sorted, [Lit::negative(0), Lit::positive(2)]);
+        assert_eq!(normalise(&mut []), 0);
     }
 
     #[test]
     fn evaluation() {
-        let c = Clause::from_lits([Lit::positive(0), Lit::negative(1)]);
-        assert!(c.evaluate(|v| v == 0));
-        assert!(c.evaluate(|_| false));
-        assert!(!c.evaluate(|v| v == 1));
-        assert!(!Clause::empty().evaluate(|_| true));
-    }
-
-    #[test]
-    fn contains_and_max_var() {
-        let c = Clause::from_lits([Lit::positive(5), Lit::negative(2)]);
-        assert!(c.contains(Lit::positive(5)));
-        assert!(!c.contains(Lit::negative(5)));
-        assert_eq!(c.max_var(), Some(5));
-        assert_eq!(Clause::empty().max_var(), None);
+        let c = [Lit::positive(0), Lit::negative(1)];
+        assert!(evaluate(&c, &[true, false]));
+        assert!(evaluate(&c, &[false, false]));
+        assert!(!evaluate(&c, &[false, true]));
+        assert!(!evaluate(&[], &[true, true]));
     }
 
     #[test]
     fn display_format() {
-        let c = Clause::from_lits([Lit::positive(0), Lit::negative(1)]);
-        assert_eq!(c.to_string(), "x0 ∨ ¬x1");
-        assert_eq!(Clause::empty().to_string(), "⊥");
+        let c = [Lit::positive(0), Lit::negative(1)];
+        assert_eq!(Show(&c).to_string(), "x0 ∨ ¬x1");
+        assert_eq!(Show(&[]).to_string(), "⊥");
     }
 }

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{CnfVar, Lit};
+use crate::{clause, CnfVar, Lit};
 
 /// Error returned by [`CnfFormula::evaluate`] when the valuation does not
 /// cover all variables of the formula.
@@ -114,18 +114,8 @@ impl CnfFormula {
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
         let start = self.lits.len();
         self.lits.extend(lits);
-        let clause = &mut self.lits[start..];
-        if !clause.windows(2).all(|w| w[0] < w[1]) {
-            clause.sort_unstable();
-            let mut kept = 1;
-            for read in 1..clause.len() {
-                if clause[read] != clause[kept - 1] {
-                    clause[kept] = clause[read];
-                    kept += 1;
-                }
-            }
-            self.lits.truncate(start + kept);
-        }
+        let kept = clause::normalise(&mut self.lits[start..]);
+        self.lits.truncate(start + kept);
         // Sorted by code, so the last literal has the largest variable.
         if let Some(last) = self.lits[start..].last() {
             self.num_vars = self.num_vars.max(last.var() as usize + 1);
@@ -157,26 +147,17 @@ impl CnfFormula {
                 supplied: values.len(),
             });
         }
-        Ok(self
-            .iter()
-            .all(|c| c.iter().any(|l| l.evaluate(values[l.var() as usize]))))
+        Ok(self.iter().all(|c| clause::evaluate(c, values)))
     }
 }
 
 impl fmt::Display for CnfFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, c) in self.iter().enumerate() {
-            f.write_str(if i > 0 { " ∧ (" } else { "(" })?;
-            if c.is_empty() {
-                f.write_str("⊥")?;
+            if i > 0 {
+                f.write_str(" ∧ ")?;
             }
-            for (k, l) in c.iter().enumerate() {
-                if k > 0 {
-                    f.write_str(" ∨ ")?;
-                }
-                write!(f, "{l}")?;
-            }
-            f.write_str(")")?;
+            write!(f, "({})", clause::Show(c))?;
         }
         Ok(())
     }
@@ -256,11 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn display_format() {
+    fn collect_and_display() {
         let mut cnf = CnfFormula::new(0);
         assert_eq!(cnf.to_string(), "");
         cnf.add_clause([Lit::positive(0)]);
         cnf.add_clause([Lit::negative(1), Lit::positive(0)]);
+        assert_eq!(cnf.num_clauses(), 2);
         assert_eq!(cnf.to_string(), "(x0) ∧ (x0 ∨ ¬x1)");
         cnf.add_clause([]);
         assert_eq!(cnf.to_string(), "(x0) ∧ (x0 ∨ ¬x1) ∧ (⊥)");
